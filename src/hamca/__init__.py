@@ -46,7 +46,6 @@ from .sampling import (
 from .multipartite import (
     MultiWave,
     InteractionTensor,
-    FactorizedState,
     product_wave,
     many_time_residual,
     evolve_factorized,

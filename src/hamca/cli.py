@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from . import automaton, conservation, multipartite, sampling
-from .gaussian import GaussianInt, GIVector, GIMatrix, HermitianIntMatrix
+from .gaussian import GIVector, GIMatrix, HermitianIntMatrix, exact_int_text
 
 KINDS = ("evolve", "audit", "reconstruct", "converge", "multi", "bell", "leibniz")
 
@@ -176,7 +176,7 @@ def load_config(path, expected_kind: Optional[str] = None,
     Raises ConfigError carrying every (field path, reason) pair found.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8") as fh, exact_int_text():
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError([(str(path), f"cannot read config: {exc}")])
@@ -371,6 +371,7 @@ def _write_text(path: Path, text: str):
         raise RuntimeError(f"cannot write {path}: {exc}") from exc
 
 
+@exact_int_text()
 def _write_json(path: Path, obj):
     _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
@@ -446,10 +447,10 @@ def _run_audit(params, out_dir, fmt):
     audit_path = out_dir / "audit.json"
     _write_json(audit_path, report.to_json_obj())
     artifacts.append(audit_path)
-    series = [conservation.conserved_quantity(traj, g, l) for l, g in pairs]
+    series = [(e.label, [e.value] * traj.last if e.conserved
+               else [v for _, v in e.drift]) for e in report.entries]
     series_path = out_dir / "series.csv"
-    _write_text(series_path, conservation.series_to_csv(
-        [(c.label, c.values_by_n) for c in series]))
+    _write_text(series_path, conservation.series_to_csv(series))
     artifacts.append(series_path)
     return checks, artifacts, info
 
@@ -518,34 +519,31 @@ def _run_converge(params, out_dir, fmt):
 
 def _run_multi(params, out_dir, fmt):
     hams = params["hamiltonians"]
-    state, wave = multipartite.evolve_factorized(
+    _, wave, res = multipartite.evolve_factorized(
         hams, params["seed_pairs"], params["steps"])
     tensor = params["interaction"]
-    res = multipartite.many_time_residual(wave, hams, tensor)
     checks = []
     if tensor is None or tensor.is_zero():
-        checks.append(Check("residual_zero_without_interaction", res.is_zero,
-                            "" if res.is_zero
-                            else f"first nonzero at {res.nonzero()[0][:2]}"))
+        # the residual without interaction, already certified zero
+        checks.append(Check("residual_zero_without_interaction", res.is_zero))
     else:
+        res = multipartite.many_time_residual(wave, hams, tensor)
         bad = res.nonzero()
         checks.append(Check("interaction_breaks_factorization", bool(bad),
                             f"{len(bad)} nonzero residual entries"
                             if bad else "product still solves the equations"))
     info = {}
     if params["synchronized"]:
-        prev = GIVector([_product_entry(state.factors, 0, alphas)
-                         for alphas in wave.dof_indices()])
-        curr = GIVector([_product_entry(state.factors, 1, alphas)
-                         for alphas in wave.dof_indices()])
+        # at equal clocks (n, ..., n) the product field is the product state
+        prev = wave.alpha_vector((0,) * wave.parts)
+        curr = wave.alpha_vector((1,) * wave.parts)
         min_steps = min(params["steps"])
         sync = multipartite.evolve_synchronized(prev, curr, hams, tensor,
                                                 min_steps)
         gap = None
         if min_steps >= 2:
-            flat = list(wave.dof_indices())
-            for idx, alphas in enumerate(flat):
-                product = _product_entry(state.factors, 2, alphas)
+            for idx, alphas in enumerate(wave.dof_indices()):
+                product = wave.get((2,) * wave.parts, alphas)
                 if sync[2][idx] != product:
                     gap = {"clock": 2, "indices": list(alphas),
                            "synchronized": sync[2][idx].to_pair(),
@@ -559,13 +557,6 @@ def _run_multi(params, out_dir, fmt):
     residual_path = out_dir / "residual.csv"
     _write_text(residual_path, res.to_csv())
     return checks, [field_path, residual_path], info
-
-
-def _product_entry(factors, n, alphas):
-    v = GaussianInt(1)
-    for f, a in zip(factors, alphas):
-        v = v * f[n][a]
-    return v
 
 
 def _run_bell(params, out_dir, fmt):
@@ -625,7 +616,7 @@ _RUNNERS = {
 }
 
 
-def run(config: ExperimentConfig, out_dir, seed: Optional[int] = None) -> dict:
+def run(config: ExperimentConfig, out_dir) -> dict:
     """Execute one experiment; returns the report object (also written)."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -635,7 +626,6 @@ def run(config: ExperimentConfig, out_dir, seed: Optional[int] = None) -> dict:
     report = {
         "kind": config.kind,
         "config": config.raw,
-        "seed": seed,
         "checks": [{"name": c.name, "passed": c.passed, "info": c.info}
                    for c in checks],
         "artifacts": [str(p) for p in artifacts],
@@ -659,8 +649,6 @@ def main(argv=None) -> int:
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--format", choices=("csv", "json"), default=None,
                        help="artifact format (default csv, or config output.format)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="seed echoed into the report for randomized suites")
     args = parser.parse_args(argv)
 
     try:
@@ -673,7 +661,7 @@ def main(argv=None) -> int:
         config.out_format = args.format
 
     try:
-        report = run(config, args.out, seed=args.seed)
+        report = run(config, args.out)
     except Exception as exc:  # module errors surface with the operation named
         print(f"FAIL {args.command} — {type(exc).__name__}: {exc}",
               file=sys.stderr)

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .automaton import Trajectory, first_recurrence_violation
-from .gaussian import GaussianInt, HermitianIntMatrix
+from .gaussian import GaussianInt, HermitianIntMatrix, exact_int_text
 
 __all__ = [
     "ConservedQuantity",
@@ -179,7 +179,8 @@ def audit_conservation(traj: Trajectory, h: HermitianIntMatrix,
     then for every G: whether [G, H] = 0; for commuting G that the
     two-point invariant takes exactly one value and the per-site rate
     vanishes; for non-commuting G the observed values.  A zero
-    normalization invariant is legitimate but flagged.
+    normalization invariant is legitimate but flagged.  Raises
+    AssertionError if a self-adjoint G yields a non-real value.
     """
     _check_traj_matrix(traj, h)
     bad = first_recurrence_violation(traj, h)
@@ -191,14 +192,16 @@ def audit_conservation(traj: Trajectory, h: HermitianIntMatrix,
         _check_traj_matrix(traj, g)
         commutes = g.matrix.commutator(h.matrix).is_zero()
         series = two_point_series(traj, g)
+        if any(v.im for v in series):
+            raise AssertionError("two-point value came out non-real for a "
+                                 "self-adjoint observable")
         distinct = {(v.re, v.im) for v in series}
         conserved = len(distinct) == 1
-        rate_ok = None
         value = series[0] if conserved else None
         drift = None
-        if commutes:
-            rate_ok = all(not conservation_rate(traj, g, n)
-                          for n in range(1, traj.last))
+        # conservation_rate(n) == q(n+1) - q(n) on any trajectory, so the
+        # rate vanishes at every interior n exactly when q is constant
+        rate_ok = conserved if commutes else None
         if not conserved:
             drift = tuple((n + 1, v) for n, v in enumerate(series))
         entries.append(AuditEntry(label=label, commutes=commutes,
@@ -215,6 +218,7 @@ def audit_conservation(traj: Trajectory, h: HermitianIntMatrix,
     )
 
 
+@exact_int_text()
 def series_to_csv(named_series: Sequence) -> str:
     """CSV rows (label, n, re, im) for labelled invariant series."""
     lines = ["label,n,re,im"]

@@ -14,6 +14,8 @@ bit-exactly for integers of any size.
 
 from __future__ import annotations
 
+import contextlib
+import sys
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -27,7 +29,25 @@ __all__ = [
     "int_matrix_apply",
     "int_matrix_is_symmetric",
     "int_matrix_is_antisymmetric",
+    "exact_int_text",
 ]
+
+
+@contextlib.contextmanager
+def exact_int_text():
+    """Lift CPython's int<->str digit limit (4300 by default) until exit.
+
+    Exact integers here grow without bound and every literal must
+    round-trip, so hamca's own encoders and decoders run inside this.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def _as_exact_int(value, where: str) -> int:
@@ -43,6 +63,10 @@ class GaussianInt:
     __slots__ = ("re", "im")
 
     def __init__(self, re: int, im: int = 0):
+        # bool and other int subclasses are rejected like floats and strings
+        if type(re) is not int or type(im) is not int:
+            raise TypeError(f"GaussianInt parts must be plain integers, "
+                            f"got {re!r}, {im!r}")
         self.re = re
         self.im = im
 
@@ -50,7 +74,7 @@ class GaussianInt:
     def _coerce(other):
         if isinstance(other, GaussianInt):
             return other
-        if isinstance(other, int) and not isinstance(other, bool):
+        if type(other) is int:
             return GaussianInt(other, 0)
         return None
 
@@ -120,7 +144,8 @@ class GaussianInt:
         return self.re == o.re and self.im == o.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value equals the plain int re, so it must hash like it
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __complex__(self):
         return complex(self.re, self.im)
@@ -128,6 +153,7 @@ class GaussianInt:
     def __repr__(self):
         return f"GaussianInt({self.re}, {self.im})"
 
+    @exact_int_text()
     def __str__(self):
         return f"{self.re}{self.im:+d}i"
 
@@ -297,20 +323,8 @@ class GIMatrix:
             return NotImplemented
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        d = self.dim
-        cols = list(zip(*other.rows))
-        out = []
-        for row in self.rows:
-            out_row = []
-            for col in cols:
-                re = 0
-                im = 0
-                for a, b in zip(row, col):
-                    re += a.re * b.re - a.im * b.im
-                    im += a.re * b.im + a.im * b.re
-                out_row.append(GaussianInt(re, im))
-            out.append(out_row)
-        return GIMatrix(out)
+        cols = [self.apply(GIVector(col)) for col in zip(*other.rows)]
+        return GIMatrix(zip(*(c.entries for c in cols)))
 
     def __add__(self, other):
         if not isinstance(other, GIMatrix):

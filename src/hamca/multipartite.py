@@ -34,12 +34,12 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .automaton import Trajectory, evolve
-from .gaussian import GaussianInt, GIMatrix, GIVector, HermitianIntMatrix, ZERO
+from .gaussian import (GaussianInt, GIMatrix, GIVector, HermitianIntMatrix, ZERO,
+                       exact_int_text)
 
 __all__ = [
     "MultiWave",
     "InteractionTensor",
-    "FactorizedState",
     "ManyTimeResidual",
     "LeibnizRow",
     "LeibnizDemo",
@@ -180,14 +180,26 @@ class MultiWave:
         for key in ("dims", "clock_box", "values"):
             if key not in obj:
                 raise ValueError(f"field JSON is missing {key!r}")
-        dims = obj["dims"]
-        clock_shape = [hi - lo + 1 for lo, hi in obj["clock_box"]]
-        wave = cls(dims, clock_shape)
+        box = obj["clock_box"]
+        if not isinstance(box, list) or not all(
+                isinstance(b, list) and len(b) == 2 and b[0] == 0 for b in box):
+            raise ValueError(f"field clock_box must be [[0, last], ...], got {box!r}")
+        wave = cls(obj["dims"], [hi + 1 for _, hi in box])
+        seen = set()
         for rec in obj["values"]:
-            if not isinstance(rec, (list, tuple)) or len(rec) != 3:
-                raise ValueError(f"bad field record {rec!r}")
-            clocks, alphas, pair = rec
-            wave.set(clocks, alphas, GaussianInt.from_pair(pair, "field value"))
+            try:
+                clocks, alphas, pair = rec
+                if len(clocks) != wave.parts or len(alphas) != wave.parts:
+                    raise IndexError("one clock and one dof index per part")
+                flat = wave._flat(clocks, alphas)
+            except (TypeError, ValueError, IndexError) as exc:
+                raise ValueError(f"bad field record {rec!r}: {exc}") from exc
+            if flat in seen:
+                raise ValueError(f"duplicate field record {rec!r}")
+            seen.add(flat)
+            wave.values[flat] = GaussianInt.from_pair(pair, "field value")
+        if len(seen) != len(wave.values):
+            raise ValueError(f"field JSON has {len(seen)} of {len(wave.values)} records")
         return wave
 
 
@@ -236,20 +248,6 @@ class InteractionTensor:
         return self.matrix.is_zero()
 
 
-@dataclass(frozen=True)
-class FactorizedState:
-    """Independent single-part histories, one per clock axis."""
-
-    factors: tuple
-
-    def __post_init__(self):
-        if not self.factors:
-            raise ValueError("need at least one factor")
-        for f in self.factors:
-            if not isinstance(f, Trajectory):
-                raise ValueError("factors must be trajectories")
-
-
 def product_wave(factors: Sequence[Trajectory]) -> MultiWave:
     """Outer product of single-part histories over the full clock box."""
     factors = list(factors)
@@ -291,6 +289,7 @@ class ManyTimeResidual:
                     out.append((absolute, alphas, v))
         return out
 
+    @exact_int_text()
     def to_csv(self) -> str:
         m = self.field.parts
         header = ([f"n{k + 1}" for k in range(m)]
@@ -355,19 +354,19 @@ def evolve_factorized(hams: Sequence[HermitianIntMatrix],
     """Evolve each part on its own clock and assemble the product field.
 
     Non-interacting by construction; the assembled field is certified to
-    have zero residual before being returned.
+    have zero residual before being returned.  Returns the tuple of
+    single-part trajectories, the product field and that residual.
     """
     if not (len(hams) == len(seed_pairs) == len(steps)):
         raise ValueError("need one coupling, seed pair and step count per part")
-    factors = []
-    for h, (s0, s1), n in zip(hams, seed_pairs, steps):
-        factors.append(evolve(s0, s1, h, n))
+    factors = tuple(evolve(s0, s1, h, n)
+                    for h, (s0, s1), n in zip(hams, seed_pairs, steps))
     wave = product_wave(factors)
     res = many_time_residual(wave, list(hams), None)
     if not res.is_zero:
         raise AssertionError("product of solutions has nonzero residual; "
                              "this indicates a bug, not bad input")
-    return FactorizedState(factors=tuple(factors)), wave
+    return factors, wave, res
 
 
 # -- product-rule failure of the symmetric difference -------------------

@@ -235,12 +235,12 @@ def test_criterion_8_many_time_factorization():
             hams.append(random_hermitian(rng, d, bound=2))
             seeds.append((random_vector(rng, d, 2), random_vector(rng, d, 2)))
             steps.append(rng.randint(2, 4))  # boxes of 4..6 slices per axis
-        _, wave = evolve_factorized(hams, seeds, steps)
+        _, wave, _ = evolve_factorized(hams, seeds, steps)
         assert many_time_residual(wave, hams).is_zero
         cases += 1
     # nonzero interaction must break the factorized solution
     h = HermitianIntMatrix(GIMatrix([[gi(2)]]))
-    _, wave = evolve_factorized(
+    _, wave, _ = evolve_factorized(
         [h, h], [(vec((1, 0)), vec((0, -1))), (vec((1, 0)), vec((0, -1)))],
         [3, 3])
     coupling = InteractionTensor.from_entries((1, 1), {((0, 0), (0, 0)): gi(1)})
@@ -248,7 +248,7 @@ def test_criterion_8_many_time_factorization():
     broke = not res.is_zero
     # and a random interacting bipartite case
     hams = [random_hermitian(rng, 2, bound=2), random_hermitian(rng, 2, bound=2)]
-    _, wave2 = evolve_factorized(
+    _, wave2, _ = evolve_factorized(
         hams, [(random_vector(rng, 2), random_vector(rng, 2)),
                (random_vector(rng, 2), random_vector(rng, 2))], [3, 3])
     tensor = InteractionTensor((2, 2), GIMatrix.identity(4))

@@ -300,3 +300,9 @@ def test_trajectory_validation():
         Trajectory([GIVector([gi(1)])])
     with pytest.raises(ValueError):
         Trajectory([GIVector([gi(1)]), GIVector([gi(1), gi(2)])])
+
+
+def test_trajectory_csv_rejects_duplicate_rows():
+    text = "n,alpha,re,im\n0,0,1,0\n1,0,2,0\n1,0,5,0\n"
+    with pytest.raises(ValueError, match="repeats"):
+        Trajectory.from_csv(text)

@@ -1,11 +1,14 @@
 """Config validation, orchestration, artifacts, exit codes, determinism."""
 
 import json
+import sys
 
 import pytest
 
-from hamca.automaton import Trajectory
+from hamca import conservation, multipartite
+from hamca.automaton import Trajectory, evolve
 from hamca.cli import ConfigError, load_config, main, run
+from hamca.gaussian import GaussianInt, GIVector, HermitianIntMatrix, exact_int_text
 from hamca.multipartite import MultiWave
 
 PAULI_X = [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]
@@ -265,3 +268,107 @@ def test_interaction_must_be_self_adjoint(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_config(path)
     assert any(p == "interaction" for p, _ in err.value.errors)
+
+
+def count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_audit_computes_each_series_once(tmp_path, monkeypatch):
+    path = write_config(tmp_path / "cfg.json", {
+        "kind": "audit", "hamiltonians": [PAULI_X],
+        "seeds": [[[1, 0], [0, 0]], [[0, 0], [1, 1]]], "steps": 20})
+    cfg = load_config(path)
+    series = count_calls(monkeypatch, conservation, "two_point_series")
+    rates = count_calls(monkeypatch, conservation, "conservation_rate")
+    quantities = count_calls(monkeypatch, conservation, "conserved_quantity")
+    run(cfg, tmp_path / "out")
+    assert len(series) == 4
+    assert rates == [] and quantities == []
+    h = cfg.params["hamiltonian"]
+    traj = evolve(*cfg.params["seeds"], h, 20)
+    want = conservation.series_to_csv(
+        [(l, conservation.two_point_series(traj, g))
+         for l, g in conservation.default_commutant_basis(h)])
+    assert (tmp_path / "out" / "series.csv").read_text() == want
+
+
+def test_audit_series_of_a_drifting_observable(tmp_path):
+    pauli_z = [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]
+    path = write_config(tmp_path / "cfg.json", {
+        "kind": "audit", "hamiltonians": [PAULI_X],
+        "seeds": [[[1, 0], [0, 0]], [[1, 0], [0, 0]]], "steps": 12,
+        "observables": [pauli_z, [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]})
+    cfg = load_config(path)
+    run(cfg, tmp_path / "out")
+    traj = evolve(*cfg.params["seeds"], cfg.params["hamiltonian"], 12)
+    values = [conservation.two_point_series(traj, g)
+              for g in cfg.params["observables"]]
+    assert len(set(values[0])) > 1 and len(set(values[1])) == 1
+    assert (tmp_path / "out" / "series.csv").read_text() == \
+        conservation.series_to_csv(list(zip(["G0", "G1"], values)))
+
+
+def test_multi_reuses_the_certified_residual(tmp_path, monkeypatch):
+    base = {"kind": "multi",
+            "hamiltonians": [[[[2, 0]]], [[[2, 0]]]],
+            "seeds": [[[[1, 0]], [[0, -1]]], [[[1, 0]], [[0, -1]]]],
+            "steps": 4}
+    residuals = count_calls(monkeypatch, multipartite, "many_time_residual")
+    report = run(load_config(write_config(tmp_path / "free.json", base)),
+                 tmp_path / "f")
+    assert len(residuals) == 1
+    assert [c["name"] for c in report["checks"]] == \
+        ["residual_zero_without_interaction"]
+    assert report["checks"][0]["passed"]
+
+    coupled = dict(base, interaction=[[[1, 0]]])
+    cfg = load_config(write_config(tmp_path / "coupled.json", coupled))
+    residuals.clear()
+    report = run(cfg, tmp_path / "c")
+    # the product is still certified, then the interacting residual is taken
+    assert len(residuals) == 2 and residuals[0][2] is None
+    assert residuals[1][2] is cfg.params["interaction"]
+    assert report["checks"][0]["name"] == "interaction_breaks_factorization"
+    assert report["checks"][0]["passed"]
+    rows = (tmp_path / "c" / "residual.csv").read_text().splitlines()[1:]
+    assert any(not row.endswith(",0,0") for row in rows)
+
+
+def test_evolve_is_exact_past_the_int_text_limit(tmp_path):
+    # seeds near 10**5000, written as text: no int<->str conversion here
+    big = "1" + "0" * 5000
+    path = tmp_path / "cfg.json"
+    path.write_text(
+        '{"kind": "evolve", "hamiltonians": [[[[0, 0], [1, 0]], [[1, 0], [0, 0]]]], '
+        f'"seeds": [[[{big}, 3], [0, -{big}]], [[1, 0], [{big}, {big}]]], '
+        '"steps": 5}', encoding="utf-8")
+    b = 10**5000
+    want = evolve(GIVector([GaussianInt(b, 3), GaussianInt(0, -b)]),
+                  GIVector([GaussianInt(1, 0), GaussianInt(b, b)]),
+                  HermitianIntMatrix.from_pairs(PAULI_X), 5)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    for fmt in ("csv", "json"):
+        assert main(["evolve", "--config", str(path), "--out",
+                     str(tmp_path / fmt), "--format", fmt]) == 0
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+    text = (tmp_path / "csv" / "trajectory.csv").read_text()
+    assert Trajectory.from_csv(text) == want
+    with exact_int_text():
+        obj = json.loads((tmp_path / "json" / "trajectory.json").read_text())
+    assert Trajectory.from_json_obj(obj) == want
+
+
+def test_seed_flag_is_gone(tmp_path):
+    report = run(load_config(evolve_config(tmp_path)), tmp_path / "out")
+    assert "seed" not in report
+    with pytest.raises(SystemExit):
+        main(["evolve", "--config", evolve_config(tmp_path), "--seed", "1"])

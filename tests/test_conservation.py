@@ -190,6 +190,21 @@ def test_audit_on_solution(rng):
         assert e.value is not None and e.value.im == 0
 
 
+def test_audit_rate_verdict_matches_the_rate_on_a_corrupted_solution(rng):
+    d = 3
+    h = random_hermitian(rng, d)
+    traj = evolve(random_vector(rng, d), random_vector(rng, d), h, 30)
+    corrupt = traj.replace(12, traj[12] + vec((1, 0), (0, 1), (0, 0)))
+    basis = default_commutant_basis(h)
+    report = audit_conservation(corrupt, h, [g for _, g in basis],
+                                [l for l, _ in basis])
+    assert any(e.rate_ok is False for e in report.entries)
+    for e, (_, g) in zip(report.entries, basis):
+        assert e.commutes
+        assert e.rate_ok == all(not conservation_rate(corrupt, g, n)
+                                for n in range(1, corrupt.last))
+
+
 def test_audit_zero_trajectory():
     traj = Trajectory([GIVector.zero(2)] * 8)
     report = audit_conservation(traj, PAULI_X, [HermitianIntMatrix.identity(2)], ["1"])

@@ -187,3 +187,18 @@ def test_int_matrix_apply():
     assert int_matrix_apply(((1, 2), (3, 4)), (1, 1)) == (3, 7)
     with pytest.raises(ValueError):
         int_matrix_apply(((1, 2),), (1, 1))
+
+
+def test_real_scalars_hash_like_the_ints_they_equal():
+    assert gi(3) == 3 and hash(gi(3)) == hash(3)
+    assert len({gi(3), 3}) == 1
+    assert len({gi(-7), -7, gi(-7, 0)}) == 1
+    assert len({gi(3, 1), 3}) == 2
+    assert {gi(0): "zero"}[0] == "zero"
+
+
+@pytest.mark.parametrize("parts", [(1.5,), (2, 0.0), (True,), (1, False),
+                                   ("3",), (1, "0")])
+def test_scalar_constructor_rejects_non_integer_parts(parts):
+    with pytest.raises(TypeError):
+        GaussianInt(*parts)

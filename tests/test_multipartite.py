@@ -11,7 +11,6 @@ from hamca.automaton import Trajectory, evolve
 from hamca.conservation import default_commutant_basis, two_point_series
 from hamca.gaussian import GaussianInt, GIVector, GIMatrix, HermitianIntMatrix
 from hamca.multipartite import (
-    FactorizedState,
     InteractionTensor,
     MultiWave,
     bell_state,
@@ -41,11 +40,10 @@ PAULI_X = HermitianIntMatrix(GIMatrix([[gi(0), gi(1)], [gi(1), gi(0)]]))
 
 
 def test_product_of_two_period_four_orbits_has_zero_residual():
-    state, wave = evolve_factorized(
+    _, wave, _ = evolve_factorized(
         [H_TWO, H_TWO],
         [(vec((1, 0)), vec((0, -1))), (vec((1, 0)), vec((0, -1)))],
         [4, 4])
-    assert isinstance(state, FactorizedState)
     res = many_time_residual(wave, [H_TWO, H_TWO])
     assert res.is_zero
 
@@ -56,7 +54,7 @@ def test_zero_field_has_zero_residual():
 
 
 def test_interaction_makes_the_residual_nonzero():
-    _, wave = evolve_factorized(
+    _, wave, _ = evolve_factorized(
         [H_TWO, H_TWO],
         [(vec((1, 0)), vec((0, -1))), (vec((1, 0)), vec((0, -1)))],
         [3, 3])
@@ -71,7 +69,7 @@ def test_interaction_makes_the_residual_nonzero():
 
 
 def test_residual_flags_a_corrupted_product(rng):
-    _, wave = evolve_factorized(
+    _, wave, _ = evolve_factorized(
         [PAULI_X], [(random_vector(rng, 2), random_vector(rng, 2))], [4])
     wave.set((3,), (1,), wave.get((3,), (1,)) + gi(1))
     assert not many_time_residual(wave, [PAULI_X]).is_zero
@@ -80,9 +78,9 @@ def test_residual_flags_a_corrupted_product(rng):
 def test_single_part_degenerates_to_plain_evolution(rng):
     h = random_hermitian(rng, 2)
     s0, s1 = random_vector(rng, 2), random_vector(rng, 2)
-    state, wave = evolve_factorized([h], [(s0, s1)], [5])
+    factors, wave, _ = evolve_factorized([h], [(s0, s1)], [5])
     traj = evolve(s0, s1, h, 5)
-    assert state.factors[0] == traj
+    assert factors == (traj,)
     for n in range(len(traj)):
         for a in range(2):
             assert wave.get((n,), (a,)) == traj[n][a]
@@ -92,7 +90,7 @@ def test_constant_part_scales_the_other_factor(rng):
     h = random_hermitian(rng, 2)
     s0, s1 = random_vector(rng, 2), random_vector(rng, 2)
     frozen = GIVector([gi(3, -1)])
-    _, wave = evolve_factorized(
+    _, wave, _ = evolve_factorized(
         [h, HermitianIntMatrix.zeros(1)],
         [(s0, s1), (frozen, frozen)],
         [3, 3])
@@ -112,7 +110,7 @@ def test_no_spurious_correlations_random_instances(rng):
             hams.append(random_hermitian(rng, d, bound=2))
             seeds.append((random_vector(rng, d, 2), random_vector(rng, d, 2)))
             steps.append(rng.randint(2, 4))
-        _, wave = evolve_factorized(hams, seeds, steps)
+        _, wave, _ = evolve_factorized(hams, seeds, steps)
         assert many_time_residual(wave, hams).is_zero
 
 
@@ -317,7 +315,7 @@ def test_witness_zero_slice_is_factorizable():
 
 
 def test_multiwave_json_roundtrip(rng):
-    _, wave = evolve_factorized(
+    _, wave, _ = evolve_factorized(
         [PAULI_X, H_TWO],
         [(random_vector(rng, 2), random_vector(rng, 2)),
          (vec((1, 0)), vec((0, -1)))],
@@ -326,8 +324,42 @@ def test_multiwave_json_roundtrip(rng):
     assert MultiWave.from_json_obj(obj) == wave
 
 
+def _two_part_field_obj():
+    wave = MultiWave((1, 1), (2, 2), [gi(1), gi(2), gi(3), gi(4)])
+    return wave.to_json_obj()
+
+
+def test_multiwave_json_rejects_missing_records():
+    obj = _two_part_field_obj()
+    del obj["values"][2]
+    with pytest.raises(ValueError, match="3 of 4 records"):
+        MultiWave.from_json_obj(obj)
+
+
+def test_multiwave_json_rejects_duplicate_records():
+    obj = _two_part_field_obj()
+    obj["values"][3] = [obj["values"][2][0], [0, 0], [9, 9]]
+    with pytest.raises(ValueError, match="duplicate"):
+        MultiWave.from_json_obj(obj)
+
+
+def test_multiwave_json_rejects_a_clock_box_not_starting_at_zero():
+    obj = _two_part_field_obj()
+    obj["clock_box"] = [[1, 2], [0, 1]]
+    with pytest.raises(ValueError, match="clock_box"):
+        MultiWave.from_json_obj(obj)
+
+
+@pytest.mark.parametrize("clocks", [[0, 2], [-1, 0], [0]])
+def test_multiwave_json_rejects_a_clock_outside_the_box(clocks):
+    obj = _two_part_field_obj()
+    obj["values"][0][0] = clocks
+    with pytest.raises(ValueError):
+        MultiWave.from_json_obj(obj)
+
+
 def test_residual_csv_layout():
-    _, wave = evolve_factorized(
+    _, wave, _ = evolve_factorized(
         [H_TWO, H_TWO],
         [(vec((1, 0)), vec((0, -1))), (vec((1, 0)), vec((0, -1)))],
         [3, 3])
