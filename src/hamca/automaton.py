@@ -32,7 +32,6 @@ from typing import Callable, Iterable, Optional, Sequence
 from .gaussian import (
     GaussianInt,
     GIVector,
-    GIMatrix,
     HermitianIntMatrix,
     ZERO,
     exact_int_text,
@@ -528,14 +527,14 @@ class StationarityReport:
         }
 
 
-def _site_variation_coefficients(traj: Trajectory, h_t: GIMatrix,
-                                 w: GIVector, m: int):
+def _site_variation_coefficients(traj: Trajectory, w: GIVector, m: int):
     """Per-dof variation coefficients at site m for all four parts.
 
     Returns (c_star, c_psi) where c_star[a] is the variation of the
     action under a unit shift of star_m^a's real part and c_psi[a] the
     analogue for psi_m^a.  Imaginary-part shifts multiply these by i.
-    Takes the transposed coupling matrix and w = H psi_m precomputed.
+    Takes w = H psi_m precomputed.  c_psi = i star_dot + H^T star_m, and
+    H^T = conj(H) for self-adjoint H, so c_psi is exactly conj(c_star).
     Derived from the same doubled action the direct path differences;
     the two paths are asserted equal in the test suite.
     """
@@ -544,13 +543,9 @@ def _site_variation_coefficients(traj: Trajectory, h_t: GIMatrix,
     p_next = traj[m + 1] if m + 1 <= traj.last else zero
     p_prev = traj[m - 1] if m - 1 >= 0 else zero
     psi_dot = p_next - p_prev
-    star_dot = GIVector(z.conjugate() for z in psi_dot.entries)
-    u = h_t.apply(traj[m].conjugate())                   # H^T star_m
     c_star = tuple(GaussianInt(wv.im, -wv.re) + hv
                    for wv, hv in zip(psi_dot, w))        # -i psi_dot + w
-    c_psi = tuple(GaussianInt(-sv.im, sv.re) + hv
-                  for sv, hv in zip(star_dot, u))        # i star_dot + u
-    return c_star, c_psi
+    return c_star, tuple(c.conjugate() for c in c_star)
 
 
 def verify_stationarity(traj: Trajectory, h: HermitianIntMatrix,
@@ -586,9 +581,8 @@ def verify_stationarity(traj: Trajectory, h: HermitianIntMatrix,
                                 StationarityViolation(m, a, part, delta, val))
     elif method == "fast":
         i_unit = GaussianInt(0, 1)
-        h_t = h.matrix.transpose()
         for m in range(1, traj.last):
-            c_star, c_psi = _site_variation_coefficients(traj, h_t, h.apply(traj[m]), m)
+            c_star, c_psi = _site_variation_coefficients(traj, h.apply(traj[m]), m)
             for a in range(traj.dim):
                 for part, coeff in (
                     ("psi_re", c_psi[a]),

@@ -131,9 +131,6 @@ class GaussianInt:
             raise ValueError(f"{self!r} is not divisible by {k}")
         return GaussianInt(qr, qi)
 
-    def is_real(self) -> bool:
-        return self.im == 0
-
     def __bool__(self):
         return bool(self.re or self.im)
 
@@ -346,14 +343,6 @@ class GIMatrix:
     def scale(self, a) -> "GIMatrix":
         ga = _to_gi(a, "scalar")
         return GIMatrix((ga * e for e in row) for row in self.rows)
-
-    def dagger(self) -> "GIMatrix":
-        """Conjugate transpose."""
-        return GIMatrix((self.rows[j][i].conjugate() for j in range(self.dim))
-                        for i in range(self.dim))
-
-    def transpose(self) -> "GIMatrix":
-        return GIMatrix(zip(*self.rows))
 
     def is_hermitian(self) -> bool:
         for i in range(self.dim):

@@ -16,6 +16,13 @@ exactly when I = 0, superpositions of solutions stay solutions, and an
 antisymmetrized two-part product gives an exactly entangled state whose
 fixed-clock slice is certified by a nonzero 2x2 minor.
 
+The right-hand side is the kron-sum operator sum_k 1 x .. x H_k x .. x 1
+plus I on the flattened dof space, the same total Hamiltonian the
+shared-clock model evolves with.  The residual is therefore evaluated
+one clock block at a time: at each interior clock point, the clock
+differences of the dof vectors plus i times that operator applied to
+the dof vector there.
+
 No propagation scheme is offered for I != 0 on the many-clock lattice
 (the per-point equations underdetermine a layer-by-layer fill); the
 residual check accepts arbitrary supplied fields instead, and the
@@ -31,11 +38,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .automaton import Trajectory, evolve
-from .gaussian import (GaussianInt, GIMatrix, GIVector, HermitianIntMatrix, ZERO,
-                       exact_int_text)
+from .gaussian import (GaussianInt, GIMatrix, GIVector, HermitianIntMatrix,
+                       IMAG_UNIT, ONE, ZERO, exact_int_text)
 
 __all__ = [
     "MultiWave",
@@ -65,6 +72,20 @@ def flatten_index(index: Sequence[int], shape: Sequence[int]) -> int:
     return flat
 
 
+def _exact_sizes(sizes: Sequence[int], what: str) -> tuple:
+    sizes = tuple(sizes)
+    # type, not isinstance: bool is an int subclass and never a size
+    if any(type(n) is not int for n in sizes):
+        raise ValueError(f"{what} must be plain integers, got {list(sizes)!r}")
+    return sizes
+
+
+def _storage_order(dims: Sequence[int], clock_shape: Sequence[int]) -> Iterator[tuple]:
+    """(clocks, alphas) pairs clock-major, then dof, both row-major."""
+    return itertools.product(itertools.product(*(range(c) for c in clock_shape)),
+                             itertools.product(*(range(d) for d in dims)))
+
+
 class MultiWave:
     """Exact field over a product clock box and product dof indices."""
 
@@ -72,8 +93,8 @@ class MultiWave:
 
     def __init__(self, dims: Sequence[int], clock_shape: Sequence[int],
                  values: Optional[list] = None):
-        self.dims = tuple(int(d) for d in dims)
-        self.clock_shape = tuple(int(c) for c in clock_shape)
+        self.dims = _exact_sizes(dims, "dof dimensions")
+        self.clock_shape = _exact_sizes(clock_shape, "clock ranges")
         if len(self.dims) != len(self.clock_shape) or not self.dims:
             raise ValueError("need one dof dimension and one clock range per part")
         if any(d < 1 for d in self.dims) or any(c < 1 for c in self.clock_shape):
@@ -115,6 +136,11 @@ class MultiWave:
 
     def dof_indices(self) -> Iterable[tuple]:
         return itertools.product(*(range(d) for d in self.dims))
+
+    def items(self) -> Iterator[tuple]:
+        """(clocks, alphas, value) for every value, in storage order."""
+        return ((c, a, v) for (c, a), v in
+                zip(_storage_order(self.dims, self.clock_shape), self.values))
 
     def alpha_vector(self, clocks: Sequence[int]) -> GIVector:
         """All dof components at one clock point, flattened row-major."""
@@ -166,11 +192,8 @@ class MultiWave:
             "parts": self.parts,
             "dims": list(self.dims),
             "clock_box": [[0, c - 1] for c in self.clock_shape],
-            "values": [
-                [list(clocks), list(alphas), self.get(clocks, alphas).to_pair()]
-                for clocks in self.clock_points()
-                for alphas in self.dof_indices()
-            ],
+            "values": [[list(clocks), list(alphas), v.to_pair()]
+                       for clocks, alphas, v in self.items()],
         }
 
     @classmethod
@@ -182,7 +205,8 @@ class MultiWave:
                 raise ValueError(f"field JSON is missing {key!r}")
         box = obj["clock_box"]
         if not isinstance(box, list) or not all(
-                isinstance(b, list) and len(b) == 2 and b[0] == 0 for b in box):
+                isinstance(b, list) and len(b) == 2 and b[0] == 0
+                and type(b[1]) is int for b in box):
             raise ValueError(f"field clock_box must be [[0, last], ...], got {box!r}")
         wave = cls(obj["dims"], [hi + 1 for _, hi in box])
         seen = set()
@@ -220,7 +244,7 @@ class InteractionTensor:
     __slots__ = ("dims", "matrix")
 
     def __init__(self, dims: Sequence[int], matrix: GIMatrix):
-        self.dims = tuple(int(d) for d in dims)
+        self.dims = _exact_sizes(dims, "dof dimensions")
         if matrix.dim != _prod(self.dims):
             raise ValueError("matrix size does not match the product of dims")
         if not matrix.is_hermitian():
@@ -253,14 +277,13 @@ def product_wave(factors: Sequence[Trajectory]) -> MultiWave:
     factors = list(factors)
     dims = [f.dim for f in factors]
     clock_shape = [len(f) for f in factors]
-    wave = MultiWave(dims, clock_shape)
-    for clocks in wave.clock_points():
-        for alphas in wave.dof_indices():
-            v = GaussianInt(1)
-            for f, n, a in zip(factors, clocks, alphas):
-                v = v * f[n][a]
-            wave.set(clocks, alphas, v)
-    return wave
+    values = []
+    for clocks, alphas in _storage_order(dims, clock_shape):
+        v = ONE
+        for f, n, a in zip(factors, clocks, alphas):
+            v = v * f[n][a]
+        values.append(v)
+    return MultiWave(dims, clock_shape, values)
 
 
 @dataclass(frozen=True)
@@ -268,26 +291,15 @@ class ManyTimeResidual:
     """Exact equation residuals at every interior lattice point."""
 
     field: MultiWave          # indexed by interior clocks shifted down by 1
-    clock_offset: tuple
 
     @property
     def is_zero(self) -> bool:
         return self.field.is_zero()
 
-    def value(self, clocks: Sequence[int], alphas: Sequence[int]) -> GaussianInt:
-        shifted = tuple(n - o for n, o in zip(clocks, self.clock_offset))
-        return self.field.get(shifted, alphas)
-
     def nonzero(self) -> list:
-        out = []
-        for clocks in self.field.clock_points():
-            for alphas in self.field.dof_indices():
-                v = self.field.get(clocks, alphas)
-                if v:
-                    absolute = tuple(n + o for n, o in
-                                     zip(clocks, self.clock_offset))
-                    out.append((absolute, alphas, v))
-        return out
+        """(lattice clocks, alphas, value) of every nonzero residual."""
+        return [(tuple(n + 1 for n in clocks), alphas, v)
+                for clocks, alphas, v in self.field.items() if v]
 
     @exact_int_text()
     def to_csv(self) -> str:
@@ -295,12 +307,9 @@ class ManyTimeResidual:
         header = ([f"n{k + 1}" for k in range(m)]
                   + [f"alpha{k + 1}" for k in range(m)] + ["re", "im"])
         lines = [",".join(header)]
-        for clocks in self.field.clock_points():
-            absolute = tuple(n + o for n, o in zip(clocks, self.clock_offset))
-            for alphas in self.field.dof_indices():
-                v = self.field.get(clocks, alphas)
-                cells = list(absolute) + list(alphas) + [v.re, v.im]
-                lines.append(",".join(str(c) for c in cells))
+        for clocks, alphas, v in self.field.items():
+            cells = [n + 1 for n in clocks] + list(alphas) + [v.re, v.im]
+            lines.append(",".join(str(c) for c in cells))
         return "\n".join(lines) + "\n"
 
 
@@ -310,6 +319,8 @@ def many_time_residual(psi: MultiWave, hams: Sequence[HermitianIntMatrix],
     """Exact residual of the per-axis equations at interior lattice points.
 
     Zero everywhere iff the supplied field solves the equations there.
+    Each clock block is sum_k [Psi(n+e_k) - Psi(n-e_k)] + i*H_tot Psi(n)
+    with H_tot = total_hamiltonian(hams, interaction).
     """
     m = psi.parts
     if len(hams) != m:
@@ -321,32 +332,17 @@ def many_time_residual(psi: MultiWave, hams: Sequence[HermitianIntMatrix],
         raise ValueError("interaction dims do not match the field")
     if any(c < 3 for c in psi.clock_shape):
         raise ValueError("every clock axis needs at least one interior site")
-    interior_shape = tuple(c - 2 for c in psi.clock_shape)
-    out = MultiWave(psi.dims, interior_shape)
+    h_tot = total_hamiltonian(hams, interaction)
+    values = []
     for clocks in psi.interior_clock_points():
-        ivec = None
-        if interaction is not None:
-            ivec = interaction.matrix.apply(psi.alpha_vector(clocks))
-        for alphas in psi.dof_indices():
-            lhs = GaussianInt(0)
-            rhs = GaussianInt(0)
-            for k in range(m):
-                up = list(clocks)
-                up[k] += 1
-                down = list(clocks)
-                down[k] -= 1
-                lhs = lhs + psi.get(up, alphas) - psi.get(down, alphas)
-                row = hams[k].matrix.rows[alphas[k]]
-                contracted = list(alphas)
-                for beta in range(psi.dims[k]):
-                    contracted[k] = beta
-                    rhs = rhs + row[beta] * psi.get(clocks, contracted)
-            if ivec is not None:
-                rhs = rhs + ivec[flatten_index(alphas, psi.dims)]
-            res = lhs + rhs.mul_i()
-            if res:
-                out.set(tuple(n - 1 for n in clocks), alphas, res)
-    return ManyTimeResidual(field=out, clock_offset=(1,) * m)
+        block = IMAG_UNIT * h_tot.apply(psi.alpha_vector(clocks))
+        for k in range(m):
+            up = clocks[:k] + (clocks[k] + 1,) + clocks[k + 1:]
+            down = clocks[:k] + (clocks[k] - 1,) + clocks[k + 1:]
+            block = block + psi.alpha_vector(up) - psi.alpha_vector(down)
+        values.extend(block)
+    interior_shape = tuple(c - 2 for c in psi.clock_shape)
+    return ManyTimeResidual(field=MultiWave(psi.dims, interior_shape, values))
 
 
 def evolve_factorized(hams: Sequence[HermitianIntMatrix],
@@ -483,15 +479,8 @@ def bell_state(psi_traj: Trajectory, phi_traj: Trajectory) -> MultiWave:
     if psi_traj.dim != 2 or phi_traj.dim != 2:
         raise ValueError("antisymmetric pair state needs two dofs per part")
     length = min(len(psi_traj), len(phi_traj))
-    wave = MultiWave((2, 2), (length, length))
-    for n1 in range(length):
-        for n2 in range(length):
-            for a in range(2):
-                for b in range(2):
-                    v = (psi_traj[n1][a] * phi_traj[n2][b]
-                         - phi_traj[n1][a] * psi_traj[n2][b])
-                    wave.set((n1, n2), (a, b), v)
-    return wave
+    psi, phi = Trajectory(psi_traj[:length]), Trajectory(phi_traj[:length])
+    return product_wave([psi, phi]) - product_wave([phi, psi])
 
 
 @dataclass(frozen=True)

@@ -334,9 +334,6 @@ class ConvergenceReport:
     points: tuple
     order: Optional[float]
 
-    def included_points(self):
-        return [p for p in self.points if p.included]
-
     def to_json_obj(self) -> dict:
         return {
             "horizon": self.horizon,

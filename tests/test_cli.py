@@ -89,6 +89,20 @@ def test_parse_error_reported(tmp_path):
         load_config(str(tmp_path / "missing.json"))
 
 
+@pytest.mark.parametrize("field, literal", [("scale_l", "NaN"),
+                                            ("times", "[Infinity]")])
+def test_non_finite_numbers_are_config_errors(tmp_path, capsys, field, literal):
+    obj = {"kind": "reconstruct", "hamiltonians": [PAULI_X],
+           "seeds": [[[1, 0], [0, 0]], [[1, 0], [0, 0]]], "steps": 4,
+           "scale_l": 0.5, "times": [1.0]}
+    obj[field] = "@"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(obj).replace('"@"', literal), encoding="utf-8")
+    assert main(["reconstruct", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "CONFIG ERROR" in capsys.readouterr().err
+
+
 def test_bad_output_format_rejected(tmp_path):
     path = evolve_config(tmp_path, output={"format": "xml"})
     with pytest.raises(ConfigError):

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hamca.automaton import Trajectory, evolve
 from hamca.conservation import default_commutant_basis, two_point_series
@@ -135,6 +136,58 @@ def test_residual_is_linear(rng):
     assert lhs == rhs
 
 
+def reference_residual(psi, hams, interaction):
+    """Per-point, per-axis evaluation of the many-clock equations.
+
+    Keyed by (interior clocks shifted down by 1, alphas), as the
+    residual field stores them.
+    """
+    out = {}
+    for clocks in psi.interior_clock_points():
+        for alphas in psi.dof_indices():
+            lhs = gi(0)
+            rhs = gi(0)
+            for k, h in enumerate(hams):
+                up = clocks[:k] + (clocks[k] + 1,) + clocks[k + 1:]
+                down = clocks[:k] + (clocks[k] - 1,) + clocks[k + 1:]
+                lhs = lhs + psi.get(up, alphas) - psi.get(down, alphas)
+                for beta in range(psi.dims[k]):
+                    contracted = alphas[:k] + (beta,) + alphas[k + 1:]
+                    rhs = rhs + h.matrix.entry(alphas[k], beta) * psi.get(
+                        clocks, contracted)
+            if interaction is not None:
+                for betas in psi.dof_indices():
+                    rhs = rhs + interaction.entry(alphas, betas) * psi.get(
+                        clocks, betas)
+            out[(tuple(n - 1 for n in clocks), alphas)] = lhs + rhs * gi(0, 1)
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(dims=st.sampled_from([(2, 3), (3, 2), (1, 2, 2), (2, 1, 3)]),
+       interacting=st.booleans(), data=st.data(),
+       rng=st.randoms(use_true_random=False))
+def test_residual_matches_a_per_axis_reference(dims, interacting, data, rng):
+    shape = tuple(data.draw(st.integers(3, 4)) for _ in dims)
+    hams = [random_hermitian(rng, d) for d in dims]
+    interaction = None
+    if interacting:
+        size = 1
+        for d in dims:
+            size *= d
+        interaction = InteractionTensor(dims, random_hermitian(rng, size).matrix)
+    psi = MultiWave(dims, shape)
+    for clocks in psi.clock_points():
+        for alphas in psi.dof_indices():
+            psi.set(clocks, alphas, random_gaussian_int(rng, 4))
+    res = many_time_residual(psi, hams, interaction)
+    want = reference_residual(psi, hams, interaction)
+    assert res.field.clock_shape == tuple(c - 2 for c in shape)
+    assert {key: res.field.get(*key) for key in want} == want
+    assert res.nonzero() == [(tuple(n + 1 for n in clocks), alphas, v)
+                             for (clocks, alphas), v in want.items() if v]
+
+
 def test_residual_needs_interior_sites():
     wave = MultiWave((1, 1), (2, 3))
     with pytest.raises(ValueError):
@@ -262,6 +315,22 @@ def test_bell_field_solves_the_equations(rng):
     assert many_time_residual(wave, [h, h]).is_zero
 
 
+def test_bell_truncates_to_the_common_clock_box(rng):
+    h = random_hermitian(rng, 2)
+    psi = evolve(random_vector(rng, 2), random_vector(rng, 2), h, 6)
+    phi = evolve(random_vector(rng, 2), random_vector(rng, 2), h, 3)
+    common = len(phi)
+    assert len(psi) > common
+    wave = bell_state(psi, phi)
+    assert wave.clock_shape == (common, common)
+    for n1 in range(common):
+        for n2 in range(common):
+            for a in range(2):
+                for b in range(2):
+                    assert wave.get((n1, n2), (a, b)) == (
+                        psi[n1][a] * phi[n2][b] - phi[n1][a] * psi[n2][b])
+
+
 def test_bell_rejects_wrong_dof_count(rng):
     bad = Trajectory([GIVector([gi(1)])] * 3)
     good = Trajectory([vec((1, 0), (0, 0))] * 3)
@@ -356,6 +425,26 @@ def test_multiwave_json_rejects_a_clock_outside_the_box(clocks):
     obj["values"][0][0] = clocks
     with pytest.raises(ValueError):
         MultiWave.from_json_obj(obj)
+
+
+@pytest.mark.parametrize("dims", [[1.9], [True]])
+def test_multiwave_json_rejects_inexact_dims(dims):
+    obj = MultiWave((1,), (2,), [gi(1), gi(2)]).to_json_obj()
+    obj["dims"] = dims
+    with pytest.raises(ValueError, match="plain integers"):
+        MultiWave.from_json_obj(obj)
+
+
+def test_multiwave_json_rejects_a_fractional_clock_box():
+    obj = MultiWave((1,), (2,), [gi(1), gi(2)]).to_json_obj()
+    obj["clock_box"] = [[0, 1.5]]
+    with pytest.raises(ValueError, match="clock_box"):
+        MultiWave.from_json_obj(obj)
+
+
+def test_interaction_rejects_inexact_dims():
+    with pytest.raises(ValueError, match="plain integers"):
+        InteractionTensor([2.7], GIMatrix.identity(2))
 
 
 def test_residual_csv_layout():
