@@ -244,6 +244,18 @@ class GIVector:
             im += a.re * b.im - a.im * b.re
         return GaussianInt(re, im)
 
+    def inner_re(self, other: "GIVector") -> int:
+        """Re of `inner`: sum_a self_a.re * other_a.re + self_a.im * other_a.im.
+
+        Two big multiplies per entry instead of four, for callers that
+        keep only the real part.
+        """
+        self._check_dim(other)
+        re = 0
+        for a, b in zip(self.entries, other.entries):
+            re += a.re * b.re + a.im * b.im
+        return re
+
     def is_zero(self) -> bool:
         return all(not e for e in self.entries)
 

@@ -208,6 +208,9 @@ class MultiWave:
                 isinstance(b, list) and len(b) == 2 and b[0] == 0
                 and type(b[1]) is int for b in box):
             raise ValueError(f"field clock_box must be [[0, last], ...], got {box!r}")
+        for key in ("dims", "values"):
+            if not isinstance(obj[key], list):
+                raise ValueError(f"field {key} must be a list, got {obj[key]!r}")
         wave = cls(obj["dims"], [hi + 1 for _, hi in box])
         seen = set()
         for rec in obj["values"]:
@@ -340,7 +343,7 @@ def many_time_residual(psi: MultiWave, hams: Sequence[HermitianIntMatrix],
             up = clocks[:k] + (clocks[k] + 1,) + clocks[k + 1:]
             down = clocks[:k] + (clocks[k] - 1,) + clocks[k + 1:]
             block = block + psi.alpha_vector(up) - psi.alpha_vector(down)
-        values.extend(block)
+        values.extend(v or ZERO for v in block)
     interior_shape = tuple(c - 2 for c in psi.clock_shape)
     return ManyTimeResidual(field=MultiWave(psi.dims, interior_shape, values))
 

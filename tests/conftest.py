@@ -3,8 +3,16 @@
 import random
 
 import pytest
+from hypothesis import settings
 
+from hamca.automaton import Trajectory
 from hamca.gaussian import GaussianInt, GIVector, GIMatrix, HermitianIntMatrix
+
+# Big-integer examples on a shared host can exceed Hypothesis's default
+# 200 ms deadline without anything being wrong; each property test
+# bounds its own max_examples instead.
+settings.register_profile("hamca", deadline=None)
+settings.load_profile("hamca")
 
 
 def random_gaussian_int(rng: random.Random, bound: int = 3) -> GaussianInt:
@@ -24,6 +32,12 @@ def random_hermitian(rng: random.Random, dim: int, bound: int = 3) -> HermitianI
             rows[i][j] = z
             rows[j][i] = z.conjugate()
     return HermitianIntMatrix(GIMatrix(rows))
+
+
+def random_trajectory(rng: random.Random, dim: int, slices: int,
+                      bound: int = 3) -> Trajectory:
+    """Independent random slices: almost never a solution for any H."""
+    return Trajectory(random_vector(rng, dim, bound) for _ in range(slices))
 
 
 def random_matrix(rng: random.Random, dim: int, bound: int = 3) -> GIMatrix:

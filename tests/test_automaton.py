@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from hamca.automaton import (
     PhaseTrajectory,
@@ -21,7 +22,8 @@ from hamca.automaton import (
     verify_stationarity,
 )
 from hamca.gaussian import GaussianInt, GIVector, GIMatrix, HermitianIntMatrix
-from conftest import random_hermitian, random_vector, random_gaussian_int
+from conftest import (random_gaussian_int, random_hermitian, random_trajectory,
+                      random_vector)
 
 
 def gi(re, im=0):
@@ -168,6 +170,36 @@ def test_action_on_non_solution():
     assert action_evaluate(traj, h).as_int == 1
 
 
+def literal_action(traj, h):
+    """Sum over interior n of Im<psi_n, psi_{n+1} - psi_{n-1}> + <psi_n, H psi_n>,
+    on plain integer parts."""
+    rows = [[(e.re, e.im) for e in row] for row in h.matrix.rows]
+    total = 0
+    for n in range(1, traj.last):
+        psi = [(z.re, z.im) for z in traj[n]]
+        up = [(z.re, z.im) for z in traj[n + 1]]
+        down = [(z.re, z.im) for z in traj[n - 1]]
+        for (x, y), (ur, ui), (dr, di) in zip(psi, up, down):
+            # Im of conj(x + iy) * ((ur - dr) + i(ui - di))
+            total += x * (ui - di) - y * (ur - dr)
+        for (x, y), row in zip(psi, rows):
+            for (hr, hi), (u, v) in zip(row, psi):
+                # Re of conj(x + iy) * (hr + i hi) * (u + iv)
+                total += x * (hr * u - hi * v) + y * (hr * v + hi * u)
+    return total
+
+
+@settings(max_examples=40)
+@given(dim=st.integers(1, 4), slices=st.integers(3, 6),
+       bits=st.sampled_from([2, 64, 600]), rng=st.randoms(use_true_random=False))
+def test_action_is_the_literal_sum_off_solutions(dim, slices, bits, rng):
+    # the fused summand cancels on solutions, so only non-solutions test it
+    h = random_hermitian(rng, dim, 2 ** 20)
+    traj = random_trajectory(rng, dim, slices, 2 ** bits)
+    assume(not is_solution(traj, h))
+    assert action_evaluate(traj, h).as_int == literal_action(traj, h)
+
+
 def test_action_needs_three_slices():
     h = HermitianIntMatrix(GIMatrix([[gi(1)]]))
     with pytest.raises(ValueError):
@@ -247,6 +279,18 @@ def test_stationarity_fast_and_direct_paths_agree(rng):
             fast = verify_stationarity(t, h, method="fast")
             direct = verify_stationarity(t, h, method="direct")
             assert key(fast) == key(direct)
+
+
+@settings(max_examples=30)
+@given(dim=st.integers(1, 3), slices=st.integers(3, 5),
+       rng=st.randoms(use_true_random=False))
+def test_stationarity_paths_agree_on_random_trajectories(dim, slices, rng):
+    # small entries make coefficients with one zero part common
+    h = random_hermitian(rng, dim, 1)
+    traj = random_trajectory(rng, dim, slices, 1)
+    fast = verify_stationarity(traj, h, deltas=(1, 2), method="fast")
+    direct = verify_stationarity(traj, h, deltas=(1, 2), method="direct")
+    assert fast == direct
 
 
 def test_variation_is_delta_independent(rng):

@@ -3,8 +3,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from hamca.automaton import Trajectory, evolve
+from hamca import conservation
+from hamca.automaton import Trajectory, evolve, is_solution
 from hamca.conservation import (
     audit_conservation,
     conservation_rate,
@@ -17,7 +19,7 @@ from hamca.conservation import (
     two_point_series,
 )
 from hamca.gaussian import GaussianInt, GIVector, GIMatrix, HermitianIntMatrix
-from conftest import random_hermitian, random_vector
+from conftest import random_hermitian, random_trajectory, random_vector
 
 
 def gi(re, im=0):
@@ -50,6 +52,27 @@ def test_two_point_zero_matrix():
     traj = evolve(vec((2, 1), (3, -1)), vec((0, 2), (1, 1)), PAULI_X, 10)
     zero = HermitianIntMatrix.zeros(2)
     assert all(v == gi(0) for v in two_point_series(traj, zero))
+
+
+@settings(max_examples=40)
+@given(dim=st.integers(1, 4), slices=st.integers(3, 6),
+       observable=st.sampled_from(["power", "polynomial", "random"]),
+       bits=st.sampled_from([2, 64, 600]), rng=st.randoms(use_true_random=False))
+def test_two_point_series_is_the_two_term_invariant(dim, slices, observable, bits, rng):
+    # non-solutions only, so conservation cannot hide an error
+    h = random_hermitian(rng, dim)
+    traj = random_trajectory(rng, dim, slices, 2 ** bits)
+    if observable == "power":
+        g = h.power(rng.randint(0, 3))
+    elif observable == "polynomial":
+        g = HermitianIntMatrix(GIMatrix.identity(dim).scale(rng.randint(-5, 5))
+                               + h.matrix.scale(rng.randint(-5, 5))
+                               + h.power(2).matrix.scale(rng.randint(-5, 5)))
+    else:
+        g = random_hermitian(rng, dim, 2 ** 20)
+    assume(not is_solution(traj, h))
+    assert two_point_series(traj, g) == [two_point_invariant(traj, g, n)
+                                         for n in range(1, slices)]
 
 
 def test_two_point_index_bounds():
@@ -254,3 +277,16 @@ def test_series_csv_format():
     assert lines[0] == "label,n,re,im"
     assert lines[1] == "1,1,2,0"
     assert lines[-1] == "H,2,0,0"
+
+
+def test_the_two_term_cross_check_fires_on_disagreement(rng, monkeypatch):
+    h = random_hermitian(rng, 2)
+    traj = evolve(random_vector(rng, 2), random_vector(rng, 2), h, 6)
+    ident = HermitianIntMatrix.identity(2)
+    good = two_point_invariant(traj, ident, 1)
+    monkeypatch.setattr(conservation, "two_point_invariant",
+                        lambda traj, g, n: good + gi(2))
+    with pytest.raises(AssertionError, match="two-term"):
+        audit_conservation(traj, h, [ident])
+    with pytest.raises(AssertionError, match="two-term"):
+        conserved_quantity(traj, ident, "1")

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hamca.gaussian import (
     GaussianInt,
@@ -77,6 +78,20 @@ def test_matrix_vector_dimension_mismatch():
     m = GIMatrix.identity(2)
     with pytest.raises(ValueError):
         m.apply(GIVector([gi(1)]))
+
+
+@settings(max_examples=50)
+@given(dim=st.integers(1, 4), bits=st.sampled_from([2, 64, 1500]),
+       rng=st.randoms(use_true_random=False))
+def test_inner_re_is_the_real_part_of_inner(dim, bits, rng):
+    u = random_vector(rng, dim, 2 ** bits)
+    v = random_vector(rng, dim, 2 ** bits)
+    assert u.inner_re(v) == u.inner(v).re == v.inner_re(u)
+
+
+def test_inner_re_dimension_mismatch():
+    with pytest.raises(ValueError):
+        GIVector([gi(1)]).inner_re(GIVector([gi(1), gi(2)]))
 
 
 def test_commutator_examples():

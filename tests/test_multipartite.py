@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from hamca.automaton import Trajectory, evolve
 from hamca.conservation import default_commutant_basis, two_point_series
-from hamca.gaussian import GaussianInt, GIVector, GIMatrix, HermitianIntMatrix
+from hamca.gaussian import GaussianInt, GIVector, GIMatrix, HermitianIntMatrix, ZERO
 from hamca.multipartite import (
     InteractionTensor,
     MultiWave,
@@ -47,6 +47,14 @@ def test_product_of_two_period_four_orbits_has_zero_residual():
         [4, 4])
     res = many_time_residual(wave, [H_TWO, H_TWO])
     assert res.is_zero
+
+
+def test_zero_residual_values_share_the_zero_scalar():
+    _, wave, res = evolve_factorized(
+        [PAULI_X, H_TWO],
+        [(vec((1, 0), (0, 2)), vec((0, -1), (3, 1))), (vec((1, 0)), vec((0, -1)))],
+        [4, 3])
+    assert all(v is ZERO for v in res.field.values)
 
 
 def test_zero_field_has_zero_residual():
@@ -163,7 +171,7 @@ def reference_residual(psi, hams, interaction):
     return out
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(dims=st.sampled_from([(2, 3), (3, 2), (1, 2, 2), (2, 1, 3)]),
        interacting=st.booleans(), data=st.data(),
        rng=st.randoms(use_true_random=False))
@@ -439,6 +447,14 @@ def test_multiwave_json_rejects_a_fractional_clock_box():
     obj = MultiWave((1,), (2,), [gi(1), gi(2)]).to_json_obj()
     obj["clock_box"] = [[0, 1.5]]
     with pytest.raises(ValueError, match="clock_box"):
+        MultiWave.from_json_obj(obj)
+
+
+@pytest.mark.parametrize("key, value", [("dims", 2), ("values", 5)])
+def test_multiwave_json_rejects_a_field_that_is_not_a_list(key, value):
+    obj = {"dims": [1], "clock_box": [[0, 1]], "values": []}
+    obj[key] = value
+    with pytest.raises(ValueError, match=f"field {key} must be a list"):
         MultiWave.from_json_obj(obj)
 
 
