@@ -27,13 +27,15 @@ holds there.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, mul, neg, sub
 from typing import Callable, Iterable, Optional, Sequence
 
 from .gaussian import (
     GaussianInt,
     GIVector,
     HermitianIntMatrix,
-    ZERO,
+    IMAG_UNIT,
+    _plain_ints,
     exact_int_text,
     int_matrix_apply,
     int_matrix_is_antisymmetric,
@@ -117,8 +119,8 @@ class Trajectory:
     def to_csv(self) -> str:
         lines = ["n,alpha,re,im"]
         for n, state in enumerate(self.states):
-            for a, z in enumerate(state):
-                lines.append(f"{n},{a},{z.re},{z.im}")
+            for a, (re, im) in enumerate(zip(state.re, state.im)):
+                lines.append(f"{n},{a},{re},{im}")
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -135,7 +137,7 @@ class Trajectory:
             n, a, re, im = (int(p) for p in parts)
             if (n, a) in cells:
                 raise ValueError(f"trajectory CSV repeats cell {(n, a)}")
-            cells[(n, a)] = GaussianInt(re, im)
+            cells[(n, a)] = (re, im)
         if not cells:
             raise ValueError("empty trajectory CSV")
         n_max = max(k[0] for k in cells)
@@ -143,9 +145,10 @@ class Trajectory:
         states = []
         for n in range(n_max + 1):
             try:
-                states.append(GIVector(cells[(n, a)] for a in range(dim)))
+                re, im = zip(*(cells[(n, a)] for a in range(dim)))
             except KeyError as exc:
                 raise ValueError(f"trajectory CSV is missing cell {exc}") from exc
+            states.append(GIVector._from_parts(re, im))
         return cls(states)
 
     def to_json_obj(self) -> dict:
@@ -186,16 +189,13 @@ class PhaseTrajectory:
 
     def to_trajectory(self) -> Trajectory:
         return Trajectory(
-            GIVector(GaussianInt(x, p) for x, p in zip(xs, ps))
+            GIVector._from_parts(_plain_ints(xs, "x"), _plain_ints(ps, "p"))
             for xs, ps in zip(self.xs, self.ps)
         )
 
     @classmethod
     def from_trajectory(cls, traj: Trajectory) -> "PhaseTrajectory":
-        return cls(
-            (tuple(z.re for z in s) for s in traj),
-            (tuple(z.im for z in s) for s in traj),
-        )
+        return cls((s.re for s in traj), (s.im for s in traj))
 
 
 # -- evolution ---------------------------------------------------------
@@ -212,8 +212,9 @@ def step_forward(psi_prev: GIVector, psi_curr: GIVector,
     """One exact forward step: psi_next = psi_prev - i*H*psi_curr."""
     _check_step_dims(psi_prev, psi_curr, h)
     w = h.apply(psi_curr)
-    return GIVector(GaussianInt(p.re + a.im, p.im - a.re)
-                    for p, a in zip(psi_prev, w))
+    # -i * (w.re + i w.im) = w.im - i w.re
+    return GIVector._from_parts(tuple(map(add, psi_prev.re, w.im)),
+                                tuple(map(sub, psi_prev.im, w.re)))
 
 
 def step_backward(psi_next: GIVector, psi_curr: GIVector,
@@ -221,8 +222,8 @@ def step_backward(psi_next: GIVector, psi_curr: GIVector,
     """Exact inverse step: psi_prev = psi_next + i*H*psi_curr."""
     _check_step_dims(psi_next, psi_curr, h)
     w = h.apply(psi_curr)
-    return GIVector(GaussianInt(p.re - a.im, p.im + a.re)
-                    for p, a in zip(psi_next, w))
+    return GIVector._from_parts(tuple(map(sub, psi_next.re, w.im)),
+                                tuple(map(add, psi_next.im, w.re)))
 
 
 def evolve(seed0: GIVector, seed1: GIVector, h: HermitianIntMatrix,
@@ -276,22 +277,40 @@ def evolve_phase_space(x0: Sequence[int], p0: Sequence[int],
 # -- recurrence residuals ----------------------------------------------
 
 
+def _bracket(states, n: int, w: GIVector) -> tuple:
+    """H psi_n - i (psi_{n+1} - psi_{n-1}) at interior n, as (re, im) tuples.
+
+    Takes w = H psi_n.  This is -i times `recurrence_residual`, so it is
+    zero exactly where the rule holds; it is also the action's per-site
+    right-hand factor and the starred variation coefficient.
+    """
+    up = states[n + 1]
+    down = states[n - 1]
+    return (tuple(map(add, w.re, map(sub, up.im, down.im))),
+            tuple(map(sub, w.im, map(sub, up.re, down.re))))
+
+
+def _check_dims(traj: Trajectory, h: HermitianIntMatrix):
+    if traj.dim != h.dim:
+        raise ValueError("dimension mismatch")
+
+
 def recurrence_residual(traj: Trajectory, h: HermitianIntMatrix, n: int) -> GIVector:
     """psi_{n+1} - psi_{n-1} + i*H*psi_n; zero iff the rule holds at n."""
     if not 1 <= n <= traj.last - 1:
         raise ValueError(f"site {n} is not interior")
-    if traj.dim != h.dim:
-        raise ValueError("dimension mismatch")
-    w = h.apply(traj[n])
-    return GIVector(
-        GaussianInt(a.re - b.re - c.im, a.im - b.im + c.re)
-        for a, b, c in zip(traj[n + 1], traj[n - 1], w)
-    )
+    _check_dims(traj, h)
+    c_re, c_im = _bracket(traj.states, n, h.apply(traj[n]))
+    # i * (c_re + i c_im)
+    return GIVector._from_parts(tuple(map(neg, c_im)), c_re)
 
 
 def first_recurrence_violation(traj: Trajectory, h: HermitianIntMatrix) -> Optional[int]:
+    _check_dims(traj, h)
+    states = traj.states
     for n in range(1, traj.last):
-        if not recurrence_residual(traj, h, n).is_zero():
+        c_re, c_im = _bracket(states, n, h.apply(states[n]))
+        if any(c_re) or any(c_im):
             return n
     return None
 
@@ -333,15 +352,13 @@ def action_evaluate(traj: Trajectory, h: HermitianIntMatrix) -> ActionValue:
     """
     if len(traj) < 3:
         raise ValueError("action needs at least three slices")
-    if traj.dim != h.dim:
-        raise ValueError("dimension mismatch")
+    _check_dims(traj, h)
     states = traj.states
     total = 0
     for n in range(1, traj.last):
         psi = states[n]
-        for z, w, up, down in zip(psi, h.apply(psi), states[n + 1], states[n - 1]):
-            total += (z.re * (w.re + up.im - down.im)
-                      + z.im * (w.im - up.re + down.re))
+        c_re, c_im = _bracket(states, n, h.apply(psi))
+        total += sum(map(mul, psi.re, c_re)) + sum(map(mul, psi.im, c_im))
     return ActionValue(GaussianInt(total, 0))
 
 
@@ -437,8 +454,8 @@ def _doubled_action(psis, stars, h: HermitianIntMatrix) -> GaussianInt:
 
 
 def _families(traj: Trajectory):
-    psis = [[(z.re, z.im) for z in s] for s in traj]
-    stars = [[(z.re, -z.im) for z in s] for s in traj]
+    psis = [list(zip(s.re, s.im)) for s in traj]
+    stars = [list(zip(s.re, map(neg, s.im))) for s in traj]
     return psis, stars
 
 
@@ -534,27 +551,6 @@ class StationarityReport:
         }
 
 
-def _site_variation_coefficients(traj: Trajectory, w: GIVector, m: int):
-    """Per-dof variation coefficients at site m for all four parts.
-
-    Returns (c_star, c_psi) where c_star[a] is the variation of the
-    action under a unit shift of star_m^a's real part and c_psi[a] the
-    analogue for psi_m^a.  Imaginary-part shifts multiply these by i.
-    Takes w = H psi_m precomputed.  c_psi = i star_dot + H^T star_m, and
-    H^T = conj(H) for self-adjoint H, so c_psi is exactly conj(c_star).
-    Derived from the same doubled action the direct path differences;
-    the two paths are asserted equal in the test suite.
-    """
-    d = traj.dim
-    zero = GIVector.zero(d)
-    p_next = traj[m + 1] if m + 1 <= traj.last else zero
-    p_prev = traj[m - 1] if m - 1 >= 0 else zero
-    psi_dot = p_next - p_prev
-    c_star = tuple(GaussianInt(wv.im, -wv.re) + hv
-                   for wv, hv in zip(psi_dot, w))        # -i psi_dot + w
-    return c_star, tuple(c.conjugate() for c in c_star)
-
-
 def verify_stationarity(traj: Trajectory, h: HermitianIntMatrix,
                         deltas: Sequence[int] = (1, 2, 3),
                         method: str = "fast") -> StationarityReport:
@@ -571,8 +567,7 @@ def verify_stationarity(traj: Trajectory, h: HermitianIntMatrix,
     """
     if len(traj) < 3:
         raise ValueError("stationarity needs at least three slices")
-    if traj.dim != h.dim:
-        raise ValueError("dimension mismatch")
+    _check_dims(traj, h)
     if any(d == 0 for d in deltas):
         raise ValueError("deltas must be nonzero")
     violations = []
@@ -587,19 +582,26 @@ def verify_stationarity(traj: Trajectory, h: HermitianIntMatrix,
                             violations.append(
                                 StationarityViolation(m, a, part, delta, val))
     elif method == "fast":
-        i_unit = GaussianInt(0, 1)
+        states = traj.states
         for m in range(1, traj.last):
-            c_star, c_psi = _site_variation_coefficients(traj, h.apply(traj[m]), m)
-            for a in range(traj.dim):
-                # c_psi = conj(c_star), and i*c is zero iff c is: all four
-                # coefficients vanish together
-                if not c_star[a]:
+            # c_star[a] is the variation under a unit shift of star_m^a's
+            # real part: the bracket -i psi_dot_m + H psi_m.  The psi
+            # analogue is i star_dot + H^T star_m = conj(c_star[a]) for
+            # self-adjoint H, and imaginary-part shifts multiply both by
+            # i, so all four coefficients vanish together.  Derived from
+            # the same doubled action the direct path differences; the
+            # two paths are asserted equal in the test suite.
+            c_re, c_im = _bracket(states, m, h.apply(states[m]))
+            for a, (re, im) in enumerate(zip(c_re, c_im)):
+                if not (re or im):
                     continue
+                c_star = GaussianInt(re, im)
+                c_psi = c_star.conjugate()
                 for part, coeff in (
-                    ("psi_re", c_psi[a]),
-                    ("psi_im", i_unit * c_psi[a]),
-                    ("star_re", c_star[a]),
-                    ("star_im", i_unit * c_star[a]),
+                    ("psi_re", c_psi),
+                    ("psi_im", IMAG_UNIT * c_psi),
+                    ("star_re", c_star),
+                    ("star_im", IMAG_UNIT * c_star),
                 ):
                     for delta in deltas:
                         violations.append(

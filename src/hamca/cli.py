@@ -383,7 +383,9 @@ def _write_text(path: Path, text: str):
 
 @exact_int_text()
 def _write_json(path: Path, obj):
-    _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    # standard JSON only: a NaN or Infinity raises instead of being written
+    _write_text(path, json.dumps(obj, indent=2, sort_keys=True,
+                                 allow_nan=False) + "\n")
 
 
 def _fmt_float(x: float) -> str:
@@ -419,9 +421,7 @@ def _run_evolve(params, out_dir, fmt):
     checks.append(Check("reversibility_roundtrip",
                         (cur, nxt) == (traj[0], traj[1])))
     hs, ha = h.split()
-    pt = automaton.evolve_phase_space(
-        tuple(z.re for z in s0), tuple(z.im for z in s0),
-        tuple(z.re for z in s1), tuple(z.im for z in s1), hs, ha, steps)
+    pt = automaton.evolve_phase_space(s0.re, s0.im, s1.re, s1.im, hs, ha, steps)
     checks.append(Check("phase_space_equivalence", pt.to_trajectory() == traj))
     artifacts = [_write_trajectory(traj, out_dir, fmt)]
     return checks, artifacts, {}
@@ -503,15 +503,20 @@ def _run_reconstruct(params, out_dir, fmt):
 
 def _run_converge(params, out_dir, fmt):
     h = params["hamiltonian"]
-    psi0 = np.array([complex(z.re, z.im) for z in params["psi0"]])
+    psi0 = np.array(list(map(complex, params["psi0"].re, params["psi0"].im)))
     report = sampling.convergence_study(h, psi0, params["horizon"],
                                         params["scales"],
                                         psi1_rule=params["psi1_rule"],
                                         window=params["window"])
     order_txt = "none" if report.order is None else _fmt_float(report.order)
+    # inf would pass `>= ORDER_THRESHOLD`; a non-finite order or error is no fit
+    finite = report.order is not None and math.isfinite(report.order) and all(
+        math.isfinite(p.error) for p in report.points if p.error is not None)
+    info = f"fitted order {order_txt}"
+    if report.order is not None and not finite:
+        info += "; non-finite order or error"
     checks = [Check("convergence_order",
-                    report.order is not None and report.order >= ORDER_THRESHOLD,
-                    f"fitted order {order_txt}")]
+                    finite and report.order >= ORDER_THRESHOLD, info)]
     lines = ["l,error,fitted_order"]
     for p in report.points:
         err = "" if p.error is None else _fmt_float(p.error)
@@ -549,11 +554,12 @@ def _run_multi(params, out_dir, fmt):
                                                 min_steps)
         gap = None
         if min_steps >= 2:
+            synced = sync[2].entries
             for idx, alphas in enumerate(wave.dof_indices()):
                 product = wave.get((2,) * wave.parts, alphas)
-                if sync[2][idx] != product:
+                if synced[idx] != product:
                     gap = {"clock": 2, "indices": list(alphas),
-                           "synchronized": sync[2][idx].to_pair(),
+                           "synchronized": synced[idx].to_pair(),
                            "product": product.to_pair()}
                     break
         checks.append(Check("synchronized_product_gap_exhibited", gap is not None,

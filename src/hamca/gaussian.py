@@ -6,6 +6,13 @@ commutative ring, not a field, so the operations provided here are ring
 operations: add, subtract, multiply, negate, conjugate.  Nothing is
 ever rounded and nothing can overflow.
 
+`GaussianInt` is the scalar at the API edges.  Vectors are stored
+split, as two tuples of plain ints (`GIVector.re`, `GIVector.im`), and
+every vector operation works on those tuples; `GIMatrix.apply`, the one
+matvec kernel, runs a per-row program of nonzero real and imaginary
+coefficients compiled when the matrix is built.  Scalars are built only
+when a caller indexes or iterates a vector.
+
 The literal encoding shared with the CLI writes a scalar as the
 two-element pair [re, im], a vector as a list of pairs, and a matrix as
 a row-major list of rows of pairs.  Encoding and decoding round-trip
@@ -16,6 +23,7 @@ from __future__ import annotations
 
 import contextlib
 import sys
+from operator import add, mul, neg, sub
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -159,10 +167,14 @@ class GaussianInt:
 
     @classmethod
     def from_pair(cls, obj, where: str = "pair") -> "GaussianInt":
-        if not isinstance(obj, (list, tuple)) or len(obj) != 2:
-            raise ValueError(f"{where}: expected [re, im], got {obj!r}")
-        return cls(_as_exact_int(obj[0], where + "[0]"),
-                   _as_exact_int(obj[1], where + "[1]"))
+        return cls(*_pair_parts(obj, where))
+
+
+def _pair_parts(obj, where: str) -> tuple:
+    """The validated plain-int parts (re, im) of a literal [re, im] pair."""
+    if not isinstance(obj, (list, tuple)) or len(obj) != 2:
+        raise ValueError(f"{where}: expected [re, im], got {obj!r}")
+    return _as_exact_int(obj[0], where + "[0]"), _as_exact_int(obj[1], where + "[1]")
 
 
 ZERO = GaussianInt(0, 0)
@@ -177,52 +189,97 @@ def _to_gi(value, where: str) -> GaussianInt:
     return g
 
 
-class GIVector:
-    """Fixed-dimension vector of Gaussian integers, indexed by dof label."""
+_PLAIN_INT = frozenset((int,))
 
-    __slots__ = ("entries",)
+
+def _plain_ints(values, where: str) -> tuple:
+    """`values` as a tuple, which must hold plain ints only."""
+    values = tuple(values)
+    if not _PLAIN_INT.issuperset(map(type, values)):
+        raise TypeError(f"{where}: parts must be plain integers")
+    return values
+
+
+class GIVector:
+    """Fixed-dimension vector of Gaussian integers, indexed by dof label.
+
+    Stored split: `re` and `im` are equal-length tuples of plain ints.
+    Indexing, iteration and `entries` build `GaussianInt`s on demand.
+    """
+
+    __slots__ = ("re", "im")
 
     def __init__(self, entries: Iterable):
-        ents = tuple(_to_gi(e, "vector entry") for e in entries)
-        if not ents:
+        re = []
+        im = []
+        for e in entries:
+            g = _to_gi(e, "vector entry")
+            re.append(g.re)
+            im.append(g.im)
+        if not re:
             raise ValueError("vector needs dimension >= 1")
-        self.entries = ents
+        self.re = tuple(re)
+        self.im = tuple(im)
+
+    @classmethod
+    def _from_parts(cls, re: tuple, im: tuple) -> "GIVector":
+        """Wrap two equal-length, nonempty tuples of plain ints, unchecked.
+
+        Only for parts computed by ring operations on parts that were
+        validated already.
+        """
+        v = object.__new__(cls)
+        v.re = re
+        v.im = im
+        return v
+
+    @property
+    def entries(self) -> tuple:
+        return tuple(map(GaussianInt, self.re, self.im))
 
     @property
     def dim(self) -> int:
-        return len(self.entries)
+        return len(self.re)
 
     @classmethod
     def zero(cls, dim: int) -> "GIVector":
         return cls([ZERO] * dim)
 
     def __len__(self):
-        return len(self.entries)
+        return len(self.re)
 
     def __iter__(self):
-        return iter(self.entries)
+        return map(GaussianInt, self.re, self.im)
 
     def __getitem__(self, i):
-        return self.entries[i]
+        if isinstance(i, slice):
+            return self.entries[i]
+        return GaussianInt(self.re[i], self.im[i])
 
     def __add__(self, other):
         if not isinstance(other, GIVector):
             return NotImplemented
         self._check_dim(other)
-        return GIVector(a + b for a, b in zip(self.entries, other.entries))
+        return GIVector._from_parts(tuple(map(add, self.re, other.re)),
+                                    tuple(map(add, self.im, other.im)))
 
     def __sub__(self, other):
         if not isinstance(other, GIVector):
             return NotImplemented
         self._check_dim(other)
-        return GIVector(a - b for a, b in zip(self.entries, other.entries))
+        return GIVector._from_parts(tuple(map(sub, self.re, other.re)),
+                                    tuple(map(sub, self.im, other.im)))
 
     def __neg__(self):
-        return GIVector(-a for a in self.entries)
+        return GIVector._from_parts(tuple(map(neg, self.re)),
+                                    tuple(map(neg, self.im)))
 
     def scale(self, a) -> "GIVector":
         ga = _to_gi(a, "scalar")
-        return GIVector(ga * e for e in self.entries)
+        ar, ai = ga.re, ga.im
+        pairs = tuple(zip(self.re, self.im))
+        return GIVector._from_parts(tuple(ar * r - ai * i for r, i in pairs),
+                                    tuple(ar * i + ai * r for r, i in pairs))
 
     def __rmul__(self, a):
         try:
@@ -231,18 +288,15 @@ class GIVector:
             return NotImplemented
 
     def conjugate(self) -> "GIVector":
-        return GIVector(e.conjugate() for e in self.entries)
+        return GIVector._from_parts(self.re, tuple(map(neg, self.im)))
 
     def inner(self, other: "GIVector") -> GaussianInt:
         """Sesquilinear product sum_a conj(self_a) * other_a."""
         self._check_dim(other)
-        re = 0
-        im = 0
-        for a, b in zip(self.entries, other.entries):
-            # conj(a) * b expanded on integer parts
-            re += a.re * b.re + a.im * b.im
-            im += a.re * b.im - a.im * b.re
-        return GaussianInt(re, im)
+        # conj(a) * b expanded on integer parts
+        return GaussianInt(
+            sum(map(mul, self.re, other.re)) + sum(map(mul, self.im, other.im)),
+            sum(map(mul, self.re, other.im)) - sum(map(mul, self.im, other.re)))
 
     def inner_re(self, other: "GIVector") -> int:
         """Re of `inner`: sum_a self_a.re * other_a.re + self_a.im * other_a.im.
@@ -251,43 +305,48 @@ class GIVector:
         keep only the real part.
         """
         self._check_dim(other)
-        re = 0
-        for a, b in zip(self.entries, other.entries):
-            re += a.re * b.re + a.im * b.im
-        return re
+        return sum(map(mul, self.re, other.re)) + sum(map(mul, self.im, other.im))
 
     def is_zero(self) -> bool:
-        return all(not e for e in self.entries)
+        return not any(self.re) and not any(self.im)
 
     def _check_dim(self, other):
-        if self.dim != other.dim:
+        if len(self.re) != len(other.re):
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
 
     def __eq__(self, other):
         if not isinstance(other, GIVector):
             return NotImplemented
-        return self.entries == other.entries
+        return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash(self.entries)
+        return hash((self.re, self.im))
 
     def __repr__(self):
-        return f"GIVector([{', '.join(str(e) for e in self.entries)}])"
+        return f"GIVector([{', '.join(str(e) for e in self)}])"
 
     def to_pairs(self) -> list:
-        return [e.to_pair() for e in self.entries]
+        return [[r, i] for r, i in zip(self.re, self.im)]
 
     @classmethod
     def from_pairs(cls, obj, where: str = "vector") -> "GIVector":
         if not isinstance(obj, (list, tuple)) or not obj:
             raise ValueError(f"{where}: expected a nonempty list of [re, im] pairs")
-        return cls(GaussianInt.from_pair(p, f"{where}[{i}]") for i, p in enumerate(obj))
+        re, im = zip(*(_pair_parts(p, f"{where}[{i}]") for i, p in enumerate(obj)))
+        return cls._from_parts(re, im)
 
 
 class GIMatrix:
-    """Square matrix of Gaussian integers."""
+    """Square matrix of Gaussian integers.
 
-    __slots__ = ("rows",)
+    `rows` holds the entries as `GaussianInt`s.  Construction also
+    compiles them into the program `apply` runs: per row, the (column,
+    coefficient) terms of the nonzero real parts and of the nonzero
+    imaginary parts, so zero entry parts (real diagonals, zero entries,
+    the identity) cost nothing.
+    """
+
+    __slots__ = ("rows", "_program")
 
     def __init__(self, rows: Iterable[Iterable]):
         rws = tuple(tuple(_to_gi(e, "matrix entry") for e in row) for row in rows)
@@ -297,6 +356,10 @@ class GIMatrix:
         if any(len(r) != d for r in rws):
             raise ValueError("matrix must be square")
         self.rows = rws
+        self._program = tuple(
+            (tuple((j, e.re) for j, e in enumerate(row) if e.re),
+             tuple((j, e.im) for j, e in enumerate(row) if e.im))
+            for row in rws)
 
     @property
     def dim(self) -> int:
@@ -314,18 +377,24 @@ class GIMatrix:
         return self.rows[i][j]
 
     def apply(self, v: GIVector) -> GIVector:
-        """Matrix-vector product, exact."""
-        if self.dim != v.dim:
+        """Matrix-vector product, exact; the one matvec kernel."""
+        if len(self.rows) != len(v.re):
             raise ValueError(f"dimension mismatch: matrix {self.dim} vs vector {v.dim}")
-        out = []
-        for row in self.rows:
-            re = 0
-            im = 0
-            for h, x in zip(row, v.entries):
-                re += h.re * x.re - h.im * x.im
-                im += h.re * x.im + h.im * x.re
-            out.append(GaussianInt(re, im))
-        return GIVector(out)
+        xr = v.re
+        xi = v.im
+        out_re = []
+        out_im = []
+        for re_terms, im_terms in self._program:
+            r = i = 0
+            for j, c in re_terms:
+                r += c * xr[j]
+                i += c * xi[j]
+            for j, c in im_terms:
+                r -= c * xi[j]
+                i += c * xr[j]
+            out_re.append(r)
+            out_im.append(i)
+        return GIVector._from_parts(tuple(out_re), tuple(out_im))
 
     def __matmul__(self, other):
         if not isinstance(other, GIMatrix):

@@ -38,11 +38,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .automaton import Trajectory, evolve
 from .gaussian import (GaussianInt, GIMatrix, GIVector, HermitianIntMatrix,
-                       IMAG_UNIT, ONE, ZERO, exact_int_text)
+                       IMAG_UNIT, ONE, ZERO, _to_gi, exact_int_text)
 
 __all__ = [
     "MultiWave",
@@ -86,8 +87,17 @@ def _storage_order(dims: Sequence[int], clock_shape: Sequence[int]) -> Iterator[
                              itertools.product(*(range(d) for d in dims)))
 
 
+_SCALAR_TYPE = frozenset((GaussianInt,))
+_RE = attrgetter("re")
+_IM = attrgetter("im")
+
+
 class MultiWave:
-    """Exact field over a product clock box and product dof indices."""
+    """Exact field over a product clock box and product dof indices.
+
+    Values are `GaussianInt`s: plain ints are converted, anything else
+    raises ValueError.
+    """
 
     __slots__ = ("dims", "clock_shape", "values")
 
@@ -104,7 +114,11 @@ class MultiWave:
             values = [ZERO] * size
         if len(values) != size:
             raise ValueError(f"expected {size} values, got {len(values)}")
-        self.values = list(values)
+        values = list(values)
+        # every value a GaussianInt, so its parts are validated plain ints
+        if not _SCALAR_TYPE.issuperset(map(type, values)):
+            values = [_to_gi(v, "field value") for v in values]
+        self.values = values
 
     def _size(self) -> int:
         n = 1
@@ -126,7 +140,7 @@ class MultiWave:
         return self.values[self._flat(clocks, alphas)]
 
     def set(self, clocks: Sequence[int], alphas: Sequence[int], value: GaussianInt):
-        self.values[self._flat(clocks, alphas)] = value
+        self.values[self._flat(clocks, alphas)] = _to_gi(value, "field value")
 
     def clock_points(self) -> Iterable[tuple]:
         return itertools.product(*(range(c) for c in self.clock_shape))
@@ -145,7 +159,8 @@ class MultiWave:
     def alpha_vector(self, clocks: Sequence[int]) -> GIVector:
         """All dof components at one clock point, flattened row-major."""
         base = flatten_index(clocks, self.clock_shape) * _prod(self.dims)
-        return GIVector(self.values[base:base + _prod(self.dims)])
+        block = self.values[base:base + _prod(self.dims)]
+        return GIVector._from_parts(tuple(map(_RE, block)), tuple(map(_IM, block)))
 
     def scale(self, a) -> "MultiWave":
         ga = a if isinstance(a, GaussianInt) else GaussianInt(a)
@@ -280,10 +295,11 @@ def product_wave(factors: Sequence[Trajectory]) -> MultiWave:
     factors = list(factors)
     dims = [f.dim for f in factors]
     clock_shape = [len(f) for f in factors]
+    scalars = [[state.entries for state in f] for f in factors]
     values = []
     for clocks, alphas in _storage_order(dims, clock_shape):
         v = ONE
-        for f, n, a in zip(factors, clocks, alphas):
+        for f, n, a in zip(scalars, clocks, alphas):
             v = v * f[n][a]
         values.append(v)
     return MultiWave(dims, clock_shape, values)
@@ -343,7 +359,8 @@ def many_time_residual(psi: MultiWave, hams: Sequence[HermitianIntMatrix],
             up = clocks[:k] + (clocks[k] + 1,) + clocks[k + 1:]
             down = clocks[:k] + (clocks[k] - 1,) + clocks[k + 1:]
             block = block + psi.alpha_vector(up) - psi.alpha_vector(down)
-        values.extend(v or ZERO for v in block)
+        values.extend(GaussianInt(re, im) if re or im else ZERO
+                      for re, im in zip(block.re, block.im))
     interior_shape = tuple(c - 2 for c in psi.clock_shape)
     return ManyTimeResidual(field=MultiWave(psi.dims, interior_shape, values))
 

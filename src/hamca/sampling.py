@@ -77,7 +77,7 @@ def samples_from_trajectory(traj: Trajectory) -> np.ndarray:
     Raises OverflowError if any exact integer exceeds float range.
     """
     try:
-        return np.array([[complex(z.re, z.im) for z in s] for s in traj],
+        return np.array([list(map(complex, s.re, s.im)) for s in traj],
                         dtype=np.complex128)
     except OverflowError as exc:
         raise OverflowError(
@@ -335,16 +335,21 @@ class ConvergenceReport:
     order: Optional[float]
 
     def to_json_obj(self) -> dict:
+        """Standard JSON: a non-finite order or error is written as null."""
         return {
             "horizon": self.horizon,
             "psi1_rule": self.psi1_rule,
-            "order": self.order,
+            "order": _finite_or_none(self.order),
             "points": [
-                {"scale": p.scale, "error": p.error, "included": p.included,
-                 "note": p.note}
+                {"scale": p.scale, "error": _finite_or_none(p.error),
+                 "included": p.included, "note": p.note}
                 for p in self.points
             ],
         }
+
+
+def _finite_or_none(x: Optional[float]) -> Optional[float]:
+    return x if x is not None and math.isfinite(x) else None
 
 
 def convergence_study(h: HermitianIntMatrix, psi0: Sequence[complex],

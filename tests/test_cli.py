@@ -1,11 +1,12 @@
 """Config validation, orchestration, artifacts, exit codes, determinism."""
 
 import json
+import math
 import sys
 
 import pytest
 
-from hamca import conservation, multipartite
+from hamca import cli, conservation, multipartite, sampling
 from hamca.automaton import Trajectory, evolve
 from hamca.cli import ConfigError, load_config, main, run
 from hamca.gaussian import GaussianInt, GIVector, HermitianIntMatrix, exact_int_text
@@ -386,3 +387,37 @@ def test_seed_flag_is_gone(tmp_path):
     assert "seed" not in report
     with pytest.raises(SystemExit):
         main(["evolve", "--config", evolve_config(tmp_path), "--seed", "1"])
+
+
+def test_json_artifacts_reject_nan_and_infinity(tmp_path):
+    for value in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError):
+            cli._write_json(tmp_path / "x.json", {"value": value})
+
+
+def strict_json(path):
+    def refuse(literal):
+        raise AssertionError(f"non-standard JSON constant {literal}")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+@pytest.mark.parametrize("order, error", [(float("inf"), 0.01),
+                                          (float("nan"), 0.01),
+                                          (2.0, float("nan")),
+                                          (2.0, float("inf"))])
+def test_non_finite_convergence_fails_the_check(tmp_path, monkeypatch, order, error):
+    report = sampling.ConvergenceReport(
+        horizon=2.0, psi1_rule="oracle", order=order,
+        points=(sampling.ConvergencePoint(scale=0.2, error=0.04, included=True),
+                sampling.ConvergencePoint(scale=0.1, error=error, included=True)))
+    monkeypatch.setattr(sampling, "convergence_study", lambda *a, **k: report)
+    path = write_config(tmp_path / "cfg.json", {
+        "kind": "converge", "hamiltonians": [PAULI_X],
+        "seeds": [[[1, 0], [0, 0]]], "horizon": 2.0, "scales": [0.2, 0.1]})
+    out = tmp_path / "out"
+    assert main(["converge", "--config", path, "--out", str(out)]) == 1
+    check = strict_json(out / "report.json")["checks"][0]
+    assert check["name"] == "convergence_order" and not check["passed"]
+    summary = strict_json(out / "convergence.json")
+    assert summary["order"] == (order if math.isfinite(order) else None)
+    assert summary["points"][1]["error"] == (error if math.isfinite(error) else None)

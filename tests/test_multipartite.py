@@ -485,3 +485,16 @@ def test_interaction_validation():
     assert t.entry((0, 0), (1, 0)) == gi(2, 1)
     assert not t.is_zero()
     assert InteractionTensor.zero((2, 2)).is_zero()
+
+
+def test_field_values_are_always_gaussian_ints():
+    wave = MultiWave((1,), (2,), [1, gi(2, -1)])
+    assert all(type(v) is GaussianInt for v in wave.values)
+    assert wave.alpha_vector((0,)) == GIVector([gi(1)])
+    assert [v for _, _, v in wave.to_json_obj()["values"]] == [[1, 0], [2, -1]]
+    wave.set((1,), (0,), 5)
+    assert wave.get((1,), (0,)) == gi(5) and type(wave.values[1]) is GaussianInt
+    with pytest.raises(ValueError, match="field value"):
+        MultiWave((1,), (2,), [1.5, gi(0)])
+    with pytest.raises(ValueError, match="field value"):
+        wave.set((0,), (0,), True)

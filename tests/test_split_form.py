@@ -1,0 +1,196 @@
+"""The split storage of exact vectors and its one matvec kernel.
+
+`GIVector` keeps two tuples of plain ints and `GIMatrix.apply` runs a
+precompiled, zero-skipping program.  These checks compare every vector
+operation with a plain-int reference written out entry by entry, pin
+that vectors built by every path compare and hash alike, and pin that
+the independent oracles never reach the kernel.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from hamca.automaton import (PhaseTrajectory, Trajectory, evolve, evolve_phase_space,
+                             step_forward, verify_stationarity)
+from hamca.gaussian import GaussianInt, GIMatrix, GIVector, HermitianIntMatrix
+from conftest import random_hermitian, random_vector
+
+SMALL = st.integers(-3, 3)
+BIG = st.one_of(st.integers(2**600, 2**700), st.integers(-2**700, -2**600))
+PART = st.one_of(st.just(0), SMALL, st.integers(-2**64, 2**64), BIG)
+COEFF = st.one_of(st.just(0), SMALL, BIG)
+ROW_KINDS = ("complex", "real", "imaginary", "zero", "identity")
+
+
+@st.composite
+def split_vectors(draw, dim):
+    return ([draw(PART) for _ in range(dim)], [draw(PART) for _ in range(dim)])
+
+
+@st.composite
+def split_matrices(draw, dim):
+    """Rows that are complex, purely real, purely imaginary, zero or e_i."""
+    m_re = []
+    m_im = []
+    for i in range(dim):
+        kind = draw(st.sampled_from(ROW_KINDS))
+        if kind == "identity":
+            m_re.append([int(i == j) for j in range(dim)])
+            m_im.append([0] * dim)
+            continue
+        m_re.append([draw(COEFF) if kind in ("complex", "real") else 0
+                     for _ in range(dim)])
+        m_im.append([draw(COEFF) if kind in ("complex", "imaginary") else 0
+                     for _ in range(dim)])
+    return m_re, m_im
+
+
+def vector(re, im):
+    return GIVector(GaussianInt(r, i) for r, i in zip(re, im))
+
+
+def matrix(m_re, m_im):
+    return GIMatrix([[GaussianInt(r, i) for r, i in zip(rr, ri)]
+                     for rr, ri in zip(m_re, m_im)])
+
+
+def parts(v):
+    """The stored parts, which must be tuples of plain ints."""
+    assert type(v.re) is tuple and type(v.im) is tuple
+    assert all(type(x) is int for x in v.re + v.im)
+    return list(v.re), list(v.im)
+
+
+def reference_apply(m_re, m_im, x_re, x_im):
+    d = len(x_re)
+    out_re = [0] * d
+    out_im = [0] * d
+    for i in range(d):
+        for j in range(d):
+            out_re[i] += m_re[i][j] * x_re[j] - m_im[i][j] * x_im[j]
+            out_im[i] += m_re[i][j] * x_im[j] + m_im[i][j] * x_re[j]
+    return out_re, out_im
+
+
+@settings(max_examples=80)
+@given(data=st.data(), dim=st.integers(1, 6))
+def test_kernel_matches_a_plain_int_reference(data, dim):
+    m_re, m_im = data.draw(split_matrices(dim))
+    x_re, x_im = data.draw(split_vectors(dim))
+    y_re, y_im = data.draw(split_vectors(dim))
+    a_re, a_im = data.draw(PART), data.draw(PART)
+    x, y = vector(x_re, x_im), vector(y_re, y_im)
+    d = range(dim)
+
+    assert parts(matrix(m_re, m_im).apply(x)) == reference_apply(m_re, m_im, x_re, x_im)
+    assert parts(x + y) == ([x_re[k] + y_re[k] for k in d],
+                            [x_im[k] + y_im[k] for k in d])
+    assert parts(x - y) == ([x_re[k] - y_re[k] for k in d],
+                            [x_im[k] - y_im[k] for k in d])
+    assert parts(-x) == ([-x_re[k] for k in d], [-x_im[k] for k in d])
+    assert parts(x.conjugate()) == (x_re, [-x_im[k] for k in d])
+    assert parts(x.scale(GaussianInt(a_re, a_im))) == (
+        [a_re * x_re[k] - a_im * x_im[k] for k in d],
+        [a_re * x_im[k] + a_im * x_re[k] for k in d])
+    assert parts(x.scale(a_re)) == ([a_re * x_re[k] for k in d],
+                                    [a_re * x_im[k] for k in d])
+    # conj(x_k) * y_k summed
+    inner_re = sum(x_re[k] * y_re[k] + x_im[k] * y_im[k] for k in d)
+    inner_im = sum(x_re[k] * y_im[k] - x_im[k] * y_re[k] for k in d)
+    assert x.inner(y) == GaussianInt(inner_re, inner_im)
+    assert x.inner_re(y) == inner_re
+
+
+def test_kernel_handles_identity_and_zero_matrices(rng):
+    for dim in range(1, 7):
+        v = random_vector(rng, dim, 2**700)
+        assert GIMatrix.identity(dim).apply(v) == v
+        assert GIMatrix.zeros(dim).apply(v) == GIVector.zero(dim)
+
+
+# -- one value, every construction path ---------------------------------
+
+
+def assert_same_vector(built, public):
+    assert type(built.re) is tuple and type(built.im) is tuple
+    assert built == public and public == built
+    assert hash(built) == hash(public)
+    assert {public: "found"}[built] == "found"
+
+
+@settings(max_examples=30)
+@given(data=st.data(), dim=st.integers(1, 4))
+def test_every_path_builds_vectors_that_compare_and_hash_alike(data, dim):
+    m_re, m_im = data.draw(split_matrices(dim))
+    a_re, a_im = data.draw(split_vectors(dim))
+    b_re, b_im = data.draw(split_vectors(dim))
+    a, b, h = vector(a_re, a_im), vector(b_re, b_im), matrix(m_re, m_im)
+
+    w_re, w_im = reference_apply(m_re, m_im, b_re, b_im)
+    assert_same_vector(h.apply(b), vector(w_re, w_im))
+    # a - i*H*b
+    assert_same_vector(step_forward(a, b, HermitianIntMatrix.identity(dim)),
+                       vector([a_re[k] + b_im[k] for k in range(dim)],
+                              [a_im[k] - b_re[k] for k in range(dim)]))
+    assert_same_vector(a + b, vector([x + y for x, y in zip(a_re, b_re)],
+                                     [x + y for x, y in zip(a_im, b_im)]))
+    assert_same_vector(a - b, vector([x - y for x, y in zip(a_re, b_re)],
+                                     [x - y for x, y in zip(a_im, b_im)]))
+    assert_same_vector(GIVector.from_pairs([[r, i] for r, i in zip(a_re, a_im)]), a)
+
+    traj = Trajectory([a, b])
+    # lists in, as a caller would pass them
+    phase = PhaseTrajectory([a_re, b_re], [a_im, b_im]).to_trajectory()
+    for built in (phase, Trajectory.from_csv(traj.to_csv()),
+                  Trajectory.from_json_obj(traj.to_json_obj())):
+        assert_same_vector(built[0], a)
+        assert_same_vector(built[1], b)
+
+
+def test_step_forward_matches_an_evolved_slice(rng):
+    h = random_hermitian(rng, 3)
+    traj = evolve(random_vector(rng, 3), random_vector(rng, 3), h, 6)
+    rebuilt = GIVector(list(traj[6]))
+    assert_same_vector(step_forward(traj[4], traj[5], h), rebuilt)
+
+
+def test_phase_trajectory_rejects_non_integer_parts():
+    with pytest.raises(TypeError, match="plain integers"):
+        PhaseTrajectory([[1.0], [2]], [[0], [0]]).to_trajectory()
+    with pytest.raises(TypeError, match="plain integers"):
+        PhaseTrajectory([[1], [2]], [[True], [0]]).to_trajectory()
+
+
+def test_scalars_are_built_on_demand():
+    v = GIVector([GaussianInt(1, -2), 3])
+    assert v[0] == GaussianInt(1, -2) and v[1] == GaussianInt(3, 0)
+    assert v[-1] == GaussianInt(3, 0)
+    assert v[0:1] == (GaussianInt(1, -2),)
+    assert list(v) == list(v.entries) == [GaussianInt(1, -2), GaussianInt(3, 0)]
+    assert repr(v) == "GIVector([1-2i, 3+0i])"
+    with pytest.raises(ValueError):
+        GIVector([1.5])
+    with pytest.raises(ValueError):
+        GIVector([])
+
+
+# -- the independent oracles stay off the kernel ------------------------
+
+
+def test_independent_oracles_never_call_the_matvec_kernel(monkeypatch, rng):
+    h = random_hermitian(rng, 3)
+    traj = evolve(random_vector(rng, 3), random_vector(rng, 3), h, 8)
+    bumped = traj.replace(4, traj[4] + GIVector([1, 0, 0]))
+    hs, ha = h.split()
+
+    def refuse(self, v):
+        raise AssertionError("an independent oracle called GIMatrix.apply")
+
+    monkeypatch.setattr(GIMatrix, "apply", refuse)
+    phase = evolve_phase_space(traj[0].re, traj[0].im, traj[1].re, traj[1].im,
+                               hs, ha, 8)
+    assert phase.to_trajectory() == traj
+    assert verify_stationarity(traj, h, method="direct").ok
+    assert not verify_stationarity(bumped, h, method="direct").ok
+    with pytest.raises(AssertionError, match="independent oracle"):
+        verify_stationarity(traj, h, method="fast")
