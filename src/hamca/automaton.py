@@ -22,11 +22,22 @@ the action with all terms that couple to the varied site included;
 out-of-range neighbor slices contribute zero.  With that bookkeeping a
 variation vanishes at an interior site exactly when the recurrence
 holds there.
+
+Trajectory text is printed from an exact `decimal` stream, because
+libmpdec prints in linear time and CPython's `str(int)` may not.  The
+stream keeps the last two slices as Decimals, predicts the next one by
+the recurrence (with H's entries converted to Decimal once) and adds
+the slice's integer residual psi_n - (psi_{n-2} - i*H*psi_{n-1}), which
+is zero on a solution.  Each printed slice therefore equals the stored
+one for any trajectory and any H, and the text is the same bytes
+per-entry `str` would give.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact,
+                     InvalidOperation, Overflow, Rounded)
 from operator import add, mul, neg, sub
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -115,13 +126,85 @@ class Trajectory:
 
     # -- serialization ------------------------------------------------
 
-    @exact_int_text()
-    def to_csv(self) -> str:
+    def _decimal_slices(self, h: Optional[HermitianIntMatrix]):
+        """Per slice, the decimal text of its real and imaginary parts.
+
+        Slice n of the stream is the recurrence's prediction on the two
+        previous Decimal slices plus Decimal(r_n), with the residual
+        r_n = psi_n - (psi_{n-2} - i*H*psi_{n-1}) computed in ints, so
+        by induction every slice equals psi_n, for any H; `h=None` is
+        the zero coupling.  The arithmetic runs in a local context that
+        traps `Inexact` and `Rounded` and never becomes the thread's.
+        Products accumulate onto the previous slice, which is never -0,
+        and Decimal(r_n) is added last, so a negative coefficient times
+        a zero entry never prints as -0.
+        """
+        if h is not None:
+            _check_dims(self, h)
+        ctx = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
+                      traps=[Inexact, Rounded, InvalidOperation, Overflow])
+        fma = ctx.fma
+        plus = ctx.add
+        d = self.dim
+        # per output part, (index into re + im of psi_{n-1}, coefficient):
+        # re out = re(psi_{n-2}) + Im(H psi), im out = im(psi_{n-2}) - Re(H psi)
+        program = []
+        for re_terms, im_terms in (() if h is None else h.matrix._program):
+            program.append(([(d + j, Decimal(c)) for j, c in re_terms]
+                            + [(j, Decimal(c)) for j, c in im_terms],
+                            [(j, Decimal(-c)) for j, c in re_terms]
+                            + [(d + j, Decimal(c)) for j, c in im_terms]))
+        states = self.states
+        x2 = x1 = None
+        for n, psi in enumerate(states):
+            if n < 2:
+                dec = tuple(map(Decimal, psi.re + psi.im))
+            else:
+                prev2 = states[n - 2]
+                w = prev2 if h is None else step_forward(prev2, states[n - 1], h)
+                r = map(sub, psi.re + psi.im, w.re + w.im)
+                pred = list(x2)
+                for a, (re_row, im_row) in enumerate(program):
+                    acc = pred[a]
+                    for k, c in re_row:
+                        acc = fma(c, x1[k], acc)
+                    pred[a] = acc
+                    acc = pred[d + a]
+                    for k, c in im_row:
+                        acc = fma(c, x1[k], acc)
+                    pred[d + a] = acc
+                dec = tuple(plus(p, Decimal(v)) for p, v in zip(pred, r))
+            x2, x1 = x1, dec
+            text = tuple(map(str, dec))
+            yield text[:d], text[d:]
+
+    def to_csv(self, h: Optional[HermitianIntMatrix] = None) -> str:
+        """CSV text `n,alpha,re,im`, one row per entry.
+
+        Pass the coupling the trajectory solves to make the decimal text
+        linear in its length; any H (or none) gives the same exact text.
+        """
         lines = ["n,alpha,re,im"]
-        for n, state in enumerate(self.states):
-            for a, (re, im) in enumerate(zip(state.re, state.im)):
-                lines.append(f"{n},{a},{re},{im}")
-        return "\n".join(lines) + "\n"
+        for n, (res, ims) in enumerate(self._decimal_slices(h)):
+            lines.extend(f"{n},{a},{re},{im}"
+                         for a, (re, im) in enumerate(zip(res, ims)))
+        lines.append("")  # the final newline, without copying the text again
+        return "\n".join(lines)
+
+    def to_json_text(self, h: Optional[HermitianIntMatrix] = None) -> str:
+        """`json.dumps(self.to_json_obj(), indent=2, sort_keys=True) + "\\n"`.
+
+        Same bytes, with entries printed from the stream `to_csv` uses.
+        """
+        states = ["    [\n"
+                  + ",\n".join(f"      [\n        {re},\n        {im}\n      ]"
+                               for re, im in zip(res, ims))
+                  + "\n    ]"
+                  for res, ims in self._decimal_slices(h)]
+        # one join builds the text: header and footer ride on the end slices
+        states[0] = f'{{\n  "dim": {self.dim},\n  "states": [\n{states[0]}'
+        states[-1] += "\n  ]\n}\n"
+        return ",\n".join(states)
 
     @classmethod
     @exact_int_text()

@@ -5,7 +5,10 @@ either consumed or rejected, so a typo cannot silently change an
 experiment.  Integer data is written as exact decimal text; floats are
 printed with 17 significant digits in CSV and as shortest round-trip
 literals in JSON.  Identical configs produce byte-identical integer
-artifacts.
+artifacts.  Trajectories and composite fields are written by their own
+linear-time text writers, which print the same bytes as `json.dumps`
+with `indent=2, sort_keys=True`; `json.dumps` writes the small files.
+`report.json` lists each artifact's size in `artifact_bytes`.
 
 Exit status: 0 all checks passed, 1 a check failed or a module error
 surfaced, 2 invalid configuration.
@@ -392,13 +395,14 @@ def _fmt_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _write_trajectory(traj, out_dir: Path, fmt: str) -> Path:
+def _write_trajectory(traj, h, out_dir: Path, fmt: str) -> Path:
+    # h, the coupling traj solves, keeps the decimal text linear-time
     if fmt == "csv":
         path = out_dir / "trajectory.csv"
-        _write_text(path, traj.to_csv())
+        _write_text(path, traj.to_csv(h))
     else:
         path = out_dir / "trajectory.json"
-        _write_json(path, traj.to_json_obj())
+        _write_text(path, traj.to_json_text(h))
     return path
 
 
@@ -423,7 +427,7 @@ def _run_evolve(params, out_dir, fmt):
     hs, ha = h.split()
     pt = automaton.evolve_phase_space(s0.re, s0.im, s1.re, s1.im, hs, ha, steps)
     checks.append(Check("phase_space_equivalence", pt.to_trajectory() == traj))
-    artifacts = [_write_trajectory(traj, out_dir, fmt)]
+    artifacts = [_write_trajectory(traj, h, out_dir, fmt)]
     return checks, artifacts, {}
 
 
@@ -453,7 +457,7 @@ def _run_audit(params, out_dir, fmt):
                                 "informational; " + drift_note))
     info = {"norm_invariant": {"value": report.norm_value,
                                "zero": report.norm_is_zero}}
-    artifacts = [_write_trajectory(traj, out_dir, fmt)]
+    artifacts = [_write_trajectory(traj, h, out_dir, fmt)]
     audit_path = out_dir / "audit.json"
     _write_json(audit_path, report.to_json_obj())
     artifacts.append(audit_path)
@@ -566,7 +570,7 @@ def _run_multi(params, out_dir, fmt):
                             json.dumps(gap) if gap else "no gap at clock 2"))
         info["synchronized_gap"] = gap
     field_path = out_dir / "field.json"
-    _write_json(field_path, wave.to_json_obj())
+    _write_text(field_path, wave.to_json_text())
     residual_path = out_dir / "residual.csv"
     _write_text(residual_path, res.to_csv())
     return checks, [field_path, residual_path], info
@@ -593,7 +597,7 @@ def _run_bell(params, out_dir, fmt):
     info = {"witness_clock": list(clock),
             "slice": [[z.to_pair() for z in row] for row in rows]}
     field_path = out_dir / "bell_field.json"
-    _write_json(field_path, wave.to_json_obj())
+    _write_text(field_path, wave.to_json_text())
     residual_path = out_dir / "residual.csv"
     _write_text(residual_path, res.to_csv())
     return checks, [field_path, residual_path], info
@@ -642,6 +646,7 @@ def run(config: ExperimentConfig, out_dir) -> dict:
         "checks": [{"name": c.name, "passed": c.passed, "info": c.info}
                    for c in checks],
         "artifacts": [str(p) for p in artifacts],
+        "artifact_bytes": {p.name: p.stat().st_size for p in artifacts},
         "info": info,
         "wall_time_s": time.perf_counter() - started,
     }

@@ -31,11 +31,18 @@ interacting single-time case.
 
 Multi-index flattening is row-major throughout: (a_1, ..., a_m) maps to
 a_1*D_2*...*D_m + ... + a_m, and clock tuples flatten the same way.
+
+The field's JSON text and the residual's CSV are assembled from
+per-record templates in that storage order: each clock and dof fragment
+is formatted once and reused, so writing costs one short format per
+value.  The bytes are those of `json.dumps(..., indent=2,
+sort_keys=True)` and of the per-cell join.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
@@ -211,6 +218,31 @@ class MultiWave:
                        for clocks, alphas, v in self.items()],
         }
 
+    @exact_int_text()
+    def to_json_text(self) -> str:
+        """`json.dumps(self.to_json_obj(), indent=2, sort_keys=True) + "\\n"`.
+
+        The same bytes from per-record templates: `json.dumps` writes
+        the small header, and each clock and dof fragment is formatted
+        once, not once per value.
+        """
+        head = json.dumps({"clock_box": [[0, c - 1] for c in self.clock_shape],
+                           "dims": list(self.dims), "parts": self.parts},
+                          indent=2, sort_keys=True)
+        dofs = [f"{_json_ints(alphas)},\n      [\n        "
+                for alphas in self.dof_indices()]
+        values = iter(self.values)
+        records = []
+        for clocks in self.clock_points():
+            lead = f"    [\n{_json_ints(clocks)},\n"
+            records.extend(f"{lead}{dof}{v.re},\n        {v.im}\n      ]\n    ]"
+                           for dof, v in zip(dofs, values))
+        # head ends "\n}" and "values" sorts after every header key; one
+        # join builds the text, with header and footer on the end records
+        records[0] = f'{head[:-2]},\n  "values": [\n{records[0]}'
+        records[-1] += "\n  ]\n}\n"
+        return ",\n".join(records)
+
     @classmethod
     def from_json_obj(cls, obj) -> "MultiWave":
         if not isinstance(obj, dict):
@@ -243,6 +275,12 @@ class MultiWave:
         if len(seen) != len(wave.values):
             raise ValueError(f"field JSON has {len(seen)} of {len(wave.values)} records")
         return wave
+
+
+def _json_ints(ints: Sequence[int]) -> str:
+    """A list of ints as `json.dumps(indent=2)` writes it three levels deep."""
+    items = ",\n".join(f"        {i}" for i in ints)
+    return f"      [\n{items}\n      ]"
 
 
 def _prod(xs: Sequence[int]) -> int:
@@ -326,10 +364,15 @@ class ManyTimeResidual:
         header = ([f"n{k + 1}" for k in range(m)]
                   + [f"alpha{k + 1}" for k in range(m)] + ["re", "im"])
         lines = [",".join(header)]
-        for clocks, alphas, v in self.field.items():
-            cells = [n + 1 for n in clocks] + list(alphas) + [v.re, v.im]
-            lines.append(",".join(str(c) for c in cells))
-        return "\n".join(lines) + "\n"
+        dofs = ["".join(f"{a}," for a in alphas)
+                for alphas in self.field.dof_indices()]
+        values = iter(self.field.values)
+        for clocks in self.field.clock_points():
+            lead = "".join(f"{n + 1}," for n in clocks)
+            lines.extend(f"{lead}{dof}{v.re},{v.im}" if v else f"{lead}{dof}0,0"
+                         for dof, v in zip(dofs, values))
+        lines.append("")
+        return "\n".join(lines)
 
 
 def many_time_residual(psi: MultiWave, hams: Sequence[HermitianIntMatrix],

@@ -138,6 +138,9 @@ def test_report_roundtrips_through_json(tmp_path):
     assert loaded["kind"] == report["kind"]
     assert loaded["checks"] == report["checks"]
     assert loaded["config"] == report["config"]
+    csv = tmp_path / "out" / "trajectory.csv"
+    assert report["artifact_bytes"] == {"trajectory.csv": csv.stat().st_size}
+    assert loaded["artifact_bytes"] == report["artifact_bytes"]
 
 
 def test_json_format_artifact(tmp_path):

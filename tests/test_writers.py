@@ -1,0 +1,239 @@
+"""The linear-time artifact writers print exactly what per-entry `str` does.
+
+Trajectory text comes from an exact `Decimal` stream, and `field.json`
+and `residual.csv` from per-record templates.  Each writer is checked
+byte for byte against the plain reference written here, on solutions,
+corrupted histories, mismatched or missing couplings and entries past
+CPython's 4300-digit limit; and no writer may leave the global decimal
+context or the digit limit changed, whether it returns or raises.
+"""
+
+import decimal
+import json
+import sys
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from hamca import automaton, multipartite
+from hamca.automaton import Trajectory, evolve
+from hamca.gaussian import (GaussianInt, GIMatrix, GIVector, HermitianIntMatrix,
+                            exact_int_text)
+from hamca.multipartite import (ManyTimeResidual, MultiWave, bell_state,
+                                many_time_residual)
+from conftest import random_hermitian, random_vector
+
+PAST_LIMIT = st.builds(lambda sign, hi, lo: sign * (hi * 10**4300 + lo),
+                       st.sampled_from([1, -1]), st.integers(1, 2**64),
+                       st.integers(0, 2**64))
+# zeros are frequent, so negative coefficients meet zero entries
+SMALL = st.one_of(st.just(0), st.integers(-3, 3))
+PART = st.one_of(SMALL, st.integers(-2**70, 2**70))
+
+
+def reference_csv(traj):
+    with exact_int_text():
+        rows = [f"{n},{a},{z.re},{z.im}" for n, s in enumerate(traj)
+                for a, z in enumerate(s)]
+    return "\n".join(["n,alpha,re,im"] + rows) + "\n"
+
+
+def reference_json(obj):
+    with exact_int_text():
+        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+@st.composite
+def hermitians(draw, dim):
+    rows = [[None] * dim for _ in range(dim)]
+    for i in range(dim):
+        rows[i][i] = GaussianInt(draw(SMALL), 0)
+        for j in range(i + 1, dim):
+            z = GaussianInt(draw(SMALL), draw(SMALL))
+            rows[i][j] = z
+            rows[j][i] = z.conjugate()
+    return HermitianIntMatrix(GIMatrix(rows))
+
+
+def vectors(draw, dim, part=PART):
+    return GIVector(GaussianInt(draw(part), draw(part)) for _ in range(dim))
+
+
+@st.composite
+def written_trajectories(draw):
+    """(trajectory, coupling handed to the writer)."""
+    dim = draw(st.integers(1, 4))
+    h = draw(hermitians(dim))
+    s0, s1 = vectors(draw, dim), vectors(draw, dim)
+    if draw(st.booleans()):
+        s0 = GIVector([GaussianInt(draw(PAST_LIMIT), draw(SMALL))] + list(s0)[1:])
+    traj = evolve(s0, s1, h, draw(st.integers(0, 12)))
+    for _ in range(draw(st.integers(0, 3))):
+        n = draw(st.integers(0, traj.last))
+        traj = traj.replace(n, vectors(draw, dim, st.one_of(PART, PAST_LIMIT)))
+    writer_h = draw(st.sampled_from(["own", "none", "other"]))
+    if writer_h == "own":
+        return traj, h
+    if writer_h == "none":
+        return traj, None
+    return traj, draw(hermitians(dim))
+
+
+@settings(max_examples=60)
+@given(case=written_trajectories())
+def test_trajectory_text_matches_per_entry_str(case):
+    traj, h = case
+    text = traj.to_csv(h)
+    assert text == reference_csv(traj)
+    assert traj.to_json_text(h) == reference_json(traj.to_json_obj())
+
+
+def test_trajectory_text_on_zero_entries_and_negative_couplings():
+    h = HermitianIntMatrix(GIMatrix([[-1, 0], [0, -2]]))
+    zero = GIVector([0, 0])
+    traj = Trajectory([zero, zero, zero, GIVector([0, -1]), zero])
+    for coupling in (h, None):
+        text = traj.to_csv(coupling)
+        assert text == reference_csv(traj)
+        assert "-0" not in text
+        assert traj.to_json_text(coupling) == reference_json(traj.to_json_obj())
+
+
+def test_trajectory_writer_rejects_a_mismatched_coupling():
+    traj = Trajectory([GIVector([1]), GIVector([2])])
+    with pytest.raises(ValueError):
+        traj.to_csv(HermitianIntMatrix.identity(2))
+
+
+@st.composite
+def waves(draw):
+    parts = draw(st.integers(1, 3))
+    dims = [draw(st.integers(1, 3)) for _ in range(parts)]
+    shape = [draw(st.integers(1, 3)) for _ in range(parts)]
+    size = 1
+    for n in dims + shape:
+        size *= n
+    values = [GaussianInt(draw(PART), draw(PART)) for _ in range(size)]
+    if draw(st.booleans()):
+        values[draw(st.integers(0, size - 1))] = GaussianInt(draw(PAST_LIMIT), 0)
+    return MultiWave(dims, shape, values)
+
+
+@settings(max_examples=40)
+@given(wave=waves())
+def test_field_json_matches_indented_json_dumps(wave):
+    assert wave.to_json_text() == reference_json(wave.to_json_obj())
+
+
+def test_bell_field_json_matches_indented_json_dumps(rng):
+    h = random_hermitian(rng, 2)
+    psi = evolve(random_vector(rng, 2), random_vector(rng, 2), h, 5)
+    phi = evolve(random_vector(rng, 2), random_vector(rng, 2), h, 5)
+    wave = bell_state(psi, phi)
+    assert wave.to_json_text() == reference_json(wave.to_json_obj())
+
+
+def reference_residual_csv(res):
+    m = res.field.parts
+    header = ([f"n{k + 1}" for k in range(m)]
+              + [f"alpha{k + 1}" for k in range(m)] + ["re", "im"])
+    lines = [",".join(header)]
+    with exact_int_text():
+        for clocks, alphas, v in res.field.items():
+            cells = [n + 1 for n in clocks] + list(alphas) + [v.re, v.im]
+            lines.append(",".join(str(c) for c in cells))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=40)
+@given(wave=waves())
+def test_residual_csv_matches_the_cell_join(wave):
+    res = ManyTimeResidual(field=wave)
+    assert res.to_csv() == reference_residual_csv(res)
+
+
+def test_residual_csv_of_a_computed_residual(rng):
+    hams = [random_hermitian(rng, 2), random_hermitian(rng, 1)]
+    values = [GaussianInt(rng.randint(-2, 2), 0) for _ in range(2 * 1 * 4 * 5)]
+    res = many_time_residual(MultiWave([2, 1], [4, 5], values), hams)
+    assert not res.is_zero
+    assert res.to_csv() == reference_residual_csv(res)
+
+
+# -- no writer leaks its arithmetic or digit-limit settings -----------------
+
+
+def global_state():
+    ctx = decimal.getcontext()
+    return (ctx.prec, ctx.rounding, ctx.Emin, ctx.Emax, ctx.capitals, ctx.clamp,
+            dict(ctx.traps), dict(ctx.flags),
+            getattr(sys, "get_int_max_str_digits", lambda: 0)())
+
+
+def failing_after(calls, fn):
+    count = [0]
+
+    def wrapper(*args, **kwargs):
+        count[0] += 1
+        if count[0] > calls:
+            raise RuntimeError("writer interrupted")
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+def writer_cases():
+    """(writer, module or class, attribute it calls while writing)."""
+    h = HermitianIntMatrix(GIMatrix([[2, 1], [1, -1]]))
+    traj = evolve(GIVector([10**5100, 1]), GIVector([0, -1]), h, 6)
+    wave = MultiWave([2], [4], [GaussianInt(10**5100 * k, -k) for k in range(8)])
+    return [
+        (lambda: traj.to_csv(h), automaton, "Decimal"),
+        (lambda: traj.to_json_text(h), automaton, "Decimal"),
+        (lambda: traj.to_csv(None), automaton, "Decimal"),
+        (wave.to_json_text, multipartite, "_json_ints"),
+        (ManyTimeResidual(field=wave).to_csv, MultiWave, "clock_points"),
+    ]
+
+
+@pytest.fixture
+def distinct_digit_limit():
+    """A digit limit of 5000, so that a leaked lift shows as a change."""
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    set_limit(5000)
+    try:
+        yield
+    finally:
+        set_limit(old)
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_writers_leave_the_global_settings_unchanged(case, monkeypatch,
+                                                     distinct_digit_limit):
+    write, owner, name = writer_cases()[case]
+    original = getattr(owner, name)
+    with decimal.localcontext() as mine:
+        # a caller's context that no writer would make by itself
+        mine.prec = 41
+        mine.flags[decimal.Inexact] = True
+        before = global_state()
+        write()
+        assert global_state() == before
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(global_state()[:8] == before[:8])
+            return original(*args, **kwargs)
+
+        # mid-stream, the thread's decimal context is still the caller's
+        monkeypatch.setattr(owner, name, spy)
+        write()
+        assert seen and all(seen)
+        monkeypatch.setattr(owner, name, failing_after(len(seen) // 2, original))
+        with pytest.raises(RuntimeError):
+            write()
+        assert global_state() == before
