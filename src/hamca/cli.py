@@ -74,12 +74,18 @@ class _Reader:
         self.errors.append((path, reason))
 
     def take(self, key, required=True):
+        """The field's value; None once a missing or null field is reported.
+
+        An optional field that is absent is None without a report.
+        """
         self.seen.add(key)
-        if key not in self.raw:
-            if required:
+        value = self.raw.get(key)
+        if value is None:
+            if key in self.raw:
+                self.fail(key, "null is not a value (omit the field instead)")
+            elif required:
                 self.fail(key, "required field is missing")
-            return None
-        return self.raw[key]
+        return value
 
     def finish(self):
         for key in self.raw:
@@ -303,17 +309,26 @@ def load_config(path, expected_kind: Optional[str] = None,
                          for i, p in enumerate(seeds)]
                 if any(p is None for p in pairs):
                     pairs = None
+        synchronized = reader.take("synchronized", required=False)
+        if synchronized is None:
+            synchronized = False
+        elif not isinstance(synchronized, bool):
+            reader.fail("synchronized", "expected true or false")
+            synchronized = False
+        # every clock axis needs an interior site; the synchronized
+        # comparison is made at clock 2
+        least = 2 if synchronized else 1
         steps = reader.take("steps")
         parsed_steps = None
         if steps is not None:
             if isinstance(steps, int) and not isinstance(steps, bool):
                 parsed_steps = [steps] * (len(parsed_h) if parsed_h else 0)
-                if steps < 0:
-                    reader.fail("steps", "expected an integer >= 0")
+                if steps < least:
+                    reader.fail("steps", f"expected an integer >= {least}")
                     parsed_steps = None
             elif isinstance(steps, list) and parsed_h is not None \
                     and len(steps) == len(parsed_h):
-                parsed_steps = [_as_count(s, f"steps[{i}]", reader)
+                parsed_steps = [_as_count(s, f"steps[{i}]", reader, least)
                                 for i, s in enumerate(steps)]
                 if any(s is None for s in parsed_steps):
                     parsed_steps = None
@@ -328,12 +343,6 @@ def load_config(path, expected_kind: Optional[str] = None,
                     tuple(h.dim for h in parsed_h), mat)
             except ValueError as exc:
                 reader.fail("interaction", str(exc))
-        synchronized = reader.take("synchronized", required=False)
-        if synchronized is None:
-            synchronized = False
-        elif not isinstance(synchronized, bool):
-            reader.fail("synchronized", "expected true or false")
-            synchronized = False
         params.update(hamiltonians=parsed_h, seed_pairs=pairs,
                       steps=parsed_steps, interaction=tensor,
                       synchronized=synchronized)
@@ -352,7 +361,9 @@ def load_config(path, expected_kind: Optional[str] = None,
                 if any(p is None for p in pairs):
                     pairs = None
         steps = reader.take("steps")
-        steps = _as_count(steps, "steps", reader) if steps is not None else None
+        # every clock axis needs an interior site
+        steps = _as_count(steps, "steps", reader, minimum=1) \
+            if steps is not None else None
         params.update(hamiltonian=h, seed_pairs=pairs, steps=steps)
     elif kind == "leibniz":
         seqs = reader.take("sequences")
@@ -556,16 +567,13 @@ def _run_multi(params, out_dir, fmt):
         min_steps = min(params["steps"])
         sync = multipartite.evolve_synchronized(prev, curr, hams, tensor,
                                                 min_steps)
-        gap = None
-        if min_steps >= 2:
-            synced = sync[2].entries
-            for idx, alphas in enumerate(wave.dof_indices()):
-                product = wave.get((2,) * wave.parts, alphas)
-                if synced[idx] != product:
-                    gap = {"clock": 2, "indices": list(alphas),
-                           "synchronized": synced[idx].to_pair(),
-                           "product": product.to_pair()}
-                    break
+        # load_config guarantees min_steps >= 2
+        synced, product = sync[2], wave.alpha_vector((2,) * wave.parts)
+        gap = next(({"clock": 2, "indices": list(alphas),
+                     "synchronized": synced[i].to_pair(),
+                     "product": product[i].to_pair()}
+                    for i, alphas in enumerate(wave.dof_indices())
+                    if synced[i] != product[i]), None)
         checks.append(Check("synchronized_product_gap_exhibited", gap is not None,
                             json.dumps(gap) if gap else "no gap at clock 2"))
         info["synchronized_gap"] = gap
@@ -585,7 +593,7 @@ def _run_bell(params, out_dir, fmt):
     wave = multipartite.bell_state(psi, phi)
     res = multipartite.many_time_residual(wave, [h, h])
     checks = [Check("residual_zero", res.is_zero)]
-    clock = (1, 1) if len(psi) >= 3 else (0, 0)
+    clock = (1, 1)  # steps >= 1, so (1, 1) is interior
     rows = wave.bipartite_slice(clock)
     witness = multipartite.factorizability_witness(rows)
     detail = ""

@@ -32,6 +32,10 @@ interacting single-time case.
 Multi-index flattening is row-major throughout: (a_1, ..., a_m) maps to
 a_1*D_2*...*D_m + ... + a_m, and clock tuples flatten the same way.
 
+A field stores every value, clock-major and then dof, as one split
+`GIVector`, so a clock block is a slice of its two int tuples; scalars
+are built only when a caller reads single values.
+
 The field's JSON text and the residual's CSV are assembled from
 per-record templates in that storage order: each clock and dof fragment
 is formatted once and reused, so writing costs one short format per
@@ -45,12 +49,11 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .automaton import Trajectory, evolve
 from .gaussian import (GaussianInt, GIMatrix, GIVector, HermitianIntMatrix,
-                       IMAG_UNIT, ONE, ZERO, _to_gi, exact_int_text)
+                       IMAG_UNIT, ZERO, exact_int_text)
 
 __all__ = [
     "MultiWave",
@@ -88,52 +91,32 @@ def _exact_sizes(sizes: Sequence[int], what: str) -> tuple:
     return sizes
 
 
-def _storage_order(dims: Sequence[int], clock_shape: Sequence[int]) -> Iterator[tuple]:
-    """(clocks, alphas) pairs clock-major, then dof, both row-major."""
-    return itertools.product(itertools.product(*(range(c) for c in clock_shape)),
-                             itertools.product(*(range(d) for d in dims)))
-
-
-_SCALAR_TYPE = frozenset((GaussianInt,))
-_RE = attrgetter("re")
-_IM = attrgetter("im")
-
-
 class MultiWave:
     """Exact field over a product clock box and product dof indices.
 
-    Values are `GaussianInt`s: plain ints are converted, anything else
-    raises ValueError.
+    `vector` holds every value in storage order; the field's ring
+    operations are its own.  Values are `GaussianInt`s or plain ints
+    (anything else raises ValueError) or a ready `GIVector`, used as is.
     """
 
-    __slots__ = ("dims", "clock_shape", "values")
+    __slots__ = ("dims", "clock_shape", "vector")
 
     def __init__(self, dims: Sequence[int], clock_shape: Sequence[int],
-                 values: Optional[list] = None):
+                 values: Optional[Iterable] = None):
         self.dims = _exact_sizes(dims, "dof dimensions")
         self.clock_shape = _exact_sizes(clock_shape, "clock ranges")
         if len(self.dims) != len(self.clock_shape) or not self.dims:
             raise ValueError("need one dof dimension and one clock range per part")
         if any(d < 1 for d in self.dims) or any(c < 1 for c in self.clock_shape):
             raise ValueError("dimensions and clock ranges must be >= 1")
-        size = self._size()
+        size = _prod(self.clock_shape) * _prod(self.dims)
         if values is None:
-            values = [ZERO] * size
+            values = GIVector._from_parts((0,) * size, (0,) * size)
+        elif not isinstance(values, GIVector):
+            values = GIVector(values)
         if len(values) != size:
             raise ValueError(f"expected {size} values, got {len(values)}")
-        values = list(values)
-        # every value a GaussianInt, so its parts are validated plain ints
-        if not _SCALAR_TYPE.issuperset(map(type, values)):
-            values = [_to_gi(v, "field value") for v in values]
-        self.values = values
-
-    def _size(self) -> int:
-        n = 1
-        for c in self.clock_shape:
-            n *= c
-        for d in self.dims:
-            n *= d
-        return n
+        self.vector = values
 
     @property
     def parts(self) -> int:
@@ -144,10 +127,7 @@ class MultiWave:
                 + flatten_index(alphas, self.dims))
 
     def get(self, clocks: Sequence[int], alphas: Sequence[int]) -> GaussianInt:
-        return self.values[self._flat(clocks, alphas)]
-
-    def set(self, clocks: Sequence[int], alphas: Sequence[int], value: GaussianInt):
-        self.values[self._flat(clocks, alphas)] = _to_gi(value, "field value")
+        return self.vector[self._flat(clocks, alphas)]
 
     def clock_points(self) -> Iterable[tuple]:
         return itertools.product(*(range(c) for c in self.clock_shape))
@@ -160,43 +140,43 @@ class MultiWave:
 
     def items(self) -> Iterator[tuple]:
         """(clocks, alphas, value) for every value, in storage order."""
-        return ((c, a, v) for (c, a), v in
-                zip(_storage_order(self.dims, self.clock_shape), self.values))
+        return ((c, a, v) for (c, a), v in zip(
+            itertools.product(self.clock_points(), self.dof_indices()), self.vector))
 
     def alpha_vector(self, clocks: Sequence[int]) -> GIVector:
         """All dof components at one clock point, flattened row-major."""
-        base = flatten_index(clocks, self.clock_shape) * _prod(self.dims)
-        block = self.values[base:base + _prod(self.dims)]
-        return GIVector._from_parts(tuple(map(_RE, block)), tuple(map(_IM, block)))
+        size = _prod(self.dims)
+        base = flatten_index(clocks, self.clock_shape) * size
+        return GIVector._from_parts(self.vector.re[base:base + size],
+                                    self.vector.im[base:base + size])
 
     def scale(self, a) -> "MultiWave":
-        ga = a if isinstance(a, GaussianInt) else GaussianInt(a)
-        return MultiWave(self.dims, self.clock_shape, [ga * v for v in self.values])
+        return MultiWave(self.dims, self.clock_shape, self.vector.scale(a))
+
+    def _check_shape(self, other: "MultiWave"):
+        if self.dims != other.dims or self.clock_shape != other.clock_shape:
+            raise ValueError("field shapes disagree")
 
     def __add__(self, other):
         if not isinstance(other, MultiWave):
             return NotImplemented
-        if self.dims != other.dims or self.clock_shape != other.clock_shape:
-            raise ValueError("field shapes disagree")
-        return MultiWave(self.dims, self.clock_shape,
-                         [a + b for a, b in zip(self.values, other.values)])
+        self._check_shape(other)
+        return MultiWave(self.dims, self.clock_shape, self.vector + other.vector)
 
     def __sub__(self, other):
         if not isinstance(other, MultiWave):
             return NotImplemented
-        if self.dims != other.dims or self.clock_shape != other.clock_shape:
-            raise ValueError("field shapes disagree")
-        return MultiWave(self.dims, self.clock_shape,
-                         [a - b for a, b in zip(self.values, other.values)])
+        self._check_shape(other)
+        return MultiWave(self.dims, self.clock_shape, self.vector - other.vector)
 
     def __eq__(self, other):
         if not isinstance(other, MultiWave):
             return NotImplemented
         return (self.dims == other.dims and self.clock_shape == other.clock_shape
-                and self.values == other.values)
+                and self.vector == other.vector)
 
     def is_zero(self) -> bool:
-        return all(not v for v in self.values)
+        return self.vector.is_zero()
 
     def bipartite_slice(self, clocks: Sequence[int]) -> tuple:
         """D_1 x D_2 coefficient matrix at fixed clocks (two parts only)."""
@@ -231,12 +211,12 @@ class MultiWave:
                           indent=2, sort_keys=True)
         dofs = [f"{_json_ints(alphas)},\n      [\n        "
                 for alphas in self.dof_indices()]
-        values = iter(self.values)
+        values = zip(self.vector.re, self.vector.im)
         records = []
         for clocks in self.clock_points():
             lead = f"    [\n{_json_ints(clocks)},\n"
-            records.extend(f"{lead}{dof}{v.re},\n        {v.im}\n      ]\n    ]"
-                           for dof, v in zip(dofs, values))
+            records.extend(f"{lead}{dof}{re},\n        {im}\n      ]\n    ]"
+                           for dof, (re, im) in zip(dofs, values))
         # head ends "\n}" and "values" sorts after every header key; one
         # join builds the text, with header and footer on the end records
         records[0] = f'{head[:-2]},\n  "values": [\n{records[0]}'
@@ -259,6 +239,7 @@ class MultiWave:
             if not isinstance(obj[key], list):
                 raise ValueError(f"field {key} must be a list, got {obj[key]!r}")
         wave = cls(obj["dims"], [hi + 1 for _, hi in box])
+        pairs = [None] * len(wave.vector)
         seen = set()
         for rec in obj["values"]:
             try:
@@ -271,9 +252,10 @@ class MultiWave:
             if flat in seen:
                 raise ValueError(f"duplicate field record {rec!r}")
             seen.add(flat)
-            wave.values[flat] = GaussianInt.from_pair(pair, "field value")
-        if len(seen) != len(wave.values):
-            raise ValueError(f"field JSON has {len(seen)} of {len(wave.values)} records")
+            pairs[flat] = pair
+        if len(seen) != len(pairs):
+            raise ValueError(f"field JSON has {len(seen)} of {len(pairs)} records")
+        wave.vector = GIVector.from_pairs(pairs, "field value")
         return wave
 
 
@@ -329,18 +311,24 @@ class InteractionTensor:
 
 
 def product_wave(factors: Sequence[Trajectory]) -> MultiWave:
-    """Outer product of single-part histories over the full clock box."""
+    """Outer product of single-part histories over the full clock box.
+
+    Each part multiplies every clock block of the parts before it by
+    each of its slices, a Kronecker product; row-major is storage order.
+    """
     factors = list(factors)
-    dims = [f.dim for f in factors]
-    clock_shape = [len(f) for f in factors]
-    scalars = [[state.entries for state in f] for f in factors]
-    values = []
-    for clocks, alphas in _storage_order(dims, clock_shape):
-        v = ONE
-        for f, n, a in zip(scalars, clocks, alphas):
-            v = v * f[n][a]
-        values.append(v)
-    return MultiWave(dims, clock_shape, values)
+    if not factors:
+        raise ValueError("need at least one part")
+    blocks = [(s.re, s.im) for s in factors[0]]
+    for f in factors[1:]:
+        slices = [tuple(zip(s.re, s.im)) for s in f]
+        blocks = [(tuple(x * r - y * i for x, y in zip(ar, ai) for r, i in b),
+                   tuple(x * i + y * r for x, y in zip(ar, ai) for r, i in b))
+                  for ar, ai in blocks for b in slices]
+    re = tuple(itertools.chain.from_iterable(br for br, _ in blocks))
+    im = tuple(itertools.chain.from_iterable(bi for _, bi in blocks))
+    return MultiWave([f.dim for f in factors], [len(f) for f in factors],
+                     GIVector._from_parts(re, im))
 
 
 @dataclass(frozen=True)
@@ -366,11 +354,10 @@ class ManyTimeResidual:
         lines = [",".join(header)]
         dofs = ["".join(f"{a}," for a in alphas)
                 for alphas in self.field.dof_indices()]
-        values = iter(self.field.values)
+        values = zip(self.field.vector.re, self.field.vector.im)
         for clocks in self.field.clock_points():
             lead = "".join(f"{n + 1}," for n in clocks)
-            lines.extend(f"{lead}{dof}{v.re},{v.im}" if v else f"{lead}{dof}0,0"
-                         for dof, v in zip(dofs, values))
+            lines.extend(f"{lead}{dof}{re},{im}" for dof, (re, im) in zip(dofs, values))
         lines.append("")
         return "\n".join(lines)
 
@@ -395,17 +382,18 @@ def many_time_residual(psi: MultiWave, hams: Sequence[HermitianIntMatrix],
     if any(c < 3 for c in psi.clock_shape):
         raise ValueError("every clock axis needs at least one interior site")
     h_tot = total_hamiltonian(hams, interaction)
-    values = []
+    re, im = [], []
     for clocks in psi.interior_clock_points():
         block = IMAG_UNIT * h_tot.apply(psi.alpha_vector(clocks))
         for k in range(m):
             up = clocks[:k] + (clocks[k] + 1,) + clocks[k + 1:]
             down = clocks[:k] + (clocks[k] - 1,) + clocks[k + 1:]
             block = block + psi.alpha_vector(up) - psi.alpha_vector(down)
-        values.extend(GaussianInt(re, im) if re or im else ZERO
-                      for re, im in zip(block.re, block.im))
-    interior_shape = tuple(c - 2 for c in psi.clock_shape)
-    return ManyTimeResidual(field=MultiWave(psi.dims, interior_shape, values))
+        re.extend(block.re)
+        im.extend(block.im)
+    interior_shape = [c - 2 for c in psi.clock_shape]
+    return ManyTimeResidual(field=MultiWave(
+        psi.dims, interior_shape, GIVector._from_parts(tuple(re), tuple(im))))
 
 
 def evolve_factorized(hams: Sequence[HermitianIntMatrix],

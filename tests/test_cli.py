@@ -424,3 +424,68 @@ def test_non_finite_convergence_fails_the_check(tmp_path, monkeypatch, order, er
     summary = strict_json(out / "convergence.json")
     assert summary["order"] == (order if math.isfinite(order) else None)
     assert summary["points"][1]["error"] == (error if math.isfinite(error) else None)
+
+
+SEED_PAIR = [[[1, 0], [0, 0]], [[1, 0], [0, 0]]]
+ONE_DOF = [[[1, 0]]]
+
+# one config per kind, every field present, optional ones included
+EXAMPLES = {
+    "evolve": {"kind": "evolve", "hamiltonians": [PAULI_X], "seeds": SEED_PAIR,
+               "steps": 4, "output": {"format": "csv"}},
+    "audit": {"kind": "audit", "hamiltonians": [PAULI_X], "seeds": SEED_PAIR,
+              "steps": 4, "observables": [PAULI_X], "output": {"format": "csv"}},
+    "reconstruct": {"kind": "reconstruct", "hamiltonians": [PAULI_X],
+                    "seeds": SEED_PAIR, "steps": 4, "scale_l": 0.5,
+                    "times": [1.0], "window": 8, "output": {"format": "csv"}},
+    "converge": {"kind": "converge", "hamiltonians": [PAULI_X],
+                 "seeds": [[[1, 0], [0, 0]]], "horizon": 2.0,
+                 "scales": [0.4, 0.2], "window": 16, "psi1_rule": "oracle",
+                 "output": {"format": "csv"}},
+    "multi": {"kind": "multi", "hamiltonians": [ONE_DOF, ONE_DOF],
+              "seeds": [[[[1, 0]], [[1, 0]]], [[[1, 0]], [[1, 0]]]],
+              "steps": 3, "interaction": ONE_DOF, "synchronized": True,
+              "output": {"format": "csv"}},
+    "bell": {"kind": "bell", "hamiltonians": [PAULI_X],
+             "seeds": [SEED_PAIR, [[[0, 0], [1, 0]], [[0, 0], [1, 0]]]],
+             "steps": 4, "output": {"format": "csv"}},
+    "leibniz": {"kind": "leibniz", "sequences": [[1, 2, 4, 8], [1, 2, 4, 8]],
+                "output": {"format": "csv"}},
+}
+
+
+def test_every_example_config_is_valid(tmp_path):
+    for kind, obj in EXAMPLES.items():
+        assert load_config(write_config(tmp_path / f"{kind}.json", obj),
+                           expected_kind=kind).kind == kind
+
+
+@pytest.mark.parametrize("kind, field", [(kind, field)
+                                         for kind, obj in EXAMPLES.items()
+                                         for field in obj])
+def test_a_null_field_is_a_config_error(tmp_path, capsys, kind, field):
+    path = write_config(tmp_path / "cfg.json", dict(EXAMPLES[kind], **{field: None}))
+    assert main([kind, "--config", path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"CONFIG ERROR {field}: " in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind, fields, bad", [
+    ("bell", {"steps": 0}, "steps"),
+    ("bell", {"steps": 1}, None),
+    ("multi", {"steps": 0, "synchronized": False}, "steps"),
+    ("multi", {"steps": [3, 0], "synchronized": False}, "steps[1]"),
+    ("multi", {"steps": [1, 3], "synchronized": False}, None),
+    ("multi", {"steps": 1}, "steps"),
+    ("multi", {"steps": [2, 1]}, "steps[1]"),
+    ("multi", {"steps": [2, 3]}, None),
+])
+def test_composites_need_an_interior_clock_site(tmp_path, capsys, kind, fields, bad):
+    """`bad` names the rejected field; None marks a config at the minimum."""
+    path = write_config(tmp_path / "cfg.json", dict(EXAMPLES[kind], **fields))
+    code = main([kind, "--config", path, "--out", str(tmp_path / "out")])
+    if bad is None:
+        assert code == 0
+    else:
+        assert code == 2
+        assert f"CONFIG ERROR {bad}: expected an integer >= " in capsys.readouterr().err

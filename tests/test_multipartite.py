@@ -1,8 +1,8 @@
 """Many-clock composites: residuals, factorization, product-rule failure,
 shared-clock critique, antisymmetric pair states, rank witness."""
 
+import itertools
 import json
-import random
 from fractions import Fraction
 
 import pytest
@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from hamca.automaton import Trajectory, evolve
 from hamca.conservation import default_commutant_basis, two_point_series
-from hamca.gaussian import GaussianInt, GIVector, GIMatrix, HermitianIntMatrix, ZERO
+from hamca.gaussian import GaussianInt, GIVector, GIMatrix, HermitianIntMatrix
 from hamca.multipartite import (
     InteractionTensor,
     MultiWave,
@@ -49,14 +49,6 @@ def test_product_of_two_period_four_orbits_has_zero_residual():
     assert res.is_zero
 
 
-def test_zero_residual_values_share_the_zero_scalar():
-    _, wave, res = evolve_factorized(
-        [PAULI_X, H_TWO],
-        [(vec((1, 0), (0, 2)), vec((0, -1), (3, 1))), (vec((1, 0)), vec((0, -1)))],
-        [4, 3])
-    assert all(v is ZERO for v in res.field.values)
-
-
 def test_zero_field_has_zero_residual():
     wave = MultiWave((2, 2), (4, 4))
     assert many_time_residual(wave, [PAULI_X, PAULI_X]).is_zero
@@ -80,7 +72,8 @@ def test_interaction_makes_the_residual_nonzero():
 def test_residual_flags_a_corrupted_product(rng):
     _, wave, _ = evolve_factorized(
         [PAULI_X], [(random_vector(rng, 2), random_vector(rng, 2))], [4])
-    wave.set((3,), (1,), wave.get((3,), (1,)) + gi(1))
+    values = [v + 1 if (c, a) == ((3,), (1,)) else v for c, a, v in wave.items()]
+    wave = MultiWave(wave.dims, wave.clock_shape, values)
     assert not many_time_residual(wave, [PAULI_X]).is_zero
 
 
@@ -123,20 +116,20 @@ def test_no_spurious_correlations_random_instances(rng):
         assert many_time_residual(wave, hams).is_zero
 
 
+def random_field(rng, dims, shape):
+    size = 1
+    for n in dims + shape:
+        size *= n
+    return MultiWave(dims, shape, [random_gaussian_int(rng, 4) for _ in range(size)])
+
+
 def test_residual_is_linear(rng):
     dims = (2, 2)
     shape = (4, 5)
     hams = [random_hermitian(rng, 2), random_hermitian(rng, 2)]
 
-    def random_wave():
-        w = MultiWave(dims, shape)
-        for clocks in w.clock_points():
-            for alphas in w.dof_indices():
-                w.set(clocks, alphas, random_gaussian_int(rng, 4))
-        return w
-
     a, b = random_gaussian_int(rng), random_gaussian_int(rng)
-    psi, phi = random_wave(), random_wave()
+    psi, phi = random_field(rng, dims, shape), random_field(rng, dims, shape)
     combo = psi.scale(a) + phi.scale(b)
     lhs = many_time_residual(combo, hams).field
     rhs = (many_time_residual(psi, hams).field.scale(a)
@@ -184,10 +177,7 @@ def test_residual_matches_a_per_axis_reference(dims, interacting, data, rng):
         for d in dims:
             size *= d
         interaction = InteractionTensor(dims, random_hermitian(rng, size).matrix)
-    psi = MultiWave(dims, shape)
-    for clocks in psi.clock_points():
-        for alphas in psi.dof_indices():
-            psi.set(clocks, alphas, random_gaussian_int(rng, 4))
+    psi = random_field(rng, dims, shape)
     res = many_time_residual(psi, hams, interaction)
     want = reference_residual(psi, hams, interaction)
     assert res.field.clock_shape == tuple(c - 2 for c in shape)
@@ -487,14 +477,46 @@ def test_interaction_validation():
     assert InteractionTensor.zero((2, 2)).is_zero()
 
 
-def test_field_values_are_always_gaussian_ints():
+def test_field_stores_plain_int_parts_and_builds_scalars_on_read():
     wave = MultiWave((1,), (2,), [1, gi(2, -1)])
-    assert all(type(v) is GaussianInt for v in wave.values)
+    re, im = wave.vector.re, wave.vector.im
+    assert type(re) is tuple and type(im) is tuple
+    assert all(type(x) is int for x in re + im)
+    assert (re, im) == ((1, 2), (0, -1))
+    assert type(wave.get((1,), (0,))) is GaussianInt
+    assert wave.get((1,), (0,)) == gi(2, -1)
+    assert list(wave.items()) == [((0,), (0,), gi(1)), ((1,), (0,), gi(2, -1))]
+    assert all(type(v) is GaussianInt for _, _, v in wave.items())
+    assert type(wave.alpha_vector((0,))) is GIVector
     assert wave.alpha_vector((0,)) == GIVector([gi(1)])
     assert [v for _, _, v in wave.to_json_obj()["values"]] == [[1, 0], [2, -1]]
-    wave.set((1,), (0,), 5)
-    assert wave.get((1,), (0,)) == gi(5) and type(wave.values[1]) is GaussianInt
-    with pytest.raises(ValueError, match="field value"):
-        MultiWave((1,), (2,), [1.5, gi(0)])
-    with pytest.raises(ValueError, match="field value"):
-        wave.set((0,), (0,), True)
+    for bad in (1.5, True):
+        with pytest.raises(ValueError):
+            MultiWave((1,), (2,), [bad, gi(0)])
+
+
+_PART = st.one_of(st.integers(-9, 9), st.integers(2**600, 2**700),
+                  st.integers(-2**700, -2**600))
+
+
+@settings(max_examples=40)
+@given(data=st.data())
+def test_product_wave_matches_a_per_value_reference(data):
+    """Every stored value is prod_k f_k[n_k][a_k], in storage order."""
+    factors = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        dim, slices = data.draw(st.integers(1, 3)), data.draw(st.integers(2, 4))
+        factors.append(Trajectory(
+            GIVector(gi(data.draw(_PART), data.draw(_PART)) for _ in range(dim))
+            for _ in range(slices)))
+    wave = product_wave(factors)
+    assert wave.dims == tuple(f.dim for f in factors)
+    assert wave.clock_shape == tuple(len(f) for f in factors)
+    want = []
+    for clocks in itertools.product(*(range(len(f)) for f in factors)):
+        for alphas in itertools.product(*(range(f.dim) for f in factors)):
+            v = gi(1)
+            for f, n, a in zip(factors, clocks, alphas):
+                v = v * f[n][a]
+            want.append(v)
+    assert list(wave.vector) == want
