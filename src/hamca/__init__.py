@@ -10,7 +10,6 @@ from .gaussian import (
 )
 from .automaton import (
     Trajectory,
-    PhaseTrajectory,
     ActionValue,
     VariationSpec,
     StationarityReport,

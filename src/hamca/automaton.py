@@ -16,6 +16,19 @@ module provides the recurrence (complex and split real/imaginary form),
 the action, the symmetric-difference variation operator, and the
 stationarity audit.
 
+One quantity, the Euler-Lagrange bracket
+
+    E_n = H psi_n - i (psi_{n+1} - psi_{n-1}),
+
+is at once -i times the recurrence residual, the action's per-site
+factor and every stationarity coefficient.  `_brackets` alone forms it,
+applying H to each stored interior slice, and the recurrence, action and
+fast stationarity checks and the trajectory writer read that pass.  It
+never reuses the H psi_n that `evolve` computed: psi_{n+1} was built
+from that very vector, so the recurrence check would be a tautology.
+The independent oracles (split-form evolution, direct stationarity)
+stay off it.
+
 Boundary convention: `action_evaluate` sums over interior clock sites
 only (end slices are fixed data).  The stationarity audit differences
 the action with all terms that couple to the varied site included;
@@ -27,10 +40,10 @@ Trajectory text is printed from an exact `decimal` stream, because
 libmpdec prints in linear time and CPython's `str(int)` may not.  The
 stream keeps the last two slices as Decimals, predicts the next one by
 the recurrence (with H's entries converted to Decimal once) and adds
-the slice's integer residual psi_n - (psi_{n-2} - i*H*psi_{n-1}), which
-is zero on a solution.  Each printed slice therefore equals the stored
-one for any trajectory and any H, and the text is the same bytes
-per-entry `str` would give.
+the slice's integer residual psi_n - (psi_{n-2} - i*H*psi_{n-1}) =
+i*E_{n-1}, which is zero on a solution.  Each printed slice therefore
+equals the stored one for any trajectory and any H, and the text is the
+same bytes per-entry `str` would give.
 """
 
 from __future__ import annotations
@@ -55,7 +68,6 @@ from .gaussian import (
 
 __all__ = [
     "Trajectory",
-    "PhaseTrajectory",
     "ActionValue",
     "VariationSpec",
     "StationarityViolation",
@@ -131,16 +143,18 @@ class Trajectory:
 
         Slice n of the stream is the recurrence's prediction on the two
         previous Decimal slices plus Decimal(r_n), with the residual
-        r_n = psi_n - (psi_{n-2} - i*H*psi_{n-1}) computed in ints, so
-        by induction every slice equals psi_n, for any H; `h=None` is
-        the zero coupling.  The arithmetic runs in a local context that
-        traps `Inexact` and `Rounded` and never becomes the thread's.
-        Products accumulate onto the previous slice, which is never -0,
-        and Decimal(r_n) is added last, so a negative coefficient times
-        a zero entry never prints as -0.
+        r_n = psi_n - (psi_{n-2} - i*H*psi_{n-1}) = i*E_{n-1} read in ints
+        from the bracket pass, so by induction every slice equals psi_n,
+        for any H; `h=None` is the zero coupling.  The arithmetic runs in
+        a local context that traps `Inexact` and `Rounded` and never
+        becomes the thread's.  Products accumulate onto the previous
+        slice, which is never -0, and Decimal(r_n) is added last, so a
+        negative coefficient times a zero entry never prints as -0.
         """
-        if h is not None:
-            _check_dims(self, h)
+        if h is None:
+            h = HermitianIntMatrix.zeros(self.dim)
+        # checked here too: a two-slice trajectory never starts the pass
+        _check_dims(self, h)
         ctx = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
                       traps=[Inexact, Rounded, InvalidOperation, Overflow])
         fma = ctx.fma
@@ -149,20 +163,20 @@ class Trajectory:
         # per output part, (index into re + im of psi_{n-1}, coefficient):
         # re out = re(psi_{n-2}) + Im(H psi), im out = im(psi_{n-2}) - Re(H psi)
         program = []
-        for re_terms, im_terms in (() if h is None else h.matrix._program):
+        for re_terms, im_terms in h.matrix._program:
             program.append(([(d + j, Decimal(c)) for j, c in re_terms]
                             + [(j, Decimal(c)) for j, c in im_terms],
                             [(j, Decimal(-c)) for j, c in re_terms]
                             + [(d + j, Decimal(c)) for j, c in im_terms]))
-        states = self.states
+        brackets = _brackets(self, h)
         x2 = x1 = None
-        for n, psi in enumerate(states):
+        for n, psi in enumerate(self.states):
             if n < 2:
                 dec = tuple(map(Decimal, psi.re + psi.im))
             else:
-                prev2 = states[n - 2]
-                w = prev2 if h is None else step_forward(prev2, states[n - 1], h)
-                r = map(sub, psi.re + psi.im, w.re + w.im)
+                _, _, e_re, e_im = next(brackets)
+                # r_n = i*E_{n-1} = -Im E + i Re E
+                r = (*map(neg, e_im), *e_re)
                 pred = list(x2)
                 for a, (re_row, im_row) in enumerate(program):
                     acc = pred[a]
@@ -218,6 +232,8 @@ class Trajectory:
             if len(parts) != 4:
                 raise ValueError(f"bad trajectory CSV row: {ln!r}")
             n, a, re, im = (int(p) for p in parts)
+            if n < 0 or a < 0:
+                raise ValueError(f"trajectory CSV row has a negative index: {ln!r}")
             if (n, a) in cells:
                 raise ValueError(f"trajectory CSV repeats cell {(n, a)}")
             cells[(n, a)] = (re, im)
@@ -247,38 +263,6 @@ class Trajectory:
         if "dim" in obj and obj["dim"] != traj.dim:
             raise ValueError("trajectory JSON dim field disagrees with states")
         return traj
-
-
-class PhaseTrajectory:
-    """Real/imaginary split of a trajectory: psi_n = x_n + i*p_n."""
-
-    __slots__ = ("xs", "ps")
-
-    def __init__(self, xs: Iterable[Sequence[int]], ps: Iterable[Sequence[int]]):
-        self.xs = tuple(tuple(x) for x in xs)
-        self.ps = tuple(tuple(p) for p in ps)
-        if len(self.xs) != len(self.ps) or len(self.xs) < 2:
-            raise ValueError("phase trajectory needs matching x and p histories")
-        d = len(self.xs[0])
-        if any(len(x) != d for x in self.xs) or any(len(p) != d for p in self.ps):
-            raise ValueError("all phase slices must share one dimension")
-
-    @property
-    def dim(self) -> int:
-        return len(self.xs[0])
-
-    def __len__(self):
-        return len(self.xs)
-
-    def to_trajectory(self) -> Trajectory:
-        return Trajectory(
-            GIVector._from_parts(_plain_ints(xs, "x"), _plain_ints(ps, "p"))
-            for xs, ps in zip(self.xs, self.ps)
-        )
-
-    @classmethod
-    def from_trajectory(cls, traj: Trajectory) -> "PhaseTrajectory":
-        return cls((s.re for s in traj), (s.im for s in traj))
 
 
 # -- evolution ---------------------------------------------------------
@@ -325,13 +309,14 @@ def evolve_phase_space(x0: Sequence[int], p0: Sequence[int],
                        x1: Sequence[int], p1: Sequence[int],
                        hs: Sequence[Sequence[int]],
                        ha: Sequence[Sequence[int]],
-                       steps: int) -> PhaseTrajectory:
+                       steps: int) -> Trajectory:
     """Evolve the split form:
 
         x_{n+1} = x_{n-1} + hS p_n + hA x_n
         p_{n+1} = p_{n-1} - hS x_n + hA p_n
 
-    Equals the real/imaginary split of `evolve` with H = hS + i*hA.
+    Returns the trajectory psi_n = x_n + i*p_n, which equals `evolve`
+    with H = hS + i*hA.  Seeds and couplings must hold plain ints.
     """
     if not int_matrix_is_symmetric(hs):
         raise ValueError("hS must be symmetric")
@@ -343,8 +328,11 @@ def evolve_phase_space(x0: Sequence[int], p0: Sequence[int],
             raise ValueError(f"dimension mismatch for {name}")
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    xs = [tuple(x0), tuple(x1)]
-    ps = [tuple(p0), tuple(p1)]
+    for name, m in (("hS", hs), ("hA", ha)):
+        for row in m:
+            _plain_ints(row, name)
+    xs = [_plain_ints(x0, "x0"), _plain_ints(x1, "x1")]
+    ps = [_plain_ints(p0, "p0"), _plain_ints(p1, "p1")]
     for _ in range(steps):
         xp, pp = xs[-2], ps[-2]
         xc, pc = xs[-1], ps[-1]
@@ -354,23 +342,10 @@ def evolve_phase_space(x0: Sequence[int], p0: Sequence[int],
         ap = int_matrix_apply(ha, pc)
         xs.append(tuple(xp[i] + sp[i] + ax[i] for i in range(d)))
         ps.append(tuple(pp[i] - sx[i] + ap[i] for i in range(d)))
-    return PhaseTrajectory(xs, ps)
+    return Trajectory(map(GIVector._from_parts, xs, ps))
 
 
-# -- recurrence residuals ----------------------------------------------
-
-
-def _bracket(states, n: int, w: GIVector) -> tuple:
-    """H psi_n - i (psi_{n+1} - psi_{n-1}) at interior n, as (re, im) tuples.
-
-    Takes w = H psi_n.  This is -i times `recurrence_residual`, so it is
-    zero exactly where the rule holds; it is also the action's per-site
-    right-hand factor and the starred variation coefficient.
-    """
-    up = states[n + 1]
-    down = states[n - 1]
-    return (tuple(map(add, w.re, map(sub, up.im, down.im))),
-            tuple(map(sub, w.im, map(sub, up.re, down.re))))
+# -- the bracket pass ----------------------------------------------------
 
 
 def _check_dims(traj: Trajectory, h: HermitianIntMatrix):
@@ -378,24 +353,35 @@ def _check_dims(traj: Trajectory, h: HermitianIntMatrix):
         raise ValueError("dimension mismatch")
 
 
+def _brackets(traj: Trajectory, h: HermitianIntMatrix):
+    """Yield (n, psi_n, re, im) for each interior site n.
+
+    `re` and `im` are the int parts of the bracket
+    E_n = H psi_n - i (psi_{n+1} - psi_{n-1}), from one H-apply on the
+    stored slice psi_n.  E_n is -i times `recurrence_residual`, so it is
+    zero exactly where the rule holds; it is also the action's per-site
+    right-hand factor and the starred variation coefficient.
+    """
+    _check_dims(traj, h)
+    states = traj.states
+    for n, (down, psi, up) in enumerate(zip(states, states[1:], states[2:]), 1):
+        w = h.apply(psi)
+        yield (n, psi, tuple(map(add, w.re, map(sub, up.im, down.im))),
+               tuple(map(sub, w.im, map(sub, up.re, down.re))))
+
+
 def recurrence_residual(traj: Trajectory, h: HermitianIntMatrix, n: int) -> GIVector:
     """psi_{n+1} - psi_{n-1} + i*H*psi_n; zero iff the rule holds at n."""
     if not 1 <= n <= traj.last - 1:
         raise ValueError(f"site {n} is not interior")
-    _check_dims(traj, h)
-    c_re, c_im = _bracket(traj.states, n, h.apply(traj[n]))
+    _, _, c_re, c_im = next(_brackets(Trajectory(traj.states[n - 1:n + 2]), h))
     # i * (c_re + i c_im)
     return GIVector._from_parts(tuple(map(neg, c_im)), c_re)
 
 
 def first_recurrence_violation(traj: Trajectory, h: HermitianIntMatrix) -> Optional[int]:
-    _check_dims(traj, h)
-    states = traj.states
-    for n in range(1, traj.last):
-        c_re, c_im = _bracket(states, n, h.apply(states[n]))
-        if any(c_re) or any(c_im):
-            return n
-    return None
+    return next((n for n, _, c_re, c_im in _brackets(traj, h)
+                 if any(c_re) or any(c_im)), None)
 
 
 def is_solution(traj: Trajectory, h: HermitianIntMatrix) -> bool:
@@ -435,13 +421,8 @@ def action_evaluate(traj: Trajectory, h: HermitianIntMatrix) -> ActionValue:
     """
     if len(traj) < 3:
         raise ValueError("action needs at least three slices")
-    _check_dims(traj, h)
-    states = traj.states
-    total = 0
-    for n in range(1, traj.last):
-        psi = states[n]
-        c_re, c_im = _bracket(states, n, h.apply(psi))
-        total += sum(map(mul, psi.re, c_re)) + sum(map(mul, psi.im, c_im))
+    total = sum(sum(map(mul, psi.re, c_re)) + sum(map(mul, psi.im, c_im))
+                for _, psi, c_re, c_im in _brackets(traj, h))
     return ActionValue(GaussianInt(total, 0))
 
 
@@ -665,8 +646,7 @@ def verify_stationarity(traj: Trajectory, h: HermitianIntMatrix,
                             violations.append(
                                 StationarityViolation(m, a, part, delta, val))
     elif method == "fast":
-        states = traj.states
-        for m in range(1, traj.last):
+        for m, _, c_re, c_im in _brackets(traj, h):
             # c_star[a] is the variation under a unit shift of star_m^a's
             # real part: the bracket -i psi_dot_m + H psi_m.  The psi
             # analogue is i star_dot + H^T star_m = conj(c_star[a]) for
@@ -674,7 +654,6 @@ def verify_stationarity(traj: Trajectory, h: HermitianIntMatrix,
             # i, so all four coefficients vanish together.  Derived from
             # the same doubled action the direct path differences; the
             # two paths are asserted equal in the test suite.
-            c_re, c_im = _bracket(states, m, h.apply(states[m]))
             for a, (re, im) in enumerate(zip(c_re, c_im)):
                 if not (re or im):
                     continue

@@ -161,9 +161,9 @@ def _evolution_core(reader):
     return h, pair, steps
 
 
-def _parse_output(reader, default_format):
+def _parse_output(reader):
     out = reader.take("output", required=False)
-    fmt = default_format
+    fmt = "csv"
     if out is not None:
         if not isinstance(out, dict):
             reader.fail("output", "expected an object")
@@ -187,8 +187,7 @@ def _finite_float(text: str) -> float:
     return x
 
 
-def load_config(path, expected_kind: Optional[str] = None,
-                default_format: str = "csv") -> ExperimentConfig:
+def load_config(path, expected_kind: Optional[str] = None) -> ExperimentConfig:
     """Parse and fully validate an experiment config.
 
     Raises ConfigError carrying every (field path, reason) pair found.
@@ -212,7 +211,7 @@ def load_config(path, expected_kind: Optional[str] = None,
     if expected_kind is not None and kind is not None and kind != expected_kind:
         reader.fail("kind", f"config is for {kind!r} but the {expected_kind!r} "
                             "command was invoked")
-    fmt = _parse_output(reader, default_format)
+    fmt = _parse_output(reader)
     params = {}
 
     if kind in ("evolve", "audit"):
@@ -326,8 +325,9 @@ def load_config(path, expected_kind: Optional[str] = None,
                 if steps < least:
                     reader.fail("steps", f"expected an integer >= {least}")
                     parsed_steps = None
-            elif isinstance(steps, list) and parsed_h is not None \
-                    and len(steps) == len(parsed_h):
+            elif isinstance(steps, list) and steps and \
+                    (parsed_h is None or len(steps) == len(parsed_h)):
+                # with the parts unknown, each entry is still checked
                 parsed_steps = [_as_count(s, f"steps[{i}]", reader, least)
                                 for i, s in enumerate(steps)]
                 if any(s is None for s in parsed_steps):
@@ -436,8 +436,10 @@ def _run_evolve(params, out_dir, fmt):
     checks.append(Check("reversibility_roundtrip",
                         (cur, nxt) == (traj[0], traj[1])))
     hs, ha = h.split()
-    pt = automaton.evolve_phase_space(s0.re, s0.im, s1.re, s1.im, hs, ha, steps)
-    checks.append(Check("phase_space_equivalence", pt.to_trajectory() == traj))
+    # compared in one expression, so the oracle's history is freed before the write
+    same = traj == automaton.evolve_phase_space(s0.re, s0.im, s1.re, s1.im,
+                                                hs, ha, steps)
+    checks.append(Check("phase_space_equivalence", same))
     artifacts = [_write_trajectory(traj, h, out_dir, fmt)]
     return checks, artifacts, {}
 

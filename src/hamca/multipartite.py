@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
@@ -109,7 +110,7 @@ class MultiWave:
             raise ValueError("need one dof dimension and one clock range per part")
         if any(d < 1 for d in self.dims) or any(c < 1 for c in self.clock_shape):
             raise ValueError("dimensions and clock ranges must be >= 1")
-        size = _prod(self.clock_shape) * _prod(self.dims)
+        size = math.prod(self.clock_shape) * math.prod(self.dims)
         if values is None:
             values = GIVector._from_parts((0,) * size, (0,) * size)
         elif not isinstance(values, GIVector):
@@ -123,7 +124,7 @@ class MultiWave:
         return len(self.dims)
 
     def _flat(self, clocks: Sequence[int], alphas: Sequence[int]) -> int:
-        return (flatten_index(clocks, self.clock_shape) * _prod(self.dims)
+        return (flatten_index(clocks, self.clock_shape) * math.prod(self.dims)
                 + flatten_index(alphas, self.dims))
 
     def get(self, clocks: Sequence[int], alphas: Sequence[int]) -> GaussianInt:
@@ -145,7 +146,7 @@ class MultiWave:
 
     def alpha_vector(self, clocks: Sequence[int]) -> GIVector:
         """All dof components at one clock point, flattened row-major."""
-        size = _prod(self.dims)
+        size = math.prod(self.dims)
         base = flatten_index(clocks, self.clock_shape) * size
         return GIVector._from_parts(self.vector.re[base:base + size],
                                     self.vector.im[base:base + size])
@@ -265,13 +266,6 @@ def _json_ints(ints: Sequence[int]) -> str:
     return f"      [\n{items}\n      ]"
 
 
-def _prod(xs: Sequence[int]) -> int:
-    n = 1
-    for x in xs:
-        n *= x
-    return n
-
-
 class InteractionTensor:
     """Self-adjoint coupling of all parts, stored on the product space.
 
@@ -283,7 +277,7 @@ class InteractionTensor:
 
     def __init__(self, dims: Sequence[int], matrix: GIMatrix):
         self.dims = _exact_sizes(dims, "dof dimensions")
-        if matrix.dim != _prod(self.dims):
+        if matrix.dim != math.prod(self.dims):
             raise ValueError("matrix size does not match the product of dims")
         if not matrix.is_hermitian():
             raise ValueError("interaction must be self-adjoint")
@@ -291,12 +285,12 @@ class InteractionTensor:
 
     @classmethod
     def zero(cls, dims: Sequence[int]) -> "InteractionTensor":
-        return cls(dims, GIMatrix.zeros(_prod(dims)))
+        return cls(dims, GIMatrix.zeros(math.prod(dims)))
 
     @classmethod
     def from_entries(cls, dims: Sequence[int], entries: dict) -> "InteractionTensor":
         """Build from {(alphas, betas): GaussianInt}; unspecified entries are 0."""
-        size = _prod(dims)
+        size = math.prod(dims)
         rows = [[ZERO] * size for _ in range(size)]
         for (alphas, betas), v in entries.items():
             rows[flatten_index(alphas, dims)][flatten_index(betas, dims)] = v
@@ -474,7 +468,7 @@ def kron_sum(hams: Sequence[HermitianIntMatrix]) -> GIMatrix:
     if not hams:
         raise ValueError("need at least one part")
     dims = [h.dim for h in hams]
-    total = GIMatrix.zeros(_prod(dims))
+    total = GIMatrix.zeros(math.prod(dims))
     for k, h in enumerate(hams):
         term = GIMatrix.identity(1)
         for j, d in enumerate(dims):

@@ -142,7 +142,7 @@ def test_criterion_4_phase_space_equivalence(instances):
             tuple(z.re for z in s0), tuple(z.im for z in s0),
             tuple(z.re for z in s1), tuple(z.im for z in s1),
             hs, ha, N_STEPS)
-        assert pt.to_trajectory() == traj
+        assert pt == traj
     verdict(4, "complex and split-form evolutions agree entrywise", True,
             f"{len(instances)} instances at 500 steps")
 

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from hamca.automaton import (
-    PhaseTrajectory,
     Trajectory,
     VariationSpec,
     action_evaluate,
@@ -108,16 +107,16 @@ def test_evolution_is_linear_in_the_seeds(rng):
 
 def test_phase_space_example_orbit():
     pt = evolve_phase_space((1,), (0,), (0,), (-1,), ((2,),), ((0,),), 2)
-    assert pt.xs == ((1,), (0,), (-1,), (0,))
-    assert pt.ps == ((0,), (-1,), (0,), (1,))
-    assert pt.to_trajectory() == evolve(vec((1, 0)), vec((0, -1)), H_TWO, 2)
+    assert tuple(s.re for s in pt) == ((1,), (0,), (-1,), (0,))
+    assert tuple(s.im for s in pt) == ((0,), (-1,), (0,), (1,))
+    assert pt == evolve(vec((1, 0)), vec((0, -1)), H_TWO, 2)
 
 
 def test_phase_space_frozen_when_couplings_vanish():
     pt = evolve_phase_space((1, 2), (0, 1), (3, 4), (1, 0),
                             ((0, 0), (0, 0)), ((0, 0), (0, 0)), 4)
-    assert pt.xs[2] == (1, 2) and pt.xs[3] == (3, 4)
-    assert pt.ps[2] == (0, 1) and pt.ps[3] == (1, 0)
+    assert pt[2].re == (1, 2) and pt[3].re == (3, 4)
+    assert pt[2].im == (0, 1) and pt[3].im == (1, 0)
 
 
 def test_phase_space_rejects_bad_split():
@@ -137,7 +136,7 @@ def test_phase_space_matches_complex_evolution(rng):
             tuple(z.re for z in s0), tuple(z.im for z in s0),
             tuple(z.re for z in s1), tuple(z.im for z in s1),
             hs, ha, steps)
-        assert pt.to_trajectory() == traj
+        assert pt == traj
 
 
 def test_recurrence_residual_flags_the_bad_site(rng):
@@ -349,4 +348,11 @@ def test_trajectory_validation():
 def test_trajectory_csv_rejects_duplicate_rows():
     text = "n,alpha,re,im\n0,0,1,0\n1,0,2,0\n1,0,5,0\n"
     with pytest.raises(ValueError, match="repeats"):
+        Trajectory.from_csv(text)
+
+
+@pytest.mark.parametrize("row", ["-1,0,9,9", "0,-1,7,7"])
+def test_trajectory_csv_rejects_negative_indices(row):
+    text = f"n,alpha,re,im\n0,0,1,0\n1,0,2,0\n{row}\n"
+    with pytest.raises(ValueError, match=f"negative index: '{row}'"):
         Trajectory.from_csv(text)

@@ -489,3 +489,14 @@ def test_composites_need_an_interior_clock_site(tmp_path, capsys, kind, fields, 
     else:
         assert code == 2
         assert f"CONFIG ERROR {bad}: expected an integer >= " in capsys.readouterr().err
+
+
+def test_multi_steps_are_checked_when_a_hamiltonian_is_invalid(tmp_path):
+    obj = dict(EXAMPLES["multi"], hamiltonians=[ONE_DOF, [[[0, 1]]]], steps=[3, 3])
+    with pytest.raises(ConfigError) as info:
+        load_config(write_config(tmp_path / "cfg.json", obj))
+    assert [path for path, _ in info.value.errors] == ["hamiltonians[1]"]
+    obj["steps"] = [3, 0]
+    with pytest.raises(ConfigError) as info:
+        load_config(write_config(tmp_path / "cfg.json", obj))
+    assert [path for path, _ in info.value.errors] == ["hamiltonians[1]", "steps[1]"]

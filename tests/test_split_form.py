@@ -10,8 +10,10 @@ the independent oracles never reach the kernel.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hamca.automaton import (PhaseTrajectory, Trajectory, evolve, evolve_phase_space,
-                             step_forward, verify_stationarity)
+from hamca import automaton
+from hamca.automaton import (Trajectory, action_evaluate, evolve, evolve_phase_space,
+                             is_solution, recurrence_residual, step_forward,
+                             verify_stationarity)
 from hamca.gaussian import GaussianInt, GIMatrix, GIVector, HermitianIntMatrix
 from conftest import random_hermitian, random_vector
 
@@ -139,8 +141,9 @@ def test_every_path_builds_vectors_that_compare_and_hash_alike(data, dim):
     assert_same_vector(GIVector.from_pairs([[r, i] for r, i in zip(a_re, a_im)]), a)
 
     traj = Trajectory([a, b])
-    # lists in, as a caller would pass them
-    phase = PhaseTrajectory([a_re, b_re], [a_im, b_im]).to_trajectory()
+    # lists in, as a caller would pass them; with 0 steps only the seeds come back
+    zero = [[0] * len(a_re) for _ in a_re]
+    phase = evolve_phase_space(a_re, a_im, b_re, b_im, zero, zero, 0)
     for built in (phase, Trajectory.from_csv(traj.to_csv()),
                   Trajectory.from_json_obj(traj.to_json_obj())):
         assert_same_vector(built[0], a)
@@ -155,10 +158,15 @@ def test_step_forward_matches_an_evolved_slice(rng):
 
 
 def test_phase_trajectory_rejects_non_integer_parts():
+    # checked up front, before any step: the seeds and both couplings
     with pytest.raises(TypeError, match="plain integers"):
-        PhaseTrajectory([[1.0], [2]], [[0], [0]]).to_trajectory()
+        evolve_phase_space([1.0], [0], [2], [0], [[1]], [[0]], 3)
     with pytest.raises(TypeError, match="plain integers"):
-        PhaseTrajectory([[1], [2]], [[True], [0]]).to_trajectory()
+        evolve_phase_space([1], [True], [2], [0], [[1]], [[0]], 3)
+    with pytest.raises(TypeError, match="plain integers"):
+        evolve_phase_space([1], [0], [2], [0], [[1.0]], [[0]], 3)
+    with pytest.raises(TypeError, match="plain integers"):
+        evolve_phase_space([1], [0], [2], [0], [[1]], [[0.0]], 0)
 
 
 def test_scalars_are_built_on_demand():
@@ -186,11 +194,43 @@ def test_independent_oracles_never_call_the_matvec_kernel(monkeypatch, rng):
     def refuse(self, v):
         raise AssertionError("an independent oracle called GIMatrix.apply")
 
+    def refuse_pass(traj, h):
+        raise AssertionError("an independent oracle read the bracket pass")
+
     monkeypatch.setattr(GIMatrix, "apply", refuse)
+    monkeypatch.setattr(automaton, "_brackets", refuse_pass)
     phase = evolve_phase_space(traj[0].re, traj[0].im, traj[1].re, traj[1].im,
                                hs, ha, 8)
-    assert phase.to_trajectory() == traj
+    assert phase == traj
     assert verify_stationarity(traj, h, method="direct").ok
     assert not verify_stationarity(bumped, h, method="direct").ok
     with pytest.raises(AssertionError, match="independent oracle"):
         verify_stationarity(traj, h, method="fast")
+
+
+# -- one bracket pass ----------------------------------------------------
+
+
+def test_each_verdict_applies_h_once_per_stored_interior_slice(monkeypatch, rng):
+    h = random_hermitian(rng, 3)
+    traj = evolve(random_vector(rng, 3), random_vector(rng, 3), h, 12)
+    kernel = GIMatrix.apply
+    applied = []
+
+    def counting(self, v):
+        applied.append(v)
+        return kernel(self, v)
+
+    monkeypatch.setattr(GIMatrix, "apply", counting)
+    for verdict in (lambda: is_solution(traj, h),
+                    lambda: action_evaluate(traj, h),
+                    lambda: verify_stationarity(traj, h, method="fast"),
+                    lambda: traj.to_csv(h)):
+        applied.clear()
+        verdict()
+        # last - 1 applies, each on the stored slice, never a recomputed one
+        assert len(applied) == traj.last - 1
+        assert all(v is s for v, s in zip(applied, traj.states[1:-1]))
+    applied.clear()
+    recurrence_residual(traj, h, 5)
+    assert len(applied) == 1 and applied[0] is traj[5]
