@@ -22,12 +22,15 @@ One quantity, the Euler-Lagrange bracket
 
 is at once -i times the recurrence residual, the action's per-site
 factor and every stationarity coefficient.  `_brackets` alone forms it,
-applying H to each stored interior slice, and the recurrence, action and
-fast stationarity checks and the trajectory writer read that pass.  It
-never reuses the H psi_n that `evolve` computed: psi_{n+1} was built
-from that very vector, so the recurrence check would be a tautology.
-The independent oracles (split-form evolution, direct stationarity)
-stay off it.
+applying H to each stored interior slice, and keeps the result on the
+trajectory: a map from each site whose bracket is nonzero to that
+bracket, empty on a solution.  So the pass runs once per trajectory and
+coupling, and the recurrence, action and fast stationarity checks and
+the trajectory writer all read the same map, whether a caller asks for
+them together or one at a time.  It never reuses the H psi_n that
+`evolve` computed: psi_{n+1} was built from that very vector, so the
+recurrence check would be a tautology.  The independent oracles
+(split-form evolution, direct stationarity, reversal) stay off it.
 
 Boundary convention: `action_evaluate` sums over interior clock sites
 only (end slices are fixed data).  The stationarity audit differences
@@ -48,10 +51,12 @@ same bytes per-entry `str` would give.
 
 from __future__ import annotations
 
+import re as _re
 from dataclasses import dataclass
 from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact,
                      InvalidOperation, Overflow, Rounded)
 from operator import add, mul, neg, sub
+from types import MappingProxyType
 from typing import Callable, Iterable, Optional, Sequence
 
 from .gaussian import (
@@ -88,10 +93,19 @@ __all__ = [
 ]
 
 
-class Trajectory:
-    """Clock-indexed sequence of exact state vectors psi_0 ... psi_N."""
+# four ASCII integer cells: no spaces, '+', '_' or non-ASCII digits
+_CSV_ROW = _re.compile(r"(-?[0-9]+),(-?[0-9]+),(-?[0-9]+),(-?[0-9]+)")
 
-    __slots__ = ("states",)
+
+class Trajectory:
+    """Clock-indexed sequence of exact state vectors psi_0 ... psi_N.
+
+    Treat it as immutable: the bracket pass for the last coupling it was
+    checked against is kept on it (see `_brackets`).  `replace` and every
+    other constructor start without one; `==` and `repr` ignore it.
+    """
+
+    __slots__ = ("states", "_swept")
 
     def __init__(self, states: Iterable[GIVector]):
         sts = tuple(states)
@@ -101,6 +115,7 @@ class Trajectory:
         if any(s.dim != d for s in sts):
             raise ValueError("all slices must share one dimension")
         self.states = sts
+        self._swept = None
 
     @property
     def dim(self) -> int:
@@ -144,17 +159,20 @@ class Trajectory:
         Slice n of the stream is the recurrence's prediction on the two
         previous Decimal slices plus Decimal(r_n), with the residual
         r_n = psi_n - (psi_{n-2} - i*H*psi_{n-1}) = i*E_{n-1} read in ints
-        from the bracket pass, so by induction every slice equals psi_n,
-        for any H; `h=None` is the zero coupling.  The arithmetic runs in
-        a local context that traps `Inexact` and `Rounded` and never
-        becomes the thread's.  Products accumulate onto the previous
-        slice, which is never -0, and Decimal(r_n) is added last, so a
-        negative coefficient times a zero entry never prints as -0.
+        from the bracket map (zero where it has no entry), so by induction
+        every slice equals psi_n, for any H; `h=None` is the zero coupling,
+        swept on a throwaway view so the kept pass is not displaced.  The
+        arithmetic runs in a local context that traps `Inexact` and
+        `Rounded` and never becomes the thread's.  Products accumulate
+        onto the previous slice, which is never -0, and Decimal(r_n) is
+        added last, so a negative coefficient times a zero entry never
+        prints as -0.
         """
         if h is None:
             h = HermitianIntMatrix.zeros(self.dim)
-        # checked here too: a two-slice trajectory never starts the pass
-        _check_dims(self, h)
+            bad = _brackets(Trajectory(self.states), h)
+        else:
+            bad = _brackets(self, h)
         ctx = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
                       traps=[Inexact, Rounded, InvalidOperation, Overflow])
         fma = ctx.fma
@@ -168,15 +186,11 @@ class Trajectory:
                             + [(j, Decimal(c)) for j, c in im_terms],
                             [(j, Decimal(-c)) for j, c in re_terms]
                             + [(d + j, Decimal(c)) for j, c in im_terms]))
-        brackets = _brackets(self, h)
         x2 = x1 = None
         for n, psi in enumerate(self.states):
             if n < 2:
                 dec = tuple(map(Decimal, psi.re + psi.im))
             else:
-                _, _, e_re, e_im = next(brackets)
-                # r_n = i*E_{n-1} = -Im E + i Re E
-                r = (*map(neg, e_im), *e_re)
                 pred = list(x2)
                 for a, (re_row, im_row) in enumerate(program):
                     acc = pred[a]
@@ -187,7 +201,13 @@ class Trajectory:
                     for k, c in im_row:
                         acc = fma(c, x1[k], acc)
                     pred[d + a] = acc
-                dec = tuple(plus(p, Decimal(v)) for p, v in zip(pred, r))
+                e = bad.get(n - 1)
+                if e is None:
+                    dec = tuple(pred)
+                else:
+                    # r_n = i*E_{n-1} = -Im E + i Re E
+                    r = (*map(neg, e[2]), *e[1])
+                    dec = tuple(plus(p, Decimal(v)) for p, v in zip(pred, r))
             x2, x1 = x1, dec
             text = tuple(map(str, dec))
             yield text[:d], text[d:]
@@ -228,10 +248,10 @@ class Trajectory:
             raise ValueError("bad trajectory CSV header")
         cells = {}
         for ln in lines[1:]:
-            parts = ln.split(",")
-            if len(parts) != 4:
+            row = _CSV_ROW.fullmatch(ln)
+            if row is None:
                 raise ValueError(f"bad trajectory CSV row: {ln!r}")
-            n, a, re, im = (int(p) for p in parts)
+            n, a, re, im = map(int, row.groups())
             if n < 0 or a < 0:
                 raise ValueError(f"trajectory CSV row has a negative index: {ln!r}")
             if (n, a) in cells:
@@ -260,8 +280,11 @@ class Trajectory:
         states = [GIVector.from_pairs(s, f"states[{i}]")
                   for i, s in enumerate(obj["states"])]
         traj = cls(states)
-        if "dim" in obj and obj["dim"] != traj.dim:
-            raise ValueError("trajectory JSON dim field disagrees with states")
+        if "dim" in obj:
+            if type(obj["dim"]) is not int:
+                raise ValueError("trajectory JSON dim field must be an integer")
+            if obj["dim"] != traj.dim:
+                raise ValueError("trajectory JSON dim field disagrees with states")
         return traj
 
 
@@ -353,35 +376,52 @@ def _check_dims(traj: Trajectory, h: HermitianIntMatrix):
         raise ValueError("dimension mismatch")
 
 
-def _brackets(traj: Trajectory, h: HermitianIntMatrix):
-    """Yield (n, psi_n, re, im) for each interior site n.
+def _brackets(traj: Trajectory, h: HermitianIntMatrix) -> MappingProxyType:
+    """Map each interior site n whose bracket is nonzero to (psi_n, re, im).
 
     `re` and `im` are the int parts of the bracket
     E_n = H psi_n - i (psi_{n+1} - psi_{n-1}), from one H-apply on the
-    stored slice psi_n.  E_n is -i times `recurrence_residual`, so it is
-    zero exactly where the rule holds; it is also the action's per-site
-    right-hand factor and the starred variation coefficient.
+    stored slice psi_n.  E_n is -i times `recurrence_residual`, so the
+    map is empty exactly on a solution; E_n is also the action's
+    per-site right-hand factor and the starred variation coefficient,
+    and zero brackets contribute to neither.  Sites are keys in
+    increasing order.
+
+    The map is kept on `traj` for the coupling object it was swept with
+    (compared with `is`), so every reader shares one pass; an equal but
+    distinct H, or another H, sweeps again and replaces it.  Readers get
+    a read-only view, so none can change what the next one reads.
     """
     _check_dims(traj, h)
+    swept = traj._swept
+    if swept is not None and swept[0] is h:
+        return swept[1]
+    bad = {}
     states = traj.states
     for n, (down, psi, up) in enumerate(zip(states, states[1:], states[2:]), 1):
         w = h.apply(psi)
-        yield (n, psi, tuple(map(add, w.re, map(sub, up.im, down.im))),
-               tuple(map(sub, w.im, map(sub, up.re, down.re))))
+        e_re = tuple(map(add, w.re, map(sub, up.im, down.im)))
+        e_im = tuple(map(sub, w.im, map(sub, up.re, down.re)))
+        if any(e_re) or any(e_im):
+            bad[n] = (psi, e_re, e_im)
+    view = MappingProxyType(bad)
+    traj._swept = (h, view)
+    return view
 
 
 def recurrence_residual(traj: Trajectory, h: HermitianIntMatrix, n: int) -> GIVector:
     """psi_{n+1} - psi_{n-1} + i*H*psi_n; zero iff the rule holds at n."""
     if not 1 <= n <= traj.last - 1:
         raise ValueError(f"site {n} is not interior")
-    _, _, c_re, c_im = next(_brackets(Trajectory(traj.states[n - 1:n + 2]), h))
-    # i * (c_re + i c_im)
-    return GIVector._from_parts(tuple(map(neg, c_im)), c_re)
+    e = _brackets(Trajectory(traj.states[n - 1:n + 2]), h).get(1)
+    if e is None:
+        return GIVector.zero(traj.dim)
+    # i * (re + i im)
+    return GIVector._from_parts(tuple(map(neg, e[2])), e[1])
 
 
 def first_recurrence_violation(traj: Trajectory, h: HermitianIntMatrix) -> Optional[int]:
-    return next((n for n, _, c_re, c_im in _brackets(traj, h)
-                 if any(c_re) or any(c_im)), None)
+    return next(iter(_brackets(traj, h)), None)
 
 
 def is_solution(traj: Trajectory, h: HermitianIntMatrix) -> bool:
@@ -416,13 +456,13 @@ def action_evaluate(traj: Trajectory, h: HermitianIntMatrix) -> ActionValue:
         Re psi_n^* . [H psi_n - i (psi_{n+1} - psi_{n-1})].
 
     The bracket is -i times `recurrence_residual`, so on a solution it
-    is exactly zero and the big multiplies cost almost nothing; on any
+    is exactly zero and the sum is over the map's sites only; on any
     other trajectory the value is the same integer.
     """
     if len(traj) < 3:
         raise ValueError("action needs at least three slices")
     total = sum(sum(map(mul, psi.re, c_re)) + sum(map(mul, psi.im, c_im))
-                for _, psi, c_re, c_im in _brackets(traj, h))
+                for psi, c_re, c_im in _brackets(traj, h).values())
     return ActionValue(GaussianInt(total, 0))
 
 
@@ -646,7 +686,7 @@ def verify_stationarity(traj: Trajectory, h: HermitianIntMatrix,
                             violations.append(
                                 StationarityViolation(m, a, part, delta, val))
     elif method == "fast":
-        for m, _, c_re, c_im in _brackets(traj, h):
+        for m, (_, c_re, c_im) in _brackets(traj, h).items():
             # c_star[a] is the variation under a unit shift of star_m^a's
             # real part: the bracket -i psi_dot_m + H psi_m.  The psi
             # analogue is i star_dot + H^T star_m = conj(c_star[a]) for

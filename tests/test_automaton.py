@@ -1,10 +1,12 @@
 """Two-step dynamics: evolution, reversibility, action and stationarity."""
 
 import random
+import re
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from hamca import automaton
 from hamca.automaton import (
     Trajectory,
     VariationSpec,
@@ -356,3 +358,86 @@ def test_trajectory_csv_rejects_negative_indices(row):
     text = f"n,alpha,re,im\n0,0,1,0\n1,0,2,0\n{row}\n"
     with pytest.raises(ValueError, match=f"negative index: '{row}'"):
         Trajectory.from_csv(text)
+
+
+@pytest.mark.parametrize("row, other", [("0,0,1_0,0", "1,0,2,0"),
+                                        ("1, 0 ,+2,0", "0,0,1,0"),
+                                        ("0,0,٣,0", "1,0,2,0")])
+def test_trajectory_csv_accepts_only_ascii_integer_cells(row, other):
+    # int() would read these as 10, (1, 0, 2) and 3
+    text = f"n,alpha,re,im\n{other}\n{row}\n"
+    with pytest.raises(ValueError, match=re.escape(f"bad trajectory CSV row: {row!r}")):
+        Trajectory.from_csv(text)
+
+
+@pytest.mark.parametrize("dim", [True, 1.0, "1", None])
+def test_trajectory_json_dim_must_be_a_plain_int(dim):
+    obj = {"dim": dim, "states": [[[1, 0]], [[2, 0]]]}
+    with pytest.raises(ValueError, match="dim field must be an integer"):
+        Trajectory.from_json_obj(obj)
+    obj["dim"] = 1
+    assert Trajectory.from_json_obj(obj).dim == 1
+    del obj["dim"]
+    assert Trajectory.from_json_obj(obj).dim == 1
+
+
+# -- the bracket map kept on the trajectory --------------------------------
+
+
+def every_reader(traj, h):
+    """What the recurrence, action, fast stationarity and writer report."""
+    return (first_recurrence_violation(traj, h), action_evaluate(traj, h).as_int,
+            verify_stationarity(traj, h, method="fast"), traj.to_csv(h))
+
+
+def test_the_kept_pass_belongs_to_one_coupling_object(rng):
+    h = random_hermitian(rng, 3)
+    other = random_hermitian(rng, 3)
+    twin = HermitianIntMatrix(GIMatrix([list(row) for row in h.matrix.rows]))
+    assert twin.matrix.rows == h.matrix.rows and twin is not h
+    traj = evolve(random_vector(rng, 3), random_vector(rng, 3), h, 10)
+    bumped = traj.replace(4, traj[4] + vec((1, 0), (0, 0), (0, 0)))
+    assert not is_solution(traj, other)
+    with pytest.raises(TypeError):  # readers share the map, so it is read-only
+        automaton._brackets(bumped, h)[4] = None
+    for t in (traj, bumped):
+        # h first warms the map; each later coupling must not read h's
+        for g in (h, other, twin, h, other, other):
+            assert every_reader(t, g) == every_reader(Trajectory(t.states), g)
+            # the kept map is invisible to ==, repr and hashing
+            assert t == Trajectory(t.states)
+            assert repr(t) == repr(Trajectory(t.states))
+            with pytest.raises(TypeError):
+                hash(t)
+
+
+def test_replace_on_a_swept_solution_is_rejected(rng):
+    h = random_hermitian(rng, 3)
+    traj = evolve(random_vector(rng, 3), random_vector(rng, 3), h, 10)
+    assert every_reader(traj, h)[:2] == (None, 0)
+    bumped = traj.replace(5, traj[5] + vec((0, 0), (0, 1), (0, 0)))
+    # the bump breaks the rule at 4 and 6, and at 5 through H psi_5
+    assert not is_solution(bumped, h)
+    assert first_recurrence_violation(bumped, h) == 4
+    assert action_evaluate(bumped, h).as_int == literal_action(bumped, h)
+    assert not verify_stationarity(bumped, h).ok
+    assert Trajectory.from_csv(bumped.to_csv(h)) == bumped
+    # and the original still keeps its own (empty) map
+    assert is_solution(traj, h) and verify_stationarity(traj, h).ok
+
+
+@settings(max_examples=30)
+@given(dim=st.integers(1, 3), slices=st.integers(3, 5),
+       rng=st.randoms(use_true_random=False))
+def test_a_warm_map_gives_the_oracles_answers_off_solutions(dim, slices, rng):
+    h = random_hermitian(rng, dim, 1)
+    other = random_hermitian(rng, dim, 1)
+    traj = random_trajectory(rng, dim, slices, 2 ** 64)
+    # asked on a copy, so that traj's first sweep is with `other`
+    assume(not is_solution(Trajectory(traj.states), h))
+    for warm in (other, h):
+        is_solution(traj, warm)
+        fast = verify_stationarity(traj, h, deltas=(1, 2), method="fast")
+        assert fast == verify_stationarity(traj, h, deltas=(1, 2), method="direct")
+        is_solution(traj, warm)
+        assert action_evaluate(traj, h).as_int == literal_action(traj, h)

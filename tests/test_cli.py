@@ -6,10 +6,11 @@ import sys
 
 import pytest
 
-from hamca import cli, conservation, multipartite, sampling
+from hamca import automaton, cli, conservation, multipartite, sampling
 from hamca.automaton import Trajectory, evolve
 from hamca.cli import ConfigError, load_config, main, run
-from hamca.gaussian import GaussianInt, GIVector, HermitianIntMatrix, exact_int_text
+from hamca.gaussian import (GaussianInt, GIMatrix, GIVector, HermitianIntMatrix,
+                            exact_int_text)
 from hamca.multipartite import MultiWave
 
 PAULI_X = [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]
@@ -317,6 +318,42 @@ def test_audit_computes_each_series_once(tmp_path, monkeypatch):
         [(l, conservation.two_point_series(traj, g))
          for l, g in conservation.default_commutant_basis(h)])
     assert (tmp_path / "out" / "series.csv").read_text() == want
+
+
+def test_evolve_and_audit_sweep_the_brackets_once(tmp_path, monkeypatch):
+    kernel = GIMatrix.apply
+    applied = []
+
+    def counting(self, v):
+        applied.append((self, v))
+        return kernel(self, v)
+
+    monkeypatch.setattr(GIMatrix, "apply", counting)
+    steps = 9
+    for fmt in ("csv", "json"):
+        cfg = load_config(evolve_config(tmp_path, steps=steps,
+                                        output={"format": fmt}))
+        applied.clear()
+        run(cfg, tmp_path / f"evolve-{fmt}")
+        # evolve, one bracket pass for both verdicts and the writer, and
+        # reversal; the phase-space oracle never applies
+        assert len(applied) == 3 * steps
+    cfg = load_config(write_config(tmp_path / "audit.json", {
+        "kind": "audit", "hamiltonians": [PAULI_X],
+        "seeds": [[[1, 0], [0, 0]], [[0, 0], [1, 1]]], "steps": steps}))
+    evolved = []
+
+    def keep(*args):
+        evolved.append(evolve(*args))
+        return evolved[-1]
+
+    monkeypatch.setattr(automaton, "evolve", keep)
+    applied.clear()
+    run(cfg, tmp_path / "audit")
+    # H on stored slices: evolve and one pass shared by the solution
+    # check and the writer (the observables are matrices of their own)
+    h, slices = cfg.params["hamiltonian"].matrix, {id(s) for s in evolved[0]}
+    assert sum(m is h and id(v) in slices for m, v in applied) == 2 * steps
 
 
 def test_audit_series_of_a_drifting_observable(tmp_path):

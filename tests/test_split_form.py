@@ -213,7 +213,7 @@ def test_independent_oracles_never_call_the_matvec_kernel(monkeypatch, rng):
 
 def test_each_verdict_applies_h_once_per_stored_interior_slice(monkeypatch, rng):
     h = random_hermitian(rng, 3)
-    traj = evolve(random_vector(rng, 3), random_vector(rng, 3), h, 12)
+    solution = evolve(random_vector(rng, 3), random_vector(rng, 3), h, 12)
     kernel = GIMatrix.apply
     applied = []
 
@@ -222,15 +222,19 @@ def test_each_verdict_applies_h_once_per_stored_interior_slice(monkeypatch, rng)
         return kernel(self, v)
 
     monkeypatch.setattr(GIMatrix, "apply", counting)
-    for verdict in (lambda: is_solution(traj, h),
-                    lambda: action_evaluate(traj, h),
-                    lambda: verify_stationarity(traj, h, method="fast"),
-                    lambda: traj.to_csv(h)):
-        applied.clear()
-        verdict()
-        # last - 1 applies, each on the stored slice, never a recomputed one
-        assert len(applied) == traj.last - 1
-        assert all(v is s for v, s in zip(applied, traj.states[1:-1]))
+    readers = [lambda t: is_solution(t, h),
+               lambda t: action_evaluate(t, h),
+               lambda t: verify_stationarity(t, h, method="fast"),
+               lambda t: t.to_csv(h)]
+    for order in (readers, readers[::-1]):  # verdicts first, then writer first
+        for fresh in (Trajectory(solution.states),
+                      solution.replace(5, solution[5] + GIVector([1, 0, 0]))):
+            applied.clear()
+            for read in order:
+                read(fresh)
+            # together one pass: last - 1 applies, each on the stored slice
+            assert len(applied) == fresh.last - 1
+            assert all(v is s for v, s in zip(applied, fresh.states[1:-1]))
     applied.clear()
-    recurrence_residual(traj, h, 5)
-    assert len(applied) == 1 and applied[0] is traj[5]
+    recurrence_residual(solution, h, 5)
+    assert len(applied) == 1 and applied[0] is solution[5]
