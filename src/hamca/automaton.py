@@ -46,7 +46,11 @@ the recurrence (with H's entries converted to Decimal once) and adds
 the slice's integer residual psi_n - (psi_{n-2} - i*H*psi_{n-1}) =
 i*E_{n-1}, which is zero on a solution.  Each printed slice therefore
 equals the stored one for any trajectory and any H, and the text is the
-same bytes per-entry `str` would give.
+same bytes per-entry `str` would give.  Each format is one private
+generator of text pieces, one per slice: the CLI writes the pieces as
+they come, and `to_csv` / `to_json_text` join them, so no artifact's
+text need be held whole.  The split-form oracle is a slice stream too,
+so a caller can compare it with a trajectory without a second history.
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact,
                      InvalidOperation, Overflow, Rounded)
 from operator import add, mul, neg, sub
 from types import MappingProxyType
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .gaussian import (
     GaussianInt,
@@ -212,33 +216,44 @@ class Trajectory:
             text = tuple(map(str, dec))
             yield text[:d], text[d:]
 
+    def _csv_pieces(self, h: Optional[HermitianIntMatrix]):
+        """`to_csv`'s text, one piece per slice; the header rides on the first.
+
+        Nothing is yielded before the coupling is checked, so a writer that
+        pulls the first piece before opening its file leaves none on a
+        mismatched H.
+        """
+        head = "n,alpha,re,im\n"
+        for n, (res, ims) in enumerate(self._decimal_slices(h)):
+            yield head + "".join(f"{n},{a},{re},{im}\n"
+                                 for a, (re, im) in enumerate(zip(res, ims)))
+            head = ""
+
     def to_csv(self, h: Optional[HermitianIntMatrix] = None) -> str:
         """CSV text `n,alpha,re,im`, one row per entry.
 
         Pass the coupling the trajectory solves to make the decimal text
         linear in its length; any H (or none) gives the same exact text.
         """
-        lines = ["n,alpha,re,im"]
-        for n, (res, ims) in enumerate(self._decimal_slices(h)):
-            lines.extend(f"{n},{a},{re},{im}"
-                         for a, (re, im) in enumerate(zip(res, ims)))
-        lines.append("")  # the final newline, without copying the text again
-        return "\n".join(lines)
+        return "".join(self._csv_pieces(h))
+
+    def _json_pieces(self, h: Optional[HermitianIntMatrix]):
+        """`to_json_text`'s text: one piece per slice, then the footer."""
+        sep = f'{{\n  "dim": {self.dim},\n  "states": [\n'
+        for res, ims in self._decimal_slices(h):
+            yield (sep + "    [\n"
+                   + ",\n".join(f"      [\n        {re},\n        {im}\n      ]"
+                                for re, im in zip(res, ims))
+                   + "\n    ]")
+            sep = ",\n"
+        yield "\n  ]\n}\n"
 
     def to_json_text(self, h: Optional[HermitianIntMatrix] = None) -> str:
         """`json.dumps(self.to_json_obj(), indent=2, sort_keys=True) + "\\n"`.
 
         Same bytes, with entries printed from the stream `to_csv` uses.
         """
-        states = ["    [\n"
-                  + ",\n".join(f"      [\n        {re},\n        {im}\n      ]"
-                               for re, im in zip(res, ims))
-                  + "\n    ]"
-                  for res, ims in self._decimal_slices(h)]
-        # one join builds the text: header and footer ride on the end slices
-        states[0] = f'{{\n  "dim": {self.dim},\n  "states": [\n{states[0]}'
-        states[-1] += "\n  ]\n}\n"
-        return ",\n".join(states)
+        return "".join(self._json_pieces(h))
 
     @classmethod
     @exact_int_text()
@@ -328,18 +343,16 @@ def evolve(seed0: GIVector, seed1: GIVector, h: HermitianIntMatrix,
     return Trajectory(states)
 
 
-def evolve_phase_space(x0: Sequence[int], p0: Sequence[int],
-                       x1: Sequence[int], p1: Sequence[int],
-                       hs: Sequence[Sequence[int]],
-                       ha: Sequence[Sequence[int]],
-                       steps: int) -> Trajectory:
-    """Evolve the split form:
+def _phase_space_slices(x0: Sequence[int], p0: Sequence[int],
+                        x1: Sequence[int], p1: Sequence[int],
+                        hs: Sequence[Sequence[int]],
+                        ha: Sequence[Sequence[int]],
+                        steps: int) -> Iterator[GIVector]:
+    """The split form's slices psi_0 ... psi_{steps+1}, one at a time.
 
-        x_{n+1} = x_{n-1} + hS p_n + hA x_n
-        p_{n+1} = p_{n-1} - hS x_n + hA p_n
-
-    Returns the trajectory psi_n = x_n + i*p_n, which equals `evolve`
-    with H = hS + i*hA.  Seeds and couplings must hold plain ints.
+    Every input is checked here, before the first slice is made; the
+    returned generator keeps only the two latest slices, so a caller that
+    compares it slice by slice never holds a second history.
     """
     if not int_matrix_is_symmetric(hs):
         raise ValueError("hS must be symmetric")
@@ -354,18 +367,40 @@ def evolve_phase_space(x0: Sequence[int], p0: Sequence[int],
     for name, m in (("hS", hs), ("hA", ha)):
         for row in m:
             _plain_ints(row, name)
-    xs = [_plain_ints(x0, "x0"), _plain_ints(x1, "x1")]
-    ps = [_plain_ints(p0, "p0"), _plain_ints(p1, "p1")]
+    return _split_form_stream(_plain_ints(x0, "x0"), _plain_ints(p0, "p0"),
+                              _plain_ints(x1, "x1"), _plain_ints(p1, "p1"),
+                              hs, ha, steps)
+
+
+def _split_form_stream(xp, pp, xc, pc, hs, ha, steps):
+    d = len(hs)
+    yield GIVector._from_parts(xp, pp)
+    yield GIVector._from_parts(xc, pc)
     for _ in range(steps):
-        xp, pp = xs[-2], ps[-2]
-        xc, pc = xs[-1], ps[-1]
         sx = int_matrix_apply(hs, xc)
         sp = int_matrix_apply(hs, pc)
         ax = int_matrix_apply(ha, xc)
         ap = int_matrix_apply(ha, pc)
-        xs.append(tuple(xp[i] + sp[i] + ax[i] for i in range(d)))
-        ps.append(tuple(pp[i] - sx[i] + ap[i] for i in range(d)))
-    return Trajectory(map(GIVector._from_parts, xs, ps))
+        xn = tuple(xp[i] + sp[i] + ax[i] for i in range(d))
+        pn = tuple(pp[i] - sx[i] + ap[i] for i in range(d))
+        xp, pp, xc, pc = xc, pc, xn, pn
+        yield GIVector._from_parts(xc, pc)
+
+
+def evolve_phase_space(x0: Sequence[int], p0: Sequence[int],
+                       x1: Sequence[int], p1: Sequence[int],
+                       hs: Sequence[Sequence[int]],
+                       ha: Sequence[Sequence[int]],
+                       steps: int) -> Trajectory:
+    """Evolve the split form:
+
+        x_{n+1} = x_{n-1} + hS p_n + hA x_n
+        p_{n+1} = p_{n-1} - hS x_n + hA p_n
+
+    Returns the trajectory psi_n = x_n + i*p_n, which equals `evolve`
+    with H = hS + i*hA.  Seeds and couplings must hold plain ints.
+    """
+    return Trajectory(_phase_space_slices(x0, p0, x1, p1, hs, ha, steps))
 
 
 # -- the bracket pass ----------------------------------------------------

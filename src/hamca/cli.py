@@ -8,7 +8,12 @@ literals in JSON.  Identical configs produce byte-identical integer
 artifacts.  Trajectories and composite fields are written by their own
 linear-time text writers, which print the same bytes as `json.dumps`
 with `indent=2, sort_keys=True`; `json.dumps` writes the small files.
-`report.json` lists each artifact's size in `artifact_bytes`.
+Every artifact is written by `_write_text` from an iterable of text
+pieces, and the large ones are streamed a slice or clock point at a
+time, so no artifact's text is held whole; `evolve` compares the
+phase-space oracle with its trajectory slice by slice for the same
+reason, and peaks at about one history.  `report.json` lists each
+artifact's size in `artifact_bytes`.
 
 Exit status: 0 all checks passed, 1 a check failed or a module error
 surfaced, 2 invalid configuration.
@@ -22,6 +27,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from pathlib import Path
 from typing import Optional
 
@@ -388,18 +394,38 @@ def load_config(path, expected_kind: Optional[str] = None) -> ExperimentConfig:
 # -- artifact writers ----------------------------------------------------
 
 
-def _write_text(path: Path, text: str):
+@exact_int_text()
+def _write_text(path: Path, pieces):
+    """Write the text pieces in order, as `Path.write_text` writes their join.
+
+    The first piece is made before the file is opened, so a writer that
+    rejects its input leaves no file, and a failure partway removes the
+    partial one.  The int digit limit stays lifted for the whole write.
+    """
+    if isinstance(pieces, str):
+        raise TypeError("_write_text takes an iterable of text pieces, not a str")
+    pieces = iter(pieces)
+    first = next(pieces, "")
     try:
-        path.write_text(text, encoding="utf-8")
+        fh = open(path, "w", encoding="utf-8")
     except OSError as exc:
         raise RuntimeError(f"cannot write {path}: {exc}") from exc
+    try:
+        with fh:
+            fh.write(first)
+            fh.writelines(pieces)
+    except BaseException as exc:
+        path.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise RuntimeError(f"cannot write {path}: {exc}") from exc
+        raise
 
 
 @exact_int_text()
 def _write_json(path: Path, obj):
     # standard JSON only: a NaN or Infinity raises instead of being written
-    _write_text(path, json.dumps(obj, indent=2, sort_keys=True,
-                                 allow_nan=False) + "\n")
+    _write_text(path, (json.dumps(obj, indent=2, sort_keys=True,
+                                  allow_nan=False) + "\n",))
 
 
 def _fmt_float(x: float) -> str:
@@ -410,10 +436,10 @@ def _write_trajectory(traj, h, out_dir: Path, fmt: str) -> Path:
     # h, the coupling traj solves, keeps the decimal text linear-time
     if fmt == "csv":
         path = out_dir / "trajectory.csv"
-        _write_text(path, traj.to_csv(h))
+        _write_text(path, traj._csv_pieces(h))
     else:
         path = out_dir / "trajectory.json"
-        _write_text(path, traj.to_json_text(h))
+        _write_text(path, traj._json_pieces(h))
     return path
 
 
@@ -436,9 +462,9 @@ def _run_evolve(params, out_dir, fmt):
     checks.append(Check("reversibility_roundtrip",
                         (cur, nxt) == (traj[0], traj[1])))
     hs, ha = h.split()
-    # compared in one expression, so the oracle's history is freed before the write
-    same = traj == automaton.evolve_phase_space(s0.re, s0.im, s1.re, s1.im,
-                                                hs, ha, steps)
+    # slice by slice, with the lengths compared too: no second history is held
+    oracle = automaton._phase_space_slices(s0.re, s0.im, s1.re, s1.im, hs, ha, steps)
+    same = all(a == b for a, b in zip_longest(traj, oracle))
     checks.append(Check("phase_space_equivalence", same))
     artifacts = [_write_trajectory(traj, h, out_dir, fmt)]
     return checks, artifacts, {}
@@ -477,7 +503,7 @@ def _run_audit(params, out_dir, fmt):
     series = [(e.label, [e.value] * traj.last if e.conserved
                else [v for _, v in e.drift]) for e in report.entries]
     series_path = out_dir / "series.csv"
-    _write_text(series_path, conservation.series_to_csv(series))
+    _write_text(series_path, (conservation.series_to_csv(series),))
     artifacts.append(series_path)
     return checks, artifacts, info
 
@@ -509,7 +535,7 @@ def _run_reconstruct(params, out_dir, fmt):
         lines += [f"{_fmt_float(t)},{a},{_fmt_float(re)},{_fmt_float(im)}"
                   for t, a, re, im in rows]
         path = out_dir / "reconstruction.csv"
-        _write_text(path, "\n".join(lines) + "\n")
+        _write_text(path, ("\n".join(lines) + "\n",))
     else:
         path = out_dir / "reconstruction.json"
         _write_json(path, [{"t": t, "alpha": a, "re": re, "im": im}
@@ -539,7 +565,7 @@ def _run_converge(params, out_dir, fmt):
         err = "" if p.error is None else _fmt_float(p.error)
         lines.append(f"{_fmt_float(p.scale)},{err},{order_txt}")
     csv_path = out_dir / "convergence.csv"
-    _write_text(csv_path, "\n".join(lines) + "\n")
+    _write_text(csv_path, ("\n".join(lines) + "\n",))
     json_path = out_dir / "convergence.json"
     _write_json(json_path, report.to_json_obj())
     info = {"excluded": [p.scale for p in report.points if not p.included]}
@@ -580,9 +606,9 @@ def _run_multi(params, out_dir, fmt):
                             json.dumps(gap) if gap else "no gap at clock 2"))
         info["synchronized_gap"] = gap
     field_path = out_dir / "field.json"
-    _write_text(field_path, wave.to_json_text())
+    _write_text(field_path, wave._json_pieces())
     residual_path = out_dir / "residual.csv"
-    _write_text(residual_path, res.to_csv())
+    _write_text(residual_path, res._csv_pieces())
     return checks, [field_path, residual_path], info
 
 
@@ -607,9 +633,9 @@ def _run_bell(params, out_dir, fmt):
     info = {"witness_clock": list(clock),
             "slice": [[z.to_pair() for z in row] for row in rows]}
     field_path = out_dir / "bell_field.json"
-    _write_text(field_path, wave.to_json_text())
+    _write_text(field_path, wave._json_pieces())
     residual_path = out_dir / "residual.csv"
-    _write_text(residual_path, res.to_csv())
+    _write_text(residual_path, res._csv_pieces())
     return checks, [field_path, residual_path], info
 
 
@@ -627,7 +653,7 @@ def _run_leibniz(params, out_dir, fmt):
                      f"{r.split_form.denominator},{r.naive},"
                      f"{str(r.naive_matches).lower()}")
     path = out_dir / "leibniz.csv"
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_text(path, ("\n".join(lines) + "\n",))
     info = {"failure_sites": list(demo.failure_sites)}
     return checks, [path], info
 

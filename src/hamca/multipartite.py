@@ -40,7 +40,9 @@ The field's JSON text and the residual's CSV are assembled from
 per-record templates in that storage order: each clock and dof fragment
 is formatted once and reused, so writing costs one short format per
 value.  The bytes are those of `json.dumps(..., indent=2,
-sort_keys=True)` and of the per-cell join.
+sort_keys=True)` and of the per-cell join.  Each is one private
+generator of text pieces, one per clock point, that the CLI streams to
+disk and `to_json_text` / `to_csv` join.
 """
 
 from __future__ import annotations
@@ -199,13 +201,13 @@ class MultiWave:
                        for clocks, alphas, v in self.items()],
         }
 
-    @exact_int_text()
-    def to_json_text(self) -> str:
-        """`json.dumps(self.to_json_obj(), indent=2, sort_keys=True) + "\\n"`.
+    def _json_pieces(self) -> Iterator[str]:
+        """`to_json_text`'s text: one piece per clock point, then the footer.
 
-        The same bytes from per-record templates: `json.dumps` writes
-        the small header, and each clock and dof fragment is formatted
-        once, not once per value.
+        Per-record templates: `json.dumps` writes the small header, and
+        each clock and dof fragment is formatted once, not once per
+        value.  Values print as decimal ints, so the consumer holds
+        `exact_int_text()` around the whole join or write.
         """
         head = json.dumps({"clock_box": [[0, c - 1] for c in self.clock_shape],
                            "dims": list(self.dims), "parts": self.parts},
@@ -213,16 +215,19 @@ class MultiWave:
         dofs = [f"{_json_ints(alphas)},\n      [\n        "
                 for alphas in self.dof_indices()]
         values = zip(self.vector.re, self.vector.im)
-        records = []
+        # head ends "\n}" and "values" sorts after every header key
+        sep = f'{head[:-2]},\n  "values": [\n'
         for clocks in self.clock_points():
             lead = f"    [\n{_json_ints(clocks)},\n"
-            records.extend(f"{lead}{dof}{re},\n        {im}\n      ]\n    ]"
-                           for dof, (re, im) in zip(dofs, values))
-        # head ends "\n}" and "values" sorts after every header key; one
-        # join builds the text, with header and footer on the end records
-        records[0] = f'{head[:-2]},\n  "values": [\n{records[0]}'
-        records[-1] += "\n  ]\n}\n"
-        return ",\n".join(records)
+            yield sep + ",\n".join(f"{lead}{dof}{re},\n        {im}\n      ]\n    ]"
+                                    for dof, (re, im) in zip(dofs, values))
+            sep = ",\n"
+        yield "\n  ]\n}\n"
+
+    @exact_int_text()
+    def to_json_text(self) -> str:
+        """`json.dumps(self.to_json_obj(), indent=2, sort_keys=True) + "\\n"`."""
+        return "".join(self._json_pieces())
 
     @classmethod
     def from_json_obj(cls, obj) -> "MultiWave":
@@ -340,20 +345,27 @@ class ManyTimeResidual:
         return [(tuple(n + 1 for n in clocks), alphas, v)
                 for clocks, alphas, v in self.field.items() if v]
 
-    @exact_int_text()
-    def to_csv(self) -> str:
+    def _csv_pieces(self) -> Iterator[str]:
+        """`to_csv`'s text: the header, then one piece per clock point.
+
+        Values print as decimal ints, so the consumer holds
+        `exact_int_text()` around the whole join or write.
+        """
         m = self.field.parts
         header = ([f"n{k + 1}" for k in range(m)]
                   + [f"alpha{k + 1}" for k in range(m)] + ["re", "im"])
-        lines = [",".join(header)]
+        yield ",".join(header) + "\n"
         dofs = ["".join(f"{a}," for a in alphas)
                 for alphas in self.field.dof_indices()]
         values = zip(self.field.vector.re, self.field.vector.im)
         for clocks in self.field.clock_points():
             lead = "".join(f"{n + 1}," for n in clocks)
-            lines.extend(f"{lead}{dof}{re},{im}" for dof, (re, im) in zip(dofs, values))
-        lines.append("")
-        return "\n".join(lines)
+            yield "".join(f"{lead}{dof}{re},{im}\n"
+                          for dof, (re, im) in zip(dofs, values))
+
+    @exact_int_text()
+    def to_csv(self) -> str:
+        return "".join(self._csv_pieces())
 
 
 def many_time_residual(psi: MultiWave, hams: Sequence[HermitianIntMatrix],

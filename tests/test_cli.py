@@ -1,8 +1,10 @@
 """Config validation, orchestration, artifacts, exit codes, determinism."""
 
+import itertools
 import json
 import math
 import sys
+import tracemalloc
 
 import pytest
 
@@ -537,3 +539,86 @@ def test_multi_steps_are_checked_when_a_hamiltonian_is_invalid(tmp_path):
     with pytest.raises(ConfigError) as info:
         load_config(write_config(tmp_path / "cfg.json", obj))
     assert [path for path, _ in info.value.errors] == ["hamiltonians[1]", "steps[1]"]
+
+
+# -- artifacts are streamed to disk ----------------------------------------
+
+
+def test_a_failing_writer_leaves_no_file(tmp_path):
+    traj = evolve(GIVector([1, 0]), GIVector([0, 1]),
+                  HermitianIntMatrix.from_pairs(PAULI_X), 4)
+    for fmt in ("csv", "json"):
+        with pytest.raises(ValueError):
+            cli._write_trajectory(traj, HermitianIntMatrix.identity(3), tmp_path, fmt)
+    assert not (tmp_path / "trajectory.csv").exists()
+    assert not (tmp_path / "trajectory.json").exists()
+
+
+def test_write_text_takes_pieces_and_removes_a_partial_file(tmp_path):
+    path = tmp_path / "out.txt"
+    with pytest.raises(TypeError):
+        cli._write_text(path, "one string")  # would be written char by char
+    assert not path.exists()
+
+    def pieces():
+        yield "first\n"
+        raise OverflowError("writer interrupted")
+
+    with pytest.raises(OverflowError):
+        cli._write_text(path, pieces())
+    assert not path.exists()
+    cli._write_text(path, iter(["a\n", "", "b\n"]))
+    assert path.read_bytes() == b"a\nb\n"
+    with pytest.raises(RuntimeError, match="cannot write"):
+        cli._write_text(tmp_path / "missing" / "out.txt", ("x",))
+
+
+TRIDIAGONAL = [[[2, 0], [1, 0], [0, 0]],
+               [[1, 0], [2, 0], [1, 0]],
+               [[0, 0], [1, 0], [2, 0]]]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_evolve_peak_memory_stays_below_its_artifact(tmp_path, fmt):
+    # entries grow ~1.63 bits per step, so the history and its text both
+    # grow as steps**2; decimal text costs ~2.3x the int storage, so only a
+    # run that streams its text and compares the oracle slice by slice
+    # stays below the artifact's size (the whole text would not fit)
+    cfg = load_config(write_config(tmp_path / "cfg.json", {
+        "kind": "evolve", "hamiltonians": [TRIDIAGONAL],
+        "seeds": [[[1, 0], [0, -1], [2, 1]], [[0, 1], [1, 0], [-1, 0]]],
+        "steps": 1000, "output": {"format": fmt}}))
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    base = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    try:
+        report = run(cfg, tmp_path / "out")
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert all(c["passed"] for c in report["checks"])
+    assert peak < report["artifact_bytes"][f"trajectory.{fmt}"]
+
+
+def test_the_phase_space_check_compares_every_slice_and_the_length(tmp_path,
+                                                                   monkeypatch):
+    cfg = load_config(evolve_config(tmp_path, steps=6))
+    stream = automaton._phase_space_slices
+
+    def short(*args):
+        return itertools.islice(stream(*args), 7)
+
+    def bumped(*args):
+        for n, s in enumerate(stream(*args)):
+            yield s + GIVector([1, 0]) if n == 4 else s
+
+    def long(*args):
+        return itertools.chain(stream(*args), [GIVector([0, 0])])
+
+    for oracle, ok in ((stream, True), (short, False), (bumped, False), (long, False)):
+        monkeypatch.setattr(automaton, "_phase_space_slices", oracle)
+        checks = {c["name"]: c["passed"]
+                  for c in run(cfg, tmp_path / "out")["checks"]}
+        assert checks["phase_space_equivalence"] is ok

@@ -7,6 +7,8 @@ that vectors built by every path compare and hash alike, and pin that
 the independent oracles never reach the kernel.
 """
 
+from itertools import zip_longest
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -169,6 +171,46 @@ def test_phase_trajectory_rejects_non_integer_parts():
         evolve_phase_space([1], [0], [2], [0], [[1]], [[0.0]], 0)
 
 
+@st.composite
+def hermitian_splits(draw, dim):
+    """(hS, hA), symmetric and antisymmetric, of a self-adjoint hS + i*hA."""
+    hs = [[0] * dim for _ in range(dim)]
+    ha = [[0] * dim for _ in range(dim)]
+    for i in range(dim):
+        hs[i][i] = draw(COEFF)
+        for j in range(i + 1, dim):
+            hs[i][j] = hs[j][i] = draw(COEFF)
+            ha[i][j] = draw(COEFF)
+            ha[j][i] = -ha[i][j]
+    return hs, ha
+
+
+@settings(max_examples=40)
+@given(data=st.data(), dim=st.integers(1, 4), steps=st.integers(0, 30))
+def test_the_streamed_oracle_equals_evolve_slice_by_slice(data, dim, steps):
+    hs, ha = data.draw(hermitian_splits(dim))
+    (x0, p0), (x1, p1) = data.draw(split_vectors(dim)), data.draw(split_vectors(dim))
+    h = HermitianIntMatrix(matrix(hs, ha))
+    stream = automaton._phase_space_slices(x0, p0, x1, p1, hs, ha, steps)
+    pairs = list(zip_longest(stream, evolve(vector(x0, p0), vector(x1, p1), h, steps)))
+    assert len(pairs) == steps + 2
+    for got, want in pairs:
+        assert_same_vector(got, want)
+
+
+def test_the_streamed_oracle_checks_its_inputs_before_the_first_slice():
+    # raised by the call itself, with no slice pulled
+    stream = automaton._phase_space_slices
+    with pytest.raises(ValueError, match="steps"):
+        stream([1], [0], [2], [0], [[1]], [[0]], -1)
+    with pytest.raises(ValueError, match="symmetric"):
+        stream([1, 0], [0, 0], [2, 0], [0, 0], [[1, 2], [0, 1]], [[0, 0], [0, 0]], 3)
+    with pytest.raises(ValueError, match="dimension"):
+        stream([1, 0], [0], [2], [0], [[1]], [[0]], 3)
+    with pytest.raises(TypeError, match="plain integers"):
+        stream([1], [0], [2], [0], [[1]], [[0.0]], 3)
+
+
 def test_scalars_are_built_on_demand():
     v = GIVector([GaussianInt(1, -2), 3])
     assert v[0] == GaussianInt(1, -2) and v[1] == GaussianInt(3, 0)
@@ -202,6 +244,9 @@ def test_independent_oracles_never_call_the_matvec_kernel(monkeypatch, rng):
     phase = evolve_phase_space(traj[0].re, traj[0].im, traj[1].re, traj[1].im,
                                hs, ha, 8)
     assert phase == traj
+    stream = automaton._phase_space_slices(traj[0].re, traj[0].im, traj[1].re,
+                                           traj[1].im, hs, ha, 8)
+    assert list(stream) == list(traj)
     assert verify_stationarity(traj, h, method="direct").ok
     assert not verify_stationarity(bumped, h, method="direct").ok
     with pytest.raises(AssertionError, match="independent oracle"):

@@ -5,7 +5,8 @@ and `residual.csv` from per-record templates.  Each writer is checked
 byte for byte against the plain reference written here, on solutions,
 corrupted histories, mismatched or missing couplings and entries past
 CPython's 4300-digit limit; and no writer may leave the global decimal
-context or the digit limit changed, whether it returns or raises.
+context or the digit limit changed, whether it returns, raises or has
+its stream dropped partway.
 """
 
 import decimal
@@ -193,7 +194,27 @@ def writer_cases():
         (lambda: traj.to_csv(None), automaton, "Decimal"),
         (wave.to_json_text, multipartite, "_json_ints"),
         (ManyTimeResidual(field=wave).to_csv, MultiWave, "clock_points"),
+        # the streams the CLI writes from, consumed partway and dropped
+        (partway(lambda: traj._csv_pieces(h)), automaton, "Decimal"),
+        (partway(lambda: traj._json_pieces(h)), automaton, "Decimal"),
+        (partway(lambda: traj._csv_pieces(None)), automaton, "Decimal"),
+        (partway(wave._json_pieces), multipartite, "_json_ints"),
+        (partway(ManyTimeResidual(field=wave)._csv_pieces), MultiWave,
+         "clock_points"),
     ]
+
+
+def partway(stream):
+    """Pull two pieces under the consumer's lift, then drop the stream."""
+
+    def write():
+        with exact_int_text():
+            pieces = stream()
+            next(pieces)
+            next(pieces)
+        del pieces  # unfinished: closed here, outside the lift
+
+    return write
 
 
 @pytest.fixture
@@ -211,7 +232,7 @@ def distinct_digit_limit():
         set_limit(old)
 
 
-@pytest.mark.parametrize("case", range(5))
+@pytest.mark.parametrize("case", range(10))
 def test_writers_leave_the_global_settings_unchanged(case, monkeypatch,
                                                      distinct_digit_limit):
     write, owner, name = writer_cases()[case]
