@@ -673,9 +673,6 @@ class StationarityReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def violating_sites(self) -> tuple:
-        return tuple(sorted({v.site for v in self.violations}))
-
     def to_json_obj(self) -> dict:
         return {
             "dim": self.dim,

@@ -171,10 +171,6 @@ class AuditReport:
     norm_is_zero: bool
     entries: tuple
 
-    @property
-    def all_commuting_conserved(self) -> bool:
-        return all(e.conserved for e in self.entries if e.commutes)
-
     def to_json_obj(self) -> dict:
         return {
             "dim": self.dim,

@@ -121,10 +121,6 @@ class GaussianInt:
     def conjugate(self) -> "GaussianInt":
         return GaussianInt(self.re, -self.im)
 
-    def mul_i(self) -> "GaussianInt":
-        """Multiplication by the imaginary unit."""
-        return GaussianInt(-self.im, self.re)
-
     def norm2(self) -> int:
         """Ring norm re**2 + im**2."""
         return self.re * self.re + self.im * self.im
@@ -526,17 +522,6 @@ class HermitianIntMatrix:
         hs = tuple(tuple(e.re for e in row) for row in self.matrix.rows)
         ha = tuple(tuple(e.im for e in row) for row in self.matrix.rows)
         return hs, ha
-
-    @classmethod
-    def from_split(cls, hs, ha) -> "HermitianIntMatrix":
-        if not int_matrix_is_symmetric(hs):
-            raise ValueError("real part must be symmetric")
-        if not int_matrix_is_antisymmetric(ha):
-            raise ValueError("imaginary part must be antisymmetric")
-        if len(hs) != len(ha):
-            raise ValueError("split parts disagree in dimension")
-        return cls(GIMatrix((GaussianInt(s, a) for s, a in zip(rs, ra))
-                            for rs, ra in zip(hs, ha)))
 
     def __eq__(self, other):
         if not isinstance(other, HermitianIntMatrix):

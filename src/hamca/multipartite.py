@@ -56,7 +56,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .automaton import Trajectory, evolve
 from .gaussian import (GaussianInt, GIMatrix, GIVector, HermitianIntMatrix,
-                       IMAG_UNIT, ZERO, exact_int_text)
+                       IMAG_UNIT, exact_int_text)
 
 __all__ = [
     "MultiWave",
@@ -287,19 +287,6 @@ class InteractionTensor:
         if not matrix.is_hermitian():
             raise ValueError("interaction must be self-adjoint")
         self.matrix = matrix
-
-    @classmethod
-    def zero(cls, dims: Sequence[int]) -> "InteractionTensor":
-        return cls(dims, GIMatrix.zeros(math.prod(dims)))
-
-    @classmethod
-    def from_entries(cls, dims: Sequence[int], entries: dict) -> "InteractionTensor":
-        """Build from {(alphas, betas): GaussianInt}; unspecified entries are 0."""
-        size = math.prod(dims)
-        rows = [[ZERO] * size for _ in range(size)]
-        for (alphas, betas), v in entries.items():
-            rows[flatten_index(alphas, dims)][flatten_index(betas, dims)] = v
-        return cls(dims, GIMatrix(rows))
 
     def entry(self, alphas: Sequence[int], betas: Sequence[int]) -> GaussianInt:
         return self.matrix.entry(flatten_index(alphas, self.dims),

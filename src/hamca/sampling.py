@@ -66,10 +66,6 @@ class DiscretenessScale:
         if not self.l > 0:
             raise ValueError("discreteness scale must be positive")
 
-    @property
-    def band_limit(self) -> float:
-        return math.pi / self.l
-
 
 def samples_from_trajectory(traj: Trajectory) -> np.ndarray:
     """Complex float array of shape (slices, dim).
@@ -197,10 +193,6 @@ def reconstruct(traj: Trajectory, scale: DiscretenessScale, t: float,
 class ShiftMapResidual:
     backward: float
     forward: float
-
-    @property
-    def max_abs(self) -> float:
-        return max(self.backward, self.forward)
 
 
 def shift_map_check(traj: Trajectory, scale: DiscretenessScale, n: int,

@@ -96,7 +96,7 @@ def test_criterion_2_action_principle(instances):
         bump = GIVector([gi(1) if a == dof else gi(0) for a in range(traj.dim)])
         report = verify_stationarity(traj.replace(site, traj[site] + bump), h)
         assert not report.ok
-        assert any(abs(s - site) <= 1 for s in report.violating_sites())
+        assert any(abs(v.site - site) <= 1 for v in report.violations)
     # exhaustive corruption sweep on one small instance, both components
     h = random_hermitian(rng, 2)
     traj = evolve(random_vector(rng, 2), random_vector(rng, 2), h, 6)
@@ -243,7 +243,7 @@ def test_criterion_8_many_time_factorization():
     _, wave, _ = evolve_factorized(
         [h, h], [(vec((1, 0)), vec((0, -1))), (vec((1, 0)), vec((0, -1)))],
         [3, 3])
-    coupling = InteractionTensor.from_entries((1, 1), {((0, 0), (0, 0)): gi(1)})
+    coupling = InteractionTensor((1, 1), GIMatrix([[gi(1)]]))
     res = many_time_residual(wave, [h, h], coupling)
     broke = not res.is_zero
     # and a random interacting bipartite case

@@ -263,7 +263,7 @@ def test_stationarity_detects_every_single_entry_bump(rng):
                                  for a in range(d)])
                 rep = verify_stationarity(traj.replace(site, traj[site] + bump), h)
                 assert not rep.ok
-                assert any(abs(s - site) <= 1 for s in rep.violating_sites())
+                assert any(abs(v.site - site) <= 1 for v in rep.violations)
 
 
 def test_stationarity_fast_and_direct_paths_agree(rng):

@@ -1,5 +1,8 @@
 """Config validation, orchestration, artifacts, exit codes, determinism."""
 
+import contextlib
+import copy
+import io
 import itertools
 import json
 import math
@@ -7,6 +10,7 @@ import sys
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hamca import automaton, cli, conservation, multipartite, sampling
 from hamca.automaton import Trajectory, evolve
@@ -93,18 +97,24 @@ def test_parse_error_reported(tmp_path):
         load_config(str(tmp_path / "missing.json"))
 
 
-@pytest.mark.parametrize("field, literal", [("scale_l", "NaN"),
-                                            ("times", "[Infinity]")])
+HUGE_LITERAL = "7" * 400  # past float range, so float() of it overflows
+
+
+@pytest.mark.parametrize("field, literal", [
+    ("scale_l", "NaN"), ("times", "[Infinity]"),
+    pytest.param("scale_l", HUGE_LITERAL, id="scale_l-huge"),
+    pytest.param("times", f"[1.0, {HUGE_LITERAL}]", id="times-huge"),
+    pytest.param("horizon", HUGE_LITERAL, id="horizon-huge"),
+    pytest.param("scales", f"[0.4, {HUGE_LITERAL}]", id="scales-huge"),
+])
 def test_non_finite_numbers_are_config_errors(tmp_path, capsys, field, literal):
-    obj = {"kind": "reconstruct", "hamiltonians": [PAULI_X],
-           "seeds": [[[1, 0], [0, 0]], [[1, 0], [0, 0]]], "steps": 4,
-           "scale_l": 0.5, "times": [1.0]}
-    obj[field] = "@"
+    kind = "converge" if field in ("horizon", "scales") else "reconstruct"
+    obj = dict(EXAMPLES[kind], **{field: "@"})
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(obj).replace('"@"', literal), encoding="utf-8")
-    assert main(["reconstruct", "--config", str(path),
-                 "--out", str(tmp_path / "out")]) == 2
-    assert "CONFIG ERROR" in capsys.readouterr().err
+    assert main([kind, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "CONFIG ERROR" in err and "Traceback" not in err
 
 
 def test_bad_output_format_rejected(tmp_path):
@@ -539,6 +549,129 @@ def test_multi_steps_are_checked_when_a_hamiltonian_is_invalid(tmp_path):
     with pytest.raises(ConfigError) as info:
         load_config(write_config(tmp_path / "cfg.json", obj))
     assert [path for path, _ in info.value.errors] == ["hamiltonians[1]", "steps[1]"]
+
+
+NESTED_DUPLICATE = json.dumps(EXAMPLES["evolve"]).replace(
+    '"format": "csv"', '"format": "json", "format": "csv"')
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("text, reason", [
+    ('{"kind": "evolve", "kind": "audit"}', "duplicate key 'kind'"),
+    # in a nested object too, where the last value would otherwise win
+    (NESTED_DUPLICATE, "duplicate key 'format'"),
+    ('{"kind": "evolve", "steps": ' + DEEP + "}", "nested too deeply"),
+], ids=["duplicate", "nested-duplicate", "deep"])
+def test_duplicate_keys_and_deep_nesting_are_config_errors(tmp_path, capsys, text,
+                                                           reason):
+    path = tmp_path / "cfg.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError) as info:
+        load_config(str(path))
+    assert info.value.errors == [(str(path), f"not valid JSON: {reason}")]
+    assert main(["evolve", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"CONFIG ERROR {path}: not valid JSON: {reason}\n"
+
+
+def test_each_config_error_is_one_line(tmp_path, capsys):
+    # an unknown key is printed in the error's path, and a key may hold any character
+    path = write_config(tmp_path / "cfg.json",
+                        dict(EXAMPLES["evolve"], **{"a\nb": 1, "c\u2028d": 2}))
+    assert main(["evolve", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["CONFIG ERROR a\\nb: unknown field (strict schema)",
+                                "CONFIG ERROR c\\u2028d: unknown field (strict schema)"]
+
+
+# -- the loader under fuzzed configs ----------------------------------------
+
+HUGE = int(HUGE_LITERAL)
+JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 20) | st.sampled_from([HUGE, -HUGE])
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=6)
+
+
+def value_paths(obj, prefix=()):
+    """The path to every value inside a JSON object or list."""
+    items = obj.items() if isinstance(obj, dict) else \
+        enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from value_paths(value, prefix + (key,))
+
+
+def type_swaps(value):
+    swaps = [[value], {"v": value}, str(value), True]
+    if isinstance(value, list) and value:
+        swaps.append(value[0])
+    if isinstance(value, (int, float)) and abs(value) < 1e300:
+        swaps += [float(value), int(value)]
+    return swaps
+
+
+@st.composite
+def mutated_configs(draw):
+    """(kind, bytes): an example config after a few value and text mutations."""
+    kind = draw(st.sampled_from(sorted(EXAMPLES)))
+    obj = copy.deepcopy(EXAMPLES[kind])
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(value_paths(obj))
+        if not paths:
+            break
+        *outer, key = draw(st.sampled_from(paths))
+        holder = obj
+        for step in outer:
+            holder = holder[step]
+        op = draw(st.sampled_from(["delete", "null", "junk", "swap", "huge"]))
+        if op == "delete":
+            del holder[key]
+        elif op == "null":
+            holder[key] = None
+        elif op == "junk":
+            holder[key] = draw(JUNK)
+        elif op == "swap":
+            holder[key] = draw(st.sampled_from(type_swaps(holder[key])))
+        else:
+            holder[key] = draw(st.sampled_from([HUGE, -HUGE, [HUGE], [[HUGE, 0]]]))
+    text = json.dumps(obj)
+    form = draw(st.sampled_from(["as is", "non-UTF-8", "duplicate key", "deep"]))
+    if form == "duplicate key" and obj:
+        key = draw(st.sampled_from(sorted(obj)))
+        text = "{" + f"{json.dumps(key)}: {json.dumps(draw(JUNK))}, " + text[1:]
+    elif form == "deep":
+        depth = draw(st.sampled_from([900, 100_000]))
+        text = text[:-1] + (", " if obj else "") + \
+            '"deep": ' + "[" * depth + "]" * depth + "}"
+    data = text.encode("utf-8")
+    if form == "non-UTF-8":
+        at = draw(st.integers(0, len(data)))
+        bad = draw(st.sampled_from([b"\xff", b"\xc3(", b"\xed\xa0\x80"]))
+        data = data[:at] + bad + data[at:]
+    return kind, data
+
+
+@settings(max_examples=100)
+@given(case=mutated_configs())
+def test_a_mutated_config_loads_or_is_a_config_error(tmp_path_factory, case):
+    kind, data = case
+    path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+    path.write_bytes(data)
+    try:
+        load_config(str(path), expected_kind=kind)
+        return  # accepted: not run, since a fuzzed steps may be astronomically large
+    except ConfigError:
+        pass
+    err, out = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+        code = main([kind, "--config", str(path),
+                     "--out", str(tmp_path_factory.getbasetemp() / "unused")])
+    assert code == 2 and out.getvalue() == ""
+    lines = err.getvalue().splitlines()
+    assert lines and all(line.startswith("CONFIG ERROR ") for line in lines)
+    assert err.getvalue() == "\n".join(lines) + "\n"
 
 
 # -- artifacts are streamed to disk ----------------------------------------

@@ -59,14 +59,14 @@ def test_interaction_makes_the_residual_nonzero():
         [H_TWO, H_TWO],
         [(vec((1, 0)), vec((0, -1))), (vec((1, 0)), vec((0, -1)))],
         [3, 3])
-    coupling = InteractionTensor.from_entries((1, 1), {((0, 0), (0, 0)): gi(1)})
+    coupling = InteractionTensor((1, 1), GIMatrix([[gi(1)]]))
     res = many_time_residual(wave, [H_TWO, H_TWO], coupling)
     assert not res.is_zero
     # with zero couplings the residual is exactly i * interaction * field
     bad = res.nonzero()
     assert bad
     for clocks, alphas, value in bad:
-        assert value == wave.get(clocks, alphas).mul_i()
+        assert value == wave.get(clocks, alphas) * gi(0, 1)
 
 
 def test_residual_flags_a_corrupted_product(rng):
@@ -264,8 +264,7 @@ def test_synchronized_single_part_is_plain_evolution(rng):
 
 
 def test_synchronized_interacting_evolution_runs():
-    coupling = InteractionTensor.from_entries(
-        (1, 1), {((0, 0), (0, 0)): gi(1)})
+    coupling = InteractionTensor((1, 1), GIMatrix([[gi(1)]]))
     sync = evolve_synchronized(vec((1, 0)), vec((1, 0)),
                                [H_ONE, H_ONE], coupling, 2)
     # total coupling is [[3]]: psi_2 = 1 - 3i
@@ -458,7 +457,7 @@ def test_residual_csv_layout():
         [H_TWO, H_TWO],
         [(vec((1, 0)), vec((0, -1))), (vec((1, 0)), vec((0, -1)))],
         [3, 3])
-    coupling = InteractionTensor.from_entries((1, 1), {((0, 0), (0, 0)): gi(1)})
+    coupling = InteractionTensor((1, 1), GIMatrix([[gi(1)]]))
     res = many_time_residual(wave, [H_TWO, H_TWO], coupling)
     lines = res.to_csv().strip().splitlines()
     assert lines[0] == "n1,n2,alpha1,alpha2,re,im"
@@ -469,12 +468,12 @@ def test_interaction_validation():
     with pytest.raises(ValueError):
         InteractionTensor((2, 2), GIMatrix.identity(3))
     with pytest.raises(ValueError):
-        InteractionTensor.from_entries((1, 1), {((0, 0), (0, 0)): gi(0, 1)})
-    t = InteractionTensor.from_entries(
-        (2, 1), {((0, 0), (1, 0)): gi(2, 1), ((1, 0), (0, 0)): gi(2, -1)})
+        InteractionTensor((1, 1), GIMatrix([[gi(0, 1)]]))
+    # dims (2, 1): the multi-index (a, 0) is flat index a
+    t = InteractionTensor((2, 1), GIMatrix([[gi(0), gi(2, 1)], [gi(2, -1), gi(0)]]))
     assert t.entry((0, 0), (1, 0)) == gi(2, 1)
     assert not t.is_zero()
-    assert InteractionTensor.zero((2, 2)).is_zero()
+    assert InteractionTensor((2, 2), GIMatrix.zeros(4)).is_zero()
 
 
 def test_field_stores_plain_int_parts_and_builds_scalars_on_read():

@@ -44,7 +44,6 @@ def spike_trajectory(length=9):
 def test_scale_must_be_positive():
     with pytest.raises(ValueError):
         DiscretenessScale(0.0)
-    assert DiscretenessScale(0.5).band_limit == pytest.approx(2 * math.pi)
 
 
 def test_single_spike_kernel_values():
@@ -91,11 +90,12 @@ def test_shift_map_check(rng):
     h = random_hermitian(rng, 2, bound=1)
     traj = evolve(vec((1, 0), (0, 0)), vec((0, 1), (1, 0)), h, 14)
     res = shift_map_check(traj, DiscretenessScale(0.5), 7, window=16)
-    assert res.max_abs <= 1e-12
+    assert max(res.backward, res.forward) <= 1e-12
     const = Trajectory([vec((2, 1))] * 9)
-    assert shift_map_check(const, DiscretenessScale(1.0), 4).max_abs <= 1e-12
-    spike = spike_trajectory()
-    assert shift_map_check(spike, DiscretenessScale(1.0), 3).max_abs <= 1e-12
+    res = shift_map_check(const, DiscretenessScale(1.0), 4)
+    assert max(res.backward, res.forward) <= 1e-12
+    res = shift_map_check(spike_trajectory(), DiscretenessScale(1.0), 3)
+    assert max(res.backward, res.forward) <= 1e-12
 
 
 def test_sinc_second_derivative_values():

@@ -205,6 +205,8 @@ def test_the_streamed_oracle_checks_its_inputs_before_the_first_slice():
         stream([1], [0], [2], [0], [[1]], [[0]], -1)
     with pytest.raises(ValueError, match="symmetric"):
         stream([1, 0], [0, 0], [2, 0], [0, 0], [[1, 2], [0, 1]], [[0, 0], [0, 0]], 3)
+    with pytest.raises(ValueError, match="antisymmetric"):
+        stream([1, 0], [0, 0], [2, 0], [0, 0], [[0, 1], [1, 0]], [[0, 1], [1, 0]], 3)
     with pytest.raises(ValueError, match="dimension"):
         stream([1, 0], [0], [2], [0], [[1]], [[0]], 3)
     with pytest.raises(TypeError, match="plain integers"):
