@@ -19,9 +19,10 @@ fixed-clock slice is certified by a nonzero 2x2 minor.
 The right-hand side is the kron-sum operator sum_k 1 x .. x H_k x .. x 1
 plus I on the flattened dof space, the same total Hamiltonian the
 shared-clock model evolves with.  The residual is therefore evaluated
-one clock block at a time: at each interior clock point, the clock
-differences of the dof vectors plus i times that operator applied to
-the dof vector there.
+one clock block at a time on the flat storage: the block at clocks n
+starts at b = sum_k n_k * s_k (s_k: clock axis k's stride in values),
+and its residual is i times that operator applied to the slice at b
+plus, per axis, the slice at b + s_k minus the slice at b - s_k.
 
 No propagation scheme is offered for I != 0 on the many-clock lattice
 (the per-point equations underdetermine a layer-by-layer fill); the
@@ -50,13 +51,14 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .automaton import Trajectory, evolve
 from .gaussian import (GaussianInt, GIMatrix, GIVector, HermitianIntMatrix,
-                       IMAG_UNIT, exact_int_text)
+                       exact_int_text)
 
 __all__ = [
     "MultiWave",
@@ -80,8 +82,9 @@ __all__ = [
 def flatten_index(index: Sequence[int], shape: Sequence[int]) -> int:
     flat = 0
     for i, d in zip(index, shape):
-        if not 0 <= i < d:
-            raise IndexError(f"index {tuple(index)} outside shape {tuple(shape)}")
+        # type, not isinstance: neither 1.0 nor true is an index
+        if type(i) is not int or not 0 <= i < d:
+            raise IndexError(f"index {tuple(index)} not in shape {tuple(shape)}")
         flat = flat * d + i
     return flat
 
@@ -238,8 +241,8 @@ class MultiWave:
                 raise ValueError(f"field JSON is missing {key!r}")
         box = obj["clock_box"]
         if not isinstance(box, list) or not all(
-                isinstance(b, list) and len(b) == 2 and b[0] == 0
-                and type(b[1]) is int for b in box):
+                isinstance(b, list) and len(b) == 2 and type(b[0]) is int
+                and b[0] == 0 and type(b[1]) is int for b in box):
             raise ValueError(f"field clock_box must be [[0, last], ...], got {box!r}")
         for key in ("dims", "values"):
             if not isinstance(obj[key], list):
@@ -362,7 +365,8 @@ def many_time_residual(psi: MultiWave, hams: Sequence[HermitianIntMatrix],
 
     Zero everywhere iff the supplied field solves the equations there.
     Each clock block is sum_k [Psi(n+e_k) - Psi(n-e_k)] + i*H_tot Psi(n)
-    with H_tot = total_hamiltonian(hams, interaction).
+    with H_tot = total_hamiltonian(hams, interaction): one `apply` to the
+    slice at base offset b, then per axis the slices at b + s_k minus b - s_k.
     """
     m = psi.parts
     if len(hams) != m:
@@ -375,18 +379,25 @@ def many_time_residual(psi: MultiWave, hams: Sequence[HermitianIntMatrix],
     if any(c < 3 for c in psi.clock_shape):
         raise ValueError("every clock axis needs at least one interior site")
     h_tot = total_hamiltonian(hams, interaction)
-    re, im = [], []
+    size = math.prod(psi.dims)
+    strides = [size * math.prod(psi.clock_shape[k + 1:]) for k in range(m)]
+    re, im = psi.vector.re, psi.vector.im
+    out_re, out_im = [], []
     for clocks in psi.interior_clock_points():
-        block = IMAG_UNIT * h_tot.apply(psi.alpha_vector(clocks))
-        for k in range(m):
-            up = clocks[:k] + (clocks[k] + 1,) + clocks[k + 1:]
-            down = clocks[:k] + (clocks[k] - 1,) + clocks[k + 1:]
-            block = block + psi.alpha_vector(up) - psi.alpha_vector(down)
-        re.extend(block.re)
-        im.extend(block.im)
-    interior_shape = [c - 2 for c in psi.clock_shape]
+        b = sum(map(operator.mul, clocks, strides))
+        h_psi = h_tot.apply(GIVector._from_parts(re[b:b + size], im[b:b + size]))
+        # i * (x + iy) = -y + ix, then each axis adds Psi(n+e_k) - Psi(n-e_k)
+        block_re, block_im = map(operator.neg, h_psi.im), h_psi.re
+        for s in strides:
+            block_re = map(operator.add, block_re, map(
+                operator.sub, re[b + s:b + s + size], re[b - s:b - s + size]))
+            block_im = map(operator.add, block_im, map(
+                operator.sub, im[b + s:b + s + size], im[b - s:b - s + size]))
+        out_re.extend(block_re)
+        out_im.extend(block_im)
+    interior = GIVector._from_parts(tuple(out_re), tuple(out_im))
     return ManyTimeResidual(field=MultiWave(
-        psi.dims, interior_shape, GIVector._from_parts(tuple(re), tuple(im))))
+        psi.dims, [c - 2 for c in psi.clock_shape], interior))
 
 
 def evolve_factorized(hams: Sequence[HermitianIntMatrix],
@@ -442,7 +453,6 @@ def leibniz_failure_demo(a_seq: Sequence[int], b_seq: Sequence[int]) -> LeibnizD
     if len(a_seq) != len(b_seq) or len(a_seq) < 3:
         raise ValueError("need two equal-length sequences with >= 3 entries")
     rows = []
-    failures = []
     for n in range(1, len(a_seq) - 1):
         am, a0, ap = a_seq[n - 1], a_seq[n], a_seq[n + 1]
         bm, b0, bp = b_seq[n - 1], b_seq[n], b_seq[n + 1]
@@ -452,11 +462,10 @@ def leibniz_failure_demo(a_seq: Sequence[int], b_seq: Sequence[int]) -> LeibnizD
         naive = (ap - am) * b0 + a0 * (bp - bm)
         rows.append(LeibnizRow(n=n, product_rate=rate, split_form=split,
                                naive=naive, naive_matches=naive == rate))
-        if naive != rate:
-            failures.append(n)
-    identity_ok = all(r.split_form == r.product_rate for r in rows)
-    return LeibnizDemo(rows=tuple(rows), identity_ok=identity_ok,
-                       failure_sites=tuple(failures))
+    return LeibnizDemo(
+        rows=tuple(rows),
+        identity_ok=all(r.split_form == r.product_rate for r in rows),
+        failure_sites=tuple(r.n for r in rows if not r.naive_matches))
 
 
 # -- shared-clock composite on the flattened product space --------------
@@ -572,23 +581,14 @@ def factorizability_witness(rows: Sequence[Sequence[GaussianInt]]
     if not rows or not rows[0] or any(len(r) != len(rows[0]) for r in rows):
         raise ValueError("slice must be a nonempty rectangular matrix")
     n_r, n_c = len(rows), len(rows[0])
-    for i in range(n_r):
-        for k in range(i + 1, n_r):
-            for j in range(n_c):
-                for l in range(j + 1, n_c):
-                    minor = rows[i][j] * rows[k][l] - rows[i][l] * rows[k][j]
-                    if minor:
-                        return FactorizabilityWitness(
-                            entangled=True, minor_rows=(i, k),
-                            minor_cols=(j, l), minor_value=minor)
-    pivot = None
-    for i in range(n_r):
-        for j in range(n_c):
-            if rows[i][j]:
-                pivot = (i, j)
-                break
-        if pivot:
-            break
+    for (i, k), (j, l) in itertools.product(itertools.combinations(range(n_r), 2),
+                                            itertools.combinations(range(n_c), 2)):
+        minor = rows[i][j] * rows[k][l] - rows[i][l] * rows[k][j]
+        if minor:
+            return FactorizabilityWitness(entangled=True, minor_rows=(i, k),
+                                          minor_cols=(j, l), minor_value=minor)
+    pivot = next(((i, j) for i in range(n_r) for j in range(n_c) if rows[i][j]),
+                 None)
     if pivot is None:
         left = tuple((Fraction(0), Fraction(0)) for _ in range(n_r))
         right = tuple(GaussianInt(0) for _ in range(n_c))

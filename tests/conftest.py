@@ -45,6 +45,20 @@ def random_matrix(rng: random.Random, dim: int, bound: int = 3) -> GIMatrix:
                      for _ in range(dim)])
 
 
+def count_calls(monkeypatch, owner, name):
+    """Record the arguments of every call to `owner.name` (a module
+    function or a method) while still running it."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240817)

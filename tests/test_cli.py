@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import hashlib
 import io
 import itertools
 import json
@@ -18,6 +19,7 @@ from hamca.cli import ConfigError, load_config, main, run
 from hamca.gaussian import (GaussianInt, GIMatrix, GIVector, HermitianIntMatrix,
                             exact_int_text)
 from hamca.multipartite import MultiWave
+from conftest import count_calls
 
 PAULI_X = [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]
 
@@ -301,18 +303,6 @@ def test_interaction_must_be_self_adjoint(tmp_path):
     assert any(p == "interaction" for p, _ in err.value.errors)
 
 
-def count_calls(monkeypatch, module, name):
-    calls = []
-    original = getattr(module, name)
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, counted)
-    return calls
-
-
 def test_audit_computes_each_series_once(tmp_path, monkeypatch):
     path = write_config(tmp_path / "cfg.json", {
         "kind": "audit", "hamiltonians": [PAULI_X],
@@ -408,6 +398,46 @@ def test_multi_reuses_the_certified_residual(tmp_path, monkeypatch):
     assert report["checks"][0]["passed"]
     rows = (tmp_path / "c" / "residual.csv").read_text().splitlines()[1:]
     assert any(not row.endswith(",0,0") for row in rows)
+
+
+COMPLEX_H = [[[1, 0], [2, -1]], [[2, 1], [-1, 0]]]
+
+# sha256 of each artifact, recorded from the per-neighbour residual loop
+# that the strided one replaced; the bench pins only a non-interacting run
+GOLDEN_RUNS = {
+    "multi": ({"kind": "multi",
+               "hamiltonians": [[[[2, 0]]], PAULI_X, COMPLEX_H],
+               "seeds": [[[[1, 0]], [[0, -1]]],
+                         [[[1, 0], [0, 1]], [[2, 0], [-1, 0]]],
+                         [[[0, 1], [1, 1]], [[1, -1], [0, 0]]]],
+               "steps": [3, 4, 5], "synchronized": True,
+               "interaction": [[[1, 0], [0, 1], [0, 0], [2, 0]],
+                               [[0, -1], [0, 0], [1, 0], [0, 0]],
+                               [[0, 0], [1, 0], [-1, 0], [0, 2]],
+                               [[2, 0], [0, 0], [0, -2], [3, 0]]]},
+              {"field.json": "c712f9fc815dc4c09d3798d2dfd1bad3"
+                             "9be488cec82a5c6d63330699ca545879",
+               "residual.csv": "4532337b3e58f175bbf9176bad3deccd"
+                               "9a332445f5902d24ada3b5f472f35a03"}),
+    "bell": ({"kind": "bell", "hamiltonians": [COMPLEX_H],
+              "seeds": [[[[1, 0], [0, 1]], [[2, -1], [0, 0]]],
+                        [[[0, 0], [1, 0]], [[1, 1], [3, 0]]]],
+              "steps": 5},
+             {"bell_field.json": "cbb04d56577353c687c9d7289595458"
+                                 "609a9a07f3ff8d8791e1e4890555f1209",
+              "residual.csv": "02d7d2ef0ee32a6fa0f668188dc426ad"
+                              "078896fa7913277ffd39ae54a46a550d"}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_RUNS))
+def test_residual_runs_keep_their_golden_artifacts(tmp_path, kind):
+    obj, digests = GOLDEN_RUNS[kind]
+    report = run(load_config(write_config(tmp_path / "cfg.json", obj)),
+                 tmp_path / "out")
+    assert all(c["passed"] for c in report["checks"])
+    assert {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+            for name in digests} == digests
 
 
 def test_evolve_is_exact_past_the_int_text_limit(tmp_path):

@@ -24,7 +24,8 @@ from hamca.multipartite import (
     product_wave,
     total_hamiltonian,
 )
-from conftest import random_gaussian_int, random_hermitian, random_vector
+from conftest import (count_calls, random_gaussian_int, random_hermitian,
+                      random_vector)
 
 
 def gi(re, im=0):
@@ -184,6 +185,62 @@ def test_residual_matches_a_per_axis_reference(dims, interacting, data, rng):
     assert {key: res.field.get(*key) for key in want} == want
     assert res.nonzero() == [(tuple(n + 1 for n in clocks), alphas, v)
                              for (clocks, alphas), v in want.items() if v]
+
+
+def _interior_neighbours(clocks, shape):
+    """`clocks` and its axis neighbours that are interior points."""
+    near = [clocks] + [clocks[:k] + (clocks[k] + step,) + clocks[k + 1:]
+                       for k in range(len(clocks)) for step in (-1, 1)]
+    return {c for c in near if all(0 < n < m - 1 for n, m in zip(c, shape))}
+
+
+@settings(max_examples=25)
+@given(dims=st.sampled_from([(1,), (2,), (3,), (2, 3), (1, 2, 1, 2)]),
+       corrupt=st.booleans(), data=st.data(),
+       rng=st.randoms(use_true_random=False))
+def test_strided_residual_matches_the_reference_on_uneven_boxes(dims, corrupt,
+                                                                data, rng):
+    # clock ranges 3-6 that differ per axis; 3-4 for the four-part field
+    top = 2 if len(dims) == 4 else 4
+    steps = [data.draw(st.integers(1, top)) for _ in dims]
+    hams = [random_hermitian(rng, d, bound=2) for d in dims]
+    seeds = [(random_vector(rng, d, 2), random_vector(rng, d, 2)) for d in dims]
+    _, psi, _ = evolve_factorized(hams, seeds, steps)
+    shape = psi.clock_shape
+    allowed = set()
+    if corrupt:
+        # one value on an interior face (index 1 or c - 2 on one axis) ...
+        k = data.draw(st.integers(0, len(dims) - 1))
+        face = tuple(data.draw(st.sampled_from([1, c - 2])) if j == k
+                     else data.draw(st.integers(1, c - 2))
+                     for j, c in enumerate(shape))
+        # ... and one on the boundary (index 0 or c - 1 on one axis)
+        k = data.draw(st.integers(0, len(dims) - 1))
+        edge = tuple(data.draw(st.sampled_from([0, c - 1])) if j == k
+                     else data.draw(st.integers(0, c - 1))
+                     for j, c in enumerate(shape))
+        bumps = {psi._flat(face, [rng.randrange(d) for d in dims]): gi(1, -2),
+                 psi._flat(edge, [rng.randrange(d) for d in dims]): gi(3)}
+        psi = MultiWave(dims, shape, [v + bumps.get(i, 0)
+                                      for i, v in enumerate(psi.vector)])
+        allowed = _interior_neighbours(face, shape) | _interior_neighbours(edge, shape)
+    res = many_time_residual(psi, hams)
+    want = reference_residual(psi, hams, None)
+    assert {key: res.field.get(*key) for key in want} == want
+    assert {clocks for clocks, _, _ in res.nonzero()} <= allowed
+
+
+def test_residual_applies_once_per_interior_point_and_slices_no_blocks(
+        rng, monkeypatch):
+    dims = (2, 1, 3)
+    hams = [random_hermitian(rng, d) for d in dims]
+    psi = random_field(rng, dims, (4, 5, 3))
+    want = reference_residual(psi, hams, None)
+    applied = count_calls(monkeypatch, GIMatrix, "apply")
+    sliced = count_calls(monkeypatch, MultiWave, "alpha_vector")
+    res = many_time_residual(psi, hams)
+    assert len(applied) == 2 * 3 * 1 and sliced == []
+    assert {key: res.field.get(*key) for key in want} == want
 
 
 def test_residual_needs_interior_sites():
@@ -421,6 +478,29 @@ def test_multiwave_json_rejects_a_clock_outside_the_box(clocks):
     obj = _two_part_field_obj()
     obj["values"][0][0] = clocks
     with pytest.raises(ValueError):
+        MultiWave.from_json_obj(obj)
+
+
+# each index equals its record's own as a number, so only its type is wrong
+@pytest.mark.parametrize("record, at, indices", [
+    (3, 0, [1.0, 1]), (3, 0, [True, 1]), (3, 0, [1, 1.0]),
+    (1, 1, [0.0, 0]), (1, 1, [False, 0]), (2, 1, [0, False]),
+], ids=["clock-float", "clock-true", "last-clock-float", "dof-float",
+        "dof-false", "last-dof-false"])
+def test_multiwave_json_rejects_indices_that_are_not_plain_ints(record, at,
+                                                                indices):
+    obj = _two_part_field_obj()
+    obj["values"][record][at] = indices
+    with pytest.raises(ValueError, match="not in shape"):
+        MultiWave.from_json_obj(obj)
+
+
+@pytest.mark.parametrize("bounds", [[False, 1], [0.0, 1], [0, 1.0], [0, True]],
+                         ids=["low-false", "low-float", "high-float", "high-true"])
+def test_multiwave_json_rejects_clock_box_bounds_that_are_not_plain_ints(bounds):
+    obj = _two_part_field_obj()
+    obj["clock_box"][1] = bounds
+    with pytest.raises(ValueError, match="clock_box"):
         MultiWave.from_json_obj(obj)
 
 
