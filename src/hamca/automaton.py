@@ -164,35 +164,31 @@ class Trajectory:
         previous Decimal slices plus Decimal(r_n), with the residual
         r_n = psi_n - (psi_{n-2} - i*H*psi_{n-1}) = i*E_{n-1} read in ints
         from the bracket map (zero where it has no entry), so by induction
-        every slice equals psi_n, for any H; `h=None` is the zero coupling,
-        swept on a throwaway view so the kept pass is not displaced.  The
-        arithmetic runs in a local context that traps `Inexact` and
-        `Rounded` and never becomes the thread's.  Products accumulate
-        onto the previous slice, which is never -0, and Decimal(r_n) is
-        added last, so a negative coefficient times a zero entry never
-        prints as -0.
+        every slice equals psi_n, for any H.  With `h=None` every slice is
+        Decimal(psi_n) itself, as the two seeds always are: the same text,
+        in time quadratic in the digits.  The arithmetic runs in a local
+        context that traps `Inexact` and `Rounded` and never becomes the
+        thread's.  Products accumulate onto the previous slice, which is
+        never -0, and Decimal(r_n) is added last, so a negative
+        coefficient times a zero entry never prints as -0.
         """
-        if h is None:
-            h = HermitianIntMatrix.zeros(self.dim)
-            bad = _brackets(Trajectory(self.states), h)
-        else:
-            bad = _brackets(self, h)
+        d = self.dim
+        bad = None if h is None else _brackets(self, h)
         ctx = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
                       traps=[Inexact, Rounded, InvalidOperation, Overflow])
         fma = ctx.fma
         plus = ctx.add
-        d = self.dim
         # per output part, (index into re + im of psi_{n-1}, coefficient):
         # re out = re(psi_{n-2}) + Im(H psi), im out = im(psi_{n-2}) - Re(H psi)
         program = []
-        for re_terms, im_terms in h.matrix._program:
+        for re_terms, im_terms in () if h is None else h._program:
             program.append(([(d + j, Decimal(c)) for j, c in re_terms]
                             + [(j, Decimal(c)) for j, c in im_terms],
                             [(j, Decimal(-c)) for j, c in re_terms]
                             + [(d + j, Decimal(c)) for j, c in im_terms]))
         x2 = x1 = None
         for n, psi in enumerate(self.states):
-            if n < 2:
+            if n < 2 or h is None:
                 dec = tuple(map(Decimal, psi.re + psi.im))
             else:
                 pred = list(x2)
@@ -290,7 +286,7 @@ class Trajectory:
 
     @classmethod
     def from_json_obj(cls, obj) -> "Trajectory":
-        if not isinstance(obj, dict) or "states" not in obj:
+        if not isinstance(obj, dict) or not isinstance(obj.get("states"), list):
             raise ValueError("bad trajectory JSON object")
         states = [GIVector.from_pairs(s, f"states[{i}]")
                   for i, s in enumerate(obj["states"])]
@@ -408,7 +404,7 @@ def evolve_phase_space(x0: Sequence[int], p0: Sequence[int],
 
 def _check_dims(traj: Trajectory, h: HermitianIntMatrix):
     if traj.dim != h.dim:
-        raise ValueError("dimension mismatch")
+        raise ValueError(f"dimension mismatch: trajectory {traj.dim}, matrix {h.dim}")
 
 
 def _brackets(traj: Trajectory, h: HermitianIntMatrix) -> MappingProxyType:
@@ -552,7 +548,7 @@ def _doubled_action(psis, stars, h: HermitianIntMatrix) -> GaussianInt:
     d = len(psis[0])
     zero = [(0, 0)] * d
     last = len(psis) - 1
-    rows = [[(z.re, z.im) for z in row] for row in h.matrix.rows]
+    rows = [[(z.re, z.im) for z in row] for row in h.rows]
     tot_re = 0
     tot_im = 0
     for n in range(last + 1):

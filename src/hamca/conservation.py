@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .automaton import Trajectory, first_recurrence_violation
+from .automaton import Trajectory, _check_dims, first_recurrence_violation
 from .gaussian import GaussianInt, HermitianIntMatrix, exact_int_text
 
 __all__ = [
@@ -46,14 +46,9 @@ __all__ = [
 ]
 
 
-def _check_traj_matrix(traj: Trajectory, g: HermitianIntMatrix):
-    if traj.dim != g.dim:
-        raise ValueError(f"dimension mismatch: trajectory {traj.dim}, matrix {g.dim}")
-
-
 def two_point_invariant(traj: Trajectory, g: HermitianIntMatrix, n: int) -> GaussianInt:
     """psi_n^* G psi_{n-1} + psi_{n-1}^* G psi_n at clock index n (1 <= n <= N)."""
-    _check_traj_matrix(traj, g)
+    _check_dims(traj, g)
     if not 1 <= n <= traj.last:
         raise ValueError(f"index {n} out of range 1..{traj.last}")
     a = traj[n]
@@ -69,7 +64,7 @@ def two_point_series(traj: Trajectory, g: HermitianIntMatrix) -> list:
     q_G(n) sum to twice the real part of one.  One G-apply per slice
     0..N-1 and one real inner product per n; every value is real.
     """
-    _check_traj_matrix(traj, g)
+    _check_dims(traj, g)
     states = traj.states
     return [GaussianInt(2 * states[n].inner_re(g.apply(states[n - 1])), 0)
             for n in range(1, traj.last + 1)]
@@ -102,7 +97,7 @@ def conservation_rate(traj: Trajectory, g: HermitianIntMatrix, n: int) -> Gaussi
 
     Vanishes on solutions for commuting G; equals q_G(n+1) - q_G(n).
     """
-    _check_traj_matrix(traj, g)
+    _check_dims(traj, g)
     if not 1 <= n <= traj.last - 1:
         raise ValueError(f"index {n} is not interior")
     dot = traj[n + 1] - traj[n - 1]
@@ -194,15 +189,15 @@ def audit_conservation(traj: Trajectory, h: HermitianIntMatrix,
     AssertionError if the series' first value disagrees with the
     two-term `two_point_invariant` at n = 1.
     """
-    _check_traj_matrix(traj, h)
+    _check_dims(traj, h)
     bad = first_recurrence_violation(traj, h)
     norm = norm_like_invariant(traj, 1)
     entries = []
     if labels is None:
         labels = [f"G{i}" for i in range(len(observables))]
     for label, g in zip(labels, observables):
-        _check_traj_matrix(traj, g)
-        commutes = g.matrix.commutator(h.matrix).is_zero()
+        _check_dims(traj, g)
+        commutes = g.commutator(h).is_zero()
         series = two_point_series(traj, g)
         _cross_check(series, traj, g)
         distinct = {(v.re, v.im) for v in series}

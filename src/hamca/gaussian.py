@@ -11,7 +11,9 @@ split, as two tuples of plain ints (`GIVector.re`, `GIVector.im`), and
 every vector operation works on those tuples; `GIMatrix.apply`, the one
 matvec kernel, runs a per-row program of nonzero real and imaginary
 coefficients compiled when the matrix is built.  Scalars are built only
-when a caller indexes or iterates a vector.
+when a caller indexes or iterates a vector.  A self-adjoint coupling or
+observable is a `HermitianIntMatrix`, the `GIMatrix` subtype whose
+constructor checks it: symmetric real part, antisymmetric imaginary part.
 
 The literal encoding shared with the CLI writes a scalar as the
 two-element pair [re, im], a vector as a list of pairs, and a matrix as
@@ -400,19 +402,18 @@ class GIMatrix:
         cols = [self.apply(GIVector(col)) for col in zip(*other.rows)]
         return GIMatrix(zip(*(c.entries for c in cols)))
 
-    def __add__(self, other):
+    def _entrywise(self, op, other):
         if not isinstance(other, GIMatrix):
             return NotImplemented
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return GIMatrix((a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows))
+        return GIMatrix(map(op, ra, rb) for ra, rb in zip(self.rows, other.rows))
+
+    def __add__(self, other):
+        return self._entrywise(add, other)
 
     def __sub__(self, other):
-        if not isinstance(other, GIMatrix):
-            return NotImplemented
-        if self.dim != other.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return GIMatrix((a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows))
+        return self._entrywise(sub, other)
 
     def __neg__(self):
         return GIMatrix((-e for e in row) for row in self.rows)
@@ -422,11 +423,9 @@ class GIMatrix:
         return GIMatrix((ga * e for e in row) for row in self.rows)
 
     def is_hermitian(self) -> bool:
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                if self.rows[i][j] != self.rows[j][i].conjugate():
-                    return False
-        return True
+        """Self-adjoint: symmetric real part, antisymmetric imaginary part."""
+        return (int_matrix_is_symmetric([[e.re for e in row] for row in self.rows])
+                and int_matrix_is_antisymmetric([[e.im for e in row] for row in self.rows]))
 
     def is_zero(self) -> bool:
         return all(not e for row in self.rows for e in row)
@@ -465,7 +464,7 @@ class GIMatrix:
 
     def __repr__(self):
         body = "; ".join(", ".join(str(e) for e in row) for row in self.rows)
-        return f"GIMatrix[{body}]"
+        return f"{type(self).__name__}[{body}]"
 
     def to_pairs(self) -> list:
         return [[e.to_pair() for e in row] for row in self.rows]
@@ -483,63 +482,32 @@ class GIMatrix:
         return cls(rows)
 
 
-class HermitianIntMatrix:
-    """Self-adjoint Gaussian-integer matrix; validated entrywise on construction."""
+class HermitianIntMatrix(GIMatrix):
+    """A `GIMatrix`, from rows or a `GIMatrix`, checked self-adjoint on construction.
 
-    __slots__ = ("matrix",)
+    `identity`, `zeros`, `from_pairs` and `power` keep the subtype; the
+    ring operations (`+`, `-`, `@`, `scale`, `kron`) give a plain `GIMatrix`.
+    """
 
-    def __init__(self, matrix: GIMatrix):
-        if not isinstance(matrix, GIMatrix):
-            matrix = GIMatrix(matrix)
-        if not matrix.is_hermitian():
+    __slots__ = ()
+
+    def __init__(self, rows):
+        super().__init__(rows.rows if isinstance(rows, GIMatrix) else rows)
+        if not self.is_hermitian():
             raise ValueError("matrix is not self-adjoint")
-        self.matrix = matrix
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.dim
-
-    @classmethod
-    def identity(cls, dim: int) -> "HermitianIntMatrix":
-        return cls(GIMatrix.identity(dim))
-
-    @classmethod
-    def zeros(cls, dim: int) -> "HermitianIntMatrix":
-        return cls(GIMatrix.zeros(dim))
-
-    def apply(self, v: GIVector) -> GIVector:
-        return self.matrix.apply(v)
 
     def power(self, k: int) -> "HermitianIntMatrix":
         # integer powers of a self-adjoint matrix stay self-adjoint
-        return HermitianIntMatrix(self.matrix.power(k))
+        return HermitianIntMatrix(super().power(k))
 
     def split(self):
         """Real symmetric and imaginary antisymmetric integer parts (hS, hA).
 
         The original matrix reconstructs exactly as hS + i*hA.
         """
-        hs = tuple(tuple(e.re for e in row) for row in self.matrix.rows)
-        ha = tuple(tuple(e.im for e in row) for row in self.matrix.rows)
+        hs = tuple(tuple(e.re for e in row) for row in self.rows)
+        ha = tuple(tuple(e.im for e in row) for row in self.rows)
         return hs, ha
-
-    def __eq__(self, other):
-        if not isinstance(other, HermitianIntMatrix):
-            return NotImplemented
-        return self.matrix == other.matrix
-
-    def __hash__(self):
-        return hash(self.matrix)
-
-    def __repr__(self):
-        return f"HermitianIntMatrix({self.matrix!r})"
-
-    def to_pairs(self) -> list:
-        return self.matrix.to_pairs()
-
-    @classmethod
-    def from_pairs(cls, obj, where: str = "matrix") -> "HermitianIntMatrix":
-        return cls(GIMatrix.from_pairs(obj, where))
 
 
 def int_matrix_apply(m: Sequence[Sequence[int]], v: Sequence[int]) -> tuple:

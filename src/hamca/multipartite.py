@@ -480,7 +480,7 @@ def kron_sum(hams: Sequence[HermitianIntMatrix]) -> GIMatrix:
     for k, h in enumerate(hams):
         term = GIMatrix.identity(1)
         for j, d in enumerate(dims):
-            factor = h.matrix if j == k else GIMatrix.identity(d)
+            factor = h if j == k else GIMatrix.identity(d)
             term = term.kron(factor)
         total = total + term
     return total

@@ -206,7 +206,7 @@ def test_criterion_7_dispersion_and_continuum_limit(instances):
     energies = {0.0, 0.5, 1.0, -1.0, 2.0, -2.0, 1.9}
     for h, _, _, _ in instances:
         hm = np.array([[complex(z.re, z.im) for z in row]
-                       for row in h.matrix.rows])
+                       for row in h.rows])
         for e in np.linalg.eigvalsh(hm):
             if abs(e) <= 2.0:
                 energies.add(round(float(e), 12))

@@ -174,7 +174,7 @@ def test_action_on_non_solution():
 def literal_action(traj, h):
     """Sum over interior n of Im<psi_n, psi_{n+1} - psi_{n-1}> + <psi_n, H psi_n>,
     on plain integer parts."""
-    rows = [[(e.re, e.im) for e in row] for row in h.matrix.rows]
+    rows = [[(e.re, e.im) for e in row] for row in h.rows]
     total = 0
     for n in range(1, traj.last):
         psi = [(z.re, z.im) for z in traj[n]]
@@ -381,6 +381,13 @@ def test_trajectory_json_dim_must_be_a_plain_int(dim):
     assert Trajectory.from_json_obj(obj).dim == 1
 
 
+@pytest.mark.parametrize("states", [5, None, {}, "ab"],
+                         ids=["int", "null", "object", "string"])
+def test_trajectory_json_states_must_be_a_list(states):
+    with pytest.raises(ValueError, match="bad trajectory JSON object"):
+        Trajectory.from_json_obj({"dim": 1, "states": states})
+
+
 # -- the bracket map kept on the trajectory --------------------------------
 
 
@@ -393,8 +400,8 @@ def every_reader(traj, h):
 def test_the_kept_pass_belongs_to_one_coupling_object(rng):
     h = random_hermitian(rng, 3)
     other = random_hermitian(rng, 3)
-    twin = HermitianIntMatrix(GIMatrix([list(row) for row in h.matrix.rows]))
-    assert twin.matrix.rows == h.matrix.rows and twin is not h
+    twin = HermitianIntMatrix(GIMatrix([list(row) for row in h.rows]))
+    assert twin.rows == h.rows and twin is not h
     traj = evolve(random_vector(rng, 3), random_vector(rng, 3), h, 10)
     bumped = traj.replace(4, traj[4] + vec((1, 0), (0, 0), (0, 0)))
     assert not is_solution(traj, other)

@@ -66,8 +66,8 @@ def test_two_point_series_is_the_two_term_invariant(dim, slices, observable, bit
         g = h.power(rng.randint(0, 3))
     elif observable == "polynomial":
         g = HermitianIntMatrix(GIMatrix.identity(dim).scale(rng.randint(-5, 5))
-                               + h.matrix.scale(rng.randint(-5, 5))
-                               + h.power(2).matrix.scale(rng.randint(-5, 5)))
+                               + h.scale(rng.randint(-5, 5))
+                               + h.power(2).scale(rng.randint(-5, 5)))
     else:
         g = random_hermitian(rng, dim, 2 ** 20)
     assume(not is_solution(traj, h))
@@ -150,10 +150,9 @@ def test_conserved_for_integer_polynomials_in_the_coupling(rng):
         d = rng.randint(1, 4)
         h = random_hermitian(rng, d)
         traj = evolve(random_vector(rng, d), random_vector(rng, d), h, 80)
-        m = h.matrix
-        poly = (m @ m).scale(3) - m.scale(2) + GIMatrix.identity(d).scale(5)
+        poly = (h @ h).scale(3) - h.scale(2) + GIMatrix.identity(d).scale(5)
         g = HermitianIntMatrix(poly)
-        assert g.matrix.commutator(h.matrix).is_zero()
+        assert g.commutator(h).is_zero()
         series = two_point_series(traj, g)
         assert len({(v.re, v.im) for v in series}) == 1
 

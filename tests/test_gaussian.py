@@ -116,6 +116,22 @@ def test_hermitian_validation():
     assert h.dim == 2
 
 
+def test_a_self_adjoint_matrix_is_a_gimatrix():
+    pairs = [[[1, 0], [2, 1]], [[2, -1], [3, 0]]]
+    h = HermitianIntMatrix.from_pairs(pairs)
+    plain = GIMatrix.from_pairs(pairs)
+    assert isinstance(h, GIMatrix) and not hasattr(h, "matrix")
+    assert "apply" not in vars(HermitianIntMatrix)  # the one kernel, inherited
+    assert h == plain and hash(h) == hash(plain)
+    assert HermitianIntMatrix(plain) == h == HermitianIntMatrix(plain.rows)
+    for kept in (h.power(0), h.power(3), HermitianIntMatrix.identity(2),
+                 HermitianIntMatrix.zeros(2), HermitianIntMatrix.from_pairs(pairs)):
+        assert type(kept) is HermitianIntMatrix
+    for ring in (h + h, h - h, -h, h @ h, h.scale(gi(0, 1)), h.kron(h)):
+        assert type(ring) is GIMatrix
+    assert h.scale(gi(0, 1)) == plain.scale(gi(0, 1))
+
+
 def test_split_examples():
     h = HermitianIntMatrix.from_pairs([[[0, 0], [1, 0]], [[1, 0], [0, 0]]])
     hs, ha = h.split()
@@ -148,7 +164,7 @@ def test_hermitian_diagonal_is_real(rng):
     for _ in range(20):
         h = random_hermitian(rng, rng.randint(1, 5))
         for i in range(h.dim):
-            assert h.matrix.entry(i, i).im == 0
+            assert h.entry(i, i).im == 0
 
 
 def test_kron_flattening_is_row_major():

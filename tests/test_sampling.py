@@ -177,7 +177,7 @@ def test_measured_phase_matches_arcsin():
 def test_measured_phase_for_integer_coupling_eigenmodes(rng):
     # matrix modes: every eigenvalue of the coupling advances per the law
     for h in (PAULI_X, HermitianIntMatrix(GIMatrix([[gi(1), gi(1)], [gi(1), gi(-1)]]))):
-        hm = np.array([[complex(z.re, z.im) for z in row] for row in h.matrix.rows])
+        hm = np.array([[complex(z.re, z.im) for z in row] for row in h.rows])
         for e in np.linalg.eigvalsh(hm):
             if abs(e) <= 2:
                 assert abs(eigenmode_phase_step(float(e))

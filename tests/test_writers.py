@@ -22,7 +22,7 @@ from hamca.gaussian import (GaussianInt, GIMatrix, GIVector, HermitianIntMatrix,
                             exact_int_text)
 from hamca.multipartite import (ManyTimeResidual, MultiWave, bell_state,
                                 many_time_residual)
-from conftest import random_hermitian, random_vector
+from conftest import count_calls, random_hermitian, random_vector
 
 PAST_LIMIT = st.builds(lambda sign, hi, lo: sign * (hi * 10**4300 + lo),
                        st.sampled_from([1, -1]), st.integers(1, 2**64),
@@ -98,6 +98,16 @@ def test_trajectory_text_on_zero_entries_and_negative_couplings():
         assert text == reference_csv(traj)
         assert "-0" not in text
         assert traj.to_json_text(coupling) == reference_json(traj.to_json_obj())
+
+
+def test_trajectory_text_without_a_coupling_applies_nothing(monkeypatch):
+    h = HermitianIntMatrix(GIMatrix([[2, 1], [1, -1]]))
+    traj = evolve(GIVector([3, -1]), GIVector([0, 5]), h, 20)
+    want_csv, want_json = traj.to_csv(h), traj.to_json_text(h)
+    applied = count_calls(monkeypatch, GIMatrix, "apply")
+    assert traj.to_csv() == want_csv
+    assert traj.to_json_text() == want_json
+    assert applied == []
 
 
 def test_trajectory_writer_rejects_a_mismatched_coupling():
