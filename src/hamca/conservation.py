@@ -7,9 +7,12 @@ matrix H, the two-point correlation
 
 takes a single integer value along every solution.  For self-adjoint G
 the second term is the complex conjugate of the first, so q_G(n) is
-exactly the real integer 2 Re psi_n^* G psi_{n-1}; the series is
-computed that way, with one real inner product per clock index, and
-the two-term form stays as the independent oracle `two_point_invariant`.
+exactly the real integer 2 Re psi_n^* G psi_{n-1}.  `two_point_series`
+computes one G's series that way, with one G-apply and one real inner
+product per clock index.  The audit serves all of its observables at
+once from one block of entry products per slice (`_block_series`), a
+bilinear-form identity that needs no G-apply; the two-term form stays
+as the independent oracle `two_point_invariant`.
 With G the identity this is the constraint 2 Re psi_n^* psi_{n-1} =
 const, the discrete stand-in for state normalization.  The symmetrized
 single-site variant
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul
 from typing import Optional, Sequence
 
 from .automaton import Trajectory, _check_dims, first_recurrence_violation
@@ -72,9 +76,86 @@ def two_point_series(traj: Trajectory, g: HermitianIntMatrix) -> list:
 
 def _cross_check(series: Sequence, traj: Trajectory, g: HermitianIntMatrix):
     # the 2 Re series is always real, so compare it with the two-term form
+    # at both ends: n = 1 at seed size and n = N at the run's largest entries
     if series[0] != two_point_invariant(traj, g, 1):
         raise AssertionError("two-point series disagrees with the two-term "
                              "invariant at n = 1")
+    if series[-1] != two_point_invariant(traj, g, traj.last):
+        raise AssertionError("two-point series disagrees with the two-term "
+                             f"invariant at the last index n = {traj.last}")
+
+
+def _block_program(observables: Sequence, dim: int):
+    """The pairs the product block needs and each observable's combination.
+
+    Returns (s_pairs, t_pairs, programs).  `s_pairs` are the a < b where
+    some G has a nonzero Re G_ab, `t_pairs` those with a nonzero Im G_ab.
+    A slice's block is the list R_0..R_{d-1}, then S_ab for `s_pairs`,
+    then T_ab for `t_pairs`; each program is (positions, coefficients)
+    into that list with q_G(n) = 2 * sum(coefficient * block entry).
+    """
+    pairs = [(a, b) for a in range(dim) for b in range(a + 1, dim)]
+    s_pairs = [p for p in pairs if any(g.rows[p[0]][p[1]].re for g in observables)]
+    t_pairs = [p for p in pairs if any(g.rows[p[0]][p[1]].im for g in observables)]
+    programs = []
+    for g in observables:
+        terms = [(a, g.rows[a][a].re) for a in range(dim)]
+        terms += [(dim + k, g.rows[a][b].re) for k, (a, b) in enumerate(s_pairs)]
+        terms += [(dim + len(s_pairs) + k, -g.rows[a][b].im)
+                  for k, (a, b) in enumerate(t_pairs)]
+        terms = [(i, c) for i, c in terms if c]
+        programs.append((tuple(i for i, _ in terms), tuple(c for _, c in terms)))
+    return s_pairs, t_pairs, programs
+
+
+def _block_series(traj: Trajectory, program) -> list:
+    """`two_point_series(traj, g)` for every g of a `_block_program`, from
+    one product block per slice.
+
+    With u = psi_n, w = psi_{n-1} and X_a = ur_a wr_a, Y_a = ui_a wi_a,
+    R_a = X_a + Y_a, the entries the observables read are
+        S_ab = (ur_a+ur_b)(wr_a+wr_b) + (ui_a+ui_b)(wi_a+wi_b) - R_a - R_b
+             = Re(conj(u_a) w_b + conj(u_b) w_a),
+        T_ab = (ur_a+ui_b)(wr_a+wi_b) - (ui_a+ur_b)(wi_a+wr_b)
+               - X_a - Y_b + Y_a + X_b
+             = Im(conj(u_a) w_b - conj(u_b) w_a),
+    and q_G(n) = 2 [sum_a G_aa R_a + sum_{a<b} (Re G_ab S_ab - Im G_ab T_ab)]
+    for self-adjoint G.  Pure algebra of the bilinear form, so exact on any
+    trajectory: 2d + 2|S pairs| + 2|T pairs| big products per slice and
+    only small-coefficient multiplies after them.
+    """
+    s_pairs, t_pairs, programs = program
+    out = [[] for _ in programs]
+    states = traj.states
+    for n in range(1, len(states)):
+        u, w = states[n], states[n - 1]
+        ur, ui, wr, wi = u.re, u.im, w.re, w.im
+        x = list(map(mul, ur, wr))
+        y = list(map(mul, ui, wi))
+        block = list(map(add, x, y))  # R_a, at positions 0..d-1
+        for a, b in s_pairs:
+            block.append((ur[a] + ur[b]) * (wr[a] + wr[b])
+                         + (ui[a] + ui[b]) * (wi[a] + wi[b]) - block[a] - block[b])
+        for a, b in t_pairs:
+            block.append((ur[a] + ui[b]) * (wr[a] + wi[b])
+                         - (ui[a] + ur[b]) * (wi[a] + wr[b])
+                         - x[a] - y[b] + y[a] + x[b])
+        at = block.__getitem__
+        for series, (positions, coefficients) in zip(out, programs):
+            series.append(GaussianInt(2 * sum(map(mul, coefficients,
+                                                  map(at, positions))), 0))
+    return out
+
+
+def _audit_series(traj: Trajectory, observables: Sequence) -> list:
+    """Every observable's series, from the block when it takes no more big
+    products per slice than one `two_point_series` per G (2d each)."""
+    d = traj.dim
+    program = _block_program(observables, d)
+    s_pairs, t_pairs, _ = program
+    if 2 * d + 2 * len(s_pairs) + 2 * len(t_pairs) <= 2 * d * len(observables):
+        return _block_series(traj, program)
+    return [two_point_series(traj, g) for g in observables]
 
 
 def norm_like_invariant(traj: Trajectory, n: int) -> int:
@@ -185,20 +266,30 @@ def audit_conservation(traj: Trajectory, h: HermitianIntMatrix,
     then for every G: whether [G, H] = 0; for commuting G that the
     two-point invariant takes exactly one value and the per-site rate
     vanishes; for non-commuting G the observed values.  A zero
-    normalization invariant is legitimate but flagged.  Raises
-    AssertionError if the series' first value disagrees with the
-    two-term `two_point_invariant` at n = 1.
+    normalization invariant is legitimate but flagged.
+
+    All series come from one pass: one shared block of entry products
+    per slice (see `_block_series`) whenever that takes no more big
+    products, 2d + 2 per off-diagonal pair with a nonzero real part in
+    some G + 2 per pair with a nonzero imaginary part, than the 2d per
+    G of one `two_point_series` each; otherwise `two_point_series` per
+    G.  The choice depends only on the observables' nonzero pattern.
+    Raises ValueError if `labels` and `observables` differ in length,
+    and AssertionError if a series disagrees with the two-term
+    `two_point_invariant` at n = 1 or at n = N.
     """
     _check_dims(traj, h)
+    if labels is None:
+        labels = [f"G{i}" for i in range(len(observables))]
+    if len(labels) != len(observables):
+        raise ValueError(f"{len(labels)} labels for {len(observables)} observables")
+    for g in observables:
+        _check_dims(traj, g)
     bad = first_recurrence_violation(traj, h)
     norm = norm_like_invariant(traj, 1)
     entries = []
-    if labels is None:
-        labels = [f"G{i}" for i in range(len(observables))]
-    for label, g in zip(labels, observables):
-        _check_dims(traj, g)
+    for label, g, series in zip(labels, observables, _audit_series(traj, observables)):
         commutes = g.commutator(h).is_zero()
-        series = two_point_series(traj, g)
         _cross_check(series, traj, g)
         distinct = {(v.re, v.im) for v in series}
         conserved = len(distinct) == 1

@@ -326,11 +326,15 @@ def test_audit_computes_each_series_once(tmp_path, monkeypatch):
         "kind": "audit", "hamiltonians": [PAULI_X],
         "seeds": [[[1, 0], [0, 0]], [[0, 0], [1, 1]]], "steps": 20})
     cfg = load_config(path)
+    passes = count_calls(monkeypatch, conservation, "_audit_series")
+    blocks = count_calls(monkeypatch, conservation, "_block_series")
     series = count_calls(monkeypatch, conservation, "two_point_series")
     rates = count_calls(monkeypatch, conservation, "conservation_rate")
     quantities = count_calls(monkeypatch, conservation, "conserved_quantity")
     run(cfg, tmp_path / "out")
-    assert len(series) == 4
+    # one series pass for the whole basis: a single product block
+    assert len(passes) == 1 and len(passes[0][1]) == 4
+    assert len(blocks) == 1 and series == []
     assert rates == [] and quantities == []
     h = cfg.params["hamiltonian"]
     traj = evolve(*cfg.params["seeds"], h, 20)
@@ -456,6 +460,57 @@ def test_residual_runs_keep_their_golden_artifacts(tmp_path, kind):
     assert all(c["passed"] for c in report["checks"])
     assert {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
             for name in digests} == digests
+
+
+COMPLEX_H3 = [[[1, 0], [2, -1], [0, 0]], [[2, 1], [-1, 0], [1, 2]],
+              [[0, 0], [1, -2], [2, 0]]]
+H4 = [[[2, 0], [1, 1], [0, 0], [0, -1]], [[1, -1], [0, 0], [1, 0], [0, 0]],
+      [[0, 0], [1, 0], [-1, 0], [2, 1]], [[0, 1], [0, 0], [2, -1], [1, 0]]]
+DENSE_G4 = [[[1, 0], [1, 2], [-1, 1], [2, 0]], [[1, -2], [0, 0], [3, -1], [0, 1]],
+            [[-1, -1], [3, 1], [2, 0], [1, 1]], [[2, 0], [0, -1], [1, -1], [-2, 0]]]
+
+# sha256 of audit.json and series.csv, recorded from the audit that ran
+# one two_point_series per observable: the default basis of a complex H,
+# user observables with a non-commuting complex G (the drift path), and
+# one dense observable (the per-G side of the selection)
+GOLDEN_AUDITS = {
+    "complex-default": (
+        {"kind": "audit", "hamiltonians": [COMPLEX_H3],
+         "seeds": [[[1, 0], [0, 1], [-1, 2]], [[0, -1], [2, 0], [1, 1]]],
+         "steps": 40},
+        {"audit.json": "a34419211329219eaff47618aa9493c4"
+                       "b57d34df8caaae6e41630dcf09885b6e",
+         "series.csv": "704f26f12bfa990df95e2ab6c4458ef8"
+                       "d083f5cc53c70ec600e1ce98ec7ca754"}),
+    "drift": (
+        {"kind": "audit", "hamiltonians": [COMPLEX_H],
+         "seeds": [[[1, 0], [0, 1]], [[2, -1], [0, 0]]], "steps": 30,
+         "observables": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+                         [[[0, 0], [1, 1]], [[1, -1], [1, 0]]], COMPLEX_H]},
+        {"audit.json": "c855bf28719d64234c0ea54b5cff5e37"
+                       "094cb1f9a9805b81360410d5be3e0fc2",
+         "series.csv": "138b3f3af53b9e118613f348ddb01fa2"
+                       "3a749817e03f979f89213f730f2cb038"}),
+    "dense-single": (
+        {"kind": "audit", "hamiltonians": [H4],
+         "seeds": [[[1, 0], [0, 1], [-1, 2], [0, 0]],
+                   [[0, -1], [2, 0], [1, 1], [3, -1]]],
+         "steps": 25, "observables": [DENSE_G4]},
+        {"audit.json": "3f75f2efccfbe4c99c6c023409cb9226"
+                       "c313c5aa65c47595bab91d5d5d4079f5",
+         "series.csv": "25eae018890b7a23febf51e02a6e9a2c"
+                       "56289cf0f5f23a04b4f1ed7c9e91242d"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_AUDITS))
+def test_audit_runs_keep_their_golden_artifacts(tmp_path, name):
+    obj, digests = GOLDEN_AUDITS[name]
+    report = run(load_config(write_config(tmp_path / "cfg.json", obj)),
+                 tmp_path / "out")
+    assert all(c["passed"] for c in report["checks"])
+    assert {a: hashlib.sha256((tmp_path / "out" / a).read_bytes()).hexdigest()
+            for a in digests} == digests
 
 
 def test_evolve_is_exact_past_the_int_text_limit(tmp_path):

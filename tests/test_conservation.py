@@ -19,7 +19,7 @@ from hamca.conservation import (
     two_point_series,
 )
 from hamca.gaussian import GaussianInt, GIVector, GIMatrix, HermitianIntMatrix
-from conftest import random_hermitian, random_trajectory, random_vector
+from conftest import count_calls, random_hermitian, random_trajectory, random_vector
 
 
 def gi(re, im=0):
@@ -289,3 +289,113 @@ def test_the_two_term_cross_check_fires_on_disagreement(rng, monkeypatch):
         audit_conservation(traj, h, [ident])
     with pytest.raises(AssertionError, match="two-term"):
         conserved_quantity(traj, ident, "1")
+
+
+def test_the_cross_check_reaches_the_last_value(rng, monkeypatch):
+    h = random_hermitian(rng, 2)
+    traj = evolve(random_vector(rng, 2), random_vector(rng, 2), h, 6)
+    basis = [g for _, g in default_commutant_basis(h)]
+
+    def corrupt_last(kernel):
+        def corrupted(*args):
+            out = kernel(*args)
+            last = out[-1] if isinstance(out[0], list) else out
+            last[-1] += gi(2)
+            return out
+        return corrupted
+
+    # the product block (four observables) and the per-G series (one)
+    for name, observables in (("_block_series", basis),
+                              ("two_point_series", basis[1:2])):
+        with monkeypatch.context() as m:
+            m.setattr(conservation, name, corrupt_last(getattr(conservation, name)))
+            with pytest.raises(AssertionError, match=f"last index n = {traj.last}"):
+                audit_conservation(traj, h, observables)
+
+
+@pytest.mark.parametrize("labels, count", [(["a"], 2), (["a", "b", "c"], 2)])
+def test_audit_rejects_labels_that_do_not_match_the_observables(rng, labels, count):
+    h = random_hermitian(rng, 2)
+    traj = evolve(random_vector(rng, 2), random_vector(rng, 2), h, 4)
+    with pytest.raises(ValueError, match=f"{len(labels)} labels for {count} observables"):
+        audit_conservation(traj, h, [h.power(k) for k in range(count)], labels)
+
+
+def _observable(rng, kind, dim, bound=4):
+    """A self-adjoint G with the named nonzero pattern."""
+    if kind == "identity":
+        return HermitianIntMatrix.identity(dim)
+    if kind == "zero":
+        return HermitianIntMatrix.zeros(dim)
+    rows = [[gi(0)] * dim for _ in range(dim)]
+    for a in range(dim):
+        rows[a][a] = gi(rng.randint(-bound, bound))
+        for b in range(a + 1, dim):
+            if kind == "sparse" and rng.random() < 0.7:
+                continue
+            re = 0 if kind == "imaginary" else rng.randint(-bound, bound)
+            im = 0 if kind == "real" else rng.randint(-bound, bound)
+            rows[a][b], rows[b][a] = gi(re, im), gi(re, -im)
+    return HermitianIntMatrix(rows)
+
+
+@settings(max_examples=60)
+@given(dim=st.integers(1, 6), slices=st.integers(2, 7),
+       kinds=st.lists(st.sampled_from(["complex", "real", "imaginary", "zero",
+                                       "identity", "sparse"]), min_size=1, max_size=6),
+       solution=st.booleans(), bits=st.sampled_from([2, 64, 620]),
+       rng=st.randoms(use_true_random=False))
+def test_the_product_block_is_the_per_g_series(dim, slices, kinds, solution, bits, rng):
+    if solution:
+        h = random_hermitian(rng, dim)
+        traj = evolve(random_vector(rng, dim, 2 ** bits),
+                      random_vector(rng, dim, 2 ** bits), h, slices - 2)
+    else:
+        traj = random_trajectory(rng, dim, slices, 2 ** bits)
+    observables = [_observable(rng, kind, dim) for kind in kinds]
+    want = [two_point_series(traj, g) for g in observables]
+    # the block is exact whichever side of the selection the list falls on
+    program = conservation._block_program(observables, dim)
+    assert conservation._block_series(traj, program) == want
+    assert conservation._audit_series(traj, observables) == want
+
+
+def test_the_audit_selects_the_block_by_big_products(rng, monkeypatch):
+    block = count_calls(monkeypatch, conservation, "_block_series")
+    per_g = count_calls(monkeypatch, conservation, "two_point_series")
+    kernel = GIMatrix.apply
+    applied = []
+
+    def counting(self, v):
+        applied.append((self, v))
+        return kernel(self, v)
+
+    monkeypatch.setattr(GIMatrix, "apply", counting)
+    # default basis of a real tridiagonal H: 12 block products per slice
+    # against 24; observables apply only in the two-term cross-checks
+    h = HermitianIntMatrix([[gi(1), gi(1), gi(0)], [gi(1), gi(0), gi(1)],
+                            [gi(0), gi(1), gi(-1)]])
+    traj = evolve(random_vector(rng, 3), random_vector(rng, 3), h, 40)
+    basis = [g for _, g in default_commutant_basis(h)]
+    slices, observables = {id(s) for s in traj}, {id(g) for g in basis}
+    applied.clear()
+    audit_conservation(traj, h, basis)
+    assert len(block) == 1 and per_g == []
+    # two applies at n = 1 and two at n = N per observable
+    assert sum(id(m) in observables and id(v) in slices
+               for m, v in applied) == 4 * len(basis)
+    # a tie goes to the block: two dense real G at d = 3 take 6 + 2*3
+    # block products against 2 * 6
+    tie = [HermitianIntMatrix([[gi(k + a + b) for b in range(3)] for a in range(3)])
+           for k in (1, 2)]
+    block.clear()
+    audit_conservation(traj, h, tie)
+    assert len(block) == 1 and per_g == []
+    # one dense complex G at d = 6: 2d + 2*15 + 2*15 block products against 2d
+    h6 = random_hermitian(rng, 6)
+    g6 = HermitianIntMatrix([[gi(a + 1) if a == b else gi(a + b + 1, b - a)
+                              for b in range(6)] for a in range(6)])
+    traj6 = evolve(random_vector(rng, 6), random_vector(rng, 6), h6, 10)
+    block.clear()
+    audit_conservation(traj6, h6, [g6])
+    assert block == [] and len(per_g) == 1 and per_g[0][1] is g6
