@@ -50,7 +50,9 @@ same bytes per-entry `str` would give.  Each format is one private
 generator of text pieces, one per slice: the CLI writes the pieces as
 they come, and `to_csv` / `to_json_text` join them, so no artifact's
 text need be held whole.  The split-form oracle is a slice stream too,
-so a caller can compare it with a trajectory without a second history.
+stepped on its own compiled nonzero rows of hS and hA (never on H's
+kernel), so a caller can compare it with a trajectory without a second
+history.
 """
 
 from __future__ import annotations
@@ -70,7 +72,6 @@ from .gaussian import (
     IMAG_UNIT,
     _plain_ints,
     exact_int_text,
-    int_matrix_apply,
     int_matrix_is_antisymmetric,
     int_matrix_is_symmetric,
 )
@@ -331,8 +332,8 @@ def evolve(seed0: GIVector, seed1: GIVector, h: HermitianIntMatrix,
            steps: int) -> Trajectory:
     """Iterate the forward step; returns a trajectory of steps+2 slices."""
     _check_step_dims(seed0, seed1, h)
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
+    if type(steps) is not int or steps < 0:
+        raise ValueError("steps must be an int >= 0")
     states = [seed0, seed1]
     for _ in range(steps):
         states.append(step_forward(states[-2], states[-1], h))
@@ -346,9 +347,9 @@ def _phase_space_slices(x0: Sequence[int], p0: Sequence[int],
                         steps: int) -> Iterator[GIVector]:
     """The split form's slices psi_0 ... psi_{steps+1}, one at a time.
 
-    Every input is checked here, before the first slice is made; the
-    returned generator keeps only the two latest slices, so a caller that
-    compares it slice by slice never holds a second history.
+    Inputs are checked, and each row's nonzero (j, c) terms of hS and hA
+    compiled, before the first slice; the generator keeps only the two
+    latest, so a slice-by-slice caller never holds a second history.
     """
     if not int_matrix_is_symmetric(hs):
         raise ValueError("hS must be symmetric")
@@ -358,28 +359,29 @@ def _phase_space_slices(x0: Sequence[int], p0: Sequence[int],
     for name, v in (("x0", x0), ("p0", p0), ("x1", x1), ("p1", p1)):
         if len(v) != d or len(ha) != d:
             raise ValueError(f"dimension mismatch for {name}")
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
-    for name, m in (("hS", hs), ("hA", ha)):
-        for row in m:
-            _plain_ints(row, name)
+    if type(steps) is not int or steps < 0:
+        raise ValueError("steps must be an int >= 0")
+    terms = [[(j, c) for j, c in enumerate(_plain_ints(row, name)) if c]
+             for name, m in (("hS", hs), ("hA", ha)) for row in m]
     return _split_form_stream(_plain_ints(x0, "x0"), _plain_ints(p0, "p0"),
                               _plain_ints(x1, "x1"), _plain_ints(p1, "p1"),
-                              hs, ha, steps)
+                              tuple(zip(terms[:d], terms[d:])), steps)
 
 
-def _split_form_stream(xp, pp, xc, pc, hs, ha, steps):
-    d = len(hs)
+def _split_form_stream(xp, pp, xc, pc, rows, steps):
     yield GIVector._from_parts(xp, pp)
     yield GIVector._from_parts(xc, pc)
     for _ in range(steps):
-        sx = int_matrix_apply(hs, xc)
-        sp = int_matrix_apply(hs, pc)
-        ax = int_matrix_apply(ha, xc)
-        ap = int_matrix_apply(ha, pc)
-        xn = tuple(xp[i] + sp[i] + ax[i] for i in range(d))
-        pn = tuple(pp[i] - sx[i] + ap[i] for i in range(d))
-        xp, pp, xc, pc = xc, pc, xn, pn
+        # row i: x_i += hS_i . p + hA_i . x,  p_i += -hS_i . x + hA_i . p
+        xn, pn = list(xp), list(pp)
+        for i, (s_terms, a_terms) in enumerate(rows):
+            for j, c in s_terms:
+                xn[i] += c * pc[j]
+                pn[i] -= c * xc[j]
+            for j, c in a_terms:
+                xn[i] += c * xc[j]
+                pn[i] += c * pc[j]
+        xp, pp, xc, pc = xc, pc, tuple(xn), tuple(pn)
         yield GIVector._from_parts(xc, pc)
 
 
@@ -515,7 +517,8 @@ def discrete_variation(g: Callable[[int], object], at: int, delta: int):
         return num.divide_exact(2 * delta)
     q, r = divmod(num, 2 * delta)
     if r:
-        raise ValueError(f"difference {num} is not divisible by {2 * delta}")
+        with exact_int_text():
+            raise ValueError(f"difference {num} is not divisible by {2 * delta}")
     return q
 
 
@@ -700,8 +703,8 @@ def verify_stationarity(traj: Trajectory, h: HermitianIntMatrix,
     if len(traj) < 3:
         raise ValueError("stationarity needs at least three slices")
     _check_dims(traj, h)
-    if any(d == 0 for d in deltas):
-        raise ValueError("deltas must be nonzero")
+    if any(type(d) is not int or d == 0 for d in deltas):
+        raise ValueError("deltas must be nonzero plain integers")
     violations = []
     if method == "direct":
         for m in range(1, traj.last):

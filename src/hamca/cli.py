@@ -359,13 +359,14 @@ def _unique_keys(pairs) -> dict:
     return obj
 
 
+@exact_int_text()
 def load_config(path, expected_kind: Optional[str] = None) -> ExperimentConfig:
     """Parse and fully validate an experiment config.
 
     Raises ConfigError carrying every (field path, reason) pair found.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh, exact_int_text():
+        with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh, parse_float=_finite_float,
                             parse_constant=_finite_float,
                             object_pairs_hook=_unique_keys)

@@ -36,7 +36,6 @@ __all__ = [
     "ZERO",
     "ONE",
     "IMAG_UNIT",
-    "int_matrix_apply",
     "int_matrix_is_symmetric",
     "int_matrix_is_antisymmetric",
     "exact_int_text",
@@ -153,6 +152,7 @@ class GaussianInt:
     def __complex__(self):
         return complex(self.re, self.im)
 
+    @exact_int_text()
     def __repr__(self):
         return f"GaussianInt({self.re}, {self.im})"
 
@@ -508,13 +508,6 @@ class HermitianIntMatrix(GIMatrix):
         hs = tuple(tuple(e.re for e in row) for row in self.rows)
         ha = tuple(tuple(e.im for e in row) for row in self.rows)
         return hs, ha
-
-
-def int_matrix_apply(m: Sequence[Sequence[int]], v: Sequence[int]) -> tuple:
-    """Apply a plain integer matrix to a plain integer vector."""
-    if len(m) != len(v) or any(len(row) != len(v) for row in m):
-        raise ValueError("dimension mismatch in integer matrix application")
-    return tuple(sum(a * x for a, x in zip(row, v)) for row in m)
 
 
 def int_matrix_is_symmetric(m: Sequence[Sequence[int]]) -> bool:

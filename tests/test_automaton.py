@@ -235,6 +235,16 @@ def test_variation_spec_validation():
         VariationSpec(1, 0, "nonsense", 1)
 
 
+@pytest.mark.parametrize("method", ["fast", "direct"])
+@pytest.mark.parametrize("deltas", [(0,), (1.5,), ("a",), (True,), (1, 2.0)],
+                         ids=["zero", "float", "str", "bool", "one-float"])
+def test_stationarity_deltas_must_be_nonzero_plain_ints(method, deltas):
+    # rejected before either path runs, so the report never names an unchecked delta
+    traj = evolve(vec((1, 0), (0, 0)), vec((0, 1), (1, 0)), PAULI_X, 3)
+    with pytest.raises(ValueError, match="deltas"):
+        verify_stationarity(traj, PAULI_X, deltas=deltas, method=method)
+
+
 def test_stationarity_clean_on_solutions(rng):
     for _ in range(10):
         d = rng.randint(1, 4)

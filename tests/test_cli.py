@@ -676,6 +676,17 @@ def test_duplicate_keys_and_deep_nesting_are_config_errors(tmp_path, capsys, tex
     assert capsys.readouterr().err == f"CONFIG ERROR {path}: not valid JSON: {reason}\n"
 
 
+def test_a_seed_past_the_digit_limit_is_reported_as_what_it_is(tmp_path, capsys):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    big = 10**5000
+    with exact_int_text():
+        path = evolve_config(tmp_path, seeds=[[[big, 0, 0], [0, 0]], [[1, 0], [0, 0]]])
+        want = f"CONFIG ERROR seeds[0]: seeds[0][0]: expected [re, im], got [{big}, 0, 0]\n"
+    assert main(["evolve", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == want
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+
+
 def test_each_config_error_is_one_line(tmp_path, capsys):
     # an unknown key is printed in the error's path, and a key may hold any character
     path = write_config(tmp_path / "cfg.json",

@@ -11,7 +11,8 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hamca.automaton import Trajectory
+from hamca.automaton import (ActionValue, StationarityViolation, Trajectory,
+                             discrete_variation)
 from hamca.gaussian import GaussianInt, GIMatrix, GIVector, exact_int_text
 from hamca.multipartite import MultiWave
 
@@ -38,6 +39,21 @@ def test_the_limit_is_in_force_outside_the_codecs():
     if int_text_limit():
         with pytest.raises(ValueError):
             str(10**4300)
+
+
+def test_reprs_and_messages_print_values_past_the_limit():
+    limit = int_text_limit()
+    big, digits, odd = 10**5000, "1" + "0" * 5000, "1" + "0" * 4999 + "1"
+    assert repr(GaussianInt(big, 3)) == f"GaussianInt({digits}, 3)"
+    assert digits in repr(StationarityViolation(1, 0, "psi_re", 1, GaussianInt(big)))
+    assert digits in repr(ActionValue(GaussianInt(big)))
+    with pytest.raises(ValueError) as info:
+        GaussianInt(big + 1).divide_exact(2)
+    assert str(info.value) == f"GaussianInt({odd}, 0) is not divisible by 2"
+    with pytest.raises(ValueError) as info:
+        discrete_variation(lambda f: big + 1 if f > 0 else 0, 0, 1)
+    assert str(info.value) == f"difference {odd} is not divisible by 2"
+    assert int_text_limit() == limit
 
 
 def json_roundtrip(obj):

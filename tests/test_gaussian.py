@@ -10,7 +10,6 @@ from hamca.gaussian import (
     GIVector,
     GIMatrix,
     HermitianIntMatrix,
-    int_matrix_apply,
     int_matrix_is_antisymmetric,
     int_matrix_is_symmetric,
 )
@@ -207,12 +206,6 @@ def test_pair_rejects_non_integers():
         GaussianInt.from_pair([1, 2, 3])
     with pytest.raises(ValueError):
         GIVector.from_pairs([])
-
-
-def test_int_matrix_apply():
-    assert int_matrix_apply(((1, 2), (3, 4)), (1, 1)) == (3, 7)
-    with pytest.raises(ValueError):
-        int_matrix_apply(((1, 2),), (1, 1))
 
 
 def test_real_scalars_hash_like_the_ints_they_equal():

@@ -171,22 +171,31 @@ def test_phase_trajectory_rejects_non_integer_parts():
         evolve_phase_space([1], [0], [2], [0], [[1]], [[0.0]], 0)
 
 
+# "real tridiagonal" has hA all zero, as the bench H does; "imaginary"
+# is i*hA with a zero diagonal
+H_SHAPES = ("complex", "real tridiagonal", "imaginary", "diagonal", "zero")
+
+
 @st.composite
 def hermitian_splits(draw, dim):
     """(hS, hA), symmetric and antisymmetric, of a self-adjoint hS + i*hA."""
+    shape = draw(st.sampled_from(H_SHAPES))
     hs = [[0] * dim for _ in range(dim)]
     ha = [[0] * dim for _ in range(dim)]
     for i in range(dim):
-        hs[i][i] = draw(COEFF)
+        if shape in ("complex", "real tridiagonal", "diagonal"):
+            hs[i][i] = draw(COEFF)
         for j in range(i + 1, dim):
-            hs[i][j] = hs[j][i] = draw(COEFF)
-            ha[i][j] = draw(COEFF)
-            ha[j][i] = -ha[i][j]
+            if shape == "complex" or (shape == "real tridiagonal" and j == i + 1):
+                hs[i][j] = hs[j][i] = draw(COEFF)
+            if shape in ("complex", "imaginary"):
+                ha[i][j] = draw(COEFF)
+                ha[j][i] = -ha[i][j]
     return hs, ha
 
 
-@settings(max_examples=40)
-@given(data=st.data(), dim=st.integers(1, 4), steps=st.integers(0, 30))
+@settings(max_examples=60)
+@given(data=st.data(), dim=st.integers(1, 6), steps=st.integers(0, 30))
 def test_the_streamed_oracle_equals_evolve_slice_by_slice(data, dim, steps):
     hs, ha = data.draw(hermitian_splits(dim))
     (x0, p0), (x1, p1) = data.draw(split_vectors(dim)), data.draw(split_vectors(dim))
@@ -201,8 +210,12 @@ def test_the_streamed_oracle_equals_evolve_slice_by_slice(data, dim, steps):
 def test_the_streamed_oracle_checks_its_inputs_before_the_first_slice():
     # raised by the call itself, with no slice pulled
     stream = automaton._phase_space_slices
-    with pytest.raises(ValueError, match="steps"):
-        stream([1], [0], [2], [0], [[1]], [[0]], -1)
+    for steps in (-1, True, 2.0):
+        with pytest.raises(ValueError, match="steps"):
+            stream([1], [0], [2], [0], [[1]], [[0]], steps)
+        # evolve takes the same step counts
+        with pytest.raises(ValueError, match="steps"):
+            evolve(GIVector([1]), GIVector([2]), HermitianIntMatrix.identity(1), steps)
     with pytest.raises(ValueError, match="symmetric"):
         stream([1, 0], [0, 0], [2, 0], [0, 0], [[1, 2], [0, 1]], [[0, 0], [0, 0]], 3)
     with pytest.raises(ValueError, match="antisymmetric"):
