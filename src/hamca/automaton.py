@@ -21,16 +21,20 @@ One quantity, the Euler-Lagrange bracket
     E_n = H psi_n - i (psi_{n+1} - psi_{n-1}),
 
 is at once -i times the recurrence residual, the action's per-site
-factor and every stationarity coefficient.  `_brackets` alone forms it,
-applying H to each stored interior slice, and keeps the result on the
-trajectory: a map from each site whose bracket is nonzero to that
-bracket, empty on a solution.  So the pass runs once per trajectory and
-coupling, and the recurrence, action and fast stationarity checks and
-the trajectory writer all read the same map, whether a caller asks for
-them together or one at a time.  It never reuses the H psi_n that
-`evolve` computed: psi_{n+1} was built from that very vector, so the
-recurrence check would be a tautology.  The independent oracles
-(split-form evolution, direct stationarity, reversal) stay off it.
+factor and every stationarity coefficient.  `_bracket` alone forms it,
+with its own H-apply on psi_n.  `_brackets` runs it over a stored
+trajectory and keeps the result on it: a map from each site whose
+bracket is nonzero to that bracket, empty on a solution.  So the pass
+runs once per trajectory and coupling, and the recurrence, action and
+fast stationarity checks and the trajectory writer all read the same
+map, whether a caller asks for them together or one at a time.
+`_EvolveWindow` runs it instead on slices as `evolve` makes them, and
+feeds the same verdicts and the same writer from a window of three
+slices, so a checked run need not hold its history.  Neither reuses
+the H psi_n that the forward step computed: psi_{n+1} was built from
+that very vector, so the recurrence check would be a tautology.  The
+independent oracles (split-form evolution, direct stationarity,
+reversal) stay off it.
 
 Boundary convention: `action_evaluate` sums over interior clock sites
 only (end slices are fixed data).  The stationarity audit differences
@@ -41,9 +45,10 @@ holds there.
 
 Trajectory text is printed from an exact `decimal` stream, because
 libmpdec prints in linear time and CPython's `str(int)` may not.  The
-stream keeps the last two slices as Decimals, predicts the next one by
-the recurrence (with H's entries converted to Decimal once) and adds
-the slice's integer residual psi_n - (psi_{n-2} - i*H*psi_{n-1}) =
+stream (`_decimal_slices`, fed the slices with their brackets) keeps
+the last two slices as Decimals, predicts the next one by the
+recurrence (with H's entries converted to Decimal once) and adds the
+slice's integer residual psi_n - (psi_{n-2} - i*H*psi_{n-1}) =
 i*E_{n-1}, which is zero on a solution.  Each printed slice therefore
 equals the stored one for any trajectory and any H, and the text is the
 same bytes per-entry `str` would give.  Each format is one private
@@ -158,73 +163,15 @@ class Trajectory:
 
     # -- serialization ------------------------------------------------
 
-    def _decimal_slices(self, h: Optional[HermitianIntMatrix]):
-        """Per slice, the decimal text of its real and imaginary parts.
-
-        Slice n of the stream is the recurrence's prediction on the two
-        previous Decimal slices plus Decimal(r_n), with the residual
-        r_n = psi_n - (psi_{n-2} - i*H*psi_{n-1}) = i*E_{n-1} read in ints
-        from the bracket map (zero where it has no entry), so by induction
-        every slice equals psi_n, for any H.  With `h=None` every slice is
-        Decimal(psi_n) itself, as the two seeds always are: the same text,
-        in time quadratic in the digits.  The arithmetic runs in a local
-        context that traps `Inexact` and `Rounded` and never becomes the
-        thread's.  Products accumulate onto the previous slice, which is
-        never -0, and Decimal(r_n) is added last, so a negative
-        coefficient times a zero entry never prints as -0.
-        """
-        d = self.dim
-        bad = None if h is None else _brackets(self, h)
-        ctx = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
-                      traps=[Inexact, Rounded, InvalidOperation, Overflow])
-        fma = ctx.fma
-        plus = ctx.add
-        # per output part, (index into re + im of psi_{n-1}, coefficient):
-        # re out = re(psi_{n-2}) + Im(H psi), im out = im(psi_{n-2}) - Re(H psi)
-        program = []
-        for re_terms, im_terms in () if h is None else h._program:
-            program.append(([(d + j, Decimal(c)) for j, c in re_terms]
-                            + [(j, Decimal(c)) for j, c in im_terms],
-                            [(j, Decimal(-c)) for j, c in re_terms]
-                            + [(d + j, Decimal(c)) for j, c in im_terms]))
-        x2 = x1 = None
-        for n, psi in enumerate(self.states):
-            if n < 2 or h is None:
-                dec = tuple(map(Decimal, psi.re + psi.im))
-            else:
-                pred = list(x2)
-                for a, (re_row, im_row) in enumerate(program):
-                    acc = pred[a]
-                    for k, c in re_row:
-                        acc = fma(c, x1[k], acc)
-                    pred[a] = acc
-                    acc = pred[d + a]
-                    for k, c in im_row:
-                        acc = fma(c, x1[k], acc)
-                    pred[d + a] = acc
-                e = bad.get(n - 1)
-                if e is None:
-                    dec = tuple(pred)
-                else:
-                    # r_n = i*E_{n-1} = -Im E + i Re E
-                    r = (*map(neg, e[2]), *e[1])
-                    dec = tuple(plus(p, Decimal(v)) for p, v in zip(pred, r))
-            x2, x1 = x1, dec
-            text = tuple(map(str, dec))
-            yield text[:d], text[d:]
+    def _decimal_texts(self, h: Optional[HermitianIntMatrix]):
+        """`_decimal_slices` of this trajectory, its brackets read from the map."""
+        brackets = [None] * len(self.states)
+        for n, (_, e_re, e_im) in ({} if h is None else _brackets(self, h)).items():
+            brackets[n + 1] = (e_re, e_im)
+        return _decimal_slices(zip(self.states, brackets), h)
 
     def _csv_pieces(self, h: Optional[HermitianIntMatrix]):
-        """`to_csv`'s text, one piece per slice; the header rides on the first.
-
-        Nothing is yielded before the coupling is checked, so a writer that
-        pulls the first piece before opening its file leaves none on a
-        mismatched H.
-        """
-        head = "n,alpha,re,im\n"
-        for n, (res, ims) in enumerate(self._decimal_slices(h)):
-            yield head + "".join(f"{n},{a},{re},{im}\n"
-                                 for a, (re, im) in enumerate(zip(res, ims)))
-            head = ""
+        return _csv_pieces(self._decimal_texts(h))
 
     def to_csv(self, h: Optional[HermitianIntMatrix] = None) -> str:
         """CSV text `n,alpha,re,im`, one row per entry.
@@ -235,15 +182,7 @@ class Trajectory:
         return "".join(self._csv_pieces(h))
 
     def _json_pieces(self, h: Optional[HermitianIntMatrix]):
-        """`to_json_text`'s text: one piece per slice, then the footer."""
-        sep = f'{{\n  "dim": {self.dim},\n  "states": [\n'
-        for res, ims in self._decimal_slices(h):
-            yield (sep + "    [\n"
-                   + ",\n".join(f"      [\n        {re},\n        {im}\n      ]"
-                                for re, im in zip(res, ims))
-                   + "\n    ]")
-            sep = ",\n"
-        yield "\n  ]\n}\n"
+        return _json_pieces(self._decimal_texts(h), self.dim)
 
     def to_json_text(self, h: Optional[HermitianIntMatrix] = None) -> str:
         """`json.dumps(self.to_json_obj(), indent=2, sort_keys=True) + "\\n"`.
@@ -300,6 +239,88 @@ class Trajectory:
         return traj
 
 
+# -- trajectory text ---------------------------------------------------
+
+
+def _decimal_slices(pairs: Iterable, h: Optional[HermitianIntMatrix]):
+    """Per (psi_n, E_{n-1} or None) pair, the decimal text of psi_n's parts.
+
+    Slice n of the stream is the recurrence's prediction on the two
+    previous Decimal slices plus Decimal(r_n), with the residual
+    r_n = psi_n - (psi_{n-2} - i*H*psi_{n-1}) = i*E_{n-1} read in ints
+    from the bracket (int parts (re, im); None where it is zero), so by
+    induction every slice equals psi_n, for any H.  With `h=None` every
+    slice is Decimal(psi_n) itself, as the two seeds always are: the same
+    text, in time quadratic in the digits.  The arithmetic runs in a
+    local context that traps `Inexact` and `Rounded` and never becomes
+    the thread's.  Products accumulate onto the previous slice, which is
+    never -0, and Decimal(r_n) is added last, so a negative coefficient
+    times a zero entry never prints as -0.
+    """
+    ctx = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
+                  traps=[Inexact, Rounded, InvalidOperation, Overflow])
+    fma = ctx.fma
+    plus = ctx.add
+    # per output part, (index into re + im of psi_{n-1}, coefficient):
+    # re out = re(psi_{n-2}) + Im(H psi), im out = im(psi_{n-2}) - Re(H psi)
+    program = []
+    if h is not None:
+        d = h.dim
+        for re_terms, im_terms in h._program:
+            program.append(([(d + j, Decimal(c)) for j, c in re_terms]
+                            + [(j, Decimal(c)) for j, c in im_terms],
+                            [(j, Decimal(-c)) for j, c in re_terms]
+                            + [(d + j, Decimal(c)) for j, c in im_terms]))
+    x2 = x1 = None
+    for n, (psi, e) in enumerate(pairs):
+        if n < 2 or h is None:
+            dec = tuple(map(Decimal, psi.re + psi.im))
+        else:
+            pred = list(x2)
+            for a, (re_row, im_row) in enumerate(program):
+                acc = pred[a]
+                for k, c in re_row:
+                    acc = fma(c, x1[k], acc)
+                pred[a] = acc
+                acc = pred[d + a]
+                for k, c in im_row:
+                    acc = fma(c, x1[k], acc)
+                pred[d + a] = acc
+            if e is None:
+                dec = tuple(pred)
+            else:
+                # r_n = i*E_{n-1} = -Im E + i Re E
+                r = (*map(neg, e[1]), *e[0])
+                dec = tuple(plus(p, Decimal(v)) for p, v in zip(pred, r))
+        x2, x1 = x1, dec
+        text = tuple(map(str, dec))
+        yield text[:psi.dim], text[psi.dim:]
+
+
+def _csv_pieces(texts: Iterable) -> Iterator[str]:
+    """`Trajectory.to_csv`'s text of a decimal stream, one piece per slice.
+
+    The header rides on the first piece.
+    """
+    head = "n,alpha,re,im\n"
+    for n, (res, ims) in enumerate(texts):
+        yield head + "".join(f"{n},{a},{re},{im}\n"
+                             for a, (re, im) in enumerate(zip(res, ims)))
+        head = ""
+
+
+def _json_pieces(texts: Iterable, dim: int) -> Iterator[str]:
+    """`Trajectory.to_json_text`'s text: one piece per slice, then the footer."""
+    sep = f'{{\n  "dim": {dim},\n  "states": [\n'
+    for res, ims in texts:
+        yield (sep + "    [\n"
+               + ",\n".join(f"      [\n        {re},\n        {im}\n      ]"
+                            for re, im in zip(res, ims))
+               + "\n    ]")
+        sep = ",\n"
+    yield "\n  ]\n}\n"
+
+
 # -- evolution ---------------------------------------------------------
 
 
@@ -328,16 +349,23 @@ def step_backward(psi_next: GIVector, psi_curr: GIVector,
                                 tuple(map(add, psi_next.im, w.re)))
 
 
-def evolve(seed0: GIVector, seed1: GIVector, h: HermitianIntMatrix,
-           steps: int) -> Trajectory:
-    """Iterate the forward step; returns a trajectory of steps+2 slices."""
+def _evolve_slices(seed0: GIVector, seed1: GIVector, h: HermitianIntMatrix,
+                   steps: int) -> Iterator[GIVector]:
+    """The forward step's slices psi_0 ... psi_{steps+1}, one at a time."""
     _check_step_dims(seed0, seed1, h)
     if type(steps) is not int or steps < 0:
         raise ValueError("steps must be an int >= 0")
-    states = [seed0, seed1]
+    yield seed0
+    yield seed1
     for _ in range(steps):
-        states.append(step_forward(states[-2], states[-1], h))
-    return Trajectory(states)
+        seed0, seed1 = seed1, step_forward(seed0, seed1, h)
+        yield seed1
+
+
+def evolve(seed0: GIVector, seed1: GIVector, h: HermitianIntMatrix,
+           steps: int) -> Trajectory:
+    """Iterate the forward step; returns a trajectory of steps+2 slices."""
+    return Trajectory(_evolve_slices(seed0, seed1, h, steps))
 
 
 def _phase_space_slices(x0: Sequence[int], p0: Sequence[int],
@@ -409,12 +437,26 @@ def _check_dims(traj: Trajectory, h: HermitianIntMatrix):
         raise ValueError(f"dimension mismatch: trajectory {traj.dim}, matrix {h.dim}")
 
 
+def _bracket(down: GIVector, psi: GIVector, up: GIVector,
+             h: HermitianIntMatrix) -> Optional[tuple]:
+    """Int parts (re, im) of E_n = H psi_n - i (psi_{n+1} - psi_{n-1}).
+
+    One H-apply on psi itself; None when the bracket is zero.
+    """
+    w = h.apply(psi)
+    e_re = tuple(map(add, w.re, map(sub, up.im, down.im)))
+    e_im = tuple(map(sub, w.im, map(sub, up.re, down.re)))
+    if any(e_re) or any(e_im):
+        return e_re, e_im
+    return None
+
+
 def _brackets(traj: Trajectory, h: HermitianIntMatrix) -> MappingProxyType:
     """Map each interior site n whose bracket is nonzero to (psi_n, re, im).
 
     `re` and `im` are the int parts of the bracket
-    E_n = H psi_n - i (psi_{n+1} - psi_{n-1}), from one H-apply on the
-    stored slice psi_n.  E_n is -i times `recurrence_residual`, so the
+    E_n = H psi_n - i (psi_{n+1} - psi_{n-1}), from `_bracket` on the
+    stored slices.  E_n is -i times `recurrence_residual`, so the
     map is empty exactly on a solution; E_n is also the action's
     per-site right-hand factor and the starred variation coefficient,
     and zero brackets contribute to neither.  Sites are keys in
@@ -432,11 +474,9 @@ def _brackets(traj: Trajectory, h: HermitianIntMatrix) -> MappingProxyType:
     bad = {}
     states = traj.states
     for n, (down, psi, up) in enumerate(zip(states, states[1:], states[2:]), 1):
-        w = h.apply(psi)
-        e_re = tuple(map(add, w.re, map(sub, up.im, down.im)))
-        e_im = tuple(map(sub, w.im, map(sub, up.re, down.re)))
-        if any(e_re) or any(e_im):
-            bad[n] = (psi, e_re, e_im)
+        e = _bracket(down, psi, up, h)
+        if e is not None:
+            bad[n] = (psi, *e)
     view = MappingProxyType(bad)
     traj._swept = (h, view)
     return view
@@ -446,11 +486,12 @@ def recurrence_residual(traj: Trajectory, h: HermitianIntMatrix, n: int) -> GIVe
     """psi_{n+1} - psi_{n-1} + i*H*psi_n; zero iff the rule holds at n."""
     if not 1 <= n <= traj.last - 1:
         raise ValueError(f"site {n} is not interior")
-    e = _brackets(Trajectory(traj.states[n - 1:n + 2]), h).get(1)
+    _check_dims(traj, h)
+    e = _bracket(traj[n - 1], traj[n], traj[n + 1], h)
     if e is None:
         return GIVector.zero(traj.dim)
     # i * (re + i im)
-    return GIVector._from_parts(tuple(map(neg, e[2])), e[1])
+    return GIVector._from_parts(tuple(map(neg, e[1])), e[0])
 
 
 def first_recurrence_violation(traj: Trajectory, h: HermitianIntMatrix) -> Optional[int]:
@@ -494,9 +535,68 @@ def action_evaluate(traj: Trajectory, h: HermitianIntMatrix) -> ActionValue:
     """
     if len(traj) < 3:
         raise ValueError("action needs at least three slices")
-    total = sum(sum(map(mul, psi.re, c_re)) + sum(map(mul, psi.im, c_im))
-                for psi, c_re, c_im in _brackets(traj, h).values())
+    total = sum(_action_summand(*b) for b in _brackets(traj, h).values())
     return ActionValue(GaussianInt(total, 0))
+
+
+def _action_summand(psi: GIVector, e_re: tuple, e_im: tuple) -> int:
+    """Re psi_n^* . E_n, one site's term of the action."""
+    return sum(map(mul, psi.re, e_re)) + sum(map(mul, psi.im, e_im))
+
+
+# -- one checked pass over a window ------------------------------------
+
+
+class _EvolveWindow:
+    """`evolve` checked and printed in one pass over a three-slice window.
+
+    `texts()` yields the decimal text of psi_0 ... psi_{steps+1}, the
+    stream `Trajectory.to_csv(h)` prints, and records on the way what
+    the evolve verdicts read: whether every bracket is zero, the action
+    (the summands of the nonzero brackets), and whether the split-form
+    `oracle`, pulled in lockstep, gives the same slices and as many.
+    Each bracket comes from `_bracket`'s own H-apply on the yielded
+    slice, never from the one the forward step made.  Only the seeds
+    and the last two slices outlive the pass, for `reverses`.
+    """
+
+    def __init__(self, seed0: GIVector, seed1: GIVector, h: HermitianIntMatrix,
+                 steps: int, oracle: Iterator[GIVector]):
+        self._slices = _evolve_slices(seed0, seed1, h, steps)
+        self._oracle = oracle
+        self._h = h
+        self._steps = steps
+        self.solution = True
+        self.action = 0
+        self.same_as_oracle = True
+        self._seeds = (seed0, seed1)
+        self._ends = None
+
+    def texts(self):
+        return _decimal_slices(self._pairs(), self._h)
+
+    def _pairs(self):
+        h, oracle = self._h, self._oracle
+        down = psi = None
+        for up in self._slices:
+            if self.same_as_oracle and next(oracle, None) != up:
+                self.same_as_oracle = False
+            e = None if down is None else _bracket(down, psi, up, h)
+            if e is not None:
+                self.solution = False
+                self.action += _action_summand(psi, *e)
+            yield up, e
+            down, psi = psi, up
+        if self.same_as_oracle and next(oracle, None) is not None:
+            self.same_as_oracle = False
+        self._ends = (down, psi)
+
+    def reverses(self) -> bool:
+        """Whether stepping back from the last two slices ends on the seeds."""
+        cur, nxt = self._ends
+        for _ in range(self._steps):
+            nxt, cur = cur, step_backward(nxt, cur, self._h)
+        return (cur, nxt) == self._seeds
 
 
 # -- variation operator ------------------------------------------------

@@ -10,10 +10,11 @@ linear-time text writers, which print the same bytes as `json.dumps`
 with `indent=2, sort_keys=True`; `json.dumps` writes the small files.
 Every artifact is written by `_write_text` from an iterable of text
 pieces, and the large ones are streamed a slice or clock point at a
-time, so no artifact's text is held whole; `evolve` compares the
-phase-space oracle with its trajectory slice by slice for the same
-reason, and peaks at about one history.  `report.json` lists each
-artifact's size in `artifact_bytes`.
+time, so no artifact's text is held whole.  `evolve` goes further: one
+pass over a window of three slices writes its trajectory and checks
+it, with the phase-space oracle pulled in lockstep, so no history is
+held and its peak does not grow with the steps.  `report.json` lists
+each artifact's size in `artifact_bytes`.
 
 Exit status: 0 all checks passed, 1 a check failed or a module error
 surfaced, 2 invalid configuration.
@@ -28,7 +29,6 @@ import sys
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import zip_longest
 from pathlib import Path
 from typing import Optional
 
@@ -441,15 +441,19 @@ def _fmt_float(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _write_slices(texts, dim: int, out_dir: Path, fmt: str) -> Path:
+    """Write a decimal slice stream as `trajectory.csv` or `trajectory.json`."""
+    path = out_dir / f"trajectory.{fmt}"
+    if fmt == "csv":
+        _write_text(path, automaton._csv_pieces(texts))
+    else:
+        _write_text(path, automaton._json_pieces(texts, dim))
+    return path
+
+
 def _write_trajectory(traj, h, out_dir: Path, fmt: str) -> Path:
     # h, the coupling traj solves, keeps the decimal text linear-time
-    if fmt == "csv":
-        path = out_dir / "trajectory.csv"
-        _write_text(path, traj._csv_pieces(h))
-    else:
-        path = out_dir / "trajectory.json"
-        _write_text(path, traj._json_pieces(h))
-    return path
+    return _write_slices(traj._decimal_texts(h), traj.dim, out_dir, fmt)
 
 
 # -- per-kind runners ----------------------------------------------------
@@ -457,25 +461,17 @@ def _write_trajectory(traj, h, out_dir: Path, fmt: str) -> Path:
 
 def _run_evolve(params, out_dir, fmt):
     h, (s0, s1), steps = params["hamiltonian"], params["seeds"], params["steps"]
-    traj = automaton.evolve(s0, s1, h, steps)
-    checks = []
-    checks.append(Check("recurrence_holds_everywhere",
-                        automaton.is_solution(traj, h)))
-    if len(traj) >= 3:
-        action = automaton.action_evaluate(traj, h)
-        checks.append(Check("action_zero_on_solution", action.as_int == 0,
-                            f"value {action.as_int}"))
-    nxt, cur = traj[-1], traj[-2]
-    for _ in range(len(traj) - 2):
-        nxt, cur = cur, automaton.step_backward(nxt, cur, h)
-    checks.append(Check("reversibility_roundtrip",
-                        (cur, nxt) == (traj[0], traj[1])))
     hs, ha = h.split()
-    # slice by slice, with the lengths compared too: no second history is held
     oracle = automaton._phase_space_slices(s0.re, s0.im, s1.re, s1.im, hs, ha, steps)
-    same = all(a == b for a, b in zip_longest(traj, oracle))
-    checks.append(Check("phase_space_equivalence", same))
-    artifacts = [_write_trajectory(traj, h, out_dir, fmt)]
+    # one pass writes the trajectory and checks it: no history is held
+    window = automaton._EvolveWindow(s0, s1, h, steps, oracle)
+    artifacts = [_write_slices(window.texts(), h.dim, out_dir, fmt)]
+    checks = [Check("recurrence_holds_everywhere", window.solution)]
+    if steps >= 1:
+        checks.append(Check("action_zero_on_solution", window.action == 0,
+                            f"value {window.action}"))
+    checks.append(Check("reversibility_roundtrip", window.reverses()))
+    checks.append(Check("phase_space_equivalence", window.same_as_oracle))
     return checks, artifacts, {}
 
 

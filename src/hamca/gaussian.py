@@ -62,7 +62,8 @@ def exact_int_text():
 def _as_exact_int(value, where: str) -> int:
     # bool is an int subclass; it is never a legitimate literal here.
     if type(value) is not int:
-        raise ValueError(f"{where}: expected a plain integer, got {value!r}")
+        with exact_int_text():  # the bad value may hold a huge int
+            raise ValueError(f"{where}: expected a plain integer, got {value!r}")
     return value
 
 
@@ -74,8 +75,9 @@ class GaussianInt:
     def __init__(self, re: int, im: int = 0):
         # bool and other int subclasses are rejected like floats and strings
         if type(re) is not int or type(im) is not int:
-            raise TypeError(f"GaussianInt parts must be plain integers, "
-                            f"got {re!r}, {im!r}")
+            with exact_int_text():
+                raise TypeError(f"GaussianInt parts must be plain integers, "
+                                f"got {re!r}, {im!r}")
         self.re = re
         self.im = im
 
@@ -171,7 +173,8 @@ class GaussianInt:
 def _pair_parts(obj, where: str) -> tuple:
     """The validated plain-int parts (re, im) of a literal [re, im] pair."""
     if not isinstance(obj, (list, tuple)) or len(obj) != 2:
-        raise ValueError(f"{where}: expected [re, im], got {obj!r}")
+        with exact_int_text():
+            raise ValueError(f"{where}: expected [re, im], got {obj!r}")
     return _as_exact_int(obj[0], where + "[0]"), _as_exact_int(obj[1], where + "[1]")
 
 
@@ -183,7 +186,8 @@ IMAG_UNIT = GaussianInt(0, 1)
 def _to_gi(value, where: str) -> GaussianInt:
     g = GaussianInt._coerce(value)
     if g is None:
-        raise ValueError(f"{where}: expected GaussianInt or int, got {value!r}")
+        with exact_int_text():
+            raise ValueError(f"{where}: expected GaussianInt or int, got {value!r}")
     return g
 
 

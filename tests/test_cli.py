@@ -869,3 +869,133 @@ def test_the_phase_space_check_compares_every_slice_and_the_length(tmp_path,
         checks = {c["name"]: c["passed"]
                   for c in run(cfg, tmp_path / "out")["checks"]}
         assert checks["phase_space_equivalence"] is ok
+
+
+
+def evolve_peak(tmp_path, h, steps, fmt):
+    """Traced peak bytes of one `hamca evolve` run from the tridiagonal seeds."""
+    cfg = load_config(write_config(tmp_path / "cfg.json", {
+        "kind": "evolve", "hamiltonians": [h],
+        "seeds": [[[1, 0], [0, -1], [2, 1]], [[0, 1], [1, 0], [-1, 0]]],
+        "steps": steps, "output": {"format": fmt}}))
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    base = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    try:
+        report = run(cfg, tmp_path / f"out-{steps}")
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert all(c["passed"] for c in report["checks"])
+    return peak
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_evolve_peak_memory_does_not_grow_with_the_history(tmp_path, fmt):
+    # entries grow ~11.6 bits per step under 1000x the tridiagonal
+    # coupling, so a window of slices grows about linearly in steps and a
+    # held history quadratically: 4x the steps costs a window ~4x (less,
+    # with the run's fixed costs) and a history ~16x (measured: 12x)
+    h = [[[1000 * re, im] for re, im in row] for row in TRIDIAGONAL]
+    small, large = (evolve_peak(tmp_path, h, steps, fmt) for steps in (250, 1000))
+    assert large < 8 * small
+
+
+def bump_slice(stream, k):
+    """`stream` with entry 0 of slice k raised by one, later slices unchanged."""
+
+    def bumped(*args):
+        for n, s in enumerate(stream(*args)):
+            yield s + GIVector([1, 0, 0]) if n == k else s
+
+    return bumped
+
+
+def bump_step(step, target):
+    """`step_forward` that raises entry 0 of the slice it makes from `target`."""
+
+    def bumped(prev, curr, h):
+        out = step(prev, curr, h)
+        return out + GIVector([1, 0, 0]) if (prev, curr) == target else out
+
+    return bumped
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("where", ["slice", "step"])
+def test_the_window_checks_the_slices_it_writes(tmp_path, monkeypatch, fmt, where):
+    # a corrupted slice k, whether it keeps to the rule after k (a forward
+    # step went wrong) or not (a slice changed after it was made), must
+    # show in every verdict and be written as it is: the window's bracket
+    # comes from its own H-apply, not from the step that made the slice
+    cfg = load_config(write_config(tmp_path / "cfg.json", {
+        "kind": "evolve", "hamiltonians": [TRIDIAGONAL],
+        "seeds": [[[1, 0], [0, -1], [2, 1]], [[0, 1], [1, 0], [-1, 0]]],
+        "steps": 9, "output": {"format": fmt}}))
+    h, (s0, s1) = cfg.params["hamiltonian"], cfg.params["seeds"]
+    clean = evolve(s0, s1, h, 9)
+    if where == "slice":
+        monkeypatch.setattr(automaton, "_evolve_slices",
+                            bump_slice(automaton._evolve_slices, 5))
+    else:
+        monkeypatch.setattr(automaton, "step_forward",
+                            bump_step(automaton.step_forward, (clean[3], clean[4])))
+    corrupted = Trajectory(automaton._evolve_slices(s0, s1, h, 9))
+    assert corrupted != clean and corrupted[5] != clean[5]
+    report = run(cfg, tmp_path / "out")
+    checks = {c["name"]: (c["passed"], c["info"]) for c in report["checks"]}
+    action = automaton.action_evaluate(corrupted, h).as_int
+    assert action != 0
+    assert checks["recurrence_holds_everywhere"] == (False, "")
+    assert checks["action_zero_on_solution"] == (False, f"value {action}")
+    assert checks["phase_space_equivalence"] == (False, "")
+    nxt, cur = corrupted[-1], corrupted[-2]
+    for _ in range(9):
+        nxt, cur = cur, automaton.step_backward(nxt, cur, h)
+    assert checks["reversibility_roundtrip"] == \
+        ((cur, nxt) == (corrupted[0], corrupted[1]), "")
+    written = (tmp_path / "out" / f"trajectory.{fmt}").read_text()
+    assert written == (corrupted.to_csv(h) if fmt == "csv"
+                       else corrupted.to_json_text(h))
+
+
+# sha256 of each artifact and of report.json without `wall_time_s` and the
+# artifact paths, for a complex coupling; steps 0 has no action check and
+# steps 1 one bracket site
+EVOLVE_GOLDEN = {
+    (0, "csv"): ("bdc91f83d474eff0f60ca700b76536d13929e11ce3bea5259f6fb5afb6d015c0",
+                 "02c4b1302a9df41d55db2f707913bb564b3725308f224721dcdf62e11ea2494d"),
+    (0, "json"): ("dba5d00c135ac6bac08e43bcda8b53b73c096c572ccf0e2dd38b12ebd71a6958",
+                  "71ab1e39d83fb7781be42e450244b05c5abcb81bea574e8c7166b38bb533aa8a"),
+    (1, "csv"): ("13c2646ddd86eb8df16e9805b64dcfb5c9a778a58f3236c86394db60d42641dc",
+                 "07bfa4923eaa61470978f1ae5cbf7f247706aaad8f3f52ee8170eadab2b396e1"),
+    (1, "json"): ("3d59e6b3791ff5d6a00a1a1e00d99d82ba1f875dabb69173862ba1eeeca1e0cb",
+                  "a8fc2cb93f539939c73ce26db2a20575dbd41b02d5326d27cf3d8597d2cf1469"),
+    (2, "csv"): ("48706f5387ca161d1d458cd96053943852213facf1c8d2dc9ddb48305fa07f04",
+                 "ded6c77b63471715d168b27c9e7bc9cab230422d863342f5ab91f59a8ea9a48f"),
+    (2, "json"): ("90554a4728a237f1a1d5e50c3da3c8e9d7d7bf7405c5d228779778bac1078129",
+                  "51c932473615e6197ee47bc2f98486f79bc81aa44aef2d2cc3e43e7208a0b498"),
+}
+
+
+@pytest.mark.parametrize("steps, fmt", sorted(EVOLVE_GOLDEN))
+def test_short_evolve_runs_keep_their_bytes(tmp_path, capsys, steps, fmt):
+    path = write_config(tmp_path / "cfg.json", {
+        "kind": "evolve", "hamiltonians": [[[[2, 0], [1, 1]], [[1, -1], [-1, 0]]]],
+        "seeds": [[[1, 0], [0, -1]], [[0, 1], [2, 0]]], "steps": steps,
+        "output": {"format": fmt}})
+    out = tmp_path / "out"
+    assert main(["evolve", "--config", path, "--out", str(out)]) == 0
+    names = ["recurrence_holds_everywhere", "reversibility_roundtrip",
+             "phase_space_equivalence"]
+    lines = [f"PASS {name}" for name in names]
+    if steps:
+        lines.insert(1, "PASS action_zero_on_solution — value 0")
+    assert capsys.readouterr().out.splitlines()[:-1] == lines
+    report = json.loads((out / "report.json").read_text())
+    del report["wall_time_s"], report["artifacts"]
+    digests = (hashlib.sha256((out / f"trajectory.{fmt}").read_bytes()).hexdigest(),
+               hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest())
+    assert digests == EVOLVE_GOLDEN[(steps, fmt)]

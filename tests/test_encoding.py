@@ -56,6 +56,31 @@ def test_reprs_and_messages_print_values_past_the_limit():
     assert int_text_limit() == limit
 
 
+@pytest.mark.parametrize("obj, message", [
+    ({"states": [[[10**5000, 0, 0]], [[1, 0]]]}, "states[0][0]: expected [re, im]"),
+    ({"states": [[[[10**5000], 0]], [[1, 0]]]},
+     "states[0][0][0]: expected a plain integer"),
+], ids=["pair", "part"])
+def test_parser_messages_name_a_bad_value_past_the_limit(obj, message):
+    limit = int_text_limit()
+    with pytest.raises(ValueError) as info:
+        Trajectory.from_json_obj(obj)
+    assert str(info.value).startswith(message + ", got ")
+    assert "1" + "0" * 5000 in str(info.value)
+    assert int_text_limit() == limit
+
+
+def test_constructor_messages_name_a_bad_value_past_the_limit():
+    limit = int_text_limit()
+    with pytest.raises(ValueError) as info:
+        GIVector([[10**5000]])
+    assert str(info.value).startswith("vector entry: expected GaussianInt or int")
+    with pytest.raises(TypeError) as info:
+        GaussianInt(10**5000, 0.5)
+    assert "1" + "0" * 5000 in str(info.value)
+    assert int_text_limit() == limit
+
+
 def json_roundtrip(obj):
     with exact_int_text():
         return json.loads(json.dumps(obj))
