@@ -28,13 +28,16 @@ bracket is nonzero to that bracket, empty on a solution.  So the pass
 runs once per trajectory and coupling, and the recurrence, action and
 fast stationarity checks and the trajectory writer all read the same
 map, whether a caller asks for them together or one at a time.
-`_EvolveWindow` runs it instead on slices as `evolve` makes them, and
-feeds the same verdicts and the same writer from a window of three
-slices, so a checked run need not hold its history.  Neither reuses
-the H psi_n that the forward step computed: psi_{n+1} was built from
-that very vector, so the recurrence check would be a tautology.  The
-independent oracles (split-form evolution, direct stationarity,
-reversal) stay off it.
+`_Window` runs it instead on slices as the forward step makes them,
+and feeds the same writer from a window of three slices, recording the
+first site whose bracket is nonzero, so a checked run need not hold
+its history.  Each CLI verb adds only its own part: `_EvolveWindow`
+the action, the lockstep split-form oracle and reversal, and the
+conservation audit its series pass.  Neither path reuses the H psi_n
+that the forward step computed: psi_{n+1} was built from that very
+vector, so the recurrence check would be a tautology.  The independent
+oracles (split-form evolution, direct stationarity, reversal) stay off
+it.
 
 Boundary convention: `action_evaluate` sums over interior clock sites
 only (end slices are fixed data).  The stationarity audit differences
@@ -547,56 +550,84 @@ def _action_summand(psi: GIVector, e_re: tuple, e_im: tuple) -> int:
 # -- one checked pass over a window ------------------------------------
 
 
-class _EvolveWindow:
-    """`evolve` checked and printed in one pass over a three-slice window.
+class _Window:
+    """The forward step's slices, checked and printed in one pass over three.
 
     `texts()` yields the decimal text of psi_0 ... psi_{steps+1}, the
-    stream `Trajectory.to_csv(h)` prints, and records on the way what
-    the evolve verdicts read: whether every bracket is zero, the action
-    (the summands of the nonzero brackets), and whether the split-form
-    `oracle`, pulled in lockstep, gives the same slices and as many.
-    Each bracket comes from `_bracket`'s own H-apply on the yielded
-    slice, never from the one the forward step made.  Only the seeds
-    and the last two slices outlive the pass, for `reverses`.
+    stream `Trajectory.to_csv(h)` prints, and records on the way the
+    first interior site whose bracket is nonzero (`first_bad`, as
+    `first_recurrence_violation` gives it on the stored slices) and the
+    slice count.  Each bracket comes from `_bracket`'s own H-apply on the
+    yielded slice, never from the one the forward step made.  A verb
+    adds its own checks in `_visit`, which sees each slice with the one
+    before it (None for psi_0) and the bracket there.  Only the seeds
+    and the last two slices (`ends`, as (psi_{N-1}, psi_N)) outlive the
+    pass.
     """
 
     def __init__(self, seed0: GIVector, seed1: GIVector, h: HermitianIntMatrix,
-                 steps: int, oracle: Iterator[GIVector]):
+                 steps: int):
         self._slices = _evolve_slices(seed0, seed1, h, steps)
-        self._oracle = oracle
         self._h = h
         self._steps = steps
-        self.solution = True
-        self.action = 0
-        self.same_as_oracle = True
-        self._seeds = (seed0, seed1)
-        self._ends = None
+        self.seeds = (seed0, seed1)
+        self.first_bad = None
+        self.slices = 0
+        self.ends = None
+
+    @property
+    def solution(self) -> bool:
+        return self.first_bad is None
 
     def texts(self):
         return _decimal_slices(self._pairs(), self._h)
 
     def _pairs(self):
-        h, oracle = self._h, self._oracle
+        h = self._h
         down = psi = None
-        for up in self._slices:
-            if self.same_as_oracle and next(oracle, None) != up:
-                self.same_as_oracle = False
+        for n, up in enumerate(self._slices):
             e = None if down is None else _bracket(down, psi, up, h)
-            if e is not None:
-                self.solution = False
-                self.action += _action_summand(psi, *e)
+            if e is not None and self.first_bad is None:
+                self.first_bad = n - 1
+            self._visit(psi, up, e)
             yield up, e
             down, psi = psi, up
-        if self.same_as_oracle and next(oracle, None) is not None:
+        self.slices = n + 1
+        self.ends = (down, psi)
+
+    def _visit(self, psi: Optional[GIVector], up: GIVector, e: Optional[tuple]):
+        pass
+
+
+class _EvolveWindow(_Window):
+    """`_Window` with the evolve verdicts: the action (the summands of the
+    nonzero brackets), whether the split-form `oracle`, pulled in
+    lockstep, gives the same slices and as many, and reversal."""
+
+    def __init__(self, seed0: GIVector, seed1: GIVector, h: HermitianIntMatrix,
+                 steps: int, oracle: Iterator[GIVector]):
+        super().__init__(seed0, seed1, h, steps)
+        self._oracle = oracle
+        self.action = 0
+        self.same_as_oracle = True
+
+    def _visit(self, psi, up, e):
+        if self.same_as_oracle and next(self._oracle, None) != up:
             self.same_as_oracle = False
-        self._ends = (down, psi)
+        if e is not None:
+            self.action += _action_summand(psi, *e)
+
+    def _pairs(self):
+        yield from super()._pairs()
+        if self.same_as_oracle and next(self._oracle, None) is not None:
+            self.same_as_oracle = False
 
     def reverses(self) -> bool:
         """Whether stepping back from the last two slices ends on the seeds."""
-        cur, nxt = self._ends
+        cur, nxt = self.ends
         for _ in range(self._steps):
             nxt, cur = cur, step_backward(nxt, cur, self._h)
-        return (cur, nxt) == self._seeds
+        return (cur, nxt) == self.seeds
 
 
 # -- variation operator ------------------------------------------------
@@ -608,8 +639,11 @@ def discrete_variation(g: Callable[[int], object], at: int, delta: int):
     Exact: raises if 2*delta does not divide the difference (it always
     does for polynomials of degree <= 2 in the varied variable).  By
     convention the variation for delta == 0 is 0, reported without
-    attempting the division.
+    attempting the division.  `at` and `delta` must be plain ints.
     """
+    for name, value in (("at", at), ("delta", delta)):
+        if type(value) is not int:
+            raise ValueError(f"{name} must be a plain integer")
     if delta == 0:
         return 0
     num = g(at + delta) - g(at - delta)
@@ -635,10 +669,13 @@ class VariationSpec:
     delta: int
 
     def __post_init__(self):
+        for name in ("site", "dof"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be a plain integer")
         if self.part not in VARIATION_PARTS:
             raise ValueError(f"unknown variation part {self.part!r}")
-        if self.delta == 0:
-            raise ValueError("variation needs a nonzero integer delta")
+        if type(self.delta) is not int or self.delta == 0:
+            raise ValueError("delta must be a nonzero plain integer")
 
 
 def _doubled_action(psis, stars, h: HermitianIntMatrix) -> GaussianInt:

@@ -10,11 +10,12 @@ linear-time text writers, which print the same bytes as `json.dumps`
 with `indent=2, sort_keys=True`; `json.dumps` writes the small files.
 Every artifact is written by `_write_text` from an iterable of text
 pieces, and the large ones are streamed a slice or clock point at a
-time, so no artifact's text is held whole.  `evolve` goes further: one
-pass over a window of three slices writes its trajectory and checks
-it, with the phase-space oracle pulled in lockstep, so no history is
-held and its peak does not grow with the steps.  `report.json` lists
-each artifact's size in `artifact_bytes`.
+time, so no large artifact's text is held whole.  `evolve` and `audit`
+go further: one pass over a window of three slices writes the
+trajectory and checks it (`evolve` pulls the phase-space oracle in
+lockstep, `audit` feeds its series pass each slice pair), so no
+history is held.  `report.json` lists each artifact's size in
+`artifact_bytes`.
 
 Exit status: 0 all checks passed, 1 a check failed or a module error
 surfaced, 2 invalid configuration.
@@ -29,6 +30,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import repeat
 from pathlib import Path
 from typing import Optional
 
@@ -451,11 +453,6 @@ def _write_slices(texts, dim: int, out_dir: Path, fmt: str) -> Path:
     return path
 
 
-def _write_trajectory(traj, h, out_dir: Path, fmt: str) -> Path:
-    # h, the coupling traj solves, keeps the decimal text linear-time
-    return _write_slices(traj._decimal_texts(h), traj.dim, out_dir, fmt)
-
-
 # -- per-kind runners ----------------------------------------------------
 
 
@@ -477,11 +474,13 @@ def _run_evolve(params, out_dir, fmt):
 
 def _run_audit(params, out_dir, fmt):
     h, (s0, s1), steps = params["hamiltonian"], params["seeds"], params["steps"]
-    traj = automaton.evolve(s0, s1, h, steps)
     obs, labels = params["observables"], None  # audit labels them G0, G1, ...
     if obs is None:
         labels, obs = zip(*conservation.default_commutant_basis(h))
-    report = conservation.audit_conservation(traj, h, obs, labels)
+    # one pass writes the trajectory and feeds the series: no history is held
+    window = conservation._AuditWindow(s0, s1, h, steps, obs, labels)
+    artifacts = [_write_slices(window.texts(), h.dim, out_dir, fmt)]
+    report = window.report()
     checks = [Check("trajectory_is_solution", report.solution_ok,
                     "" if report.solution_ok
                     else f"first bad site {report.first_bad_site}")]
@@ -498,14 +497,13 @@ def _run_audit(params, out_dir, fmt):
                                 "informational; " + drift_note))
     info = {"norm_invariant": {"value": report.norm_value,
                                "zero": report.norm_is_zero}}
-    artifacts = [_write_trajectory(traj, h, out_dir, fmt)]
     audit_path = out_dir / "audit.json"
     _write_json(audit_path, report.to_json_obj())
     artifacts.append(audit_path)
-    series = [(e.label, [e.value] * traj.last if e.conserved
+    series = [(e.label, repeat(e.value, report.slices - 1) if e.conserved
                else [v for _, v in e.drift]) for e in report.entries]
     series_path = out_dir / "series.csv"
-    _write_text(series_path, (conservation.series_to_csv(series),))
+    _write_text(series_path, conservation._series_csv_pieces(series))
     artifacts.append(series_path)
     return checks, artifacts, info
 

@@ -9,10 +9,17 @@ takes a single integer value along every solution.  For self-adjoint G
 the second term is the complex conjugate of the first, so q_G(n) is
 exactly the real integer 2 Re psi_n^* G psi_{n-1}.  `two_point_series`
 computes one G's series that way, with one G-apply and one real inner
-product per clock index.  The audit serves all of its observables at
-once from one block of entry products per slice (`_block_series`), a
-bilinear-form identity that needs no G-apply; the two-term form stays
-as the independent oracle `two_point_invariant`.
+product per clock index.  Every value needs only the consecutive pair
+(psi_n, psi_{n-1}), so the audit is one series pass fed slice pairs:
+it serves all of its observables at once from one block of entry
+products per pair (`_block_series`), a bilinear-form identity that
+needs no G-apply, or with one G-apply per G when that is cheaper.
+One report assembly turns the series into the verdicts, with the
+two-term form, the independent oracle `two_point_invariant`, checked
+at n = 1 and n = N on the first and last pairs.  The library audit
+feeds the pass a stored trajectory; `_AuditWindow` feeds it from the
+three-slice window that writes the trajectory, so the CLI audit holds
+no history.
 With G the identity this is the constraint 2 Re psi_n^* psi_{n-1} =
 const, the discrete stand-in for state normalization.  The symmetrized
 single-site variant
@@ -29,10 +36,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
-from .automaton import Trajectory, _check_dims, first_recurrence_violation
-from .gaussian import GaussianInt, HermitianIntMatrix, exact_int_text
+from .automaton import Trajectory, _Window, _check_dims, first_recurrence_violation
+from .gaussian import GaussianInt, GIVector, HermitianIntMatrix, exact_int_text
 
 __all__ = [
     "ConservedQuantity",
@@ -50,14 +57,22 @@ __all__ = [
 ]
 
 
+def _pair_invariant(u: GIVector, w: GIVector, g: HermitianIntMatrix) -> GaussianInt:
+    """The two-term q_G of the pair (u, w) = (psi_n, psi_{n-1})."""
+    return u.inner(g.apply(w)) + w.inner(g.apply(u))
+
+
 def two_point_invariant(traj: Trajectory, g: HermitianIntMatrix, n: int) -> GaussianInt:
     """psi_n^* G psi_{n-1} + psi_{n-1}^* G psi_n at clock index n (1 <= n <= N)."""
     _check_dims(traj, g)
     if not 1 <= n <= traj.last:
         raise ValueError(f"index {n} out of range 1..{traj.last}")
-    a = traj[n]
-    b = traj[n - 1]
-    return a.inner(g.apply(b)) + b.inner(g.apply(a))
+    return _pair_invariant(traj[n], traj[n - 1], g)
+
+
+def _pair_q(u: GIVector, w: GIVector, g: HermitianIntMatrix) -> int:
+    """q_G(n) = 2 Re psi_n^* G psi_{n-1} of the pair (u, w) = (psi_n, psi_{n-1})."""
+    return 2 * u.inner_re(g.apply(w))
 
 
 def two_point_series(traj: Trajectory, g: HermitianIntMatrix) -> list:
@@ -70,19 +85,20 @@ def two_point_series(traj: Trajectory, g: HermitianIntMatrix) -> list:
     """
     _check_dims(traj, g)
     states = traj.states
-    return [GaussianInt(2 * states[n].inner_re(g.apply(states[n - 1])), 0)
-            for n in range(1, traj.last + 1)]
+    return [GaussianInt(_pair_q(u, w, g), 0) for u, w in zip(states[1:], states)]
 
 
-def _cross_check(series: Sequence, traj: Trajectory, g: HermitianIntMatrix):
-    # the 2 Re series is always real, so compare it with the two-term form
-    # at both ends: n = 1 at seed size and n = N at the run's largest entries
-    if series[0] != two_point_invariant(traj, g, 1):
+def _cross_check(series: Sequence, first: tuple, last: tuple,
+                 g: HermitianIntMatrix):
+    """Compare a series with the two-term form at both ends: n = 1 from the
+    pair `first` = (psi_1, psi_0), at seed size, and n = N = len(series)
+    from `last` = (psi_N, psi_{N-1}), at the run's largest entries."""
+    if _pair_invariant(*first, g) != series[0]:
         raise AssertionError("two-point series disagrees with the two-term "
                              "invariant at n = 1")
-    if series[-1] != two_point_invariant(traj, g, traj.last):
+    if _pair_invariant(*last, g) != series[-1]:
         raise AssertionError("two-point series disagrees with the two-term "
-                             f"invariant at the last index n = {traj.last}")
+                             f"invariant at the last index n = {len(series)}")
 
 
 def _block_program(observables: Sequence, dim: int):
@@ -108,9 +124,9 @@ def _block_program(observables: Sequence, dim: int):
     return s_pairs, t_pairs, programs
 
 
-def _block_series(traj: Trajectory, program) -> list:
-    """`two_point_series(traj, g)` for every g of a `_block_program`, from
-    one product block per slice.
+def _block_series(program, out: list):
+    """The feed that appends q_G(n) to out[k] for the k-th g of a
+    `_block_program`, from one product block per slice pair.
 
     With u = psi_n, w = psi_{n-1} and X_a = ur_a wr_a, Y_a = ui_a wi_a,
     R_a = X_a + Y_a, the entries the observables read are
@@ -121,14 +137,13 @@ def _block_series(traj: Trajectory, program) -> list:
              = Im(conj(u_a) w_b - conj(u_b) w_a),
     and q_G(n) = 2 [sum_a G_aa R_a + sum_{a<b} (Re G_ab S_ab - Im G_ab T_ab)]
     for self-adjoint G.  Pure algebra of the bilinear form, so exact on any
-    trajectory: 2d + 2|S pairs| + 2|T pairs| big products per slice and
-    only small-coefficient multiplies after them.
+    pair: 2d + 2|S pairs| + 2|T pairs| big products per slice and only
+    small-coefficient multiplies after them.
     """
     s_pairs, t_pairs, programs = program
-    out = [[] for _ in programs]
-    states = traj.states
-    for n in range(1, len(states)):
-        u, w = states[n], states[n - 1]
+    rows = tuple(zip(out, programs))
+
+    def feed(u: GIVector, w: GIVector):
         ur, ui, wr, wi = u.re, u.im, w.re, w.im
         x = list(map(mul, ur, wr))
         y = list(map(mul, ui, wi))
@@ -141,28 +156,51 @@ def _block_series(traj: Trajectory, program) -> list:
                          - (ui[a] + ur[b]) * (wi[a] + wr[b])
                          - x[a] - y[b] + y[a] + x[b])
         at = block.__getitem__
-        for series, (positions, coefficients) in zip(out, programs):
-            series.append(GaussianInt(2 * sum(map(mul, coefficients,
-                                                  map(at, positions))), 0))
-    return out
+        for series, (positions, coefficients) in rows:
+            series.append(2 * sum(map(mul, coefficients, map(at, positions))))
+
+    return feed
 
 
-def _audit_series(traj: Trajectory, observables: Sequence) -> list:
-    """Every observable's series, from the block when it takes no more big
-    products per slice than one `two_point_series` per G (2d each)."""
-    d = traj.dim
-    program = _block_program(observables, d)
+def _per_g_series(observables: Sequence, out: list):
+    """The feed that appends q_G(n) to out[k] for the k-th G, with one
+    G-apply and one real inner product per G and slice pair."""
+    rows = tuple(zip(out, observables))
+
+    def feed(u: GIVector, w: GIVector):
+        for series, g in rows:
+            series.append(_pair_q(u, w, g))
+
+    return feed
+
+
+def _audit_series(observables: Sequence, dim: int):
+    """One series pass over every observable: (feed, series).
+
+    Each feed(psi_n, psi_{n-1}) call, for n = 1, 2, ... in order, appends
+    q_G(n) as an int to the G's list in `series`.  The pass uses the
+    product block when it takes no more big products per slice than one
+    G-apply and inner product per G (2d each), else those; the choice
+    depends only on the observables' nonzero pattern.
+    """
+    program = _block_program(observables, dim)
     s_pairs, t_pairs, _ = program
-    if 2 * d + 2 * len(s_pairs) + 2 * len(t_pairs) <= 2 * d * len(observables):
-        return _block_series(traj, program)
-    return [two_point_series(traj, g) for g in observables]
+    series = [[] for _ in observables]
+    if 2 * dim + 2 * len(s_pairs) + 2 * len(t_pairs) <= 2 * dim * len(observables):
+        return _block_series(program, series), series
+    return _per_g_series(observables, series), series
+
+
+def _pair_norm(u: GIVector, w: GIVector) -> int:
+    """2 Re u^* w: the normalization stand-in of the pair (psi_n, psi_{n-1})."""
+    return 2 * u.inner_re(w)
 
 
 def norm_like_invariant(traj: Trajectory, n: int) -> int:
     """2 Re psi_n^* psi_{n-1}; the normalization stand-in (G = identity)."""
     if not 1 <= n <= traj.last:
         raise ValueError(f"index {n} out of range 1..{traj.last}")
-    return 2 * traj[n].inner_re(traj[n - 1])
+    return _pair_norm(traj[n], traj[n - 1])
 
 
 def symmetrized_Q(traj: Trajectory, n: int) -> Fraction:
@@ -206,7 +244,7 @@ def conserved_quantity(traj: Trajectory, g: HermitianIntMatrix,
                        label: str) -> ConservedQuantity:
     """Labelled invariant series; values are real for self-adjoint g."""
     values = tuple(two_point_series(traj, g))
-    _cross_check(values, traj, g)
+    _cross_check(values, (traj[1], traj[0]), (traj[-1], traj[-2]), g)
     return ConservedQuantity(label=label, values_by_n=values)
 
 
@@ -258,6 +296,51 @@ class AuditReport:
         }
 
 
+def _labels(labels: Optional[Sequence[str]], observables: Sequence) -> Sequence[str]:
+    if labels is None:
+        return [f"G{i}" for i in range(len(observables))]
+    if len(labels) != len(observables):
+        raise ValueError(f"{len(labels)} labels for {len(observables)} observables")
+    return labels
+
+
+def _report(h: HermitianIntMatrix, observables: Sequence, labels: Sequence[str],
+            series: Sequence, first_bad: Optional[int], slices: int,
+            first: tuple, last: tuple) -> AuditReport:
+    """The audit of one series pass.
+
+    `series` holds each observable's q_G(1..N) as ints, `first` the pair
+    (psi_1, psi_0) and `last` the pair (psi_N, psi_{N-1}).  Per G: whether
+    [G, H] = 0, the two-term cross-check at both ends, and the value or
+    the drift.
+    """
+    norm = _pair_norm(*first)
+    entries = []
+    for label, g, values in zip(labels, observables, series):
+        commutes = g.commutator(h).is_zero()
+        _cross_check(values, first, last, g)
+        conserved = len(set(values)) == 1
+        value = GaussianInt(values[0], 0) if conserved else None
+        drift = None
+        # conservation_rate(n) == q(n+1) - q(n) on any trajectory, so the
+        # rate vanishes at every interior n exactly when q is constant
+        rate_ok = conserved if commutes else None
+        if not conserved:
+            drift = tuple((n, GaussianInt(v, 0)) for n, v in enumerate(values, 1))
+        entries.append(AuditEntry(label=label, commutes=commutes,
+                                  conserved=conserved, rate_ok=rate_ok,
+                                  value=value, drift=drift))
+    return AuditReport(
+        dim=h.dim,
+        slices=slices,
+        solution_ok=first_bad is None,
+        first_bad_site=first_bad,
+        norm_value=norm,
+        norm_is_zero=norm == 0,
+        entries=tuple(entries),
+    )
+
+
 def audit_conservation(traj: Trajectory, h: HermitianIntMatrix,
                        observables: Sequence, labels: Sequence[str] = None) -> AuditReport:
     """Full conservation audit of a trajectory against a list of observables.
@@ -268,57 +351,72 @@ def audit_conservation(traj: Trajectory, h: HermitianIntMatrix,
     vanishes; for non-commuting G the observed values.  A zero
     normalization invariant is legitimate but flagged.
 
-    All series come from one pass: one shared block of entry products
-    per slice (see `_block_series`) whenever that takes no more big
-    products, 2d + 2 per off-diagonal pair with a nonzero real part in
-    some G + 2 per pair with a nonzero imaginary part, than the 2d per
-    G of one `two_point_series` each; otherwise `two_point_series` per
-    G.  The choice depends only on the observables' nonzero pattern.
-    Raises ValueError if `labels` and `observables` differ in length,
-    and AssertionError if a series disagrees with the two-term
-    `two_point_invariant` at n = 1 or at n = N.
+    All series come from one pass over the slice pairs (`_audit_series`):
+    one shared block of entry products per slice (see `_block_series`)
+    whenever that takes no more big products, 2d + 2 per off-diagonal
+    pair with a nonzero real part in some G + 2 per pair with a nonzero
+    imaginary part, than the 2d per G of one G-apply and real inner
+    product each; otherwise those.  The choice depends only on the
+    observables' nonzero pattern.  `_AuditWindow` feeds the same pass and
+    report from a three-slice window.  Raises ValueError if `labels` and
+    `observables` differ in length, and AssertionError if a series
+    disagrees with the two-term `two_point_invariant` at n = 1 or at n = N.
     """
     _check_dims(traj, h)
-    if labels is None:
-        labels = [f"G{i}" for i in range(len(observables))]
-    if len(labels) != len(observables):
-        raise ValueError(f"{len(labels)} labels for {len(observables)} observables")
+    labels = _labels(labels, observables)
     for g in observables:
         _check_dims(traj, g)
     bad = first_recurrence_violation(traj, h)
-    norm = norm_like_invariant(traj, 1)
-    entries = []
-    for label, g, series in zip(labels, observables, _audit_series(traj, observables)):
-        commutes = g.commutator(h).is_zero()
-        _cross_check(series, traj, g)
-        distinct = {(v.re, v.im) for v in series}
-        conserved = len(distinct) == 1
-        value = series[0] if conserved else None
-        drift = None
-        # conservation_rate(n) == q(n+1) - q(n) on any trajectory, so the
-        # rate vanishes at every interior n exactly when q is constant
-        rate_ok = conserved if commutes else None
-        if not conserved:
-            drift = tuple((n + 1, v) for n, v in enumerate(series))
-        entries.append(AuditEntry(label=label, commutes=commutes,
-                                  conserved=conserved, rate_ok=rate_ok,
-                                  value=value, drift=drift))
-    return AuditReport(
-        dim=traj.dim,
-        slices=len(traj),
-        solution_ok=bad is None,
-        first_bad_site=bad,
-        norm_value=norm,
-        norm_is_zero=norm == 0,
-        entries=tuple(entries),
-    )
+    feed, series = _audit_series(observables, traj.dim)
+    states = traj.states
+    for u, w in zip(states[1:], states):
+        feed(u, w)
+    return _report(h, observables, labels, series, bad, len(states),
+                   (states[1], states[0]), (states[-1], states[-2]))
+
+
+class _AuditWindow(_Window):
+    """`audit_conservation` of the forward step's slices, fed from the
+    three-slice window that writes them.
+
+    `texts()` (see `automaton._Window`) hands each slice pair (psi_n,
+    psi_{n-1}) to one series pass; after it, `report()` is the audit of
+    the slices it yielded, with the window's first bad site.
+    """
+
+    def __init__(self, seed0: GIVector, seed1: GIVector, h: HermitianIntMatrix,
+                 steps: int, observables: Sequence, labels: Sequence[str] = None):
+        super().__init__(seed0, seed1, h, steps)
+        self._labels = _labels(labels, observables)
+        self._observables = observables
+        self._feed, self._series = _audit_series(observables, h.dim)
+
+    def _visit(self, psi, up, e):
+        if psi is not None:
+            self._feed(up, psi)
+
+    def report(self) -> AuditReport:
+        seed0, seed1 = self.seeds
+        down, last = self.ends
+        return _report(self._h, self._observables, self._labels, self._series,
+                       self.first_bad, self.slices, (seed1, seed0), (last, down))
+
+
+def _series_csv_pieces(named_series: Sequence) -> Iterator[str]:
+    """`series_to_csv`'s text: the header, then one piece per label.
+
+    Each piece is formatted with the int digit limit lifted, and the
+    limit is restored before the piece is yielded.
+    """
+    yield "label,n,re,im\n"
+    for label, series in named_series:
+        with exact_int_text():
+            piece = "".join(f"{label},{n},{v.re},{v.im}\n"
+                            for n, v in enumerate(series, start=1))
+        yield piece
 
 
 @exact_int_text()
 def series_to_csv(named_series: Sequence) -> str:
     """CSV rows (label, n, re, im) for labelled invariant series."""
-    lines = ["label,n,re,im"]
-    for label, series in named_series:
-        for n, v in enumerate(series, start=1):
-            lines.append(f"{label},{n},{v.re},{v.im}")
-    return "\n".join(lines) + "\n"
+    return "".join(_series_csv_pieces(named_series))

@@ -130,6 +130,8 @@ class GaussianInt:
 
     def divide_exact(self, k: int) -> "GaussianInt":
         """Divide both parts by the nonzero integer k; k must divide exactly."""
+        if type(k) is not int:
+            raise ValueError("k must be a plain integer")
         if k == 0:
             raise ZeroDivisionError("exact division by zero")
         qr, rr = divmod(self.re, k)

@@ -235,6 +235,27 @@ def test_variation_spec_validation():
         VariationSpec(1, 0, "nonsense", 1)
 
 
+@pytest.mark.parametrize("at, delta, name", [
+    (3, 0.5, "delta"), (3, 1.0, "delta"), (3, True, "delta"), (3, 0.0, "delta"),
+    (3.0, 1, "at"), (True, 1, "at"), ("3", 1, "at")])
+def test_discrete_variation_takes_plain_ints_only(at, delta, name):
+    # a float shift would return a float quotient (6.0 at delta 0.5), and a
+    # float zero would take the delta == 0 convention
+    with pytest.raises(ValueError, match=f"^{name} must be a plain integer"):
+        discrete_variation(lambda f: f * f, at, delta)
+    with pytest.raises(ValueError, match=f"^{name} must be a plain integer"):
+        discrete_variation(lambda f: GaussianInt(f, 0), at, delta)
+
+
+@pytest.mark.parametrize("site, dof, delta, name", [
+    (2, 0, 1.5, "delta"), (2, 0, 2.0, "delta"), (2, 0, True, "delta"),
+    (2.0, 0, 1, "site"), (True, 0, 1, "site"), (2, 0.0, 1, "dof"),
+    (2, False, 1, "dof")])
+def test_variation_spec_takes_plain_ints_only(site, dof, delta, name):
+    with pytest.raises(ValueError, match=f"^{name} must be a"):
+        VariationSpec(site, dof, "psi_re", delta)
+
+
 @pytest.mark.parametrize("method", ["fast", "direct"])
 @pytest.mark.parametrize("deltas", [(0,), (1.5,), ("a",), (True,), (1, 2.0)],
                          ids=["zero", "float", "str", "bool", "one-float"])

@@ -331,11 +331,15 @@ def test_audit_computes_each_series_once(tmp_path, monkeypatch):
     series = count_calls(monkeypatch, conservation, "two_point_series")
     rates = count_calls(monkeypatch, conservation, "conservation_rate")
     quantities = count_calls(monkeypatch, conservation, "conserved_quantity")
+    audits = count_calls(monkeypatch, conservation, "audit_conservation")
+    histories = count_calls(monkeypatch, Trajectory, "__init__")
     run(cfg, tmp_path / "out")
-    # one series pass for the whole basis: a single product block
-    assert len(passes) == 1 and len(passes[0][1]) == 4
+    # one series pass for the whole basis, fed by the window: a single
+    # product block and no stored trajectory
+    assert len(passes) == 1 and len(passes[0][0]) == 4
     assert len(blocks) == 1 and series == []
     assert rates == [] and quantities == []
+    assert audits == [] and histories == []
     h = cfg.params["hamiltonian"]
     traj = evolve(*cfg.params["seeds"], h, 20)
     want = conservation.series_to_csv(
@@ -365,18 +369,21 @@ def test_evolve_and_audit_sweep_the_brackets_once(tmp_path, monkeypatch):
     cfg = load_config(write_config(tmp_path / "audit.json", {
         "kind": "audit", "hamiltonians": [PAULI_X],
         "seeds": [[[1, 0], [0, 0]], [[0, 0], [1, 1]]], "steps": steps}))
-    evolved = []
+    made, stream = [], automaton._evolve_slices
 
     def keep(*args):
-        evolved.append(evolve(*args))
-        return evolved[-1]
+        for s in stream(*args):
+            made.append(s)
+            yield s
 
-    monkeypatch.setattr(automaton, "evolve", keep)
+    monkeypatch.setattr(automaton, "_evolve_slices", keep)
     applied.clear()
     run(cfg, tmp_path / "audit")
-    # H on stored slices: evolve and one pass shared by the solution
-    # check and the writer (the observables are matrices of their own)
-    h, slices = cfg.params["hamiltonian"], {id(s) for s in evolved[0]}
+    # H on the window's slices: the forward step and one bracket pass
+    # shared by the solution check and the writer (the observables are
+    # matrices of their own)
+    h, slices = cfg.params["hamiltonian"], {id(s) for s in made}
+    assert len(made) == steps + 2
     assert sum(m is h and id(v) in slices for m, v in applied) == 2 * steps
 
 
@@ -792,11 +799,11 @@ def test_a_mutated_config_loads_or_is_a_config_error(tmp_path_factory, case):
 
 
 def test_a_failing_writer_leaves_no_file(tmp_path):
-    traj = evolve(GIVector([1, 0]), GIVector([0, 1]),
-                  HermitianIntMatrix.from_pairs(PAULI_X), 4)
+    seeds = GIVector([1, 0]), GIVector([0, 1])
     for fmt in ("csv", "json"):
+        window = automaton._Window(*seeds, HermitianIntMatrix.identity(3), 4)
         with pytest.raises(ValueError):
-            cli._write_trajectory(traj, HermitianIntMatrix.identity(3), tmp_path, fmt)
+            cli._write_slices(window.texts(), 2, tmp_path, fmt)
     assert not (tmp_path / "trajectory.csv").exists()
     assert not (tmp_path / "trajectory.json").exists()
 
@@ -999,3 +1006,174 @@ def test_short_evolve_runs_keep_their_bytes(tmp_path, capsys, steps, fmt):
     digests = (hashlib.sha256((out / f"trajectory.{fmt}").read_bytes()).hexdigest(),
                hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest())
     assert digests == EVOLVE_GOLDEN[(steps, fmt)]
+
+
+def audit_peak(tmp_path, h, steps, fmt):
+    """Traced peak bytes of one `hamca audit` run from the tridiagonal seeds."""
+    cfg = load_config(write_config(tmp_path / "cfg.json", {
+        "kind": "audit", "hamiltonians": [h],
+        "seeds": [[[1, 0], [0, -1], [2, 1]], [[0, 1], [1, 0], [-1, 0]]],
+        "steps": steps, "output": {"format": fmt}}))
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    base = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    try:
+        report = run(cfg, tmp_path / f"out-{steps}")
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert all(c["passed"] for c in report["checks"])
+    return peak
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_audit_peak_memory_does_not_grow_with_the_history(tmp_path, fmt):
+    # as for evolve: 4x the steps costs a window of slices (and the
+    # series, one int per observable and step) ~4x, and a held history
+    # ~16x (measured with the run's fixed costs: 2.1x and 9.8x)
+    h = [[[1000 * re, im] for re, im in row] for row in TRIDIAGONAL]
+    small, large = (audit_peak(tmp_path, h, steps, fmt) for steps in (250, 1000))
+    assert large < 8 * small
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("where", ["slice", "step"])
+def test_the_audit_window_checks_the_slices_it_writes(tmp_path, monkeypatch, fmt,
+                                                       where):
+    # the audit twin of the evolve test: a corrupted slice k shows in the
+    # solution check at the site the stored history gives, and every
+    # artifact is the one the library writes for that history
+    cfg = load_config(write_config(tmp_path / "cfg.json", {
+        "kind": "audit", "hamiltonians": [TRIDIAGONAL],
+        "seeds": [[[1, 0], [0, -1], [2, 1]], [[0, 1], [1, 0], [-1, 0]]],
+        "steps": 9, "output": {"format": fmt}}))
+    h, (s0, s1) = cfg.params["hamiltonian"], cfg.params["seeds"]
+    clean = evolve(s0, s1, h, 9)
+    if where == "slice":
+        monkeypatch.setattr(automaton, "_evolve_slices",
+                            bump_slice(automaton._evolve_slices, 5))
+    else:
+        monkeypatch.setattr(automaton, "step_forward",
+                            bump_step(automaton.step_forward, (clean[3], clean[4])))
+    corrupted = Trajectory(automaton._evolve_slices(s0, s1, h, 9))
+    assert corrupted != clean and corrupted[5] != clean[5]
+    report = run(cfg, tmp_path / "out")
+    checks = {c["name"]: (c["passed"], c["info"]) for c in report["checks"]}
+    bad = automaton.first_recurrence_violation(corrupted, h)
+    assert bad is not None
+    assert checks["trajectory_is_solution"] == (False, f"first bad site {bad}")
+    labels, basis = zip(*conservation.default_commutant_basis(h))
+    audit = conservation.audit_conservation(corrupted, h, basis, labels)
+    out = tmp_path / "out"
+    assert (out / "audit.json").read_text() == \
+        json.dumps(audit.to_json_obj(), indent=2, sort_keys=True) + "\n"
+    assert (out / "series.csv").read_text() == conservation.series_to_csv(
+        [(l, conservation.two_point_series(corrupted, g))
+         for l, g in zip(labels, basis)])
+    written = (out / f"trajectory.{fmt}").read_text()
+    assert written == (corrupted.to_csv(h) if fmt == "csv"
+                       else corrupted.to_json_text(h))
+
+
+# sha256 of the trajectory, audit.json, series.csv and report.json without
+# `wall_time_s` and the artifact paths, recorded from the audit that held
+# its whole history: the default basis of a complex coupling (the product
+# block), and one non-commuting complex observable (the per-G series and
+# the drift); steps 0 has one series value and steps 1 one bracket site
+AUDIT_GOLDEN = {
+    ("default", 0, "csv"): (
+        "bdc91f83d474eff0f60ca700b76536d13929e11ce3bea5259f6fb5afb6d015c0",
+        "bba9f55b0b6756d1882b12995792ec9a2c67430b32da5fdc1aa224578694f6b4",
+        "5d845e26439b5a35dd44182cc78582b97913a4915d619e8dc969ec9c89869528",
+        "c04f053cc481ef51b3af6e29c183f9a64c06280611578938c602830f95007d22"),
+    ("default", 0, "json"): (
+        "dba5d00c135ac6bac08e43bcda8b53b73c096c572ccf0e2dd38b12ebd71a6958",
+        "bba9f55b0b6756d1882b12995792ec9a2c67430b32da5fdc1aa224578694f6b4",
+        "5d845e26439b5a35dd44182cc78582b97913a4915d619e8dc969ec9c89869528",
+        "ae2a742e2b5b2899a4d7078ba8acfe0e1b07f66d40c8b0cc558c99cc34f03e5b"),
+    ("default", 1, "csv"): (
+        "13c2646ddd86eb8df16e9805b64dcfb5c9a778a58f3236c86394db60d42641dc",
+        "f20507944fe286e8adcae404de051d831acd6d36e8144e23b6416619fc219ce5",
+        "62d7a82d79c82c7ab6d701d2dec8b3139361eeffc3ce20652c5045638c94f9cc",
+        "c76ad3dae146608adf09b55619f69c2d91fb45d2f4e7bded9ed73f4c8dd5118b"),
+    ("default", 1, "json"): (
+        "3d59e6b3791ff5d6a00a1a1e00d99d82ba1f875dabb69173862ba1eeeca1e0cb",
+        "f20507944fe286e8adcae404de051d831acd6d36e8144e23b6416619fc219ce5",
+        "62d7a82d79c82c7ab6d701d2dec8b3139361eeffc3ce20652c5045638c94f9cc",
+        "a12a19f37e13ef9ce208c062af329832451a7e7da9082bdacf41acd8122dbb1b"),
+    ("default", 2, "csv"): (
+        "48706f5387ca161d1d458cd96053943852213facf1c8d2dc9ddb48305fa07f04",
+        "ebd43b5562dc2a24e788d7f98e989a01b911cee33ca5f7361e3eb58f536ceb39",
+        "aa5cc2fabff67672d2b25378ab162b672dca554643876b8c34bec1094a613dd5",
+        "aef4179f724832a976bdc213e2ada174b1cc3468a229c833759b0acaa6f2c58a"),
+    ("default", 2, "json"): (
+        "90554a4728a237f1a1d5e50c3da3c8e9d7d7bf7405c5d228779778bac1078129",
+        "ebd43b5562dc2a24e788d7f98e989a01b911cee33ca5f7361e3eb58f536ceb39",
+        "aa5cc2fabff67672d2b25378ab162b672dca554643876b8c34bec1094a613dd5",
+        "d0b701409cacb6cbcd967fe515cc9752bc1e4def02e49ed9a26dbde62600169d"),
+    ("drift", 0, "csv"): (
+        "bdc91f83d474eff0f60ca700b76536d13929e11ce3bea5259f6fb5afb6d015c0",
+        "a6877a76d5597da5f30667c392f526c309e662cc338ee70e8b583ac7c7b12b00",
+        "bb0a6bf4d0533aac57122e6c1410c5e543d59f52253a31631fcda4092cda7cf5",
+        "d9382e451685272b58d11ed238b86ae54cd569e29910b6dc2f0c7b99c4945016"),
+    ("drift", 0, "json"): (
+        "dba5d00c135ac6bac08e43bcda8b53b73c096c572ccf0e2dd38b12ebd71a6958",
+        "a6877a76d5597da5f30667c392f526c309e662cc338ee70e8b583ac7c7b12b00",
+        "bb0a6bf4d0533aac57122e6c1410c5e543d59f52253a31631fcda4092cda7cf5",
+        "355414240039e5868831077ad4c17cce40e5b20621177f57c27972da0d8d6229"),
+    ("drift", 1, "csv"): (
+        "13c2646ddd86eb8df16e9805b64dcfb5c9a778a58f3236c86394db60d42641dc",
+        "079e7a5d516413e52802e95e1b5cf5dfd8ec6b92c07e365550f7adf0dcfa3817",
+        "a0eadc6f7e8e0fa51fcaa71c4f3d769db86e3cb75962370e283966eb7a4d4f9c",
+        "e998296bf501c753c7ef5d95697cf904e426e7a56a82add0f336a9efef60e6af"),
+    ("drift", 1, "json"): (
+        "3d59e6b3791ff5d6a00a1a1e00d99d82ba1f875dabb69173862ba1eeeca1e0cb",
+        "079e7a5d516413e52802e95e1b5cf5dfd8ec6b92c07e365550f7adf0dcfa3817",
+        "a0eadc6f7e8e0fa51fcaa71c4f3d769db86e3cb75962370e283966eb7a4d4f9c",
+        "ae9a2d2bab631bc900a9c3bac4376d2ac4274141b1dc80efd84b56d813398ffd"),
+    ("drift", 2, "csv"): (
+        "48706f5387ca161d1d458cd96053943852213facf1c8d2dc9ddb48305fa07f04",
+        "57374d3c667d072f9058a5de0d114646d88bcf76a7ff1b608d7f0343c27c3557",
+        "f2bd5ecf46af80f5331fececc499aa3441ba002f1c8ff8a4baa7e12b49dba219",
+        "39d624a2c6b7ee8e4559447471670d378dc63f04659194afe91e4accea34a227"),
+    ("drift", 2, "json"): (
+        "90554a4728a237f1a1d5e50c3da3c8e9d7d7bf7405c5d228779778bac1078129",
+        "57374d3c667d072f9058a5de0d114646d88bcf76a7ff1b608d7f0343c27c3557",
+        "f2bd5ecf46af80f5331fececc499aa3441ba002f1c8ff8a4baa7e12b49dba219",
+        "ff0a1b8fdc8eb5a5baeac45187cd205a93dc357d21f59c06b0da9aa7f6527c73"),
+}
+
+SHORT_AUDITS = {
+    "default": {},
+    "drift": {"observables": [[[[1, 0], [1, 2]], [[1, -2], [0, 0]]]]},
+}
+
+
+@pytest.mark.parametrize("name, steps, fmt", sorted(AUDIT_GOLDEN))
+def test_short_and_drifting_audits_keep_their_bytes(tmp_path, capsys, name, steps,
+                                                    fmt):
+    path = write_config(tmp_path / "cfg.json", dict({
+        "kind": "audit", "hamiltonians": [[[[2, 0], [1, 1]], [[1, -1], [-1, 0]]]],
+        "seeds": [[[1, 0], [0, -1]], [[0, 1], [2, 0]]], "steps": steps,
+        "output": {"format": fmt}}, **SHORT_AUDITS[name]))
+    out = tmp_path / "out"
+    assert main(["audit", "--config", path, "--out", str(out)]) == 0
+    if name == "default":
+        lines = ["PASS trajectory_is_solution"] + [
+            f"PASS conserved:{label} — value {value}+0i"
+            for label, value in (("1", 0), ("H", 2), ("H^2", 2), ("H^3", 10))]
+    else:
+        lines = ["PASS trajectory_is_solution",
+                 "PASS noncommuting:G0 — informational; " +
+                 ("drift recorded from n=2" if steps else "constant anyway")]
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[:-1] == lines and captured.err == ""
+    report = json.loads((out / "report.json").read_text())
+    del report["wall_time_s"], report["artifacts"]
+    digests = tuple(hashlib.sha256((out / a).read_bytes()).hexdigest()
+                    for a in (f"trajectory.{fmt}", "audit.json", "series.csv"))
+    digests += (hashlib.sha256(json.dumps(report, sort_keys=True).encode()
+                               ).hexdigest(),)
+    assert digests == AUDIT_GOLDEN[(name, steps, fmt)]

@@ -283,8 +283,8 @@ def test_the_two_term_cross_check_fires_on_disagreement(rng, monkeypatch):
     traj = evolve(random_vector(rng, 2), random_vector(rng, 2), h, 6)
     ident = HermitianIntMatrix.identity(2)
     good = two_point_invariant(traj, ident, 1)
-    monkeypatch.setattr(conservation, "two_point_invariant",
-                        lambda traj, g, n: good + gi(2))
+    monkeypatch.setattr(conservation, "_pair_invariant",
+                        lambda u, w, g: good + gi(2))
     with pytest.raises(AssertionError, match="two-term"):
         audit_conservation(traj, h, [ident])
     with pytest.raises(AssertionError, match="two-term"):
@@ -296,17 +296,20 @@ def test_the_cross_check_reaches_the_last_value(rng, monkeypatch):
     traj = evolve(random_vector(rng, 2), random_vector(rng, 2), h, 6)
     basis = [g for _, g in default_commutant_basis(h)]
 
-    def corrupt_last(kernel):
-        def corrupted(*args):
-            out = kernel(*args)
-            last = out[-1] if isinstance(out[0], list) else out
-            last[-1] += gi(2)
-            return out
+    def corrupt_last(factory):
+        def corrupted(source, out):
+            feed = factory(source, out)
+
+            def bumped(u, w):
+                feed(u, w)
+                if u is traj[-1]:
+                    out[-1][-1] += 2
+            return bumped
         return corrupted
 
     # the product block (four observables) and the per-G series (one)
     for name, observables in (("_block_series", basis),
-                              ("two_point_series", basis[1:2])):
+                              ("_per_g_series", basis[1:2])):
         with monkeypatch.context() as m:
             m.setattr(conservation, name, corrupt_last(getattr(conservation, name)))
             with pytest.raises(AssertionError, match=f"last index n = {traj.last}"):
@@ -339,6 +342,12 @@ def _observable(rng, kind, dim, bound=4):
     return HermitianIntMatrix(rows)
 
 
+def fed(feed, traj):
+    """`feed` handed every slice pair (psi_n, psi_{n-1}) of `traj`, in order."""
+    for u, w in zip(traj.states[1:], traj.states):
+        feed(u, w)
+
+
 @settings(max_examples=60)
 @given(dim=st.integers(1, 6), slices=st.integers(2, 7),
        kinds=st.lists(st.sampled_from(["complex", "real", "imaginary", "zero",
@@ -356,13 +365,17 @@ def test_the_product_block_is_the_per_g_series(dim, slices, kinds, solution, bit
     want = [two_point_series(traj, g) for g in observables]
     # the block is exact whichever side of the selection the list falls on
     program = conservation._block_program(observables, dim)
-    assert conservation._block_series(traj, program) == want
-    assert conservation._audit_series(traj, observables) == want
+    block = [[] for _ in observables]
+    fed(conservation._block_series(program, block), traj)
+    assert block == want
+    feed, series = conservation._audit_series(observables, dim)
+    fed(feed, traj)
+    assert series == want
 
 
 def test_the_audit_selects_the_block_by_big_products(rng, monkeypatch):
     block = count_calls(monkeypatch, conservation, "_block_series")
-    per_g = count_calls(monkeypatch, conservation, "two_point_series")
+    per_g = count_calls(monkeypatch, conservation, "_per_g_series")
     kernel = GIMatrix.apply
     applied = []
 
@@ -398,4 +411,5 @@ def test_the_audit_selects_the_block_by_big_products(rng, monkeypatch):
     traj6 = evolve(random_vector(rng, 6), random_vector(rng, 6), h6, 10)
     block.clear()
     audit_conservation(traj6, h6, [g6])
-    assert block == [] and len(per_g) == 1 and per_g[0][1] is g6
+    assert block == [] and len(per_g) == 1
+    assert len(per_g[0][0]) == 1 and per_g[0][0][0] is g6

@@ -63,6 +63,13 @@ def test_divide_exact():
     assert gi(-6, 9).divide_exact(-3) == gi(2, -3)
 
 
+@pytest.mark.parametrize("k", [2.0, 3.0, 0.0, True, "2", None])
+def test_divide_exact_takes_a_plain_int_divisor(k):
+    # 2.0 used to fail on the float parts it made, 3.0 as "not divisible"
+    with pytest.raises(ValueError, match="^k must be a plain integer$"):
+        gi(4, 6).divide_exact(k)
+
+
 def test_matrix_vector_examples():
     flip = GIMatrix.from_pairs([[[0, 0], [1, 0]], [[1, 0], [0, 0]]])
     assert flip.apply(GIVector([gi(1), gi(0)])) == GIVector([gi(0), gi(1)])
