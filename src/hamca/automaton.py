@@ -22,22 +22,20 @@ One quantity, the Euler-Lagrange bracket
 
 is at once -i times the recurrence residual, the action's per-site
 factor and every stationarity coefficient.  `_bracket` alone forms it,
-with its own H-apply on psi_n.  `_brackets` runs it over a stored
-trajectory and keeps the result on it: a map from each site whose
-bracket is nonzero to that bracket, empty on a solution.  So the pass
-runs once per trajectory and coupling, and the recurrence, action and
-fast stationarity checks and the trajectory writer all read the same
-map, whether a caller asks for them together or one at a time.
-`_Window` runs it instead on slices as the forward step makes them,
-and feeds the same writer from a window of three slices, recording the
-first site whose bracket is nonzero, so a checked run need not hold
-its history.  Each CLI verb adds only its own part: `_EvolveWindow`
-the action, the lockstep split-form oracle and reversal, and the
-conservation audit its series pass.  Neither path reuses the H psi_n
-that the forward step computed: psi_{n+1} was built from that very
-vector, so the recurrence check would be a tautology.  The independent
-oracles (split-form evolution, direct stationarity, reversal) stay off
-it.
+with its own H-apply on psi_n, and `_Window` is the one loop that runs
+it, over any stream of slices three at a time.  The pass records the
+first site whose bracket is nonzero, the nonzero brackets and the
+action, and feeds the trajectory writer.  On a stored trajectory the
+drained pass is kept on it for the coupling it ran with (`_kept_pass`),
+so the recurrence, action and fast stationarity checks and the writer
+all read one pass, whether a caller asks for them together or one at a
+time.  On the forward step's slices it checks a run that need not hold
+its history; each CLI verb adds only its own part: `_EvolveWindow` the
+lockstep split-form oracle and reversal, and the conservation audit its
+series pass.  The pass never reuses the H psi_n that the forward step
+computed: psi_{n+1} was built from that very vector, so the recurrence
+check would be a tautology.  The independent oracles (split-form
+evolution, direct stationarity, reversal) stay off it.
 
 Boundary convention: `action_evaluate` sums over interior clock sites
 only (end slices are fixed data).  The stationarity audit differences
@@ -70,7 +68,6 @@ from dataclasses import dataclass
 from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact,
                      InvalidOperation, Overflow, Rounded)
 from operator import add, mul, neg, sub
-from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .gaussian import (
@@ -113,8 +110,8 @@ _CSV_ROW = _re.compile(r"(-?[0-9]+),(-?[0-9]+),(-?[0-9]+),(-?[0-9]+)")
 class Trajectory:
     """Clock-indexed sequence of exact state vectors psi_0 ... psi_N.
 
-    Treat it as immutable: the bracket pass for the last coupling it was
-    checked against is kept on it (see `_brackets`).  `replace` and every
+    Treat it as immutable: the checked pass for the last coupling it was
+    checked against is kept on it (see `_kept_pass`).  `replace` and every
     other constructor start without one; `==` and `repr` ignore it.
     """
 
@@ -167,14 +164,11 @@ class Trajectory:
     # -- serialization ------------------------------------------------
 
     def _decimal_texts(self, h: Optional[HermitianIntMatrix]):
-        """`_decimal_slices` of this trajectory, its brackets read from the map."""
+        """`_decimal_slices` of this trajectory, its brackets read from the pass."""
         brackets = [None] * len(self.states)
-        for n, (_, e_re, e_im) in ({} if h is None else _brackets(self, h)).items():
-            brackets[n + 1] = (e_re, e_im)
+        for n, e in () if h is None else _kept_pass(self, h).brackets:
+            brackets[n + 1] = e
         return _decimal_slices(zip(self.states, brackets), h)
-
-    def _csv_pieces(self, h: Optional[HermitianIntMatrix]):
-        return _csv_pieces(self._decimal_texts(h))
 
     def to_csv(self, h: Optional[HermitianIntMatrix] = None) -> str:
         """CSV text `n,alpha,re,im`, one row per entry.
@@ -182,17 +176,14 @@ class Trajectory:
         Pass the coupling the trajectory solves to make the decimal text
         linear in its length; any H (or none) gives the same exact text.
         """
-        return "".join(self._csv_pieces(h))
-
-    def _json_pieces(self, h: Optional[HermitianIntMatrix]):
-        return _json_pieces(self._decimal_texts(h), self.dim)
+        return "".join(_csv_pieces(self._decimal_texts(h)))
 
     def to_json_text(self, h: Optional[HermitianIntMatrix] = None) -> str:
         """`json.dumps(self.to_json_obj(), indent=2, sort_keys=True) + "\\n"`.
 
         Same bytes, with entries printed from the stream `to_csv` uses.
         """
-        return "".join(self._json_pieces(h))
+        return "".join(_json_pieces(self._decimal_texts(h), self.dim))
 
     @classmethod
     @exact_int_text()
@@ -432,12 +423,19 @@ def evolve_phase_space(x0: Sequence[int], p0: Sequence[int],
     return Trajectory(_phase_space_slices(x0, p0, x1, p1, hs, ha, steps))
 
 
-# -- the bracket pass ----------------------------------------------------
+# -- the checked pass ----------------------------------------------------
 
 
 def _check_dims(traj: Trajectory, h: HermitianIntMatrix):
     if traj.dim != h.dim:
         raise ValueError(f"dimension mismatch: trajectory {traj.dim}, matrix {h.dim}")
+
+
+def _check_site(n, last: int, message: str):
+    """ValueError(message.format(n, last)) unless n is a plain int in 1..last."""
+    if type(n) is not int or not 1 <= n <= last:
+        with exact_int_text():
+            raise ValueError(message.format(n, last))
 
 
 def _bracket(down: GIVector, psi: GIVector, up: GIVector,
@@ -454,41 +452,112 @@ def _bracket(down: GIVector, psi: GIVector, up: GIVector,
     return None
 
 
-def _brackets(traj: Trajectory, h: HermitianIntMatrix) -> MappingProxyType:
-    """Map each interior site n whose bracket is nonzero to (psi_n, re, im).
+def _action_summand(psi: GIVector, e_re: tuple, e_im: tuple) -> int:
+    """Re psi_n^* . E_n, one site's term of the action."""
+    return sum(map(mul, psi.re, e_re)) + sum(map(mul, psi.im, e_im))
 
-    `re` and `im` are the int parts of the bracket
-    E_n = H psi_n - i (psi_{n+1} - psi_{n-1}), from `_bracket` on the
-    stored slices.  E_n is -i times `recurrence_residual`, so the
-    map is empty exactly on a solution; E_n is also the action's
-    per-site right-hand factor and the starred variation coefficient,
-    and zero brackets contribute to neither.  Sites are keys in
-    increasing order.
 
-    The map is kept on `traj` for the coupling object it was swept with
-    (compared with `is`), so every reader shares one pass; an equal but
-    distinct H, or another H, sweeps again and replaces it.  Readers get
-    a read-only view, so none can change what the next one reads.
+class _Window:
+    """One checked pass over a stream of slices psi_0 ... psi_N, three at a time.
+
+    `texts()` yields the decimal text of each slice, the stream
+    `Trajectory.to_csv(h)` prints.  On the way the pass brackets every
+    interior site with `_bracket`'s own H-apply on the yielded slice and
+    records the nonzero brackets as (site, (re, im)) in increasing site
+    order (`brackets`, a tuple once drained).  E_n is -i times
+    `recurrence_residual`, so `first_bad`, the first of those sites, is
+    None exactly on a solution; E_n is also the action's per-site factor,
+    so `action` sums the summands of the nonzero brackets only.  Only
+    these, the slice count, the seeds and the last two slices (`ends`, as
+    (psi_{N-1}, psi_N)) outlive the pass.  A verb adds its own checks in
+    `_visit`, which sees each slice with the one before it (None for
+    psi_0) and the bracket there.
+    """
+
+    def __init__(self, slices: Iterable[GIVector], h: HermitianIntMatrix):
+        self._slices = slices
+        self.h = h
+        self.seeds = self.ends = None
+        self.brackets = []
+        self.action = 0
+        self.slices = 0
+
+    @property
+    def first_bad(self) -> Optional[int]:
+        return self.brackets[0][0] if self.brackets else None
+
+    def texts(self):
+        return _decimal_slices(self._pairs(), self.h)
+
+    def _pairs(self):
+        h = self.h
+        down = psi = None
+        for n, up in enumerate(self._slices):
+            e = None if down is None else _bracket(down, psi, up, h)
+            if e is not None:
+                self.brackets.append((n - 1, e))
+                self.action += _action_summand(psi, *e)
+            self._visit(psi, up, e)
+            yield up, e
+            down, psi = psi, up
+            if n == 1:
+                self.seeds = (down, psi)
+        self.slices = n + 1
+        self.ends = (down, psi)
+        self.brackets = tuple(self.brackets)
+
+    def _visit(self, psi: Optional[GIVector], up: GIVector, e: Optional[tuple]):
+        pass
+
+
+class _EvolveWindow(_Window):
+    """`_Window` with the evolve verdicts: whether the split-form `oracle`,
+    pulled in lockstep, gives the same slices and as many, and reversal."""
+
+    def __init__(self, slices: Iterable[GIVector], h: HermitianIntMatrix,
+                 oracle: Iterator[GIVector]):
+        super().__init__(slices, h)
+        self._oracle = oracle
+        self.same_as_oracle = True
+
+    def _visit(self, psi, up, e):
+        if self.same_as_oracle and next(self._oracle, None) != up:
+            self.same_as_oracle = False
+
+    def _pairs(self):
+        yield from super()._pairs()
+        if self.same_as_oracle and next(self._oracle, None) is not None:
+            self.same_as_oracle = False
+
+    def reverses(self) -> bool:
+        """Whether stepping back from the last two slices ends on the seeds."""
+        cur, nxt = self.ends
+        for _ in range(self.slices - 2):
+            nxt, cur = cur, step_backward(nxt, cur, self.h)
+        return (cur, nxt) == self.seeds
+
+
+def _kept_pass(traj: Trajectory, h: HermitianIntMatrix) -> _Window:
+    """The drained `_Window` of traj's slices for h, kept on traj.
+
+    It is kept for the coupling object it ran with (compared with `is`),
+    so every reader shares one pass; an equal but distinct H, or another
+    H, runs it again and replaces it.  Its brackets are a tuple, so no
+    reader can change what the next one reads.
     """
     _check_dims(traj, h)
-    swept = traj._swept
-    if swept is not None and swept[0] is h:
-        return swept[1]
-    bad = {}
-    states = traj.states
-    for n, (down, psi, up) in enumerate(zip(states, states[1:], states[2:]), 1):
-        e = _bracket(down, psi, up, h)
-        if e is not None:
-            bad[n] = (psi, *e)
-    view = MappingProxyType(bad)
-    traj._swept = (h, view)
-    return view
+    kept = traj._swept
+    if kept is None or kept.h is not h:
+        kept = _Window(traj.states, h)
+        for _ in kept._pairs():
+            pass
+        traj._swept = kept
+    return kept
 
 
 def recurrence_residual(traj: Trajectory, h: HermitianIntMatrix, n: int) -> GIVector:
     """psi_{n+1} - psi_{n-1} + i*H*psi_n; zero iff the rule holds at n."""
-    if not 1 <= n <= traj.last - 1:
-        raise ValueError(f"site {n} is not interior")
+    _check_site(n, traj.last - 1, "site {!r} is not interior")
     _check_dims(traj, h)
     e = _bracket(traj[n - 1], traj[n], traj[n + 1], h)
     if e is None:
@@ -498,7 +567,7 @@ def recurrence_residual(traj: Trajectory, h: HermitianIntMatrix, n: int) -> GIVe
 
 
 def first_recurrence_violation(traj: Trajectory, h: HermitianIntMatrix) -> Optional[int]:
-    return next(iter(_brackets(traj, h)), None)
+    return _kept_pass(traj, h).first_bad
 
 
 def is_solution(traj: Trajectory, h: HermitianIntMatrix) -> bool:
@@ -533,101 +602,12 @@ def action_evaluate(traj: Trajectory, h: HermitianIntMatrix) -> ActionValue:
         Re psi_n^* . [H psi_n - i (psi_{n+1} - psi_{n-1})].
 
     The bracket is -i times `recurrence_residual`, so on a solution it
-    is exactly zero and the sum is over the map's sites only; on any
-    other trajectory the value is the same integer.
+    is exactly zero and the checked pass sums the nonzero brackets' sites
+    only; on any other trajectory the value is the same integer.
     """
     if len(traj) < 3:
         raise ValueError("action needs at least three slices")
-    total = sum(_action_summand(*b) for b in _brackets(traj, h).values())
-    return ActionValue(GaussianInt(total, 0))
-
-
-def _action_summand(psi: GIVector, e_re: tuple, e_im: tuple) -> int:
-    """Re psi_n^* . E_n, one site's term of the action."""
-    return sum(map(mul, psi.re, e_re)) + sum(map(mul, psi.im, e_im))
-
-
-# -- one checked pass over a window ------------------------------------
-
-
-class _Window:
-    """The forward step's slices, checked and printed in one pass over three.
-
-    `texts()` yields the decimal text of psi_0 ... psi_{steps+1}, the
-    stream `Trajectory.to_csv(h)` prints, and records on the way the
-    first interior site whose bracket is nonzero (`first_bad`, as
-    `first_recurrence_violation` gives it on the stored slices) and the
-    slice count.  Each bracket comes from `_bracket`'s own H-apply on the
-    yielded slice, never from the one the forward step made.  A verb
-    adds its own checks in `_visit`, which sees each slice with the one
-    before it (None for psi_0) and the bracket there.  Only the seeds
-    and the last two slices (`ends`, as (psi_{N-1}, psi_N)) outlive the
-    pass.
-    """
-
-    def __init__(self, seed0: GIVector, seed1: GIVector, h: HermitianIntMatrix,
-                 steps: int):
-        self._slices = _evolve_slices(seed0, seed1, h, steps)
-        self._h = h
-        self._steps = steps
-        self.seeds = (seed0, seed1)
-        self.first_bad = None
-        self.slices = 0
-        self.ends = None
-
-    @property
-    def solution(self) -> bool:
-        return self.first_bad is None
-
-    def texts(self):
-        return _decimal_slices(self._pairs(), self._h)
-
-    def _pairs(self):
-        h = self._h
-        down = psi = None
-        for n, up in enumerate(self._slices):
-            e = None if down is None else _bracket(down, psi, up, h)
-            if e is not None and self.first_bad is None:
-                self.first_bad = n - 1
-            self._visit(psi, up, e)
-            yield up, e
-            down, psi = psi, up
-        self.slices = n + 1
-        self.ends = (down, psi)
-
-    def _visit(self, psi: Optional[GIVector], up: GIVector, e: Optional[tuple]):
-        pass
-
-
-class _EvolveWindow(_Window):
-    """`_Window` with the evolve verdicts: the action (the summands of the
-    nonzero brackets), whether the split-form `oracle`, pulled in
-    lockstep, gives the same slices and as many, and reversal."""
-
-    def __init__(self, seed0: GIVector, seed1: GIVector, h: HermitianIntMatrix,
-                 steps: int, oracle: Iterator[GIVector]):
-        super().__init__(seed0, seed1, h, steps)
-        self._oracle = oracle
-        self.action = 0
-        self.same_as_oracle = True
-
-    def _visit(self, psi, up, e):
-        if self.same_as_oracle and next(self._oracle, None) != up:
-            self.same_as_oracle = False
-        if e is not None:
-            self.action += _action_summand(psi, *e)
-
-    def _pairs(self):
-        yield from super()._pairs()
-        if self.same_as_oracle and next(self._oracle, None) is not None:
-            self.same_as_oracle = False
-
-    def reverses(self) -> bool:
-        """Whether stepping back from the last two slices ends on the seeds."""
-        cur, nxt = self.ends
-        for _ in range(self._steps):
-            nxt, cur = cur, step_backward(nxt, cur, self._h)
-        return (cur, nxt) == self.seeds
+    return ActionValue(GaussianInt(_kept_pass(traj, h).action, 0))
 
 
 # -- variation operator ------------------------------------------------
@@ -840,8 +820,9 @@ def verify_stationarity(traj: Trajectory, h: HermitianIntMatrix,
     if len(traj) < 3:
         raise ValueError("stationarity needs at least three slices")
     _check_dims(traj, h)
-    if any(type(d) is not int or d == 0 for d in deltas):
-        raise ValueError("deltas must be nonzero plain integers")
+    deltas = tuple(deltas)
+    if not deltas or any(type(d) is not int or d == 0 for d in deltas):
+        raise ValueError("deltas must be nonzero plain integers, at least one")
     violations = []
     if method == "direct":
         for m in range(1, traj.last):
@@ -854,7 +835,7 @@ def verify_stationarity(traj: Trajectory, h: HermitianIntMatrix,
                             violations.append(
                                 StationarityViolation(m, a, part, delta, val))
     elif method == "fast":
-        for m, (_, c_re, c_im) in _brackets(traj, h).items():
+        for m, (c_re, c_im) in _kept_pass(traj, h).brackets:
             # c_star[a] is the variation under a unit shift of star_m^a's
             # real part: the bracket -i psi_dot_m + H psi_m.  The psi
             # analogue is i star_dot + H^T star_m = conj(c_star[a]) for
@@ -881,6 +862,6 @@ def verify_stationarity(traj: Trajectory, h: HermitianIntMatrix,
     return StationarityReport(
         dim=traj.dim,
         sites_checked=max(traj.last - 1, 0),
-        deltas=tuple(deltas),
+        deltas=deltas,
         violations=tuple(violations),
     )

@@ -9,17 +9,20 @@ takes a single integer value along every solution.  For self-adjoint G
 the second term is the complex conjugate of the first, so q_G(n) is
 exactly the real integer 2 Re psi_n^* G psi_{n-1}.  `two_point_series`
 computes one G's series that way, with one G-apply and one real inner
-product per clock index.  Every value needs only the consecutive pair
+product per clock index; a G that is not self-adjoint is rejected
+before any series.  Every value needs only the consecutive pair
 (psi_n, psi_{n-1}), so the audit is one series pass fed slice pairs:
 it serves all of its observables at once from one block of entry
 products per pair (`_block_series`), a bilinear-form identity that
 needs no G-apply, or with one G-apply per G when that is cheaper.
-One report assembly turns the series into the verdicts, with the
-two-term form, the independent oracle `two_point_invariant`, checked
-at n = 1 and n = N on the first and last pairs.  The library audit
-feeds the pass a stored trajectory; `_AuditWindow` feeds it from the
-three-slice window that writes the trajectory, so the CLI audit holds
-no history.
+One report assembly turns the series and one checked pass
+(`automaton._Window`: the solution verdict, the seeds and the last two
+slices) into the verdicts, with the two-term form, the independent
+oracle `two_point_invariant`, checked at n = 1 and n = N on the first
+and last pairs.  The library audit feeds the series a stored
+trajectory and reads the pass kept on it; `_AuditWindow` is the pass
+over the forward step's slices and feeds the series as it writes the
+trajectory, so the CLI audit holds no history.
 With G the identity this is the constraint 2 Re psi_n^* psi_{n-1} =
 const, the discrete stand-in for state normalization.  The symmetrized
 single-site variant
@@ -36,9 +39,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
-from .automaton import Trajectory, _Window, _check_dims, first_recurrence_violation
+from .automaton import Trajectory, _Window, _check_dims, _check_site, _kept_pass
 from .gaussian import GaussianInt, GIVector, HermitianIntMatrix, exact_int_text
 
 __all__ = [
@@ -65,8 +68,7 @@ def _pair_invariant(u: GIVector, w: GIVector, g: HermitianIntMatrix) -> Gaussian
 def two_point_invariant(traj: Trajectory, g: HermitianIntMatrix, n: int) -> GaussianInt:
     """psi_n^* G psi_{n-1} + psi_{n-1}^* G psi_n at clock index n (1 <= n <= N)."""
     _check_dims(traj, g)
-    if not 1 <= n <= traj.last:
-        raise ValueError(f"index {n} out of range 1..{traj.last}")
+    _check_site(n, traj.last, "index {!r} out of range 1..{}")
     return _pair_invariant(traj[n], traj[n - 1], g)
 
 
@@ -78,14 +80,22 @@ def _pair_q(u: GIVector, w: GIVector, g: HermitianIntMatrix) -> int:
 def two_point_series(traj: Trajectory, g: HermitianIntMatrix) -> list:
     """The two-point invariant at every n = 1..N as 2 Re psi_n^* G psi_{n-1}.
 
-    Exact because G is self-adjoint (checked when it is built): then
-    psi_{n-1}^* G psi_n = conj(psi_n^* G psi_{n-1}), so the two terms of
-    q_G(n) sum to twice the real part of one.  One G-apply per slice
+    Exact because G is self-adjoint (a `HermitianIntMatrix` is checked
+    when built, any other G here, and ValueError rejects it otherwise):
+    then psi_{n-1}^* G psi_n = conj(psi_n^* G psi_{n-1}), so the two terms
+    of q_G(n) sum to twice the real part of one.  One G-apply per slice
     0..N-1 and one real inner product per n; every value is real.
     """
     _check_dims(traj, g)
+    _check_self_adjoint(g)
     states = traj.states
     return [GaussianInt(_pair_q(u, w, g), 0) for u, w in zip(states[1:], states)]
+
+
+def _check_self_adjoint(g):
+    # the 2 Re shortcut is exact only for G = G^*
+    if not (isinstance(g, HermitianIntMatrix) or g.is_hermitian()):
+        raise ValueError("observable is not self-adjoint")
 
 
 def _cross_check(series: Sequence, first: tuple, last: tuple,
@@ -183,6 +193,8 @@ def _audit_series(observables: Sequence, dim: int):
     G-apply and inner product per G (2d each), else those; the choice
     depends only on the observables' nonzero pattern.
     """
+    for g in observables:
+        _check_self_adjoint(g)
     program = _block_program(observables, dim)
     s_pairs, t_pairs, _ = program
     series = [[] for _ in observables]
@@ -198,15 +210,13 @@ def _pair_norm(u: GIVector, w: GIVector) -> int:
 
 def norm_like_invariant(traj: Trajectory, n: int) -> int:
     """2 Re psi_n^* psi_{n-1}; the normalization stand-in (G = identity)."""
-    if not 1 <= n <= traj.last:
-        raise ValueError(f"index {n} out of range 1..{traj.last}")
+    _check_site(n, traj.last, "index {!r} out of range 1..{}")
     return _pair_norm(traj[n], traj[n - 1])
 
 
 def symmetrized_Q(traj: Trajectory, n: int) -> Fraction:
     """(1/2) Re psi_n^* (psi_{n+1} + psi_{n-1}) as an exact half-integer."""
-    if not 1 <= n <= traj.last - 1:
-        raise ValueError(f"index {n} is not interior")
+    _check_site(n, traj.last - 1, "index {!r} is not interior")
     s = traj[n].inner_re(traj[n + 1] + traj[n - 1])
     return Fraction(s, 2)
 
@@ -217,8 +227,7 @@ def conservation_rate(traj: Trajectory, g: HermitianIntMatrix, n: int) -> Gaussi
     Vanishes on solutions for commuting G; equals q_G(n+1) - q_G(n).
     """
     _check_dims(traj, g)
-    if not 1 <= n <= traj.last - 1:
-        raise ValueError(f"index {n} is not interior")
+    _check_site(n, traj.last - 1, "index {!r} is not interior")
     dot = traj[n + 1] - traj[n - 1]
     return traj[n].inner(g.apply(dot)) + dot.inner(g.apply(traj[n]))
 
@@ -250,6 +259,8 @@ def conserved_quantity(traj: Trajectory, g: HermitianIntMatrix,
 
 def default_commutant_basis(h: HermitianIntMatrix, max_power: int = 3) -> list:
     """(label, G) pairs for the powers 1, H, H^2, ..., H^max_power."""
+    if type(max_power) is not int:
+        raise ValueError("max_power must be a plain integer")
     return [(f"H^{k}" if k > 1 else ("1" if k == 0 else "H"), h.power(k))
             for k in range(max_power + 1)]
 
@@ -304,16 +315,17 @@ def _labels(labels: Optional[Sequence[str]], observables: Sequence) -> Sequence[
     return labels
 
 
-def _report(h: HermitianIntMatrix, observables: Sequence, labels: Sequence[str],
-            series: Sequence, first_bad: Optional[int], slices: int,
-            first: tuple, last: tuple) -> AuditReport:
-    """The audit of one series pass.
+def _report(window: _Window, observables: Sequence, labels: Sequence[str],
+            series: Sequence) -> AuditReport:
+    """The audit of one series pass over the slices of a drained `window`.
 
-    `series` holds each observable's q_G(1..N) as ints, `first` the pair
-    (psi_1, psi_0) and `last` the pair (psi_N, psi_{N-1}).  Per G: whether
-    [G, H] = 0, the two-term cross-check at both ends, and the value or
-    the drift.
+    `series` holds each observable's q_G(1..N) as ints; H, the solution
+    verdict, the slice count and the pairs (psi_1, psi_0) and
+    (psi_N, psi_{N-1}) come from the window.  Per G: whether [G, H] = 0,
+    the two-term cross-check at both ends, and the value or the drift.
     """
+    h = window.h
+    first, last = window.seeds[::-1], window.ends[::-1]
     norm = _pair_norm(*first)
     entries = []
     for label, g, values in zip(labels, observables, series):
@@ -332,9 +344,9 @@ def _report(h: HermitianIntMatrix, observables: Sequence, labels: Sequence[str],
                                   value=value, drift=drift))
     return AuditReport(
         dim=h.dim,
-        slices=slices,
-        solution_ok=first_bad is None,
-        first_bad_site=first_bad,
+        slices=window.slices,
+        solution_ok=window.first_bad is None,
+        first_bad_site=window.first_bad,
         norm_value=norm,
         norm_is_zero=norm == 0,
         entries=tuple(entries),
@@ -357,36 +369,38 @@ def audit_conservation(traj: Trajectory, h: HermitianIntMatrix,
     pair with a nonzero real part in some G + 2 per pair with a nonzero
     imaginary part, than the 2d per G of one G-apply and real inner
     product each; otherwise those.  The choice depends only on the
-    observables' nonzero pattern.  `_AuditWindow` feeds the same pass and
-    report from a three-slice window.  Raises ValueError if `labels` and
-    `observables` differ in length, and AssertionError if a series
-    disagrees with the two-term `two_point_invariant` at n = 1 or at n = N.
+    observables' nonzero pattern.  The solution verdict is the checked
+    pass kept on the trajectory (`automaton._kept_pass`), so no second H
+    sweep runs; `_AuditWindow` feeds the same series and report from a
+    three-slice window.  Raises ValueError if `labels` and `observables`
+    differ in length or a G is not self-adjoint, and AssertionError if a
+    series disagrees with the two-term `two_point_invariant` at n = 1 or
+    at n = N.
     """
     _check_dims(traj, h)
     labels = _labels(labels, observables)
     for g in observables:
         _check_dims(traj, g)
-    bad = first_recurrence_violation(traj, h)
+    window = _kept_pass(traj, h)
     feed, series = _audit_series(observables, traj.dim)
     states = traj.states
     for u, w in zip(states[1:], states):
         feed(u, w)
-    return _report(h, observables, labels, series, bad, len(states),
-                   (states[1], states[0]), (states[-1], states[-2]))
+    return _report(window, observables, labels, series)
 
 
 class _AuditWindow(_Window):
-    """`audit_conservation` of the forward step's slices, fed from the
-    three-slice window that writes them.
+    """`audit_conservation` of a slice stream, fed from the three-slice
+    window that writes it.
 
     `texts()` (see `automaton._Window`) hands each slice pair (psi_n,
     psi_{n-1}) to one series pass; after it, `report()` is the audit of
-    the slices it yielded, with the window's first bad site.
+    the slices it yielded.
     """
 
-    def __init__(self, seed0: GIVector, seed1: GIVector, h: HermitianIntMatrix,
-                 steps: int, observables: Sequence, labels: Sequence[str] = None):
-        super().__init__(seed0, seed1, h, steps)
+    def __init__(self, slices: Iterable[GIVector], h: HermitianIntMatrix,
+                 observables: Sequence, labels: Sequence[str] = None):
+        super().__init__(slices, h)
         self._labels = _labels(labels, observables)
         self._observables = observables
         self._feed, self._series = _audit_series(observables, h.dim)
@@ -396,10 +410,7 @@ class _AuditWindow(_Window):
             self._feed(up, psi)
 
     def report(self) -> AuditReport:
-        seed0, seed1 = self.seeds
-        down, last = self.ends
-        return _report(self._h, self._observables, self._labels, self._series,
-                       self.first_bad, self.slices, (seed1, seed0), (last, down))
+        return _report(self, self._observables, self._labels, self._series)
 
 
 def _series_csv_pieces(named_series: Sequence) -> Iterator[str]:

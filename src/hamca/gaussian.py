@@ -441,6 +441,8 @@ class GIMatrix:
         return (self @ other) - (other @ self)
 
     def power(self, k: int) -> "GIMatrix":
+        if type(k) is not int:
+            raise ValueError("matrix power must be a plain integer")
         if k < 0:
             raise ValueError("negative matrix powers are not defined over the ring")
         out = GIMatrix.identity(self.dim)

@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .automaton import Trajectory
+from .automaton import Trajectory, _check_site
 from .gaussian import HermitianIntMatrix
 
 __all__ = [
@@ -202,8 +202,7 @@ def shift_map_check(traj: Trajectory, scale: DiscretenessScale, n: int,
     Reconstruction at t = (n+-1)*l must return psi_{n+-1}; reports the
     max absolute deviation across dofs for each side.
     """
-    if not 1 <= n <= traj.last - 1:
-        raise ValueError(f"site {n} is not interior")
+    _check_site(n, traj.last - 1, "site {!r} is not interior")
     sig = ContinuumSignal.from_trajectory(traj, scale, window)
     res = []
     for m in (n - 1, n + 1):

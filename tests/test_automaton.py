@@ -257,13 +257,23 @@ def test_variation_spec_takes_plain_ints_only(site, dof, delta, name):
 
 
 @pytest.mark.parametrize("method", ["fast", "direct"])
-@pytest.mark.parametrize("deltas", [(0,), (1.5,), ("a",), (True,), (1, 2.0)],
-                         ids=["zero", "float", "str", "bool", "one-float"])
+@pytest.mark.parametrize("deltas", [(0,), (1.5,), ("a",), (True,), (1, 2.0), ()],
+                         ids=["zero", "float", "str", "bool", "one-float", "empty"])
 def test_stationarity_deltas_must_be_nonzero_plain_ints(method, deltas):
-    # rejected before either path runs, so the report never names an unchecked delta
+    # rejected before either path runs, so the report never names an unchecked
+    # delta, and a check of no variation at all is never reported as ok
     traj = evolve(vec((1, 0), (0, 0)), vec((0, 1), (1, 0)), PAULI_X, 3)
     with pytest.raises(ValueError, match="deltas"):
         verify_stationarity(traj, PAULI_X, deltas=deltas, method=method)
+
+
+@pytest.mark.parametrize("method", ["fast", "direct"])
+def test_stationarity_reads_an_iterator_of_deltas_once(method):
+    traj = evolve(vec((1, 0), (0, 0)), vec((0, 1), (1, 0)), PAULI_X, 3)
+    bumped = traj.replace(2, traj[2] + vec((1, 0), (0, 0)))
+    report = verify_stationarity(bumped, PAULI_X, deltas=iter([1, 2]), method=method)
+    assert report == verify_stationarity(bumped, PAULI_X, deltas=(1, 2), method=method)
+    assert not report.ok and report.deltas == (1, 2)
 
 
 def test_stationarity_clean_on_solutions(rng):
@@ -419,7 +429,7 @@ def test_trajectory_json_states_must_be_a_list(states):
         Trajectory.from_json_obj({"dim": 1, "states": states})
 
 
-# -- the bracket map kept on the trajectory --------------------------------
+# -- the checked pass kept on the trajectory -------------------------------
 
 
 def every_reader(traj, h):
@@ -436,13 +446,13 @@ def test_the_kept_pass_belongs_to_one_coupling_object(rng):
     traj = evolve(random_vector(rng, 3), random_vector(rng, 3), h, 10)
     bumped = traj.replace(4, traj[4] + vec((1, 0), (0, 0), (0, 0)))
     assert not is_solution(traj, other)
-    with pytest.raises(TypeError):  # readers share the map, so it is read-only
-        automaton._brackets(bumped, h)[4] = None
+    with pytest.raises(TypeError):  # readers share the pass, so it is read-only
+        automaton._kept_pass(bumped, h).brackets[0] = None
     for t in (traj, bumped):
-        # h first warms the map; each later coupling must not read h's
+        # h first warms the pass; each later coupling must not read h's
         for g in (h, other, twin, h, other, other):
             assert every_reader(t, g) == every_reader(Trajectory(t.states), g)
-            # the kept map is invisible to ==, repr and hashing
+            # the kept pass is invisible to ==, repr and hashing
             assert t == Trajectory(t.states)
             assert repr(t) == repr(Trajectory(t.states))
             with pytest.raises(TypeError):
@@ -460,7 +470,7 @@ def test_replace_on_a_swept_solution_is_rejected(rng):
     assert action_evaluate(bumped, h).as_int == literal_action(bumped, h)
     assert not verify_stationarity(bumped, h).ok
     assert Trajectory.from_csv(bumped.to_csv(h)) == bumped
-    # and the original still keeps its own (empty) map
+    # and the original still keeps its own (clean) pass
     assert is_solution(traj, h) and verify_stationarity(traj, h).ok
 
 

@@ -801,7 +801,8 @@ def test_a_mutated_config_loads_or_is_a_config_error(tmp_path_factory, case):
 def test_a_failing_writer_leaves_no_file(tmp_path):
     seeds = GIVector([1, 0]), GIVector([0, 1])
     for fmt in ("csv", "json"):
-        window = automaton._Window(*seeds, HermitianIntMatrix.identity(3), 4)
+        h = HermitianIntMatrix.identity(3)
+        window = automaton._Window(automaton._evolve_slices(*seeds, h, 4), h)
         with pytest.raises(ValueError):
             cli._write_slices(window.texts(), 2, tmp_path, fmt)
     assert not (tmp_path / "trajectory.csv").exists()

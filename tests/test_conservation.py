@@ -1,12 +1,13 @@
 """Two-point invariants, the symmetrized variant, and the audit."""
 
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from hamca import conservation
-from hamca.automaton import Trajectory, evolve, is_solution
+from hamca.automaton import Trajectory, evolve, is_solution, recurrence_residual
 from hamca.conservation import (
     audit_conservation,
     conservation_rate,
@@ -19,6 +20,7 @@ from hamca.conservation import (
     two_point_series,
 )
 from hamca.gaussian import GaussianInt, GIVector, GIMatrix, HermitianIntMatrix
+from hamca.sampling import DiscretenessScale, shift_map_check
 from conftest import count_calls, random_hermitian, random_trajectory, random_vector
 
 
@@ -413,3 +415,58 @@ def test_the_audit_selects_the_block_by_big_products(rng, monkeypatch):
     audit_conservation(traj6, h6, [g6])
     assert block == [] and len(per_g) == 1
     assert len(per_g[0][0]) == 1 and per_g[0][0][0] is g6
+
+
+def site_readers(traj):
+    """(reader of site n, first site past its range, its message there)."""
+    end = traj.last
+    scale = DiscretenessScale(1.0)
+    return [
+        (lambda n: recurrence_residual(traj, PAULI_X, n), end,
+         f"site {end} is not interior"),
+        (lambda n: two_point_invariant(traj, PAULI_Z, n), end + 1,
+         f"index {end + 1} out of range 1..{end}"),
+        (lambda n: norm_like_invariant(traj, n), end + 1,
+         f"index {end + 1} out of range 1..{end}"),
+        (lambda n: symmetrized_Q(traj, n), end, f"index {end} is not interior"),
+        (lambda n: conservation_rate(traj, PAULI_Z, n), end,
+         f"index {end} is not interior"),
+        (lambda n: shift_map_check(traj, scale, n), end, f"site {end} is not interior"),
+    ]
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, "1", None])
+def test_site_indices_are_plain_ints(bad):
+    traj = evolve(vec((1, 0), (0, 0)), vec((0, 0), (1, 1)), PAULI_X, 3)
+    for read, past, message in site_readers(traj):
+        read(1)
+        for n in (0, past):
+            with pytest.raises(ValueError, match=re.escape(message) if n else None):
+                read(n)
+        # named past the int digit limit too
+        with pytest.raises(ValueError, match="is not interior|out of range"):
+            read(10 ** 5000)
+        with pytest.raises(ValueError):
+            read(bad)
+
+
+def test_a_non_self_adjoint_observable_is_rejected_before_any_series():
+    traj = evolve(vec((1, 0), (0, 0)), vec((0, 0), (1, 1)), PAULI_X, 3)
+    nilpotent = GIMatrix([[0, 1], [0, 0]])
+    for call in (lambda: two_point_series(traj, nilpotent),
+                 lambda: conserved_quantity(traj, nilpotent, "N"),
+                 lambda: audit_conservation(traj, PAULI_X, [PAULI_Z, nilpotent])):
+        with pytest.raises(ValueError, match="observable is not self-adjoint"):
+            call()
+    # a self-adjoint G built as a plain GIMatrix takes the same shortcut
+    plain_z = GIMatrix(PAULI_Z.rows)
+    assert two_point_series(traj, plain_z) == two_point_series(traj, PAULI_Z)
+    assert (audit_conservation(traj, PAULI_X, [plain_z])
+            == audit_conservation(traj, PAULI_X, [PAULI_Z]))
+
+
+@pytest.mark.parametrize("max_power", [True, 2.0, "2"])
+def test_commutant_basis_takes_a_plain_int_power(max_power):
+    with pytest.raises(ValueError, match="max_power must be a plain integer"):
+        default_commutant_basis(PAULI_X, max_power=max_power)
+    assert [label for label, _ in default_commutant_basis(PAULI_X, 1)] == ["1", "H"]

@@ -194,6 +194,16 @@ def test_matrix_power():
     assert x.power(3) == x
 
 
+@pytest.mark.parametrize("k", [True, 2.0, "2", None])
+def test_matrix_power_takes_a_plain_int(k):
+    x = GIMatrix([[gi(0), gi(1)], [gi(1), gi(0)]])
+    for m in (x, HermitianIntMatrix(x)):
+        with pytest.raises(ValueError, match="matrix power must be a plain integer"):
+            m.power(k)
+        with pytest.raises(ValueError, match="negative matrix powers"):
+            m.power(-1)
+
+
 def test_pair_roundtrip_is_bit_exact(rng):
     big = 10**60 + 12345
     z = gi(big, -(big + 7))

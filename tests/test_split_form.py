@@ -16,6 +16,7 @@ from hamca import automaton
 from hamca.automaton import (Trajectory, action_evaluate, evolve, evolve_phase_space,
                              is_solution, recurrence_residual, step_forward,
                              verify_stationarity)
+from hamca.conservation import audit_conservation
 from hamca.gaussian import GaussianInt, GIMatrix, GIVector, HermitianIntMatrix
 from conftest import random_hermitian, random_vector
 
@@ -255,7 +256,7 @@ def test_independent_oracles_never_call_the_matvec_kernel(monkeypatch, rng):
         raise AssertionError("an independent oracle read the bracket pass")
 
     monkeypatch.setattr(GIMatrix, "apply", refuse)
-    monkeypatch.setattr(automaton, "_brackets", refuse_pass)
+    monkeypatch.setattr(automaton, "_kept_pass", refuse_pass)
     phase = evolve_phase_space(traj[0].re, traj[0].im, traj[1].re, traj[1].im,
                                hs, ha, 8)
     assert phase == traj
@@ -278,13 +279,15 @@ def test_each_verdict_applies_h_once_per_stored_interior_slice(monkeypatch, rng)
     applied = []
 
     def counting(self, v):
-        applied.append(v)
+        applied.append((self, v))
         return kernel(self, v)
 
     monkeypatch.setattr(GIMatrix, "apply", counting)
+    observables = [h.power(2), HermitianIntMatrix.identity(3)]
     readers = [lambda t: is_solution(t, h),
                lambda t: action_evaluate(t, h),
                lambda t: verify_stationarity(t, h, method="fast"),
+               lambda t: audit_conservation(t, h, observables),
                lambda t: t.to_csv(h)]
     for order in (readers, readers[::-1]):  # verdicts first, then writer first
         for fresh in (Trajectory(solution.states),
@@ -292,9 +295,14 @@ def test_each_verdict_applies_h_once_per_stored_interior_slice(monkeypatch, rng)
             applied.clear()
             for read in order:
                 read(fresh)
-            # together one pass: last - 1 applies, each on the stored slice
-            assert len(applied) == fresh.last - 1
-            assert all(v is s for v, s in zip(applied, fresh.states[1:-1]))
+            # together one pass: last - 1 applies of H, each on the stored
+            # slice; H's only other applies are the audit's commutator
+            # columns, and the observables are matrices of their own
+            on_h = [v for m, v in applied if m is h]
+            assert len(on_h) == fresh.last - 1 + fresh.dim * len(observables)
+            on_slices = [v for v in on_h if any(v is s for s in fresh.states)]
+            assert len(on_slices) == fresh.last - 1
+            assert all(v is s for v, s in zip(on_slices, fresh.states[1:-1]))
     applied.clear()
     recurrence_residual(solution, h, 5)
-    assert len(applied) == 1 and applied[0] is solution[5]
+    assert len(applied) == 1 and applied[0][1] is solution[5]

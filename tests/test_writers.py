@@ -205,9 +205,12 @@ def writer_cases():
         (wave.to_json_text, multipartite, "_json_ints"),
         (ManyTimeResidual(field=wave).to_csv, MultiWave, "clock_points"),
         # the streams the CLI writes from, consumed partway and dropped
-        (partway(lambda: traj._csv_pieces(h)), automaton, "Decimal"),
-        (partway(lambda: traj._json_pieces(h)), automaton, "Decimal"),
-        (partway(lambda: traj._csv_pieces(None)), automaton, "Decimal"),
+        (partway(lambda: automaton._csv_pieces(traj._decimal_texts(h))),
+         automaton, "Decimal"),
+        (partway(lambda: automaton._json_pieces(traj._decimal_texts(h), 2)),
+         automaton, "Decimal"),
+        (partway(lambda: automaton._csv_pieces(traj._decimal_texts(None))),
+         automaton, "Decimal"),
         (partway(wave._json_pieces), multipartite, "_json_ints"),
         (partway(ManyTimeResidual(field=wave)._csv_pieces), MultiWave,
          "clock_points"),
