@@ -734,8 +734,8 @@ def varied_action_doubled(traj: Trajectory, h: HermitianIntMatrix,
     The returned callable feeds `discrete_variation`; halve its output
     to get the variation of the action itself.
     """
-    if not 1 <= spec.site <= traj.last - 1:
-        raise ValueError(f"variation site {spec.site} is not interior")
+    _check_dims(traj, h)
+    _check_site(spec.site, traj.last - 1, "variation site {} is not interior")
     if not 0 <= spec.dof < traj.dim:
         raise ValueError(f"dof {spec.dof} out of range")
     base_psis, base_stars = _families(traj)

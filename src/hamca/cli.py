@@ -34,9 +34,7 @@ from itertools import repeat
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
-from . import automaton, conservation, multipartite, sampling
+from . import automaton, conservation, multipartite
 from .gaussian import GIVector, GIMatrix, HermitianIntMatrix, exact_int_text
 
 ORDER_THRESHOLD = 1.7          # declared pass bar for the scaling study
@@ -511,6 +509,7 @@ def _run_audit(params, out_dir, fmt):
 
 
 def _run_reconstruct(params, out_dir, fmt):
+    from . import sampling
     h, (s0, s1), steps = params["hamiltonian"], params["seeds"], params["steps"]
     scale = sampling.DiscretenessScale(params["scale_l"])
     traj = automaton.evolve(s0, s1, h, steps)
@@ -520,8 +519,8 @@ def _run_reconstruct(params, out_dir, fmt):
     for n in range(len(traj)):
         got = sig.eval(n * scale.l)
         want = sig.samples[n]
-        ref = max(1.0, float(np.max(np.abs(want))))
-        worst = max(worst, float(np.max(np.abs(got - want))) / ref)
+        ref = max(1.0, float(abs(want).max()))
+        worst = max(worst, float(abs(got - want).max()) / ref)
     checks = [Check("sample_point_fidelity", worst <= SAMPLE_FIDELITY_TOL,
                     f"worst relative deviation {worst:.3e}")]
     rows = []
@@ -547,8 +546,9 @@ def _run_reconstruct(params, out_dir, fmt):
 
 
 def _run_converge(params, out_dir, fmt):
+    from . import sampling
     h = params["hamiltonian"]
-    psi0 = np.array(list(map(complex, params["psi0"].re, params["psi0"].im)))
+    psi0 = list(map(complex, params["psi0"].re, params["psi0"].im))
     report = sampling.convergence_study(h, psi0, params["horizon"],
                                         params["scales"],
                                         psi1_rule=params["psi1_rule"],

@@ -63,8 +63,8 @@ class DiscretenessScale:
     l: float
 
     def __post_init__(self):
-        if not self.l > 0:
-            raise ValueError("discreteness scale must be positive")
+        if isinstance(self.l, (bool, np.bool_)) or not 0 < self.l < math.inf:
+            raise ValueError("discreteness scale must be positive and finite")
 
 
 def samples_from_trajectory(traj: Trajectory) -> np.ndarray:
@@ -120,8 +120,9 @@ class ContinuumSignal:
             samples = samples[:, None]
         if samples.ndim != 2 or samples.shape[0] < 1:
             raise ValueError("samples must be a (slices, dim) array")
-        if window < 1:
-            raise ValueError("window must be >= 1")
+        if isinstance(window, bool) or not isinstance(window, (int, np.integer)) \
+                or window < 1:
+            raise ValueError("window must be an integer >= 1")
         self.samples = samples
         self.scale = scale
         self.window = window

@@ -364,6 +364,16 @@ def test_variation_vanishes_iff_recurrence_holds(rng):
                 assert all_zero == residual_zero
 
 
+def test_variation_rejects_a_coupling_of_the_wrong_size(rng):
+    h = random_hermitian(rng, 3)
+    traj = evolve(random_vector(rng, 3), random_vector(rng, 3), h, 5)
+    corrupt = traj.replace(2, traj[2] + random_vector(rng, 3, 1))
+    spec = VariationSpec(1, 2, "star_re", 1)
+    for d in (2, 4):
+        with pytest.raises(ValueError, match=f"dimension mismatch: trajectory 3, matrix {d}"):
+            stationarity_variation(corrupt, random_hermitian(rng, d), spec)
+
+
 def test_trajectory_csv_roundtrip(rng):
     h = random_hermitian(rng, 3)
     traj = evolve(random_vector(rng, 3), random_vector(rng, 3), h, 40)

@@ -9,8 +9,9 @@ target the way its installer does.
 import importlib.util
 from pathlib import Path
 
-import hamca  # noqa: F401  (the tracer resolves owners from sys.modules)
+# the tracer resolves owners from sys.modules
 import hamca.cli  # noqa: F401
+import hamca.sampling  # noqa: F401
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 

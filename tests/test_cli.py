@@ -7,8 +7,11 @@ import io
 import itertools
 import json
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -611,6 +614,26 @@ EXAMPLES = {
     "leibniz": {"kind": "leibniz", "sequences": [[1, 2, 4, 8], [1, 2, 4, 8]],
                 "output": {"format": "csv"}},
 }
+
+
+# a fresh interpreter, since this test module itself loads numpy
+NUMPY_FREE = """
+import sys
+import hamca.automaton, hamca.conservation, hamca.gaussian, hamca.multipartite
+from hamca.cli import main
+code = main(sys.argv[1:])
+print(code, sorted({"numpy", "hamca.sampling"} & set(sys.modules)))
+"""
+
+
+@pytest.mark.parametrize("kind", ["evolve", "audit", "multi", "bell", "leibniz"])
+def test_integer_verbs_load_no_numpy(tmp_path, kind):
+    path = write_config(tmp_path / "cfg.json", EXAMPLES[kind])
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", NUMPY_FREE, kind, "--config", path,
+                           "--out", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.stdout.splitlines()[-1] == "0 []", done.stderr
 
 
 def test_every_example_config_is_valid(tmp_path):

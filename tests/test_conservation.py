@@ -7,7 +7,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from hamca import conservation
-from hamca.automaton import Trajectory, evolve, is_solution, recurrence_residual
+from hamca.automaton import (Trajectory, VariationSpec, evolve, is_solution,
+                             recurrence_residual, stationarity_variation)
 from hamca.conservation import (
     audit_conservation,
     conservation_rate,
@@ -432,6 +433,8 @@ def site_readers(traj):
         (lambda n: conservation_rate(traj, PAULI_Z, n), end,
          f"index {end} is not interior"),
         (lambda n: shift_map_check(traj, scale, n), end, f"site {end} is not interior"),
+        (lambda n: stationarity_variation(traj, PAULI_X, VariationSpec(n, 0, "psi_re", 1)),
+         end, f"variation site {end} is not interior"),
     ]
 
 
@@ -470,3 +473,11 @@ def test_commutant_basis_takes_a_plain_int_power(max_power):
     with pytest.raises(ValueError, match="max_power must be a plain integer"):
         default_commutant_basis(PAULI_X, max_power=max_power)
     assert [label for label, _ in default_commutant_basis(PAULI_X, 1)] == ["1", "H"]
+
+
+@pytest.mark.parametrize("max_power", [-1, -5])
+def test_commutant_basis_rejects_a_negative_power(max_power):
+    # an empty basis would make an audit that checks nothing and passes
+    with pytest.raises(ValueError, match="max_power must be >= 0"):
+        default_commutant_basis(PAULI_X, max_power=max_power)
+    assert [label for label, _ in default_commutant_basis(PAULI_X, 0)] == ["1"]

@@ -46,6 +46,27 @@ def test_scale_must_be_positive():
         DiscretenessScale(0.0)
 
 
+@pytest.mark.parametrize("l", [True, np.True_, math.inf, math.nan, -1.0])
+def test_scale_rejects_a_bool_or_non_finite_l(l):
+    with pytest.raises(ValueError, match="discreteness scale must be positive and finite"):
+        DiscretenessScale(l)
+
+
+@pytest.mark.parametrize("window", [2.5, 2.0, True, "3", None, 0])
+def test_window_must_be_an_integer(window):
+    with pytest.raises(ValueError, match="window must be an integer >= 1"):
+        ContinuumSignal(np.zeros((3, 1)), DiscretenessScale(1.0), window)
+
+
+def test_scale_and_window_take_numpy_scalars():
+    # convergence_study passes caller-supplied spacings straight through
+    for l in (2, np.float64(0.5), np.float32(0.25), np.int64(1)):
+        assert DiscretenessScale(l).l == l
+    sig = ContinuumSignal(np.ones((3, 1)), DiscretenessScale(np.float64(1.0)), np.int64(2))
+    plain = ContinuumSignal(np.ones((3, 1)), DiscretenessScale(1.0), 2)
+    assert sig.eval(0.5)[0] == plain.eval(0.5)[0]
+
+
 def test_single_spike_kernel_values():
     traj = spike_trajectory()
     scale = DiscretenessScale(1.0)
