@@ -103,8 +103,8 @@ __all__ = [
 ]
 
 
-# four ASCII integer cells: no spaces, '+', '_' or non-ASCII digits
-_CSV_ROW = _re.compile(r"(-?[0-9]+),(-?[0-9]+),(-?[0-9]+),(-?[0-9]+)")
+# four integer cells exactly as str(int) writes them: no leading zero or -0
+_CSV_ROW = _re.compile(",".join([r"(0|-?[1-9][0-9]*)"] * 4))
 
 
 class Trajectory:
@@ -668,7 +668,7 @@ def _doubled_action(psis, stars, h: HermitianIntMatrix) -> GaussianInt:
     d = len(psis[0])
     zero = [(0, 0)] * d
     last = len(psis) - 1
-    rows = [[(z.re, z.im) for z in row] for row in h.rows]
+    rows = [tuple(zip(r.re, r.im)) for r in h.rows]
     tot_re = 0
     tot_im = 0
     for n in range(last + 1):

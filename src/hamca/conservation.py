@@ -121,13 +121,13 @@ def _block_program(observables: Sequence, dim: int):
     into that list with q_G(n) = 2 * sum(coefficient * block entry).
     """
     pairs = [(a, b) for a in range(dim) for b in range(a + 1, dim)]
-    s_pairs = [p for p in pairs if any(g.rows[p[0]][p[1]].re for g in observables)]
-    t_pairs = [p for p in pairs if any(g.rows[p[0]][p[1]].im for g in observables)]
+    s_pairs = [p for p in pairs if any(g.rows[p[0]].re[p[1]] for g in observables)]
+    t_pairs = [p for p in pairs if any(g.rows[p[0]].im[p[1]] for g in observables)]
     programs = []
     for g in observables:
-        terms = [(a, g.rows[a][a].re) for a in range(dim)]
-        terms += [(dim + k, g.rows[a][b].re) for k, (a, b) in enumerate(s_pairs)]
-        terms += [(dim + len(s_pairs) + k, -g.rows[a][b].im)
+        terms = [(a, g.rows[a].re[a]) for a in range(dim)]
+        terms += [(dim + k, g.rows[a].re[b]) for k, (a, b) in enumerate(s_pairs)]
+        terms += [(dim + len(s_pairs) + k, -g.rows[a].im[b])
                   for k, (a, b) in enumerate(t_pairs)]
         terms = [(i, c) for i, c in terms if c]
         programs.append((tuple(i for i, _ in terms), tuple(c for _, c in terms)))

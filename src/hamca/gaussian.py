@@ -7,13 +7,14 @@ operations: add, subtract, multiply, negate, conjugate.  Nothing is
 ever rounded and nothing can overflow.
 
 `GaussianInt` is the scalar at the API edges.  Vectors are stored
-split, as two tuples of plain ints (`GIVector.re`, `GIVector.im`), and
-every vector operation works on those tuples; `GIMatrix.apply`, the one
-matvec kernel, runs a per-row program of nonzero real and imaginary
-coefficients compiled when the matrix is built.  Scalars are built only
-when a caller indexes or iterates a vector.  A self-adjoint coupling or
-observable is a `HermitianIntMatrix`, the `GIMatrix` subtype whose
-constructor checks it: symmetric real part, antisymmetric imaginary part.
+split, as two tuples of plain ints (`GIVector.re`, `GIVector.im`), a
+matrix as a tuple of such rows (`GIMatrix.rows`), and every operation
+works on those tuples; `GIMatrix.apply`, the one matvec kernel, runs a
+per-row program of nonzero real and imaginary coefficients compiled
+when the matrix is built.  Scalars are built only when a caller
+indexes or iterates.  A self-adjoint coupling or observable is a
+`HermitianIntMatrix`, the `GIMatrix` subtype whose constructor checks
+it: symmetric real part, antisymmetric imaginary part.
 
 The literal encoding shared with the CLI writes a scalar as the
 two-element pair [re, im], a vector as a list of pairs, and a matrix as
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import contextlib
 import sys
+from itertools import starmap
 from operator import add, mul, neg, sub
 from typing import Iterable, Sequence
 
@@ -193,6 +195,12 @@ def _to_gi(value, where: str) -> GaussianInt:
     return g
 
 
+def _split(entries: Iterable, where: str) -> tuple:
+    """The parts (re, im) of GaussianInts or ints, as two tuples of plain ints."""
+    gs = [_to_gi(e, where) for e in entries]
+    return tuple(g.re for g in gs), tuple(g.im for g in gs)
+
+
 _PLAIN_INT = frozenset((int,))
 
 
@@ -214,16 +222,9 @@ class GIVector:
     __slots__ = ("re", "im")
 
     def __init__(self, entries: Iterable):
-        re = []
-        im = []
-        for e in entries:
-            g = _to_gi(e, "vector entry")
-            re.append(g.re)
-            im.append(g.im)
-        if not re:
+        self.re, self.im = _split(entries, "vector entry")
+        if not self.re:
             raise ValueError("vector needs dimension >= 1")
-        self.re = tuple(re)
-        self.im = tuple(im)
 
     @classmethod
     def _from_parts(cls, re: tuple, im: tuple) -> "GIVector":
@@ -247,7 +248,9 @@ class GIVector:
 
     @classmethod
     def zero(cls, dim: int) -> "GIVector":
-        return cls([ZERO] * dim)
+        if type(dim) is not int or dim < 1:
+            raise ValueError("dimension must be a plain integer >= 1")
+        return cls._from_parts((0,) * dim, (0,) * dim)
 
     def __len__(self):
         return len(self.re)
@@ -343,27 +346,28 @@ class GIVector:
 class GIMatrix:
     """Square matrix of Gaussian integers.
 
-    `rows` holds the entries as `GaussianInt`s.  Construction also
-    compiles them into the program `apply` runs: per row, the (column,
-    coefficient) terms of the nonzero real parts and of the nonzero
-    imaginary parts, so zero entry parts (real diagonals, zero entries,
-    the identity) cost nothing.
+    `rows` is a tuple of split `GIVector`s, taken as they are when given
+    so.  Construction compiles their parts into the program `apply`
+    runs: per row, the (column, coefficient) terms of the nonzero real
+    parts and of the nonzero imaginary parts, so zero entry parts (real
+    diagonals, zero entries, the identity) cost nothing.
     """
 
     __slots__ = ("rows", "_program")
 
     def __init__(self, rows: Iterable[Iterable]):
-        rws = tuple(tuple(_to_gi(e, "matrix entry") for e in row) for row in rows)
+        rws = tuple(r if isinstance(r, GIVector)
+                    else GIVector._from_parts(*_split(r, "matrix entry")) for r in rows)
         if not rws:
             raise ValueError("matrix needs dimension >= 1")
         d = len(rws)
-        if any(len(r) != d for r in rws):
+        if any(len(r.re) != d for r in rws):
             raise ValueError("matrix must be square")
         self.rows = rws
         self._program = tuple(
-            (tuple((j, e.re) for j, e in enumerate(row) if e.re),
-             tuple((j, e.im) for j, e in enumerate(row) if e.im))
-            for row in rws)
+            (tuple((j, c) for j, c in enumerate(r.re) if c),
+             tuple((j, c) for j, c in enumerate(r.im) if c))
+            for r in rws)
 
     @property
     def dim(self) -> int:
@@ -371,11 +375,13 @@ class GIMatrix:
 
     @classmethod
     def identity(cls, dim: int) -> "GIMatrix":
-        return cls([[ONE if i == j else ZERO for j in range(dim)] for i in range(dim)])
+        zero = GIVector.zero(dim).re
+        return cls(GIVector._from_parts(zero[:i] + (1,) + zero[i + 1:], zero)
+                   for i in range(dim))
 
     @classmethod
     def zeros(cls, dim: int) -> "GIMatrix":
-        return cls([[ZERO] * dim for _ in range(dim)])
+        return cls([GIVector.zero(dim)] * dim)
 
     def entry(self, i: int, j: int) -> GaussianInt:
         return self.rows[i][j]
@@ -405,36 +411,32 @@ class GIMatrix:
             return NotImplemented
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        cols = [self.apply(GIVector(col)) for col in zip(*other.rows)]
-        return GIMatrix(zip(*(c.entries for c in cols)))
+        return GIMatrix(_transposed([self.apply(c) for c in _transposed(other.rows)]))
 
-    def _entrywise(self, op, other):
+    # row by row; the row vectors check that the dimensions agree
+    def __add__(self, other):
         if not isinstance(other, GIMatrix):
             return NotImplemented
-        if self.dim != other.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return GIMatrix(map(op, ra, rb) for ra, rb in zip(self.rows, other.rows))
-
-    def __add__(self, other):
-        return self._entrywise(add, other)
+        return GIMatrix(map(add, self.rows, other.rows))
 
     def __sub__(self, other):
-        return self._entrywise(sub, other)
+        if not isinstance(other, GIMatrix):
+            return NotImplemented
+        return GIMatrix(map(sub, self.rows, other.rows))
 
     def __neg__(self):
-        return GIMatrix((-e for e in row) for row in self.rows)
+        return GIMatrix(map(neg, self.rows))
 
     def scale(self, a) -> "GIMatrix":
-        ga = _to_gi(a, "scalar")
-        return GIMatrix((ga * e for e in row) for row in self.rows)
+        return GIMatrix(r.scale(a) for r in self.rows)
 
     def is_hermitian(self) -> bool:
         """Self-adjoint: symmetric real part, antisymmetric imaginary part."""
-        return (int_matrix_is_symmetric([[e.re for e in row] for row in self.rows])
-                and int_matrix_is_antisymmetric([[e.im for e in row] for row in self.rows]))
+        return (int_matrix_is_symmetric([r.re for r in self.rows])
+                and int_matrix_is_antisymmetric([r.im for r in self.rows]))
 
     def is_zero(self) -> bool:
-        return all(not e for row in self.rows for e in row)
+        return all(r.is_zero() for r in self.rows)
 
     def commutator(self, other: "GIMatrix") -> "GIMatrix":
         """self @ other - other @ self, exact."""
@@ -452,15 +454,8 @@ class GIMatrix:
 
     def kron(self, other: "GIMatrix") -> "GIMatrix":
         """Kronecker product; index (a, b) flattens row-major to a*dim(other)+b."""
-        db = other.dim
-        d = self.dim * db
-        out = [[None] * d for _ in range(d)]
-        for i, row_a in enumerate(self.rows):
-            for k, row_b in enumerate(other.rows):
-                for j, a in enumerate(row_a):
-                    for l, b in enumerate(row_b):
-                        out[i * db + k][j * db + l] = a * b
-        return GIMatrix(out)
+        rows = _kron_parts([(r.re, r.im) for r in self.rows], other.rows)
+        return GIMatrix(starmap(GIVector._from_parts, rows))
 
     def __eq__(self, other):
         if not isinstance(other, GIMatrix):
@@ -475,7 +470,7 @@ class GIMatrix:
         return f"{type(self).__name__}[{body}]"
 
     def to_pairs(self) -> list:
-        return [[e.to_pair() for e in row] for row in self.rows]
+        return [r.to_pairs() for r in self.rows]
 
     @classmethod
     def from_pairs(cls, obj, where: str = "matrix") -> "GIMatrix":
@@ -488,6 +483,23 @@ class GIMatrix:
             rows.append([GaussianInt.from_pair(p, f"{where}[{i}][{j}]")
                          for j, p in enumerate(row)])
         return cls(rows)
+
+
+def _transposed(rows: Sequence[GIVector]):
+    """The columns of the square matrix with these rows, as `GIVector`s."""
+    return map(GIVector._from_parts,
+               zip(*(r.re for r in rows)), zip(*(r.im for r in rows)))
+
+
+def _kron_parts(left: Iterable[tuple], right: Iterable[GIVector]) -> list:
+    """(re, im) of u (x) w, entry u_a * w_b at a*len(w)+b, for each (re, im)
+    pair u in `left` and `GIVector` w in `right`, u-major.  The one
+    Kronecker kernel: `GIMatrix.kron` runs it on rows, `product_wave` on
+    slices; each w is paired into entries once per call."""
+    ws = [tuple(zip(w.re, w.im)) for w in right]
+    return [(tuple(x * r - y * i for x, y in zip(ur, ui) for r, i in w),
+             tuple(x * i + y * r for x, y in zip(ur, ui) for r, i in w))
+            for ur, ui in left for w in ws]
 
 
 class HermitianIntMatrix(GIMatrix):
@@ -513,9 +525,7 @@ class HermitianIntMatrix(GIMatrix):
 
         The original matrix reconstructs exactly as hS + i*hA.
         """
-        hs = tuple(tuple(e.re for e in row) for row in self.rows)
-        ha = tuple(tuple(e.im for e in row) for row in self.rows)
-        return hs, ha
+        return tuple(r.re for r in self.rows), tuple(r.im for r in self.rows)
 
 
 def int_matrix_is_symmetric(m: Sequence[Sequence[int]]) -> bool:

@@ -58,7 +58,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .automaton import Trajectory, evolve
 from .gaussian import (GaussianInt, GIMatrix, GIVector, HermitianIntMatrix,
-                       exact_int_text)
+                       _kron_parts, exact_int_text)
 
 __all__ = [
     "MultiWave",
@@ -310,10 +310,7 @@ def product_wave(factors: Sequence[Trajectory]) -> MultiWave:
         raise ValueError("need at least one part")
     blocks = [(s.re, s.im) for s in factors[0]]
     for f in factors[1:]:
-        slices = [tuple(zip(s.re, s.im)) for s in f]
-        blocks = [(tuple(x * r - y * i for x, y in zip(ar, ai) for r, i in b),
-                   tuple(x * i + y * r for x, y in zip(ar, ai) for r, i in b))
-                  for ar, ai in blocks for b in slices]
+        blocks = _kron_parts(blocks, f)
     re = tuple(itertools.chain.from_iterable(br for br, _ in blocks))
     im = tuple(itertools.chain.from_iterable(bi for _, bi in blocks))
     return MultiWave([f.dim for f in factors], [len(f) for f in factors],
@@ -477,12 +474,9 @@ def kron_sum(hams: Sequence[HermitianIntMatrix]) -> GIMatrix:
         raise ValueError("need at least one part")
     dims = [h.dim for h in hams]
     total = GIMatrix.zeros(math.prod(dims))
-    for k, h in enumerate(hams):
-        term = GIMatrix.identity(1)
-        for j, d in enumerate(dims):
-            factor = h if j == k else GIMatrix.identity(d)
-            term = term.kron(factor)
-        total = total + term
+    for k, h in enumerate(hams):  # 1 x .. x 1 is the identity of the product size
+        left = GIMatrix.identity(math.prod(dims[:k]))
+        total = total + left.kron(h).kron(GIMatrix.identity(math.prod(dims[k + 1:])))
     return total
 
 

@@ -278,7 +278,7 @@ def eigenmode_phase_step(energy: float, steps: int = 256) -> float:
 
 
 def _hermitian_to_array(h: HermitianIntMatrix) -> np.ndarray:
-    return np.array([[complex(z.re, z.im) for z in row] for row in h.rows],
+    return np.array([list(map(complex, r.re, r.im)) for r in h.rows],
                     dtype=np.complex128)
 
 

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
 from hamca.automaton import Trajectory
 from hamca.gaussian import GaussianInt, GIVector, GIMatrix, HermitianIntMatrix
@@ -57,6 +57,32 @@ def count_calls(monkeypatch, owner, name):
 
     monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+SMALL = st.integers(-3, 3)
+BIG = st.one_of(st.integers(2**600, 2**700), st.integers(-2**700, -2**600))
+COEFF = st.one_of(st.just(0), SMALL, BIG)
+# "real tridiagonal" has hA all zero, as the bench H does; "imaginary"
+# is i*hA with a zero diagonal
+H_SHAPES = ("complex", "real tridiagonal", "imaginary", "diagonal", "zero")
+
+
+@st.composite
+def hermitian_splits(draw, dim, coeff=COEFF):
+    """(hS, hA), symmetric and antisymmetric, of a self-adjoint hS + i*hA."""
+    shape = draw(st.sampled_from(H_SHAPES))
+    hs = [[0] * dim for _ in range(dim)]
+    ha = [[0] * dim for _ in range(dim)]
+    for i in range(dim):
+        if shape in ("complex", "real tridiagonal", "diagonal"):
+            hs[i][i] = draw(coeff)
+        for j in range(i + 1, dim):
+            if shape == "complex" or (shape == "real tridiagonal" and j == i + 1):
+                hs[i][j] = hs[j][i] = draw(coeff)
+            if shape in ("complex", "imaginary"):
+                ha[i][j] = draw(coeff)
+                ha[j][i] = -ha[i][j]
+    return hs, ha
 
 
 @pytest.fixture

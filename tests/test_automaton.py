@@ -413,9 +413,15 @@ def test_trajectory_csv_rejects_negative_indices(row):
 
 @pytest.mark.parametrize("row, other", [("0,0,1_0,0", "1,0,2,0"),
                                         ("1, 0 ,+2,0", "0,0,1,0"),
-                                        ("0,0,٣,0", "1,0,2,0")])
+                                        ("0,0,٣,0", "1,0,2,0"),
+                                        ("0,0,007,0", "1,0,2,0"),
+                                        ("0,0,1,00", "1,0,2,0"),
+                                        ("1,0,-0,0", "0,0,1,0"),
+                                        ("01,0,2,0", "0,0,1,0"),
+                                        ("1,-0,2,0", "0,0,1,0")])
 def test_trajectory_csv_accepts_only_ascii_integer_cells(row, other):
-    # int() would read these as 10, (1, 0, 2) and 3
+    # int() would read these as 10, (1, 0, 2), 3, 7, 0, 0, 1 and 0: cells
+    # the writer never emits, so each text names one trajectory only
     text = f"n,alpha,re,im\n{other}\n{row}\n"
     with pytest.raises(ValueError, match=re.escape(f"bad trajectory CSV row: {row!r}")):
         Trajectory.from_csv(text)

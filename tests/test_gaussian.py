@@ -13,7 +13,8 @@ from hamca.gaussian import (
     int_matrix_is_antisymmetric,
     int_matrix_is_symmetric,
 )
-from conftest import random_gaussian_int, random_hermitian, random_matrix, random_vector
+from conftest import (COEFF, count_calls, hermitian_splits, random_gaussian_int,
+                      random_hermitian, random_matrix, random_vector)
 
 
 def gi(re, im=0):
@@ -238,3 +239,104 @@ def test_real_scalars_hash_like_the_ints_they_equal():
 def test_scalar_constructor_rejects_non_integer_parts(parts):
     with pytest.raises(TypeError):
         GaussianInt(*parts)
+
+
+@pytest.mark.parametrize("make", [GIVector.zero, GIMatrix.identity, GIMatrix.zeros,
+                                  HermitianIntMatrix.identity, HermitianIntMatrix.zeros])
+@pytest.mark.parametrize("dim", [True, False, 0, -1, 2.0, "2", None])
+def test_sizes_are_plain_ints_of_at_least_one(make, dim):
+    # True used to give dimension 1 and 2.0 a raw TypeError
+    with pytest.raises(ValueError, match=r"^dimension must be a plain integer >= 1$"):
+        make(dim)
+
+
+# -- every matrix operation against a per-scalar reference --------------
+
+# past CPython's default 4,300-digit int<->str limit
+HUGE = st.one_of(st.integers(10**4300, 10**4310), st.integers(-10**4310, -10**4300))
+
+
+def scalar_rows(hs, ha):
+    return [[gi(s, a) for s, a in zip(rs, ra)] for rs, ra in zip(hs, ha)]
+
+
+def reference_product(a, b):
+    d = range(len(a))
+    return [[sum((a[i][k] * b[k][j] for k in d), gi(0)) for j in d] for i in d]
+
+
+def reference_kron(a, b):
+    db = len(b)
+    return [[a[i // db][j // db] * b[i % db][j % db] for j in range(len(a) * db)]
+            for i in range(len(a) * db)]
+
+
+def entrywise(op, *mats):
+    return [[op(*es) for es in zip(*rows)] for rows in zip(*mats)]
+
+
+def assert_entries(m, want):
+    assert type(m.rows) is tuple and all(type(r) is GIVector for r in m.rows)
+    assert all(type(x) is int for r in m.rows for x in r.re + r.im)
+    assert m.dim == len(want)
+    assert [[m.entry(i, j) for j in range(m.dim)] for i in range(m.dim)] == want
+
+
+@settings(max_examples=40)
+@given(data=st.data(), dim=st.integers(1, 6), small=st.integers(1, 3),
+       k=st.integers(0, 3))
+def test_matrix_operations_match_a_per_scalar_reference(data, dim, small, k):
+    coeff = st.one_of(COEFF, HUGE)
+    ra = scalar_rows(*data.draw(hermitian_splits(dim, coeff)))
+    rb = scalar_rows(*data.draw(hermitian_splits(dim, coeff)))
+    rs = scalar_rows(*data.draw(hermitian_splits(small, coeff)))
+    z = gi(data.draw(coeff), data.draw(coeff))
+    rc = [[z * x for x in row] for row in ra]  # self-adjoint only if z is real
+    a, b, c, s = GIMatrix(ra), GIMatrix(rb), GIMatrix(rc), GIMatrix(rs)
+
+    assert_entries(c.scale(z), [[z * x for x in row] for row in rc])
+    assert_entries(a.scale(z), rc)
+    assert_entries(c @ b, reference_product(rc, rb))
+    assert_entries(b @ c, reference_product(rb, rc))
+    assert_entries(c.commutator(b), entrywise(
+        lambda x, y: x - y, reference_product(rc, rb), reference_product(rb, rc)))
+    want = [[gi(int(i == j)) for j in range(dim)] for i in range(dim)]
+    for _ in range(k):
+        want = reference_product(want, rc)
+    assert_entries(c.power(k), want)
+    assert_entries(c.kron(s), reference_kron(rc, rs))
+    assert_entries(s.kron(c), reference_kron(rs, rc))
+    assert_entries(c + b, entrywise(lambda x, y: x + y, rc, rb))
+    assert_entries(c - b, entrywise(lambda x, y: x - y, rc, rb))
+    assert_entries(-c, entrywise(lambda x: -x, rc))
+
+    for m, rows in ((a, ra), (c, rc), (c @ b, reference_product(rc, rb))):
+        d = range(m.dim)
+        assert m.is_hermitian() == all(rows[i][j] == rows[j][i].conjugate()
+                                       for i in d for j in d)
+        assert m.is_zero() == all(not x for row in rows for x in row)
+        pairs = m.to_pairs()
+        assert pairs == [[x.to_pair() for x in row] for row in rows]
+        assert GIMatrix.from_pairs(pairs) == m and GIMatrix(m.rows) == m
+    assert a.is_hermitian()
+
+    h = HermitianIntMatrix(a)
+    for same in (h, HermitianIntMatrix(a.rows), HermitianIntMatrix(ra),
+                 GIMatrix(a.rows), GIMatrix.from_pairs(a.to_pairs())):
+        assert same == a and a == same and hash(same) == hash(a)
+        assert {a: "found"}[same] == "found"
+    assert (c == a) == (rc == ra) and (b == a) == (rb == ra)
+
+
+def test_matrix_products_build_no_scalars(monkeypatch, rng):
+    h = random_hermitian(rng, 3, 2**700)
+    g = random_hermitian(rng, 2)
+    m = random_matrix(rng, 3, 2**700)
+    built = count_calls(monkeypatch, GaussianInt, "__init__")
+    for name, op in [("@", lambda: (h @ m, m @ h)),
+                     ("power", lambda: (h.power(3), m.power(2))),
+                     ("commutator", lambda: h.commutator(m)),
+                     ("kron", lambda: (h.kron(g), g.kron(m))),
+                     ("split", h.split)]:
+        op()
+        assert built == [], f"{name} built {len(built)} scalars"

@@ -18,12 +18,9 @@ from hamca.automaton import (Trajectory, action_evaluate, evolve, evolve_phase_s
                              verify_stationarity)
 from hamca.conservation import audit_conservation
 from hamca.gaussian import GaussianInt, GIMatrix, GIVector, HermitianIntMatrix
-from conftest import random_hermitian, random_vector
+from conftest import BIG, COEFF, SMALL, hermitian_splits, random_hermitian, random_vector
 
-SMALL = st.integers(-3, 3)
-BIG = st.one_of(st.integers(2**600, 2**700), st.integers(-2**700, -2**600))
 PART = st.one_of(st.just(0), SMALL, st.integers(-2**64, 2**64), BIG)
-COEFF = st.one_of(st.just(0), SMALL, BIG)
 ROW_KINDS = ("complex", "real", "imaginary", "zero", "identity")
 
 
@@ -170,29 +167,6 @@ def test_phase_trajectory_rejects_non_integer_parts():
         evolve_phase_space([1], [0], [2], [0], [[1.0]], [[0]], 3)
     with pytest.raises(TypeError, match="plain integers"):
         evolve_phase_space([1], [0], [2], [0], [[1]], [[0.0]], 0)
-
-
-# "real tridiagonal" has hA all zero, as the bench H does; "imaginary"
-# is i*hA with a zero diagonal
-H_SHAPES = ("complex", "real tridiagonal", "imaginary", "diagonal", "zero")
-
-
-@st.composite
-def hermitian_splits(draw, dim):
-    """(hS, hA), symmetric and antisymmetric, of a self-adjoint hS + i*hA."""
-    shape = draw(st.sampled_from(H_SHAPES))
-    hs = [[0] * dim for _ in range(dim)]
-    ha = [[0] * dim for _ in range(dim)]
-    for i in range(dim):
-        if shape in ("complex", "real tridiagonal", "diagonal"):
-            hs[i][i] = draw(COEFF)
-        for j in range(i + 1, dim):
-            if shape == "complex" or (shape == "real tridiagonal" and j == i + 1):
-                hs[i][j] = hs[j][i] = draw(COEFF)
-            if shape in ("complex", "imaginary"):
-                ha[i][j] = draw(COEFF)
-                ha[j][i] = -ha[i][j]
-    return hs, ha
 
 
 @settings(max_examples=60)
