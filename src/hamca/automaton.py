@@ -38,11 +38,13 @@ check would be a tautology.  The independent oracles (split-form
 evolution, direct stationarity, reversal) stay off it.
 
 Boundary convention: `action_evaluate` sums over interior clock sites
-only (end slices are fixed data).  The stationarity audit differences
-the action with all terms that couple to the varied site included;
-out-of-range neighbor slices contribute zero.  With that bookkeeping a
-variation vanishes at an interior site exactly when the recurrence
-holds there.
+only (end slices are fixed data).  The direct stationarity audit
+differences the doubled action over the three slices m-1, m, m+1 around
+the varied site m, which hold every term that couples to slice m;
+slices outside that window contribute zero, and the terms this drops
+hold no slice m, so they cancel from every difference.  With that
+bookkeeping a variation vanishes at an interior site exactly when the
+recurrence holds there.
 
 Trajectory text is printed from an exact `decimal` stream, because
 libmpdec prints in linear time and CPython's `str(int)` may not.  The
@@ -154,7 +156,9 @@ class Trajectory:
         return f"Trajectory(dim={self.dim}, slices={len(self.states)})"
 
     def replace(self, n: int, state: GIVector) -> "Trajectory":
-        """Copy with slice n replaced (used to study corrupted histories)."""
+        """Copy with slice n, a clock index 0..N, replaced (used to study
+        corrupted histories)."""
+        _check_site(n, self.last, "slice {!r} out of range 0..{}", first=0)
         if state.dim != self.dim:
             raise ValueError("replacement slice has wrong dimension")
         sts = list(self.states)
@@ -431,9 +435,9 @@ def _check_dims(traj: Trajectory, h: HermitianIntMatrix):
         raise ValueError(f"dimension mismatch: trajectory {traj.dim}, matrix {h.dim}")
 
 
-def _check_site(n, last: int, message: str):
-    """ValueError(message.format(n, last)) unless n is a plain int in 1..last."""
-    if type(n) is not int or not 1 <= n <= last:
+def _check_site(n, last: int, message: str, first: int = 1):
+    """ValueError(message.format(n, last)) unless n is a plain int in first..last."""
+    if type(n) is not int or not first <= n <= last:
         with exact_int_text():
             raise ValueError(message.format(n, last))
 
@@ -708,40 +712,32 @@ def _doubled_action(psis, stars, h: HermitianIntMatrix) -> GaussianInt:
     return GaussianInt(tot_re, tot_im)
 
 
-def _families(traj: Trajectory):
-    psis = [list(zip(s.re, s.im)) for s in traj]
-    stars = [list(zip(s.re, map(neg, s.im))) for s in traj]
-    return psis, stars
-
-
-def _apply_variation(psis, stars, spec: VariationSpec, value: int):
-    """Families with the designated real component replaced by `value`."""
-    psis = [list(s) for s in psis]
-    stars = [list(s) for s in stars]
-    family = psis if spec.part.startswith("psi") else stars
-    re, im = family[spec.site][spec.dof]
-    if spec.part.endswith("_re"):
-        family[spec.site][spec.dof] = (value, im)
-    else:
-        family[spec.site][spec.dof] = (re, value)
-    return psis, stars
-
-
 def varied_action_doubled(traj: Trajectory, h: HermitianIntMatrix,
                           spec: VariationSpec) -> Callable[[int], GaussianInt]:
-    """Twice the action as an exact function of one real component.
+    """Twice the action, up to a constant, as an exact function of one component.
 
-    The returned callable feeds `discrete_variation`; halve its output
-    to get the variation of the action itself.
+    Every term of the doubled action that holds slice m = `spec.site`
+    pairs it with slice m-1, m or m+1, so the callable sums
+    `_doubled_action` over those three slices alone, in a fresh copy with
+    the component set.  The terms this drops or changes pair slice m+-1
+    with slice m+-2, hold no slice m and cancel from every difference.
+    It feeds `discrete_variation`; halve its differences to get the
+    variation of the action itself.
     """
     _check_dims(traj, h)
-    _check_site(spec.site, traj.last - 1, "variation site {} is not interior")
+    m = spec.site
+    _check_site(m, traj.last - 1, "variation site {} is not interior")
     if not 0 <= spec.dof < traj.dim:
-        raise ValueError(f"dof {spec.dof} out of range")
-    base_psis, base_stars = _families(traj)
+        with exact_int_text():
+            raise ValueError(f"dof {spec.dof} out of range")
+    window = traj.states[m - 1:m + 2]
 
     def g(f: int) -> GaussianInt:
-        psis, stars = _apply_variation(base_psis, base_stars, spec, f)
+        psis = [list(zip(s.re, s.im)) for s in window]
+        stars = [list(zip(s.re, map(neg, s.im))) for s in window]
+        family = psis if spec.part.startswith("psi") else stars
+        re, im = family[1][spec.dof]
+        family[1][spec.dof] = (f, im) if spec.part.endswith("_re") else (re, f)
         return _doubled_action(psis, stars, h)
 
     return g
@@ -756,15 +752,9 @@ def stationarity_variation(traj: Trajectory, h: HermitianIntMatrix,
     a site iff the recurrence and its starred partner hold there.
     """
     g = varied_action_doubled(traj, h, spec)
-    family = traj[spec.site][spec.dof]
-    if spec.part == "psi_re":
-        f0 = family.re
-    elif spec.part == "psi_im":
-        f0 = family.im
-    elif spec.part == "star_re":
-        f0 = family.re
-    else:
-        f0 = -family.im
+    psi = traj.states[spec.site]
+    re, im = psi.re[spec.dof], psi.im[spec.dof]
+    f0 = (re, im, re, -im)[VARIATION_PARTS.index(spec.part)]
     doubled = discrete_variation(g, f0, spec.delta)
     return doubled.divide_exact(2)
 
@@ -820,7 +810,7 @@ def verify_stationarity(traj: Trajectory, h: HermitianIntMatrix,
     if len(traj) < 3:
         raise ValueError("stationarity needs at least three slices")
     _check_dims(traj, h)
-    deltas = tuple(deltas)
+    deltas = tuple(deltas) if isinstance(deltas, Iterable) else ()
     if not deltas or any(type(d) is not int or d == 0 for d in deltas):
         raise ValueError("deltas must be nonzero plain integers, at least one")
     violations = []

@@ -111,8 +111,16 @@ def test_criterion_2_action_principle(instances):
         fast = verify_stationarity(prefix, h, method="fast")
         direct = verify_stationarity(prefix, h, method="direct")
         assert fast.ok and direct.ok
+    # and over one whole instance, clean and with one bumped slice
+    h, _, _, traj = instances[0]
+    site = rng.randint(1, traj.last - 1)
+    bumped = traj.replace(site, traj[site] + GIVector([gi(1, 1)] * traj.dim))
+    for t in (traj, bumped):
+        assert verify_stationarity(t, h, method="direct") == verify_stationarity(t, h)
+    assert not verify_stationarity(bumped, h).ok
     verdict(2, "action vanishes, stationarity exact, corruptions detected",
-            True, f"{len(instances)} instances at 500 steps, deltas 1-3")
+            True, f"{len(instances)} instances at 500 steps, deltas 1-3; "
+            f"direct path on {len(traj)} slices at dim {traj.dim}")
 
 
 def test_criterion_3_reversibility_and_superposition(instances):

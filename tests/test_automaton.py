@@ -22,9 +22,10 @@ from hamca.automaton import (
     step_forward,
     verify_stationarity,
 )
-from hamca.gaussian import GaussianInt, GIVector, GIMatrix, HermitianIntMatrix
-from conftest import (random_gaussian_int, random_hermitian, random_trajectory,
-                      random_vector)
+from hamca.gaussian import (GaussianInt, GIVector, GIMatrix, HermitianIntMatrix,
+                            exact_int_text)
+from conftest import (count_calls, random_gaussian_int, random_hermitian,
+                      random_trajectory, random_vector)
 
 
 def gi(re, im=0):
@@ -257,13 +258,14 @@ def test_variation_spec_takes_plain_ints_only(site, dof, delta, name):
 
 
 @pytest.mark.parametrize("method", ["fast", "direct"])
-@pytest.mark.parametrize("deltas", [(0,), (1.5,), ("a",), (True,), (1, 2.0), ()],
-                         ids=["zero", "float", "str", "bool", "one-float", "empty"])
+@pytest.mark.parametrize("deltas", [(0,), (1.5,), ("a",), (True,), (1, 2.0), (), 1],
+                         ids=["zero", "float", "str", "bool", "one-float", "empty",
+                              "bare-int"])
 def test_stationarity_deltas_must_be_nonzero_plain_ints(method, deltas):
     # rejected before either path runs, so the report never names an unchecked
     # delta, and a check of no variation at all is never reported as ok
     traj = evolve(vec((1, 0), (0, 0)), vec((0, 1), (1, 0)), PAULI_X, 3)
-    with pytest.raises(ValueError, match="deltas"):
+    with pytest.raises(ValueError, match="^deltas must be nonzero plain integers"):
         verify_stationarity(traj, PAULI_X, deltas=deltas, method=method)
 
 
@@ -324,12 +326,21 @@ def test_stationarity_fast_and_direct_paths_agree(rng):
 
 
 @settings(max_examples=30)
-@given(dim=st.integers(1, 3), slices=st.integers(3, 5),
-       rng=st.randoms(use_true_random=False))
-def test_stationarity_paths_agree_on_random_trajectories(dim, slices, rng):
-    # small entries make coefficients with one zero part common
+@given(dim=st.integers(1, 3), slices=st.integers(3, 40),
+       bound=st.sampled_from([1, 2 ** 70]), solution=st.booleans(),
+       corrupt_ends=st.booleans(), rng=st.randoms(use_true_random=False))
+def test_stationarity_paths_agree_on_random_trajectories(dim, slices, bound, solution,
+                                                         corrupt_ends, rng):
+    # small entries make coefficients with one zero part common; sites 1 and
+    # N-1 are where the direct path's three-slice window meets the ends
     h = random_hermitian(rng, dim, 1)
-    traj = random_trajectory(rng, dim, slices, 1)
+    if solution:
+        traj = evolve(random_vector(rng, dim, bound), random_vector(rng, dim, bound),
+                      h, slices - 2)
+    else:
+        traj = random_trajectory(rng, dim, slices, bound)
+    for site in {1, traj.last - 1} if corrupt_ends else ():
+        traj = traj.replace(site, traj[site] + random_vector(rng, dim, bound))
     fast = verify_stationarity(traj, h, deltas=(1, 2), method="fast")
     direct = verify_stationarity(traj, h, deltas=(1, 2), method="direct")
     assert fast == direct
@@ -364,6 +375,30 @@ def test_variation_vanishes_iff_recurrence_holds(rng):
                 assert all_zero == residual_zero
 
 
+def test_direct_stationarity_differences_three_slices_at_a_time(monkeypatch, rng):
+    # a variation at site m touches only the terms in slices m-1, m, m+1, so
+    # no evaluation of the action reads more, and the path is linear in N
+    calls = count_calls(monkeypatch, automaton, "_doubled_action")
+    h = random_hermitian(rng, 2)
+    traj = evolve(random_vector(rng, 2), random_vector(rng, 2), h, 18)
+    corrupt = traj.replace(9, traj[9] + vec((1, 0), (0, 1)))
+    assert len(traj) == 20
+    assert verify_stationarity(traj, h, method="direct").ok
+    assert not verify_stationarity(corrupt, h, method="direct").ok
+    # two evaluations per (site, dof, part, delta), on each history
+    assert len(calls) == 2 * 18 * 2 * 4 * 3 * 2
+    assert all(len(psis) <= 3 and len(stars) <= 3 for psis, stars, _ in calls)
+
+
+@pytest.mark.parametrize("dof", [-1, 2, pytest.param(10 ** 5000, id="huge")])
+def test_variation_names_a_dof_out_of_range(dof):
+    traj = evolve(vec((1, 0), (0, 0)), vec((0, 1), (1, 0)), PAULI_X, 3)
+    with exact_int_text():
+        message = f"^dof {dof} out of range$"
+    with pytest.raises(ValueError, match=message):
+        stationarity_variation(traj, PAULI_X, VariationSpec(1, dof, "psi_re", 1))
+
+
 def test_variation_rejects_a_coupling_of_the_wrong_size(rng):
     h = random_hermitian(rng, 3)
     traj = evolve(random_vector(rng, 3), random_vector(rng, 3), h, 5)
@@ -396,6 +431,19 @@ def test_trajectory_validation():
         Trajectory([GIVector([gi(1)])])
     with pytest.raises(ValueError):
         Trajectory([GIVector([gi(1)]), GIVector([gi(1), gi(2)])])
+
+
+@pytest.mark.parametrize("n", [True, False, -1, -4, 4, 1.0, "1", None,
+                               pytest.param(10 ** 5000, id="huge")])
+def test_replace_takes_only_a_clock_index(n):
+    # a bool would index slice 0 or 1, and a negative int count from the end
+    traj = evolve(vec((1, 0), (0, 0)), vec((0, 1), (1, 0)), PAULI_X, 2)
+    state = vec((5, 0), (0, 5))
+    assert [traj.replace(k, state)[k] for k in range(4)] == [state] * 4
+    with exact_int_text():
+        message = re.escape(f"slice {n!r} out of range 0..3")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        traj.replace(n, state)
 
 
 def test_trajectory_csv_rejects_duplicate_rows():
