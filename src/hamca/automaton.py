@@ -99,7 +99,6 @@ __all__ = [
     "is_solution",
     "action_evaluate",
     "discrete_variation",
-    "varied_action_doubled",
     "stationarity_variation",
     "verify_stationarity",
 ]
@@ -712,17 +711,19 @@ def _doubled_action(psis, stars, h: HermitianIntMatrix) -> GaussianInt:
     return GaussianInt(tot_re, tot_im)
 
 
-def varied_action_doubled(traj: Trajectory, h: HermitianIntMatrix,
-                          spec: VariationSpec) -> Callable[[int], GaussianInt]:
-    """Twice the action, up to a constant, as an exact function of one component.
+def stationarity_variation(traj: Trajectory, h: HermitianIntMatrix,
+                           spec: VariationSpec) -> GaussianInt:
+    """Exact variation of the action for one elementary variation.
 
-    Every term of the doubled action that holds slice m = `spec.site`
-    pairs it with slice m-1, m or m+1, so the callable sums
-    `_doubled_action` over those three slices alone, in a fresh copy with
-    the component set.  The terms this drops or changes pair slice m+-1
-    with slice m+-2, hold no slice m and cancel from every difference.
-    It feeds `discrete_variation`; halve its differences to get the
-    variation of the action itself.
+    Differences twice the action, as an exact function g of the varied
+    component, with `discrete_variation` and halves the result
+    (exactly).  Every term of the doubled action that holds slice m =
+    `spec.site` pairs it with slice m-1, m or m+1, so g sums
+    `_doubled_action` over those three slices alone, in a fresh copy
+    with the component set.  The terms this drops or changes pair slice
+    m+-1 with slice m+-2, hold no slice m and cancel from every
+    difference.  Zero for every elementary variation at a site iff the
+    recurrence and its starred partner hold there.
     """
     _check_dims(traj, h)
     m = spec.site
@@ -740,20 +741,7 @@ def varied_action_doubled(traj: Trajectory, h: HermitianIntMatrix,
         family[1][spec.dof] = (f, im) if spec.part.endswith("_re") else (re, f)
         return _doubled_action(psis, stars, h)
 
-    return g
-
-
-def stationarity_variation(traj: Trajectory, h: HermitianIntMatrix,
-                           spec: VariationSpec) -> GaussianInt:
-    """Exact variation of the action for one elementary variation.
-
-    Composes `discrete_variation` with the doubled-action closure and
-    halves the result (exactly).  Zero for every elementary variation at
-    a site iff the recurrence and its starred partner hold there.
-    """
-    g = varied_action_doubled(traj, h, spec)
-    psi = traj.states[spec.site]
-    re, im = psi.re[spec.dof], psi.im[spec.dof]
+    re, im = window[1].re[spec.dof], window[1].im[spec.dof]
     f0 = (re, im, re, -im)[VARIATION_PARTS.index(spec.part)]
     doubled = discrete_variation(g, f0, spec.delta)
     return doubled.divide_exact(2)
@@ -778,19 +766,6 @@ class StationarityReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def to_json_obj(self) -> dict:
-        return {
-            "dim": self.dim,
-            "sites_checked": self.sites_checked,
-            "deltas": list(self.deltas),
-            "ok": self.ok,
-            "violations": [
-                {"site": v.site, "dof": v.dof, "part": v.part,
-                 "delta": v.delta, "value": v.value.to_pair()}
-                for v in self.violations
-            ],
-        }
 
 
 def verify_stationarity(traj: Trajectory, h: HermitianIntMatrix,

@@ -5,7 +5,10 @@ either consumed or rejected, so a typo cannot silently change an
 experiment.  Integer data is written as exact decimal text; floats are
 printed with 17 significant digits in CSV and as shortest round-trip
 literals in JSON.  Identical configs produce byte-identical integer
-artifacts.  Trajectories and composite fields are written by their own
+artifacts.  `output.format` (`csv` or `json`) applies to `evolve`,
+`audit` and `reconstruct`; `converge` (CSV, JSON), `multi` and `bell`
+(JSON field, CSV residual) and `leibniz` (CSV) reject `output`.
+Trajectories and composite fields are written by their own
 linear-time text writers, which print the same bytes as `json.dumps`
 with `indent=2, sort_keys=True`; `json.dumps` writes the small files.
 Every artifact is written by `_write_text` from an iterable of text
@@ -54,7 +57,6 @@ class ExperimentConfig:
     kind: str
     raw: dict
     params: dict = field(default_factory=dict)
-    out_format: str = "csv"
 
 
 @dataclass
@@ -285,22 +287,38 @@ def _sequences(value, path, reader):
     return value
 
 
+def _output(value, path, reader):
+    if not isinstance(value, dict):
+        reader.fail(path, "expected an object")
+        return None
+    for key in value:
+        if key != "format":
+            reader.fail(f"{path}.{key}", "unknown field (strict schema)")
+    fmt = value.get("format", "csv")
+    if fmt not in ("csv", "json"):
+        reader.fail(f"{path}.format", "expected 'csv' or 'json'")
+        return None
+    return fmt
+
+
 _REQUIRED = object()  # the default of a field that must be given
 
 _H = ("hamiltonians", "hamiltonian", _coupling, _REQUIRED)
 _SEEDS = ("seeds", "seeds", _seeds, _REQUIRED)
 _STEPS = ("steps", "steps", _as_count, _REQUIRED)
+_OUTPUT = ("output", "format", _output, "csv")
 
 # kind -> (field, params key, reader, default), read in order.  A reader
 # takes (value, path, reader) and returns None once it reported the field.
 _FIELDS = {
-    "evolve": (_H, _SEEDS, _STEPS),
+    "evolve": (_H, _SEEDS, _STEPS, _OUTPUT),
     "audit": (_H, _SEEDS, _STEPS,
-              ("observables", "observables", _observables, None)),
+              ("observables", "observables", _observables, None), _OUTPUT),
     "reconstruct": (_H, _SEEDS, _STEPS,
                     ("scale_l", "scale_l", _as_number, _REQUIRED),
                     ("times", "times", _times, _REQUIRED),
-                    ("window", "window", partial(_as_count, minimum=1), 32)),
+                    ("window", "window", partial(_as_count, minimum=1), 32),
+                    _OUTPUT),
     "converge": (_H,
                  ("seeds", "psi0", _psi0, _REQUIRED),
                  ("horizon", "horizon", partial(_as_number, zero_ok=True),
@@ -321,24 +339,6 @@ _FIELDS = {
 }
 
 KINDS = tuple(_FIELDS)
-
-
-def _parse_output(reader):
-    out = reader.take("output", required=False)
-    fmt = "csv"
-    if out is not None:
-        if not isinstance(out, dict):
-            reader.fail("output", "expected an object")
-        else:
-            for key in out:
-                if key != "format":
-                    reader.fail(f"output.{key}", "unknown field (strict schema)")
-            if "format" in out:
-                if out["format"] not in ("csv", "json"):
-                    reader.fail("output.format", "expected 'csv' or 'json'")
-                else:
-                    fmt = out["format"]
-    return fmt
 
 
 def _finite_float(text: str) -> float:
@@ -387,7 +387,6 @@ def load_config(path, expected_kind: Optional[str] = None) -> ExperimentConfig:
     if expected_kind is not None and kind is not None and kind != expected_kind:
         reader.fail("kind", f"config is for {kind!r} but the {expected_kind!r} "
                             "command was invoked")
-    fmt = _parse_output(reader)
     for name, key, read, default in _FIELDS.get(kind, ()):
         value = reader.take(name, required=default is _REQUIRED)
         if value is not None:
@@ -396,8 +395,7 @@ def load_config(path, expected_kind: Optional[str] = None) -> ExperimentConfig:
             value = default
         reader.params[key] = value
     reader.finish()
-    return ExperimentConfig(kind=kind, raw=raw, params=reader.params,
-                            out_format=fmt)
+    return ExperimentConfig(kind=kind, raw=raw, params=reader.params)
 
 
 # -- artifact writers ----------------------------------------------------
@@ -454,14 +452,14 @@ def _write_slices(texts, dim: int, out_dir: Path, fmt: str) -> Path:
 # -- per-kind runners ----------------------------------------------------
 
 
-def _run_evolve(params, out_dir, fmt):
+def _run_evolve(params, out_dir):
     h, (s0, s1), steps = params["hamiltonian"], params["seeds"], params["steps"]
     hs, ha = h.split()
     oracle = automaton._phase_space_slices(s0.re, s0.im, s1.re, s1.im, hs, ha, steps)
     # one pass writes the trajectory and checks it: no history is held
     window = automaton._EvolveWindow(automaton._evolve_slices(s0, s1, h, steps),
                                      h, oracle)
-    artifacts = [_write_slices(window.texts(), h.dim, out_dir, fmt)]
+    artifacts = [_write_slices(window.texts(), h.dim, out_dir, params["format"])]
     checks = [Check("recurrence_holds_everywhere", window.first_bad is None)]
     if steps >= 1:
         checks.append(Check("action_zero_on_solution", window.action == 0,
@@ -471,7 +469,7 @@ def _run_evolve(params, out_dir, fmt):
     return checks, artifacts, {}
 
 
-def _run_audit(params, out_dir, fmt):
+def _run_audit(params, out_dir):
     h, (s0, s1), steps = params["hamiltonian"], params["seeds"], params["steps"]
     obs, labels = params["observables"], None  # audit labels them G0, G1, ...
     if obs is None:
@@ -479,7 +477,7 @@ def _run_audit(params, out_dir, fmt):
     # one pass writes the trajectory and feeds the series: no history is held
     window = conservation._AuditWindow(automaton._evolve_slices(s0, s1, h, steps),
                                        h, obs, labels)
-    artifacts = [_write_slices(window.texts(), h.dim, out_dir, fmt)]
+    artifacts = [_write_slices(window.texts(), h.dim, out_dir, params["format"])]
     report = window.report()
     checks = [Check("trajectory_is_solution", report.solution_ok,
                     "" if report.solution_ok
@@ -508,7 +506,7 @@ def _run_audit(params, out_dir, fmt):
     return checks, artifacts, info
 
 
-def _run_reconstruct(params, out_dir, fmt):
+def _run_reconstruct(params, out_dir):
     from . import sampling
     h, (s0, s1), steps = params["hamiltonian"], params["seeds"], params["steps"]
     scale = sampling.DiscretenessScale(params["scale_l"])
@@ -531,7 +529,7 @@ def _run_reconstruct(params, out_dir, fmt):
         values = sig.eval(t)
         for a in range(traj.dim):
             rows.append((t, a, values[a].real, values[a].imag))
-    if fmt == "csv":
+    if params["format"] == "csv":
         lines = ["t,alpha,re,im"]
         lines += [f"{_fmt_float(t)},{a},{_fmt_float(re)},{_fmt_float(im)}"
                   for t, a, re, im in rows]
@@ -545,7 +543,7 @@ def _run_reconstruct(params, out_dir, fmt):
     return checks, [path], info
 
 
-def _run_converge(params, out_dir, fmt):
+def _run_converge(params, out_dir):
     from . import sampling
     h = params["hamiltonian"]
     psi0 = list(map(complex, params["psi0"].re, params["psi0"].im))
@@ -574,7 +572,7 @@ def _run_converge(params, out_dir, fmt):
     return checks, [csv_path, json_path], info
 
 
-def _run_multi(params, out_dir, fmt):
+def _run_multi(params, out_dir):
     hams = params["hamiltonians"]
     _, wave, res = multipartite.evolve_factorized(
         hams, params["seed_pairs"], params["steps"])
@@ -614,7 +612,7 @@ def _run_multi(params, out_dir, fmt):
     return checks, [field_path, residual_path], info
 
 
-def _run_bell(params, out_dir, fmt):
+def _run_bell(params, out_dir):
     h = params["hamiltonian"]
     (a0, a1), (b0, b1) = params["seed_pairs"]
     steps = params["steps"]
@@ -641,7 +639,7 @@ def _run_bell(params, out_dir, fmt):
     return checks, [field_path, residual_path], info
 
 
-def _run_leibniz(params, out_dir, fmt):
+def _run_leibniz(params, out_dir):
     a, b = params["sequences"]
     demo = multipartite.leibniz_failure_demo(a, b)
     checks = [Check("split_identity_exact", demo.identity_ok)]
@@ -676,8 +674,7 @@ def run(config: ExperimentConfig, out_dir) -> dict:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
-    checks, artifacts, info = _RUNNERS[config.kind](config.params, out_dir,
-                                                    config.out_format)
+    checks, artifacts, info = _RUNNERS[config.kind](config.params, out_dir)
     report = {
         "kind": config.kind,
         "config": config.raw,
@@ -703,8 +700,6 @@ def main(argv=None) -> int:
         p = sub.add_parser(kind, help=f"run a {kind!r} experiment")
         p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--format", choices=("csv", "json"), default=None,
-                       help="artifact format (default csv, or config output.format)")
     args = parser.parse_args(argv)
 
     try:
@@ -717,8 +712,6 @@ def main(argv=None) -> int:
                 line = line.encode("unicode_escape").decode("ascii")
             print(line, file=sys.stderr)
         return 2
-    if args.format is not None:
-        config.out_format = args.format
 
     try:
         report = run(config, args.out)

@@ -248,6 +248,11 @@ class MultiWave:
             if not isinstance(obj[key], list):
                 raise ValueError(f"field {key} must be a list, got {obj[key]!r}")
         wave = cls(obj["dims"], [hi + 1 for _, hi in box])
+        if "parts" in obj:
+            if type(obj["parts"]) is not int:
+                raise ValueError("field parts must be an integer")
+            if obj["parts"] != wave.parts:
+                raise ValueError("field parts disagrees with dims")
         pairs = [None] * len(wave.vector)
         seen = set()
         for rec in obj["values"]:

@@ -526,19 +526,19 @@ def test_audit_runs_keep_their_golden_artifacts(tmp_path, name):
 def test_evolve_is_exact_past_the_int_text_limit(tmp_path):
     # seeds near 10**5000, written as text: no int<->str conversion here
     big = "1" + "0" * 5000
-    path = tmp_path / "cfg.json"
-    path.write_text(
-        '{"kind": "evolve", "hamiltonians": [[[[0, 0], [1, 0]], [[1, 0], [0, 0]]]], '
-        f'"seeds": [[[{big}, 3], [0, -{big}]], [[1, 0], [{big}, {big}]]], '
-        '"steps": 5}', encoding="utf-8")
     b = 10**5000
     want = evolve(GIVector([GaussianInt(b, 3), GaussianInt(0, -b)]),
                   GIVector([GaussianInt(1, 0), GaussianInt(b, b)]),
                   HermitianIntMatrix.from_pairs(PAULI_X), 5)
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     for fmt in ("csv", "json"):
+        path = tmp_path / f"{fmt}.json"
+        path.write_text(
+            '{"kind": "evolve", "hamiltonians": [[[[0, 0], [1, 0]], [[1, 0], [0, 0]]]], '
+            f'"seeds": [[[{big}, 3], [0, -{big}]], [[1, 0], [{big}, {big}]]], '
+            f'"steps": 5, "output": {{"format": "{fmt}"}}}}', encoding="utf-8")
         assert main(["evolve", "--config", str(path), "--out",
-                     str(tmp_path / fmt), "--format", fmt]) == 0
+                     str(tmp_path / fmt)]) == 0
     assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
     text = (tmp_path / "csv" / "trajectory.csv").read_text()
     assert Trajectory.from_csv(text) == want
@@ -602,18 +602,16 @@ EXAMPLES = {
                     "times": [1.0], "window": 8, "output": {"format": "csv"}},
     "converge": {"kind": "converge", "hamiltonians": [PAULI_X],
                  "seeds": [[[1, 0], [0, 0]]], "horizon": 2.0,
-                 "scales": [0.4, 0.2], "window": 16, "psi1_rule": "oracle",
-                 "output": {"format": "csv"}},
+                 "scales": [0.4, 0.2], "window": 16, "psi1_rule": "oracle"},
     "multi": {"kind": "multi", "hamiltonians": [ONE_DOF, ONE_DOF],
               "seeds": [[[[1, 0]], [[1, 0]]], [[[1, 0]], [[1, 0]]]],
-              "steps": 3, "interaction": ONE_DOF, "synchronized": True,
-              "output": {"format": "csv"}},
+              "steps": 3, "interaction": ONE_DOF, "synchronized": True},
     "bell": {"kind": "bell", "hamiltonians": [PAULI_X],
              "seeds": [SEED_PAIR, [[[0, 0], [1, 0]], [[0, 0], [1, 0]]]],
-             "steps": 4, "output": {"format": "csv"}},
-    "leibniz": {"kind": "leibniz", "sequences": [[1, 2, 4, 8], [1, 2, 4, 8]],
-                "output": {"format": "csv"}},
+             "steps": 4},
+    "leibniz": {"kind": "leibniz", "sequences": [[1, 2, 4, 8], [1, 2, 4, 8]]},
 }
+FORMAT_KINDS = ("evolve", "audit", "reconstruct")  # the verbs that read output
 
 
 # a fresh interpreter, since this test module itself loads numpy
@@ -650,6 +648,66 @@ def test_a_null_field_is_a_config_error(tmp_path, capsys, kind, field):
     assert main([kind, "--config", path, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert f"CONFIG ERROR {field}: " in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", sorted(set(EXAMPLES) - set(FORMAT_KINDS)))
+@pytest.mark.parametrize("output", [None, {"format": "csv"}, {"format": "json"}],
+                         ids=["null", "csv", "json"])
+def test_output_is_rejected_where_the_format_is_fixed(tmp_path, capsys, kind,
+                                                       output):
+    path = write_config(tmp_path / "cfg.json", dict(EXAMPLES[kind], output=output))
+    assert main([kind, "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == \
+        "CONFIG ERROR output: unknown field (strict schema)\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind", FORMAT_KINDS)
+@pytest.mark.parametrize("output, errors", [
+    ([], [("output", "expected an object")]),
+    ({"format": "xml"}, [("output.format", "expected 'csv' or 'json'")]),
+    ({"path": "x"}, [("output.path", "unknown field (strict schema)")]),
+], ids=["list", "xml", "path"])
+def test_a_bad_output_field_is_reported_at_its_path(tmp_path, kind, output, errors):
+    path = write_config(tmp_path / "cfg.json", dict(EXAMPLES[kind], output=output))
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert info.value.errors == errors
+
+
+REPLAYS = [(kind, None) for kind in EXAMPLES] + \
+    [(kind, fmt) for kind in FORMAT_KINDS for fmt in ("csv", "json")]
+
+
+@pytest.mark.parametrize("kind, fmt", REPLAYS)
+def test_a_run_replays_from_the_config_its_report_records(tmp_path, capsys, kind,
+                                                          fmt):
+    obj = dict(EXAMPLES[kind], **({} if fmt is None else {"output": {"format": fmt}}))
+    runs = []
+    for side in ("first", "replay"):
+        path = write_config(tmp_path / f"{side}.json", obj)
+        out = tmp_path / side
+        code = main([kind, "--config", path, "--out", str(out)])
+        report = json.loads((out / "report.json").read_text())
+        obj = report["config"]
+        names = sorted(report["artifact_bytes"])
+        runs.append((code, capsys.readouterr().out.replace(str(out), "<out>"),
+                     names, [(out / n).read_bytes() for n in names],
+                     report["checks"], report["info"]))
+    assert runs[0] == runs[1]
+    if fmt is not None:
+        assert any(n.endswith(f".{fmt}") for n in runs[0][2])
+
+
+@pytest.mark.parametrize("kind", sorted(EXAMPLES))
+def test_format_flag_is_gone(tmp_path, capsys, kind):
+    path = write_config(tmp_path / "cfg.json", EXAMPLES[kind])
+    with pytest.raises(SystemExit) as info:
+        main([kind, "--config", path, "--out", str(tmp_path / "out"),
+              "--format", "json"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --format json" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("kind, fields, bad", [

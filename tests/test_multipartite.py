@@ -512,6 +512,20 @@ def test_multiwave_json_rejects_inexact_dims(dims):
         MultiWave.from_json_obj(obj)
 
 
+@pytest.mark.parametrize("parts, reason", [
+    (7, "disagrees"), (2, "disagrees"), (0, "disagrees"),
+    (True, "must be an integer"), (1.0, "must be an integer"),
+    ("1", "must be an integer"), (None, "must be an integer"),
+], ids=["seven", "two", "zero", "true", "float", "text", "null"])
+def test_multiwave_json_checks_parts(parts, reason):
+    wave = MultiWave((1,), (2,), [gi(1), gi(2)])
+    obj = wave.to_json_obj()
+    assert MultiWave.from_json_obj(obj) == wave
+    obj["parts"] = parts
+    with pytest.raises(ValueError, match=f"field parts {reason}"):
+        MultiWave.from_json_obj(obj)
+
+
 def test_multiwave_json_rejects_a_fractional_clock_box():
     obj = MultiWave((1,), (2,), [gi(1), gi(2)]).to_json_obj()
     obj["clock_box"] = [[0, 1.5]]
