@@ -37,6 +37,15 @@ computed: psi_{n+1} was built from that very vector, so the recurrence
 check would be a tautology.  The independent oracles (split-form
 evolution, direct stationarity, reversal) stay off it.
 
+Reversal steps back from the last two slices to the first two in one of
+two ways, whichever a cost estimate (`_doubling_pays`) finds cheaper:
+slice by slice with `step_backward`, or at once by the N-step backward
+map, whose blocks are polynomials in iH built by fast doubling in
+O(log N) `GIMatrix` products.  Exact products are associative, so both
+end on the same two slices bit for bit.  Doubling wins at many steps, a
+small d and small coefficients; its d x d products of big entries lose
+to the walk at few steps, a large d or large coefficients.
+
 Boundary convention: `action_evaluate` sums over interior clock sites
 only (end slices are fixed data).  The direct stationarity audit
 differences the doubled action over the three slices m-1, m, m+1 around
@@ -74,6 +83,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .gaussian import (
     GaussianInt,
+    GIMatrix,
     GIVector,
     HermitianIntMatrix,
     IMAG_UNIT,
@@ -250,39 +260,45 @@ def _decimal_slices(pairs: Iterable, h: Optional[HermitianIntMatrix]):
     slice is Decimal(psi_n) itself, as the two seeds always are: the same
     text, in time quadratic in the digits.  The arithmetic runs in a
     local context that traps `Inexact` and `Rounded` and never becomes
-    the thread's.  Products accumulate onto the previous slice, which is
-    never -0, and Decimal(r_n) is added last, so a negative coefficient
-    times a zero entry never prints as -0.
+    the thread's.  Products, and the entries that +1 and -1 coefficients
+    add or subtract, accumulate onto the previous slice, which is never
+    -0, and Decimal(r_n) is added last; an exact zero sum of operands
+    that are not both -0 is +0 here, so a negative coefficient times a
+    zero entry never prints as -0.
     """
     ctx = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
                   traps=[Inexact, Rounded, InvalidOperation, Overflow])
     fma = ctx.fma
     plus = ctx.add
-    # per output part, (index into re + im of psi_{n-1}, coefficient):
-    # re out = re(psi_{n-2}) + Im(H psi), im out = im(psi_{n-2}) - Re(H psi)
+    minus = ctx.subtract
+    # per output part of re + im, the (index into re + im of psi_{n-1},
+    # coefficient) terms: re out = re(psi_{n-2}) + Im(H psi), im out =
+    # im(psi_{n-2}) - Re(H psi); each row compiles to its fma terms and
+    # the indices its +1 and -1 coefficients add and subtract
     program = []
     if h is not None:
         d = h.dim
-        for re_terms, im_terms in h._program:
-            program.append(([(d + j, Decimal(c)) for j, c in re_terms]
-                            + [(j, Decimal(c)) for j, c in im_terms],
-                            [(j, Decimal(-c)) for j, c in re_terms]
-                            + [(d + j, Decimal(c)) for j, c in im_terms]))
+        rows = ([[(d + j, c) for j, c in re_terms] + list(im_terms)
+                 for re_terms, im_terms in h._program]
+                + [[(j, -c) for j, c in re_terms] + [(d + j, c) for j, c in im_terms]
+                   for re_terms, im_terms in h._program])
+        program = [([(k, Decimal(c)) for k, c in row if c not in (1, -1)],
+                    [k for k, c in row if c == 1], [k for k, c in row if c == -1])
+                   for row in rows]
     x2 = x1 = None
     for n, (psi, e) in enumerate(pairs):
         if n < 2 or h is None:
             dec = tuple(map(Decimal, psi.re + psi.im))
         else:
-            pred = list(x2)
-            for a, (re_row, im_row) in enumerate(program):
-                acc = pred[a]
-                for k, c in re_row:
+            pred = []
+            for acc, (terms, ups, downs) in zip(x2, program):
+                for k, c in terms:
                     acc = fma(c, x1[k], acc)
-                pred[a] = acc
-                acc = pred[d + a]
-                for k, c in im_row:
-                    acc = fma(c, x1[k], acc)
-                pred[d + a] = acc
+                for k in ups:
+                    acc = plus(acc, x1[k])
+                for k in downs:
+                    acc = minus(acc, x1[k])
+                pred.append(acc)
             if e is None:
                 dec = tuple(pred)
             else:
@@ -533,11 +549,96 @@ class _EvolveWindow(_Window):
             self.same_as_oracle = False
 
     def reverses(self) -> bool:
-        """Whether stepping back from the last two slices ends on the seeds."""
-        cur, nxt = self.ends
-        for _ in range(self.slices - 2):
-            nxt, cur = cur, step_backward(nxt, cur, self.h)
-        return (cur, nxt) == self.seeds
+        """Whether stepping back from the last two slices ends on the seeds.
+
+        Where `_doubling_pays`, the steps back are taken at once by
+        `_stepped_back`; elsewhere one `step_backward` at a time.  Integer
+        products are associative, so both give the same two slices on any
+        window and any H: only the cost differs.
+        """
+        if self.seeds is None:  # fewer than two slices: no seeds to reach
+            return False
+        before, last = self.ends
+        steps = self.slices - 2
+        if _doubling_pays(self.h, steps, last):
+            return _stepped_back(self.h, steps, before, last) == self.seeds
+        for _ in range(steps):
+            last, before = before, step_backward(last, before, self.h)
+        return (before, last) == self.seeds
+
+
+def _stepped_back(h: HermitianIntMatrix, steps: int, before: GIVector,
+                  last: GIVector) -> tuple:
+    """(psi_0, psi_1), `steps` backward steps from (psi_{N-1}, psi_N).
+
+    The backward step psi_{n-1} = psi_{n+1} + Y psi_n, Y = iH, is the
+    forward recurrence in Y, so with N = steps + 1
+        psi_0 = F_N psi_{N-1} + F_{N-1} psi_N,
+        psi_1 = F_{N-1} psi_{N-1} + F_{N-2} psi_N,
+    F_k = F_k(Y) from `_backward_polys`, and F_{N-2} psi_N is
+    F_N psi_N - Y F_{N-1} psi_N.
+    """
+    y = h.scale(IMAG_UNIT)
+    f_back, f_n = _backward_polys(y, steps)
+    back_last = f_back.apply(last)
+    return (f_n.apply(before) + back_last,
+            f_back.apply(before) + f_n.apply(last) - y.apply(back_last))
+
+
+def _backward_polys(y: GIMatrix, m: int) -> tuple:
+    """(F_m, F_{m+1}) of F_0 = 0, F_1 = 1, F_{k+1} = Y F_k + F_{k-1}.
+
+    Fast doubling over m's bits.  With L_k = F_{k+1} + F_{k-1} =
+    2 F_{k+1} - Y F_k,
+        F_{2k} = F_k L_k  and  F_{2k+1} = F_{k+1} L_k - (-1)^k,
+    the second being F_{k+1}^2 + F_k^2 by Cassini's identity
+    F_{k+1} F_{k-1} - F_k^2 = (-1)^k.  Both hold because every F_k is a
+    polynomial in the one matrix Y.  Each bit costs two d x d products
+    of F's own entries and one product by Y (two on a 1 bit); those are
+    cheap because Y's entries are small, not because Y is sparse.  After
+    a doubling k is even, so (-1)^k is -1 just after a 1 bit.
+    """
+    one = GIMatrix.identity(y.dim)
+    a, b, sign = GIMatrix.zeros(y.dim), one, 1
+    for bit in bin(m)[2:]:
+        lucas = b.scale(2) - y @ a
+        a, b, sign = a @ lucas, b @ lucas - one.scale(sign), 1
+        if bit == "1":
+            a, b, sign = b, y @ b + a, -1
+    return a, b
+
+
+def _doubling_pays(h: HermitianIntMatrix, steps: int, last: GIVector) -> bool:
+    """Whether `_stepped_back` is estimated to cost less than `steps`
+    calls of `step_backward` from a window whose last slice is `last`.
+
+    The walk pays, per step, for H's terms times entries of about half
+    psi_N's size.  Doubling pays, per bit of the steps, for d x d products
+    (four real products per complex entry when H has a real and an
+    imaginary part), whose entries grow to F_N's, about psi_N's size; a
+    product of two p-digit ints costs p^2 digit products up to CPython's
+    Karatsuba cutoff of 70 digits and p^1.585 past it.  So doubling wins
+    at many steps, a small d and small coefficients, and the walk wins
+    otherwise.  The constants are rough nanoseconds of CPython 3.11 on
+    x86-64, fitted to timings of both paths over dims 1-32, 10-6,000
+    steps and coefficients of 1-700 bits; only their ratio matters.
+    """
+    d = h.dim
+    coeffs = [abs(c) for row in h._program for part in row for _, c in part]
+    terms = len(coeffs)
+    coeff_digits = max(coeffs, default=0).bit_length() // 30 + 1
+    digits = max(map(abs, last.re + last.im)).bit_length() // 30 + 1
+    half = digits // 2 + 1
+    walk = steps * (2500 + 200 * terms + 250 * d
+                    + 2.5 * half * (terms * (coeff_digits + 1) + d))
+    parts = 2 if any(r for r, _ in h._program) and any(i for _, i in h._program) else 1
+
+    def product(p):
+        return p * p if p <= 70 else 4900 * (p / 70) ** 1.585
+
+    doubling = (steps.bit_length() * (80000 + 8000 * d * d + 150 * parts * d ** 3)
+                + 6.5 * parts * (d ** 3 * product(half) + d * d * product(digits)))
+    return doubling < walk
 
 
 def _kept_pass(traj: Trajectory, h: HermitianIntMatrix) -> _Window:

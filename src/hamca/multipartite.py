@@ -97,6 +97,17 @@ def _exact_sizes(sizes: Sequence[int], what: str) -> tuple:
     return sizes
 
 
+def _field_shape(dims: Sequence[int], clock_shape: Sequence[int]) -> tuple:
+    """(dims, clock_shape, number of values) of a field, checked."""
+    dims = _exact_sizes(dims, "dof dimensions")
+    clock_shape = _exact_sizes(clock_shape, "clock ranges")
+    if len(dims) != len(clock_shape) or not dims:
+        raise ValueError("need one dof dimension and one clock range per part")
+    if any(d < 1 for d in dims) or any(c < 1 for c in clock_shape):
+        raise ValueError("dimensions and clock ranges must be >= 1")
+    return dims, clock_shape, math.prod(clock_shape) * math.prod(dims)
+
+
 class MultiWave:
     """Exact field over a product clock box and product dof indices.
 
@@ -109,13 +120,7 @@ class MultiWave:
 
     def __init__(self, dims: Sequence[int], clock_shape: Sequence[int],
                  values: Optional[Iterable] = None):
-        self.dims = _exact_sizes(dims, "dof dimensions")
-        self.clock_shape = _exact_sizes(clock_shape, "clock ranges")
-        if len(self.dims) != len(self.clock_shape) or not self.dims:
-            raise ValueError("need one dof dimension and one clock range per part")
-        if any(d < 1 for d in self.dims) or any(c < 1 for c in self.clock_shape):
-            raise ValueError("dimensions and clock ranges must be >= 1")
-        size = math.prod(self.clock_shape) * math.prod(self.dims)
+        self.dims, self.clock_shape, size = _field_shape(dims, clock_shape)
         if values is None:
             values = GIVector._from_parts((0,) * size, (0,) * size)
         elif not isinstance(values, GIVector):
@@ -233,6 +238,7 @@ class MultiWave:
         return "".join(self._json_pieces())
 
     @classmethod
+    @exact_int_text()  # a rejected field may hold ints past 4,300 digits
     def from_json_obj(cls, obj) -> "MultiWave":
         if not isinstance(obj, dict):
             raise ValueError("bad field JSON object")
@@ -247,7 +253,12 @@ class MultiWave:
         for key in ("dims", "values"):
             if not isinstance(obj[key], list):
                 raise ValueError(f"field {key} must be a list, got {obj[key]!r}")
-        wave = cls(obj["dims"], [hi + 1 for _, hi in box])
+        # the field's size against its records before anything is allocated
+        shape = [hi + 1 for _, hi in box]
+        size = _field_shape(obj["dims"], shape)[2]
+        if size > len(obj["values"]):
+            raise ValueError(f"field JSON has {len(obj['values'])} of {size} records")
+        wave = cls(obj["dims"], shape)
         if "parts" in obj:
             if type(obj["parts"]) is not int:
                 raise ValueError("field parts must be an integer")

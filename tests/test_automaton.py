@@ -24,8 +24,8 @@ from hamca.automaton import (
 )
 from hamca.gaussian import (GaussianInt, GIVector, GIMatrix, HermitianIntMatrix,
                             exact_int_text)
-from conftest import (count_calls, random_gaussian_int, random_hermitian,
-                      random_trajectory, random_vector)
+from conftest import (COEFF, SMALL, count_calls, hermitian_splits, random_gaussian_int,
+                      random_hermitian, random_trajectory, random_vector)
 
 
 def gi(re, im=0):
@@ -92,6 +92,160 @@ def test_forward_backward_single_steps_are_inverse(rng):
         h = random_hermitian(rng, d)
         prev, curr = random_vector(rng, d), random_vector(rng, d)
         assert step_backward(step_forward(prev, curr, h), curr, h) == prev
+
+
+def walked_back(slices, h):
+    """Reversal by definition: step back one slice at a time to the seeds."""
+    nxt, cur = slices[-1], slices[-2]
+    for _ in range(len(slices) - 2):
+        nxt, cur = cur, step_backward(nxt, cur, h)
+    return cur, nxt
+
+
+def walk_reverses(slices, h):
+    return walked_back(slices, h) == (slices[0], slices[1])
+
+
+def window_reverses(slices, h):
+    window = automaton._EvolveWindow(slices, h, iter(slices))
+    for _ in window._pairs():
+        pass
+    return window.reverses()
+
+
+def doubled_back(slices, h):
+    return automaton._stepped_back(h, len(slices) - 2, slices[-2], slices[-1])
+
+
+def bumped(slices, n, by):
+    return slices[:n] + [slices[n] + by] + slices[n + 1:]
+
+
+def split_hermitian(hs, ha):
+    return HermitianIntMatrix([[gi(r, i) for r, i in zip(rs, ia)]
+                               for rs, ia in zip(hs, ha)])
+
+
+def faulty_windows(data, dim, steps, coeff):
+    """A clean history of a drawn H, and windows that must not reverse:
+    its last slice or one interior slice bumped, and the history checked
+    against a second H."""
+    h, other = (split_hermitian(*data.draw(hermitian_splits(dim, coeff)))
+                for _ in range(2))
+    parts = st.lists(st.tuples(SMALL, SMALL), min_size=dim, max_size=dim)
+    clean = list(evolve(vec(*data.draw(parts)), vec(*data.draw(parts)), h, steps).states)
+    by = vec(*[(0, 0)] * (dim - 1), data.draw(st.sampled_from([(1, 0), (0, 1)])))
+    windows = [(clean, h), (bumped(clean, steps + 1, by), h), (clean, other)]
+    if steps >= 1:
+        windows.append((bumped(clean, data.draw(st.integers(1, steps)), by), h))
+    return windows
+
+
+@settings(max_examples=40)
+@given(data=st.data(), dim=st.integers(1, 6), steps=st.integers(0, 300))
+def test_reversal_equals_the_backward_walk(data, dim, steps):
+    # entries bounded by 3: 300 steps already reach hundreds of bits
+    windows = faulty_windows(data, dim, steps, SMALL)
+    for slices, g in windows:
+        assert doubled_back(slices, g) == walked_back(slices, g)
+        assert window_reverses(slices, g) == walk_reverses(slices, g)
+    assert window_reverses(*windows[0])
+
+
+@settings(max_examples=40)
+@given(data=st.data(), dim=st.integers(1, 4), steps=st.integers(0, 12))
+def test_reversal_equals_the_backward_walk_on_large_entries(data, dim, steps):
+    # the default coefficients reach 700 bits
+    for slices, g in faulty_windows(data, dim, steps, COEFF):
+        assert doubled_back(slices, g) == walked_back(slices, g)
+
+
+TRIDIAGONAL = HermitianIntMatrix([[gi(2), gi(1), gi(0)],
+                                  [gi(1), gi(2), gi(1)],
+                                  [gi(0), gi(1), gi(2)]])
+
+
+@pytest.mark.parametrize("doubling", [True, False])
+@pytest.mark.parametrize("fault", ["corrupted step", "bumped interior slice",
+                                   "bumped last slice", "another coupling"])
+def test_reversal_fails_on_a_faulty_window(fault, doubling, monkeypatch):
+    s0, s1 = vec((1, 0), (0, -1), (2, 1)), vec((0, 1), (1, 0), (-1, 0))
+    by = vec((0, 0), (1, 1), (0, 0))
+    h, clean = TRIDIAGONAL, list(evolve(s0, s1, TRIDIAGONAL, 9).states)
+    if fault == "corrupted step":
+        # psi_5 off by one and the recurrence run on from it
+        slices = clean[:5] + list(evolve(clean[4], clean[5] + by, h, 5).states)[1:]
+    elif fault == "bumped interior slice":
+        # psi_{N-1}: reversal reads only the seeds and the last two slices
+        slices = bumped(clean, 9, by)
+    elif fault == "bumped last slice":
+        slices = bumped(clean, 10, by)
+    else:
+        slices = clean
+        h = split_hermitian([[2, 1, 0], [1, 2, 0], [0, 0, 2]], [[0] * 3] * 3)
+    assert not walk_reverses(slices, h)
+    monkeypatch.setattr(automaton, "_doubling_pays", lambda *args: doubling)
+    stepped = count_calls(monkeypatch, automaton, "step_backward")
+    assert window_reverses(clean, TRIDIAGONAL)
+    assert not window_reverses(slices, h)
+    assert len(stepped) == (0 if doubling else 2 * 9)
+
+
+def test_a_window_of_one_slice_has_no_seeds_to_reach():
+    assert not window_reverses([vec((1, 0))], H_TWO)
+
+
+def test_reversal_at_the_deep_bench_size(monkeypatch):
+    s0, s1 = vec((1, 2), (0, 1), (-1, 0)), vec((2, 0), (1, -1), (0, 3))
+    clean = list(evolve(s0, s1, TRIDIAGONAL, 6000).states)
+    assert max(abs(x).bit_length() for x in clean[-1].re + clean[-1].im) > 9000
+    last = bumped(clean, 6001, vec((0, 0), (0, 0), (0, 1)))
+    assert walk_reverses(clean, TRIDIAGONAL) and not walk_reverses(last, TRIDIAGONAL)
+    assert not window_reverses(last, TRIDIAGONAL)
+    window = automaton._EvolveWindow(clean, TRIDIAGONAL, iter(clean))
+    for _ in window._pairs():
+        pass
+    stepped = [count_calls(monkeypatch, automaton, name)
+               for name in ("step_backward", "step_forward")]
+    applied = count_calls(monkeypatch, GIMatrix, "apply")
+    assert window.reverses()
+    assert stepped == [[], []]
+    # per bit of N at most four products of d columns, then five
+    # matrix-vector products: no apply per slice
+    assert len(applied) <= 4 * 3 * (6000).bit_length() + 5
+
+
+def dense_hermitian(dim, bits, seed):
+    rng = random.Random(seed)
+    entry = lambda: rng.choice([-1, 1]) * rng.randint(2 ** (bits - 1), 2 ** bits - 1)
+    hs = [[0] * dim for _ in range(dim)]
+    ha = [[0] * dim for _ in range(dim)]
+    for i in range(dim):
+        hs[i][i] = entry()
+        for j in range(i + 1, dim):
+            hs[i][j] = hs[j][i] = entry()
+            ha[i][j] = entry()
+            ha[j][i] = -ha[i][j]
+    return split_hermitian(hs, ha)
+
+
+@pytest.mark.parametrize("h, steps, doubling", [
+    (TRIDIAGONAL, 6000, True),           # the deep bench size
+    (TRIDIAGONAL, 9, False),             # too few steps to repay the products
+    (dense_hermitian(6, 64, 0), 300, False),   # 64-bit entries
+    (dense_hermitian(16, 1, 1), 100, False),   # d^3 products outweigh the steps
+], ids=["deep", "few steps", "large entries", "large dim"])
+def test_reversal_takes_the_cheaper_path(h, steps, doubling, monkeypatch):
+    rng = random.Random(steps)
+    seeds = [vec(*[(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(h.dim)])
+             for _ in range(2)]
+    window = automaton._EvolveWindow(automaton._evolve_slices(*seeds, h, steps), h, iter([]))
+    for _ in window._pairs():
+        pass
+    assert automaton._doubling_pays(h, steps, window.ends[1]) is doubling
+    stepped = count_calls(monkeypatch, automaton, "step_backward")
+    assert window.reverses()
+    assert len(stepped) == (0 if doubling else steps)
 
 
 def test_evolution_is_linear_in_the_seeds(rng):

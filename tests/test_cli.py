@@ -360,18 +360,6 @@ def test_evolve_and_audit_sweep_the_brackets_once(tmp_path, monkeypatch):
         return kernel(self, v)
 
     monkeypatch.setattr(GIMatrix, "apply", counting)
-    steps = 9
-    for fmt in ("csv", "json"):
-        cfg = load_config(evolve_config(tmp_path, steps=steps,
-                                        output={"format": fmt}))
-        applied.clear()
-        run(cfg, tmp_path / f"evolve-{fmt}")
-        # evolve, one bracket pass for both verdicts and the writer, and
-        # reversal; the phase-space oracle never applies
-        assert len(applied) == 3 * steps
-    cfg = load_config(write_config(tmp_path / "audit.json", {
-        "kind": "audit", "hamiltonians": [PAULI_X],
-        "seeds": [[[1, 0], [0, 0]], [[0, 0], [1, 1]]], "steps": steps}))
     made, stream = [], automaton._evolve_slices
 
     def keep(*args):
@@ -380,14 +368,45 @@ def test_evolve_and_audit_sweep_the_brackets_once(tmp_path, monkeypatch):
             yield s
 
     monkeypatch.setattr(automaton, "_evolve_slices", keep)
+
+    def on_window(h):
+        """The applies of H itself on the window's own slices."""
+        slices = {id(s) for s in made}
+        return sum(m is h and id(v) in slices for m, v in applied)
+
+    rest = {}
+    for doubling, steps, fmt in ((True, 9, "csv"), (True, 9, "json"),
+                                 (True, 500, "csv"), (False, 9, "csv")):
+        monkeypatch.setattr(automaton, "_doubling_pays", lambda *args: doubling)
+        cfg = load_config(evolve_config(tmp_path, steps=steps,
+                                        output={"format": fmt}))
+        made.clear()
+        applied.clear()
+        run(cfg, tmp_path / f"evolve-{steps}-{fmt}-{doubling}")
+        assert len(made) == steps + 2
+        if doubling:
+            # H on the window's slices: the forward step and one bracket
+            # pass for both verdicts and the writer; the phase-space
+            # oracle never applies, and reversal applies only its own
+            # matrices
+            assert on_window(cfg.params["hamiltonian"]) == 2 * steps
+            rest[steps] = len(applied) - 2 * steps
+        else:
+            # walking back applies H once per step
+            assert len(applied) == 3 * steps
+    # reversal's products grow with log2 of the steps, not with the steps
+    assert rest[500] <= rest[9] * math.log2(500) / math.log2(9)
+    cfg = load_config(write_config(tmp_path / "audit.json", {
+        "kind": "audit", "hamiltonians": [PAULI_X],
+        "seeds": [[[1, 0], [0, 0]], [[0, 0], [1, 1]]], "steps": 9}))
+    made.clear()
     applied.clear()
     run(cfg, tmp_path / "audit")
     # H on the window's slices: the forward step and one bracket pass
     # shared by the solution check and the writer (the observables are
     # matrices of their own)
-    h, slices = cfg.params["hamiltonian"], {id(s) for s in made}
-    assert len(made) == steps + 2
-    assert sum(m is h and id(v) in slices for m, v in applied) == 2 * steps
+    assert len(made) == 9 + 2
+    assert on_window(cfg.params["hamiltonian"]) == 2 * 9
 
 
 def test_audit_series_of_a_drifting_observable(tmp_path):

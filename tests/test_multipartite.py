@@ -541,6 +541,24 @@ def test_multiwave_json_rejects_a_field_that_is_not_a_list(key, value):
         MultiWave.from_json_obj(obj)
 
 
+HUGE = 10**5000  # past CPython's 4,300-digit int-to-text limit
+
+
+@pytest.mark.parametrize("field, match", [
+    ({"dims": [1], "clock_box": [[0, HUGE, 1]], "values": []}, "clock_box"),
+    ({"dims": [1], "clock_box": [[0, 1]],
+      "values": [[[0], [0], [1, 0]], [[HUGE], [0], [1, 0]]]}, "bad field record"),
+    ({"dims": [1], "clock_box": [[0, HUGE]], "values": []}, r"has 0 of \d+ records"),
+    ({"dims": [HUGE], "clock_box": [[0, 1]], "values": []}, r"has 0 of \d+ records"),
+    ({"dims": [1, HUGE], "clock_box": [[0, 1], [0, 0]], "values": []},
+     r"has 0 of \d+ records"),
+], ids=["clock-box-entry", "record-clock", "clock-range", "dims", "second-dims"])
+def test_multiwave_json_names_the_field_holding_a_huge_int(field, match):
+    # the sizes are checked against the records before the field is made
+    with pytest.raises(ValueError, match=match):
+        MultiWave.from_json_obj(field)
+
+
 def test_interaction_rejects_inexact_dims():
     with pytest.raises(ValueError, match="plain integers"):
         InteractionTensor([2.7], GIMatrix.identity(2))
