@@ -177,7 +177,10 @@ class Trajectory:
     # -- serialization ------------------------------------------------
 
     def _decimal_texts(self, h: Optional[HermitianIntMatrix]):
-        """`_decimal_slices` of this trajectory, its brackets read from the pass."""
+        """`_decimal_slices` of this trajectory, its brackets read from the
+        pass; without h, from the coupling of the pass kept on it, if any."""
+        if h is None and self._swept is not None:
+            h = self._swept.h
         brackets = [None] * len(self.states)
         for n, e in () if h is None else _kept_pass(self, h).brackets:
             brackets[n + 1] = e
@@ -188,13 +191,17 @@ class Trajectory:
 
         Pass the coupling the trajectory solves to make the decimal text
         linear in its length; any H (or none) gives the same exact text.
+        Without `h`, the coupling of the last check kept on the trajectory
+        (see `_kept_pass`) serves; a trajectory that was never checked
+        takes the path quadratic in the digits.
         """
         return "".join(_csv_pieces(self._decimal_texts(h)))
 
     def to_json_text(self, h: Optional[HermitianIntMatrix] = None) -> str:
         """`json.dumps(self.to_json_obj(), indent=2, sort_keys=True) + "\\n"`.
 
-        Same bytes, with entries printed from the stream `to_csv` uses.
+        Same bytes, with entries printed from the stream `to_csv` uses,
+        for the same `h` or the same kept coupling without one.
         """
         return "".join(_json_pieces(self._decimal_texts(h), self.dim))
 
@@ -763,16 +770,18 @@ class VariationSpec:
 
 
 def _doubled_action(psis, stars, h: HermitianIntMatrix) -> GaussianInt:
-    """Twice the action over independent psi / star families, all sites.
+    """Twice the action over independent psi / star families of three
+    slices m-1, m, m+1, less the terms that hold no slice m.
 
-    Families are lists of (re, im) pair lists.  Neighbor slices beyond
-    either end contribute zero.  Doubling keeps every intermediate value
-    a Gaussian integer even off the star == conj(psi) slice.
+    Families are lists of (re, im) pair lists.  Every site keeps its
+    kinetic term, with neighbor slices beyond either end taken as zero;
+    only the centre keeps its potential term, since those at m-1 and m+1
+    hold no slice m.  Doubling keeps every intermediate value a Gaussian
+    integer even off the star == conj(psi) slice.
     """
     d = len(psis[0])
     zero = [(0, 0)] * d
     last = len(psis) - 1
-    rows = [tuple(zip(r.re, r.im)) for r in h.rows]
     tot_re = 0
     tot_im = 0
     for n in range(last + 1):
@@ -799,16 +808,17 @@ def _doubled_action(psis, stars, h: HermitianIntMatrix) -> GaussianInt:
         # kinetic contribution: -i * w
         tot_re += wim
         tot_im -= wre
-        # potential contribution: 2 * star_n . H . psi_n
-        for a, row in enumerate(rows):
-            are = 0
-            aim = 0
-            for (hre, him), (xre, xim) in zip(row, pp):
-                are += hre * xre - him * xim
-                aim += hre * xim + him * xre
-            sre, sim = sp[a]
-            tot_re += 2 * (sre * are - sim * aim)
-            tot_im += 2 * (sre * aim + sim * are)
+    # potential contribution at the centre: 2 * star_m . H . psi_m
+    sp = stars[1]
+    for a, row in enumerate(h.rows):
+        are = 0
+        aim = 0
+        for hre, him, (xre, xim) in zip(row.re, row.im, psis[1]):
+            are += hre * xre - him * xim
+            aim += hre * xim + him * xre
+        sre, sim = sp[a]
+        tot_re += 2 * (sre * are - sim * aim)
+        tot_im += 2 * (sre * aim + sim * are)
     return GaussianInt(tot_re, tot_im)
 
 
@@ -822,9 +832,10 @@ def stationarity_variation(traj: Trajectory, h: HermitianIntMatrix,
     `spec.site` pairs it with slice m-1, m or m+1, so g sums
     `_doubled_action` over those three slices alone, in a fresh copy
     with the component set.  The terms this drops or changes pair slice
-    m+-1 with slice m+-2, hold no slice m and cancel from every
-    difference.  Zero for every elementary variation at a site iff the
-    recurrence and its starred partner hold there.
+    m+-1 with slice m+-2 or with itself (the potential there), hold no
+    slice m and cancel from every difference.  Zero for every elementary
+    variation at a site iff the recurrence and its starred partner hold
+    there.
     """
     _check_dims(traj, h)
     m = spec.site

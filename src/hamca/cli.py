@@ -670,9 +670,14 @@ _RUNNERS = {
 
 
 def run(config: ExperimentConfig, out_dir) -> dict:
-    """Execute one experiment; returns the report object (also written)."""
+    """Execute one experiment; returns the report object (also written).
+
+    A `report.json` an earlier run left in `out_dir` is removed before the
+    runner starts, so a run that raises leaves no verdict but its own.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "report.json").unlink(missing_ok=True)
     started = time.perf_counter()
     checks, artifacts, info = _RUNNERS[config.kind](config.params, out_dir)
     report = {

@@ -7,14 +7,17 @@ matrix H, the two-point correlation
 
 takes a single integer value along every solution.  For self-adjoint G
 the second term is the complex conjugate of the first, so q_G(n) is
-exactly the real integer 2 Re psi_n^* G psi_{n-1}.  `two_point_series`
-computes one G's series that way, with one G-apply and one real inner
-product per clock index; a G that is not self-adjoint is rejected
-before any series.  Every value needs only the consecutive pair
-(psi_n, psi_{n-1}), so the audit is one series pass fed slice pairs:
-it serves all of its observables at once from one block of entry
-products per pair (`_block_series`), a bilinear-form identity that
-needs no G-apply, or with one G-apply per G when that is cheaper.
+exactly the real integer 2 Re psi_n^* G psi_{n-1}, which is also
+2 Re (G psi_n)^* psi_{n-1}: so one product G psi_n serves both q_G(n)
+and q_G(n+1) = 2 Re psi_{n+1}^* (G psi_n).  The per-G series
+(`_per_g_series`, which `two_point_series` runs for one G) takes one
+real inner product per clock index and one G-apply per two; a G that
+is not self-adjoint is rejected before any series.  Every value needs
+only the consecutive pair (psi_n, psi_{n-1}), so the audit is one
+series pass fed slice pairs: it serves all of its observables at once
+from one block of entry products per pair (`_block_series`), a
+bilinear-form identity that needs no G-apply, or with the per-G
+series when that is cheaper.
 One report assembly turns the series and one checked pass
 (`automaton._Window`: the solution verdict, the seeds and the last two
 slices) into the verdicts, with the two-term form, the independent
@@ -72,24 +75,24 @@ def two_point_invariant(traj: Trajectory, g: HermitianIntMatrix, n: int) -> Gaus
     return _pair_invariant(traj[n], traj[n - 1], g)
 
 
-def _pair_q(u: GIVector, w: GIVector, g: HermitianIntMatrix) -> int:
-    """q_G(n) = 2 Re psi_n^* G psi_{n-1} of the pair (u, w) = (psi_n, psi_{n-1})."""
-    return 2 * u.inner_re(g.apply(w))
-
-
 def two_point_series(traj: Trajectory, g: HermitianIntMatrix) -> list:
     """The two-point invariant at every n = 1..N as 2 Re psi_n^* G psi_{n-1}.
 
     Exact because G is self-adjoint (a `HermitianIntMatrix` is checked
     when built, any other G here, and ValueError rejects it otherwise):
     then psi_{n-1}^* G psi_n = conj(psi_n^* G psi_{n-1}), so the two terms
-    of q_G(n) sum to twice the real part of one.  One G-apply per slice
-    0..N-1 and one real inner product per n; every value is real.
+    of q_G(n) sum to twice the real part of one.  The slice pairs go
+    through `_per_g_series`: one real inner product per n and one G-apply
+    per two (at n = 1, 3, 5, ...); every value is real.
     """
     _check_dims(traj, g)
     _check_self_adjoint(g)
+    values = []
+    feed = _per_g_series([g], [values])
     states = traj.states
-    return [GaussianInt(_pair_q(u, w, g), 0) for u, w in zip(states[1:], states)]
+    for u, w in zip(states[1:], states):
+        feed(u, w)
+    return [GaussianInt(v, 0) for v in values]
 
 
 def _check_self_adjoint(g):
@@ -174,12 +177,26 @@ def _block_series(program, out: list):
 
 def _per_g_series(observables: Sequence, out: list):
     """The feed that appends q_G(n) to out[k] for the k-th G, with one
-    G-apply and one real inner product per G and slice pair."""
-    rows = tuple(zip(out, observables))
+    real inner product per G and slice pair and one G-apply per G and
+    two pairs fed in order.
+
+    For self-adjoint G, q_G(n) = 2 Re psi_n^* G psi_{n-1} = 2 Re
+    (G psi_n)^* psi_{n-1}.  The feed keeps (psi_m, G psi_m) from the last
+    pair that applied G.  A pair whose psi_{n-1} `is` that psi_m reads
+    G psi_{n-1} from it; any other pair applies G to its psi_n and keeps
+    that.  Pure algebra of the bilinear form, so exact on any pairs, in
+    any order, solution or not.
+    """
+    kept = products = None  # psi_m, and G psi_m for each G
 
     def feed(u: GIVector, w: GIVector):
-        for series, g in rows:
-            series.append(_pair_q(u, w, g))
+        nonlocal kept, products
+        if w is kept:
+            y = u
+        else:
+            kept, products, y = u, [g.apply(u) for g in observables], w
+        for series, gx in zip(out, products):
+            series.append(2 * gx.inner_re(y))
 
     return feed
 
@@ -190,8 +207,8 @@ def _audit_series(observables: Sequence, dim: int):
     Each feed(psi_n, psi_{n-1}) call, for n = 1, 2, ... in order, appends
     q_G(n) as an int to the G's list in `series`.  The pass uses the
     product block when it takes no more big products per slice than one
-    G-apply and inner product per G (2d each), else those; the choice
-    depends only on the observables' nonzero pattern.
+    real inner product per G (2d each), else the per-G series; the
+    choice depends only on the observables' nonzero pattern.
     """
     for g in observables:
         _check_self_adjoint(g)
@@ -369,12 +386,13 @@ def audit_conservation(traj: Trajectory, h: HermitianIntMatrix,
     one shared block of entry products per slice (see `_block_series`)
     whenever that takes no more big products, 2d + 2 per off-diagonal
     pair with a nonzero real part in some G + 2 per pair with a nonzero
-    imaginary part, than the 2d per G of one G-apply and real inner
-    product each; otherwise those.  The choice depends only on the
-    observables' nonzero pattern.  The solution verdict is the checked
-    pass kept on the trajectory (`automaton._kept_pass`), so no second H
-    sweep runs; `_AuditWindow` feeds the same series and report from a
-    three-slice window.  Raises ValueError if `labels` and `observables`
+    imaginary part, than the 2d per G of one real inner product each;
+    otherwise the per-G series (`_per_g_series`, one G-apply per G and
+    two slices).  The choice depends only on the observables' nonzero
+    pattern.  The solution verdict is the checked pass kept on the
+    trajectory (`automaton._kept_pass`), so no second H sweep runs;
+    `_AuditWindow` feeds the same series and report from a three-slice
+    window.  Raises ValueError if `labels` and `observables`
     differ in length or a G is not self-adjoint, and AssertionError if a
     series disagrees with the two-term `two_point_invariant` at n = 1 or
     at n = N.

@@ -291,10 +291,9 @@ def _json_ints(ints: Sequence[int]) -> str:
 
 
 class InteractionTensor:
-    """Self-adjoint coupling of all parts, stored on the product space.
-
-    Entry access uses per-part multi-indices; storage is the flattened
-    self-adjoint matrix (row-major flattening as documented above).
+    """Self-adjoint coupling of all parts, stored on the product space as
+    the flattened self-adjoint matrix (row-major flattening as documented
+    above, `flatten_index`).
     """
 
     __slots__ = ("dims", "matrix")
@@ -306,10 +305,6 @@ class InteractionTensor:
         if not matrix.is_hermitian():
             raise ValueError("interaction must be self-adjoint")
         self.matrix = matrix
-
-    def entry(self, alphas: Sequence[int], betas: Sequence[int]) -> GaussianInt:
-        return self.matrix.entry(flatten_index(alphas, self.dims),
-                                 flatten_index(betas, self.dims))
 
     def is_zero(self) -> bool:
         return self.matrix.is_zero()

@@ -195,6 +195,21 @@ def test_exit_codes_via_main(tmp_path):
                  "--out", str(tmp_path / "bad")]) == 2
 
 
+def test_a_failing_run_leaves_no_earlier_verdict(tmp_path, capsys, monkeypatch):
+    cfg, out = evolve_config(tmp_path), str(tmp_path / "out")
+    assert main(["evolve", "--config", cfg, "--out", out]) == 0
+    assert (tmp_path / "out" / "report.json").exists()
+
+    def raising(params, out_dir):
+        raise RuntimeError("module error")
+
+    monkeypatch.setitem(cli._RUNNERS, "evolve", raising)
+    capsys.readouterr()
+    assert main(["evolve", "--config", cfg, "--out", out]) == 1
+    assert capsys.readouterr().err == "FAIL evolve — RuntimeError: module error\n"
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 def test_failed_check_returns_one(tmp_path):
     # copy seeding degrades the scaling order below the declared bar
     path = write_config(tmp_path / "cfg.json", {

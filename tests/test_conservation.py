@@ -58,11 +58,13 @@ def test_two_point_zero_matrix():
 
 
 @settings(max_examples=40)
-@given(dim=st.integers(1, 4), slices=st.integers(3, 6),
+@given(dim=st.integers(1, 4), slices=st.integers(2, 7),
        observable=st.sampled_from(["power", "polynomial", "random"]),
        bits=st.sampled_from([2, 64, 600]), rng=st.randoms(use_true_random=False))
 def test_two_point_series_is_the_two_term_invariant(dim, slices, observable, bits, rng):
-    # non-solutions only, so conservation cannot hide an error
+    # non-solutions only, so conservation cannot hide an error; slice
+    # counts of both parities, so the series ends on a fresh G-apply or on
+    # a reused one
     h = random_hermitian(rng, dim)
     traj = random_trajectory(rng, dim, slices, 2 ** bits)
     if observable == "power":
@@ -73,7 +75,8 @@ def test_two_point_series_is_the_two_term_invariant(dim, slices, observable, bit
                                + h.power(2).scale(rng.randint(-5, 5)))
     else:
         g = random_hermitian(rng, dim, 2 ** 20)
-    assume(not is_solution(traj, h))
+    # two slices have no interior site, so no recurrence to violate
+    assume(slices == 2 or not is_solution(traj, h))
     assert two_point_series(traj, g) == [two_point_invariant(traj, g, n)
                                          for n in range(1, slices)]
 
@@ -374,6 +377,62 @@ def test_the_product_block_is_the_per_g_series(dim, slices, kinds, solution, bit
     feed, series = conservation._audit_series(observables, dim)
     fed(feed, traj)
     assert series == want
+
+
+@pytest.mark.parametrize("steps", range(0, 7))
+def test_the_per_g_series_applies_each_g_once_per_two_values(rng, monkeypatch, steps):
+    # N = steps + 1 values; q_G(n) at odd n applies G to psi_n, and the
+    # product serves q_G(n+1) as well
+    h = random_hermitian(rng, 6)
+    traj = evolve(random_vector(rng, 6), random_vector(rng, 6), h, steps)
+    n = traj.last
+    dense = HermitianIntMatrix([[gi(a + 1) if a == b else gi(a + b + 1, b - a)
+                                 for b in range(6)] for a in range(6)])
+    square = h.power(2)
+    want = {id(g): [v.re for v in two_point_series(traj, g)] for g in (square, dense)}
+    per_g = count_calls(monkeypatch, conservation, "_per_g_series")
+    applied = count_calls(monkeypatch, GIMatrix, "apply")
+    for g in (h, dense):
+        applied.clear()
+        two_point_series(traj, g)
+        assert [v for m, v in applied if m is g] == list(traj.states[1::2])
+        assert len(applied) == (n + 1) // 2
+    # the audit's per-G path: one G-apply per G and two values, besides
+    # the two-term cross-checks' own four per G
+    for observables in ([dense], [square, dense]):
+        feed, series = conservation._audit_series(observables, 6)
+        applied.clear()
+        fed(feed, traj)
+        assert len(applied) == len(observables) * ((n + 1) // 2)
+        assert series == [want[id(g)] for g in observables]
+        applied.clear()
+        per_g.clear()
+        audit_conservation(traj, h, observables)
+        assert len(per_g) == 1
+        slices, ids = {id(s) for s in traj}, {id(g) for g in observables}
+        assert sum(id(m) in ids and id(v) in slices for m, v in applied) == \
+            len(observables) * ((n + 1) // 2 + 4)
+
+
+@settings(max_examples=40)
+@given(dim=st.integers(1, 4), slices=st.integers(2, 7), count=st.integers(1, 12),
+       bits=st.sampled_from([2, 64, 600]), rng=st.randoms(use_true_random=False))
+def test_the_per_g_series_is_exact_on_pairs_out_of_order(dim, slices, count, bits, rng):
+    # any pairs, repeated, reversed or unrelated: a kept G psi_m serves only
+    # a pair whose second slice is that very psi_m
+    traj = random_trajectory(rng, dim, slices, 2 ** bits)
+    observables = [random_hermitian(rng, dim), HermitianIntMatrix.identity(dim),
+                   random_hermitian(rng, dim, 2 ** 20)]
+    pairs = [(rng.choice(traj.states), rng.choice(traj.states)) for _ in range(count)]
+    if rng.random() < 0.5:
+        n = rng.randint(1, traj.last)
+        pairs += [(traj[n], traj[n - 1]), (traj[n - 1], traj[n])]
+    series = [[] for _ in observables]
+    feed = conservation._per_g_series(observables, series)
+    for u, w in pairs:
+        feed(u, w)
+    assert series == [[conservation._pair_invariant(u, w, g).re for u, w in pairs]
+                      for g in observables]
 
 
 def test_the_audit_selects_the_block_by_big_products(rng, monkeypatch):

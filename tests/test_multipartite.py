@@ -18,6 +18,7 @@ from hamca.multipartite import (
     evolve_factorized,
     evolve_synchronized,
     factorizability_witness,
+    flatten_index,
     kron_sum,
     leibniz_failure_demo,
     many_time_residual,
@@ -159,8 +160,9 @@ def reference_residual(psi, hams, interaction):
                         clocks, contracted)
             if interaction is not None:
                 for betas in psi.dof_indices():
-                    rhs = rhs + interaction.entry(alphas, betas) * psi.get(
-                        clocks, betas)
+                    rhs = rhs + interaction.matrix.entry(
+                        flatten_index(alphas, psi.dims),
+                        flatten_index(betas, psi.dims)) * psi.get(clocks, betas)
             out[(tuple(n - 1 for n in clocks), alphas)] = lhs + rhs * gi(0, 1)
     return out
 
@@ -583,7 +585,8 @@ def test_interaction_validation():
         InteractionTensor((1, 1), GIMatrix([[gi(0, 1)]]))
     # dims (2, 1): the multi-index (a, 0) is flat index a
     t = InteractionTensor((2, 1), GIMatrix([[gi(0), gi(2, 1)], [gi(2, -1), gi(0)]]))
-    assert t.entry((0, 0), (1, 0)) == gi(2, 1)
+    assert t.matrix.entry(flatten_index((0, 0), t.dims),
+                          flatten_index((1, 0), t.dims)) == gi(2, 1)
     assert not t.is_zero()
     assert InteractionTensor((2, 2), GIMatrix.zeros(4)).is_zero()
 

@@ -110,6 +110,27 @@ def test_trajectory_text_without_a_coupling_applies_nothing(monkeypatch):
     assert applied == []
 
 
+def test_trajectory_text_without_a_coupling_reads_the_kept_one(monkeypatch):
+    h = HermitianIntMatrix(GIMatrix([[2, 1], [1, -1]]))
+    solution = evolve(GIVector([3, -1]), GIVector([0, 5]), h, 20)
+    corrupt = solution.replace(7, solution[7] + GIVector([1, 0]))
+    for traj in (solution, corrupt):
+        assert automaton.is_solution(traj, h) is (traj is solution)
+        want_csv, want_json = traj.to_csv(h), traj.to_json_text(h)
+        applied = count_calls(monkeypatch, GIMatrix, "apply")
+        streams = count_calls(monkeypatch, automaton, "_decimal_slices")
+        assert traj.to_csv() == want_csv
+        assert traj.to_json_text() == want_json
+        # the linear path: the kept pass's coupling, and no new sweep
+        assert applied == [] and [s[1] is h for s in streams] == [True, True]
+        monkeypatch.undo()
+    # a trajectory never checked prints from the slices alone
+    fresh = Trajectory(solution.states)
+    streams = count_calls(monkeypatch, automaton, "_decimal_slices")
+    assert fresh.to_csv() == solution.to_csv(h)
+    assert streams[0][1] is None
+
+
 def test_trajectory_writer_rejects_a_mismatched_coupling():
     traj = Trajectory([GIVector([1]), GIVector([2])])
     with pytest.raises(ValueError):
