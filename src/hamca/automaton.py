@@ -25,7 +25,8 @@ factor and every stationarity coefficient.  `_bracket` alone forms it,
 with its own H-apply on psi_n, and `_Window` is the one loop that runs
 it, over any stream of slices three at a time.  The pass records the
 first site whose bracket is nonzero, the nonzero brackets and the
-action, and feeds the trajectory writer.  On a stored trajectory the
+action; its brackets are all the trajectory writer needs of it, with
+the seeds and the slice count.  On a stored trajectory the
 drained pass is kept on it for the coupling it ran with (`_kept_pass`),
 so the recurrence, action and fast stationarity checks and the writer
 all read one pass, whether a caller asks for them together or one at a
@@ -57,13 +58,15 @@ recurrence holds there.
 
 Trajectory text is printed from an exact `decimal` stream, because
 libmpdec prints in linear time and CPython's `str(int)` may not.  The
-stream (`_decimal_slices`, fed the slices with their brackets) keeps
-the last two slices as Decimals, predicts the next one by the
-recurrence (with H's entries converted to Decimal once) and adds the
-slice's integer residual psi_n - (psi_{n-2} - i*H*psi_{n-1}) =
-i*E_{n-1}, which is zero on a solution.  Each printed slice therefore
-equals the stored one for any trajectory and any H, and the text is the
-same bytes per-entry `str` would give.  Each format is one private
+stream (`_decimal_slices`) is a function of the seeds, H, the slice
+count and the nonzero brackets alone: it keeps the last two slices as
+Decimals, predicts the next one by the recurrence (with H's entries
+converted to Decimal once) and adds the slice's integer residual
+psi_n - (psi_{n-2} - i*H*psi_{n-1}) = i*E_{n-1}, which is zero on a
+solution.  Each printed slice therefore equals the stored one for any
+trajectory and any H, and the text is the same bytes per-entry `str`
+would give.  On a solution it needs no bracket at all, so it can run
+beside the pass that finds the brackets.  Each format is one private
 generator of text pieces, one per slice: the CLI writes the pieces as
 they come, and `to_csv` / `to_json_text` join them, so no artifact's
 text need be held whole.  The split-form oracle is a slice stream too,
@@ -181,10 +184,8 @@ class Trajectory:
         pass; without h, from the coupling of the pass kept on it, if any."""
         if h is None and self._swept is not None:
             h = self._swept.h
-        brackets = [None] * len(self.states)
-        for n, e in () if h is None else _kept_pass(self, h).brackets:
-            brackets[n + 1] = e
-        return _decimal_slices(zip(self.states, brackets), h)
+        brackets = () if h is None else _kept_pass(self, h).brackets
+        return _decimal_slices(self.states, h, len(self.states), brackets)
 
     def to_csv(self, h: Optional[HermitianIntMatrix] = None) -> str:
         """CSV text `n,alpha,re,im`, one row per entry.
@@ -256,16 +257,20 @@ class Trajectory:
 # -- trajectory text ---------------------------------------------------
 
 
-def _decimal_slices(pairs: Iterable, h: Optional[HermitianIntMatrix]):
-    """Per (psi_n, E_{n-1} or None) pair, the decimal text of psi_n's parts.
+def _decimal_slices(seeds: Sequence[GIVector], h: Optional[HermitianIntMatrix],
+                    slices: int, brackets: Iterable):
+    """The decimal text of the parts of psi_0 ... psi_{slices-1}, per slice.
 
-    Slice n of the stream is the recurrence's prediction on the two
-    previous Decimal slices plus Decimal(r_n), with the residual
+    `brackets` holds the nonzero brackets as (site, (re, im)) in
+    increasing site order, as `_Window.brackets` does.  Slice n of the
+    stream is the recurrence's prediction on the two previous Decimal
+    slices plus Decimal(r_n), with the residual
     r_n = psi_n - (psi_{n-2} - i*H*psi_{n-1}) = i*E_{n-1} read in ints
-    from the bracket (int parts (re, im); None where it is zero), so by
-    induction every slice equals psi_n, for any H.  With `h=None` every
-    slice is Decimal(psi_n) itself, as the two seeds always are: the same
-    text, in time quadratic in the digits.  The arithmetic runs in a
+    from the bracket at site n-1 (zero where none is listed), so by
+    induction every slice equals psi_n, for any H.  Of `seeds` only
+    psi_0 and psi_1 are read.  With `h=None`, `seeds` holds every slice
+    and each is Decimal(psi_n) itself, as the two seeds always are: the
+    same text, in time quadratic in the digits.  The arithmetic runs in a
     local context that traps `Inexact` and `Rounded` and never becomes
     the thread's.  Products, and the entries that +1 and -1 coefficients
     add or subtract, accumulate onto the previous slice, which is never
@@ -292,10 +297,13 @@ def _decimal_slices(pairs: Iterable, h: Optional[HermitianIntMatrix]):
         program = [([(k, Decimal(c)) for k, c in row if c not in (1, -1)],
                     [k for k, c in row if c == 1], [k for k, c in row if c == -1])
                    for row in rows]
+    dim = seeds[0].dim
+    pending = iter(brackets)
+    site, e = next(pending, (None, None))
     x2 = x1 = None
-    for n, (psi, e) in enumerate(pairs):
+    for n in range(slices):
         if n < 2 or h is None:
-            dec = tuple(map(Decimal, psi.re + psi.im))
+            dec = tuple(map(Decimal, seeds[n].re + seeds[n].im))
         else:
             pred = []
             for acc, (terms, ups, downs) in zip(x2, program):
@@ -306,15 +314,16 @@ def _decimal_slices(pairs: Iterable, h: Optional[HermitianIntMatrix]):
                 for k in downs:
                     acc = minus(acc, x1[k])
                 pred.append(acc)
-            if e is None:
+            if site != n - 1:
                 dec = tuple(pred)
             else:
                 # r_n = i*E_{n-1} = -Im E + i Re E
                 r = (*map(neg, e[1]), *e[0])
                 dec = tuple(plus(p, Decimal(v)) for p, v in zip(pred, r))
+                site, e = next(pending, (None, None))
         x2, x1 = x1, dec
         text = tuple(map(str, dec))
-        yield text[:psi.dim], text[psi.dim:]
+        yield text[:dim], text[dim:]
 
 
 def _csv_pieces(texts: Iterable) -> Iterator[str]:
@@ -486,16 +495,16 @@ def _action_summand(psi: GIVector, e_re: tuple, e_im: tuple) -> int:
 class _Window:
     """One checked pass over a stream of slices psi_0 ... psi_N, three at a time.
 
-    `texts()` yields the decimal text of each slice, the stream
-    `Trajectory.to_csv(h)` prints.  On the way the pass brackets every
-    interior site with `_bracket`'s own H-apply on the yielded slice and
+    `drain()` pulls the stream through.  On the way the pass brackets
+    every interior site with `_bracket`'s own H-apply on the slice and
     records the nonzero brackets as (site, (re, im)) in increasing site
-    order (`brackets`, a tuple once drained).  E_n is -i times
-    `recurrence_residual`, so `first_bad`, the first of those sites, is
-    None exactly on a solution; E_n is also the action's per-site factor,
-    so `action` sums the summands of the nonzero brackets only.  Only
-    these, the slice count, the seeds and the last two slices (`ends`, as
-    (psi_{N-1}, psi_N)) outlive the pass.  A verb adds its own checks in
+    order (`brackets`, a tuple once drained); with the seeds and the
+    slice count they are all `_decimal_slices` needs to print the
+    slices.  E_n is -i times `recurrence_residual`, so `first_bad`, the
+    first of those sites, is None exactly on a solution; E_n is also the
+    action's per-site factor, so `action` sums the summands of the
+    nonzero brackets only.  Only these, the slice count, the seeds and
+    the last two slices (`ends`, as (psi_{N-1}, psi_N)) outlive the pass.  A verb adds its own checks in
     `_visit`, which sees each slice with the one before it (None for
     psi_0) and the bracket there.
     """
@@ -512,10 +521,7 @@ class _Window:
     def first_bad(self) -> Optional[int]:
         return self.brackets[0][0] if self.brackets else None
 
-    def texts(self):
-        return _decimal_slices(self._pairs(), self.h)
-
-    def _pairs(self):
+    def drain(self):
         h = self.h
         down = psi = None
         for n, up in enumerate(self._slices):
@@ -524,7 +530,6 @@ class _Window:
                 self.brackets.append((n - 1, e))
                 self.action += _action_summand(psi, *e)
             self._visit(psi, up, e)
-            yield up, e
             down, psi = psi, up
             if n == 1:
                 self.seeds = (down, psi)
@@ -550,8 +555,8 @@ class _EvolveWindow(_Window):
         if self.same_as_oracle and next(self._oracle, None) != up:
             self.same_as_oracle = False
 
-    def _pairs(self):
-        yield from super()._pairs()
+    def drain(self):
+        super().drain()
         if self.same_as_oracle and next(self._oracle, None) is not None:
             self.same_as_oracle = False
 
@@ -660,8 +665,7 @@ def _kept_pass(traj: Trajectory, h: HermitianIntMatrix) -> _Window:
     kept = traj._swept
     if kept is None or kept.h is not h:
         kept = _Window(traj.states, h)
-        for _ in kept._pairs():
-            pass
+        kept.drain()
         traj._swept = kept
     return kept
 

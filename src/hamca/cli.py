@@ -12,12 +12,18 @@ Trajectories and composite fields are written by their own
 linear-time text writers, which print the same bytes as `json.dumps`
 with `indent=2, sort_keys=True`; `json.dumps` writes the small files.
 Every artifact is written by `_write_text` from an iterable of text
-pieces, and the large ones are streamed a slice or clock point at a
-time, so no large artifact's text is held whole.  `evolve` and `audit`
-go further: one pass over a window of three slices writes the
-trajectory and checks it (`evolve` pulls the phase-space oracle in
-lockstep, `audit` feeds its series pass each slice pair), so no
-history is held.  `report.json` lists each artifact's size in
+pieces under a staging name, and renamed into place once complete, so
+no artifact name ever holds a partial file.  The large ones are
+streamed a slice or clock point at a time, so no large artifact's text
+is held whole.  `evolve` and `audit` go further: one pass over a
+window of three slices checks the slices as the forward step makes
+them (`evolve` pulls the phase-space oracle in lockstep, `audit` feeds
+its series pass each slice pair), so no history is held.  Where
+`os.fork` exists, a forked child writes the trajectory the seeds
+predict meanwhile, and it is published only if the pass found every
+bracket zero; otherwise, and without `os.fork`, the text is written
+after the pass, from its brackets (`_write_trajectory`).  The bytes
+are the same either way.  `report.json` lists each artifact's size in
 `artifact_bytes`.
 
 Exit status: 0 all checks passed, 1 a check failed or a module error
@@ -29,6 +35,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import signal
 import sys
 import time
 from dataclasses import dataclass, field
@@ -401,9 +409,15 @@ def load_config(path, expected_kind: Optional[str] = None) -> ExperimentConfig:
 # -- artifact writers ----------------------------------------------------
 
 
+def _staged(path: Path) -> Path:
+    """The name an artifact is written under until it is complete."""
+    return path.with_name(f".{path.name}.part")
+
+
 @exact_int_text()
-def _write_text(path: Path, pieces):
-    """Write the text pieces in order, as `Path.write_text` writes their join.
+def _stage_text(path: Path, pieces):
+    """Write the text pieces in order under `_staged(path)`, as
+    `Path.write_text` writes their join.
 
     The first piece is made before the file is opened, so a writer that
     rejects its input leaves no file, and a failure partway removes the
@@ -413,8 +427,9 @@ def _write_text(path: Path, pieces):
         raise TypeError("_write_text takes an iterable of text pieces, not a str")
     pieces = iter(pieces)
     first = next(pieces, "")
+    staged = _staged(path)
     try:
-        fh = open(path, "w", encoding="utf-8")
+        fh = open(staged, "w", encoding="utf-8")
     except OSError as exc:
         raise RuntimeError(f"cannot write {path}: {exc}") from exc
     try:
@@ -422,10 +437,26 @@ def _write_text(path: Path, pieces):
             fh.write(first)
             fh.writelines(pieces)
     except BaseException as exc:
-        path.unlink(missing_ok=True)
+        staged.unlink(missing_ok=True)
         if isinstance(exc, OSError):
             raise RuntimeError(f"cannot write {path}: {exc}") from exc
         raise
+
+
+def _publish(path: Path):
+    """Rename the complete `_staged(path)` to `path`."""
+    try:
+        os.replace(_staged(path), path)
+    except OSError as exc:
+        _staged(path).unlink(missing_ok=True)
+        raise RuntimeError(f"cannot write {path}: {exc}") from exc
+
+
+def _write_text(path: Path, pieces):
+    """`_stage_text`, then `_publish`: no artifact name ever holds a
+    partial file."""
+    _stage_text(path, pieces)
+    _publish(path)
 
 
 @exact_int_text()
@@ -439,13 +470,69 @@ def _fmt_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _write_slices(texts, dim: int, out_dir: Path, fmt: str) -> Path:
-    """Write a decimal slice stream as `trajectory.csv` or `trajectory.json`."""
-    path = out_dir / f"trajectory.{fmt}"
+def _trajectory_pieces(seeds, h, slices, brackets, fmt):
+    """The text of `trajectory.<fmt>`: `automaton._decimal_slices` in pieces."""
+    texts = automaton._decimal_slices(seeds, h, slices, brackets)
     if fmt == "csv":
-        _write_text(path, automaton._csv_pieces(texts))
+        return automaton._csv_pieces(texts)
+    return automaton._json_pieces(texts, h.dim)
+
+
+def _fork_writer(path: Path, pieces) -> Optional[int]:
+    """The pid of a forked child that stages `pieces` for `path` and exits
+    0 once they are written; None where `os.fork` does not exist or fails.
+
+    The child leaves by `os._exit`, whatever happens, so it never unwinds
+    into the caller or flushes buffers it inherited.
+    """
+    fork = getattr(os, "fork", None)
+    try:
+        pid = None if fork is None else fork()
+    except OSError:
+        return None
+    if pid != 0:
+        return pid
+    code = 1
+    try:
+        _stage_text(path, pieces)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _write_trajectory(window, seeds, steps, out_dir: Path, fmt: str) -> Path:
+    """Drain `window`, the pass over the slices `seeds` and `steps` make,
+    and write their text as `trajectory.<fmt>`.
+
+    The text is `_trajectory_pieces` of the seeds, H, the slice count and
+    the nonzero brackets.  While this process drains the window, a forked
+    child (`_fork_writer`) stages the text with no bracket, that of the
+    solution the seeds start.  It is renamed into place only if the child
+    exited 0 and the window saw steps + 2 slices from these seeds and no
+    nonzero bracket, for then both texts have the same arguments;
+    otherwise it is removed and the text is written here, after the
+    drain, from the window's own.  A drain that raises kills and reaps
+    the child and removes its file.
+    """
+    h = window.h
+    path = out_dir / f"trajectory.{fmt}"
+    pid = _fork_writer(path, _trajectory_pieces(seeds, h, steps + 2, (), fmt))
+    try:
+        window.drain()
+    except BaseException:
+        if pid is not None:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        _staged(path).unlink(missing_ok=True)
+        raise
+    status = None if pid is None else os.waitpid(pid, 0)[1]
+    if status == 0 and not window.brackets and \
+            (window.seeds, window.slices) == (seeds, steps + 2):
+        _publish(path)
     else:
-        _write_text(path, automaton._json_pieces(texts, dim))
+        _staged(path).unlink(missing_ok=True)
+        _write_text(path, _trajectory_pieces(window.seeds, h, window.slices,
+                                             window.brackets, fmt))
     return path
 
 
@@ -456,10 +543,11 @@ def _run_evolve(params, out_dir):
     h, (s0, s1), steps = params["hamiltonian"], params["seeds"], params["steps"]
     hs, ha = h.split()
     oracle = automaton._phase_space_slices(s0.re, s0.im, s1.re, s1.im, hs, ha, steps)
-    # one pass writes the trajectory and checks it: no history is held
+    # one pass checks the slices as they are made: no history is held
     window = automaton._EvolveWindow(automaton._evolve_slices(s0, s1, h, steps),
                                      h, oracle)
-    artifacts = [_write_slices(window.texts(), h.dim, out_dir, params["format"])]
+    artifacts = [_write_trajectory(window, (s0, s1), steps, out_dir,
+                                   params["format"])]
     checks = [Check("recurrence_holds_everywhere", window.first_bad is None)]
     if steps >= 1:
         checks.append(Check("action_zero_on_solution", window.action == 0,
@@ -474,10 +562,11 @@ def _run_audit(params, out_dir):
     obs, labels = params["observables"], None  # audit labels them G0, G1, ...
     if obs is None:
         labels, obs = zip(*conservation.default_commutant_basis(h))
-    # one pass writes the trajectory and feeds the series: no history is held
+    # one pass checks the slices and feeds the series: no history is held
     window = conservation._AuditWindow(automaton._evolve_slices(s0, s1, h, steps),
                                        h, obs, labels)
-    artifacts = [_write_slices(window.texts(), h.dim, out_dir, params["format"])]
+    artifacts = [_write_trajectory(window, (s0, s1), steps, out_dir,
+                                   params["format"])]
     report = window.report()
     checks = [Check("trajectory_is_solution", report.solution_ok,
                     "" if report.solution_ok

@@ -411,11 +411,11 @@ def audit_conservation(traj: Trajectory, h: HermitianIntMatrix,
 
 class _AuditWindow(_Window):
     """`audit_conservation` of a slice stream, fed from the three-slice
-    window that writes it.
+    window that checks it.
 
-    `texts()` (see `automaton._Window`) hands each slice pair (psi_n,
+    `drain()` (see `automaton._Window`) hands each slice pair (psi_n,
     psi_{n-1}) to one series pass; after it, `report()` is the audit of
-    the slices it yielded.
+    the slices it pulled.
     """
 
     def __init__(self, slices: Iterable[GIVector], h: HermitianIntMatrix,

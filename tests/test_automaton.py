@@ -108,8 +108,7 @@ def walk_reverses(slices, h):
 
 def window_reverses(slices, h):
     window = automaton._EvolveWindow(slices, h, iter(slices))
-    for _ in window._pairs():
-        pass
+    window.drain()
     return window.reverses()
 
 
@@ -203,8 +202,7 @@ def test_reversal_at_the_deep_bench_size(monkeypatch):
     assert walk_reverses(clean, TRIDIAGONAL) and not walk_reverses(last, TRIDIAGONAL)
     assert not window_reverses(last, TRIDIAGONAL)
     window = automaton._EvolveWindow(clean, TRIDIAGONAL, iter(clean))
-    for _ in window._pairs():
-        pass
+    window.drain()
     stepped = [count_calls(monkeypatch, automaton, name)
                for name in ("step_backward", "step_forward")]
     applied = count_calls(monkeypatch, GIMatrix, "apply")
@@ -240,8 +238,7 @@ def test_reversal_takes_the_cheaper_path(h, steps, doubling, monkeypatch):
     seeds = [vec(*[(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(h.dim)])
              for _ in range(2)]
     window = automaton._EvolveWindow(automaton._evolve_slices(*seeds, h, steps), h, iter([]))
-    for _ in window._pairs():
-        pass
+    window.drain()
     assert automaton._doubling_pays(h, steps, window.ends[1]) is doubling
     stepped = count_calls(monkeypatch, automaton, "step_backward")
     assert window.reverses()

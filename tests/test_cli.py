@@ -8,6 +8,7 @@ import itertools
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -913,15 +914,37 @@ def test_a_mutated_config_loads_or_is_a_config_error(tmp_path_factory, case):
 # -- artifacts are streamed to disk ----------------------------------------
 
 
-def test_a_failing_writer_leaves_no_file(tmp_path):
+def use_schedule(monkeypatch, schedule):
+    """Have `evolve` and `audit` write the trajectory in a forked child
+    ("forked") or, with `os.fork` taken away, after the pass ("inline").
+
+    Returns the calls to `os.fork` made from here on.
+    """
+    if schedule == "inline":
+        monkeypatch.delattr(os, "fork")
+        return []
+    return count_calls(monkeypatch, os, "fork")
+
+
+# (fmt, schedule) cases; a forked run keeps the format's own test id
+FMT_SCHEDULES = [pytest.param(fmt, schedule,
+                              id=fmt if schedule == "forked" else f"{fmt}-inline")
+                 for schedule in ("forked", "inline") for fmt in ("csv", "json")]
+
+
+def test_a_failing_writer_leaves_no_file(tmp_path, monkeypatch):
     seeds = GIVector([1, 0]), GIVector([0, 1])
-    for fmt in ("csv", "json"):
-        h = HermitianIntMatrix.identity(3)
-        window = automaton._Window(automaton._evolve_slices(*seeds, h, 4), h)
-        with pytest.raises(ValueError):
-            cli._write_slices(window.texts(), 2, tmp_path, fmt)
-    assert not (tmp_path / "trajectory.csv").exists()
-    assert not (tmp_path / "trajectory.json").exists()
+    for schedule in ("forked", "inline"):
+        with monkeypatch.context() as patched:
+            use_schedule(patched, schedule)
+            for fmt in ("csv", "json"):
+                h = HermitianIntMatrix.identity(3)
+                window = automaton._Window(automaton._evolve_slices(*seeds, h, 4), h)
+                with pytest.raises(ValueError):
+                    cli._write_trajectory(window, seeds, 4, tmp_path, fmt)
+        assert not (tmp_path / "trajectory.csv").exists()
+        assert not (tmp_path / "trajectory.json").exists()
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_write_text_takes_pieces_and_removes_a_partial_file(tmp_path):
@@ -937,10 +960,91 @@ def test_write_text_takes_pieces_and_removes_a_partial_file(tmp_path):
     with pytest.raises(OverflowError):
         cli._write_text(path, pieces())
     assert not path.exists()
+    assert list(tmp_path.iterdir()) == []  # nor its staging file
     cli._write_text(path, iter(["a\n", "", "b\n"]))
     assert path.read_bytes() == b"a\nb\n"
     with pytest.raises(RuntimeError, match="cannot write"):
         cli._write_text(tmp_path / "missing" / "out.txt", ("x",))
+
+
+def test_an_artifact_appears_only_when_complete(tmp_path, monkeypatch):
+    path = tmp_path / "out.txt"
+    seen = []
+
+    def pieces():
+        for piece in ("a\n", "b\n", "c\n"):
+            seen.append(path.exists())
+            yield piece
+
+    cli._write_text(path, pieces())
+    assert seen == [False] * 3 and path.read_text() == "a\nb\nc\n"
+    # a forked run publishes the trajectory only once the pass is over
+    cfg = load_config(evolve_config(tmp_path, steps=40))
+    out = tmp_path / "out"
+    forks = use_schedule(monkeypatch, "forked")
+    stream = automaton._evolve_slices
+
+    def watched(*args):
+        for s in stream(*args):
+            seen.append((out / "trajectory.csv").exists())
+            yield s
+
+    monkeypatch.setattr(automaton, "_evolve_slices", watched)
+    seen.clear()
+    assert all(c["passed"] for c in run(cfg, out)["checks"])
+    assert len(forks) == 1 and seen == [False] * 42
+    assert (out / "trajectory.csv").read_text() == \
+        evolve(*cfg.params["seeds"], cfg.params["hamiltonian"], 40).to_csv()
+
+
+def failing_stream(after):
+    """`_evolve_slices` that raises once it has made `after` slices."""
+    stream = automaton._evolve_slices
+
+    def failing(*args):
+        yield from itertools.islice(stream(*args), after)
+        raise RuntimeError("stream interrupted")
+
+    return failing
+
+
+def failing_writer(texts):
+    yield "n,alpha,re,im\n"
+    raise RuntimeError("writer interrupted")
+
+
+@pytest.mark.parametrize("schedule", ["forked", "inline"])
+@pytest.mark.parametrize("kind", ["evolve", "audit"])
+def test_no_run_leaves_a_child_or_a_staging_file(tmp_path, monkeypatch, capsys,
+                                                  kind, schedule):
+    path = write_config(tmp_path / "cfg.json", {
+        "kind": kind, "hamiltonians": [TRIDIAGONAL],
+        "seeds": [[[1, 0], [0, -1], [2, 1]], [[0, 1], [1, 0], [-1, 0]]],
+        "steps": 200})
+    out = tmp_path / "out"
+    forks = use_schedule(monkeypatch, schedule)
+    for patch, error in ((None, None),
+                         (("_csv_pieces", failing_writer), "writer interrupted"),
+                         (("_evolve_slices", failing_stream(100)),
+                          "stream interrupted")):
+        with monkeypatch.context() as patched:
+            if patch:
+                patched.setattr(automaton, *patch)
+            capsys.readouterr()
+            code = main([kind, "--config", path, "--out", str(out)])
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        names = sorted(p.name for p in out.iterdir())
+        if error is None:
+            assert code == 0
+            report = json.loads((out / "report.json").read_text())
+            assert names == sorted(["report.json", *report["artifact_bytes"]])
+            shutil.rmtree(out)
+        else:
+            assert code == 1 and names == []
+            assert capsys.readouterr().err == \
+                f"FAIL {kind} — RuntimeError: {error}\n"
+    assert len(forks) == (3 if schedule == "forked" else 0)
 
 
 TRIDIAGONAL = [[[2, 0], [1, 0], [0, 0]],
@@ -948,8 +1052,9 @@ TRIDIAGONAL = [[[2, 0], [1, 0], [0, 0]],
                [[0, 0], [1, 0], [2, 0]]]
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_evolve_peak_memory_stays_below_its_artifact(tmp_path, fmt):
+@pytest.mark.parametrize("fmt, schedule", FMT_SCHEDULES)
+def test_evolve_peak_memory_stays_below_its_artifact(tmp_path, monkeypatch, fmt,
+                                                     schedule):
     # entries grow ~1.63 bits per step, so the history and its text both
     # grow as steps**2; decimal text costs ~2.3x the int storage, so only a
     # run that streams its text and compares the oracle slice by slice
@@ -958,6 +1063,7 @@ def test_evolve_peak_memory_stays_below_its_artifact(tmp_path, fmt):
         "kind": "evolve", "hamiltonians": [TRIDIAGONAL],
         "seeds": [[[1, 0], [0, -1], [2, 1]], [[0, 1], [1, 0], [-1, 0]]],
         "steps": 1000, "output": {"format": fmt}}))
+    use_schedule(monkeypatch, schedule)
     started = not tracemalloc.is_tracing()
     tracemalloc.start()
     base = tracemalloc.get_traced_memory()[0]
@@ -1015,13 +1121,15 @@ def evolve_peak(tmp_path, h, steps, fmt):
     return peak
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_evolve_peak_memory_does_not_grow_with_the_history(tmp_path, fmt):
+@pytest.mark.parametrize("fmt, schedule", FMT_SCHEDULES)
+def test_evolve_peak_memory_does_not_grow_with_the_history(tmp_path, monkeypatch,
+                                                           fmt, schedule):
     # entries grow ~11.6 bits per step under 1000x the tridiagonal
     # coupling, so a window of slices grows about linearly in steps and a
     # held history quadratically: 4x the steps costs a window ~4x (less,
     # with the run's fixed costs) and a history ~16x (measured: 12x)
     h = [[[1000 * re, im] for re, im in row] for row in TRIDIAGONAL]
+    use_schedule(monkeypatch, schedule)
     small, large = (evolve_peak(tmp_path, h, steps, fmt) for steps in (250, 1000))
     assert large < 8 * small
 
@@ -1046,9 +1154,10 @@ def bump_step(step, target):
     return bumped
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("fmt, schedule", FMT_SCHEDULES)
 @pytest.mark.parametrize("where", ["slice", "step"])
-def test_the_window_checks_the_slices_it_writes(tmp_path, monkeypatch, fmt, where):
+def test_the_window_checks_the_slices_it_writes(tmp_path, monkeypatch, fmt, schedule,
+                                                where):
     # a corrupted slice k, whether it keeps to the rule after k (a forward
     # step went wrong) or not (a slice changed after it was made), must
     # show in every verdict and be written as it is: the window's bracket
@@ -1067,7 +1176,9 @@ def test_the_window_checks_the_slices_it_writes(tmp_path, monkeypatch, fmt, wher
                             bump_step(automaton.step_forward, (clean[3], clean[4])))
     corrupted = Trajectory(automaton._evolve_slices(s0, s1, h, 9))
     assert corrupted != clean and corrupted[5] != clean[5]
+    forks = use_schedule(monkeypatch, schedule)
     report = run(cfg, tmp_path / "out")
+    assert len(forks) == (schedule == "forked")
     checks = {c["name"]: (c["passed"], c["info"]) for c in report["checks"]}
     action = automaton.action_evaluate(corrupted, h).as_int
     assert action != 0
@@ -1144,20 +1255,22 @@ def audit_peak(tmp_path, h, steps, fmt):
     return peak
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_audit_peak_memory_does_not_grow_with_the_history(tmp_path, fmt):
+@pytest.mark.parametrize("fmt, schedule", FMT_SCHEDULES)
+def test_audit_peak_memory_does_not_grow_with_the_history(tmp_path, monkeypatch,
+                                                          fmt, schedule):
     # as for evolve: 4x the steps costs a window of slices (and the
     # series, one int per observable and step) ~4x, and a held history
     # ~16x (measured with the run's fixed costs: 2.1x and 9.8x)
     h = [[[1000 * re, im] for re, im in row] for row in TRIDIAGONAL]
+    use_schedule(monkeypatch, schedule)
     small, large = (audit_peak(tmp_path, h, steps, fmt) for steps in (250, 1000))
     assert large < 8 * small
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("fmt, schedule", FMT_SCHEDULES)
 @pytest.mark.parametrize("where", ["slice", "step"])
 def test_the_audit_window_checks_the_slices_it_writes(tmp_path, monkeypatch, fmt,
-                                                       where):
+                                                       schedule, where):
     # the audit twin of the evolve test: a corrupted slice k shows in the
     # solution check at the site the stored history gives, and every
     # artifact is the one the library writes for that history
@@ -1175,7 +1288,9 @@ def test_the_audit_window_checks_the_slices_it_writes(tmp_path, monkeypatch, fmt
                             bump_step(automaton.step_forward, (clean[3], clean[4])))
     corrupted = Trajectory(automaton._evolve_slices(s0, s1, h, 9))
     assert corrupted != clean and corrupted[5] != clean[5]
+    forks = use_schedule(monkeypatch, schedule)
     report = run(cfg, tmp_path / "out")
+    assert len(forks) == (schedule == "forked")
     checks = {c["name"]: (c["passed"], c["info"]) for c in report["checks"]}
     bad = automaton.first_recurrence_violation(corrupted, h)
     assert bad is not None
