@@ -19,12 +19,16 @@ is held whole.  `evolve` and `audit` go further: one pass over a
 window of three slices checks the slices as the forward step makes
 them (`evolve` pulls the phase-space oracle in lockstep, `audit` feeds
 its series pass each slice pair), so no history is held.  Where
-`os.fork` exists, a forked child writes the trajectory the seeds
-predict meanwhile, and it is published only if the pass found every
-bracket zero; otherwise, and without `os.fork`, the text is written
-after the pass, from its brackets (`_write_trajectory`).  The bytes
-are the same either way.  `report.json` lists each artifact's size in
-`artifact_bytes`.
+`os.fork` exists, four verbs fork one child that stages the text the
+config predicts while this process makes the checks (`_while_staging`):
+`evolve` and `audit` the trajectory of a solution, published only if
+the pass found every bracket zero; `multi` and `bell` the field, and
+the zero residual where the config predicts it (no interaction, or a
+zero one, and always for `bell`), published only if the computed
+residual is zero.  Any text the child did not stage, or that the
+checks reject, is written here after them, and without `os.fork` all
+of it is.  The bytes are the same either way.  `report.json` lists
+each artifact's size in `artifact_bytes`.
 
 Exit status: 0 all checks passed, 1 a check failed or a module error
 surfaced, 2 invalid configuration.
@@ -478,9 +482,18 @@ def _trajectory_pieces(seeds, h, slices, brackets, fmt):
     return automaton._json_pieces(texts, h.dim)
 
 
-def _fork_writer(path: Path, pieces) -> Optional[int]:
-    """The pid of a forked child that stages `pieces` for `path` and exits
-    0 once they are written; None where `os.fork` does not exist or fails.
+def _zero_residual_pieces(wave):
+    """The text of `residual.csv` for `wave` when its residual is zero,
+    as `ManyTimeResidual._csv_pieces` writes it; the zero field is built
+    only once the first piece is asked for."""
+    zero = multipartite.MultiWave(wave.dims, [c - 2 for c in wave.clock_shape])
+    yield from multipartite.ManyTimeResidual(zero)._csv_pieces()
+
+
+def _fork_writer(staged) -> Optional[int]:
+    """The pid of a forked child that stages each (path, pieces) of
+    `staged`, in order, and exits 0 once all are written; None where
+    `os.fork` does not exist or fails.
 
     The child leaves by `os._exit`, whatever happens, so it never unwinds
     into the caller or flushes buffers it inherited.
@@ -494,10 +507,43 @@ def _fork_writer(path: Path, pieces) -> Optional[int]:
         return pid
     code = 1
     try:
-        _stage_text(path, pieces)
+        for path, pieces in staged:
+            _stage_text(path, pieces)
         code = 0
     finally:
         os._exit(code)
+
+
+def _while_staging(staged, work):
+    """`work()`, run while a forked child (`_fork_writer`) stages
+    `staged`; returns its result and whether the child staged every file.
+
+    The child is reaped before this returns.  If `work` or the wait
+    raises, the child is killed and reaped and every staged name removed.
+    Without a child, nothing is staged.
+    """
+    pid = _fork_writer(staged)
+    try:
+        result = work()
+        status = None if pid is None else os.waitpid(pid, 0)[1]
+    except BaseException:
+        if pid is not None:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for path, _ in staged:
+            _staged(path).unlink(missing_ok=True)
+        raise
+    return result, status == 0
+
+
+def _settle(path: Path, keep: bool, pieces):
+    """Publish the staged `path` if `keep`; otherwise remove it and write
+    `pieces` as `path` here."""
+    if keep:
+        _publish(path)
+    else:
+        _staged(path).unlink(missing_ok=True)
+        _write_text(path, pieces)
 
 
 def _write_trajectory(window, seeds, steps, out_dir: Path, fmt: str) -> Path:
@@ -506,34 +552,45 @@ def _write_trajectory(window, seeds, steps, out_dir: Path, fmt: str) -> Path:
 
     The text is `_trajectory_pieces` of the seeds, H, the slice count and
     the nonzero brackets.  While this process drains the window, a forked
-    child (`_fork_writer`) stages the text with no bracket, that of the
+    child (`_while_staging`) stages the text with no bracket, that of the
     solution the seeds start.  It is renamed into place only if the child
-    exited 0 and the window saw steps + 2 slices from these seeds and no
+    staged it and the window saw steps + 2 slices from these seeds and no
     nonzero bracket, for then both texts have the same arguments;
     otherwise it is removed and the text is written here, after the
-    drain, from the window's own.  A drain that raises kills and reaps
-    the child and removes its file.
+    drain, from the window's own.
     """
     h = window.h
     path = out_dir / f"trajectory.{fmt}"
-    pid = _fork_writer(path, _trajectory_pieces(seeds, h, steps + 2, (), fmt))
-    try:
-        window.drain()
-    except BaseException:
-        if pid is not None:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        _staged(path).unlink(missing_ok=True)
-        raise
-    status = None if pid is None else os.waitpid(pid, 0)[1]
-    if status == 0 and not window.brackets and \
-            (window.seeds, window.slices) == (seeds, steps + 2):
-        _publish(path)
-    else:
-        _staged(path).unlink(missing_ok=True)
-        _write_text(path, _trajectory_pieces(window.seeds, h, window.slices,
-                                             window.brackets, fmt))
+    _, staged = _while_staging(
+        [(path, _trajectory_pieces(seeds, h, steps + 2, (), fmt))], window.drain)
+    _settle(path, staged and not window.brackets
+            and (window.seeds, window.slices) == (seeds, steps + 2),
+            _trajectory_pieces(window.seeds, h, window.slices, window.brackets, fmt))
     return path
+
+
+def _write_composite(out_dir: Path, name: str, wave, zero: bool, verdicts):
+    """Run `verdicts()`, which returns (residual, checks, info), and write
+    `wave` as `name` and the residual as `residual.csv`; returns the
+    checks, the two paths and the info.
+
+    While `verdicts()` runs, a forked child (`_while_staging`) stages the
+    field and, if `zero` (the config predicts a zero residual), the zero
+    residual's text.  The field is renamed into place if the child staged
+    it, the residual only if the computed one is zero too; any other file
+    is written here, after the verdicts.
+    """
+    field_path, residual_path = out_dir / name, out_dir / "residual.csv"
+    staged = [(field_path, wave._json_pieces())]
+    if zero:
+        staged.append((residual_path, _zero_residual_pieces(wave)))
+    (res, checks, info), ok = _while_staging(staged, verdicts)
+    try:
+        _settle(field_path, ok, wave._json_pieces())
+        _settle(residual_path, ok and zero and res.is_zero, res._csv_pieces())
+    finally:  # a failed publish of the field leaves no staged residual
+        _staged(residual_path).unlink(missing_ok=True)
+    return checks, [field_path, residual_path], info
 
 
 # -- per-kind runners ----------------------------------------------------
@@ -662,43 +719,46 @@ def _run_converge(params, out_dir):
 
 
 def _run_multi(params, out_dir):
-    hams = params["hamiltonians"]
-    _, wave, res = multipartite.evolve_factorized(
-        hams, params["seed_pairs"], params["steps"])
-    tensor = params["interaction"]
-    checks = []
-    if tensor is None or tensor.is_zero():
-        # the residual without interaction, already certified zero
-        checks.append(Check("residual_zero_without_interaction", res.is_zero))
-    else:
-        res = multipartite.many_time_residual(wave, hams, tensor)
-        bad = res.nonzero()
-        checks.append(Check("interaction_breaks_factorization", bool(bad),
-                            f"{len(bad)} nonzero residual entries"
-                            if bad else "product still solves the equations"))
-    info = {}
-    if params["synchronized"]:
-        # at equal clocks (n, ..., n) the product field is the product state
-        prev = wave.alpha_vector((0,) * wave.parts)
-        curr = wave.alpha_vector((1,) * wave.parts)
-        min_steps = min(params["steps"])
-        sync = multipartite.evolve_synchronized(prev, curr, hams, tensor,
-                                                min_steps)
-        # load_config guarantees min_steps >= 2
-        synced, product = sync[2], wave.alpha_vector((2,) * wave.parts)
-        gap = next(({"clock": 2, "indices": list(alphas),
-                     "synchronized": synced[i].to_pair(),
-                     "product": product[i].to_pair()}
-                    for i, alphas in enumerate(wave.dof_indices())
-                    if synced[i] != product[i]), None)
-        checks.append(Check("synchronized_product_gap_exhibited", gap is not None,
-                            json.dumps(gap) if gap else "no gap at clock 2"))
-        info["synchronized_gap"] = gap
-    field_path = out_dir / "field.json"
-    _write_text(field_path, wave._json_pieces())
-    residual_path = out_dir / "residual.csv"
-    _write_text(residual_path, res._csv_pieces())
-    return checks, [field_path, residual_path], info
+    hams, tensor = params["hamiltonians"], params["interaction"]
+    _, wave = multipartite._factors_and_field(hams, params["seed_pairs"],
+                                              params["steps"])
+    free = tensor is None or tensor.is_zero()
+
+    def verdicts():
+        # the product is certified to solve the free equations
+        res = multipartite._certified_free_residual(wave, hams)
+        checks = []
+        if free:
+            checks.append(Check("residual_zero_without_interaction", res.is_zero))
+        else:
+            res = multipartite.many_time_residual(wave, hams, tensor)
+            bad = res.nonzero()
+            checks.append(Check("interaction_breaks_factorization", bool(bad),
+                                f"{len(bad)} nonzero residual entries"
+                                if bad else "product still solves the equations"))
+        info = {}
+        if params["synchronized"]:
+            # at equal clocks (n, ..., n) the product field is the product state
+            prev = wave.alpha_vector((0,) * wave.parts)
+            curr = wave.alpha_vector((1,) * wave.parts)
+            min_steps = min(params["steps"])
+            sync = multipartite.evolve_synchronized(prev, curr, hams, tensor,
+                                                    min_steps)
+            # load_config guarantees min_steps >= 2
+            synced, product = sync[2], wave.alpha_vector((2,) * wave.parts)
+            gap = next(({"clock": 2, "indices": list(alphas),
+                         "synchronized": synced[i].to_pair(),
+                         "product": product[i].to_pair()}
+                        for i, alphas in enumerate(wave.dof_indices())
+                        if synced[i] != product[i]), None)
+            checks.append(Check("synchronized_product_gap_exhibited",
+                                gap is not None,
+                                json.dumps(gap) if gap else "no gap at clock 2"))
+            info["synchronized_gap"] = gap
+        return res, checks, info
+
+    # without interaction the residual of a product of solutions is zero
+    return _write_composite(out_dir, "field.json", wave, free, verdicts)
 
 
 def _run_bell(params, out_dir):
@@ -708,24 +768,25 @@ def _run_bell(params, out_dir):
     psi = automaton.evolve(a0, a1, h, steps)
     phi = automaton.evolve(b0, b1, h, steps)
     wave = multipartite.bell_state(psi, phi)
-    res = multipartite.many_time_residual(wave, [h, h])
-    checks = [Check("residual_zero", res.is_zero)]
-    clock = (1, 1)  # steps >= 1, so (1, 1) is interior
-    rows = wave.bipartite_slice(clock)
-    witness = multipartite.factorizability_witness(rows)
-    detail = ""
-    if witness.entangled:
-        detail = (f"minor {witness.minor_value} at rows {witness.minor_rows} "
-                  f"cols {witness.minor_cols}")
-    checks.append(Check("slice_entangled",
-                        witness.entangled and witness.verify(rows), detail))
-    info = {"witness_clock": list(clock),
-            "slice": [[z.to_pair() for z in row] for row in rows]}
-    field_path = out_dir / "bell_field.json"
-    _write_text(field_path, wave._json_pieces())
-    residual_path = out_dir / "residual.csv"
-    _write_text(residual_path, res._csv_pieces())
-    return checks, [field_path, residual_path], info
+
+    def verdicts():
+        res = multipartite.many_time_residual(wave, [h, h])
+        checks = [Check("residual_zero", res.is_zero)]
+        clock = (1, 1)  # steps >= 1, so (1, 1) is interior
+        rows = wave.bipartite_slice(clock)
+        witness = multipartite.factorizability_witness(rows)
+        detail = ""
+        if witness.entangled:
+            detail = (f"minor {witness.minor_value} at rows {witness.minor_rows} "
+                      f"cols {witness.minor_cols}")
+        checks.append(Check("slice_entangled",
+                            witness.entangled and witness.verify(rows), detail))
+        info = {"witness_clock": list(clock),
+                "slice": [[z.to_pair() for z in row] for row in rows]}
+        return res, checks, info
+
+    # the residual is linear in the two solutions, so it is zero
+    return _write_composite(out_dir, "bell_field.json", wave, True, verdicts)
 
 
 def _run_leibniz(params, out_dir):

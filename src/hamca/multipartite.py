@@ -414,18 +414,33 @@ def evolve_factorized(hams: Sequence[HermitianIntMatrix],
 
     Non-interacting by construction; the assembled field is certified to
     have zero residual before being returned.  Returns the tuple of
-    single-part trajectories, the product field and that residual.
+    single-part trajectories, the product field and that residual.  The
+    two steps are `_factors_and_field` and `_certified_free_residual`;
+    `hamca multi` runs them apart, with its field writer forked between.
     """
+    factors, wave = _factors_and_field(hams, seed_pairs, steps)
+    return factors, wave, _certified_free_residual(wave, hams)
+
+
+def _factors_and_field(hams: Sequence[HermitianIntMatrix],
+                       seed_pairs: Sequence, steps: Sequence[int]) -> tuple:
+    """Each part's history on its own clock, and their product field."""
     if not (len(hams) == len(seed_pairs) == len(steps)):
         raise ValueError("need one coupling, seed pair and step count per part")
     factors = tuple(evolve(s0, s1, h, n)
                     for h, (s0, s1), n in zip(hams, seed_pairs, steps))
-    wave = product_wave(factors)
+    return factors, product_wave(factors)
+
+
+def _certified_free_residual(wave: MultiWave,
+                             hams: Sequence[HermitianIntMatrix]) -> ManyTimeResidual:
+    """The residual of a product of solutions without interaction,
+    asserted zero."""
     res = many_time_residual(wave, list(hams), None)
     if not res.is_zero:
         raise AssertionError("product of solutions has nonzero residual; "
                              "this indicates a bug, not bad input")
-    return factors, wave, res
+    return res
 
 
 # -- product-rule failure of the symmetric difference -------------------

@@ -1013,29 +1013,60 @@ def failing_writer(texts):
     raise RuntimeError("writer interrupted")
 
 
+def failing_field(wave):
+    yield "{\n"
+    raise RuntimeError("writer interrupted")
+
+
+def failing_residual(*args):
+    raise RuntimeError("residual interrupted")
+
+
+TRIDIAGONAL = [[[2, 0], [1, 0], [0, 0]],
+               [[1, 0], [2, 0], [1, 0]],
+               [[0, 0], [1, 0], [2, 0]]]
+TRIDIAGONAL_SEEDS = [[[1, 0], [0, -1], [2, 1]], [[0, 1], [1, 0], [-1, 0]]]
+# (owner, name, replacement, message) of a raising writer and a raising check
+TRAJECTORY_FAILURES = [
+    (automaton, "_csv_pieces", failing_writer, "writer interrupted"),
+    (automaton, "_evolve_slices", failing_stream(100), "stream interrupted")]
+COMPOSITE_FAILURES = [
+    (MultiWave, "_json_pieces", failing_field, "writer interrupted"),
+    (multipartite, "many_time_residual", failing_residual, "residual interrupted")]
+# per forking verb: a config and its failures
+FORK_RUNS = {
+    "evolve": ({"kind": "evolve", "hamiltonians": [TRIDIAGONAL],
+                "seeds": TRIDIAGONAL_SEEDS, "steps": 200}, TRAJECTORY_FAILURES),
+    "audit": ({"kind": "audit", "hamiltonians": [TRIDIAGONAL],
+               "seeds": TRIDIAGONAL_SEEDS, "steps": 200}, TRAJECTORY_FAILURES),
+    "multi": ({"kind": "multi",
+               "hamiltonians": [PAULI_X, [[[1, 0], [1, 1]], [[1, -1], [0, 0]]],
+                                PAULI_X],
+               "seeds": [SEED_PAIR, [[[0, 1], [1, 0]], [[1, 0], [0, -1]]],
+                         [[[1, 0], [1, 0]], [[0, 0], [1, 0]]]],
+               "steps": 6}, COMPOSITE_FAILURES),
+    "bell": (dict(EXAMPLES["bell"], steps=30), COMPOSITE_FAILURES),
+}
+
+
 @pytest.mark.parametrize("schedule", ["forked", "inline"])
-@pytest.mark.parametrize("kind", ["evolve", "audit"])
+@pytest.mark.parametrize("kind", ["evolve", "audit", "multi", "bell"])
 def test_no_run_leaves_a_child_or_a_staging_file(tmp_path, monkeypatch, capsys,
                                                   kind, schedule):
-    path = write_config(tmp_path / "cfg.json", {
-        "kind": kind, "hamiltonians": [TRIDIAGONAL],
-        "seeds": [[[1, 0], [0, -1], [2, 1]], [[0, 1], [1, 0], [-1, 0]]],
-        "steps": 200})
+    obj, patches = FORK_RUNS[kind]
+    path = write_config(tmp_path / "cfg.json", obj)
     out = tmp_path / "out"
     forks = use_schedule(monkeypatch, schedule)
-    for patch, error in ((None, None),
-                         (("_csv_pieces", failing_writer), "writer interrupted"),
-                         (("_evolve_slices", failing_stream(100)),
-                          "stream interrupted")):
+    for patch in [None, *patches]:
         with monkeypatch.context() as patched:
             if patch:
-                patched.setattr(automaton, *patch)
+                patched.setattr(*patch[:3])
             capsys.readouterr()
             code = main([kind, "--config", path, "--out", str(out)])
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
         names = sorted(p.name for p in out.iterdir())
-        if error is None:
+        if patch is None:
             assert code == 0
             report = json.loads((out / "report.json").read_text())
             assert names == sorted(["report.json", *report["artifact_bytes"]])
@@ -1043,13 +1074,153 @@ def test_no_run_leaves_a_child_or_a_staging_file(tmp_path, monkeypatch, capsys,
         else:
             assert code == 1 and names == []
             assert capsys.readouterr().err == \
-                f"FAIL {kind} — RuntimeError: {error}\n"
+                f"FAIL {kind} — RuntimeError: {patch[3]}\n"
     assert len(forks) == (3 if schedule == "forked" else 0)
 
 
-TRIDIAGONAL = [[[2, 0], [1, 0], [0, 0]],
-               [[1, 0], [2, 0], [1, 0]],
-               [[0, 0], [1, 0], [2, 0]]]
+@pytest.mark.parametrize("kind", ["evolve", "multi"])
+def test_an_interrupted_wait_kills_and_reaps_the_writer(tmp_path, monkeypatch, kind):
+    # an exception in the parent's wait for the writer child, as a ^C
+    # there raises, must not leave the child or its staged file
+    cfg = load_config(write_config(tmp_path / "cfg.json", FORK_RUNS[kind][0]))
+    waitpid, interrupted = os.waitpid, []
+
+    def interrupting(pid, options):
+        if options == 0 and not interrupted:
+            interrupted.append(pid)
+            raise KeyboardInterrupt
+        return waitpid(pid, options)
+
+    forks = use_schedule(monkeypatch, "forked")
+    monkeypatch.setattr(os, "waitpid", interrupting)
+    out = tmp_path / "out"
+    with pytest.raises(KeyboardInterrupt):
+        run(cfg, out)
+    assert len(forks) == len(interrupted) == 1
+    with pytest.raises(ChildProcessError):
+        waitpid(-1, os.WNOHANG)
+    assert [p.name for p in out.iterdir() if p.name.endswith(".part")] == []
+
+
+# the composite configs run in both schedules, with the artifacts this
+# process writes itself in a forked run (a zero interaction, like none,
+# predicts a zero residual; the child writes the rest)
+SCHEDULE_RUNS = {
+    "multi-example": (EXAMPLES["multi"], ["residual.csv"]),
+    "bell-example": (EXAMPLES["bell"], []),
+    "multi-interacting": ({k: v for k, v in GOLDEN_RUNS["multi"][0].items()
+                           if k != "synchronized"}, ["residual.csv"]),
+    "multi-synchronized": ({k: v for k, v in GOLDEN_RUNS["multi"][0].items()
+                            if k != "interaction"}, []),
+    "multi-zero-interaction": (dict(MULTI_1x1, interaction=[[[0, 0]]]), []),
+    "bell-golden": (GOLDEN_RUNS["bell"][0], []),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCHEDULE_RUNS))
+def test_a_composite_run_writes_the_same_bytes_in_both_schedules(tmp_path,
+                                                                 monkeypatch, name):
+    obj, rewritten = SCHEDULE_RUNS[name]
+    cfg = load_config(write_config(tmp_path / "cfg.json", obj))
+    runs = []
+    for schedule in ("forked", "inline"):
+        out = tmp_path / schedule
+        with monkeypatch.context() as patched:
+            forks = use_schedule(patched, schedule)
+            writes = count_calls(patched, cli, "_write_text")
+            report = run(cfg, out)
+        assert len(forks) == (schedule == "forked")
+        names = sorted(report["artifact_bytes"])
+        assert sorted(path.name for path, _ in writes) == sorted(
+            ["report.json", *(rewritten if forks else names)])
+        del report["wall_time_s"], report["artifacts"]
+        runs.append((report, [(out / n).read_bytes() for n in names]))
+    assert runs[0] == runs[1]
+
+
+def bump_one_value(residual):
+    """`many_time_residual` with one unit added to one interior value."""
+
+    def bumped(*args):
+        res = residual(*args)
+        vec = res.field.vector
+        k = len(vec) // 2
+        re = vec.re[:k] + (vec.re[k] + 1,) + vec.re[k + 1:]
+        return multipartite.ManyTimeResidual(MultiWave(
+            res.field.dims, res.field.clock_shape, GIVector._from_parts(re, vec.im)))
+
+    return bumped
+
+
+@pytest.mark.parametrize("schedule", ["forked", "inline"])
+def test_a_nonzero_bell_residual_is_written_as_computed(tmp_path, monkeypatch,
+                                                        capsys, schedule):
+    # the child's zero residual is a prediction; a computed residual that
+    # is not zero is written, and fails its check, whatever the child did
+    path = write_config(tmp_path / "cfg.json", EXAMPLES["bell"])
+    cfg = load_config(path)
+    h, ((a0, a1), (b0, b1)) = cfg.params["hamiltonian"], cfg.params["seed_pairs"]
+    wave = multipartite.bell_state(evolve(a0, a1, h, 4), evolve(b0, b1, h, 4))
+    bumped = bump_one_value(multipartite.many_time_residual)
+    expected = bumped(wave, [h, h])
+    monkeypatch.setattr(multipartite, "many_time_residual", bumped)
+    forks = use_schedule(monkeypatch, schedule)
+    out = tmp_path / "out"
+    assert main(["bell", "--config", path, "--out", str(out)]) == 1
+    assert len(forks) == (schedule == "forked")
+    assert capsys.readouterr().out.splitlines()[0] == "FAIL residual_zero"
+    rows = (out / "residual.csv").read_text().splitlines()
+    assert "\n".join(rows) + "\n" == expected.to_csv()
+    assert sum(not row.endswith(",0,0") for row in rows[1:]) == 1
+    assert (out / "bell_field.json").read_text() == wave.to_json_text()
+
+
+@pytest.mark.parametrize("schedule", ["forked", "inline"])
+def test_a_field_that_cannot_be_published_leaves_no_staged_file(tmp_path, monkeypatch,
+                                                                capsys, schedule):
+    publish = cli._publish
+
+    def failing(path):
+        if path.name != "field.json":
+            return publish(path)
+        cli._staged(path).unlink()
+        raise RuntimeError(f"cannot write {path.name}")
+
+    monkeypatch.setattr(cli, "_publish", failing)
+    use_schedule(monkeypatch, schedule)
+    path = write_config(tmp_path / "cfg.json", FORK_RUNS["multi"][0])
+    out = tmp_path / "out"
+    assert main(["multi", "--config", path, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        "FAIL multi — RuntimeError: cannot write field.json\n"
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("schedule", ["forked", "inline"])
+def test_a_product_that_fails_its_certificate_writes_nothing(tmp_path, monkeypatch,
+                                                             capsys, schedule):
+    # the child may have staged the field and the zero residual by the
+    # time the certificate fails; neither may be left in --out
+    path = write_config(tmp_path / "cfg.json", FORK_RUNS["multi"][0])
+    product = multipartite.product_wave
+
+    def bumped(factors):
+        wave = product(factors)
+        k = wave._flat((1, 1, 1), (0, 0, 0))  # an interior clock point
+        return wave + MultiWave(wave.dims, wave.clock_shape,
+                                [int(i == k) for i in range(len(wave.vector))])
+
+    monkeypatch.setattr(multipartite, "product_wave", bumped)
+    forks = use_schedule(monkeypatch, schedule)
+    out = tmp_path / "out"
+    assert main(["multi", "--config", path, "--out", str(out)]) == 1
+    assert len(forks) == (schedule == "forked")
+    assert capsys.readouterr().err == (
+        "FAIL multi — AssertionError: product of solutions has nonzero residual; "
+        "this indicates a bug, not bad input\n")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("fmt, schedule", FMT_SCHEDULES)

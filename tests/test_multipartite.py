@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from hamca.automaton import Trajectory, evolve
 from hamca.conservation import default_commutant_basis, two_point_series
+from hamca import multipartite
 from hamca.gaussian import GaussianInt, GIVector, GIMatrix, HermitianIntMatrix
 from hamca.multipartite import (
     InteractionTensor,
@@ -49,6 +50,23 @@ def test_product_of_two_period_four_orbits_has_zero_residual():
         [4, 4])
     res = many_time_residual(wave, [H_TWO, H_TWO])
     assert res.is_zero
+
+
+def test_the_factorized_field_is_certified_before_it_is_returned(monkeypatch):
+    seeds = [(vec((1, 0)), vec((0, -1))), (vec((1, 0)), vec((0, -1)))]
+    factors, wave, res = evolve_factorized([H_TWO, H_TWO], seeds, [4, 4])
+    assert multipartite._factors_and_field([H_TWO, H_TWO], seeds, [4, 4]) == \
+        (factors, wave)
+    assert res == multipartite._certified_free_residual(wave, [H_TWO, H_TWO])
+    # one value off the product, at an interior clock, fails the certificate
+    bumped = wave + MultiWave(wave.dims, wave.clock_shape,
+                              [int(i == wave._flat((2, 2), (0, 0)))
+                               for i in range(len(wave.vector))])
+    with pytest.raises(AssertionError, match="indicates a bug"):
+        multipartite._certified_free_residual(bumped, [H_TWO, H_TWO])
+    monkeypatch.setattr(multipartite, "product_wave", lambda factors: bumped)
+    with pytest.raises(AssertionError, match="indicates a bug"):
+        evolve_factorized([H_TWO, H_TWO], seeds, [4, 4])
 
 
 def test_zero_field_has_zero_residual():
