@@ -27,8 +27,13 @@ the zero residual where the config predicts it (no interaction, or a
 zero one, and always for `bell`), published only if the computed
 residual is zero.  Any text the child did not stage, or that the
 checks reject, is written here after them, and without `os.fork` all
-of it is.  The bytes are the same either way.  `report.json` lists
-each artifact's size in `artifact_bytes`.
+of it is.  The `audit` child then also computes the series of one
+block of slice pairs in three from its own forward step and sends
+them back with its last two slices; this process feeds its series the
+other pairs, requires those slices to equal the last two it checked,
+and merges the blocks in order (computing them itself if the child
+failed).  The bytes are the same either way.  `report.json` lists each
+artifact's size in `artifact_bytes`.
 
 Exit status: 0 all checks passed, 1 a check failed or a module error
 surfaced, 2 invalid configuration.
@@ -38,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import marshal
 import math
 import os
 import signal
@@ -490,41 +496,58 @@ def _zero_residual_pieces(wave):
     yield from multipartite.ManyTimeResidual(zero)._csv_pieces()
 
 
-def _fork_writer(staged) -> Optional[int]:
-    """The pid of a forked child that stages each (path, pieces) of
-    `staged`, in order, and exits 0 once all are written; None where
-    `os.fork` does not exist or fails.
+def _fork_writer(staged, job=None) -> Optional[tuple]:
+    """(pid, fd) of a forked child that stages each (path, pieces) of
+    `staged`, in order, then, given a `job`, runs it and writes its
+    marshalled return value to a pipe whose read end is `fd` (None
+    without a job); it exits 0 once all is done.  None where `os.fork`
+    does not exist or fails.
 
     The child leaves by `os._exit`, whatever happens, so it never unwinds
     into the caller or flushes buffers it inherited.
     """
     fork = getattr(os, "fork", None)
-    try:
-        pid = None if fork is None else fork()
-    except OSError:
+    if fork is None:
         return None
+    r, w = os.pipe() if job is not None else (None, None)
+    try:
+        pid = fork()
+    except OSError:
+        pid = None
     if pid != 0:
-        return pid
+        for fd in (w, None if pid else r):
+            if fd is not None:
+                os.close(fd)
+        return pid and (pid, r)
     code = 1
     try:
         for path, pieces in staged:
             _stage_text(path, pieces)
+        if job is not None:
+            os.close(r)
+            with open(w, "wb") as fh:
+                marshal.dump(job(), fh)
         code = 0
     finally:
         os._exit(code)
 
 
-def _while_staging(staged, work):
+def _while_staging(staged, work, job=None):
     """`work()`, run while a forked child (`_fork_writer`) stages
-    `staged`; returns its result and whether the child staged every file.
+    `staged` and then runs `job`; returns work's result, whether the
+    child staged every file, and job's return value as the child sent
+    it (None without a child, or if the child failed).
 
-    The child is reaped before this returns.  If `work` or the wait
-    raises, the child is killed and reaped and every staged name removed.
-    Without a child, nothing is staged.
+    The child's pipe is read to its end, then the child is reaped,
+    before this returns.  If `work`, the read or the wait raises, the
+    child is killed and reaped and every staged name removed.  Without a
+    child, nothing is staged and `job` is not run.
     """
-    pid = _fork_writer(staged)
+    pid, fd = _fork_writer(staged, job) or (None, None)
     try:
         result = work()
+        sent = None if fd is None else \
+            b"".join(iter(partial(os.read, fd, 1 << 16), b""))
         status = None if pid is None else os.waitpid(pid, 0)[1]
     except BaseException:
         if pid is not None:
@@ -533,7 +556,11 @@ def _while_staging(staged, work):
         for path, _ in staged:
             _staged(path).unlink(missing_ok=True)
         raise
-    return result, status == 0
+    finally:
+        if fd is not None:
+            os.close(fd)
+    done = status == 0
+    return result, done, marshal.loads(sent) if done and fd is not None else None
 
 
 def _settle(path: Path, keep: bool, pieces):
@@ -546,27 +573,28 @@ def _settle(path: Path, keep: bool, pieces):
         _write_text(path, pieces)
 
 
-def _write_trajectory(window, seeds, steps, out_dir: Path, fmt: str) -> Path:
+def _write_trajectory(window, seeds, steps, out_dir: Path, fmt: str, job=None):
     """Drain `window`, the pass over the slices `seeds` and `steps` make,
-    and write their text as `trajectory.<fmt>`.
+    and write their text as `trajectory.<fmt>`; returns the path and
+    what the forked child's `job` returned (see `_while_staging`).
 
     The text is `_trajectory_pieces` of the seeds, H, the slice count and
     the nonzero brackets.  While this process drains the window, a forked
     child (`_while_staging`) stages the text with no bracket, that of the
-    solution the seeds start.  It is renamed into place only if the child
-    staged it and the window saw steps + 2 slices from these seeds and no
-    nonzero bracket, for then both texts have the same arguments;
-    otherwise it is removed and the text is written here, after the
-    drain, from the window's own.
+    solution the seeds start, and then runs `job`.  The text is renamed
+    into place only if the child exited 0 and the window saw steps + 2
+    slices from these seeds and no nonzero bracket, for then both texts
+    have the same arguments; otherwise it is removed and the text is
+    written here, after the drain, from the window's own.
     """
     h = window.h
     path = out_dir / f"trajectory.{fmt}"
-    _, staged = _while_staging(
-        [(path, _trajectory_pieces(seeds, h, steps + 2, (), fmt))], window.drain)
+    _, staged, given = _while_staging(
+        [(path, _trajectory_pieces(seeds, h, steps + 2, (), fmt))], window.drain, job)
     _settle(path, staged and not window.brackets
             and (window.seeds, window.slices) == (seeds, steps + 2),
             _trajectory_pieces(window.seeds, h, window.slices, window.brackets, fmt))
-    return path
+    return path, given
 
 
 def _write_composite(out_dir: Path, name: str, wave, zero: bool, verdicts):
@@ -584,7 +612,7 @@ def _write_composite(out_dir: Path, name: str, wave, zero: bool, verdicts):
     staged = [(field_path, wave._json_pieces())]
     if zero:
         staged.append((residual_path, _zero_residual_pieces(wave)))
-    (res, checks, info), ok = _while_staging(staged, verdicts)
+    (res, checks, info), ok, _ = _while_staging(staged, verdicts)
     try:
         _settle(field_path, ok, wave._json_pieces())
         _settle(residual_path, ok and zero and res.is_zero, res._csv_pieces())
@@ -603,8 +631,8 @@ def _run_evolve(params, out_dir):
     # one pass checks the slices as they are made: no history is held
     window = automaton._EvolveWindow(automaton._evolve_slices(s0, s1, h, steps),
                                      h, oracle)
-    artifacts = [_write_trajectory(window, (s0, s1), steps, out_dir,
-                                   params["format"])]
+    path, _ = _write_trajectory(window, (s0, s1), steps, out_dir, params["format"])
+    artifacts = [path]
     checks = [Check("recurrence_holds_everywhere", window.first_bad is None)]
     if steps >= 1:
         checks.append(Check("action_zero_on_solution", window.action == 0,
@@ -619,12 +647,21 @@ def _run_audit(params, out_dir):
     obs, labels = params["observables"], None  # audit labels them G0, G1, ...
     if obs is None:
         labels, obs = zip(*conservation.default_commutant_basis(h))
-    # one pass checks the slices and feeds the series: no history is held
+    # one pass checks the slices and feeds the series: no history is held;
+    # where a child can be forked and it pays, the child takes one block
+    # of pairs in three from its own forward step, and if it fails they
+    # are taken here
+    split = hasattr(os, "fork") and conservation._splits(h, steps)
     window = conservation._AuditWindow(automaton._evolve_slices(s0, s1, h, steps),
-                                       h, obs, labels)
-    artifacts = [_write_trajectory(window, (s0, s1), steps, out_dir,
-                                   params["format"])]
-    report = window.report()
+                                       h, obs, labels, split)
+    job = partial(conservation._given_series,
+                  automaton._evolve_slices(s0, s1, h, steps), obs, h.dim)
+    path, given = _write_trajectory(window, (s0, s1), steps, out_dir,
+                                    params["format"], job if split else None)
+    if split and given is None:
+        given = job()
+    report = window.report(given)
+    artifacts = [path]
     checks = [Check("trajectory_is_solution", report.solution_ok,
                     "" if report.solution_ok
                     else f"first bad site {report.first_bad_site}")]

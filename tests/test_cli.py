@@ -9,6 +9,7 @@ import json
 import math
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -341,30 +342,64 @@ def test_interaction_must_be_self_adjoint(tmp_path):
 
 
 def test_audit_computes_each_series_once(tmp_path, monkeypatch):
+    # 401 slice pairs in blocks of 64: a forked run gives blocks 2 and 5
+    # (n = 129..192 and 321..384) to the child and feeds the rest here
     path = write_config(tmp_path / "cfg.json", {
-        "kind": "audit", "hamiltonians": [PAULI_X],
-        "seeds": [[[1, 0], [0, 0]], [[0, 0], [1, 1]]], "steps": 20})
+        "kind": "audit", "hamiltonians": [TRIDIAGONAL],
+        "seeds": TRIDIAGONAL_SEEDS, "steps": 400})
     cfg = load_config(path)
-    passes = count_calls(monkeypatch, conservation, "_audit_series")
-    blocks = count_calls(monkeypatch, conservation, "_block_series")
-    series = count_calls(monkeypatch, conservation, "two_point_series")
-    rates = count_calls(monkeypatch, conservation, "conservation_rate")
-    quantities = count_calls(monkeypatch, conservation, "conserved_quantity")
-    audits = count_calls(monkeypatch, conservation, "audit_conservation")
-    histories = count_calls(monkeypatch, Trajectory, "__init__")
-    run(cfg, tmp_path / "out")
-    # one series pass for the whole basis, fed by the window: a single
-    # product block and no stored trajectory
-    assert len(passes) == 1 and len(passes[0][0]) == 4
-    assert len(blocks) == 1 and series == []
-    assert rates == [] and quantities == []
-    assert audits == [] and histories == []
     h = cfg.params["hamiltonian"]
-    traj = evolve(*cfg.params["seeds"], h, 20)
-    want = conservation.series_to_csv(
-        [(l, conservation.two_point_series(traj, g))
-         for l, g in conservation.default_commutant_basis(h)])
-    assert (tmp_path / "out" / "series.csv").read_text() == want
+    traj = evolve(*cfg.params["seeds"], h, 400)
+    index = {(s.re, s.im): n for n, s in enumerate(traj)}
+    assert len(index) == len(traj)  # each slice names its clock index
+    labels, basis = zip(*conservation.default_commutant_basis(h))
+    want = [[v.re for v in conservation.two_point_series(traj, g)] for g in basis]
+    given = [n for n in range(1, 402) if 129 <= n <= 192 or 321 <= n <= 384]
+    for schedule in ("inline", "forked"):
+        with monkeypatch.context() as patched:
+            forks = use_schedule(patched, schedule)
+            fed, audit_series = [], conservation._audit_series
+
+            def recording(observables, dim):
+                feed, series = audit_series(observables, dim)
+
+                def feeding(u, w):
+                    n = index[u.re, u.im]
+                    assert index[w.re, w.im] == n - 1
+                    fed.append(n)
+                    feed(u, w)
+
+                return feeding, series
+
+            patched.setattr(conservation, "_audit_series", recording)
+            passes = count_calls(patched, conservation, "_audit_series")
+            blocks = count_calls(patched, conservation, "_block_series")
+            reports = count_calls(patched, conservation._AuditWindow, "report")
+            series = count_calls(patched, conservation, "two_point_series")
+            rates = count_calls(patched, conservation, "conservation_rate")
+            quantities = count_calls(patched, conservation, "conserved_quantity")
+            audits = count_calls(patched, conservation, "audit_conservation")
+            histories = count_calls(patched, Trajectory, "__init__")
+            run(cfg, tmp_path / schedule)
+        # one series pass here for the whole basis, fed by the window: a
+        # single product block and no stored trajectory
+        assert len(passes) == 1 and len(passes[0][0]) == 4
+        assert len(blocks) == 1 and series == []
+        assert rates == [] and quantities == []
+        assert audits == [] and histories == []
+        (_, sent), = reports
+        if forks:
+            # every other n is fed here once, and the child's payload holds
+            # one value per observable for each of its n, and its last slices
+            assert fed == [n for n in range(1, 402) if n not in given]
+            values, ends = sent
+            assert values == [[w[n - 1] for n in given] for w in want]
+            assert ends == ((traj[400].re, traj[400].im), (traj[401].re, traj[401].im))
+        else:
+            assert fed == list(range(1, 402)) and sent is None
+        assert (tmp_path / schedule / "series.csv").read_text() == \
+            conservation.series_to_csv(
+                [(l, [GaussianInt(v, 0) for v in w]) for l, w in zip(labels, want)])
 
 
 def test_evolve_and_audit_sweep_the_brackets_once(tmp_path, monkeypatch):
@@ -1078,21 +1113,27 @@ def test_no_run_leaves_a_child_or_a_staging_file(tmp_path, monkeypatch, capsys,
     assert len(forks) == (3 if schedule == "forked" else 0)
 
 
-@pytest.mark.parametrize("kind", ["evolve", "multi"])
-def test_an_interrupted_wait_kills_and_reaps_the_writer(tmp_path, monkeypatch, kind):
+@pytest.mark.parametrize("kind, where", [
+    pytest.param(kind, where, id=kind if where == "waitpid" else f"{kind}-{where}")
+    for kind, where in (("evolve", "waitpid"), ("multi", "waitpid"),
+                        ("audit", "waitpid"), ("audit", "read"))])
+def test_an_interrupted_wait_kills_and_reaps_the_writer(tmp_path, monkeypatch, kind,
+                                                        where):
     # an exception in the parent's wait for the writer child, as a ^C
-    # there raises, must not leave the child or its staged file
+    # there raises, must not leave the child or its staged file: in the
+    # wait itself, or in the read of what the audit's child computed
     cfg = load_config(write_config(tmp_path / "cfg.json", FORK_RUNS[kind][0]))
     waitpid, interrupted = os.waitpid, []
+    wrapped = getattr(os, where)
 
-    def interrupting(pid, options):
-        if options == 0 and not interrupted:
-            interrupted.append(pid)
+    def interrupting(*args):
+        if not interrupted and (where == "read" or args[1] == 0):
+            interrupted.append(args[0])
             raise KeyboardInterrupt
-        return waitpid(pid, options)
+        return wrapped(*args)
 
     forks = use_schedule(monkeypatch, "forked")
-    monkeypatch.setattr(os, "waitpid", interrupting)
+    monkeypatch.setattr(os, where, interrupting)
     out = tmp_path / "out"
     with pytest.raises(KeyboardInterrupt):
         run(cfg, out)
@@ -1100,6 +1141,155 @@ def test_an_interrupted_wait_kills_and_reaps_the_writer(tmp_path, monkeypatch, k
     with pytest.raises(ChildProcessError):
         waitpid(-1, os.WNOHANG)
     assert [p.name for p in out.iterdir() if p.name.endswith(".part")] == []
+
+
+GIVEN_SERIES = conservation._given_series
+
+
+def in_the_child(job):
+    """`conservation._given_series` that runs `job` in a forked child and
+    the real one in this process."""
+    parent = os.getpid()
+    return lambda *args: (GIVEN_SERIES if os.getpid() == parent else job)(*args)
+
+
+def raising_job(*args):
+    raise RuntimeError("series interrupted")
+
+
+def killed_job(*args):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def run_in_both_schedules(tmp_path, monkeypatch, capsys, obj, patch=None):
+    """Exit code, stdout less its last line, report.json less the timing
+    and paths, and the artifact bytes of `hamca audit` on `obj`, with
+    `os.fork` ("forked") and without ("inline"); with the calls to
+    `_given_series` made in this process, and no child or staged file
+    left."""
+    path = write_config(tmp_path / "cfg.json", obj)
+    runs = []
+    for schedule in ("forked", "inline"):
+        out = tmp_path / schedule
+        with monkeypatch.context() as patched:
+            forks = use_schedule(patched, schedule)
+            if patch:
+                patched.setattr(*patch)
+            jobs = count_calls(patched, conservation, "_given_series")
+            capsys.readouterr()
+            code = main(["audit", "--config", path, "--out", str(out)])
+        assert len(forks) == (schedule == "forked")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        report = json.loads((out / "report.json").read_text())
+        assert sorted(p.name for p in out.iterdir()) == \
+            sorted(["report.json", *report["artifact_bytes"]])
+        del report["wall_time_s"], report["artifacts"]
+        runs.append((code, capsys.readouterr().out.splitlines()[:-1], report,
+                     [(out / n).read_bytes() for n in sorted(report["artifact_bytes"])],
+                     len(jobs)))
+    return runs
+
+
+@pytest.mark.parametrize("job", [raising_job, killed_job], ids=["raises", "killed"])
+def test_a_failed_series_child_leaves_its_blocks_to_this_process(tmp_path, monkeypatch,
+                                                                 capsys, job):
+    forked, inline = run_in_both_schedules(
+        tmp_path, monkeypatch, capsys, FORK_RUNS["audit"][0],
+        (conservation, "_given_series", in_the_child(job)))
+    # the child's blocks are computed here, after the drain, and the run
+    # prints and writes what a run without a child does
+    assert forked[-1] == 1 and inline[-1] == 0
+    assert forked[:-1] == inline[:-1] and forked[0] == 0
+
+
+def bumped_ends(*args):
+    values, (before, (re, im)) = GIVEN_SERIES(*args)
+    return values, (before, ((re[0] + 1, *re[1:]), im))
+
+
+def one_value_short(*args):
+    values, ends = GIVEN_SERIES(*args)
+    return [v[:-1] for v in values], ends
+
+
+def one_series_short(*args):
+    values, ends = GIVEN_SERIES(*args)
+    return values[:-1], ends
+
+
+@pytest.mark.parametrize("job", [bumped_ends, one_value_short, one_series_short],
+                         ids=["ends", "length", "observables"])
+def test_a_series_child_off_the_checked_slices_fails_the_run(tmp_path, monkeypatch,
+                                                             capsys, job):
+    path = write_config(tmp_path / "cfg.json", FORK_RUNS["audit"][0])
+    forks = use_schedule(monkeypatch, "forked")
+    monkeypatch.setattr(conservation, "_given_series", in_the_child(job))
+    out = tmp_path / "out"
+    assert main(["audit", "--config", path, "--out", str(out)]) == 1
+    assert len(forks) == 1
+    assert capsys.readouterr().err == (
+        "FAIL audit — AssertionError: the given-away series are not of the "
+        "slices this pass checked\n")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert [p.name for p in out.iterdir()] == ["trajectory.csv"]
+
+
+# a drifting observable on the per-G side of the series selection, with
+# steps + 1 pairs on each side of the edges of the child's first two
+# blocks (n = 129..192 and 321..384); and the default basis with a
+# corrupted slice in the child's block
+PER_G_DRIFT = dict(GOLDEN_AUDITS["drift"][0],
+                   observables=[[[[1, 0], [1, 2]], [[1, -2], [0, 0]]]])
+
+
+@pytest.mark.parametrize("obj, bumped", [
+    pytest.param(dict(PER_G_DRIFT, steps=steps), None, id=str(steps))
+    for steps in (127, 128, 191, 192, 319, 320, 383, 384)]
+    + [pytest.param(FORK_RUNS["audit"][0], 150, id="slice-150")])
+def test_a_split_audit_writes_the_same_bytes_in_both_schedules(tmp_path, monkeypatch,
+                                                               capsys, obj, bumped):
+    patch = None
+    if bumped is not None:
+        patch = (automaton, "_evolve_slices", bump_slice(automaton._evolve_slices,
+                                                         bumped))
+    forked, inline = run_in_both_schedules(tmp_path, monkeypatch, capsys, obj, patch)
+    assert forked[-1] == inline[-1] == 0
+    assert forked[:-1] == inline[:-1]
+    assert forked[0] == (0 if bumped is None else 1)
+    # and they are the library's audit of the slices
+    cfg = load_config(write_config(tmp_path / "lib.json", obj))
+    h, (s0, s1), steps = (cfg.params[k] for k in ("hamiltonian", "seeds", "steps"))
+    stream = automaton._evolve_slices
+    if bumped is not None:
+        stream = bump_slice(stream, bumped)
+    traj = Trajectory(stream(s0, s1, h, steps))
+    obs, labels = cfg.params["observables"], ["G0"]
+    if obs is None:
+        labels, obs = zip(*conservation.default_commutant_basis(h))
+    audit = conservation.audit_conservation(traj, h, obs, labels)
+    assert any(not e.conserved for e in audit.entries)
+    out = tmp_path / "forked"
+    assert (out / "audit.json").read_text() == \
+        json.dumps(audit.to_json_obj(), indent=2, sort_keys=True) + "\n"
+    assert (out / "series.csv").read_text() == conservation.series_to_csv(
+        [(l, conservation.two_point_series(traj, g)) for l, g in zip(labels, obs)])
+
+
+# the child takes series blocks past two blocks of pairs, unless H's
+# eigenvalues are provably at most 2 in size (Gershgorin: PAULI_X's rows
+# sum to 1), so that the entries stay small and its text is the long side
+@pytest.mark.parametrize("obj, job", [
+    pytest.param(dict(FORK_RUNS["audit"][0], steps=127), False, id="two-blocks"),
+    pytest.param(dict(FORK_RUNS["audit"][0], steps=128), True, id="three-blocks"),
+    pytest.param(dict(EXAMPLES["audit"], steps=400), False, id="bounded")])
+def test_the_child_takes_series_blocks_only_where_it_pays(tmp_path, monkeypatch, obj,
+                                                          job):
+    forks = count_calls(monkeypatch, cli, "_fork_writer")
+    report = run(load_config(write_config(tmp_path / "cfg.json", obj)), tmp_path / "out")
+    assert all(c["passed"] for c in report["checks"])
+    assert [args[1] is not None for args in forks] == [job]
 
 
 # the composite configs run in both schedules, with the artifacts this
@@ -1406,24 +1596,45 @@ def test_short_evolve_runs_keep_their_bytes(tmp_path, capsys, steps, fmt):
     assert digests == EVOLVE_GOLDEN[(steps, fmt)]
 
 
-def audit_peak(tmp_path, h, steps, fmt):
-    """Traced peak bytes of one `hamca audit` run from the tridiagonal seeds."""
+def audit_peak(tmp_path, monkeypatch, h, steps, fmt):
+    """Traced peak bytes of one `hamca audit` run from the tridiagonal
+    seeds, and the growth of a forked child's `ru_maxrss` past the RSS it
+    started with (None without a child)."""
     cfg = load_config(write_config(tmp_path / "cfg.json", {
         "kind": "audit", "hamiltonians": [h],
         "seeds": [[[1, 0], [0, -1], [2, 1]], [[0, 1], [1, 0], [-1, 0]]],
         "steps": steps, "output": {"format": fmt}}))
+    start, child = tmp_path / f"child-start-{steps}", []
+    fork = getattr(os, "fork", None)
+
+    def forking():
+        pid = fork()
+        if pid == 0:  # the child's peak so far is the RSS it starts with
+            import resource
+            start.write_text(str(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss))
+        return pid
+
+    def waiting(pid, options):
+        pid, status, usage = os.wait4(pid, options)
+        child.append(usage.ru_maxrss)
+        return pid, status
+
     started = not tracemalloc.is_tracing()
-    tracemalloc.start()
-    base = tracemalloc.get_traced_memory()[0]
-    tracemalloc.reset_peak()
-    try:
-        report = run(cfg, tmp_path / f"out-{steps}")
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if started:
-            tracemalloc.stop()
+    with monkeypatch.context() as patched:
+        if fork is not None:
+            patched.setattr(os, "fork", forking)
+            patched.setattr(os, "waitpid", waiting)
+        tracemalloc.start()
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        try:
+            report = run(cfg, tmp_path / f"out-{steps}")
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
     assert all(c["passed"] for c in report["checks"])
-    return peak
+    return peak, (child[0] - int(start.read_text()) if child else None)
 
 
 @pytest.mark.parametrize("fmt, schedule", FMT_SCHEDULES)
@@ -1431,11 +1642,19 @@ def test_audit_peak_memory_does_not_grow_with_the_history(tmp_path, monkeypatch,
                                                           fmt, schedule):
     # as for evolve: 4x the steps costs a window of slices (and the
     # series, one int per observable and step) ~4x, and a held history
-    # ~16x (measured with the run's fixed costs: 2.1x and 9.8x)
+    # ~16x (measured with the run's fixed costs: 2.1x and 9.8x).  The
+    # forked child runs the forward step too and holds a third of the
+    # series: its RSS grew 1.0-1.9x as much at 1000 steps as at 250
+    # (0.7-1.3 MB), and 5.7-7.3x had it held the history, so 4x is the bound
     h = [[[1000 * re, im] for re, im in row] for row in TRIDIAGONAL]
     use_schedule(monkeypatch, schedule)
-    small, large = (audit_peak(tmp_path, h, steps, fmt) for steps in (250, 1000))
+    (small, child_small), (large, child_large) = (
+        audit_peak(tmp_path, monkeypatch, h, steps, fmt) for steps in (250, 1000))
     assert large < 8 * small
+    if schedule == "forked":
+        assert child_large < 4 * child_small
+    else:
+        assert child_small is child_large is None
 
 
 @pytest.mark.parametrize("fmt, schedule", FMT_SCHEDULES)

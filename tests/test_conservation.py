@@ -540,3 +540,20 @@ def test_commutant_basis_rejects_a_negative_power(max_power):
     with pytest.raises(ValueError, match="max_power must be >= 0"):
         default_commutant_basis(PAULI_X, max_power=max_power)
     assert [label for label, _ in default_commutant_basis(PAULI_X, 0)] == ["1"]
+
+
+@pytest.mark.parametrize("count", [1, 4])
+@pytest.mark.parametrize("pairs", [128, 129, 192, 193, 320, 385])
+def test_a_split_audit_window_merges_to_the_library_audit(rng, pairs, count):
+    # random slices, almost never a solution: a split pass and the series
+    # of the pairs it gives away merge, block by block, into the audit of
+    # one unsplit pass (per-G series for one observable, the block for four)
+    traj = random_trajectory(rng, 3, pairs + 1, 2 ** 40)
+    h = random_hermitian(rng, 3)
+    observables = [random_hermitian(rng, 3) for _ in range(count)]
+    window = conservation._AuditWindow(iter(traj.states), h, observables, split=True)
+    window.drain()
+    given = conservation._given_series(iter(traj.states), observables, 3)
+    assert [len(v) for v in given[0]] == \
+        [sum(conservation._given_away(n) for n in range(1, pairs + 1))] * count
+    assert window.report(given) == audit_conservation(traj, h, observables)
