@@ -490,18 +490,27 @@ def _trajectory_pieces(seeds, h, slices, brackets, fmt):
 
 def _zero_residual_pieces(wave):
     """The text of `residual.csv` for `wave` when its residual is zero,
-    as `ManyTimeResidual._csv_pieces` writes it; the zero field is built
-    only once the first piece is asked for."""
-    zero = multipartite.MultiWave(wave.dims, [c - 2 for c in wave.clock_shape])
-    yield from multipartite.ManyTimeResidual(zero)._csv_pieces()
+    as `ManyTimeResidual._csv_pieces` writes it: each clock point's rows
+    are one join of the dof cells, every row ending in a zero value.
+    Nothing is computed until the first piece is asked for."""
+    header, dofs, leads = multipartite._residual_csv_cells(
+        wave.dims, [c - 2 for c in wave.clock_shape])
+    yield header
+    for lead in leads:
+        yield lead + ("0,0\n" + lead).join(dofs) + "0,0\n"
+
+
+# the exit status of a writer child that staged every file but whose
+# job failed
+_JOB_FAILED = 2
 
 
 def _fork_writer(staged, job=None) -> Optional[tuple]:
     """(pid, fd) of a forked child that stages each (path, pieces) of
     `staged`, in order, then, given a `job`, runs it and writes its
     marshalled return value to a pipe whose read end is `fd` (None
-    without a job); it exits 0 once all is done.  None where `os.fork`
-    does not exist or fails.
+    without a job); it exits 0 once all is done, `_JOB_FAILED` if only
+    the job failed.  None where `os.fork` does not exist or fails.
 
     The child leaves by `os._exit`, whatever happens, so it never unwinds
     into the caller or flushes buffers it inherited.
@@ -523,6 +532,7 @@ def _fork_writer(staged, job=None) -> Optional[tuple]:
     try:
         for path, pieces in staged:
             _stage_text(path, pieces)
+        code = _JOB_FAILED
         if job is not None:
             os.close(r)
             with open(w, "wb") as fh:
@@ -536,7 +546,7 @@ def _while_staging(staged, work, job=None):
     """`work()`, run while a forked child (`_fork_writer`) stages
     `staged` and then runs `job`; returns work's result, whether the
     child staged every file, and job's return value as the child sent
-    it (None without a child, or if the child failed).
+    it (None without a child, or if the child or its job failed).
 
     The child's pipe is read to its end, then the child is reaped,
     before this returns.  If `work`, the read or the wait raises, the
@@ -559,8 +569,9 @@ def _while_staging(staged, work, job=None):
     finally:
         if fd is not None:
             os.close(fd)
-    done = status == 0
-    return result, done, marshal.loads(sent) if done and fd is not None else None
+    code = None if status is None else os.waitstatus_to_exitcode(status)
+    return (result, code in (0, _JOB_FAILED),
+            marshal.loads(sent) if code == 0 and fd is not None else None)
 
 
 def _settle(path: Path, keep: bool, pieces):

@@ -276,13 +276,17 @@ def conserved_quantity(traj: Trajectory, g: HermitianIntMatrix,
 
 
 def default_commutant_basis(h: HermitianIntMatrix, max_power: int = 3) -> list:
-    """(label, G) pairs for the powers 1, H, H^2, ..., H^max_power."""
+    """(label, G) pairs for the powers 1, H, H^2, ..., H^max_power, each
+    power one product past the one before it."""
     if type(max_power) is not int:
         raise ValueError("max_power must be a plain integer")
     if max_power < 0:
         raise ValueError("max_power must be >= 0")
-    return [(f"H^{k}" if k > 1 else ("1" if k == 0 else "H"), h.power(k))
-            for k in range(max_power + 1)]
+    powers = [h.power(0)]
+    for _ in range(max_power):
+        powers.append(HermitianIntMatrix(powers[-1] @ h))
+    return [(f"H^{k}" if k > 1 else ("1" if k == 0 else "H"), g)
+            for k, g in enumerate(powers)]
 
 
 @dataclass(frozen=True)

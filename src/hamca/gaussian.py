@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import contextlib
 import sys
-from itertools import starmap
+from itertools import chain
 from operator import add, mul, neg, sub
 from typing import Iterable, Sequence
 
@@ -454,8 +454,10 @@ class GIMatrix:
 
     def kron(self, other: "GIMatrix") -> "GIMatrix":
         """Kronecker product; index (a, b) flattens row-major to a*dim(other)+b."""
-        rows = _kron_parts([(r.re, r.im) for r in self.rows], other.rows)
-        return GIMatrix(starmap(GIVector._from_parts, rows))
+        n = self.dim * other.dim
+        re, im = _kron(_stacked(self.rows), self.dim, _stacked(other.rows), other.dim)
+        return GIMatrix(GIVector._from_parts(re[k:k + n], im[k:k + n])
+                        for k in range(0, n * n, n))
 
     def __eq__(self, other):
         if not isinstance(other, GIMatrix):
@@ -491,15 +493,41 @@ def _transposed(rows: Sequence[GIVector]):
                zip(*(r.re for r in rows)), zip(*(r.im for r in rows)))
 
 
-def _kron_parts(left: Iterable[tuple], right: Iterable[GIVector]) -> list:
-    """(re, im) of u (x) w, entry u_a * w_b at a*len(w)+b, for each (re, im)
-    pair u in `left` and `GIVector` w in `right`, u-major.  The one
+def _stacked(vectors: Iterable[GIVector]) -> tuple:
+    """(re, im) of the `GIVector`s one after another, as two tuples."""
+    vectors = tuple(vectors)
+    return (tuple(chain.from_iterable(v.re for v in vectors)),
+            tuple(chain.from_iterable(v.im for v in vectors)))
+
+
+def _kron(left: tuple, a: int, right: tuple, b: int) -> tuple:
+    """(re, im) of u (x) w, entry u_i * w_j at i*b + j, for each block u
+    of `left` and w of `right`, u-major; each side is (re, im) of its
+    blocks stacked (`_stacked`), `a` and `b` values long.  The one
     Kronecker kernel: `GIMatrix.kron` runs it on rows, `product_wave` on
-    slices; each w is paired into entries once per call."""
-    ws = [tuple(zip(w.re, w.im)) for w in right]
-    return [(tuple(x * r - y * i for x, y in zip(ur, ui) for r, i in w),
-             tuple(x * i + y * r for x, y in zip(ur, ui) for r, i in w))
-            for ur, ui in left for w in ws]
+    slices.
+
+    With W right blocks, output value (u, w, i, j) sits at
+    (u*W + w)*a*b + i*b + j, so for fixed (w, i, j) the values over every
+    u are one extended slice, a*W*b apart.
+    Each dof column i of `left` (entry i of every block) is multiplied
+    by each nonzero right entry w_j in one pass and assigned to that
+    slice; a zero entry leaves its zeros.
+    """
+    lre, lim = left
+    step = a * len(right[0])
+    out_re = [0] * (len(lre) * len(right[0]))
+    out_im = out_re.copy()
+    cols = [(lre[i::a], lim[i::a]) for i in range(a)]
+    for k, (x, y) in enumerate(zip(*right)):
+        if not (x or y):
+            continue
+        w, j = divmod(k, b)
+        for i, (cr, ci) in enumerate(cols):
+            at = slice((w * a + i) * b + j, None, step)
+            out_re[at] = map(sub, map(x.__mul__, cr), map(y.__mul__, ci))
+            out_im[at] = map(add, map(x.__mul__, ci), map(y.__mul__, cr))
+    return tuple(out_re), tuple(out_im)
 
 
 class HermitianIntMatrix(GIMatrix):

@@ -19,10 +19,13 @@ fixed-clock slice is certified by a nonzero 2x2 minor.
 The right-hand side is the kron-sum operator sum_k 1 x .. x H_k x .. x 1
 plus I on the flattened dof space, the same total Hamiltonian the
 shared-clock model evolves with.  The residual is therefore evaluated
-one clock block at a time on the flat storage: the block at clocks n
-starts at b = sum_k n_k * s_k (s_k: clock axis k's stride in values),
-and its residual is i times that operator applied to the slice at b
-plus, per axis, the slice at b + s_k minus the slice at b - s_k.
+on the flat storage, one slab of clock axis 0 at a time: the block at
+clocks n starts at b = sum_k n_k * s_k (s_k: clock axis k's stride in
+values), and its residual is i times that operator applied to the
+slice at b plus, per axis, the slice at b + s_k minus the slice at
+b - s_k.  The interior points of a slab lie in runs along the last
+clock axis, contiguous in storage; the axis differences of a run are
+one chain of C-level `map`s, and each point in it adds one `apply`.
 
 No propagation scheme is offered for I != 0 on the many-clock lattice
 (the per-point equations underdetermine a layer-by-layer fill); the
@@ -35,7 +38,9 @@ a_1*D_2*...*D_m + ... + a_m, and clock tuples flatten the same way.
 
 A field stores every value, clock-major and then dof, as one split
 `GIVector`, so a clock block is a slice of its two int tuples; scalars
-are built only when a caller reads single values.
+are built only when a caller reads single values.  A product field is
+built by the one Kronecker kernel (`gaussian._kron`), a whole column
+of values per pass.
 
 The field's JSON text and the residual's CSV are assembled from
 per-record templates in that storage order: each clock and dof fragment
@@ -58,7 +63,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .automaton import Trajectory, evolve
 from .gaussian import (GaussianInt, GIMatrix, GIVector, HermitianIntMatrix,
-                       _kron_parts, exact_int_text)
+                       _kron, _stacked, exact_int_text)
 
 __all__ = [
     "MultiWave",
@@ -314,18 +319,18 @@ def product_wave(factors: Sequence[Trajectory]) -> MultiWave:
     """Outer product of single-part histories over the full clock box.
 
     Each part multiplies every clock block of the parts before it by
-    each of its slices, a Kronecker product; row-major is storage order.
+    each of its slices, a Kronecker product (`gaussian._kron`) on the
+    stacked blocks; row-major is storage order.
     """
     factors = list(factors)
     if not factors:
         raise ValueError("need at least one part")
-    blocks = [(s.re, s.im) for s in factors[0]]
+    field, size = _stacked(factors[0]), factors[0].dim
     for f in factors[1:]:
-        blocks = _kron_parts(blocks, f)
-    re = tuple(itertools.chain.from_iterable(br for br, _ in blocks))
-    im = tuple(itertools.chain.from_iterable(bi for _, bi in blocks))
+        field = _kron(field, size, _stacked(f), f.dim)
+        size *= f.dim
     return MultiWave([f.dim for f in factors], [len(f) for f in factors],
-                     GIVector._from_parts(re, im))
+                     GIVector._from_parts(*field))
 
 
 @dataclass(frozen=True)
@@ -349,21 +354,32 @@ class ManyTimeResidual:
         Values print as decimal ints, so the consumer holds
         `exact_int_text()` around the whole join or write.
         """
-        m = self.field.parts
-        header = ([f"n{k + 1}" for k in range(m)]
-                  + [f"alpha{k + 1}" for k in range(m)] + ["re", "im"])
-        yield ",".join(header) + "\n"
-        dofs = ["".join(f"{a}," for a in alphas)
-                for alphas in self.field.dof_indices()]
+        header, dofs, leads = _residual_csv_cells(self.field.dims,
+                                                  self.field.clock_shape)
+        yield header
         values = zip(self.field.vector.re, self.field.vector.im)
-        for clocks in self.field.clock_points():
-            lead = "".join(f"{n + 1}," for n in clocks)
+        for lead in leads:
             yield "".join(f"{lead}{dof}{re},{im}\n"
                           for dof, (re, im) in zip(dofs, values))
 
     @exact_int_text()
     def to_csv(self) -> str:
         return "".join(self._csv_pieces())
+
+
+def _residual_csv_cells(dims: Sequence[int], clock_shape: Sequence[int]) -> tuple:
+    """The parts of a residual's CSV that hold no value: its header line,
+    the cells of each dof index, and an iterator over the lead cells of
+    each clock point (its lattice clocks, one past the residual's), in
+    storage order."""
+    m = len(dims)
+    header = ",".join([f"n{k + 1}" for k in range(m)]
+                      + [f"alpha{k + 1}" for k in range(m)] + ["re", "im"]) + "\n"
+    dofs = list(map("".join, itertools.product(
+        *([f"{a}," for a in range(d)] for d in dims))))
+    leads = map("".join, itertools.product(
+        *([f"{n + 1}," for n in range(c)] for c in clock_shape)))
+    return header, dofs, leads
 
 
 def many_time_residual(psi: MultiWave, hams: Sequence[HermitianIntMatrix],
@@ -373,8 +389,11 @@ def many_time_residual(psi: MultiWave, hams: Sequence[HermitianIntMatrix],
 
     Zero everywhere iff the supplied field solves the equations there.
     Each clock block is sum_k [Psi(n+e_k) - Psi(n-e_k)] + i*H_tot Psi(n)
-    with H_tot = total_hamiltonian(hams, interaction): one `apply` to the
-    slice at base offset b, then per axis the slices at b + s_k minus b - s_k.
+    with H_tot = total_hamiltonian(hams, interaction), taken slab by slab
+    along clock axis 0 and, in a slab, one run of interior points along
+    the last clock axis at a time: the run's axis differences are one
+    chain of `map`s over slices s_k apart (s_k: clock axis k's stride),
+    to which each point adds i times one `apply` to its block.
     """
     m = psi.parts
     if len(hams) != m:
@@ -389,20 +408,32 @@ def many_time_residual(psi: MultiWave, hams: Sequence[HermitianIntMatrix],
     h_tot = total_hamiltonian(hams, interaction)
     size = math.prod(psi.dims)
     strides = [size * math.prod(psi.clock_shape[k + 1:]) for k in range(m)]
+    # interior points come in runs along the last clock axis, contiguous
+    # in storage and `width` values long, one from each interior
+    # (n_0, ..., n_{m-2}, 1) in storage order: slab by slab along axis 0
+    width = size * (psi.clock_shape[-1] - 2)
+    starts = [sum(map(operator.mul, clocks, strides[:-1])) + size
+              for clocks in itertools.product(*(range(1, c - 1)
+                                                for c in psi.clock_shape[:-1]))]
     re, im = psi.vector.re, psi.vector.im
-    out_re, out_im = [], []
-    for clocks in psi.interior_clock_points():
-        b = sum(map(operator.mul, clocks, strides))
-        h_psi = h_tot.apply(GIVector._from_parts(re[b:b + size], im[b:b + size]))
-        # i * (x + iy) = -y + ix, then each axis adds Psi(n+e_k) - Psi(n-e_k)
-        block_re, block_im = map(operator.neg, h_psi.im), h_psi.re
+
+    def differences(x, lo):
+        """sum_k x(n+e_k) - x(n-e_k) over the run from `lo`, unevaluated."""
+        hi, out = lo + width, None
         for s in strides:
-            block_re = map(operator.add, block_re, map(
-                operator.sub, re[b + s:b + s + size], re[b - s:b - s + size]))
-            block_im = map(operator.add, block_im, map(
-                operator.sub, im[b + s:b + s + size], im[b - s:b - s + size]))
-        out_re.extend(block_re)
-        out_im.extend(block_im)
+            diff = map(operator.sub, x[lo + s:hi + s], x[lo - s:hi - s])
+            out = diff if out is None else map(operator.add, out, diff)
+        return out
+
+    out_re, out_im = [], []
+    for lo in starts:
+        h_psi = [h_tot.apply(GIVector._from_parts(re[b:b + size], im[b:b + size]))
+                 for b in range(lo, lo + width, size)]
+        # + i * (x + iy) = -y + ix
+        out_re.extend(map(operator.sub, differences(re, lo),
+                          itertools.chain.from_iterable(h.im for h in h_psi)))
+        out_im.extend(map(operator.add, differences(im, lo),
+                          itertools.chain.from_iterable(h.re for h in h_psi)))
     interior = GIVector._from_parts(tuple(out_re), tuple(out_im))
     return ManyTimeResidual(field=MultiWave(
         psi.dims, [c - 2 for c in psi.clock_shape], interior))

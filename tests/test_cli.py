@@ -1194,6 +1194,7 @@ def run_in_both_schedules(tmp_path, monkeypatch, capsys, obj, patch=None):
 @pytest.mark.parametrize("job", [raising_job, killed_job], ids=["raises", "killed"])
 def test_a_failed_series_child_leaves_its_blocks_to_this_process(tmp_path, monkeypatch,
                                                                  capsys, job):
+    written = count_calls(monkeypatch, cli, "_stage_text")
     forked, inline = run_in_both_schedules(
         tmp_path, monkeypatch, capsys, FORK_RUNS["audit"][0],
         (conservation, "_given_series", in_the_child(job)))
@@ -1201,6 +1202,12 @@ def test_a_failed_series_child_leaves_its_blocks_to_this_process(tmp_path, monke
     # prints and writes what a run without a child does
     assert forked[-1] == 1 and inline[-1] == 0
     assert forked[:-1] == inline[:-1] and forked[0] == 0
+    # a child that staged the trajectory before its job raised keeps it:
+    # this process writes the text only without a child
+    here = {path for path, _ in written}
+    assert tmp_path / "inline" / "trajectory.csv" in here
+    if job is raising_job:
+        assert tmp_path / "forked" / "trajectory.csv" not in here
 
 
 def bumped_ends(*args):

@@ -534,6 +534,19 @@ def test_commutant_basis_takes_a_plain_int_power(max_power):
     assert [label for label, _ in default_commutant_basis(PAULI_X, 1)] == ["1", "H"]
 
 
+@pytest.mark.parametrize("max_power", [0, 1, 3, 5])
+def test_commutant_basis_takes_one_product_per_power(rng, monkeypatch, max_power):
+    h = random_hermitian(rng, 3)
+    products = count_calls(monkeypatch, GIMatrix, "__matmul__")
+    basis = default_commutant_basis(h, max_power)
+    assert len(products) == max_power
+    assert [label for label, _ in basis] == \
+        ["1", "H", "H^2", "H^3", "H^4", "H^5"][:max_power + 1]
+    assert all(type(g) is HermitianIntMatrix for _, g in basis)
+    monkeypatch.undo()
+    assert [g for _, g in basis] == [h.power(k) for k in range(max_power + 1)]
+
+
 @pytest.mark.parametrize("max_power", [-1, -5])
 def test_commutant_basis_rejects_a_negative_power(max_power):
     # an empty basis would make an audit that checks nothing and passes

@@ -271,6 +271,15 @@ def reference_kron(a, b):
             for i in range(len(a) * db)]
 
 
+@settings(max_examples=60)
+@given(data=st.data(), left=st.integers(1, 4), right=st.integers(1, 4))
+def test_kron_matches_the_reference_on_any_entries(data, left, right):
+    # zero, real, imaginary and complex entries, parts up to 2**700
+    ra, rb = ([[gi(data.draw(COEFF), data.draw(COEFF)) for _ in range(d)]
+               for _ in range(d)] for d in (left, right))
+    assert_entries(GIMatrix(ra).kron(GIMatrix(rb)), reference_kron(ra, rb))
+
+
 def entrywise(op, *mats):
     return [[op(*es) for es in zip(*rows)] for rows in zip(*mats)]
 

@@ -136,11 +136,11 @@ def test_no_spurious_correlations_random_instances(rng):
         assert many_time_residual(wave, hams).is_zero
 
 
-def random_field(rng, dims, shape):
+def random_field(rng, dims, shape, bound=4):
     size = 1
     for n in dims + shape:
         size *= n
-    return MultiWave(dims, shape, [random_gaussian_int(rng, 4) for _ in range(size)])
+    return MultiWave(dims, shape, [random_gaussian_int(rng, bound) for _ in range(size)])
 
 
 def test_residual_is_linear(rng):
@@ -205,6 +205,30 @@ def test_residual_matches_a_per_axis_reference(dims, interacting, data, rng):
     assert {key: res.field.get(*key) for key in want} == want
     assert res.nonzero() == [(tuple(n + 1 for n in clocks), alphas, v)
                              for (clocks, alphas), v in want.items() if v]
+
+
+@settings(max_examples=40)
+@given(data=st.data(), parts=st.integers(1, 3), interacting=st.booleans(),
+       bits=st.sampled_from([2, 64, 700]), rng=st.randoms(use_true_random=False))
+def test_residual_matches_the_reference_on_every_slab(data, parts, interacting,
+                                                      bits, rng):
+    # clock sides 3-5: one to three interior slabs along axis 0, and runs
+    # of one to three points along the last axis; entries up to 2**700
+    dims = tuple(data.draw(st.integers(1, 3)) for _ in range(parts))
+    shape = tuple(data.draw(st.integers(3, 5)) for _ in range(parts))
+    hams = [random_hermitian(rng, d, 2 ** bits) for d in dims]
+    interaction = None
+    if interacting:
+        size = 1
+        for d in dims:
+            size *= d
+        interaction = InteractionTensor(dims, random_hermitian(rng, size, 2 ** bits))
+    psi = random_field(rng, dims, shape, 2 ** bits)
+    res = many_time_residual(psi, hams, interaction)
+    want = reference_residual(psi, hams, interaction)
+    # the reference runs over interior points and dofs in storage order
+    assert res.field.clock_shape == tuple(c - 2 for c in shape)
+    assert list(res.field.vector) == list(want.values())
 
 
 def _interior_neighbours(clocks, shape):

@@ -16,7 +16,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hamca import automaton, multipartite
+from hamca import automaton, cli, multipartite
 from hamca.automaton import Trajectory, evolve
 from hamca.gaussian import (GaussianInt, GIMatrix, GIVector, HermitianIntMatrix,
                             exact_int_text)
@@ -192,6 +192,16 @@ def test_residual_csv_of_a_computed_residual(rng):
     assert res.to_csv() == reference_residual_csv(res)
 
 
+@settings(max_examples=40)
+@given(data=st.data(), parts=st.integers(1, 4))
+def test_zero_residual_text_is_the_zero_residual_csv(data, parts):
+    # what the forked writer stages where the config predicts a zero residual
+    dims = [data.draw(st.integers(1, 3)) for _ in range(parts)]
+    shape = [data.draw(st.integers(3, 5 if parts < 4 else 4)) for _ in range(parts)]
+    zero = ManyTimeResidual(field=MultiWave(dims, [c - 2 for c in shape]))
+    assert "".join(cli._zero_residual_pieces(MultiWave(dims, shape))) == zero.to_csv()
+
+
 # -- no writer leaks its arithmetic or digit-limit settings -----------------
 
 
@@ -224,7 +234,7 @@ def writer_cases():
         (lambda: traj.to_json_text(h), automaton, "Decimal"),
         (lambda: traj.to_csv(None), automaton, "Decimal"),
         (wave.to_json_text, multipartite, "_json_ints"),
-        (ManyTimeResidual(field=wave).to_csv, MultiWave, "clock_points"),
+        (ManyTimeResidual(field=wave).to_csv, multipartite, "_residual_csv_cells"),
         # the streams the CLI writes from, consumed partway and dropped
         (partway(lambda: automaton._csv_pieces(traj._decimal_texts(h))),
          automaton, "Decimal"),
@@ -233,8 +243,8 @@ def writer_cases():
         (partway(lambda: automaton._csv_pieces(traj._decimal_texts(None))),
          automaton, "Decimal"),
         (partway(wave._json_pieces), multipartite, "_json_ints"),
-        (partway(ManyTimeResidual(field=wave)._csv_pieces), MultiWave,
-         "clock_points"),
+        (partway(ManyTimeResidual(field=wave)._csv_pieces), multipartite,
+         "_residual_csv_cells"),
     ]
 
 
