@@ -27,13 +27,18 @@ the zero residual where the config predicts it (no interaction, or a
 zero one, and always for `bell`), published only if the computed
 residual is zero.  Any text the child did not stage, or that the
 checks reject, is written here after them, and without `os.fork` all
-of it is.  The `audit` child then also computes the series of one
-block of slice pairs in three from its own forward step and sends
-them back with its last two slices; this process feeds its series the
-other pairs, requires those slices to equal the last two it checked,
-and merges the blocks in order (computing them itself if the child
-failed).  The bytes are the same either way.  `report.json` lists each
-artifact's size in `artifact_bytes`.
+of it is.  Where some observable does not commute with H, the `audit`
+child then also computes those observables' series of one block of
+slice pairs in three from its own forward step and sends them back
+with its last two slices; this process feeds its series the other
+pairs, requires those slices to equal the last two it checked, and
+merges the blocks in order (computing them itself if the child
+failed).  A commuting observable's series is derived from the
+brackets of the pass, so it is never split.  The bytes are the same
+either way.  Before the runner starts, `run` removes the `report.json`
+and every artifact name the kind can write, and their staging names,
+from the output directory.  `report.json` lists each artifact's size
+in `artifact_bytes`.
 
 Exit status: 0 all checks passed, 1 a check failed or a module error
 surfaced, 2 invalid configuration.
@@ -658,18 +663,18 @@ def _run_audit(params, out_dir):
     obs, labels = params["observables"], None  # audit labels them G0, G1, ...
     if obs is None:
         labels, obs = zip(*conservation.default_commutant_basis(h))
-    # one pass checks the slices and feeds the series: no history is held;
+    # one pass checks the slices and makes the series: no history is held;
     # where a child can be forked and it pays, the child takes one block
-    # of pairs in three from its own forward step, and if it fails they
-    # are taken here
-    split = hasattr(os, "fork") and conservation._splits(h, steps)
-    window = conservation._AuditWindow(automaton._evolve_slices(s0, s1, h, steps),
-                                       h, obs, labels, split)
+    # of pairs in three of the observables that do not commute with H
+    # from its own forward step, and if it fails they are taken here
+    window = conservation._AuditWindow(
+        automaton._evolve_slices(s0, s1, h, steps), h, obs, labels,
+        hasattr(os, "fork") and conservation._splits(h, steps))
     job = partial(conservation._given_series,
-                  automaton._evolve_slices(s0, s1, h, steps), obs, h.dim)
+                  automaton._evolve_slices(s0, s1, h, steps), window.direct, h.dim)
     path, given = _write_trajectory(window, (s0, s1), steps, out_dir,
-                                    params["format"], job if split else None)
-    if split and given is None:
+                                    params["format"], job if window.split else None)
+    if window.split and given is None:
         given = job()
     report = window.report(given)
     artifacts = [path]
@@ -867,15 +872,31 @@ _RUNNERS = {
 }
 
 
+# kind -> every artifact name its runner can write, in either format
+_ARTIFACTS = {
+    "evolve": ("trajectory.csv", "trajectory.json"),
+    "audit": ("trajectory.csv", "trajectory.json", "audit.json", "series.csv"),
+    "reconstruct": ("reconstruction.csv", "reconstruction.json"),
+    "converge": ("convergence.csv", "convergence.json"),
+    "multi": ("field.json", "residual.csv"),
+    "bell": ("bell_field.json", "residual.csv"),
+    "leibniz": ("leibniz.csv",),
+}
+
+
 def run(config: ExperimentConfig, out_dir) -> dict:
     """Execute one experiment; returns the report object (also written).
 
-    A `report.json` an earlier run left in `out_dir` is removed before the
-    runner starts, so a run that raises leaves no verdict but its own.
+    The `report.json` and every artifact name the kind can write that an
+    earlier run left in `out_dir`, and each one's staging name, are
+    removed before the runner starts, so a run that raises leaves nothing
+    of an earlier run's output.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "report.json").unlink(missing_ok=True)
+    for name in ("report.json", *_ARTIFACTS[config.kind]):
+        (out_dir / name).unlink(missing_ok=True)
+        _staged(out_dir / name).unlink(missing_ok=True)
     started = time.perf_counter()
     checks, artifacts, info = _RUNNERS[config.kind](config.params, out_dir)
     report = {

@@ -7,25 +7,33 @@ matrix H, the two-point correlation
 
 takes a single integer value along every solution.  For self-adjoint G
 the second term is the complex conjugate of the first, so q_G(n) is
-exactly the real integer 2 Re psi_n^* G psi_{n-1}, which is also
-2 Re (G psi_n)^* psi_{n-1}: so one product G psi_n serves both q_G(n)
-and q_G(n+1) = 2 Re psi_{n+1}^* (G psi_n).  The per-G series
-(`_per_g_series`, which `two_point_series` runs for one G) takes one
+exactly the real integer 2 Re psi_n^* G psi_{n-1}.  When [G, H] = 0
+exactly, the series needs no big products per slice pair: on any
+trajectory, q_G(m+1) - q_G(m) = -2 Im (G psi_m)^* E_m, where E_m is
+the bracket of `automaton._bracket`, so q_G(1) from the seeds and one
+G-apply at each nonzero bracket give every value (`_derived_runs`).
+That is how `two_point_series` serves a trajectory that carries a
+checked pass (`automaton._kept_pass`) for an H that G commutes with,
+and how the audit serves each commuting G.  Every other series is
+direct: 2 Re (G psi_n)^* psi_{n-1} lets one product G psi_n serve both
+q_G(n) and q_G(n+1), so the per-G series (`_per_g_series`) takes one
 real inner product per clock index and one G-apply per two; a G that
-is not self-adjoint is rejected before any series.  Every value needs
-only the consecutive pair (psi_n, psi_{n-1}), so the audit is one
-series pass fed slice pairs: it serves all of its observables at once
-from one block of entry products per pair (`_block_series`), a
+is not self-adjoint is rejected before any series.  The audit feeds
+its non-commuting observables' slice pairs to one direct pass, from
+one block of entry products per pair (`_block_series`), a
 bilinear-form identity that needs no G-apply, or with the per-G
 series when that is cheaper.
 One report assembly turns the series and one checked pass
-(`automaton._Window`: the solution verdict, the seeds and the last two
-slices) into the verdicts, with the two-term form, the independent
-oracle `two_point_invariant`, checked at n = 1 and n = N on the first
-and last pairs.  The library audit feeds the series a stored
-trajectory and reads the pass kept on it; `_AuditWindow` is the pass
-over the forward step's slices and feeds the series as it writes the
-trajectory, so the CLI audit holds no history.
+(`automaton._Window`: the solution verdict, the seeds, the brackets
+and the last two slices) into the verdicts, with the two-term form,
+the independent oracle `two_point_invariant`, checked at n = 1 and
+n = N on the first and last pairs for every series, derived or direct.
+The library audit reads the pass kept on a stored trajectory;
+`_AuditWindow` is the pass over the forward step's slices and feeds
+the direct series as it writes the trajectory, so the CLI audit holds
+no history.  Only the direct series can be split with a forked child
+(`_given_series`), so an audit of commuting observables only gives the
+child no series job.
 With G the identity this is the constraint 2 Re psi_n^* psi_{n-1} =
 const, the discrete stand-in for state normalization.  The symmetrized
 single-site variant
@@ -41,7 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice, repeat, starmap
 from operator import add, mul
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -82,15 +90,26 @@ def two_point_series(traj: Trajectory, g: HermitianIntMatrix) -> list:
     Exact because G is self-adjoint (a `HermitianIntMatrix` is checked
     when built, any other G here, and ValueError rejects it otherwise):
     then psi_{n-1}^* G psi_n = conj(psi_n^* G psi_{n-1}), so the two terms
-    of q_G(n) sum to twice the real part of one.  The slice pairs go
-    through `_per_g_series`: one real inner product per n and one G-apply
-    per two (at n = 1, 3, 5, ...); every value is real.
+    of q_G(n) sum to twice the real part of one.  If the trajectory was
+    checked (`automaton._kept_pass`) against an H with [G, H] = 0, the
+    series is derived from that pass (`_derived_runs`): q_G(1) from the
+    seeds plus one step per nonzero bracket, exact on any trajectory, and
+    the two-term form at n = 1 and n = N must agree with it
+    (AssertionError otherwise).  Any other G, or a trajectory never
+    checked, goes through `_per_g_series`: one real inner product per n
+    and one G-apply per two (at n = 1, 3, 5, ...).  Every value is real.
     """
     _check_dims(traj, g)
     _check_self_adjoint(g)
+    kept, states = traj._swept, traj.states
+    if kept is not None and g.commutator(kept.h).is_zero():
+        steps = [_step(g.apply(states[m]), e) for m, e in kept.brackets]
+        values = [v for q, k in _derived_runs(g, states, kept.brackets, steps, traj.last)
+                  for v in repeat(GaussianInt(q, 0), k)]
+        _cross_check(values, (traj[1], traj[0]), (traj[-1], traj[-2]), g)
+        return values
     values = []
     feed = _per_g_series([g], [values])
-    states = traj.states
     for u, w in zip(states[1:], states):
         feed(u, w)
     return [GaussianInt(v, 0) for v in values]
@@ -100,6 +119,40 @@ def _check_self_adjoint(g):
     # the 2 Re shortcut is exact only for G = G^*
     if not (isinstance(g, HermitianIntMatrix) or g.is_hermitian()):
         raise ValueError("observable is not self-adjoint")
+
+
+def _commuting(observables: Sequence, h: HermitianIntMatrix) -> list:
+    """Whether [G, H] = 0 for each G, once every G is checked self-adjoint."""
+    for g in observables:
+        _check_self_adjoint(g)
+    return [g.commutator(h).is_zero() for g in observables]
+
+
+def _step(gx: GIVector, e: tuple) -> int:
+    """q_G(m+1) - q_G(m) at a site m whose bracket is e = (re, im), from
+    gx = G psi_m, for self-adjoint G with [G, H] = 0.
+
+    q_G(m+1) - q_G(m) = 2 Re (G psi_m)^* (psi_{m+1} - psi_{m-1}) on any
+    slices, and psi_{m+1} - psi_{m-1} = -i (H psi_m - E_m); the H term is
+    -i psi_m^* G H psi_m, imaginary because GH is self-adjoint, so the
+    step is -2 Im (G psi_m)^* E_m: 2d big products.
+    """
+    e_re, e_im = e
+    return 2 * (sum(map(mul, gx.im, e_re)) - sum(map(mul, gx.re, e_im)))
+
+
+def _derived_runs(g: HermitianIntMatrix, seeds: Sequence, brackets: Sequence,
+                  steps: Sequence, pairs: int) -> Iterator[tuple]:
+    """q_G(1..pairs) as runs (value, count), for a G with [G, H] = 0:
+    q_G(1) = 2 Re psi_1^* G psi_0 from `seeds` (psi_0, psi_1, ...), then
+    at each (site m, bracket) of `brackets`, in site order, q_G(m+1) is
+    q_G(m) plus that site's `_step` in `steps`; it is q_G(m) at every
+    site whose bracket is zero."""
+    q, n = 2 * g.apply(seeds[0]).inner_re(seeds[1]), 1
+    for (m, _), step in zip(brackets, steps):
+        yield q, m + 1 - n
+        q, n = q + step, m + 1
+    yield q, pairs + 1 - n
 
 
 def _cross_check(series: Sequence, first: tuple, last: tuple,
@@ -209,10 +262,9 @@ def _audit_series(observables: Sequence, dim: int):
     q_G(n) as an int to the G's list in `series`.  The pass uses the
     product block when it takes no more big products per slice than one
     real inner product per G (2d each), else the per-G series; the
-    choice depends only on the observables' nonzero pattern.
+    choice depends only on the observables' nonzero pattern.  Every G
+    must be self-adjoint (`_commuting` checks it).
     """
-    for g in observables:
-        _check_self_adjoint(g)
     program = _block_program(observables, dim)
     s_pairs, t_pairs, _ = program
     series = [[] for _ in observables]
@@ -340,20 +392,28 @@ def _labels(labels: Optional[Sequence[str]], observables: Sequence) -> Sequence[
 
 
 def _report(window: _Window, observables: Sequence, labels: Sequence[str],
-            series: Sequence) -> AuditReport:
-    """The audit of one series pass over the slices of a drained `window`.
+            commutes: Sequence[bool], direct: Sequence, steps: Sequence) -> AuditReport:
+    """The audit of the slices of a drained `window`.
 
-    `series` holds each observable's q_G(1..N) as ints; H, the solution
-    verdict, the slice count and the pairs (psi_1, psi_0) and
-    (psi_N, psi_{N-1}) come from the window.  Per G: whether [G, H] = 0,
+    `commutes` says for each G whether [G, H] = 0 (`_commuting`).  A
+    commuting G's series is derived (`_derived_runs`) from the window's
+    seeds and brackets and its list of `_step`s, the next one of `steps`;
+    any other G's is the next of `direct`, its q_G(1..N) as ints from a
+    series pass.  H, the solution verdict, the slice count and the pairs
+    (psi_1, psi_0) and (psi_N, psi_{N-1}) come from the window.  Per G:
     the two-term cross-check at both ends, and the value or the drift.
     """
     h = window.h
     first, last = window.seeds[::-1], window.ends[::-1]
     norm = _pair_norm(*first)
+    direct, steps = iter(direct), iter(steps)
     entries = []
-    for label, g, values in zip(labels, observables, series):
-        commutes = g.commutator(h).is_zero()
+    for label, g, commutes in zip(labels, observables, commutes):
+        if commutes:
+            values = list(chain.from_iterable(starmap(repeat, _derived_runs(
+                g, window.seeds, window.brackets, next(steps), window.slices - 1))))
+        else:
+            values = next(direct)
         _cross_check(values, first, last, g)
         conserved = len(set(values)) == 1
         value = GaussianInt(values[0], 0) if conserved else None
@@ -387,31 +447,38 @@ def audit_conservation(traj: Trajectory, h: HermitianIntMatrix,
     vanishes; for non-commuting G the observed values.  A zero
     normalization invariant is legitimate but flagged.
 
-    All series come from one pass over the slice pairs (`_audit_series`):
-    one shared block of entry products per slice (see `_block_series`)
-    whenever that takes no more big products, 2d + 2 per off-diagonal
-    pair with a nonzero real part in some G + 2 per pair with a nonzero
-    imaginary part, than the 2d per G of one real inner product each;
-    otherwise the per-G series (`_per_g_series`, one G-apply per G and
-    two slices).  The choice depends only on the observables' nonzero
-    pattern.  The solution verdict is the checked pass kept on the
-    trajectory (`automaton._kept_pass`), so no second H sweep runs;
-    `_AuditWindow` feeds the same series and report from a three-slice
-    window.  Raises ValueError if `labels` and `observables`
-    differ in length or a G is not self-adjoint, and AssertionError if a
-    series disagrees with the two-term `two_point_invariant` at n = 1 or
-    at n = N.
+    The solution verdict is the checked pass kept on the trajectory
+    (`automaton._kept_pass`), so no second H sweep runs.  A commuting G's
+    series is derived from that pass (`_derived_runs`): q_G(1) from the
+    seeds, then one G-apply and 2d big products at each nonzero bracket,
+    none on a solution.  The other observables' series come from one pass
+    over the slice pairs (`_audit_series`): one shared block of entry
+    products per slice (see `_block_series`) whenever that takes no more
+    big products, 2d + 2 per off-diagonal pair with a nonzero real part
+    in some G + 2 per pair with a nonzero imaginary part, than the 2d per
+    G of one real inner product each; otherwise the per-G series
+    (`_per_g_series`, one G-apply per G and two slices).  The choice
+    depends only on their nonzero pattern.  `_AuditWindow` makes the same
+    report from a three-slice window.  Raises ValueError if `labels` and
+    `observables` differ in length or a G is not self-adjoint, and
+    AssertionError if a series disagrees with the two-term
+    `two_point_invariant` at n = 1 or at n = N.
     """
     _check_dims(traj, h)
     labels = _labels(labels, observables)
     for g in observables:
         _check_dims(traj, g)
     window = _kept_pass(traj, h)
-    feed, series = _audit_series(observables, traj.dim)
-    states = traj.states
-    for u, w in zip(states[1:], states):
-        feed(u, w)
-    return _report(window, observables, labels, series)
+    commutes = _commuting(observables, h)
+    direct = [g for g, c in zip(observables, commutes) if not c]
+    series, states = [], traj.states
+    if direct:
+        feed, series = _audit_series(direct, traj.dim)
+        for u, w in zip(states[1:], states):
+            feed(u, w)
+    steps = [[_step(g.apply(states[m]), e) for m, e in window.brackets]
+             for g, c in zip(observables, commutes) if c]
+    return _report(window, observables, labels, commutes, series, steps)
 
 
 _BLOCK = 64  # slice pairs per block of a split series pass
@@ -470,16 +537,18 @@ class _AuditWindow(_Window):
     """`audit_conservation` of a slice stream, fed from the three-slice
     window that checks it.
 
-    `drain()` (see `automaton._Window`) hands each slice pair (psi_n,
-    psi_{n-1}) to one series pass; after it, `report()` is the audit of
-    the slices it pulled.  A `split` pass feeds only the pairs that
-    `_given_away` keeps, and `report(given)` takes the rest from
-    `_given_series`, which a forked child runs over its own forward
-    step.  Its last two slices must equal `ends`: two solutions of one
-    H that agree there agree everywhere, since the step reverses, and
-    the pass has checked its own slices.  The given series are merged
-    block by block into the pass's, so the report is the same as an
-    unsplit pass's.
+    `drain()` (see `automaton._Window`) visits each slice pair (psi_n,
+    psi_{n-1}).  At a nonzero bracket E_{n-1} it applies each commuting G
+    to psi_{n-1} for that G's `_step`; the other observables, `direct`,
+    get the pair in one series pass.  After it, `report()` is the audit of the
+    slices it pulled.  A `split` pass, which needs a direct observable,
+    feeds only the pairs that `_given_away` keeps, and `report(given)`
+    takes the rest from `_given_series` of `direct`, which a forked child
+    runs over its own forward step.  Its last two slices must equal
+    `ends`: two solutions of one H that agree there agree everywhere,
+    since the step reverses, and the pass has checked its own slices.
+    The given series are merged block by block into the pass's, so the
+    report is the same as an unsplit pass's.
     """
 
     def __init__(self, slices: Iterable[GIVector], h: HermitianIntMatrix,
@@ -488,14 +557,22 @@ class _AuditWindow(_Window):
         super().__init__(slices, h)
         self._labels = _labels(labels, observables)
         self._observables = observables
-        self._feed, self._series = _audit_series(observables, h.dim)
-        self._split = split
+        self._commutes = _commuting(observables, h)
+        self.direct = [g for g, c in zip(observables, self._commutes) if not c]
+        self._derived = [g for g, c in zip(observables, self._commutes) if c]
+        self._steps = [[] for _ in self._derived]
+        self._feed, self._series = \
+            _audit_series(self.direct, h.dim) if self.direct else (None, [])
+        self.split = split and self._feed is not None
         self._pairs = 0
 
     def _visit(self, psi, up, e):
         if psi is not None:
             self._pairs += 1
-            if not (self._split and _given_away(self._pairs)):
+            if e is not None:
+                for g, steps in zip(self._derived, self._steps):
+                    steps.append(_step(g.apply(psi), e))
+            if self._feed and not (self.split and _given_away(self._pairs)):
                 self._feed(up, psi)
 
     def report(self, given: tuple = None) -> AuditReport:
@@ -503,7 +580,7 @@ class _AuditWindow(_Window):
         pass, and AssertionError rejects it unless it ends on `ends` and
         holds the values of the pairs the pass left out."""
         series = self._series
-        if self._split:
+        if self.split:
             values, ends = given
             pairs = self._pairs
             if ends != tuple((v.re, v.im) for v in self.ends) or \
@@ -512,7 +589,8 @@ class _AuditWindow(_Window):
                 raise AssertionError("the given-away series are not of the "
                                      "slices this pass checked")
             series = _merged(series, values, pairs)
-        return _report(self, self._observables, self._labels, series)
+        return _report(self, self._observables, self._labels, self._commutes,
+                       series, self._steps)
 
 
 def _series_csv_pieces(named_series: Sequence) -> Iterator[str]:

@@ -212,6 +212,50 @@ def test_a_failing_run_leaves_no_earlier_verdict(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "out" / "report.json").exists()
 
 
+def test_a_failing_run_leaves_no_earlier_artifact(tmp_path, capsys):
+    # H = [[3]] grows past a float's range in 2000 steps, so the second
+    # reconstruction raises OverflowError after the stale names are gone
+    ok = write_config(tmp_path / "ok.json", EXAMPLES["reconstruct"])
+    bad = write_config(tmp_path / "bad.json", dict(
+        EXAMPLES["reconstruct"], hamiltonians=[[[[3, 0]]]], seeds=[[[1, 0]], [[1, 0]]],
+        steps=2000))
+    out = tmp_path / "out"
+    assert main(["reconstruct", "--config", ok, "--out", str(out)]) == 0
+    assert (out / "reconstruction.csv").exists()
+    capsys.readouterr()
+    assert main(["reconstruct", "--config", bad, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("FAIL reconstruct — OverflowError")
+    assert list(out.iterdir()) == []
+
+
+def test_a_run_removes_the_stale_names_of_its_kind(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    out.mkdir()
+    stale = [".trajectory.csv.part", "trajectory.json", ".report.json.part",
+             "report.json", "series.csv"]
+    for name in stale + ["notes.txt"]:
+        (out / name).write_text("stale\n")
+
+    def raising(params, out_dir):
+        raise RuntimeError("module error")
+
+    monkeypatch.setitem(cli._RUNNERS, "evolve", raising)
+    with pytest.raises(RuntimeError, match="module error"):
+        run(load_config(evolve_config(tmp_path)), out)
+    # an evolve writes no series.csv, and notes.txt is no artifact name
+    assert sorted(p.name for p in out.iterdir()) == ["notes.txt", "series.csv"]
+
+
+@pytest.mark.parametrize("kind", cli.KINDS)
+def test_each_kind_writes_only_names_it_removes_first(tmp_path, kind):
+    for fmt in (("csv", "json") if kind in FORMAT_KINDS else (None,)):
+        obj = EXAMPLES[kind] if fmt is None else dict(EXAMPLES[kind],
+                                                      output={"format": fmt})
+        report = run(load_config(write_config(tmp_path / "cfg.json", obj)),
+                     tmp_path / str(fmt))
+        assert set(report["artifact_bytes"]) <= set(cli._ARTIFACTS[kind])
+
+
 def test_failed_check_returns_one(tmp_path):
     # copy seeding degrades the scaling order below the declared bar
     path = write_config(tmp_path / "cfg.json", {
@@ -343,17 +387,18 @@ def test_interaction_must_be_self_adjoint(tmp_path):
 
 def test_audit_computes_each_series_once(tmp_path, monkeypatch):
     # 401 slice pairs in blocks of 64: a forked run gives blocks 2 and 5
-    # (n = 129..192 and 321..384) to the child and feeds the rest here
-    path = write_config(tmp_path / "cfg.json", {
-        "kind": "audit", "hamiltonians": [TRIDIAGONAL],
-        "seeds": TRIDIAGONAL_SEEDS, "steps": 400})
+    # (n = 129..192 and 321..384) of the one observable that does not
+    # commute with H to the child and feeds the rest here
+    path = write_config(tmp_path / "cfg.json", dict(SPLIT_AUDIT, steps=400))
     cfg = load_config(path)
-    h = cfg.params["hamiltonian"]
+    h, obs = cfg.params["hamiltonian"], cfg.params["observables"]
+    tilt = obs[-1]
     traj = evolve(*cfg.params["seeds"], h, 400)
     index = {(s.re, s.im): n for n, s in enumerate(traj)}
     assert len(index) == len(traj)  # each slice names its clock index
-    labels, basis = zip(*conservation.default_commutant_basis(h))
-    want = [[v.re for v in conservation.two_point_series(traj, g)] for g in basis]
+    labels = [f"G{k}" for k in range(len(obs))]
+    every = [[v.re for v in conservation.two_point_series(traj, g)] for g in obs]
+    want = every[-1:]
     given = [n for n in range(1, 402) if 129 <= n <= 192 or 321 <= n <= 384]
     for schedule in ("inline", "forked"):
         with monkeypatch.context() as patched:
@@ -381,9 +426,11 @@ def test_audit_computes_each_series_once(tmp_path, monkeypatch):
             audits = count_calls(patched, conservation, "audit_conservation")
             histories = count_calls(patched, Trajectory, "__init__")
             run(cfg, tmp_path / schedule)
-        # one series pass here for the whole basis, fed by the window: a
-        # single product block and no stored trajectory
-        assert len(passes) == 1 and len(passes[0][0]) == 4
+        # one series pass here, fed by the window, for the one observable
+        # whose series is not derived from the brackets: a single product
+        # block and no stored trajectory
+        assert len(passes) == 1 and len(passes[0][0]) == 1
+        assert passes[0][0][0] is tilt
         assert len(blocks) == 1 and series == []
         assert rates == [] and quantities == []
         assert audits == [] and histories == []
@@ -399,7 +446,7 @@ def test_audit_computes_each_series_once(tmp_path, monkeypatch):
             assert fed == list(range(1, 402)) and sent is None
         assert (tmp_path / schedule / "series.csv").read_text() == \
             conservation.series_to_csv(
-                [(l, [GaussianInt(v, 0) for v in w]) for l, w in zip(labels, want)])
+                [(l, [GaussianInt(v, 0) for v in w]) for l, w in zip(labels, every)])
 
 
 def test_evolve_and_audit_sweep_the_brackets_once(tmp_path, monkeypatch):
@@ -1082,6 +1129,13 @@ FORK_RUNS = {
                "steps": 6}, COMPOSITE_FAILURES),
     "bell": (dict(EXAMPLES["bell"], steps=30), COMPOSITE_FAILURES),
 }
+# the audit with TRIDIAGONAL's default basis written out and diag(1, 0, 0),
+# which does not commute with it: the basis's series are derived from the
+# brackets, so only that one observable's series gives the child blocks
+TILT = [[[1, 0], [0, 0], [0, 0]], [[0, 0]] * 3, [[0, 0]] * 3]
+SPLIT_AUDIT = dict(FORK_RUNS["audit"][0], observables=[
+    g.to_pairs() for _, g in conservation.default_commutant_basis(
+        HermitianIntMatrix(GIMatrix.from_pairs(TRIDIAGONAL)))] + [TILT])
 
 
 @pytest.mark.parametrize("schedule", ["forked", "inline"])
@@ -1122,7 +1176,8 @@ def test_an_interrupted_wait_kills_and_reaps_the_writer(tmp_path, monkeypatch, k
     # an exception in the parent's wait for the writer child, as a ^C
     # there raises, must not leave the child or its staged file: in the
     # wait itself, or in the read of what the audit's child computed
-    cfg = load_config(write_config(tmp_path / "cfg.json", FORK_RUNS[kind][0]))
+    obj = SPLIT_AUDIT if where == "read" else FORK_RUNS[kind][0]
+    cfg = load_config(write_config(tmp_path / "cfg.json", obj))
     waitpid, interrupted = os.waitpid, []
     wrapped = getattr(os, where)
 
@@ -1196,7 +1251,7 @@ def test_a_failed_series_child_leaves_its_blocks_to_this_process(tmp_path, monke
                                                                  capsys, job):
     written = count_calls(monkeypatch, cli, "_stage_text")
     forked, inline = run_in_both_schedules(
-        tmp_path, monkeypatch, capsys, FORK_RUNS["audit"][0],
+        tmp_path, monkeypatch, capsys, SPLIT_AUDIT,
         (conservation, "_given_series", in_the_child(job)))
     # the child's blocks are computed here, after the drain, and the run
     # prints and writes what a run without a child does
@@ -1229,7 +1284,7 @@ def one_series_short(*args):
                          ids=["ends", "length", "observables"])
 def test_a_series_child_off_the_checked_slices_fails_the_run(tmp_path, monkeypatch,
                                                              capsys, job):
-    path = write_config(tmp_path / "cfg.json", FORK_RUNS["audit"][0])
+    path = write_config(tmp_path / "cfg.json", SPLIT_AUDIT)
     forks = use_schedule(monkeypatch, "forked")
     monkeypatch.setattr(conservation, "_given_series", in_the_child(job))
     out = tmp_path / "out"
@@ -1245,8 +1300,8 @@ def test_a_series_child_off_the_checked_slices_fails_the_run(tmp_path, monkeypat
 
 # a drifting observable on the per-G side of the series selection, with
 # steps + 1 pairs on each side of the edges of the child's first two
-# blocks (n = 129..192 and 321..384); and the default basis with a
-# corrupted slice in the child's block
+# blocks (n = 129..192 and 321..384); and `SPLIT_AUDIT` with a corrupted
+# slice in the child's block
 PER_G_DRIFT = dict(GOLDEN_AUDITS["drift"][0],
                    observables=[[[[1, 0], [1, 2]], [[1, -2], [0, 0]]]])
 
@@ -1254,7 +1309,7 @@ PER_G_DRIFT = dict(GOLDEN_AUDITS["drift"][0],
 @pytest.mark.parametrize("obj, bumped", [
     pytest.param(dict(PER_G_DRIFT, steps=steps), None, id=str(steps))
     for steps in (127, 128, 191, 192, 319, 320, 383, 384)]
-    + [pytest.param(FORK_RUNS["audit"][0], 150, id="slice-150")])
+    + [pytest.param(SPLIT_AUDIT, 150, id="slice-150")])
 def test_a_split_audit_writes_the_same_bytes_in_both_schedules(tmp_path, monkeypatch,
                                                                capsys, obj, bumped):
     patch = None
@@ -1272,9 +1327,8 @@ def test_a_split_audit_writes_the_same_bytes_in_both_schedules(tmp_path, monkeyp
     if bumped is not None:
         stream = bump_slice(stream, bumped)
     traj = Trajectory(stream(s0, s1, h, steps))
-    obs, labels = cfg.params["observables"], ["G0"]
-    if obs is None:
-        labels, obs = zip(*conservation.default_commutant_basis(h))
+    obs = cfg.params["observables"]
+    labels = [f"G{k}" for k in range(len(obs))]
     audit = conservation.audit_conservation(traj, h, obs, labels)
     assert any(not e.conserved for e in audit.entries)
     out = tmp_path / "forked"
@@ -1286,11 +1340,16 @@ def test_a_split_audit_writes_the_same_bytes_in_both_schedules(tmp_path, monkeyp
 
 # the child takes series blocks past two blocks of pairs, unless H's
 # eigenvalues are provably at most 2 in size (Gershgorin: PAULI_X's rows
-# sum to 1), so that the entries stay small and its text is the long side
+# sum to 1), so that the entries stay small and its text is the long side,
+# and only of observables that do not commute with H: an audit whose
+# observables all commute, as the default basis does, forks no series job
 @pytest.mark.parametrize("obj, job", [
-    pytest.param(dict(FORK_RUNS["audit"][0], steps=127), False, id="two-blocks"),
-    pytest.param(dict(FORK_RUNS["audit"][0], steps=128), True, id="three-blocks"),
-    pytest.param(dict(EXAMPLES["audit"], steps=400), False, id="bounded")])
+    pytest.param(dict(SPLIT_AUDIT, steps=127), False, id="two-blocks"),
+    pytest.param(dict(SPLIT_AUDIT, steps=128), True, id="three-blocks"),
+    pytest.param(dict(EXAMPLES["audit"], steps=400,
+                      observables=[PAULI_X, [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]]),
+                 False, id="bounded"),
+    pytest.param(dict(FORK_RUNS["audit"][0], steps=128), False, id="all-commuting")])
 def test_the_child_takes_series_blocks_only_where_it_pays(tmp_path, monkeypatch, obj,
                                                           job):
     forks = count_calls(monkeypatch, cli, "_fork_writer")

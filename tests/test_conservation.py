@@ -38,6 +38,15 @@ PAULI_Z = HermitianIntMatrix(GIMatrix([[gi(1), gi(0)], [gi(0), gi(-1)]]))
 H_TWO = HermitianIntMatrix(GIMatrix([[gi(2)]]))
 
 
+def tilted(g):
+    """g + diag(1, 0, ..., 0).  For a g that commutes with H, this still
+    commutes only if H's first row is zero off the diagonal, so it moves g
+    off the derived path onto a series pass."""
+    d = g.dim
+    return HermitianIntMatrix(g + GIMatrix([[gi(int(a == b == 0)) for b in range(d)]
+                                            for a in range(d)]))
+
+
 def test_two_point_identity_example():
     traj = Trajectory([vec((1, 0), (0, 0)), vec((1, 0), (0, 0))])
     assert two_point_invariant(traj, HermitianIntMatrix.identity(2), 1) == gi(2)
@@ -79,6 +88,78 @@ def test_two_point_series_is_the_two_term_invariant(dim, slices, observable, bit
     assume(slices == 2 or not is_solution(traj, h))
     assert two_point_series(traj, g) == [two_point_invariant(traj, g, n)
                                          for n in range(1, slices)]
+
+
+@settings(max_examples=80)
+@given(dim=st.integers(1, 4), slices=st.integers(2, 8),
+       observable=st.sampled_from(["zero", "identity", "power", "polynomial",
+                                   "noncommuting"]),
+       bits=st.sampled_from([2, 64, 620]), rng=st.randoms(use_true_random=False))
+def test_the_derived_series_is_the_direct_one(dim, slices, observable, bits, rng):
+    # random slices, almost never a solution: a G that commutes with the H
+    # of the kept pass gets its series from q_G(1) and the brackets, and
+    # any other G the direct series, in the library and the window alike
+    h = random_hermitian(rng, dim)
+    traj = random_trajectory(rng, dim, slices, 2 ** bits)
+    if observable == "zero":
+        g = HermitianIntMatrix.zeros(dim)
+    elif observable == "identity":
+        g = HermitianIntMatrix.identity(dim)
+    elif observable == "power":
+        g = h.power(rng.randint(1, 4))
+    elif observable == "polynomial":
+        g = HermitianIntMatrix(GIMatrix.identity(dim).scale(rng.randint(-5, 5))
+                               + h.scale(rng.randint(-5, 5))
+                               + h.power(3).scale(rng.randint(-5, 5)))
+    else:
+        g = random_hermitian(rng, dim, 2 ** 20)
+    commutes = g.commutator(h).is_zero()
+    if observable == "noncommuting":
+        assume(not commutes)  # a random G may commute by chance, as at d = 1
+    else:
+        assert commutes
+    direct = two_point_series(traj, g)  # no pass is kept on traj yet
+    # two slices have no interior site, so no recurrence to violate
+    assume(not is_solution(traj, h) or slices == 2)
+    with pytest.MonkeyPatch.context() as m:
+        per_g = count_calls(m, conservation, "_per_g_series")
+        assert two_point_series(traj, g) == direct
+        assert (per_g == []) == commutes
+        report = audit_conservation(traj, h, [g])
+        window = conservation._AuditWindow(iter(traj.states), h, [g])
+        window.drain()
+        assert window.report() == report
+    entry, = report.entries
+    assert entry.commutes == commutes
+    assert (entry.value,) == tuple(set(direct)) if entry.conserved else \
+        entry.drift == tuple(enumerate(direct, 1))
+
+
+@pytest.mark.parametrize("steps", [10, 200])
+@pytest.mark.parametrize("corrupted", [False, True], ids=["solution", "corrupted"])
+def test_a_checked_trajectory_derives_each_basis_series(rng, monkeypatch, steps,
+                                                        corrupted):
+    # the G-applies of each basis series do not grow with the steps: d in
+    # the commutator's G @ H, one for q_G(1), four in the two-term
+    # cross-checks at n = 1 and n = N, and one per nonzero bracket
+    d = 4
+    h = random_hermitian(rng, d)
+    traj = evolve(random_vector(rng, d), random_vector(rng, d), h, steps)
+    if corrupted:
+        traj = traj.replace(5, traj[5] + vec((1, 0), (0, 0), (0, 1), (0, 0)))
+    assert is_solution(traj, h) != corrupted
+    brackets = len(conservation._kept_pass(traj, h).brackets)
+    assert brackets == (3 if corrupted else 0)
+    per_g = count_calls(monkeypatch, conservation, "_per_g_series")
+    applied = count_calls(monkeypatch, GIMatrix, "apply")
+    for _, g in default_commutant_basis(h):
+        applied.clear()
+        series = two_point_series(traj, g)
+        assert per_g == []
+        assert sum(m is g for m, _ in applied) == d + 5 + brackets
+        assert len(series) == traj.last
+        assert series[0] == two_point_invariant(traj, g, 1)
+        assert series[-1] == two_point_invariant(traj, g, traj.last)
 
 
 def test_two_point_index_bounds():
@@ -313,13 +394,30 @@ def test_the_cross_check_reaches_the_last_value(rng, monkeypatch):
             return bumped
         return corrupted
 
-    # the product block (four observables) and the per-G series (one)
-    for name, observables in (("_block_series", basis),
-                              ("_per_g_series", basis[1:2])):
+    # the basis commutes with H, so its series is derived from the checked
+    # pass; the basis tilted by diag(1, 0) does not, and takes the product
+    # block (four observables) or the per-G series (one)
+    tilts = [tilted(g) for g in basis]
+    assert not any(g.commutator(h).is_zero() for g in tilts)
+    for name, observables in (("_block_series", tilts),
+                              ("_per_g_series", tilts[1:2])):
         with monkeypatch.context() as m:
             m.setattr(conservation, name, corrupt_last(getattr(conservation, name)))
             with pytest.raises(AssertionError, match=f"last index n = {traj.last}"):
                 audit_conservation(traj, h, observables)
+
+    derived_runs = conservation._derived_runs
+
+    def bumped_last(*args):
+        # the same runs, with the value at n = N alone raised by 2
+        *runs, (q, k) = derived_runs(*args)
+        return [*runs, (q, k - 1), (q + 2, 1)]
+
+    monkeypatch.setattr(conservation, "_derived_runs", bumped_last)
+    for call in (lambda: audit_conservation(traj, h, basis),
+                 lambda: two_point_series(traj, basis[2])):
+        with pytest.raises(AssertionError, match=f"last index n = {traj.last}"):
+            call()
 
 
 @pytest.mark.parametrize("labels, count", [(["a"], 2), (["a", "b", "c"], 2)])
@@ -388,7 +486,10 @@ def test_the_per_g_series_applies_each_g_once_per_two_values(rng, monkeypatch, s
     n = traj.last
     dense = HermitianIntMatrix([[gi(a + 1) if a == b else gi(a + b + 1, b - a)
                                  for b in range(6)] for a in range(6)])
-    square = h.power(2)
+    # H^2 tilted by diag(1, 0, ..., 0) does not commute with H, so the
+    # audit gives it a series pass, as it does the dense G
+    square = tilted(h.power(2))
+    assert not square.commutator(h).is_zero() and not dense.commutator(h).is_zero()
     want = {id(g): [v.re for v in two_point_series(traj, g)] for g in (square, dense)}
     per_g = count_calls(monkeypatch, conservation, "_per_g_series")
     applied = count_calls(monkeypatch, GIMatrix, "apply")
@@ -446,8 +547,9 @@ def test_the_audit_selects_the_block_by_big_products(rng, monkeypatch):
         return kernel(self, v)
 
     monkeypatch.setattr(GIMatrix, "apply", counting)
-    # default basis of a real tridiagonal H: 12 block products per slice
-    # against 24; observables apply only in the two-term cross-checks
+    # the default basis of a real tridiagonal H commutes with it: no series
+    # pass, and per observable one apply for q_G(1) and the two-term
+    # cross-checks' two at n = 1 and two at n = N
     h = HermitianIntMatrix([[gi(1), gi(1), gi(0)], [gi(1), gi(0), gi(1)],
                             [gi(0), gi(1), gi(-1)]])
     traj = evolve(random_vector(rng, 3), random_vector(rng, 3), h, 40)
@@ -455,10 +557,20 @@ def test_the_audit_selects_the_block_by_big_products(rng, monkeypatch):
     slices, observables = {id(s) for s in traj}, {id(g) for g in basis}
     applied.clear()
     audit_conservation(traj, h, basis)
+    assert block == [] and per_g == []
+    assert sum(id(m) in observables and id(v) in slices
+               for m, v in applied) == 5 * len(basis)
+    # the basis tilted by diag(1, 0, 0) has its nonzero pattern and does not
+    # commute: 12 block products per slice against 24; observables apply
+    # only in the two-term cross-checks
+    tilts = [tilted(g) for g in basis]
+    observables = {id(g) for g in tilts}
+    applied.clear()
+    audit_conservation(traj, h, tilts)
     assert len(block) == 1 and per_g == []
     # two applies at n = 1 and two at n = N per observable
     assert sum(id(m) in observables and id(v) in slices
-               for m, v in applied) == 4 * len(basis)
+               for m, v in applied) == 4 * len(tilts)
     # a tie goes to the block: two dense real G at d = 3 take 6 + 2*3
     # block products against 2 * 6
     tie = [HermitianIntMatrix([[gi(k + a + b) for b in range(3)] for a in range(3)])
