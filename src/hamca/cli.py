@@ -27,10 +27,12 @@ the zero residual where the config predicts it (no interaction, or a
 zero one, and always for `bell`), published only if the computed
 residual is zero.  Any text the child did not stage, or that the
 checks reject, is written here after them, and without `os.fork` all
-of it is.  Where some observable does not commute with H, the `audit`
-child then also computes those observables' series of one block of
-slice pairs in three from its own forward step and sends them back
-with its last two slices; this process feeds its series the other
+of it is.  A child whose parent is gone, killed say, removes what it
+staged and exits within `_PIECES_PER_CHECK` pieces, so no writer
+outlives its run.  Where some observable does not commute with H, the
+`audit` child then also computes those observables' series of one
+block of slice pairs in three from its own forward step and sends them
+back with its last two slices; this process feeds its series the other
 pairs, requires those slices to equal the last two it checked, and
 merges the blocks in order (computing them itself if the child
 failed).  A commuting observable's series is derived from the
@@ -56,7 +58,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import Optional
 
@@ -510,6 +512,26 @@ def _zero_residual_pieces(wave):
 _JOB_FAILED = 2
 
 
+# pieces a writer child stages between two checks of its parent
+_PIECES_PER_CHECK = 64
+
+
+def _while_parent(pieces, parent: int):
+    """`pieces`, checked before every `_PIECES_PER_CHECK` of them that
+    this process's parent is still `parent`: once it has been
+    reparented, RuntimeError.  A check is a system call: on a field of
+    8,290 small pieces a check per piece took 1.6 ms of the child's
+    time and a check per batch 0.2 ms (CPython 3.11, x86-64)."""
+
+    def checked(pieces=iter(pieces)):
+        while batch := list(islice(pieces, _PIECES_PER_CHECK)):
+            if os.getppid() != parent:
+                raise RuntimeError("the writer's parent is gone")
+            yield batch
+
+    return chain.from_iterable(checked())
+
+
 def _fork_writer(staged, job=None) -> Optional[tuple]:
     """(pid, fd) of a forked child that stages each (path, pieces) of
     `staged`, in order, then, given a `job`, runs it and writes its
@@ -517,12 +539,18 @@ def _fork_writer(staged, job=None) -> Optional[tuple]:
     without a job); it exits 0 once all is done, `_JOB_FAILED` if only
     the job failed.  None where `os.fork` does not exist or fails.
 
-    The child leaves by `os._exit`, whatever happens, so it never unwinds
-    into the caller or flushes buffers it inherited.
+    Between batches of pieces the child checks that its parent is still
+    the process that forked it (`_while_parent`), and once more at the
+    end.  A child whose parent is gone, killed or not, removes every
+    staged name and exits 1, so no writer outlives its run and no
+    staging file is left in the output directory.  The child leaves by
+    `os._exit`, whatever happens, so it never unwinds into the caller
+    or flushes buffers it inherited.
     """
     fork = getattr(os, "fork", None)
     if fork is None:
         return None
+    parent = os.getpid()
     r, w = os.pipe() if job is not None else (None, None)
     try:
         pid = fork()
@@ -536,7 +564,7 @@ def _fork_writer(staged, job=None) -> Optional[tuple]:
     code = 1
     try:
         for path, pieces in staged:
-            _stage_text(path, pieces)
+            _stage_text(path, _while_parent(pieces, parent))
         code = _JOB_FAILED
         if job is not None:
             os.close(r)
@@ -544,6 +572,10 @@ def _fork_writer(staged, job=None) -> Optional[tuple]:
                 marshal.dump(job(), fh)
         code = 0
     finally:
+        if os.getppid() != parent:
+            for path, _ in staged:
+                _staged(path).unlink(missing_ok=True)
+            code = 1
         os._exit(code)
 
 

@@ -11,10 +11,13 @@ split, as two tuples of plain ints (`GIVector.re`, `GIVector.im`), a
 matrix as a tuple of such rows (`GIMatrix.rows`), and every operation
 works on those tuples; `GIMatrix.apply`, the one matvec kernel, runs a
 per-row program of nonzero real and imaginary coefficients compiled
-when the matrix is built.  Scalars are built only when a caller
-indexes or iterates.  A self-adjoint coupling or observable is a
+when the matrix is built, and gives M v or, with a base, M v + base in
+the same pass.  Scalars are built only when a caller indexes or
+iterates.  A self-adjoint coupling or observable is a
 `HermitianIntMatrix`, the `GIMatrix` subtype whose constructor checks
-it: symmetric real part, antisymmetric imaginary part.
+it: symmetric real part, antisymmetric imaginary part.  A matrix H
+keeps -iH and iH, the matrices of the automaton's two steps, once they
+are built.
 
 The literal encoding shared with the CLI writes a scalar as the
 two-element pair [re, im], a vector as a list of pairs, and a matrix as
@@ -26,9 +29,9 @@ from __future__ import annotations
 
 import contextlib
 import sys
-from itertools import chain
+from itertools import chain, repeat
 from operator import add, mul, neg, sub
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 __all__ = [
     "GaussianInt",
@@ -353,7 +356,7 @@ class GIMatrix:
     diagonals, zero entries, the identity) cost nothing.
     """
 
-    __slots__ = ("rows", "_program")
+    __slots__ = ("rows", "_program", "_turns")
 
     def __init__(self, rows: Iterable[Iterable]):
         rws = tuple(r if isinstance(r, GIVector)
@@ -368,6 +371,7 @@ class GIMatrix:
             (tuple((j, c) for j, c in enumerate(r.re) if c),
              tuple((j, c) for j, c in enumerate(r.im) if c))
             for r in rws)
+        self._turns = None
 
     @property
     def dim(self) -> int:
@@ -383,19 +387,38 @@ class GIMatrix:
     def zeros(cls, dim: int) -> "GIMatrix":
         return cls([GIVector.zero(dim)] * dim)
 
+    def _step_matrices(self) -> tuple:
+        """(-iH, iH) of this matrix H, built on the first call and kept:
+        the matrices of the automaton's forward step
+        psi_{n+1} = (-iH) psi_n + psi_{n-1} and of its step back
+        psi_{n-1} = (iH) psi_n + psi_{n+1}, each one affine `apply`."""
+        if self._turns is None:
+            self._turns = (self.scale(-IMAG_UNIT), self.scale(IMAG_UNIT))
+        return self._turns
+
     def entry(self, i: int, j: int) -> GaussianInt:
         return self.rows[i][j]
 
-    def apply(self, v: GIVector) -> GIVector:
-        """Matrix-vector product, exact; the one matvec kernel."""
-        if len(self.rows) != len(v.re):
-            raise ValueError(f"dimension mismatch: matrix {self.dim} vs vector {v.dim}")
+    def apply(self, v: GIVector, base: Optional[GIVector] = None) -> GIVector:
+        """M v + base (M v without a base), exact; the one matvec kernel.
+
+        Each row's sums start at base's parts, so the affine form costs
+        no second pass over the vector.
+        """
+        d = len(self.rows)
+        if d != len(v.re):
+            raise ValueError(f"dimension mismatch: matrix {d} vs vector {v.dim}")
+        if base is None:
+            base_re = base_im = repeat(0)
+        elif d != len(base.re):
+            raise ValueError(f"dimension mismatch: matrix {d} vs base {base.dim}")
+        else:
+            base_re, base_im = base.re, base.im
         xr = v.re
         xi = v.im
         out_re = []
         out_im = []
-        for re_terms, im_terms in self._program:
-            r = i = 0
+        for (re_terms, im_terms), r, i in zip(self._program, base_re, base_im):
             for j, c in re_terms:
                 r += c * xr[j]
                 i += c * xi[j]

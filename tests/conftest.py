@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import settings, strategies as st
 
+from hamca import automaton
 from hamca.automaton import Trajectory
 from hamca.gaussian import GaussianInt, GIVector, GIMatrix, HermitianIntMatrix
 
@@ -88,3 +89,20 @@ def hermitian_splits(draw, dim, coeff=COEFF):
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+
+def count_applies(monkeypatch):
+    """Record (matrix, vector, base, result) of every call to the matvec
+    kernel, whether through `GIMatrix.apply` or through the recurrence's
+    own binding of it (`automaton._affine`), while still running it."""
+    calls = []
+    kernel = GIMatrix.apply
+
+    def counted(m, v, base=None):
+        out = kernel(m, v, base)
+        calls.append((m, v, base, out))
+        return out
+
+    monkeypatch.setattr(GIMatrix, "apply", counted)
+    monkeypatch.setattr(automaton, "_affine", counted)
+    return calls

@@ -24,8 +24,9 @@ from hamca.automaton import (
 )
 from hamca.gaussian import (GaussianInt, GIVector, GIMatrix, HermitianIntMatrix,
                             exact_int_text)
-from conftest import (COEFF, SMALL, count_calls, hermitian_splits, random_gaussian_int,
-                      random_hermitian, random_trajectory, random_vector)
+from conftest import (COEFF, SMALL, count_applies, count_calls, hermitian_splits,
+                      random_gaussian_int, random_hermitian, random_trajectory,
+                      random_vector)
 
 
 def gi(re, im=0):
@@ -205,7 +206,7 @@ def test_reversal_at_the_deep_bench_size(monkeypatch):
     window.drain()
     stepped = [count_calls(monkeypatch, automaton, name)
                for name in ("step_backward", "step_forward")]
-    applied = count_calls(monkeypatch, GIMatrix, "apply")
+    applied = count_applies(monkeypatch)
     assert window.reverses()
     assert stepped == [[], []]
     # per bit of N at most four products of d columns, then five

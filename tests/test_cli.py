@@ -12,6 +12,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from hamca.cli import ConfigError, load_config, main, run
 from hamca.gaussian import (GaussianInt, GIMatrix, GIVector, HermitianIntMatrix,
                             exact_int_text)
 from hamca.multipartite import MultiWave
-from conftest import count_calls
+from conftest import count_applies, count_calls
 
 PAULI_X = [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]
 
@@ -246,6 +247,81 @@ def test_a_run_removes_the_stale_names_of_its_kind(tmp_path, monkeypatch):
     assert sorted(p.name for p in out.iterdir()) == ["notes.txt", "series.csv"]
 
 
+# configs whose writer child takes a tenth of a second or more to stage
+# its text: a 4000-step trajectory of about 24 MB, and a 25^3-point field
+# of about 19 MB
+KILLED_RUNS = {
+    "evolve": {"kind": "evolve", "hamiltonians": [
+        [[[2, 0], [1, 0], [0, 0]], [[1, 0], [2, 0], [1, 0]], [[0, 0], [1, 0], [2, 0]]]],
+        "seeds": [[[1, 0], [0, -1], [2, 1]], [[0, 1], [1, 0], [-1, 0]]],
+        "steps": 4000},
+    "multi": {"kind": "multi", "hamiltonians": [
+        PAULI_X, [[[1, 0], [1, 1]], [[1, -1], [0, 0]]], PAULI_X],
+        "seeds": [[[[1, 0], [0, 0]], [[1, 0], [0, 0]]],
+                  [[[0, 1], [1, 0]], [[1, 0], [0, -1]]],
+                  [[[1, 0], [1, 0]], [[0, 0], [1, 0]]]],
+        "steps": 24},
+}
+
+
+def live_in_group(pgid):
+    """The pids of processes in group `pgid` that have not exited (a
+    zombie, exited and not yet reaped, is not live)."""
+    live = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            # the fields after the command name: state, ppid, pgrp, ...
+            fields = (entry / "stat").read_text().rsplit(")", 1)[1].split()
+        except OSError:  # the process ended while the table was read
+            continue
+        if int(fields[2]) == pgid and fields[0] not in "ZX":
+            live.append(int(entry.name))
+    return live
+
+
+@pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 200])
+def test_a_writer_passes_its_pieces_while_its_parent_lives(count):
+    pieces = [f"{k}\n" for k in range(count)]
+    assert list(cli._while_parent(iter(pieces), os.getppid())) == pieces
+    if count:
+        with pytest.raises(RuntimeError, match="parent is gone"):
+            next(cli._while_parent(iter(pieces), os.getpid()))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork") or not Path("/proc/self/stat").exists(),
+                    reason="needs os.fork and a /proc process table")
+@pytest.mark.parametrize("kind", ["evolve", "multi"])
+def test_a_killed_run_leaves_no_writer_and_no_staging_file(tmp_path, kind):
+    # the run is killed while its forked child writes: the child sees that
+    # it was reparented, removes what it staged and exits
+    path = write_config(tmp_path / "cfg.json", KILLED_RUNS[kind])
+    out = tmp_path / "out"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.Popen([sys.executable, "-m", "hamca.cli", kind, "--config", path,
+                             "--out", str(out)], env=env, start_new_session=True,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 60
+        while not any(out.glob(".*.part")):
+            assert proc.poll() is None, "the run ended before its child staged a file"
+            assert time.monotonic() < deadline, "no staging file appeared"
+            time.sleep(0.001)
+        os.kill(proc.pid, signal.SIGKILL)
+        assert proc.wait(timeout=10) == -signal.SIGKILL
+        deadline = time.monotonic() + 10
+        while live_in_group(proc.pid) or any(out.glob(".*.part")):
+            assert time.monotonic() < deadline, \
+                (live_in_group(proc.pid), sorted(p.name for p in out.iterdir()))
+            time.sleep(0.01)
+        assert not any(out.glob("*.part")) and not (out / "report.json").exists()
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+
+
 @pytest.mark.parametrize("kind", cli.KINDS)
 def test_each_kind_writes_only_names_it_removes_first(tmp_path, kind):
     for fmt in (("csv", "json") if kind in FORMAT_KINDS else (None,)):
@@ -450,14 +526,7 @@ def test_audit_computes_each_series_once(tmp_path, monkeypatch):
 
 
 def test_evolve_and_audit_sweep_the_brackets_once(tmp_path, monkeypatch):
-    kernel = GIMatrix.apply
-    applied = []
-
-    def counting(self, v):
-        applied.append((self, v))
-        return kernel(self, v)
-
-    monkeypatch.setattr(GIMatrix, "apply", counting)
+    applied = count_applies(monkeypatch)
     made, stream = [], automaton._evolve_slices
 
     def keep(*args):
@@ -468,9 +537,12 @@ def test_evolve_and_audit_sweep_the_brackets_once(tmp_path, monkeypatch):
     monkeypatch.setattr(automaton, "_evolve_slices", keep)
 
     def on_window(h):
-        """The applies of H itself on the window's own slices."""
+        """The applies of -iH on the window's own slices, and those of
+        them whose product is no slice: the window's own."""
+        y = h._step_matrices()[0]
         slices = {id(s) for s in made}
-        return sum(m is h and id(v) in slices for m, v in applied)
+        on = [out for m, v, _, out in applied if m is y and id(v) in slices]
+        return len(on), sum(id(out) not in slices for out in on)
 
     rest = {}
     for doubling, steps, fmt in ((True, 9, "csv"), (True, 9, "json"),
@@ -483,14 +555,14 @@ def test_evolve_and_audit_sweep_the_brackets_once(tmp_path, monkeypatch):
         run(cfg, tmp_path / f"evolve-{steps}-{fmt}-{doubling}")
         assert len(made) == steps + 2
         if doubling:
-            # H on the window's slices: the forward step and one bracket
-            # pass for both verdicts and the writer; the phase-space
-            # oracle never applies, and reversal applies only its own
-            # matrices
-            assert on_window(cfg.params["hamiltonian"]) == 2 * steps
+            # -iH on the window's slices: the forward step and one bracket
+            # pass for both verdicts and the writer, each bracket from the
+            # window's own apply; the phase-space oracle never applies,
+            # and reversal applies only its own matrices
+            assert on_window(cfg.params["hamiltonian"]) == (2 * steps, steps)
             rest[steps] = len(applied) - 2 * steps
         else:
-            # walking back applies H once per step
+            # walking back applies iH once per step
             assert len(applied) == 3 * steps
     # reversal's products grow with log2 of the steps, not with the steps
     assert rest[500] <= rest[9] * math.log2(500) / math.log2(9)
@@ -500,11 +572,11 @@ def test_evolve_and_audit_sweep_the_brackets_once(tmp_path, monkeypatch):
     made.clear()
     applied.clear()
     run(cfg, tmp_path / "audit")
-    # H on the window's slices: the forward step and one bracket pass
+    # -iH on the window's slices: the forward step and one bracket pass
     # shared by the solution check and the writer (the observables are
     # matrices of their own)
     assert len(made) == 9 + 2
-    assert on_window(cfg.params["hamiltonian"]) == 2 * 9
+    assert on_window(cfg.params["hamiltonian"]) == (2 * 9, 9)
 
 
 def test_audit_series_of_a_drifting_observable(tmp_path):
@@ -1571,12 +1643,17 @@ def bump_slice(stream, k):
     return bumped
 
 
-def bump_step(step, target):
-    """`step_forward` that raises entry 0 of the slice it makes from `target`."""
+def bump_step(target):
+    """`automaton._affine` that raises entry 0 of the slice the forward
+    stream's own kernel call makes from `target`, (psi_{k-2}, psi_{k-1});
+    every other call, the window's among them, gives the kernel's value."""
+    kernel, stream = automaton._affine, automaton._evolve_slices.__code__
 
-    def bumped(prev, curr, h):
-        out = step(prev, curr, h)
-        return out + GIVector([1, 0, 0]) if (prev, curr) == target else out
+    def bumped(m, v, base=None):
+        out = kernel(m, v, base)
+        if sys._getframe(1).f_code is stream and (base, v) == target:
+            return out + GIVector([1, 0, 0])
+        return out
 
     return bumped
 
@@ -1588,7 +1665,7 @@ def test_the_window_checks_the_slices_it_writes(tmp_path, monkeypatch, fmt, sche
     # a corrupted slice k, whether it keeps to the rule after k (a forward
     # step went wrong) or not (a slice changed after it was made), must
     # show in every verdict and be written as it is: the window's bracket
-    # comes from its own H-apply, not from the step that made the slice
+    # comes from its own apply of -iH, not from the step that made the slice
     cfg = load_config(write_config(tmp_path / "cfg.json", {
         "kind": "evolve", "hamiltonians": [TRIDIAGONAL],
         "seeds": [[[1, 0], [0, -1], [2, 1]], [[0, 1], [1, 0], [-1, 0]]],
@@ -1599,8 +1676,7 @@ def test_the_window_checks_the_slices_it_writes(tmp_path, monkeypatch, fmt, sche
         monkeypatch.setattr(automaton, "_evolve_slices",
                             bump_slice(automaton._evolve_slices, 5))
     else:
-        monkeypatch.setattr(automaton, "step_forward",
-                            bump_step(automaton.step_forward, (clean[3], clean[4])))
+        monkeypatch.setattr(automaton, "_affine", bump_step((clean[3], clean[4])))
     corrupted = Trajectory(automaton._evolve_slices(s0, s1, h, 9))
     assert corrupted != clean and corrupted[5] != clean[5]
     forks = use_schedule(monkeypatch, schedule)
@@ -1740,8 +1816,7 @@ def test_the_audit_window_checks_the_slices_it_writes(tmp_path, monkeypatch, fmt
         monkeypatch.setattr(automaton, "_evolve_slices",
                             bump_slice(automaton._evolve_slices, 5))
     else:
-        monkeypatch.setattr(automaton, "step_forward",
-                            bump_step(automaton.step_forward, (clean[3], clean[4])))
+        monkeypatch.setattr(automaton, "_affine", bump_step((clean[3], clean[4])))
     corrupted = Trajectory(automaton._evolve_slices(s0, s1, h, 9))
     assert corrupted != clean and corrupted[5] != clean[5]
     forks = use_schedule(monkeypatch, schedule)

@@ -22,7 +22,8 @@ from hamca.conservation import (
 )
 from hamca.gaussian import GaussianInt, GIVector, GIMatrix, HermitianIntMatrix
 from hamca.sampling import DiscretenessScale, shift_map_check
-from conftest import count_calls, random_hermitian, random_trajectory, random_vector
+from conftest import (count_applies, count_calls, random_hermitian, random_trajectory,
+                      random_vector)
 
 
 def gi(re, im=0):
@@ -492,11 +493,11 @@ def test_the_per_g_series_applies_each_g_once_per_two_values(rng, monkeypatch, s
     assert not square.commutator(h).is_zero() and not dense.commutator(h).is_zero()
     want = {id(g): [v.re for v in two_point_series(traj, g)] for g in (square, dense)}
     per_g = count_calls(monkeypatch, conservation, "_per_g_series")
-    applied = count_calls(monkeypatch, GIMatrix, "apply")
+    applied = count_applies(monkeypatch)
     for g in (h, dense):
         applied.clear()
         two_point_series(traj, g)
-        assert [v for m, v in applied if m is g] == list(traj.states[1::2])
+        assert [v for m, v, *_ in applied if m is g] == list(traj.states[1::2])
         assert len(applied) == (n + 1) // 2
     # the audit's per-G path: one G-apply per G and two values, besides
     # the two-term cross-checks' own four per G
@@ -511,7 +512,7 @@ def test_the_per_g_series_applies_each_g_once_per_two_values(rng, monkeypatch, s
         audit_conservation(traj, h, observables)
         assert len(per_g) == 1
         slices, ids = {id(s) for s in traj}, {id(g) for g in observables}
-        assert sum(id(m) in ids and id(v) in slices for m, v in applied) == \
+        assert sum(id(m) in ids and id(v) in slices for m, v, *_ in applied) == \
             len(observables) * ((n + 1) // 2 + 4)
 
 
@@ -539,14 +540,7 @@ def test_the_per_g_series_is_exact_on_pairs_out_of_order(dim, slices, count, bit
 def test_the_audit_selects_the_block_by_big_products(rng, monkeypatch):
     block = count_calls(monkeypatch, conservation, "_block_series")
     per_g = count_calls(monkeypatch, conservation, "_per_g_series")
-    kernel = GIMatrix.apply
-    applied = []
-
-    def counting(self, v):
-        applied.append((self, v))
-        return kernel(self, v)
-
-    monkeypatch.setattr(GIMatrix, "apply", counting)
+    applied = count_applies(monkeypatch)
     # the default basis of a real tridiagonal H commutes with it: no series
     # pass, and per observable one apply for q_G(1) and the two-term
     # cross-checks' two at n = 1 and two at n = N
@@ -559,7 +553,7 @@ def test_the_audit_selects_the_block_by_big_products(rng, monkeypatch):
     audit_conservation(traj, h, basis)
     assert block == [] and per_g == []
     assert sum(id(m) in observables and id(v) in slices
-               for m, v in applied) == 5 * len(basis)
+               for m, v, *_ in applied) == 5 * len(basis)
     # the basis tilted by diag(1, 0, 0) has its nonzero pattern and does not
     # commute: 12 block products per slice against 24; observables apply
     # only in the two-term cross-checks
@@ -570,7 +564,7 @@ def test_the_audit_selects_the_block_by_big_products(rng, monkeypatch):
     assert len(block) == 1 and per_g == []
     # two applies at n = 1 and two at n = N per observable
     assert sum(id(m) in observables and id(v) in slices
-               for m, v in applied) == 4 * len(tilts)
+               for m, v, *_ in applied) == 4 * len(tilts)
     # a tie goes to the block: two dense real G at d = 3 take 6 + 2*3
     # block products against 2 * 6
     tie = [HermitianIntMatrix([[gi(k + a + b) for b in range(3)] for a in range(3)])

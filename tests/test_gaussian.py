@@ -10,6 +10,7 @@ from hamca.gaussian import (
     GIVector,
     GIMatrix,
     HermitianIntMatrix,
+    IMAG_UNIT,
     int_matrix_is_antisymmetric,
     int_matrix_is_symmetric,
 )
@@ -85,6 +86,56 @@ def test_matrix_vector_dimension_mismatch():
     m = GIMatrix.identity(2)
     with pytest.raises(ValueError):
         m.apply(GIVector([gi(1)]))
+    for base in (GIVector([gi(1)]), GIVector([gi(1)] * 3)):
+        with pytest.raises(ValueError, match="base"):
+            m.apply(GIVector([gi(1), gi(2)]), base)
+
+
+# parts up to 2**2000, with the zero and unit values the program skips or
+# multiplies by one
+WIDE = st.one_of(st.just(0), st.sampled_from([1, -1]), st.integers(-3, 3),
+                 st.integers(-2**2000, 2**2000))
+
+
+def reference_affine(rows, v, base):
+    """sum_j M_ij v_j + base_i, on (re, im) pairs of plain ints."""
+    out = []
+    for row, (br, bi) in zip(rows, base):
+        r, i = br, bi
+        for (mr, mi), (xr, xi) in zip(row, v):
+            r += mr * xr - mi * xi
+            i += mr * xi + mi * xr
+        out.append((r, i))
+    return out
+
+
+@settings(max_examples=80)
+@given(data=st.data(), dim=st.integers(1, 6))
+def test_the_affine_kernel_is_the_product_plus_the_base(data, dim):
+    # H with zero, unit and 2000-bit coefficients, and the step matrices
+    # -iH and iH made from it
+    hs, ha = data.draw(hermitian_splits(dim, WIDE))
+    h = HermitianIntMatrix([[gi(s, a) for s, a in zip(rs, ra)]
+                            for rs, ra in zip(hs, ha)])
+    v, base = ([(data.draw(WIDE), data.draw(WIDE)) for _ in range(dim)]
+               for _ in range(2))
+    vec, bvec = GIVector([gi(*p) for p in v]), GIVector([gi(*p) for p in base])
+    for m in (h, *h._step_matrices()):
+        rows = [list(zip(r.re, r.im)) for r in m.rows]
+        got = m.apply(vec, bvec)
+        assert type(got.re) is type(got.im) is tuple
+        assert all(type(x) is int for x in got.re + got.im)
+        assert got == m.apply(vec) + bvec
+        assert list(zip(got.re, got.im)) == reference_affine(rows, v, base)
+        assert m.apply(vec) == GIVector([gi(*p) for p in
+                                         reference_affine(rows, v, [(0, 0)] * dim)])
+
+
+def test_the_step_matrices_are_built_once_and_kept(rng):
+    h = random_hermitian(rng, 3)
+    forward, back = h._step_matrices()
+    assert forward == h.scale(-IMAG_UNIT) and back == h.scale(IMAG_UNIT)
+    assert h._step_matrices()[0] is forward and h._step_matrices()[1] is back
 
 
 @settings(max_examples=50)

@@ -18,7 +18,8 @@ from hamca.automaton import (Trajectory, action_evaluate, evolve, evolve_phase_s
                              verify_stationarity)
 from hamca.conservation import audit_conservation
 from hamca.gaussian import GaussianInt, GIMatrix, GIVector, HermitianIntMatrix
-from conftest import BIG, COEFF, SMALL, hermitian_splits, random_hermitian, random_vector
+from conftest import (BIG, COEFF, SMALL, count_applies, hermitian_splits, random_hermitian,
+                      random_vector)
 
 PART = st.one_of(st.just(0), SMALL, st.integers(-2**64, 2**64), BIG)
 ROW_KINDS = ("complex", "real", "imaginary", "zero", "identity")
@@ -223,13 +224,14 @@ def test_independent_oracles_never_call_the_matvec_kernel(monkeypatch, rng):
     bumped = traj.replace(4, traj[4] + GIVector([1, 0, 0]))
     hs, ha = h.split()
 
-    def refuse(self, v):
+    def refuse(self, v, base=None):
         raise AssertionError("an independent oracle called GIMatrix.apply")
 
     def refuse_pass(traj, h):
         raise AssertionError("an independent oracle read the bracket pass")
 
     monkeypatch.setattr(GIMatrix, "apply", refuse)
+    monkeypatch.setattr(automaton, "_affine", refuse)
     monkeypatch.setattr(automaton, "_kept_pass", refuse_pass)
     phase = evolve_phase_space(traj[0].re, traj[0].im, traj[1].re, traj[1].im,
                                hs, ha, 8)
@@ -248,15 +250,9 @@ def test_independent_oracles_never_call_the_matvec_kernel(monkeypatch, rng):
 
 def test_each_verdict_applies_h_once_per_stored_interior_slice(monkeypatch, rng):
     h = random_hermitian(rng, 3)
+    y = h._step_matrices()[0]
     solution = evolve(random_vector(rng, 3), random_vector(rng, 3), h, 12)
-    kernel = GIMatrix.apply
-    applied = []
-
-    def counting(self, v):
-        applied.append((self, v))
-        return kernel(self, v)
-
-    monkeypatch.setattr(GIMatrix, "apply", counting)
+    applied = count_applies(monkeypatch)
     observables = [h.power(2), HermitianIntMatrix.identity(3)]
     readers = [lambda t: is_solution(t, h),
                lambda t: action_evaluate(t, h),
@@ -269,14 +265,17 @@ def test_each_verdict_applies_h_once_per_stored_interior_slice(monkeypatch, rng)
             applied.clear()
             for read in order:
                 read(fresh)
-            # together one pass: last - 1 applies of H, each on the stored
-            # slice; H's only other applies are the audit's commutator
-            # columns, and the observables are matrices of their own
-            on_h = [v for m, v in applied if m is h]
-            assert len(on_h) == fresh.last - 1 + fresh.dim * len(observables)
-            on_slices = [v for v in on_h if any(v is s for s in fresh.states)]
-            assert len(on_slices) == fresh.last - 1
-            assert all(v is s for v, s in zip(on_slices, fresh.states[1:-1]))
+            # together one pass: last - 1 applies of -iH, each on the
+            # stored slice with the one before it as the base; H's only
+            # applies are the audit's commutator columns, and the
+            # observables are matrices of their own
+            on_y = [(v, base) for m, v, base, _ in applied if m is y]
+            assert len(on_y) == fresh.last - 1
+            assert all(v is s and base is before for (v, base), before, s
+                       in zip(on_y, fresh.states, fresh.states[1:-1]))
+            assert sum(m is h for m, *_ in applied) == fresh.dim * len(observables)
     applied.clear()
     recurrence_residual(solution, h, 5)
-    assert len(applied) == 1 and applied[0][1] is solution[5]
+    assert len(applied) == 1
+    assert applied[0][0] is y and applied[0][1] is solution[5] \
+        and applied[0][2] is solution[4]
