@@ -27,20 +27,15 @@ the zero residual where the config predicts it (no interaction, or a
 zero one, and always for `bell`), published only if the computed
 residual is zero.  Any text the child did not stage, or that the
 checks reject, is written here after them, and without `os.fork` all
-of it is.  A child whose parent is gone, killed say, removes what it
-staged and exits within `_PIECES_PER_CHECK` pieces, so no writer
-outlives its run.  Where some observable does not commute with H, the
-`audit` child then also computes those observables' series of one
-block of slice pairs in three from its own forward step and sends them
-back with its last two slices; this process feeds its series the other
-pairs, requires those slices to equal the last two it checked, and
-merges the blocks in order (computing them itself if the child
-failed).  A commuting observable's series is derived from the
-brackets of the pass, so it is never split.  The bytes are the same
-either way.  Before the runner starts, `run` removes the `report.json`
-and every artifact name the kind can write, and their staging names,
-from the output directory.  `report.json` lists each artifact's size
-in `artifact_bytes`.
+of it is.  The child stages text only: every verdict and every series
+value comes from slices this process checked.  A child whose parent is
+gone, killed say, or that is sent SIGTERM, as a shell's `kill %1`
+sends its whole process group, removes what it staged and exits, so no
+writer outlives its run.  The bytes are the same either way.  Before
+the runner starts, `run` removes the `report.json` and every artifact
+name the kind can write, and their staging names, from the output
+directory.  `report.json` lists each artifact's size in
+`artifact_bytes`.
 
 Exit status: 0 all checks passed, 1 a check failed or a module error
 surfaced, 2 invalid configuration.
@@ -50,7 +45,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import marshal
 import math
 import os
 import signal
@@ -507,11 +501,6 @@ def _zero_residual_pieces(wave):
         yield lead + ("0,0\n" + lead).join(dofs) + "0,0\n"
 
 
-# the exit status of a writer child that staged every file but whose
-# job failed
-_JOB_FAILED = 2
-
-
 # pieces a writer child stages between two checks of its parent
 _PIECES_PER_CHECK = 64
 
@@ -532,69 +521,56 @@ def _while_parent(pieces, parent: int):
     return chain.from_iterable(checked())
 
 
-def _fork_writer(staged, job=None) -> Optional[tuple]:
-    """(pid, fd) of a forked child that stages each (path, pieces) of
-    `staged`, in order, then, given a `job`, runs it and writes its
-    marshalled return value to a pipe whose read end is `fd` (None
-    without a job); it exits 0 once all is done, `_JOB_FAILED` if only
-    the job failed.  None where `os.fork` does not exist or fails.
+def _fork_writer(staged) -> Optional[int]:
+    """The pid of a forked child that stages each (path, pieces) of
+    `staged`, in order, and exits 0 once all is staged; None where
+    `os.fork` does not exist or fails.
 
     Between batches of pieces the child checks that its parent is still
     the process that forked it (`_while_parent`), and once more at the
-    end.  A child whose parent is gone, killed or not, removes every
-    staged name and exits 1, so no writer outlives its run and no
-    staging file is left in the output directory.  The child leaves by
-    `os._exit`, whatever happens, so it never unwinds into the caller
-    or flushes buffers it inherited.
+    end.  A child that fails, whose parent is gone, killed or not, or
+    that is sent SIGTERM (raised in it as KeyboardInterrupt, as SIGINT
+    is) removes every staged name and exits 1, so no writer outlives its
+    run and no staging file is left in the output directory.  The child
+    leaves by `os._exit`, whatever happens, so it never unwinds into the
+    caller or flushes buffers it inherited.
     """
     fork = getattr(os, "fork", None)
     if fork is None:
         return None
     parent = os.getpid()
-    r, w = os.pipe() if job is not None else (None, None)
     try:
         pid = fork()
     except OSError:
-        pid = None
-    if pid != 0:
-        for fd in (w, None if pid else r):
-            if fd is not None:
-                os.close(fd)
-        return pid and (pid, r)
+        return None
+    if pid:
+        return pid
     code = 1
     try:
+        signal.signal(signal.SIGTERM, signal.default_int_handler)
         for path, pieces in staged:
             _stage_text(path, _while_parent(pieces, parent))
-        code = _JOB_FAILED
-        if job is not None:
-            os.close(r)
-            with open(w, "wb") as fh:
-                marshal.dump(job(), fh)
         code = 0
     finally:
-        if os.getppid() != parent:
+        if code or os.getppid() != parent:
             for path, _ in staged:
                 _staged(path).unlink(missing_ok=True)
             code = 1
         os._exit(code)
 
 
-def _while_staging(staged, work, job=None):
+def _while_staging(staged, work):
     """`work()`, run while a forked child (`_fork_writer`) stages
-    `staged` and then runs `job`; returns work's result, whether the
-    child staged every file, and job's return value as the child sent
-    it (None without a child, or if the child or its job failed).
+    `staged`; returns work's result and whether the child staged every
+    file (False without a child).
 
-    The child's pipe is read to its end, then the child is reaped,
-    before this returns.  If `work`, the read or the wait raises, the
-    child is killed and reaped and every staged name removed.  Without a
-    child, nothing is staged and `job` is not run.
+    The child is reaped before this returns.  If `work` or the wait
+    raises, the child is killed and reaped and every staged name
+    removed.
     """
-    pid, fd = _fork_writer(staged, job) or (None, None)
+    pid = _fork_writer(staged)
     try:
         result = work()
-        sent = None if fd is None else \
-            b"".join(iter(partial(os.read, fd, 1 << 16), b""))
         status = None if pid is None else os.waitpid(pid, 0)[1]
     except BaseException:
         if pid is not None:
@@ -603,12 +579,7 @@ def _while_staging(staged, work, job=None):
         for path, _ in staged:
             _staged(path).unlink(missing_ok=True)
         raise
-    finally:
-        if fd is not None:
-            os.close(fd)
-    code = None if status is None else os.waitstatus_to_exitcode(status)
-    return (result, code in (0, _JOB_FAILED),
-            marshal.loads(sent) if code == 0 and fd is not None else None)
+    return result, status is not None and os.waitstatus_to_exitcode(status) == 0
 
 
 def _settle(path: Path, keep: bool, pieces):
@@ -621,28 +592,27 @@ def _settle(path: Path, keep: bool, pieces):
         _write_text(path, pieces)
 
 
-def _write_trajectory(window, seeds, steps, out_dir: Path, fmt: str, job=None):
+def _write_trajectory(window, seeds, steps, out_dir: Path, fmt: str):
     """Drain `window`, the pass over the slices `seeds` and `steps` make,
-    and write their text as `trajectory.<fmt>`; returns the path and
-    what the forked child's `job` returned (see `_while_staging`).
+    and write their text as `trajectory.<fmt>`; returns the path.
 
     The text is `_trajectory_pieces` of the seeds, H, the slice count and
     the nonzero brackets.  While this process drains the window, a forked
     child (`_while_staging`) stages the text with no bracket, that of the
-    solution the seeds start, and then runs `job`.  The text is renamed
-    into place only if the child exited 0 and the window saw steps + 2
-    slices from these seeds and no nonzero bracket, for then both texts
-    have the same arguments; otherwise it is removed and the text is
-    written here, after the drain, from the window's own.
+    solution the seeds start.  The text is renamed into place only if the
+    child exited 0 and the window saw steps + 2 slices from these seeds
+    and no nonzero bracket, for then both texts have the same arguments;
+    otherwise it is removed and the text is written here, after the
+    drain, from the window's own.
     """
     h = window.h
     path = out_dir / f"trajectory.{fmt}"
-    _, staged, given = _while_staging(
-        [(path, _trajectory_pieces(seeds, h, steps + 2, (), fmt))], window.drain, job)
+    _, staged = _while_staging(
+        [(path, _trajectory_pieces(seeds, h, steps + 2, (), fmt))], window.drain)
     _settle(path, staged and not window.brackets
             and (window.seeds, window.slices) == (seeds, steps + 2),
             _trajectory_pieces(window.seeds, h, window.slices, window.brackets, fmt))
-    return path, given
+    return path
 
 
 def _write_composite(out_dir: Path, name: str, wave, zero: bool, verdicts):
@@ -660,7 +630,7 @@ def _write_composite(out_dir: Path, name: str, wave, zero: bool, verdicts):
     staged = [(field_path, wave._json_pieces())]
     if zero:
         staged.append((residual_path, _zero_residual_pieces(wave)))
-    (res, checks, info), ok, _ = _while_staging(staged, verdicts)
+    (res, checks, info), ok = _while_staging(staged, verdicts)
     try:
         _settle(field_path, ok, wave._json_pieces())
         _settle(residual_path, ok and zero and res.is_zero, res._csv_pieces())
@@ -679,8 +649,7 @@ def _run_evolve(params, out_dir):
     # one pass checks the slices as they are made: no history is held
     window = automaton._EvolveWindow(automaton._evolve_slices(s0, s1, h, steps),
                                      h, oracle)
-    path, _ = _write_trajectory(window, (s0, s1), steps, out_dir, params["format"])
-    artifacts = [path]
+    artifacts = [_write_trajectory(window, (s0, s1), steps, out_dir, params["format"])]
     checks = [Check("recurrence_holds_everywhere", window.first_bad is None)]
     if steps >= 1:
         checks.append(Check("action_zero_on_solution", window.action == 0,
@@ -695,21 +664,11 @@ def _run_audit(params, out_dir):
     obs, labels = params["observables"], None  # audit labels them G0, G1, ...
     if obs is None:
         labels, obs = zip(*conservation.default_commutant_basis(h))
-    # one pass checks the slices and makes the series: no history is held;
-    # where a child can be forked and it pays, the child takes one block
-    # of pairs in three of the observables that do not commute with H
-    # from its own forward step, and if it fails they are taken here
+    # one pass checks the slices and makes the series: no history is held
     window = conservation._AuditWindow(
-        automaton._evolve_slices(s0, s1, h, steps), h, obs, labels,
-        hasattr(os, "fork") and conservation._splits(h, steps))
-    job = partial(conservation._given_series,
-                  automaton._evolve_slices(s0, s1, h, steps), window.direct, h.dim)
-    path, given = _write_trajectory(window, (s0, s1), steps, out_dir,
-                                    params["format"], job if window.split else None)
-    if window.split and given is None:
-        given = job()
-    report = window.report(given)
-    artifacts = [path]
+        automaton._evolve_slices(s0, s1, h, steps), h, obs, labels)
+    artifacts = [_write_trajectory(window, (s0, s1), steps, out_dir, params["format"])]
+    report = window.report()
     checks = [Check("trajectory_is_solution", report.solution_ok,
                     "" if report.solution_ok
                     else f"first bad site {report.first_bad_site}")]

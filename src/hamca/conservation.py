@@ -30,10 +30,9 @@ the independent oracle `two_point_invariant`, checked at n = 1 and
 n = N on the first and last pairs for every series, derived or direct.
 The library audit reads the pass kept on a stored trajectory;
 `_AuditWindow` is the pass over the forward step's slices and feeds
-the direct series as it writes the trajectory, so the CLI audit holds
-no history.  Only the direct series can be split with a forked child
-(`_given_series`), so an audit of commuting observables only gives the
-child no series job.
+the direct series every slice pair as the trajectory is written, so
+the CLI audit holds no history and every series value comes from
+slices the pass checked itself.
 With G the identity this is the constraint 2 Re psi_n^* psi_{n-1} =
 const, the discrete stand-in for state normalization.  The symmetrized
 single-site variant
@@ -49,7 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice, repeat, starmap
+from itertools import chain, repeat, starmap
 from operator import add, mul
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -481,116 +480,40 @@ def audit_conservation(traj: Trajectory, h: HermitianIntMatrix,
     return _report(window, observables, labels, commutes, series, steps)
 
 
-_BLOCK = 64  # slice pairs per block of a split series pass
-
-
-def _given_away(n: int) -> bool:
-    """Whether a split series pass leaves the pair (psi_n, psi_{n-1}) to
-    `_given_series`: of the blocks of `_BLOCK` pairs from n = 1, those
-    numbered k = 2, 5, 8, ... (k % 3 == 2) from 0."""
-    return (n - 1) // _BLOCK % 3 == 2
-
-
-def _splits(h: HermitianIntMatrix, steps: int) -> bool:
-    """Whether a run pays a child to take the given-away blocks: past two
-    blocks of pairs, and only if some row of H has a Gershgorin sum
-    (of |Re| + |Im|) above 2.  Otherwise every eigenvalue of H has
-    |lambda| <= 2, where the step's roots lie on the unit circle (a
-    double one at |lambda| = 2), so the entries grow at most linearly, a
-    pair's series costs no more than a slice's text, and the child that
-    writes the text is the longer side already."""
-    return steps + 1 > 2 * _BLOCK and any(
-        sum(map(abs, row.re)) + sum(map(abs, row.im)) > 2 for row in h.rows)
-
-
-def _given_series(slices: Iterable[GIVector], observables: Sequence, dim: int):
-    """The series of the pairs `_given_away` names, from their own pass
-    over `slices`, and the stream's last two slices.
-
-    Returns (series, ends): each observable's values at those pairs in
-    order, as `_audit_series` makes them, and (psi_{N-1}, psi_N) as
-    (re, im) tuples of ints, so the result can be marshalled.
-    """
-    feed, series = _audit_series(observables, dim)
-    before = last = None
-    for n, up in enumerate(slices):
-        if n and _given_away(n):
-            feed(up, last)
-        before, last = last, up
-    return series, tuple((v.re, v.im) for v in (before, last))
-
-
-def _merged(kept: Sequence, given: Sequence, pairs: int) -> list:
-    """Each observable's series over `pairs` pairs, block by block from
-    the values of the kept pairs and of the given-away ones."""
-    merged = []
-    for mine, theirs in zip(kept, given):
-        sources = iter(mine), iter(theirs)
-        values = []
-        for start in range(0, pairs, _BLOCK):
-            values += islice(sources[_given_away(start + 1)], _BLOCK)
-        merged.append(values)
-    return merged
-
-
 class _AuditWindow(_Window):
     """`audit_conservation` of a slice stream, fed from the three-slice
     window that checks it.
 
     `drain()` (see `automaton._Window`) visits each slice pair (psi_n,
     psi_{n-1}).  At a nonzero bracket E_{n-1} it applies each commuting G
-    to psi_{n-1} for that G's `_step`; the other observables, `direct`,
-    get the pair in one series pass.  After it, `report()` is the audit of the
-    slices it pulled.  A `split` pass, which needs a direct observable,
-    feeds only the pairs that `_given_away` keeps, and `report(given)`
-    takes the rest from `_given_series` of `direct`, which a forked child
-    runs over its own forward step.  Its last two slices must equal
-    `ends`: two solutions of one H that agree there agree everywhere,
-    since the step reverses, and the pass has checked its own slices.
-    The given series are merged block by block into the pass's, so the
-    report is the same as an unsplit pass's.
+    to psi_{n-1} for that G's `_step`; the other observables get every
+    pair in one series pass (`_audit_series`).  After it, `report()` is
+    the audit of the slices it pulled.
     """
 
     def __init__(self, slices: Iterable[GIVector], h: HermitianIntMatrix,
-                 observables: Sequence, labels: Sequence[str] = None,
-                 split: bool = False):
+                 observables: Sequence, labels: Sequence[str] = None):
         super().__init__(slices, h)
         self._labels = _labels(labels, observables)
         self._observables = observables
         self._commutes = _commuting(observables, h)
-        self.direct = [g for g, c in zip(observables, self._commutes) if not c]
+        direct = [g for g, c in zip(observables, self._commutes) if not c]
         self._derived = [g for g, c in zip(observables, self._commutes) if c]
         self._steps = [[] for _ in self._derived]
         self._feed, self._series = \
-            _audit_series(self.direct, h.dim) if self.direct else (None, [])
-        self.split = split and self._feed is not None
-        self._pairs = 0
+            _audit_series(direct, h.dim) if direct else (None, [])
 
     def _visit(self, psi, up, e):
         if psi is not None:
-            self._pairs += 1
             if e is not None:
                 for g, steps in zip(self._derived, self._steps):
                     steps.append(_step(g.apply(psi), e))
-            if self._feed and not (self.split and _given_away(self._pairs)):
+            if self._feed:
                 self._feed(up, psi)
 
-    def report(self, given: tuple = None) -> AuditReport:
-        """The audit; `given` is what `_given_series` returned for a split
-        pass, and AssertionError rejects it unless it ends on `ends` and
-        holds the values of the pairs the pass left out."""
-        series = self._series
-        if self.split:
-            values, ends = given
-            pairs = self._pairs
-            if ends != tuple((v.re, v.im) for v in self.ends) or \
-                    len(values) != len(series) or any(
-                        len(a) + len(b) != pairs for a, b in zip(series, values)):
-                raise AssertionError("the given-away series are not of the "
-                                     "slices this pass checked")
-            series = _merged(series, values, pairs)
+    def report(self) -> AuditReport:
         return _report(self, self._observables, self._labels, self._commutes,
-                       series, self._steps)
+                       self._series, self._steps)
 
 
 def _series_csv_pieces(named_series: Sequence) -> Iterator[str]:

@@ -290,12 +290,24 @@ def test_a_writer_passes_its_pieces_while_its_parent_lives(count):
             next(cli._while_parent(iter(pieces), os.getpid()))
 
 
+# (signal, whom it is sent to) per kind; a SIGKILL of the run alone
+# keeps the kind's own test id
+KILLS = [pytest.param(kind, sig, group,
+                      id=kind if sig == signal.SIGKILL else
+                      f"{kind}-{sig.name}-{'group' if group else 'parent'}")
+         for sig, group in ((signal.SIGKILL, False), (signal.SIGTERM, False),
+                            (signal.SIGTERM, True))
+         for kind in ("evolve", "multi")]
+
+
 @pytest.mark.skipif(not hasattr(os, "fork") or not Path("/proc/self/stat").exists(),
                     reason="needs os.fork and a /proc process table")
-@pytest.mark.parametrize("kind", ["evolve", "multi"])
-def test_a_killed_run_leaves_no_writer_and_no_staging_file(tmp_path, kind):
-    # the run is killed while its forked child writes: the child sees that
-    # it was reparented, removes what it staged and exits
+@pytest.mark.parametrize("kind, sig, group", KILLS)
+def test_a_killed_run_leaves_no_writer_and_no_staging_file(tmp_path, kind, sig, group):
+    # the run, or its whole process group as a shell's `kill %1` does, is
+    # killed while its forked child writes: a child sent SIGTERM itself
+    # removes what it staged and exits, and one left behind sees that it
+    # was reparented and does the same
     path = write_config(tmp_path / "cfg.json", KILLED_RUNS[kind])
     out = tmp_path / "out"
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
@@ -308,8 +320,8 @@ def test_a_killed_run_leaves_no_writer_and_no_staging_file(tmp_path, kind):
             assert proc.poll() is None, "the run ended before its child staged a file"
             assert time.monotonic() < deadline, "no staging file appeared"
             time.sleep(0.001)
-        os.kill(proc.pid, signal.SIGKILL)
-        assert proc.wait(timeout=10) == -signal.SIGKILL
+        (os.killpg if group else os.kill)(proc.pid, sig)
+        assert proc.wait(timeout=10) == -sig
         deadline = time.monotonic() + 10
         while live_in_group(proc.pid) or any(out.glob(".*.part")):
             assert time.monotonic() < deadline, \
@@ -462,10 +474,10 @@ def test_interaction_must_be_self_adjoint(tmp_path):
 
 
 def test_audit_computes_each_series_once(tmp_path, monkeypatch):
-    # 401 slice pairs in blocks of 64: a forked run gives blocks 2 and 5
-    # (n = 129..192 and 321..384) of the one observable that does not
-    # commute with H to the child and feeds the rest here
-    path = write_config(tmp_path / "cfg.json", dict(SPLIT_AUDIT, steps=400))
+    # 401 slice pairs: in both schedules this process feeds every one of
+    # them to one series pass of the one observable that does not commute
+    # with H, and the child only writes the trajectory
+    path = write_config(tmp_path / "cfg.json", dict(TILTED_AUDIT, steps=400))
     cfg = load_config(path)
     h, obs = cfg.params["hamiltonian"], cfg.params["observables"]
     tilt = obs[-1]
@@ -474,8 +486,6 @@ def test_audit_computes_each_series_once(tmp_path, monkeypatch):
     assert len(index) == len(traj)  # each slice names its clock index
     labels = [f"G{k}" for k in range(len(obs))]
     every = [[v.re for v in conservation.two_point_series(traj, g)] for g in obs]
-    want = every[-1:]
-    given = [n for n in range(1, 402) if 129 <= n <= 192 or 321 <= n <= 384]
     for schedule in ("inline", "forked"):
         with monkeypatch.context() as patched:
             forks = use_schedule(patched, schedule)
@@ -509,17 +519,9 @@ def test_audit_computes_each_series_once(tmp_path, monkeypatch):
         assert passes[0][0][0] is tilt
         assert len(blocks) == 1 and series == []
         assert rates == [] and quantities == []
-        assert audits == [] and histories == []
-        (_, sent), = reports
-        if forks:
-            # every other n is fed here once, and the child's payload holds
-            # one value per observable for each of its n, and its last slices
-            assert fed == [n for n in range(1, 402) if n not in given]
-            values, ends = sent
-            assert values == [[w[n - 1] for n in given] for w in want]
-            assert ends == ((traj[400].re, traj[400].im), (traj[401].re, traj[401].im))
-        else:
-            assert fed == list(range(1, 402)) and sent is None
+        assert audits == [] and histories == [] and len(reports) == 1
+        assert fed == list(range(1, 402))
+        assert len(forks) == (schedule == "forked")
         assert (tmp_path / schedule / "series.csv").read_text() == \
             conservation.series_to_csv(
                 [(l, [GaussianInt(v, 0) for v in w]) for l, w in zip(labels, every)])
@@ -1203,9 +1205,9 @@ FORK_RUNS = {
 }
 # the audit with TRIDIAGONAL's default basis written out and diag(1, 0, 0),
 # which does not commute with it: the basis's series are derived from the
-# brackets, so only that one observable's series gives the child blocks
+# brackets, so only that one observable's series takes a series pass
 TILT = [[[1, 0], [0, 0], [0, 0]], [[0, 0]] * 3, [[0, 0]] * 3]
-SPLIT_AUDIT = dict(FORK_RUNS["audit"][0], observables=[
+TILTED_AUDIT = dict(FORK_RUNS["audit"][0], observables=[
     g.to_pairs() for _, g in conservation.default_commutant_basis(
         HermitianIntMatrix(GIMatrix.from_pairs(TRIDIAGONAL)))] + [TILT])
 
@@ -1239,28 +1241,21 @@ def test_no_run_leaves_a_child_or_a_staging_file(tmp_path, monkeypatch, capsys,
     assert len(forks) == (3 if schedule == "forked" else 0)
 
 
-@pytest.mark.parametrize("kind, where", [
-    pytest.param(kind, where, id=kind if where == "waitpid" else f"{kind}-{where}")
-    for kind, where in (("evolve", "waitpid"), ("multi", "waitpid"),
-                        ("audit", "waitpid"), ("audit", "read"))])
-def test_an_interrupted_wait_kills_and_reaps_the_writer(tmp_path, monkeypatch, kind,
-                                                        where):
+@pytest.mark.parametrize("kind", ["evolve", "multi", "audit"])
+def test_an_interrupted_wait_kills_and_reaps_the_writer(tmp_path, monkeypatch, kind):
     # an exception in the parent's wait for the writer child, as a ^C
-    # there raises, must not leave the child or its staged file: in the
-    # wait itself, or in the read of what the audit's child computed
-    obj = SPLIT_AUDIT if where == "read" else FORK_RUNS[kind][0]
-    cfg = load_config(write_config(tmp_path / "cfg.json", obj))
+    # there raises, must not leave the child or its staged file
+    cfg = load_config(write_config(tmp_path / "cfg.json", FORK_RUNS[kind][0]))
     waitpid, interrupted = os.waitpid, []
-    wrapped = getattr(os, where)
 
     def interrupting(*args):
-        if not interrupted and (where == "read" or args[1] == 0):
+        if not interrupted and args[1] == 0:
             interrupted.append(args[0])
             raise KeyboardInterrupt
-        return wrapped(*args)
+        return waitpid(*args)
 
     forks = use_schedule(monkeypatch, "forked")
-    monkeypatch.setattr(os, where, interrupting)
+    monkeypatch.setattr(os, "waitpid", interrupting)
     out = tmp_path / "out"
     with pytest.raises(KeyboardInterrupt):
         run(cfg, out)
@@ -1270,30 +1265,11 @@ def test_an_interrupted_wait_kills_and_reaps_the_writer(tmp_path, monkeypatch, k
     assert [p.name for p in out.iterdir() if p.name.endswith(".part")] == []
 
 
-GIVEN_SERIES = conservation._given_series
-
-
-def in_the_child(job):
-    """`conservation._given_series` that runs `job` in a forked child and
-    the real one in this process."""
-    parent = os.getpid()
-    return lambda *args: (GIVEN_SERIES if os.getpid() == parent else job)(*args)
-
-
-def raising_job(*args):
-    raise RuntimeError("series interrupted")
-
-
-def killed_job(*args):
-    os.kill(os.getpid(), signal.SIGKILL)
-
-
 def run_in_both_schedules(tmp_path, monkeypatch, capsys, obj, patch=None):
     """Exit code, stdout less its last line, report.json less the timing
     and paths, and the artifact bytes of `hamca audit` on `obj`, with
-    `os.fork` ("forked") and without ("inline"); with the calls to
-    `_given_series` made in this process, and no child or staged file
-    left."""
+    `os.fork` ("forked") and without ("inline"), with no child or staged
+    file left."""
     path = write_config(tmp_path / "cfg.json", obj)
     runs = []
     for schedule in ("forked", "inline"):
@@ -1302,7 +1278,6 @@ def run_in_both_schedules(tmp_path, monkeypatch, capsys, obj, patch=None):
             forks = use_schedule(patched, schedule)
             if patch:
                 patched.setattr(*patch)
-            jobs = count_calls(patched, conservation, "_given_series")
             capsys.readouterr()
             code = main(["audit", "--config", path, "--out", str(out)])
         assert len(forks) == (schedule == "forked")
@@ -1313,67 +1288,12 @@ def run_in_both_schedules(tmp_path, monkeypatch, capsys, obj, patch=None):
             sorted(["report.json", *report["artifact_bytes"]])
         del report["wall_time_s"], report["artifacts"]
         runs.append((code, capsys.readouterr().out.splitlines()[:-1], report,
-                     [(out / n).read_bytes() for n in sorted(report["artifact_bytes"])],
-                     len(jobs)))
+                     [(out / n).read_bytes() for n in sorted(report["artifact_bytes"])]))
     return runs
 
 
-@pytest.mark.parametrize("job", [raising_job, killed_job], ids=["raises", "killed"])
-def test_a_failed_series_child_leaves_its_blocks_to_this_process(tmp_path, monkeypatch,
-                                                                 capsys, job):
-    written = count_calls(monkeypatch, cli, "_stage_text")
-    forked, inline = run_in_both_schedules(
-        tmp_path, monkeypatch, capsys, SPLIT_AUDIT,
-        (conservation, "_given_series", in_the_child(job)))
-    # the child's blocks are computed here, after the drain, and the run
-    # prints and writes what a run without a child does
-    assert forked[-1] == 1 and inline[-1] == 0
-    assert forked[:-1] == inline[:-1] and forked[0] == 0
-    # a child that staged the trajectory before its job raised keeps it:
-    # this process writes the text only without a child
-    here = {path for path, _ in written}
-    assert tmp_path / "inline" / "trajectory.csv" in here
-    if job is raising_job:
-        assert tmp_path / "forked" / "trajectory.csv" not in here
-
-
-def bumped_ends(*args):
-    values, (before, (re, im)) = GIVEN_SERIES(*args)
-    return values, (before, ((re[0] + 1, *re[1:]), im))
-
-
-def one_value_short(*args):
-    values, ends = GIVEN_SERIES(*args)
-    return [v[:-1] for v in values], ends
-
-
-def one_series_short(*args):
-    values, ends = GIVEN_SERIES(*args)
-    return values[:-1], ends
-
-
-@pytest.mark.parametrize("job", [bumped_ends, one_value_short, one_series_short],
-                         ids=["ends", "length", "observables"])
-def test_a_series_child_off_the_checked_slices_fails_the_run(tmp_path, monkeypatch,
-                                                             capsys, job):
-    path = write_config(tmp_path / "cfg.json", SPLIT_AUDIT)
-    forks = use_schedule(monkeypatch, "forked")
-    monkeypatch.setattr(conservation, "_given_series", in_the_child(job))
-    out = tmp_path / "out"
-    assert main(["audit", "--config", path, "--out", str(out)]) == 1
-    assert len(forks) == 1
-    assert capsys.readouterr().err == (
-        "FAIL audit — AssertionError: the given-away series are not of the "
-        "slices this pass checked\n")
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    assert [p.name for p in out.iterdir()] == ["trajectory.csv"]
-
-
-# a drifting observable on the per-G side of the series selection, with
-# steps + 1 pairs on each side of the edges of the child's first two
-# blocks (n = 129..192 and 321..384); and `SPLIT_AUDIT` with a corrupted
-# slice in the child's block
+# a drifting observable on the per-G side of the series selection, at
+# step counts from 127 to 384; and `TILTED_AUDIT` with a corrupted slice
 PER_G_DRIFT = dict(GOLDEN_AUDITS["drift"][0],
                    observables=[[[[1, 0], [1, 2]], [[1, -2], [0, 0]]]])
 
@@ -1381,16 +1301,15 @@ PER_G_DRIFT = dict(GOLDEN_AUDITS["drift"][0],
 @pytest.mark.parametrize("obj, bumped", [
     pytest.param(dict(PER_G_DRIFT, steps=steps), None, id=str(steps))
     for steps in (127, 128, 191, 192, 319, 320, 383, 384)]
-    + [pytest.param(SPLIT_AUDIT, 150, id="slice-150")])
-def test_a_split_audit_writes_the_same_bytes_in_both_schedules(tmp_path, monkeypatch,
-                                                               capsys, obj, bumped):
+    + [pytest.param(TILTED_AUDIT, 150, id="slice-150")])
+def test_a_drifting_audit_writes_the_same_bytes_in_both_schedules(tmp_path, monkeypatch,
+                                                                  capsys, obj, bumped):
     patch = None
     if bumped is not None:
         patch = (automaton, "_evolve_slices", bump_slice(automaton._evolve_slices,
                                                          bumped))
     forked, inline = run_in_both_schedules(tmp_path, monkeypatch, capsys, obj, patch)
-    assert forked[-1] == inline[-1] == 0
-    assert forked[:-1] == inline[:-1]
+    assert forked == inline
     assert forked[0] == (0 if bumped is None else 1)
     # and they are the library's audit of the slices
     cfg = load_config(write_config(tmp_path / "lib.json", obj))
@@ -1408,26 +1327,6 @@ def test_a_split_audit_writes_the_same_bytes_in_both_schedules(tmp_path, monkeyp
         json.dumps(audit.to_json_obj(), indent=2, sort_keys=True) + "\n"
     assert (out / "series.csv").read_text() == conservation.series_to_csv(
         [(l, conservation.two_point_series(traj, g)) for l, g in zip(labels, obs)])
-
-
-# the child takes series blocks past two blocks of pairs, unless H's
-# eigenvalues are provably at most 2 in size (Gershgorin: PAULI_X's rows
-# sum to 1), so that the entries stay small and its text is the long side,
-# and only of observables that do not commute with H: an audit whose
-# observables all commute, as the default basis does, forks no series job
-@pytest.mark.parametrize("obj, job", [
-    pytest.param(dict(SPLIT_AUDIT, steps=127), False, id="two-blocks"),
-    pytest.param(dict(SPLIT_AUDIT, steps=128), True, id="three-blocks"),
-    pytest.param(dict(EXAMPLES["audit"], steps=400,
-                      observables=[PAULI_X, [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]]),
-                 False, id="bounded"),
-    pytest.param(dict(FORK_RUNS["audit"][0], steps=128), False, id="all-commuting")])
-def test_the_child_takes_series_blocks_only_where_it_pays(tmp_path, monkeypatch, obj,
-                                                          job):
-    forks = count_calls(monkeypatch, cli, "_fork_writer")
-    report = run(load_config(write_config(tmp_path / "cfg.json", obj)), tmp_path / "out")
-    assert all(c["passed"] for c in report["checks"])
-    assert [args[1] is not None for args in forks] == [job]
 
 
 # the composite configs run in both schedules, with the artifacts this
@@ -1785,9 +1684,10 @@ def test_audit_peak_memory_does_not_grow_with_the_history(tmp_path, monkeypatch,
     # as for evolve: 4x the steps costs a window of slices (and the
     # series, one int per observable and step) ~4x, and a held history
     # ~16x (measured with the run's fixed costs: 2.1x and 9.8x).  The
-    # forked child runs the forward step too and holds a third of the
-    # series: its RSS grew 1.0-1.9x as much at 1000 steps as at 250
-    # (0.7-1.3 MB), and 5.7-7.3x had it held the history, so 4x is the bound
+    # forked child runs the forward step too, to write the text: its RSS
+    # grew 1.0-1.9x as much at 1000 steps as at 250 (0.7-1.3 MB) while it
+    # also held a third of the series, and 5.7-7.3x had it held the
+    # history, so 4x is the bound
     h = [[[1000 * re, im] for re, im in row] for row in TRIDIAGONAL]
     use_schedule(monkeypatch, schedule)
     (small, child_small), (large, child_large) = (

@@ -662,17 +662,13 @@ def test_commutant_basis_rejects_a_negative_power(max_power):
 
 
 @pytest.mark.parametrize("count", [1, 4])
-@pytest.mark.parametrize("pairs", [128, 129, 192, 193, 320, 385])
-def test_a_split_audit_window_merges_to_the_library_audit(rng, pairs, count):
-    # random slices, almost never a solution: a split pass and the series
-    # of the pairs it gives away merge, block by block, into the audit of
-    # one unsplit pass (per-G series for one observable, the block for four)
-    traj = random_trajectory(rng, 3, pairs + 1, 2 ** 40)
+def test_an_audit_window_of_random_slices_is_the_library_audit(rng, count):
+    # random slices, almost never a solution: the window feeds every pair
+    # to one series pass (per-G series for one observable, the block for
+    # four) and reports what the library audit of the stored slices does
+    traj = random_trajectory(rng, 3, 194, 2 ** 40)
     h = random_hermitian(rng, 3)
     observables = [random_hermitian(rng, 3) for _ in range(count)]
-    window = conservation._AuditWindow(iter(traj.states), h, observables, split=True)
+    window = conservation._AuditWindow(iter(traj.states), h, observables)
     window.drain()
-    given = conservation._given_series(iter(traj.states), observables, 3)
-    assert [len(v) for v in given[0]] == \
-        [sum(conservation._given_away(n) for n in range(1, pairs + 1))] * count
-    assert window.report(given) == audit_conservation(traj, h, observables)
+    assert window.report() == audit_conservation(traj, h, observables)
