@@ -25,15 +25,20 @@ config predicts while this process makes the checks (`_while_staging`):
 the pass found every bracket zero; `multi` and `bell` the field, and
 the zero residual where the config predicts it (no interaction, or a
 zero one, and always for `bell`), published only if the computed
-residual is zero.  Any text the child did not stage, or that the
-checks reject, is written here after them, and without `os.fork` all
-of it is.  The child stages text only: every verdict and every series
-value comes from slices this process checked.  A child whose parent is
-gone, killed say, or that is sent SIGTERM, as a shell's `kill %1`
-sends its whole process group, removes what it staged and exits, so no
-writer outlives its run.  The bytes are the same either way.  Before
-the runner starts, `run` removes the `report.json` and every artifact
-name the kind can write, and their staging names, from the output
+residual is zero.  This process makes every check (`evolve` its
+reversal too), and `audit` stages `audit.json` and `series.csv`,
+before it waits for the child, so the wait is the last of its work;
+those two are published after the trajectory, and removed if the run
+fails.  Any text the child did not stage, or that the checks reject, is
+written here after the wait, and without `os.fork` all of it is.  The
+child stages text only: every verdict and every series value comes
+from slices this process checked.  A child whose parent is gone,
+killed say, or that is sent SIGTERM, as a shell's `kill %1` sends its
+whole process group, removes what it staged and exits, so no writer
+outlives its run; one whose parent is gone removes what the parent
+staged too.  The bytes are the same either way.  Before the
+runner starts, `run` removes the `report.json` and every artifact name
+the kind can write, and their staging names, from the output
 directory.  `report.json` lists each artifact's size in
 `artifact_bytes`.
 
@@ -52,7 +57,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, islice, repeat
+from itertools import chain, compress, repeat
 from pathlib import Path
 from typing import Optional
 
@@ -471,10 +476,13 @@ def _write_text(path: Path, pieces):
 
 
 @exact_int_text()
-def _write_json(path: Path, obj):
+def _json_text(obj) -> str:
     # standard JSON only: a NaN or Infinity raises instead of being written
-    _write_text(path, (json.dumps(obj, indent=2, sort_keys=True,
-                                  allow_nan=False) + "\n",))
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _write_json(path: Path, obj):
+    _write_text(path, (_json_text(obj),))
 
 
 def _fmt_float(x: float) -> str:
@@ -506,34 +514,39 @@ _PIECES_PER_CHECK = 64
 
 
 def _while_parent(pieces, parent: int):
-    """`pieces`, checked before every `_PIECES_PER_CHECK` of them that
-    this process's parent is still `parent`: once it has been
+    """`pieces`, checked with the first of every `_PIECES_PER_CHECK` of
+    them that this process's parent is still `parent`: once it has been
     reparented, RuntimeError.  A check is a system call: on a field of
     8,290 small pieces a check per piece took 1.6 ms of the child's
-    time and a check per batch 0.2 ms (CPython 3.11, x86-64)."""
+    time and a check per batch 0.2 ms (CPython 3.11, x86-64).  No piece
+    is pulled before it is asked for, so no more than one is held: the
+    checks are the selectors `compress` pulls after each piece, a run of
+    true ones per check."""
+    selected = (True,) * _PIECES_PER_CHECK
 
-    def checked(pieces=iter(pieces)):
-        while batch := list(islice(pieces, _PIECES_PER_CHECK)):
-            if os.getppid() != parent:
-                raise RuntimeError("the writer's parent is gone")
-            yield batch
+    def check():
+        if os.getppid() != parent:
+            raise RuntimeError("the writer's parent is gone")
+        return selected
 
-    return chain.from_iterable(checked())
+    return compress(pieces, chain.from_iterable(iter(check, None)))
 
 
-def _fork_writer(staged) -> Optional[int]:
+def _fork_writer(staged, own=()) -> Optional[int]:
     """The pid of a forked child that stages each (path, pieces) of
     `staged`, in order, and exits 0 once all is staged; None where
     `os.fork` does not exist or fails.
 
-    Between batches of pieces the child checks that its parent is still
-    the process that forked it (`_while_parent`), and once more at the
-    end.  A child that fails, whose parent is gone, killed or not, or
+    With the first of every batch of pieces the child checks that its
+    parent is still the process that forked it (`_while_parent`), and
+    once more at the end.  A child that fails, whose parent is gone, killed or not, or
     that is sent SIGTERM (raised in it as KeyboardInterrupt, as SIGINT
     is) removes every staged name and exits 1, so no writer outlives its
-    run and no staging file is left in the output directory.  The child
-    leaves by `os._exit`, whatever happens, so it never unwinds into the
-    caller or flushes buffers it inherited.
+    run and no staging file is left in the output directory.  A child
+    whose parent is gone also removes the staging names of `own`, the
+    paths its parent stages itself while it waits.  The child leaves by
+    `os._exit`, whatever happens, so it never unwinds into the caller or
+    flushes buffers it inherited.
     """
     fork = getattr(os, "fork", None)
     if fork is None:
@@ -552,23 +565,27 @@ def _fork_writer(staged) -> Optional[int]:
             _stage_text(path, _while_parent(pieces, parent))
         code = 0
     finally:
-        if code or os.getppid() != parent:
-            for path, _ in staged:
+        names = [path for path, _ in staged]
+        if os.getppid() != parent:
+            code, names = 1, names + list(own)
+        if code:
+            for path in names:
                 _staged(path).unlink(missing_ok=True)
-            code = 1
         os._exit(code)
 
 
-def _while_staging(staged, work):
+def _while_staging(staged, work, own=()):
     """`work()`, run while a forked child (`_fork_writer`) stages
     `staged`; returns work's result and whether the child staged every
-    file (False without a child).
+    file (False without a child).  `own` names the paths `work` stages,
+    which the child removes if it finds this process gone.
 
-    The child is reaped before this returns.  If `work` or the wait
-    raises, the child is killed and reaped and every staged name
-    removed.
+    `work` is all of the caller's work that does not need the child's
+    text, so the wait for the child is the last thing done here.  The
+    child is reaped before this returns.  If `work` or the wait raises,
+    the child is killed and reaped and every staged name removed.
     """
-    pid = _fork_writer(staged)
+    pid = _fork_writer(staged, own)
     try:
         result = work()
         status = None if pid is None else os.waitpid(pid, 0)[1]
@@ -592,27 +609,43 @@ def _settle(path: Path, keep: bool, pieces):
         _write_text(path, pieces)
 
 
-def _write_trajectory(window, seeds, steps, out_dir: Path, fmt: str):
+def _write_trajectory(window, seeds, steps, out_dir: Path, fmt: str, verdicts,
+                      own=()):
     """Drain `window`, the pass over the slices `seeds` and `steps` make,
-    and write their text as `trajectory.<fmt>`; returns the path.
+    then run `verdicts()`, and write the slices' text as
+    `trajectory.<fmt>`; returns the path and what `verdicts()` returned.
 
     The text is `_trajectory_pieces` of the seeds, H, the slice count and
-    the nonzero brackets.  While this process drains the window, a forked
-    child (`_while_staging`) stages the text with no bracket, that of the
-    solution the seeds start.  The text is renamed into place only if the
-    child exited 0 and the window saw steps + 2 slices from these seeds
-    and no nonzero bracket, for then both texts have the same arguments;
-    otherwise it is removed and the text is written here, after the
-    drain, from the window's own.
+    the nonzero brackets.  While this process drains the window and runs
+    the verdicts, a forked child (`_while_staging`) stages the text with
+    no bracket, that of the solution the seeds start.  The text is
+    renamed into place only if the child exited 0 and the window saw
+    steps + 2 slices from these seeds and no nonzero bracket, for then
+    both texts have the same arguments; otherwise it is removed and the
+    text is written here, after the wait, from the window's own.  `own`
+    names the paths `verdicts()` stages: they are published after the
+    trajectory, in order, and removed if anything fails.
     """
     h = window.h
     path = out_dir / f"trajectory.{fmt}"
-    _, staged = _while_staging(
-        [(path, _trajectory_pieces(seeds, h, steps + 2, (), fmt))], window.drain)
-    _settle(path, staged and not window.brackets
-            and (window.seeds, window.slices) == (seeds, steps + 2),
-            _trajectory_pieces(window.seeds, h, window.slices, window.brackets, fmt))
-    return path
+
+    def work():
+        window.drain()
+        return verdicts()
+
+    try:
+        result, staged = _while_staging(
+            [(path, _trajectory_pieces(seeds, h, steps + 2, (), fmt))], work, own)
+        _settle(path, staged and not window.brackets
+                and (window.seeds, window.slices) == (seeds, steps + 2),
+                _trajectory_pieces(window.seeds, h, window.slices, window.brackets,
+                                   fmt))
+        for name in own:
+            _publish(name)
+    finally:  # a failed run leaves nothing of its own staged
+        for name in own:
+            _staged(name).unlink(missing_ok=True)
+    return path, result
 
 
 def _write_composite(out_dir: Path, name: str, wave, zero: bool, verdicts):
@@ -649,14 +682,19 @@ def _run_evolve(params, out_dir):
     # one pass checks the slices as they are made: no history is held
     window = automaton._EvolveWindow(automaton._evolve_slices(s0, s1, h, steps),
                                      h, oracle)
-    artifacts = [_write_trajectory(window, (s0, s1), steps, out_dir, params["format"])]
-    checks = [Check("recurrence_holds_everywhere", window.first_bad is None)]
-    if steps >= 1:
-        checks.append(Check("action_zero_on_solution", window.action == 0,
-                            f"value {window.action}"))
-    checks.append(Check("reversibility_roundtrip", window.reverses()))
-    checks.append(Check("phase_space_equivalence", window.same_as_oracle))
-    return checks, artifacts, {}
+
+    def verdicts():
+        checks = [Check("recurrence_holds_everywhere", window.first_bad is None)]
+        if steps >= 1:
+            checks.append(Check("action_zero_on_solution", window.action == 0,
+                                f"value {window.action}"))
+        checks.append(Check("reversibility_roundtrip", window.reverses()))
+        checks.append(Check("phase_space_equivalence", window.same_as_oracle))
+        return checks
+
+    path, checks = _write_trajectory(window, (s0, s1), steps, out_dir,
+                                     params["format"], verdicts)
+    return checks, [path], {}
 
 
 def _run_audit(params, out_dir):
@@ -667,33 +705,37 @@ def _run_audit(params, out_dir):
     # one pass checks the slices and makes the series: no history is held
     window = conservation._AuditWindow(
         automaton._evolve_slices(s0, s1, h, steps), h, obs, labels)
-    artifacts = [_write_trajectory(window, (s0, s1), steps, out_dir, params["format"])]
-    report = window.report()
-    checks = [Check("trajectory_is_solution", report.solution_ok,
-                    "" if report.solution_ok
-                    else f"first bad site {report.first_bad_site}")]
-    for e in report.entries:
-        if e.commutes:
-            checks.append(Check(f"conserved:{e.label}",
-                                e.conserved,
-                                f"value {e.value}" if e.conserved
-                                else f"first drift at n={e.drift[0][0]}"))
-        else:
-            drift_note = "constant anyway" if e.conserved else \
-                f"drift recorded from n={next(n for n, v in e.drift if v != e.drift[0][1])}"
-            checks.append(Check(f"noncommuting:{e.label}", True,
-                                "informational; " + drift_note))
-    info = {"norm_invariant": {"value": report.norm_value,
-                               "zero": report.norm_is_zero}}
-    audit_path = out_dir / "audit.json"
-    _write_json(audit_path, report.to_json_obj())
-    artifacts.append(audit_path)
-    series = [(e.label, repeat(e.value, report.slices - 1) if e.conserved
-               else [v for _, v in e.drift]) for e in report.entries]
-    series_path = out_dir / "series.csv"
-    _write_text(series_path, conservation._series_csv_pieces(series))
-    artifacts.append(series_path)
-    return checks, artifacts, info
+    audit_path, series_path = out_dir / "audit.json", out_dir / "series.csv"
+
+    def verdicts():
+        report = window.report()
+        checks = [Check("trajectory_is_solution", report.solution_ok,
+                        "" if report.solution_ok
+                        else f"first bad site {report.first_bad_site}")]
+        for e in report.entries:
+            if e.commutes:
+                checks.append(Check(f"conserved:{e.label}",
+                                    e.conserved,
+                                    f"value {e.value}" if e.conserved
+                                    else f"first drift at n={e.drift[0][0]}"))
+            else:
+                drift_note = "constant anyway" if e.conserved else (
+                    "drift recorded from n="
+                    f"{next(n for n, v in e.drift if v != e.drift[0][1])}")
+                checks.append(Check(f"noncommuting:{e.label}", True,
+                                    "informational; " + drift_note))
+        info = {"norm_invariant": {"value": report.norm_value,
+                                   "zero": report.norm_is_zero}}
+        _stage_text(audit_path, (_json_text(report.to_json_obj()),))
+        series = [(e.label, repeat(e.value, report.slices - 1) if e.conserved
+                   else [v for _, v in e.drift]) for e in report.entries]
+        _stage_text(series_path, conservation._series_csv_pieces(series))
+        return checks, info
+
+    path, (checks, info) = _write_trajectory(window, (s0, s1), steps, out_dir,
+                                             params["format"], verdicts,
+                                             (audit_path, series_path))
+    return checks, [path, audit_path, series_path], info
 
 
 def _run_reconstruct(params, out_dir):

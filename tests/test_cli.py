@@ -282,12 +282,28 @@ def live_in_group(pgid):
 
 
 @pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 200])
-def test_a_writer_passes_its_pieces_while_its_parent_lives(count):
-    pieces = [f"{k}\n" for k in range(count)]
-    assert list(cli._while_parent(iter(pieces), os.getppid())) == pieces
+def test_a_writer_passes_its_pieces_while_its_parent_lives(monkeypatch, count):
+    # a piece is one slice's text, which grows with the steps, so the
+    # writer pulls none before it is asked for; it checks its parent with
+    # the first of every `_PIECES_PER_CHECK`
+    pulled = []
+
+    def pieces():
+        for k in range(count):
+            pulled.append(k)
+            yield f"{k}\n"
+
+    parent = os.getppid()
+    checks = count_calls(monkeypatch, os, "getppid")
+    passed = cli._while_parent(pieces(), parent)
+    for k in range(count):
+        assert next(passed) == f"{k}\n" and len(pulled) == k + 1
+        assert len(checks) == k // cli._PIECES_PER_CHECK + 1
+    assert next(passed, None) is None and len(pulled) == count
+    assert len(checks) == -(-count // cli._PIECES_PER_CHECK)
     if count:
         with pytest.raises(RuntimeError, match="parent is gone"):
-            next(cli._while_parent(iter(pieces), os.getpid()))
+            next(cli._while_parent(iter(["0\n"]), os.getpid()))
 
 
 # (signal, whom it is sent to) per kind; a SIGKILL of the run alone
@@ -328,6 +344,58 @@ def test_a_killed_run_leaves_no_writer_and_no_staging_file(tmp_path, kind, sig, 
                 (live_in_group(proc.pid), sorted(p.name for p in out.iterdir()))
             time.sleep(0.01)
         assert not any(out.glob("*.part")) and not (out / "report.json").exists()
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+
+
+# `hamca audit` whose forked child passes on a piece a millisecond, so the
+# run stages its own two files long before the child is done
+SLOW_WRITER = """
+import sys, time
+from hamca import cli
+checked = cli._while_parent
+
+def slow(pieces, parent):
+    for piece in checked(pieces, parent):
+        time.sleep(0.001)
+        yield piece
+
+cli._while_parent = slow
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork") or not Path("/proc/self/stat").exists(),
+                    reason="needs os.fork and a /proc process table")
+@pytest.mark.parametrize("sig", [signal.SIGKILL, signal.SIGTERM], ids=["KILL", "TERM"])
+def test_an_audit_killed_while_it_waits_leaves_no_staging_file(tmp_path, sig):
+    # the run is killed while it waits for its child, with `audit.json`
+    # and `series.csv` staged: the child, reparented, removes them too
+    path = write_config(tmp_path / "cfg.json", {
+        "kind": "audit", "hamiltonians": [KILLED_RUNS["evolve"]["hamiltonians"][0]],
+        "seeds": KILLED_RUNS["evolve"]["seeds"], "steps": 1000})
+    out = tmp_path / "out"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.Popen([sys.executable, "-c", SLOW_WRITER, "audit", "--config", path,
+                             "--out", str(out)], env=env, start_new_session=True,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 60
+        while not (out / ".series.csv.part").exists():
+            assert proc.poll() is None, "the run ended before it staged series.csv"
+            assert time.monotonic() < deadline, "series.csv was not staged"
+            time.sleep(0.001)
+        assert (out / ".trajectory.csv.part").exists()  # the child is still writing
+        os.kill(proc.pid, sig)
+        assert proc.wait(timeout=10) == -sig
+        deadline = time.monotonic() + 10
+        while live_in_group(proc.pid) or any(out.glob(".*.part")):
+            assert time.monotonic() < deadline, \
+                (live_in_group(proc.pid), sorted(p.name for p in out.iterdir()))
+            time.sleep(0.01)
+        assert list(out.iterdir()) == []
     finally:
         with contextlib.suppress(ProcessLookupError):
             os.killpg(proc.pid, signal.SIGKILL)
@@ -1097,7 +1165,7 @@ def test_a_failing_writer_leaves_no_file(tmp_path, monkeypatch):
                 h = HermitianIntMatrix.identity(3)
                 window = automaton._Window(automaton._evolve_slices(*seeds, h, 4), h)
                 with pytest.raises(ValueError):
-                    cli._write_trajectory(window, seeds, 4, tmp_path, fmt)
+                    cli._write_trajectory(window, seeds, 4, tmp_path, fmt, list)
         assert not (tmp_path / "trajectory.csv").exists()
         assert not (tmp_path / "trajectory.json").exists()
         assert list(tmp_path.iterdir()) == []
@@ -1263,6 +1331,70 @@ def test_an_interrupted_wait_kills_and_reaps_the_writer(tmp_path, monkeypatch, k
     with pytest.raises(ChildProcessError):
         waitpid(-1, os.WNOHANG)
     assert [p.name for p in out.iterdir() if p.name.endswith(".part")] == []
+
+
+@pytest.mark.parametrize("kind", ["evolve", "audit"])
+def test_the_wait_for_the_writer_is_the_last_of_the_parents_work(tmp_path, monkeypatch,
+                                                                 kind):
+    # by the time this process waits for its child, `evolve` has checked
+    # reversal and `audit` has staged, not published, its own two files
+    cfg = load_config(write_config(tmp_path / "cfg.json", FORK_RUNS[kind][0]))
+    out = tmp_path / "out"
+    waitpid, seen = os.waitpid, []
+    forks = use_schedule(monkeypatch, "forked")
+    reversals = count_calls(monkeypatch, automaton._EvolveWindow, "reverses")
+
+    def waiting(pid, options):
+        if options == 0:
+            seen.append((len(reversals), sorted(p.name for p in out.iterdir())))
+        return waitpid(pid, options)
+
+    monkeypatch.setattr(os, "waitpid", waiting)
+    report = run(cfg, out)
+    assert all(c["passed"] for c in report["checks"]) and len(forks) == 1
+    # the child's staged trajectory may or may not be there yet
+    own = [(n, [name for name in names if "trajectory" not in name])
+           for n, names in seen]
+    assert own == ([(1, [])] if kind == "evolve" else
+                   [(0, [".audit.json.part", ".series.csv.part"])])
+    assert sorted(p.name for p in out.iterdir()) == \
+        sorted(["report.json", *report["artifact_bytes"]])
+
+
+def failing_series(series):
+    yield "n,G0\n"
+    raise RuntimeError("series interrupted")
+
+
+def failing_reversal(window):
+    raise RuntimeError("reversal interrupted")
+
+
+@pytest.mark.parametrize("schedule", ["forked", "inline"])
+@pytest.mark.parametrize("kind, patch", [
+    pytest.param("evolve", (automaton._EvolveWindow, "reverses", failing_reversal,
+                            "reversal interrupted"), id="evolve"),
+    pytest.param("audit", (conservation, "_series_csv_pieces", failing_series,
+                           "series interrupted"), id="audit")])
+def test_a_raising_verdict_kills_the_writer_and_leaves_no_file(tmp_path, monkeypatch,
+                                                               capsys, kind, patch,
+                                                               schedule):
+    # a verdict fails while the child may still be writing: the child is
+    # killed and reaped, and neither its text nor any file this process
+    # staged (the audit's `audit.json`, before `series.csv` fails) is left
+    path = write_config(tmp_path / "cfg.json", FORK_RUNS[kind][0])
+    out = tmp_path / "out"
+    with monkeypatch.context() as patched:
+        forks = use_schedule(patched, schedule)
+        kills = count_calls(patched, os, "kill")
+        patched.setattr(*patch[:3])
+        code = main([kind, "--config", path, "--out", str(out)])
+    assert code == 1 and list(out.iterdir()) == []
+    assert capsys.readouterr().err == f"FAIL {kind} — RuntimeError: {patch[3]}\n"
+    assert len(forks) == len(kills) == (schedule == "forked")
+    assert all(sig == signal.SIGKILL for _, sig in kills)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def run_in_both_schedules(tmp_path, monkeypatch, capsys, obj, patch=None):
