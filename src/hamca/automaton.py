@@ -16,10 +16,10 @@ module provides the recurrence (complex and split real/imaginary form),
 the action, the symmetric-difference variation operator, and the
 stationarity audit.
 
-Every step of the recurrence is one call of the one matvec kernel in
-its affine form, `GIMatrix.apply(psi_n, psi_{n-1})` of Y = -iH, which
-returns Y psi_n + psi_{n-1}; Y and iH, the backward step's matrix, are
-built once and kept on H.
+The kernel makes the slices: each forward step is one affine call of
+the one matvec kernel, `GIMatrix.apply(psi_n, psi_{n-1})` of Y = -iH,
+which returns Y psi_n + psi_{n-1}; Y and iH, the backward step's
+matrix, are built once and kept on H.  The split form checks them.
 
 One quantity, the Euler-Lagrange bracket
 
@@ -27,23 +27,21 @@ One quantity, the Euler-Lagrange bracket
 
 is at once -i times the recurrence residual, the action's per-site
 factor and every stationarity coefficient.  `_bracket` alone forms it:
-it predicts psi_{n+1} with its own kernel call on psi_n and psi_{n-1}
-and, where the prediction differs from psi_{n+1}, returns
-E_n = -i (psi_{n+1} - prediction).  `_Window` is the one loop that runs
-it, over any stream of slices three at a time.  The pass records the
-first site whose bracket is nonzero, the nonzero brackets and the
-action; its brackets are all the trajectory writer needs of it, with
-the seeds and the slice count.  On a stored trajectory the
+it predicts psi_{n+1} from psi_n and psi_{n-1} with one `_split_step`
+on the nonzero rows of hS and hA, never on H's kernel, and where the
+prediction differs from psi_{n+1} returns E_n = -i (psi_{n+1} -
+prediction); so each recurrence verdict on the kernel's slices
+compares two separately written programs.  `_Window` is the one loop
+that runs it, over any stream of slices three at a time.  The pass
+records the first site whose bracket is nonzero, the nonzero brackets
+and the action; its brackets are all the trajectory writer needs of
+it, with the seeds and the slice count.  On a stored trajectory the
 drained pass is kept on it for the coupling it ran with (`_kept_pass`),
 so the recurrence, action and fast stationarity checks and the writer
 all read one pass, whether a caller asks for them together or one at a
 time.  On the forward step's slices it checks a run that need not hold
-its history; each CLI verb adds only its own part: `_EvolveWindow` the
-lockstep split-form oracle and reversal, and the conservation audit its
-series pass.  The pass never reuses the product that the forward step
-computed: psi_{n+1} is that very vector, so the recurrence check would
-be a tautology.  The independent oracles (split-form
-evolution, direct stationarity, reversal) stay off it.
+its history; a CLI verb adds its own part: `_EvolveWindow` reversal,
+the conservation audit its series pass.
 
 Reversal steps back from the last two slices to the first two in one of
 two ways, whichever a cost estimate (`_doubling_pays`) finds cheaper:
@@ -76,10 +74,7 @@ would give.  On a solution it needs no bracket at all, so it can run
 beside the pass that finds the brackets.  Each format is one private
 generator of text pieces, one per slice: the CLI writes the pieces as
 they come, and `to_csv` / `to_json_text` join them, so no artifact's
-text need be held whole.  The split-form oracle is a slice stream too,
-stepped on its own compiled nonzero rows of hS and hA (never on H's
-kernel), so a caller can compare it with a trajectory without a second
-history.
+text need be held whole.
 """
 
 from __future__ import annotations
@@ -409,12 +404,8 @@ def _phase_space_slices(x0: Sequence[int], p0: Sequence[int],
                         hs: Sequence[Sequence[int]],
                         ha: Sequence[Sequence[int]],
                         steps: int) -> Iterator[GIVector]:
-    """The split form's slices psi_0 ... psi_{steps+1}, one at a time.
-
-    Inputs are checked, and each row's nonzero (j, c) terms of hS and hA
-    compiled, before the first slice; the generator keeps only the two
-    latest, so a slice-by-slice caller never holds a second history.
-    """
+    """The split form's slices psi_0 ... psi_{steps+1}, one at a time;
+    the inputs are checked and the rows compiled before the first."""
     if not int_matrix_is_symmetric(hs):
         raise ValueError("hS must be symmetric")
     if not int_matrix_is_antisymmetric(ha):
@@ -425,27 +416,40 @@ def _phase_space_slices(x0: Sequence[int], p0: Sequence[int],
             raise ValueError(f"dimension mismatch for {name}")
     if type(steps) is not int or steps < 0:
         raise ValueError("steps must be an int >= 0")
-    terms = [[(j, c) for j, c in enumerate(_plain_ints(row, name)) if c]
-             for name, m in (("hS", hs), ("hA", ha)) for row in m]
+    hs, ha = ([_plain_ints(r, name) for r in m] for name, m in (("hS", hs), ("hA", ha)))
     return _split_form_stream(_plain_ints(x0, "x0"), _plain_ints(p0, "p0"),
                               _plain_ints(x1, "x1"), _plain_ints(p1, "p1"),
-                              tuple(zip(terms[:d], terms[d:])), steps)
+                              _split_rows(hs, ha), steps)
+
+
+def _split_rows(hs: Sequence[Sequence[int]], ha: Sequence[Sequence[int]]) -> tuple:
+    """Per row i, the nonzero (j, c) of hS_i and of hA_i: the split form's program."""
+    return tuple((tuple((j, c) for j, c in enumerate(s) if c),
+                  tuple((j, c) for j, c in enumerate(a) if c))
+                 for s, a in zip(hs, ha))
+
+
+def _split_step(rows: tuple, xp: tuple, pp: tuple, xc: tuple, pc: tuple) -> tuple:
+    """(x_{n+1}, p_{n+1}), row i's sums started at x_{n-1} and p_{n-1}:
+    x_i += hS_i . p_n + hA_i . x_n,  p_i += -hS_i . x_n + hA_i . p_n."""
+    x_out, p_out = [], []
+    for (s_terms, a_terms), x, p in zip(rows, xp, pp):
+        for j, c in s_terms:
+            x += c * pc[j]
+            p -= c * xc[j]
+        for j, c in a_terms:
+            x += c * xc[j]
+            p += c * pc[j]
+        x_out.append(x)
+        p_out.append(p)
+    return tuple(x_out), tuple(p_out)
 
 
 def _split_form_stream(xp, pp, xc, pc, rows, steps):
     yield GIVector._from_parts(xp, pp)
     yield GIVector._from_parts(xc, pc)
     for _ in range(steps):
-        # row i: x_i += hS_i . p + hA_i . x,  p_i += -hS_i . x + hA_i . p
-        xn, pn = list(xp), list(pp)
-        for i, (s_terms, a_terms) in enumerate(rows):
-            for j, c in s_terms:
-                xn[i] += c * pc[j]
-                pn[i] -= c * xc[j]
-            for j, c in a_terms:
-                xn[i] += c * xc[j]
-                pn[i] += c * pc[j]
-        xp, pp, xc, pc = xc, pc, tuple(xn), tuple(pn)
+        xp, pp, (xc, pc) = xc, pc, _split_step(rows, xp, pp, xc, pc)
         yield GIVector._from_parts(xc, pc)
 
 
@@ -481,18 +485,18 @@ def _check_site(n, last: int, message: str, first: int = 1):
 
 
 def _bracket(down: GIVector, psi: GIVector, up: GIVector,
-             y: GIMatrix) -> Optional[tuple]:
+             rows: tuple) -> Optional[tuple]:
     """Int parts (re, im) of E_n = H psi_n - i (psi_{n+1} - psi_{n-1}).
 
-    `y` is -iH.  The bracket predicts psi_{n+1} as y psi_n + psi_{n-1},
-    one affine apply on the slices it is given, and returns None when the
+    The bracket predicts psi_{n+1} with one `_split_step` of `rows`, H's
+    split form, on the slices it is given and returns None when the
     prediction is psi_{n+1}; otherwise E_n = -i (psi_{n+1} - prediction).
     """
-    pred = _affine(y, psi, down)
-    if pred.re == up.re and pred.im == up.im:
+    x, p = _split_step(rows, down.re, down.im, psi.re, psi.im)
+    if x == up.re and p == up.im:
         return None
     # -i (a + ib) = b - ia
-    return tuple(map(sub, up.im, pred.im)), tuple(map(sub, pred.re, up.re))
+    return tuple(map(sub, up.im, p)), tuple(map(sub, x, up.re))
 
 
 def _action_summand(psi: GIVector, e_re: tuple, e_im: tuple) -> int:
@@ -504,8 +508,8 @@ class _Window:
     """One checked pass over a stream of slices psi_0 ... psi_N, three at a time.
 
     `drain()` pulls the stream through.  On the way the pass brackets
-    every interior site with `_bracket`'s own kernel call on the slices
-    it holds and records the nonzero brackets as (site, (re, im)) in
+    every interior site with `_bracket`, on H's split form compiled once
+    per drain, and records the nonzero brackets as (site, (re, im)) in
     increasing site order (`brackets`, a tuple once drained); with the
     seeds and the slice count they are all `_decimal_slices` needs to
     print the slices.  E_n is -i times `recurrence_residual`, so
@@ -531,10 +535,10 @@ class _Window:
         return self.brackets[0][0] if self.brackets else None
 
     def drain(self):
-        y = self.h._step_matrices()[0]
+        rows = _split_rows(*self.h.split())
         down = psi = None
         for n, up in enumerate(self._slices):
-            e = None if down is None else _bracket(down, psi, up, y)
+            e = None if down is None else _bracket(down, psi, up, rows)
             if e is not None:
                 self.brackets.append((n - 1, e))
                 self.action += _action_summand(psi, *e)
@@ -551,23 +555,7 @@ class _Window:
 
 
 class _EvolveWindow(_Window):
-    """`_Window` with the evolve verdicts: whether the split-form `oracle`,
-    pulled in lockstep, gives the same slices and as many, and reversal."""
-
-    def __init__(self, slices: Iterable[GIVector], h: HermitianIntMatrix,
-                 oracle: Iterator[GIVector]):
-        super().__init__(slices, h)
-        self._oracle = oracle
-        self.same_as_oracle = True
-
-    def _visit(self, psi, up, e):
-        if self.same_as_oracle and next(self._oracle, None) != up:
-            self.same_as_oracle = False
-
-    def drain(self):
-        super().drain()
-        if self.same_as_oracle and next(self._oracle, None) is not None:
-            self.same_as_oracle = False
+    """`_Window` with reversal, the evolve verdict the pass does not give."""
 
     def reverses(self) -> bool:
         """Whether stepping back from the last two slices ends on the seeds.
@@ -685,7 +673,7 @@ def recurrence_residual(traj: Trajectory, h: HermitianIntMatrix, n: int) -> GIVe
     """psi_{n+1} - psi_{n-1} + i*H*psi_n; zero iff the rule holds at n."""
     _check_site(n, traj.last - 1, "site {!r} is not interior")
     _check_dims(traj, h)
-    e = _bracket(traj[n - 1], traj[n], traj[n + 1], h._step_matrices()[0])
+    e = _bracket(traj[n - 1], traj[n], traj[n + 1], _split_rows(*h.split()))
     if e is None:
         return GIVector.zero(traj.dim)
     # i * (re + i im)

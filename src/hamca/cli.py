@@ -17,8 +17,8 @@ no artifact name ever holds a partial file.  The large ones are
 streamed a slice or clock point at a time, so no large artifact's text
 is held whole.  `evolve` and `audit` go further: one pass over a
 window of three slices checks the slices as the forward step makes
-them (`evolve` pulls the phase-space oracle in lockstep, `audit` feeds
-its series pass each slice pair), so no history is held.  Where
+them, with the split form (`audit` feeds its series pass each slice
+pair), so no history is held.  Where
 `os.fork` exists, four verbs fork one child that stages the text the
 config predicts while this process makes the checks (`_while_staging`):
 `evolve` and `audit` the trajectory of a solution, published only if
@@ -36,10 +36,11 @@ from slices this process checked.  A child whose parent is gone,
 killed say, or that is sent SIGTERM, as a shell's `kill %1` sends its
 whole process group, removes what it staged and exits, so no writer
 outlives its run; one whose parent is gone removes what the parent
-staged too.  The bytes are the same either way.  Before the
-runner starts, `run` removes the `report.json` and every artifact name
-the kind can write, and their staging names, from the output
-directory.  `report.json` lists each artifact's size in
+staged too; `main` has a SIGTERM unwind the run, which removes what
+it staged, before it ends by it.  The bytes are the same either way.
+Before the runner starts, `run` removes the `report.json` and every
+artifact name the kind can write, and their staging names, from the
+output directory.  `report.json` lists each artifact's size in
 `artifact_bytes`.
 
 Exit status: 0 all checks passed, 1 a check failed or a module error
@@ -609,6 +610,12 @@ def _settle(path: Path, keep: bool, pieces):
         _write_text(path, pieces)
 
 
+def _predicted(window, seeds, steps) -> bool:
+    """Whether `window` read the slices `seeds` and `steps` predict: steps + 2
+    from `seeds`, with no nonzero bracket."""
+    return not window.brackets and (window.seeds, window.slices) == (seeds, steps + 2)
+
+
 def _write_trajectory(window, seeds, steps, out_dir: Path, fmt: str, verdicts,
                       own=()):
     """Drain `window`, the pass over the slices `seeds` and `steps` make,
@@ -619,12 +626,12 @@ def _write_trajectory(window, seeds, steps, out_dir: Path, fmt: str, verdicts,
     the nonzero brackets.  While this process drains the window and runs
     the verdicts, a forked child (`_while_staging`) stages the text with
     no bracket, that of the solution the seeds start.  The text is
-    renamed into place only if the child exited 0 and the window saw
-    steps + 2 slices from these seeds and no nonzero bracket, for then
-    both texts have the same arguments; otherwise it is removed and the
-    text is written here, after the wait, from the window's own.  `own`
-    names the paths `verdicts()` stages: they are published after the
-    trajectory, in order, and removed if anything fails.
+    renamed into place only if the child exited 0 and the window read
+    what the text predicts (`_predicted`), for then both texts have the
+    same arguments; otherwise it is removed and the text is written
+    here, after the wait, from the window's own.  `own` names the
+    paths `verdicts()` stages: they are published after the trajectory,
+    in order, and removed if anything fails.
     """
     h = window.h
     path = out_dir / f"trajectory.{fmt}"
@@ -636,8 +643,7 @@ def _write_trajectory(window, seeds, steps, out_dir: Path, fmt: str, verdicts,
     try:
         result, staged = _while_staging(
             [(path, _trajectory_pieces(seeds, h, steps + 2, (), fmt))], work, own)
-        _settle(path, staged and not window.brackets
-                and (window.seeds, window.slices) == (seeds, steps + 2),
+        _settle(path, staged and _predicted(window, seeds, steps),
                 _trajectory_pieces(window.seeds, h, window.slices, window.brackets,
                                    fmt))
         for name in own:
@@ -676,12 +682,9 @@ def _write_composite(out_dir: Path, name: str, wave, zero: bool, verdicts):
 
 
 def _run_evolve(params, out_dir):
-    h, (s0, s1), steps = params["hamiltonian"], params["seeds"], params["steps"]
-    hs, ha = h.split()
-    oracle = automaton._phase_space_slices(s0.re, s0.im, s1.re, s1.im, hs, ha, steps)
+    h, seeds, steps = params["hamiltonian"], params["seeds"], params["steps"]
     # one pass checks the slices as they are made: no history is held
-    window = automaton._EvolveWindow(automaton._evolve_slices(s0, s1, h, steps),
-                                     h, oracle)
+    window = automaton._EvolveWindow(automaton._evolve_slices(*seeds, h, steps), h)
 
     def verdicts():
         checks = [Check("recurrence_holds_everywhere", window.first_bad is None)]
@@ -689,10 +692,10 @@ def _run_evolve(params, out_dir):
             checks.append(Check("action_zero_on_solution", window.action == 0,
                                 f"value {window.action}"))
         checks.append(Check("reversibility_roundtrip", window.reverses()))
-        checks.append(Check("phase_space_equivalence", window.same_as_oracle))
+        checks.append(Check("phase_space_equivalence", _predicted(window, seeds, steps)))
         return checks
 
-    path, checks = _write_trajectory(window, (s0, s1), steps, out_dir,
+    path, checks = _write_trajectory(window, seeds, steps, out_dir,
                                      params["format"], verdicts)
     return checks, [path], {}
 
@@ -946,6 +949,10 @@ def run(config: ExperimentConfig, out_dir) -> dict:
     return report
 
 
+def _interrupt(signum, frame):
+    raise KeyboardInterrupt(signum)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="hamca",
@@ -970,12 +977,20 @@ def main(argv=None) -> int:
             print(line, file=sys.stderr)
         return 2
 
+    previous = signal.signal(signal.SIGTERM, _interrupt)  # unwinds: no name stays staged
     try:
         report = run(config, args.out)
     except Exception as exc:  # module errors surface with the operation named
         print(f"FAIL {args.command} — {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return 1
+    except KeyboardInterrupt as exc:
+        if exc.args == (signal.SIGTERM,):  # end by the SIGTERM, not as a SIGINT
+            signal.signal(signal.SIGTERM, signal.SIG_DFL)
+            signal.raise_signal(signal.SIGTERM)
+        raise
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
     ok = True
     for c in report["checks"]:

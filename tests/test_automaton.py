@@ -108,7 +108,7 @@ def walk_reverses(slices, h):
 
 
 def window_reverses(slices, h):
-    window = automaton._EvolveWindow(slices, h, iter(slices))
+    window = automaton._EvolveWindow(slices, h)
     window.drain()
     return window.reverses()
 
@@ -202,7 +202,7 @@ def test_reversal_at_the_deep_bench_size(monkeypatch):
     last = bumped(clean, 6001, vec((0, 0), (0, 0), (0, 1)))
     assert walk_reverses(clean, TRIDIAGONAL) and not walk_reverses(last, TRIDIAGONAL)
     assert not window_reverses(last, TRIDIAGONAL)
-    window = automaton._EvolveWindow(clean, TRIDIAGONAL, iter(clean))
+    window = automaton._EvolveWindow(clean, TRIDIAGONAL)
     window.drain()
     stepped = [count_calls(monkeypatch, automaton, name)
                for name in ("step_backward", "step_forward")]
@@ -238,7 +238,7 @@ def test_reversal_takes_the_cheaper_path(h, steps, doubling, monkeypatch):
     rng = random.Random(steps)
     seeds = [vec(*[(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(h.dim)])
              for _ in range(2)]
-    window = automaton._EvolveWindow(automaton._evolve_slices(*seeds, h, steps), h, iter([]))
+    window = automaton._EvolveWindow(automaton._evolve_slices(*seeds, h, steps), h)
     window.drain()
     assert automaton._doubling_pays(h, steps, window.ends[1]) is doubling
     stepped = count_calls(monkeypatch, automaton, "step_backward")

@@ -369,10 +369,15 @@ sys.exit(cli.main(sys.argv[1:]))
 
 @pytest.mark.skipif(not hasattr(os, "fork") or not Path("/proc/self/stat").exists(),
                     reason="needs os.fork and a /proc process table")
-@pytest.mark.parametrize("sig", [signal.SIGKILL, signal.SIGTERM], ids=["KILL", "TERM"])
-def test_an_audit_killed_while_it_waits_leaves_no_staging_file(tmp_path, sig):
-    # the run is killed while it waits for its child, with `audit.json`
-    # and `series.csv` staged: the child, reparented, removes them too
+@pytest.mark.parametrize("sig, group", [
+    pytest.param(signal.SIGKILL, False, id="KILL"),
+    pytest.param(signal.SIGTERM, False, id="TERM"),
+    pytest.param(signal.SIGTERM, True, id="TERM-group")])
+def test_an_audit_killed_while_it_waits_leaves_no_staging_file(tmp_path, sig, group):
+    # the run, or its whole process group, is killed while it waits for
+    # its child, with `audit.json` and `series.csv` staged: the child,
+    # reparented, removes them too, and a run sent SIGTERM removes them
+    # itself, before the child can see it gone
     path = write_config(tmp_path / "cfg.json", {
         "kind": "audit", "hamiltonians": [KILLED_RUNS["evolve"]["hamiltonians"][0]],
         "seeds": KILLED_RUNS["evolve"]["seeds"], "steps": 1000})
@@ -388,7 +393,7 @@ def test_an_audit_killed_while_it_waits_leaves_no_staging_file(tmp_path, sig):
             assert time.monotonic() < deadline, "series.csv was not staged"
             time.sleep(0.001)
         assert (out / ".trajectory.csv.part").exists()  # the child is still writing
-        os.kill(proc.pid, sig)
+        (os.killpg if group else os.kill)(proc.pid, sig)
         assert proc.wait(timeout=10) == -sig
         deadline = time.monotonic() + 10
         while live_in_group(proc.pid) or any(out.glob(".*.part")):
@@ -597,6 +602,7 @@ def test_audit_computes_each_series_once(tmp_path, monkeypatch):
 
 def test_evolve_and_audit_sweep_the_brackets_once(tmp_path, monkeypatch):
     applied = count_applies(monkeypatch)
+    predicted = count_calls(monkeypatch, automaton, "_split_step")
     made, stream = [], automaton._evolve_slices
 
     def keep(*args):
@@ -608,11 +614,18 @@ def test_evolve_and_audit_sweep_the_brackets_once(tmp_path, monkeypatch):
 
     def on_window(h):
         """The applies of -iH on the window's own slices, and those of
-        them whose product is no slice: the window's own."""
+        them whose product is no slice: none, since the forward step's
+        products are the slices and the pass predicts with the split form."""
         y = h._step_matrices()[0]
         slices = {id(s) for s in made}
         on = [out for m, v, _, out in applied if m is y and id(v) in slices]
         return len(on), sum(id(out) not in slices for out in on)
+
+    def brackets():
+        """The split-form predictions of the pass, each on psi_n with the
+        slice before it, for every interior slice psi_n in order."""
+        return [(xc, xp) for _, xp, _, xc, _ in predicted] == \
+            [(s.re, before.re) for before, s in zip(made, made[1:-1])]
 
     rest = {}
     for doubling, steps, fmt in ((True, 9, "csv"), (True, 9, "json"),
@@ -622,18 +635,19 @@ def test_evolve_and_audit_sweep_the_brackets_once(tmp_path, monkeypatch):
                                         output={"format": fmt}))
         made.clear()
         applied.clear()
+        predicted.clear()
         run(cfg, tmp_path / f"evolve-{steps}-{fmt}-{doubling}")
         assert len(made) == steps + 2
+        # one bracket pass for the verdicts and the writer, each bracket
+        # one split-form step, and no apply of -iH but the forward step's
+        assert len(predicted) == steps and brackets()
         if doubling:
-            # -iH on the window's slices: the forward step and one bracket
-            # pass for both verdicts and the writer, each bracket from the
-            # window's own apply; the phase-space oracle never applies,
-            # and reversal applies only its own matrices
-            assert on_window(cfg.params["hamiltonian"]) == (2 * steps, steps)
-            rest[steps] = len(applied) - 2 * steps
+            # reversal applies only its own matrices
+            assert on_window(cfg.params["hamiltonian"]) == (steps, 0)
+            rest[steps] = len(applied) - steps
         else:
             # walking back applies iH once per step
-            assert len(applied) == 3 * steps
+            assert len(applied) == 2 * steps
     # reversal's products grow with log2 of the steps, not with the steps
     assert rest[500] <= rest[9] * math.log2(500) / math.log2(9)
     cfg = load_config(write_config(tmp_path / "audit.json", {
@@ -641,12 +655,14 @@ def test_evolve_and_audit_sweep_the_brackets_once(tmp_path, monkeypatch):
         "seeds": [[[1, 0], [0, 0]], [[0, 0], [1, 1]]], "steps": 9}))
     made.clear()
     applied.clear()
+    predicted.clear()
     run(cfg, tmp_path / "audit")
-    # -iH on the window's slices: the forward step and one bracket pass
+    # -iH on the window's slices: the forward step only; one bracket pass
     # shared by the solution check and the writer (the observables are
     # matrices of their own)
     assert len(made) == 9 + 2
-    assert on_window(cfg.params["hamiltonian"]) == (2 * 9, 9)
+    assert on_window(cfg.params["hamiltonian"]) == (9, 0)
+    assert len(predicted) == 9 and brackets()
 
 
 def test_audit_series_of_a_drifting_observable(tmp_path):
@@ -1610,8 +1626,10 @@ def test_evolve_peak_memory_stays_below_its_artifact(tmp_path, monkeypatch, fmt,
 
 def test_the_phase_space_check_compares_every_slice_and_the_length(tmp_path,
                                                                    monkeypatch):
+    # each faulty stream but the bumped one keeps to the rule, so only one
+    # part of the check can catch it: the slice count or the seeds
     cfg = load_config(evolve_config(tmp_path, steps=6))
-    stream = automaton._phase_space_slices
+    stream = automaton._evolve_slices
 
     def short(*args):
         return itertools.islice(stream(*args), 7)
@@ -1620,15 +1638,19 @@ def test_the_phase_space_check_compares_every_slice_and_the_length(tmp_path,
         for n, s in enumerate(stream(*args)):
             yield s + GIVector([1, 0]) if n == 4 else s
 
-    def long(*args):
-        return itertools.chain(stream(*args), [GIVector([0, 0])])
+    def long(s0, s1, h, steps):
+        return stream(s0, s1, h, steps + 1)
 
-    for oracle, ok in ((stream, True), (short, False), (bumped, False), (long, False)):
-        monkeypatch.setattr(automaton, "_phase_space_slices", oracle)
+    def reseeded(s0, s1, h, steps):
+        return stream(s0 + GIVector([0, 1]), s1, h, steps)
+
+    for slices, ok in ((stream, True), (short, False), (bumped, False), (long, False),
+                       (reseeded, False)):
+        monkeypatch.setattr(automaton, "_evolve_slices", slices)
         checks = {c["name"]: c["passed"]
                   for c in run(cfg, tmp_path / "out")["checks"]}
         assert checks["phase_space_equivalence"] is ok
-
+        assert checks["recurrence_holds_everywhere"] is (slices is not bumped)
 
 
 def evolve_peak(tmp_path, h, steps, fmt):
@@ -1677,7 +1699,7 @@ def bump_slice(stream, k):
 def bump_step(target):
     """`automaton._affine` that raises entry 0 of the slice the forward
     stream's own kernel call makes from `target`, (psi_{k-2}, psi_{k-1});
-    every other call, the window's among them, gives the kernel's value."""
+    every other call gives the kernel's value."""
     kernel, stream = automaton._affine, automaton._evolve_slices.__code__
 
     def bumped(m, v, base=None):
@@ -1689,6 +1711,72 @@ def bump_step(target):
     return bumped
 
 
+def flipped_kernel(m, v, base=None):
+    """`GIMatrix.apply` with one sign flipped: its imaginary loop adds
+    c * Im v to the real part instead of subtracting it."""
+    base_re, base_im = (itertools.repeat(0),) * 2 if base is None else (base.re, base.im)
+    out_re, out_im = [], []
+    for (re_terms, im_terms), r, i in zip(m._program, base_re, base_im):
+        for j, c in re_terms:
+            r += c * v.re[j]
+            i += c * v.im[j]
+        for j, c in im_terms:
+            r += c * v.im[j]
+            i += c * v.re[j]
+        out_re.append(r)
+        out_im.append(i)
+    return GIVector._from_parts(tuple(out_re), tuple(out_im))
+
+
+def flipped_split_step(rows, xp, pp, xc, pc):
+    """`automaton._split_step` with one sign flipped: hS_i . x_n is added
+    to p_i instead of subtracted."""
+    x_out, p_out = [], []
+    for (s_terms, a_terms), x, p in zip(rows, xp, pp):
+        for j, c in s_terms:
+            x += c * pc[j]
+            p += c * xc[j]
+        for j, c in a_terms:
+            x += c * xc[j]
+            p += c * pc[j]
+        x_out.append(x)
+        p_out.append(p)
+    return tuple(x_out), tuple(p_out)
+
+
+@pytest.mark.parametrize("schedule", ["forked", "inline"])
+@pytest.mark.parametrize("mutant", ["kernel", "split form"])
+@pytest.mark.parametrize("kind", ["evolve", "audit"])
+def test_a_mutant_program_fails_the_recurrence_check(tmp_path, monkeypatch, capsys,
+                                                     kind, mutant, schedule):
+    # the kernel makes the slices and the split form checks them, so a
+    # sign flipped in either program shows: the checks fail by name, and
+    # a kernel mutant ends in no internal error
+    path = write_config(tmp_path / "cfg.json", FORK_RUNS[kind][0])
+    forks = use_schedule(monkeypatch, schedule)
+    if mutant == "kernel":
+        monkeypatch.setattr(GIMatrix, "apply", flipped_kernel)
+        monkeypatch.setattr(automaton, "_affine", flipped_kernel)
+    else:
+        monkeypatch.setattr(automaton, "_split_step", flipped_split_step)
+    code = main([kind, "--config", path, "--out", str(tmp_path / "out")])
+    out, err = capsys.readouterr()
+    assert code == 1 and len(forks) == (schedule == "forked")
+    if kind == "audit" and mutant == "split form":
+        # the commuting observables' series are derived from the
+        # brackets, so the two-term cross-check stops the run first
+        assert out == "" and err == (
+            "FAIL audit — AssertionError: two-point series disagrees with the "
+            "two-term invariant at the last index n = 201\n")
+        return
+    assert err == ""
+    failed = [line.split(" — ")[0] for line in out.splitlines()
+              if line.startswith("FAIL ")]
+    want = (["FAIL recurrence_holds_everywhere", "FAIL action_zero_on_solution"]
+            if kind == "evolve" else ["FAIL trajectory_is_solution"])
+    assert failed[:len(want)] == want
+
+
 @pytest.mark.parametrize("fmt, schedule", FMT_SCHEDULES)
 @pytest.mark.parametrize("where", ["slice", "step"])
 def test_the_window_checks_the_slices_it_writes(tmp_path, monkeypatch, fmt, schedule,
@@ -1696,7 +1784,7 @@ def test_the_window_checks_the_slices_it_writes(tmp_path, monkeypatch, fmt, sche
     # a corrupted slice k, whether it keeps to the rule after k (a forward
     # step went wrong) or not (a slice changed after it was made), must
     # show in every verdict and be written as it is: the window's bracket
-    # comes from its own apply of -iH, not from the step that made the slice
+    # comes from the split form, not from the kernel that made the slice
     cfg = load_config(write_config(tmp_path / "cfg.json", {
         "kind": "evolve", "hamiltonians": [TRIDIAGONAL],
         "seeds": [[[1, 0], [0, -1], [2, 1]], [[0, 1], [1, 0], [-1, 0]]],

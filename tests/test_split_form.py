@@ -8,18 +8,19 @@ the independent oracles never reach the kernel.
 """
 
 from itertools import zip_longest
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hamca import automaton
 from hamca.automaton import (Trajectory, action_evaluate, evolve, evolve_phase_space,
-                             is_solution, recurrence_residual, step_forward,
-                             verify_stationarity)
+                             first_recurrence_violation, is_solution,
+                             recurrence_residual, step_forward, verify_stationarity)
 from hamca.conservation import audit_conservation
-from hamca.gaussian import GaussianInt, GIMatrix, GIVector, HermitianIntMatrix
-from conftest import (BIG, COEFF, SMALL, count_applies, hermitian_splits, random_hermitian,
-                      random_vector)
+from hamca.gaussian import GaussianInt, GIMatrix, GIVector, HermitianIntMatrix, IMAG_UNIT
+from conftest import (BIG, COEFF, SMALL, count_applies, count_calls, hermitian_splits,
+                      random_hermitian, random_vector)
 
 PART = st.one_of(st.just(0), SMALL, st.integers(-2**64, 2**64), BIG)
 ROW_KINDS = ("complex", "real", "imaginary", "zero", "identity")
@@ -223,6 +224,10 @@ def test_independent_oracles_never_call_the_matvec_kernel(monkeypatch, rng):
     traj = evolve(random_vector(rng, 3), random_vector(rng, 3), h, 8)
     bumped = traj.replace(4, traj[4] + GIVector([1, 0, 0]))
     hs, ha = h.split()
+    # E_n = H psi_n - i (psi_{n+1} - psi_{n-1}) at every interior site, by
+    # the kernel before it is refused
+    brackets = [[h.apply(t[n]) - (t[n + 1] - t[n - 1]).scale(IMAG_UNIT)
+                 for n in range(1, t.last)] for t in (traj, bumped)]
 
     def refuse(self, v, base=None):
         raise AssertionError("an independent oracle called GIMatrix.apply")
@@ -232,17 +237,31 @@ def test_independent_oracles_never_call_the_matvec_kernel(monkeypatch, rng):
 
     monkeypatch.setattr(GIMatrix, "apply", refuse)
     monkeypatch.setattr(automaton, "_affine", refuse)
-    monkeypatch.setattr(automaton, "_kept_pass", refuse_pass)
-    phase = evolve_phase_space(traj[0].re, traj[0].im, traj[1].re, traj[1].im,
-                               hs, ha, 8)
-    assert phase == traj
-    stream = automaton._phase_space_slices(traj[0].re, traj[0].im, traj[1].re,
-                                           traj[1].im, hs, ha, 8)
-    assert list(stream) == list(traj)
-    assert verify_stationarity(traj, h, method="direct").ok
-    assert not verify_stationarity(bumped, h, method="direct").ok
-    with pytest.raises(AssertionError, match="independent oracle"):
-        verify_stationarity(traj, h, method="fast")
+    with monkeypatch.context() as patched:
+        patched.setattr(automaton, "_kept_pass", refuse_pass)
+        phase = evolve_phase_space(traj[0].re, traj[0].im, traj[1].re, traj[1].im,
+                                   hs, ha, 8)
+        assert phase == traj
+        stream = automaton._phase_space_slices(traj[0].re, traj[0].im, traj[1].re,
+                                               traj[1].im, hs, ha, 8)
+        assert list(stream) == list(traj)
+        direct = [verify_stationarity(t, h, method="direct") for t in (traj, bumped)]
+        assert direct[0].ok and not direct[1].ok
+        with pytest.raises(AssertionError, match="independent oracle"):
+            verify_stationarity(traj, h, method="fast")
+    # the checked pass predicts with the split form, so it needs no kernel
+    # call either, and every verdict it gives is the kernel's
+    for t, es, report in zip((traj, bumped), brackets, direct):
+        bad = [n for n, e in enumerate(es, start=1) if not e.is_zero()]
+        assert bad == ([] if t is traj else [3, 4, 5])
+        assert is_solution(t, h) is not bad
+        assert first_recurrence_violation(t, h) == (bad[0] if bad else None)
+        assert [recurrence_residual(t, h, n) for n in range(1, t.last)] == \
+            [e.scale(IMAG_UNIT) for e in es]
+        assert action_evaluate(t, h).as_int == sum(
+            sum(map(mul, t[n].re, e.re)) + sum(map(mul, t[n].im, e.im))
+            for n, e in enumerate(es, start=1))
+        assert verify_stationarity(t, h, method="fast") == report
 
 
 # -- one bracket pass ----------------------------------------------------
@@ -253,6 +272,7 @@ def test_each_verdict_applies_h_once_per_stored_interior_slice(monkeypatch, rng)
     y = h._step_matrices()[0]
     solution = evolve(random_vector(rng, 3), random_vector(rng, 3), h, 12)
     applied = count_applies(monkeypatch)
+    predicted = count_calls(monkeypatch, automaton, "_split_step")
     observables = [h.power(2), HermitianIntMatrix.identity(3)]
     readers = [lambda t: is_solution(t, h),
                lambda t: action_evaluate(t, h),
@@ -263,19 +283,21 @@ def test_each_verdict_applies_h_once_per_stored_interior_slice(monkeypatch, rng)
         for fresh in (Trajectory(solution.states),
                       solution.replace(5, solution[5] + GIVector([1, 0, 0]))):
             applied.clear()
+            predicted.clear()
             for read in order:
                 read(fresh)
-            # together one pass: last - 1 applies of -iH, each on the
-            # stored slice with the one before it as the base; H's only
-            # applies are the audit's commutator columns, and the
+            # together one pass: last - 1 split-form steps, each on the
+            # stored slice with the one before it, and no apply of -iH;
+            # H's only applies are the audit's commutator columns, and the
             # observables are matrices of their own
-            on_y = [(v, base) for m, v, base, _ in applied if m is y]
-            assert len(on_y) == fresh.last - 1
-            assert all(v is s and base is before for (v, base), before, s
-                       in zip(on_y, fresh.states, fresh.states[1:-1]))
+            assert len(predicted) == fresh.last - 1
+            assert all(xp is before.re and pp is before.im and xc is s.re and pc is s.im
+                       for (_, xp, pp, xc, pc), before, s
+                       in zip(predicted, fresh.states, fresh.states[1:-1]))
+            assert not any(m is y for m, *_ in applied)
             assert sum(m is h for m, *_ in applied) == fresh.dim * len(observables)
     applied.clear()
+    predicted.clear()
     recurrence_residual(solution, h, 5)
-    assert len(applied) == 1
-    assert applied[0][0] is y and applied[0][1] is solution[5] \
-        and applied[0][2] is solution[4]
+    assert applied == [] and len(predicted) == 1
+    assert predicted[0][3] is solution[5].re and predicted[0][1] is solution[4].re
