@@ -83,6 +83,7 @@ import re as _re
 from dataclasses import dataclass
 from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact,
                      InvalidOperation, Overflow, Rounded)
+from itertools import accumulate, chain, repeat
 from operator import mul, neg, sub
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -417,9 +418,13 @@ def _phase_space_slices(x0: Sequence[int], p0: Sequence[int],
     if type(steps) is not int or steps < 0:
         raise ValueError("steps must be an int >= 0")
     hs, ha = ([_plain_ints(r, name) for r in m] for name, m in (("hS", hs), ("hA", ha)))
-    return _split_form_stream(_plain_ints(x0, "x0"), _plain_ints(p0, "p0"),
-                              _plain_ints(x1, "x1"), _plain_ints(p1, "p1"),
-                              _split_rows(hs, ha), steps)
+    x0, p0 = _plain_ints(x0, "x0"), _plain_ints(p0, "p0")
+    # each state (x_{n-1}, p_{n-1}, x_n, p_n) steps to (x_n, p_n, x_{n+1}, p_{n+1})
+    states = accumulate(repeat(_split_rows(hs, ha), steps),
+                        lambda s, rows: s[2:] + _split_step(rows, *s),
+                        initial=(x0, p0, _plain_ints(x1, "x1"), _plain_ints(p1, "p1")))
+    return chain([GIVector._from_parts(x0, p0)],
+                 (GIVector._from_parts(x, p) for _, _, x, p in states))
 
 
 def _split_rows(hs: Sequence[Sequence[int]], ha: Sequence[Sequence[int]]) -> tuple:
@@ -443,14 +448,6 @@ def _split_step(rows: tuple, xp: tuple, pp: tuple, xc: tuple, pc: tuple) -> tupl
         x_out.append(x)
         p_out.append(p)
     return tuple(x_out), tuple(p_out)
-
-
-def _split_form_stream(xp, pp, xc, pc, rows, steps):
-    yield GIVector._from_parts(xp, pp)
-    yield GIVector._from_parts(xc, pc)
-    for _ in range(steps):
-        xp, pp, (xc, pc) = xc, pc, _split_step(rows, xp, pp, xc, pc)
-        yield GIVector._from_parts(xc, pc)
 
 
 def evolve_phase_space(x0: Sequence[int], p0: Sequence[int],

@@ -19,10 +19,7 @@ direct: 2 Re (G psi_n)^* psi_{n-1} lets one product G psi_n serve both
 q_G(n) and q_G(n+1), so the per-G series (`_per_g_series`) takes one
 real inner product per clock index and one G-apply per two; a G that
 is not self-adjoint is rejected before any series.  The audit feeds
-its non-commuting observables' slice pairs to one direct pass, from
-one block of entry products per pair (`_block_series`), a
-bilinear-form identity that needs no G-apply, or with the per-G
-series when that is cheaper.
+its non-commuting observables' slice pairs to one such pass.
 One report assembly turns the series and one checked pass
 (`automaton._Window`: the solution verdict, the seeds, the brackets
 and the last two slices) into the verdicts, with the two-term form,
@@ -49,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat, starmap
-from operator import add, mul
+from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .automaton import Trajectory, _Window, _check_dims, _check_site, _kept_pass
@@ -92,26 +89,23 @@ def two_point_series(traj: Trajectory, g: HermitianIntMatrix) -> list:
     of q_G(n) sum to twice the real part of one.  If the trajectory was
     checked (`automaton._kept_pass`) against an H with [G, H] = 0, the
     series is derived from that pass (`_derived_runs`): q_G(1) from the
-    seeds plus one step per nonzero bracket, exact on any trajectory, and
-    the two-term form at n = 1 and n = N must agree with it
-    (AssertionError otherwise).  Any other G, or a trajectory never
-    checked, goes through `_per_g_series`: one real inner product per n
-    and one G-apply per two (at n = 1, 3, 5, ...).  Every value is real.
+    seeds plus one step per nonzero bracket, exact on any trajectory.  Any
+    other G, or a trajectory never checked, goes through `_per_g_series`:
+    one real inner product per n and one G-apply per two (at n = 1, 3,
+    5, ...).  On either path the two-term form at n = 1 and n = N must
+    agree with the series (AssertionError otherwise).  Every value is real.
     """
     _check_dims(traj, g)
     _check_self_adjoint(g)
     kept, states = traj._swept, traj.states
     if kept is not None and g.commutator(kept.h).is_zero():
         steps = [_step(g.apply(states[m]), e) for m, e in kept.brackets]
-        values = [v for q, k in _derived_runs(g, states, kept.brackets, steps, traj.last)
-                  for v in repeat(GaussianInt(q, 0), k)]
-        _cross_check(values, (traj[1], traj[0]), (traj[-1], traj[-2]), g)
-        return values
-    values = []
-    feed = _per_g_series([g], [values])
-    for u, w in zip(states[1:], states):
-        feed(u, w)
-    return [GaussianInt(v, 0) for v in values]
+        values = _expanded((GaussianInt(q, 0), k) for q, k in
+                           _derived_runs(g, states, kept.brackets, steps, traj.last))
+    else:
+        values = [GaussianInt(v, 0) for v in _stored_series([g], states)[0]]
+    _cross_check(values, (traj[1], traj[0]), (traj[-1], traj[-2]), g)
+    return values
 
 
 def _check_self_adjoint(g):
@@ -120,11 +114,15 @@ def _check_self_adjoint(g):
         raise ValueError("observable is not self-adjoint")
 
 
-def _commuting(observables: Sequence, h: HermitianIntMatrix) -> list:
-    """Whether [G, H] = 0 for each G, once every G is checked self-adjoint."""
+def _split(observables: Sequence, h: HermitianIntMatrix) -> tuple:
+    """(commutes, derived, direct), once every G is checked self-adjoint:
+    whether [G, H] = 0 for each G, then the Gs that commute, whose series
+    are derived from the brackets, and the others, in order."""
     for g in observables:
         _check_self_adjoint(g)
-    return [g.commutator(h).is_zero() for g in observables]
+    commutes = [g.commutator(h).is_zero() for g in observables]
+    return (commutes, [g for g, c in zip(observables, commutes) if c],
+            [g for g, c in zip(observables, commutes) if not c])
 
 
 def _step(gx: GIVector, e: tuple) -> int:
@@ -154,6 +152,11 @@ def _derived_runs(g: HermitianIntMatrix, seeds: Sequence, brackets: Sequence,
     yield q, pairs + 1 - n
 
 
+def _expanded(runs: Iterable[tuple]) -> list:
+    """The series of runs (value, count), such as `_derived_runs` yields."""
+    return list(chain.from_iterable(starmap(repeat, runs)))
+
+
 def _cross_check(series: Sequence, first: tuple, last: tuple,
                  g: HermitianIntMatrix):
     """Compare a series with the two-term form at both ends: n = 1 from the
@@ -165,67 +168,6 @@ def _cross_check(series: Sequence, first: tuple, last: tuple,
     if _pair_invariant(*last, g) != series[-1]:
         raise AssertionError("two-point series disagrees with the two-term "
                              f"invariant at the last index n = {len(series)}")
-
-
-def _block_program(observables: Sequence, dim: int):
-    """The pairs the product block needs and each observable's combination.
-
-    Returns (s_pairs, t_pairs, programs).  `s_pairs` are the a < b where
-    some G has a nonzero Re G_ab, `t_pairs` those with a nonzero Im G_ab.
-    A slice's block is the list R_0..R_{d-1}, then S_ab for `s_pairs`,
-    then T_ab for `t_pairs`; each program is (positions, coefficients)
-    into that list with q_G(n) = 2 * sum(coefficient * block entry).
-    """
-    pairs = [(a, b) for a in range(dim) for b in range(a + 1, dim)]
-    s_pairs = [p for p in pairs if any(g.rows[p[0]].re[p[1]] for g in observables)]
-    t_pairs = [p for p in pairs if any(g.rows[p[0]].im[p[1]] for g in observables)]
-    programs = []
-    for g in observables:
-        terms = [(a, g.rows[a].re[a]) for a in range(dim)]
-        terms += [(dim + k, g.rows[a].re[b]) for k, (a, b) in enumerate(s_pairs)]
-        terms += [(dim + len(s_pairs) + k, -g.rows[a].im[b])
-                  for k, (a, b) in enumerate(t_pairs)]
-        terms = [(i, c) for i, c in terms if c]
-        programs.append((tuple(i for i, _ in terms), tuple(c for _, c in terms)))
-    return s_pairs, t_pairs, programs
-
-
-def _block_series(program, out: list):
-    """The feed that appends q_G(n) to out[k] for the k-th g of a
-    `_block_program`, from one product block per slice pair.
-
-    With u = psi_n, w = psi_{n-1} and X_a = ur_a wr_a, Y_a = ui_a wi_a,
-    R_a = X_a + Y_a, the entries the observables read are
-        S_ab = (ur_a+ur_b)(wr_a+wr_b) + (ui_a+ui_b)(wi_a+wi_b) - R_a - R_b
-             = Re(conj(u_a) w_b + conj(u_b) w_a),
-        T_ab = (ur_a+ui_b)(wr_a+wi_b) - (ui_a+ur_b)(wi_a+wr_b)
-               - X_a - Y_b + Y_a + X_b
-             = Im(conj(u_a) w_b - conj(u_b) w_a),
-    and q_G(n) = 2 [sum_a G_aa R_a + sum_{a<b} (Re G_ab S_ab - Im G_ab T_ab)]
-    for self-adjoint G.  Pure algebra of the bilinear form, so exact on any
-    pair: 2d + 2|S pairs| + 2|T pairs| big products per slice and only
-    small-coefficient multiplies after them.
-    """
-    s_pairs, t_pairs, programs = program
-    rows = tuple(zip(out, programs))
-
-    def feed(u: GIVector, w: GIVector):
-        ur, ui, wr, wi = u.re, u.im, w.re, w.im
-        x = list(map(mul, ur, wr))
-        y = list(map(mul, ui, wi))
-        block = list(map(add, x, y))  # R_a, at positions 0..d-1
-        for a, b in s_pairs:
-            block.append((ur[a] + ur[b]) * (wr[a] + wr[b])
-                         + (ui[a] + ui[b]) * (wi[a] + wi[b]) - block[a] - block[b])
-        for a, b in t_pairs:
-            block.append((ur[a] + ui[b]) * (wr[a] + wi[b])
-                         - (ui[a] + ur[b]) * (wi[a] + wr[b])
-                         - x[a] - y[b] + y[a] + x[b])
-        at = block.__getitem__
-        for series, (positions, coefficients) in rows:
-            series.append(2 * sum(map(mul, coefficients, map(at, positions))))
-
-    return feed
 
 
 def _per_g_series(observables: Sequence, out: list):
@@ -254,22 +196,15 @@ def _per_g_series(observables: Sequence, out: list):
     return feed
 
 
-def _audit_series(observables: Sequence, dim: int):
-    """One series pass over every observable: (feed, series).
-
-    Each feed(psi_n, psi_{n-1}) call, for n = 1, 2, ... in order, appends
-    q_G(n) as an int to the G's list in `series`.  The pass uses the
-    product block when it takes no more big products per slice than one
-    real inner product per G (2d each), else the per-G series; the
-    choice depends only on the observables' nonzero pattern.  Every G
-    must be self-adjoint (`_commuting` checks it).
-    """
-    program = _block_program(observables, dim)
-    s_pairs, t_pairs, _ = program
+def _stored_series(observables: Sequence, states: Sequence) -> list:
+    """Each G's q_G(1..N) as ints, from one `_per_g_series` pass over the
+    stored slices `states`, or no pass when there is no G."""
     series = [[] for _ in observables]
-    if 2 * dim + 2 * len(s_pairs) + 2 * len(t_pairs) <= 2 * dim * len(observables):
-        return _block_series(program, series), series
-    return _per_g_series(observables, series), series
+    if observables:
+        feed = _per_g_series(observables, series)
+        for u, w in zip(states[1:], states):
+            feed(u, w)
+    return series
 
 
 def _pair_norm(u: GIVector, w: GIVector) -> int:
@@ -321,9 +256,7 @@ class ConservedQuantity:
 def conserved_quantity(traj: Trajectory, g: HermitianIntMatrix,
                        label: str) -> ConservedQuantity:
     """Labelled invariant series; values are real for self-adjoint g."""
-    values = tuple(two_point_series(traj, g))
-    _cross_check(values, (traj[1], traj[0]), (traj[-1], traj[-2]), g)
-    return ConservedQuantity(label=label, values_by_n=values)
+    return ConservedQuantity(label=label, values_by_n=tuple(two_point_series(traj, g)))
 
 
 def default_commutant_basis(h: HermitianIntMatrix, max_power: int = 3) -> list:
@@ -394,7 +327,7 @@ def _report(window: _Window, observables: Sequence, labels: Sequence[str],
             commutes: Sequence[bool], direct: Sequence, steps: Sequence) -> AuditReport:
     """The audit of the slices of a drained `window`.
 
-    `commutes` says for each G whether [G, H] = 0 (`_commuting`).  A
+    `commutes` says for each G whether [G, H] = 0 (`_split`).  A
     commuting G's series is derived (`_derived_runs`) from the window's
     seeds and brackets and its list of `_step`s, the next one of `steps`;
     any other G's is the next of `direct`, its q_G(1..N) as ints from a
@@ -409,8 +342,8 @@ def _report(window: _Window, observables: Sequence, labels: Sequence[str],
     entries = []
     for label, g, commutes in zip(labels, observables, commutes):
         if commutes:
-            values = list(chain.from_iterable(starmap(repeat, _derived_runs(
-                g, window.seeds, window.brackets, next(steps), window.slices - 1))))
+            values = _expanded(_derived_runs(g, window.seeds, window.brackets,
+                                             next(steps), window.slices - 1))
         else:
             values = next(direct)
         _cross_check(values, first, last, g)
@@ -450,34 +383,24 @@ def audit_conservation(traj: Trajectory, h: HermitianIntMatrix,
     (`automaton._kept_pass`), so no second H sweep runs.  A commuting G's
     series is derived from that pass (`_derived_runs`): q_G(1) from the
     seeds, then one G-apply and 2d big products at each nonzero bracket,
-    none on a solution.  The other observables' series come from one pass
-    over the slice pairs (`_audit_series`): one shared block of entry
-    products per slice (see `_block_series`) whenever that takes no more
-    big products, 2d + 2 per off-diagonal pair with a nonzero real part
-    in some G + 2 per pair with a nonzero imaginary part, than the 2d per
-    G of one real inner product each; otherwise the per-G series
-    (`_per_g_series`, one G-apply per G and two slices).  The choice
-    depends only on their nonzero pattern.  `_AuditWindow` makes the same
-    report from a three-slice window.  Raises ValueError if `labels` and
-    `observables` differ in length or a G is not self-adjoint, and
-    AssertionError if a series disagrees with the two-term
-    `two_point_invariant` at n = 1 or at n = N.
+    none on a solution.  The other observables' series come from one
+    per-G series pass over the slice pairs (`_per_g_series`: one real
+    inner product per G and slice, one G-apply per G and two slices).
+    `_AuditWindow` makes the same report from a three-slice window.
+    Raises ValueError if `labels` and `observables` differ in length or a
+    G is not self-adjoint, and AssertionError if a series disagrees with
+    the two-term `two_point_invariant` at n = 1 or at n = N.
     """
     _check_dims(traj, h)
     labels = _labels(labels, observables)
     for g in observables:
         _check_dims(traj, g)
-    window = _kept_pass(traj, h)
-    commutes = _commuting(observables, h)
-    direct = [g for g, c in zip(observables, commutes) if not c]
-    series, states = [], traj.states
-    if direct:
-        feed, series = _audit_series(direct, traj.dim)
-        for u, w in zip(states[1:], states):
-            feed(u, w)
+    window, states = _kept_pass(traj, h), traj.states
+    commutes, derived, direct = _split(observables, h)
     steps = [[_step(g.apply(states[m]), e) for m, e in window.brackets]
-             for g, c in zip(observables, commutes) if c]
-    return _report(window, observables, labels, commutes, series, steps)
+             for g in derived]
+    return _report(window, observables, labels, commutes,
+                   _stored_series(direct, states), steps)
 
 
 class _AuditWindow(_Window):
@@ -487,7 +410,7 @@ class _AuditWindow(_Window):
     `drain()` (see `automaton._Window`) visits each slice pair (psi_n,
     psi_{n-1}).  At a nonzero bracket E_{n-1} it applies each commuting G
     to psi_{n-1} for that G's `_step`; the other observables get every
-    pair in one series pass (`_audit_series`).  After it, `report()` is
+    pair in one series pass (`_per_g_series`).  After it, `report()` is
     the audit of the slices it pulled.
     """
 
@@ -496,12 +419,10 @@ class _AuditWindow(_Window):
         super().__init__(slices, h)
         self._labels = _labels(labels, observables)
         self._observables = observables
-        self._commutes = _commuting(observables, h)
-        direct = [g for g, c in zip(observables, self._commutes) if not c]
-        self._derived = [g for g, c in zip(observables, self._commutes) if c]
+        self._commutes, self._derived, direct = _split(observables, h)
         self._steps = [[] for _ in self._derived]
-        self._feed, self._series = \
-            _audit_series(direct, h.dim) if direct else (None, [])
+        self._series = [[] for _ in direct]
+        self._feed = _per_g_series(direct, self._series) if direct else None
 
     def _visit(self, psi, up, e):
         if psi is not None:

@@ -562,10 +562,10 @@ def test_audit_computes_each_series_once(tmp_path, monkeypatch):
     for schedule in ("inline", "forked"):
         with monkeypatch.context() as patched:
             forks = use_schedule(patched, schedule)
-            fed, audit_series = [], conservation._audit_series
+            fed, per_g_series = [], conservation._per_g_series
 
-            def recording(observables, dim):
-                feed, series = audit_series(observables, dim)
+            def recording(observables, out):
+                feed = per_g_series(observables, out)
 
                 def feeding(u, w):
                     n = index[u.re, u.im]
@@ -573,11 +573,10 @@ def test_audit_computes_each_series_once(tmp_path, monkeypatch):
                     fed.append(n)
                     feed(u, w)
 
-                return feeding, series
+                return feeding
 
-            patched.setattr(conservation, "_audit_series", recording)
-            passes = count_calls(patched, conservation, "_audit_series")
-            blocks = count_calls(patched, conservation, "_block_series")
+            patched.setattr(conservation, "_per_g_series", recording)
+            passes = count_calls(patched, conservation, "_per_g_series")
             reports = count_calls(patched, conservation._AuditWindow, "report")
             series = count_calls(patched, conservation, "two_point_series")
             rates = count_calls(patched, conservation, "conservation_rate")
@@ -585,12 +584,12 @@ def test_audit_computes_each_series_once(tmp_path, monkeypatch):
             audits = count_calls(patched, conservation, "audit_conservation")
             histories = count_calls(patched, Trajectory, "__init__")
             run(cfg, tmp_path / schedule)
-        # one series pass here, fed by the window, for the one observable
-        # whose series is not derived from the brackets: a single product
-        # block and no stored trajectory
+        # one per-G series pass here, fed by the window, for the one
+        # observable whose series is not derived from the brackets, and no
+        # stored trajectory
         assert len(passes) == 1 and len(passes[0][0]) == 1
         assert passes[0][0][0] is tilt
-        assert len(blocks) == 1 and series == []
+        assert series == []
         assert rates == [] and quantities == []
         assert audits == [] and histories == [] and len(reports) == 1
         assert fed == list(range(1, 402))
@@ -754,10 +753,30 @@ H4 = [[[2, 0], [1, 1], [0, 0], [0, -1]], [[1, -1], [0, 0], [1, 0], [0, 0]],
 DENSE_G4 = [[[1, 0], [1, 2], [-1, 1], [2, 0]], [[1, -2], [0, 0], [3, -1], [0, 1]],
             [[-1, -1], [3, 1], [2, 0], [1, 1]], [[2, 0], [0, -1], [1, -1], [-2, 0]]]
 
+TRIDIAGONAL = [[[2, 0], [1, 0], [0, 0]],
+               [[1, 0], [2, 0], [1, 0]],
+               [[0, 0], [1, 0], [2, 0]]]
+TRIDIAGONAL_SEEDS = [[[1, 0], [0, -1], [2, 1]], [[0, 1], [1, 0], [-1, 0]]]
+TRIDIAGONAL_BASIS = [g for _, g in conservation.default_commutant_basis(
+    HermitianIntMatrix(GIMatrix.from_pairs(TRIDIAGONAL)))]
+TILT = [[[1, 0], [0, 0], [0, 0]], [[0, 0]] * 3, [[0, 0]] * 3]
+# TRIDIAGONAL's default basis, each power with diag(1, 0, 0) added: none of
+# the four commutes with TRIDIAGONAL
+TILTED_BASIS = [(g + GIMatrix.from_pairs(TILT)).to_pairs() for g in TRIDIAGONAL_BASIS]
+
+
+def tridiagonal_audit(steps, observables, fmt="csv"):
+    return {"kind": "audit", "hamiltonians": [TRIDIAGONAL], "seeds": TRIDIAGONAL_SEEDS,
+            "steps": steps, "observables": observables, "output": {"format": fmt}}
+
+
 # sha256 of audit.json and series.csv, recorded from the audit that ran
 # one two_point_series per observable: the default basis of a complex H,
 # user observables with a non-commuting complex G (the drift path), and
-# one dense observable (the per-G side of the selection)
+# one dense observable (the per-G series).  The tilted basis (with its
+# trajectory, in both formats) and the two dense real observables of
+# "tie" were recorded while the audit still fed several non-commuting
+# observables to one block of entry products per slice pair
 GOLDEN_AUDITS = {
     "complex-default": (
         {"kind": "audit", "hamiltonians": [COMPLEX_H3],
@@ -785,6 +804,29 @@ GOLDEN_AUDITS = {
                        "c313c5aa65c47595bab91d5d5d4079f5",
          "series.csv": "25eae018890b7a23febf51e02a6e9a2c"
                        "56289cf0f5f23a04b4f1ed7c9e91242d"}),
+    "tilted-basis-csv": (
+        tridiagonal_audit(400, TILTED_BASIS),
+        {"trajectory.csv": "93bd023658407681c966d1c42c13b764"
+                           "f443a9a1afa066dd6a4ae1fb0e3eed60",
+         "audit.json": "4177a51a2231dd06dbe32c48bf7e5347"
+                       "46d1f3b30501e017429d145217fac089",
+         "series.csv": "bdcbe3071c861b41d7fc286254e745fb"
+                       "d1a3deaf4668e7fb49ac5dd3f0e8a7cf"}),
+    "tilted-basis-json": (
+        tridiagonal_audit(400, TILTED_BASIS, "json"),
+        {"trajectory.json": "752ec3a94ca9ed176f4019967cc04b69"
+                            "fb2c438d7193dd591af97d208c8b8839",
+         "audit.json": "4177a51a2231dd06dbe32c48bf7e5347"
+                       "46d1f3b30501e017429d145217fac089",
+         "series.csv": "bdcbe3071c861b41d7fc286254e745fb"
+                       "d1a3deaf4668e7fb49ac5dd3f0e8a7cf"}),
+    "tie": (
+        tridiagonal_audit(40, [[[[k + a + b, 0] for b in range(3)] for a in range(3)]
+                               for k in (1, 2)]),
+        {"audit.json": "e2f266eebaeae6cf73242e3623048ba7"
+                       "2dd37751e4cc4ea6e3dc699d38a988bb",
+         "series.csv": "6842b288f907d25245c35f7c7390cd15"
+                       "f7f043ad416c1091b76bc7f28db373e5"}),
 }
 
 
@@ -1262,10 +1304,6 @@ def failing_residual(*args):
     raise RuntimeError("residual interrupted")
 
 
-TRIDIAGONAL = [[[2, 0], [1, 0], [0, 0]],
-               [[1, 0], [2, 0], [1, 0]],
-               [[0, 0], [1, 0], [2, 0]]]
-TRIDIAGONAL_SEEDS = [[[1, 0], [0, -1], [2, 1]], [[0, 1], [1, 0], [-1, 0]]]
 # (owner, name, replacement, message) of a raising writer and a raising check
 TRAJECTORY_FAILURES = [
     (automaton, "_csv_pieces", failing_writer, "writer interrupted"),
@@ -1290,10 +1328,8 @@ FORK_RUNS = {
 # the audit with TRIDIAGONAL's default basis written out and diag(1, 0, 0),
 # which does not commute with it: the basis's series are derived from the
 # brackets, so only that one observable's series takes a series pass
-TILT = [[[1, 0], [0, 0], [0, 0]], [[0, 0]] * 3, [[0, 0]] * 3]
-TILTED_AUDIT = dict(FORK_RUNS["audit"][0], observables=[
-    g.to_pairs() for _, g in conservation.default_commutant_basis(
-        HermitianIntMatrix(GIMatrix.from_pairs(TRIDIAGONAL)))] + [TILT])
+TILTED_AUDIT = dict(FORK_RUNS["audit"][0],
+                    observables=[g.to_pairs() for g in TRIDIAGONAL_BASIS] + [TILT])
 
 
 @pytest.mark.parametrize("schedule", ["forked", "inline"])
@@ -1440,8 +1476,8 @@ def run_in_both_schedules(tmp_path, monkeypatch, capsys, obj, patch=None):
     return runs
 
 
-# a drifting observable on the per-G side of the series selection, at
-# step counts from 127 to 384; and `TILTED_AUDIT` with a corrupted slice
+# a drifting observable's per-G series, at step counts from 127 to 384;
+# and `TILTED_AUDIT` with a corrupted slice
 PER_G_DRIFT = dict(GOLDEN_AUDITS["drift"][0],
                    observables=[[[[1, 0], [1, 2]], [[1, -2], [0, 0]]]])
 
@@ -1961,9 +1997,9 @@ def test_the_audit_window_checks_the_slices_it_writes(tmp_path, monkeypatch, fmt
 
 # sha256 of the trajectory, audit.json, series.csv and report.json without
 # `wall_time_s` and the artifact paths, recorded from the audit that held
-# its whole history: the default basis of a complex coupling (the product
-# block), and one non-commuting complex observable (the per-G series and
-# the drift); steps 0 has one series value and steps 1 one bracket site
+# its whole history: the default basis of a complex coupling, and one
+# non-commuting complex observable (the per-G series and the drift);
+# steps 0 has one series value and steps 1 one bracket site
 AUDIT_GOLDEN = {
     ("default", 0, "csv"): (
         "bdc91f83d474eff0f60ca700b76536d13929e11ce3bea5259f6fb5afb6d015c0",

@@ -396,14 +396,14 @@ def test_the_cross_check_reaches_the_last_value(rng, monkeypatch):
         return corrupted
 
     # the basis commutes with H, so its series is derived from the checked
-    # pass; the basis tilted by diag(1, 0) does not, and takes the product
-    # block (four observables) or the per-G series (one)
+    # pass; the basis tilted by diag(1, 0) does not, and takes the per-G
+    # series, all four tilts in one pass or one alone
     tilts = [tilted(g) for g in basis]
     assert not any(g.commutator(h).is_zero() for g in tilts)
-    for name, observables in (("_block_series", tilts),
-                              ("_per_g_series", tilts[1:2])):
+    for observables in (tilts, tilts[1:2]):
         with monkeypatch.context() as m:
-            m.setattr(conservation, name, corrupt_last(getattr(conservation, name)))
+            m.setattr(conservation, "_per_g_series",
+                      corrupt_last(conservation._per_g_series))
             with pytest.raises(AssertionError, match=f"last index n = {traj.last}"):
                 audit_conservation(traj, h, observables)
 
@@ -459,23 +459,31 @@ def fed(feed, traj):
                                        "identity", "sparse"]), min_size=1, max_size=6),
        solution=st.booleans(), bits=st.sampled_from([2, 64, 620]),
        rng=st.randoms(use_true_random=False))
-def test_the_product_block_is_the_per_g_series(dim, slices, kinds, solution, bits, rng):
+def test_the_audit_direct_series_is_the_two_point_series(dim, slices, kinds, solution,
+                                                        bits, rng):
+    h = random_hermitian(rng, dim)
     if solution:
-        h = random_hermitian(rng, dim)
         traj = evolve(random_vector(rng, dim, 2 ** bits),
                       random_vector(rng, dim, 2 ** bits), h, slices - 2)
     else:
         traj = random_trajectory(rng, dim, slices, 2 ** bits)
     observables = [_observable(rng, kind, dim) for kind in kinds]
-    want = [two_point_series(traj, g) for g in observables]
-    # the block is exact whichever side of the selection the list falls on
-    program = conservation._block_program(observables, dim)
-    block = [[] for _ in observables]
-    fed(conservation._block_series(program, block), traj)
-    assert block == want
-    feed, series = conservation._audit_series(observables, dim)
-    fed(feed, traj)
-    assert series == want
+    want = [[v.re for v in two_point_series(traj, g)] for g in observables]
+    commutes = [g.commutator(h).is_zero() for g in observables]
+    # whatever the nonzero patterns, the observables that do not commute
+    # with H take one per-G series pass, and it is each G's series
+    with pytest.MonkeyPatch.context() as m:
+        per_g = count_calls(m, conservation, "_per_g_series")
+        report = audit_conservation(traj, h, observables)
+    if all(commutes):
+        assert per_g == []
+    else:
+        (passed, series), = per_g
+        assert [id(g) for g in passed] == \
+            [id(g) for g, c in zip(observables, commutes) if not c]
+        assert series == [w for w, c in zip(want, commutes) if not c]
+    assert [[v.re for _, v in e.drift] if e.drift else [e.value.re] * (slices - 1)
+            for e in report.entries] == want
 
 
 @pytest.mark.parametrize("steps", range(0, 7))
@@ -494,15 +502,19 @@ def test_the_per_g_series_applies_each_g_once_per_two_values(rng, monkeypatch, s
     want = {id(g): [v.re for v in two_point_series(traj, g)] for g in (square, dense)}
     per_g = count_calls(monkeypatch, conservation, "_per_g_series")
     applied = count_applies(monkeypatch)
+    # and the two-term cross-check applies G to psi_0 and psi_1, then to
+    # psi_{N-1} and psi_N
     for g in (h, dense):
         applied.clear()
         two_point_series(traj, g)
-        assert [v for m, v, *_ in applied if m is g] == list(traj.states[1::2])
-        assert len(applied) == (n + 1) // 2
+        assert [v for m, v, *_ in applied if m is g] == \
+            list(traj.states[1::2]) + [traj[0], traj[1], traj[-2], traj[-1]]
+        assert len(applied) == (n + 1) // 2 + 4
     # the audit's per-G path: one G-apply per G and two values, besides
     # the two-term cross-checks' own four per G
     for observables in ([dense], [square, dense]):
-        feed, series = conservation._audit_series(observables, 6)
+        series = [[] for _ in observables]
+        feed = conservation._per_g_series(observables, series)
         applied.clear()
         fed(feed, traj)
         assert len(applied) == len(observables) * ((n + 1) // 2)
@@ -537,50 +549,51 @@ def test_the_per_g_series_is_exact_on_pairs_out_of_order(dim, slices, count, bit
                       for g in observables]
 
 
-def test_the_audit_selects_the_block_by_big_products(rng, monkeypatch):
-    block = count_calls(monkeypatch, conservation, "_block_series")
+def test_the_audit_feeds_only_the_non_commuting_observables_to_one_pass(rng,
+                                                                        monkeypatch):
     per_g = count_calls(monkeypatch, conservation, "_per_g_series")
     applied = count_applies(monkeypatch)
-    # the default basis of a real tridiagonal H commutes with it: no series
-    # pass, and per observable one apply for q_G(1) and the two-term
-    # cross-checks' two at n = 1 and two at n = N
+
+    def audited(traj, h, observables):
+        """Check the audit's series pass and its G-applies to the slices:
+        a commuting G applies for q_G(1) and the two-term cross-checks' two
+        at n = 1 and two at n = N, and the others take one per-G series
+        pass holding exactly them, with one apply per two values besides
+        the cross-checks' four."""
+        commutes = [g.commutator(h).is_zero() for g in observables]
+        slices, ids = {id(s) for s in traj}, {id(g) for g in observables}
+        applied.clear()
+        per_g.clear()
+        audit_conservation(traj, h, observables)
+        if all(commutes):
+            assert per_g == []
+        else:
+            (passed, _), = per_g
+            assert [id(g) for g in passed] == \
+                [id(g) for g, c in zip(observables, commutes) if not c]
+        assert sum(id(m) in ids and id(v) in slices for m, v, *_ in applied) == \
+            sum(5 if c else (traj.last + 1) // 2 + 4 for c in commutes)
+        return commutes
+
+    # the default basis of a real tridiagonal H commutes with it, and the
+    # basis tilted by diag(1, 0, 0) does not
     h = HermitianIntMatrix([[gi(1), gi(1), gi(0)], [gi(1), gi(0), gi(1)],
                             [gi(0), gi(1), gi(-1)]])
     traj = evolve(random_vector(rng, 3), random_vector(rng, 3), h, 40)
     basis = [g for _, g in default_commutant_basis(h)]
-    slices, observables = {id(s) for s in traj}, {id(g) for g in basis}
-    applied.clear()
-    audit_conservation(traj, h, basis)
-    assert block == [] and per_g == []
-    assert sum(id(m) in observables and id(v) in slices
-               for m, v, *_ in applied) == 5 * len(basis)
-    # the basis tilted by diag(1, 0, 0) has its nonzero pattern and does not
-    # commute: 12 block products per slice against 24; observables apply
-    # only in the two-term cross-checks
     tilts = [tilted(g) for g in basis]
-    observables = {id(g) for g in tilts}
-    applied.clear()
-    audit_conservation(traj, h, tilts)
-    assert len(block) == 1 and per_g == []
-    # two applies at n = 1 and two at n = N per observable
-    assert sum(id(m) in observables and id(v) in slices
-               for m, v, *_ in applied) == 4 * len(tilts)
-    # a tie goes to the block: two dense real G at d = 3 take 6 + 2*3
-    # block products against 2 * 6
+    assert all(audited(traj, h, basis))
+    assert not any(audited(traj, h, tilts))
+    assert audited(traj, h, basis + tilts) == [True] * 4 + [False] * 4
+    # two dense real G at d = 3, and one dense complex G at d = 6
     tie = [HermitianIntMatrix([[gi(k + a + b) for b in range(3)] for a in range(3)])
            for k in (1, 2)]
-    block.clear()
-    audit_conservation(traj, h, tie)
-    assert len(block) == 1 and per_g == []
-    # one dense complex G at d = 6: 2d + 2*15 + 2*15 block products against 2d
+    assert not any(audited(traj, h, tie))
     h6 = random_hermitian(rng, 6)
     g6 = HermitianIntMatrix([[gi(a + 1) if a == b else gi(a + b + 1, b - a)
                               for b in range(6)] for a in range(6)])
     traj6 = evolve(random_vector(rng, 6), random_vector(rng, 6), h6, 10)
-    block.clear()
-    audit_conservation(traj6, h6, [g6])
-    assert block == [] and len(per_g) == 1
-    assert len(per_g[0][0]) == 1 and per_g[0][0][0] is g6
+    assert audited(traj6, h6, [g6]) == [False]
 
 
 def site_readers(traj):
@@ -664,8 +677,8 @@ def test_commutant_basis_rejects_a_negative_power(max_power):
 @pytest.mark.parametrize("count", [1, 4])
 def test_an_audit_window_of_random_slices_is_the_library_audit(rng, count):
     # random slices, almost never a solution: the window feeds every pair
-    # to one series pass (per-G series for one observable, the block for
-    # four) and reports what the library audit of the stored slices does
+    # to one per-G series pass of its one or four observables and reports
+    # what the library audit of the stored slices does
     traj = random_trajectory(rng, 3, 194, 2 ** 40)
     h = random_hermitian(rng, 3)
     observables = [random_hermitian(rng, 3) for _ in range(count)]
