@@ -356,9 +356,11 @@ def _json_pieces(texts: Iterable, dim: int) -> Iterator[str]:
 # -- evolution ---------------------------------------------------------
 
 
-# The one matvec kernel, bound here once.  The recurrence calls it with a
-# base, and the benchmark's tracer folds `GIMatrix.apply` with a
-# one-argument wrapper, so these calls go to the kernel itself.
+# The one matvec kernel, bound here once.  The forward stream, the two
+# steps and reversal call it with a base; the benchmark's tracer
+# replaces the class's `apply` with a wrapper that takes one vector and
+# leaves this name bound, so these calls run `apply` itself, which
+# dispatches to the step matrices' generated kernels.
 _affine = GIMatrix.apply
 
 
@@ -629,7 +631,8 @@ def _doubling_pays(h: HermitianIntMatrix, steps: int, last: GIVector) -> bool:
     otherwise.  The constants are rough nanoseconds of CPython 3.11 on
     x86-64, fitted to timings of both paths over dims 1-32, 10-6,000
     steps and coefficients of 1-700 bits, the walk's to its one affine
-    kernel call per step; only their ratio matters.
+    kernel call per step, which runs iH's generated kernel up to d = 8;
+    only their ratio matters.
     """
     d = h.dim
     coeffs = [abs(c) for row in h._program for part in row for _, c in part]
@@ -637,8 +640,8 @@ def _doubling_pays(h: HermitianIntMatrix, steps: int, last: GIVector) -> bool:
     coeff_digits = max(coeffs, default=0).bit_length() // 30 + 1
     digits = max(map(abs, last.re + last.im)).bit_length() // 30 + 1
     half = digits // 2 + 1
-    walk = steps * (800 + 175 * terms + 300 * d
-                    + 2.3 * half * (terms * (coeff_digits + 1) + d))
+    walk = steps * (350 + 115 * terms + 240 * d
+                    + 1.8 * half * (terms * (coeff_digits + 1) + d))
     parts = 2 if any(r for r, _ in h._program) and any(i for _, i in h._program) else 1
 
     def product(p):

@@ -3,6 +3,7 @@
 import contextlib
 import copy
 import hashlib
+import inspect
 import io
 import itertools
 import json
@@ -19,7 +20,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hamca import automaton, cli, conservation, multipartite, sampling
+from hamca import automaton, cli, conservation, gaussian, multipartite, sampling
 from hamca.automaton import Trajectory, evolve
 from hamca.cli import ConfigError, load_config, main, run
 from hamca.gaussian import (GaussianInt, GIMatrix, GIVector, HermitianIntMatrix,
@@ -1764,6 +1765,18 @@ def flipped_kernel(m, v, base=None):
     return GIVector._from_parts(tuple(out_re), tuple(out_im))
 
 
+def flipped_generator():
+    """`gaussian._straight_line` with one sign flipped: the term it emits
+    for an imaginary coefficient c in a real part adds c * Im v instead
+    of subtracting it."""
+    source = inspect.getsource(gaussian._straight_line)
+    emitted = 'r.append(term(-c, f"xi{j}"))'
+    assert source.count(emitted) == 1
+    namespace = dict(vars(gaussian))
+    exec(source.replace(emitted, 'r.append(term(c, f"xi{j}"))'), namespace)
+    return namespace["_straight_line"]
+
+
 def flipped_split_step(rows, xp, pp, xc, pc):
     """`automaton._split_step` with one sign flipped: hS_i . x_n is added
     to p_i instead of subtracted."""
@@ -1781,18 +1794,21 @@ def flipped_split_step(rows, xp, pp, xc, pc):
 
 
 @pytest.mark.parametrize("schedule", ["forked", "inline"])
-@pytest.mark.parametrize("mutant", ["kernel", "split form"])
+@pytest.mark.parametrize("mutant", ["kernel", "generator", "split form"])
 @pytest.mark.parametrize("kind", ["evolve", "audit"])
 def test_a_mutant_program_fails_the_recurrence_check(tmp_path, monkeypatch, capsys,
                                                      kind, mutant, schedule):
     # the kernel makes the slices and the split form checks them, so a
-    # sign flipped in either program shows: the checks fail by name, and
-    # a kernel mutant ends in no internal error
+    # sign flipped in either program, or in the generator of the step
+    # matrices' straight-line kernels, shows: the checks fail by name,
+    # and a kernel or generator mutant ends in no internal error
     path = write_config(tmp_path / "cfg.json", FORK_RUNS[kind][0])
     forks = use_schedule(monkeypatch, schedule)
     if mutant == "kernel":
         monkeypatch.setattr(GIMatrix, "apply", flipped_kernel)
         monkeypatch.setattr(automaton, "_affine", flipped_kernel)
+    elif mutant == "generator":
+        monkeypatch.setattr(gaussian, "_straight_line", flipped_generator())
     else:
         monkeypatch.setattr(automaton, "_split_step", flipped_split_step)
     code = main([kind, "--config", path, "--out", str(tmp_path / "out")])

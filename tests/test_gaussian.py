@@ -1,10 +1,13 @@
 """Ring arithmetic, matrix kernel and literal-format round trips."""
 
+import pickle
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hamca import gaussian
 from hamca.gaussian import (
     GaussianInt,
     GIVector,
@@ -129,6 +132,63 @@ def test_the_affine_kernel_is_the_product_plus_the_base(data, dim):
         assert list(zip(got.re, got.im)) == reference_affine(rows, v, base)
         assert m.apply(vec) == GIVector([gi(*p) for p in
                                          reference_affine(rows, v, [(0, 0)] * dim)])
+
+
+# parts up to 2**5000 (1,506 decimal digits), with zero and unit values,
+# and one coefficient past CPython's default 4,300-digit int<->str limit
+PARTS_5000 = st.one_of(st.just(0), st.sampled_from([1, -1]), st.integers(-3, 3),
+                       st.integers(-2**5000, 2**5000))
+PAST_TEXT_LIMIT = 2**14300 + 3**9001  # 4,305 decimal digits
+
+
+@settings(max_examples=60)
+@given(data=st.data(), dim=st.integers(1, gaussian._STRAIGHT_LINE_DIM))
+def test_the_generated_kernel_is_the_loop(data, dim):
+    # every step matrix up to the cap runs a generated function, and it
+    # gives the loop's parts, with and without a base; no coefficient is
+    # printed into its source, so the int<->str limit never trips
+    if hasattr(sys, "get_int_max_str_digits"):
+        assert 0 < sys.get_int_max_str_digits() <= 4300
+    assert PAST_TEXT_LIMIT > 10**4300
+    hs, ha = data.draw(hermitian_splits(dim, PARTS_5000))
+    if data.draw(st.booleans()):
+        a = data.draw(st.integers(0, dim - 1))
+        hs[a][a] += data.draw(st.sampled_from([1, -1])) * PAST_TEXT_LIMIT
+    h = HermitianIntMatrix([[gi(s, a) for s, a in zip(rs, ra)]
+                            for rs, ra in zip(hs, ha)])
+    vec, bvec = (GIVector([gi(data.draw(PARTS_5000), data.draw(PARTS_5000))
+                           for _ in range(dim)]) for _ in range(2))
+    assert h._kernel is None
+    for m in h._step_matrices():
+        assert m._kernel is not None
+        loop = GIMatrix(m.rows)  # the same program, with no generated function
+        assert loop._kernel is None and loop._program == m._program
+        for base in (None, bvec):
+            got = m.apply(vec, base)
+            assert type(got) is GIVector
+            assert type(got.re) is type(got.im) is tuple
+            assert all(type(x) is int for x in got.re + got.im)
+            assert got == loop.apply(vec, base)
+
+
+def test_only_the_step_matrices_of_a_small_h_get_a_generated_kernel(rng):
+    cap = gaussian._STRAIGHT_LINE_DIM
+    for dim in (1, cap, cap + 1):
+        h = random_hermitian(rng, dim)
+        turns = h._step_matrices()
+        assert [m._kernel is not None for m in turns] == [dim <= cap] * 2
+        assert h._kernel is None and h.power(2)._kernel is None
+        assert (h @ turns[0])._kernel is None and turns[0].scale(1)._kernel is None
+
+
+def test_a_matrix_pickles_with_its_step_matrices_built(rng):
+    h = random_hermitian(rng, 3)
+    turns = h._step_matrices()
+    for m in (h, *turns):
+        back = pickle.loads(pickle.dumps(m))
+        assert type(back) is type(m) and back == m and back._turns is None
+    again = pickle.loads(pickle.dumps(h))._step_matrices()
+    assert again == turns and all(m._kernel is not None for m in again)
 
 
 def test_the_step_matrices_are_built_once_and_kept(rng):

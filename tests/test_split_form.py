@@ -13,7 +13,7 @@ from operator import mul
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hamca import automaton
+from hamca import automaton, gaussian
 from hamca.automaton import (Trajectory, action_evaluate, evolve, evolve_phase_space,
                              first_recurrence_violation, is_solution,
                              recurrence_residual, step_forward, verify_stationarity)
@@ -219,6 +219,16 @@ def test_scalars_are_built_on_demand():
 # -- the independent oracles stay off the kernel ------------------------
 
 
+def counted_kernel(kernel, m, calls):
+    """A generated kernel of step matrix m that records m at each call."""
+
+    def counted(*args):
+        calls.append(m)
+        return kernel(*args)
+
+    return counted
+
+
 def test_independent_oracles_never_call_the_matvec_kernel(monkeypatch, rng):
     h = random_hermitian(rng, 3)
     traj = evolve(random_vector(rng, 3), random_vector(rng, 3), h, 8)
@@ -229,12 +239,39 @@ def test_independent_oracles_never_call_the_matvec_kernel(monkeypatch, rng):
     brackets = [[h.apply(t[n]) - (t[n + 1] - t[n - 1]).scale(IMAG_UNIT)
                  for n in range(1, t.last)] for t in (traj, bumped)]
 
+    # the step matrices' generated kernels are reached only through
+    # apply, so `count_applies` records every one of their calls
+    kernel_calls = []
+    for m in h._step_matrices():
+        monkeypatch.setattr(m, "_kernel", counted_kernel(m._kernel, m, kernel_calls))
+    with monkeypatch.context() as patched:
+        applied = count_applies(patched)
+        walked = evolve(traj[0], traj[1], h, 8)
+        nxt, cur = walked[-1], walked[-2]
+        for _ in range(8):
+            nxt, cur = cur, automaton.step_backward(nxt, cur, h)
+        assert walked == traj and (cur, nxt) == (traj[0], traj[1])
+        forward, back = h._step_matrices()
+        assert len(kernel_calls) == len(applied) == 16
+        assert all(k is want and m is want for k, (m, *_), want
+                   in zip(kernel_calls, applied, [forward] * 8 + [back] * 8))
+
     def refuse(self, v, base=None):
         raise AssertionError("an independent oracle called GIMatrix.apply")
+
+    def refuse_kernel(*args):
+        raise AssertionError("an independent oracle called a generated kernel")
 
     def refuse_pass(traj, h):
         raise AssertionError("an independent oracle read the bracket pass")
 
+    # every generated kernel raises: those of H's step matrices, and any
+    # a step matrix built from here on compiles
+    for m in h._step_matrices():
+        monkeypatch.setattr(m, "_kernel", refuse_kernel)
+    monkeypatch.setattr(gaussian, "_straight_line", lambda program: refuse_kernel)
+    with pytest.raises(AssertionError, match="generated kernel"):
+        evolve(traj[0], traj[1], h, 8)
     monkeypatch.setattr(GIMatrix, "apply", refuse)
     monkeypatch.setattr(automaton, "_affine", refuse)
     with monkeypatch.context() as patched:
