@@ -65,16 +65,17 @@ Trajectory text is printed from an exact `decimal` stream, because
 libmpdec prints in linear time and CPython's `str(int)` may not.  The
 stream (`_decimal_slices`) is a function of the seeds, H, the slice
 count and the nonzero brackets alone: it keeps the last two slices as
-Decimals, predicts the next one by the recurrence (with H's entries
-converted to Decimal once) and adds the slice's integer residual
-psi_n - (psi_{n-2} - i*H*psi_{n-1}) = i*E_{n-1}, which is zero on a
-solution.  Each printed slice therefore equals the stored one for any
-trajectory and any H, and the text is the same bytes per-entry `str`
-would give.  On a solution it needs no bracket at all, so it can run
-beside the pass that finds the brackets.  Each format is one private
-generator of text pieces, one per slice: the CLI writes the pieces as
-they come, and `to_csv` / `to_json_text` join them, so no artifact's
-text need be held whole.
+Decimal parts, makes the next one with the forward step's own affine
+kernel call, run on them in an exact context that traps rounding, and
+adds the slice's integer residual psi_n - (psi_{n-2} - i*H*psi_{n-1}) =
+i*E_{n-1}, which is zero on a solution.  So one program makes, prints
+and (through the split form) checks every slice.  Each printed slice
+equals the stored one for any trajectory and any H, and the text is
+the same bytes per-entry `str` would give.  On a solution it needs no
+bracket at all, so it can run beside the pass that finds the brackets.
+Each format is one private generator of text pieces, one per slice:
+the CLI writes the pieces as they come, and `to_csv` / `to_json_text`
+join them, so no artifact's text need be held whole.
 """
 
 from __future__ import annotations
@@ -82,9 +83,9 @@ from __future__ import annotations
 import re as _re
 from dataclasses import dataclass
 from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact,
-                     InvalidOperation, Overflow, Rounded)
+                     InvalidOperation, Overflow, Rounded, localcontext)
 from itertools import accumulate, chain, repeat
-from operator import mul, neg, sub
+from operator import neg, sub
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .gaussian import (
@@ -266,67 +267,41 @@ def _decimal_slices(seeds: Sequence[GIVector], h: Optional[HermitianIntMatrix],
 
     `brackets` holds the nonzero brackets as (site, (re, im)) in
     increasing site order, as `_Window.brackets` does.  Slice n of the
-    stream is the recurrence's prediction on the two previous Decimal
-    slices plus Decimal(r_n), with the residual
+    stream is one affine call of the matvec kernel, -iH psi_{n-1} +
+    psi_{n-2}, on the two previous Decimal slices, plus the residual
     r_n = psi_n - (psi_{n-2} - i*H*psi_{n-1}) = i*E_{n-1} read in ints
     from the bracket at site n-1 (zero where none is listed), so by
     induction every slice equals psi_n, for any H.  Of `seeds` only
     psi_0 and psi_1 are read.  With `h=None`, `seeds` holds every slice
     and each is Decimal(psi_n) itself, as the two seeds always are: the
-    same text, in time quadratic in the digits.  The arithmetic runs in a
-    local context that traps `Inexact` and `Rounded` and never becomes
-    the thread's.  Products, and the entries that +1 and -1 coefficients
-    add or subtract, accumulate onto the previous slice, which is never
-    -0, and Decimal(r_n) is added last; an exact zero sum of operands
-    that are not both -0 is +0 here, so a negative coefficient times a
-    zero entry never prints as -0.
+    same text, in time quadratic in the digits.  Each slice's arithmetic
+    runs in a local context that traps `Inexact` and `Rounded` and is
+    left before the slice is yielded, so it never becomes the thread's
+    between pieces.  Both forms of the kernel accumulate each row onto
+    the base psi_{n-2}, which is never -0, and the residual is added
+    last; an exact zero sum of operands that are not both -0 is +0
+    here, so a negative coefficient times a zero entry never prints as
+    -0.
     """
     ctx = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
                   traps=[Inexact, Rounded, InvalidOperation, Overflow])
-    fma = ctx.fma
-    plus = ctx.add
-    minus = ctx.subtract
-    # per output part of re + im, the (index into re + im of psi_{n-1},
-    # coefficient) terms: re out = re(psi_{n-2}) + Im(H psi), im out =
-    # im(psi_{n-2}) - Re(H psi); each row compiles to its fma terms and
-    # the indices its +1 and -1 coefficients add and subtract
-    program = []
-    if h is not None:
-        d = h.dim
-        rows = ([[(d + j, c) for j, c in re_terms] + list(im_terms)
-                 for re_terms, im_terms in h._program]
-                + [[(j, -c) for j, c in re_terms] + [(d + j, c) for j, c in im_terms]
-                   for re_terms, im_terms in h._program])
-        program = [([(k, Decimal(c)) for k, c in row if c not in (1, -1)],
-                    [k for k, c in row if c == 1], [k for k, c in row if c == -1])
-                   for row in rows]
-    dim = seeds[0].dim
+    y = None if h is None else h._step_matrices()[0]
     pending = iter(brackets)
     site, e = next(pending, (None, None))
-    x2 = x1 = None
+    before = psi = None
     for n in range(slices):
-        if n < 2 or h is None:
-            dec = tuple(map(Decimal, seeds[n].re + seeds[n].im))
+        if n < 2 or y is None:
+            nxt = GIVector._from_parts(tuple(map(Decimal, seeds[n].re)),
+                                       tuple(map(Decimal, seeds[n].im)))
         else:
-            pred = []
-            for acc, (terms, ups, downs) in zip(x2, program):
-                for k, c in terms:
-                    acc = fma(c, x1[k], acc)
-                for k in ups:
-                    acc = plus(acc, x1[k])
-                for k in downs:
-                    acc = minus(acc, x1[k])
-                pred.append(acc)
-            if site != n - 1:
-                dec = tuple(pred)
-            else:
-                # r_n = i*E_{n-1} = -Im E + i Re E
-                r = (*map(neg, e[1]), *e[0])
-                dec = tuple(plus(p, Decimal(v)) for p, v in zip(pred, r))
-                site, e = next(pending, (None, None))
-        x2, x1 = x1, dec
-        text = tuple(map(str, dec))
-        yield text[:dim], text[dim:]
+            with localcontext(ctx):
+                nxt = _affine(y, psi, before)
+                if site == n - 1:
+                    # r_n = i*E_{n-1} = -Im E + i Re E
+                    nxt += GIVector._from_parts(tuple(map(neg, e[1])), e[0])
+                    site, e = next(pending, (None, None))
+        before, psi = psi, nxt
+        yield tuple(map(str, psi.re)), tuple(map(str, psi.im))
 
 
 def _csv_pieces(texts: Iterable) -> Iterator[str]:
@@ -357,10 +332,11 @@ def _json_pieces(texts: Iterable, dim: int) -> Iterator[str]:
 
 
 # The one matvec kernel, bound here once.  The forward stream, the two
-# steps and reversal call it with a base; the benchmark's tracer
-# replaces the class's `apply` with a wrapper that takes one vector and
-# leaves this name bound, so these calls run `apply` itself, which
-# dispatches to the step matrices' generated kernels.
+# steps, reversal and the trajectory printer call it with a base; the
+# benchmark's tracer replaces the class's `apply` with a wrapper that
+# takes one vector and leaves this name bound, so these calls run
+# `apply` itself, which dispatches to the step matrices' generated
+# kernels.
 _affine = GIMatrix.apply
 
 
@@ -381,8 +357,8 @@ def step_backward(psi_next: GIVector, psi_curr: GIVector,
 def _evolve_slices(seed0: GIVector, seed1: GIVector, h: HermitianIntMatrix,
                    steps: int) -> Iterator[GIVector]:
     """The forward step's slices psi_0 ... psi_{steps+1}, one at a time,
-    each one affine apply of H's kept -iH; the dimensions are checked
-    once, before the first slice."""
+    each one affine apply of H's kept -iH; the seeds' dimensions and the
+    step count are checked before the first slice."""
     if seed0.dim != h.dim or seed1.dim != h.dim:
         raise ValueError(
             f"dimension mismatch: states {seed0.dim}/{seed1.dim}, matrix {h.dim}")
@@ -498,11 +474,6 @@ def _bracket(down: GIVector, psi: GIVector, up: GIVector,
     return tuple(map(sub, up.im, p)), tuple(map(sub, x, up.re))
 
 
-def _action_summand(psi: GIVector, e_re: tuple, e_im: tuple) -> int:
-    """Re psi_n^* . E_n, one site's term of the action."""
-    return sum(map(mul, psi.re, e_re)) + sum(map(mul, psi.im, e_im))
-
-
 class _Window:
     """One checked pass over a stream of slices psi_0 ... psi_N, three at a time.
 
@@ -540,7 +511,7 @@ class _Window:
             e = None if down is None else _bracket(down, psi, up, rows)
             if e is not None:
                 self.brackets.append((n - 1, e))
-                self.action += _action_summand(psi, *e)
+                self.action += psi.inner_re(GIVector._from_parts(*e))
             self._visit(psi, up, e)
             down, psi = psi, up
             if n == 1:

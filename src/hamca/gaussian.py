@@ -237,7 +237,9 @@ class GIVector:
         """Wrap two equal-length, nonempty tuples of plain ints, unchecked.
 
         Only for parts computed by ring operations on parts that were
-        validated already.
+        validated already, and for the trajectory printer's transient
+        Decimal parts, which `GIMatrix.apply` steps in an exact context
+        and which never leave the printer.
         """
         v = object.__new__(cls)
         v.re = re

@@ -70,6 +70,27 @@ def test_parser_messages_name_a_bad_value_past_the_limit(obj, message):
     assert int_text_limit() == limit
 
 
+@pytest.mark.parametrize("parse, arg, message", [
+    (Trajectory.from_csv, "n,alpha,re\n0,0,1\n", "bad trajectory CSV header"),
+    (Trajectory.from_csv, "n,alpha,re,im\n", "empty trajectory CSV"),
+    (Trajectory.from_csv, "n,alpha,re,im\n0,0,1,0\n0,1,2,0\n1,0,3,0\n",
+     "trajectory CSV is missing cell (1, 1)"),
+    (Trajectory.from_json_obj, {"dim": 2, "states": [[[1, 0]], [[2, 0]]]},
+     "trajectory JSON dim field disagrees with states"),
+    (MultiWave.from_json_obj, [], "bad field JSON object"),
+    (MultiWave.from_json_obj, {"dims": [1], "values": []},
+     "field JSON is missing 'clock_box'"),
+    (GIMatrix.from_pairs, [5], "matrix[0]: expected a row of [re, im] pairs"),
+    (GIMatrix.identity(2).__matmul__, GIMatrix.identity(3), "dimension mismatch: 2 vs 3"),
+], ids=["csv-header", "csv-no-rows", "csv-missing-cell", "json-dim", "field-not-object",
+        "field-missing-key", "matrix-row", "matmul-dims"])
+def test_strict_parsers_reject_with_their_message(parse, arg, message):
+    # a duplicate, missing or inconsistent record is refused, never guessed
+    with pytest.raises(ValueError) as info:
+        parse(arg)
+    assert str(info.value) == message
+
+
 def test_constructor_messages_name_a_bad_value_past_the_limit():
     limit = int_text_limit()
     with pytest.raises(ValueError) as info:

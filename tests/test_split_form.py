@@ -7,6 +7,7 @@ that vectors built by every path compare and hash alike, and pin that
 the independent oracles never reach the kernel.
 """
 
+from decimal import Decimal
 from itertools import zip_longest
 from operator import mul
 
@@ -324,14 +325,19 @@ def test_each_verdict_applies_h_once_per_stored_interior_slice(monkeypatch, rng)
             for read in order:
                 read(fresh)
             # together one pass: last - 1 split-form steps, each on the
-            # stored slice with the one before it, and no apply of -iH;
-            # H's only applies are the audit's commutator columns, and the
+            # stored slice with the one before it, and -iH never applied
+            # to a stored slice: only the writer applies it, once per
+            # printed slice past the seeds, on Decimal parts; H's only
+            # applies are the audit's commutator columns, and the
             # observables are matrices of their own
             assert len(predicted) == fresh.last - 1
             assert all(xp is before.re and pp is before.im and xc is s.re and pc is s.im
                        for (_, xp, pp, xc, pc), before, s
                        in zip(predicted, fresh.states, fresh.states[1:-1]))
-            assert not any(m is y for m, *_ in applied)
+            stepped = [(v, base) for m, v, base, _ in applied if m is y]
+            assert len(stepped) == fresh.last - 1
+            assert all(type(part) is Decimal for v, base in stepped
+                       for part in v.re + v.im + base.re + base.im)
             assert sum(m is h for m, *_ in applied) == fresh.dim * len(observables)
     applied.clear()
     predicted.clear()

@@ -16,13 +16,14 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hamca import automaton, cli, multipartite
+from hamca import automaton, cli, gaussian, multipartite
 from hamca.automaton import Trajectory, evolve
 from hamca.gaussian import (GaussianInt, GIMatrix, GIVector, HermitianIntMatrix,
                             exact_int_text)
 from hamca.multipartite import (ManyTimeResidual, MultiWave, bell_state,
                                 many_time_residual)
-from conftest import count_calls, random_hermitian, random_vector
+from conftest import count_applies, count_calls, random_hermitian, random_vector
+from test_cli import flipped_kernel
 
 PAST_LIMIT = st.builds(lambda sign, hi, lo: sign * (hi * 10**4300 + lo),
                        st.sampled_from([1, -1]), st.integers(1, 2**64),
@@ -63,7 +64,8 @@ def vectors(draw, dim, part=PART):
 @st.composite
 def written_trajectories(draw):
     """(trajectory, coupling handed to the writer)."""
-    dim = draw(st.integers(1, 4))
+    # one dimension past the generated kernels', which the loop prints
+    dim = draw(st.one_of(st.integers(1, 4), st.just(gaussian._STRAIGHT_LINE_DIM + 1)))
     h = draw(hermitians(dim))
     s0, s1 = vectors(draw, dim), vectors(draw, dim)
     if draw(st.booleans()):
@@ -104,10 +106,30 @@ def test_trajectory_text_without_a_coupling_applies_nothing(monkeypatch):
     h = HermitianIntMatrix(GIMatrix([[2, 1], [1, -1]]))
     traj = evolve(GIVector([3, -1]), GIVector([0, 5]), h, 20)
     want_csv, want_json = traj.to_csv(h), traj.to_json_text(h)
-    applied = count_calls(monkeypatch, GIMatrix, "apply")
+    applied = count_applies(monkeypatch)
     assert traj.to_csv() == want_csv
     assert traj.to_json_text() == want_json
-    assert applied == []
+    # nothing to a stored slice: the kept coupling's -iH steps only the
+    # printer's Decimal slices, once per slice past the seeds
+    y = h._step_matrices()[0]
+    assert len(applied) == 2 * (traj.last - 1)
+    assert all(m is y and type(v.re[0]) is type(base.re[0]) is decimal.Decimal
+               for m, v, base, _ in applied)
+
+
+def test_the_printer_steps_with_the_kernel_it_is_given(monkeypatch, rng):
+    # a kernel with one sign flipped makes other slices than the true
+    # ones; the printer must print the slices the kernel makes, not a
+    # solution of its own
+    monkeypatch.setattr(automaton, "_affine", flipped_kernel)
+    h = random_hermitian(rng, 3)
+    assert any(im_terms for _, im_terms in h._program)
+    mutant = evolve(random_vector(rng, 3), random_vector(rng, 3), h, 12)
+    assert not automaton.is_solution(mutant, h)
+    texts = automaton._decimal_slices(mutant.states, h, len(mutant), ())
+    with exact_int_text():
+        assert list(texts) == [(tuple(map(str, s.re)), tuple(map(str, s.im)))
+                               for s in mutant]
 
 
 def test_trajectory_text_without_a_coupling_reads_the_kept_one(monkeypatch):
@@ -117,12 +139,12 @@ def test_trajectory_text_without_a_coupling_reads_the_kept_one(monkeypatch):
     for traj in (solution, corrupt):
         assert automaton.is_solution(traj, h) is (traj is solution)
         want_csv, want_json = traj.to_csv(h), traj.to_json_text(h)
-        applied = count_calls(monkeypatch, GIMatrix, "apply")
+        predicted = count_calls(monkeypatch, automaton, "_split_step")
         streams = count_calls(monkeypatch, automaton, "_decimal_slices")
         assert traj.to_csv() == want_csv
         assert traj.to_json_text() == want_json
         # the linear path: the kept pass's coupling, and no new sweep
-        assert applied == [] and [s[1] is h for s in streams] == [True, True]
+        assert predicted == [] and [s[1] is h for s in streams] == [True, True]
         monkeypatch.undo()
     # a trajectory never checked prints from the slices alone
     fresh = Trajectory(solution.states)
