@@ -33,15 +33,15 @@ prediction differs from psi_{n+1} returns E_n = -i (psi_{n+1} -
 prediction); so each recurrence verdict on the kernel's slices
 compares two separately written programs.  `_Window` is the one loop
 that runs it, over any stream of slices three at a time.  The pass
-records the first site whose bracket is nonzero, the nonzero brackets
-and the action; its brackets are all the trajectory writer needs of
-it, with the seeds and the slice count.  On a stored trajectory the
-drained pass is kept on it for the coupling it ran with (`_kept_pass`),
-so the recurrence, action and fast stationarity checks and the writer
-all read one pass, whether a caller asks for them together or one at a
-time.  On the forward step's slices it checks a run that need not hold
-its history; a CLI verb adds its own part: `_EvolveWindow` reversal,
-the conservation audit its series pass.
+records the nonzero brackets, the slices at them and the action; those
+slices and the seeds are all the trajectory writer needs of it.  On a
+stored trajectory the drained pass is kept on it for the coupling it
+ran with (`_kept_pass`), so the recurrence, action and fast
+stationarity checks and the writer all read one pass, whether a caller
+asks for them together or one at a time.  On the forward step's slices
+it checks a run that holds no history but the slices at nonzero
+brackets; a CLI verb adds its own part: `_EvolveWindow` reversal, the
+conservation audit its series pass.
 
 Reversal steps back from the last two slices to the first two in one of
 two ways, whichever a cost estimate (`_doubling_pays`) finds cheaper:
@@ -63,19 +63,17 @@ recurrence holds there.
 
 Trajectory text is printed from an exact `decimal` stream, because
 libmpdec prints in linear time and CPython's `str(int)` may not.  The
-stream (`_decimal_slices`) is a function of the seeds, H, the slice
-count and the nonzero brackets alone: it keeps the last two slices as
-Decimal parts, makes the next one with the forward step's own affine
-kernel call, run on them in an exact context that traps rounding, and
-adds the slice's integer residual psi_n - (psi_{n-2} - i*H*psi_{n-1}) =
-i*E_{n-1}, which is zero on a solution.  So one program makes, prints
-and (through the split form) checks every slice.  Each printed slice
-equals the stored one for any trajectory and any H, and the text is
-the same bytes per-entry `str` would give.  On a solution it needs no
-bracket at all, so it can run beside the pass that finds the brackets.
-Each format is one private generator of text pieces, one per slice:
-the CLI writes the pieces as they come, and `to_csv` / `to_json_text`
-join them, so no artifact's text need be held whole.
+stream (`_decimal_slices`) prints each slice the checked pass keeps
+(`_Window.stored`: the seeds, and the slices at each nonzero bracket)
+as it is, and makes every other one from the two Decimal slices before
+it with the forward step's own affine kernel call, in an exact context
+that traps rounding.  So one program makes, prints and (through the
+split form) checks every slice, and the text is the bytes per-entry
+`str` gives, even of a faulty kernel's slices.  On a solution the pass
+keeps the seeds alone, so the stream can run beside it.  Each format
+is one private generator of text pieces, one per slice: the CLI writes
+the pieces as they come, and `to_csv` / `to_json_text` join them, so
+no artifact's text need be held whole.
 """
 
 from __future__ import annotations
@@ -86,7 +84,8 @@ from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact,
                      InvalidOperation, Overflow, Rounded, localcontext)
 from itertools import accumulate, chain, repeat
 from operator import neg, sub
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .gaussian import (
     GaussianInt,
@@ -184,12 +183,13 @@ class Trajectory:
     # -- serialization ------------------------------------------------
 
     def _decimal_texts(self, h: Optional[HermitianIntMatrix]):
-        """`_decimal_slices` of this trajectory, its brackets read from the
-        pass; without h, from the coupling of the pass kept on it, if any."""
+        """`_decimal_slices` of this trajectory and the slices h's pass
+        keeps; without h, the kept pass's, or else every slice."""
         if h is None and self._swept is not None:
             h = self._swept.h
-        brackets = () if h is None else _kept_pass(self, h).brackets
-        return _decimal_slices(self.states, h, len(self.states), brackets)
+        stored = (dict(enumerate(self.states)) if h is None
+                  else _kept_pass(self, h).stored)
+        return _decimal_slices(h, len(self.states), stored)
 
     def to_csv(self, h: Optional[HermitianIntMatrix] = None) -> str:
         """CSV text `n,alpha,re,im`, one row per entry.
@@ -261,45 +261,33 @@ class Trajectory:
 # -- trajectory text ---------------------------------------------------
 
 
-def _decimal_slices(seeds: Sequence[GIVector], h: Optional[HermitianIntMatrix],
-                    slices: int, brackets: Iterable):
+def _decimal_slices(h: Optional[HermitianIntMatrix], slices: int, stored: Mapping):
     """The decimal text of the parts of psi_0 ... psi_{slices-1}, per slice.
 
-    `brackets` holds the nonzero brackets as (site, (re, im)) in
-    increasing site order, as `_Window.brackets` does.  Slice n of the
-    stream is one affine call of the matvec kernel, -iH psi_{n-1} +
-    psi_{n-2}, on the two previous Decimal slices, plus the residual
-    r_n = psi_n - (psi_{n-2} - i*H*psi_{n-1}) = i*E_{n-1} read in ints
-    from the bracket at site n-1 (zero where none is listed), so by
-    induction every slice equals psi_n, for any H.  Of `seeds` only
-    psi_0 and psi_1 are read.  With `h=None`, `seeds` holds every slice
-    and each is Decimal(psi_n) itself, as the two seeds always are: the
-    same text, in time quadratic in the digits.  Each slice's arithmetic
-    runs in a local context that traps `Inexact` and `Rounded` and is
-    left before the slice is yielded, so it never becomes the thread's
-    between pieces.  Both forms of the kernel accumulate each row onto
-    the base psi_{n-2}, which is never -0, and the residual is added
-    last; an exact zero sum of operands that are not both -0 is +0
-    here, so a negative coefficient times a zero entry never prints as
-    -0.
+    Slice n is Decimal(psi_n) where `stored` (clock index -> slice) has
+    it, and otherwise one affine call of the kernel, -iH psi_{n-1} +
+    psi_{n-2}, on the two Decimal slices before it.  With
+    `_Window.stored` that is psi_n on any trajectory and any H: the
+    window keeps each slice whose bracket one site back is nonzero, as
+    it is wherever the kernel that made the slices strays from the split
+    form.  With `h=None` the map holds every slice: the same text, in
+    time quadratic in the digits.  Each replay runs in a local context
+    that traps `Inexact` and `Rounded`, left before the slice is
+    yielded.  The kernel accumulates each row onto psi_{n-2}, never -0,
+    so a negative coefficient times a zero entry never prints as -0.
     """
     ctx = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
                   traps=[Inexact, Rounded, InvalidOperation, Overflow])
     y = None if h is None else h._step_matrices()[0]
-    pending = iter(brackets)
-    site, e = next(pending, (None, None))
     before = psi = None
     for n in range(slices):
-        if n < 2 or y is None:
-            nxt = GIVector._from_parts(tuple(map(Decimal, seeds[n].re)),
-                                       tuple(map(Decimal, seeds[n].im)))
-        else:
+        kept = stored.get(n)
+        if kept is None:
             with localcontext(ctx):
                 nxt = _affine(y, psi, before)
-                if site == n - 1:
-                    # r_n = i*E_{n-1} = -Im E + i Re E
-                    nxt += GIVector._from_parts(tuple(map(neg, e[1])), e[0])
-                    site, e = next(pending, (None, None))
+        else:
+            nxt = GIVector._from_parts(tuple(map(Decimal, kept.re)),
+                                       tuple(map(Decimal, kept.im)))
         before, psi = psi, nxt
         yield tuple(map(str, psi.re)), tuple(map(str, psi.im))
 
@@ -378,33 +366,6 @@ def evolve(seed0: GIVector, seed1: GIVector, h: HermitianIntMatrix,
     return Trajectory(_evolve_slices(seed0, seed1, h, steps))
 
 
-def _phase_space_slices(x0: Sequence[int], p0: Sequence[int],
-                        x1: Sequence[int], p1: Sequence[int],
-                        hs: Sequence[Sequence[int]],
-                        ha: Sequence[Sequence[int]],
-                        steps: int) -> Iterator[GIVector]:
-    """The split form's slices psi_0 ... psi_{steps+1}, one at a time;
-    the inputs are checked and the rows compiled before the first."""
-    if not int_matrix_is_symmetric(hs):
-        raise ValueError("hS must be symmetric")
-    if not int_matrix_is_antisymmetric(ha):
-        raise ValueError("hA must be antisymmetric")
-    d = len(hs)
-    for name, v in (("x0", x0), ("p0", p0), ("x1", x1), ("p1", p1)):
-        if len(v) != d or len(ha) != d:
-            raise ValueError(f"dimension mismatch for {name}")
-    if type(steps) is not int or steps < 0:
-        raise ValueError("steps must be an int >= 0")
-    hs, ha = ([_plain_ints(r, name) for r in m] for name, m in (("hS", hs), ("hA", ha)))
-    x0, p0 = _plain_ints(x0, "x0"), _plain_ints(p0, "p0")
-    # each state (x_{n-1}, p_{n-1}, x_n, p_n) steps to (x_n, p_n, x_{n+1}, p_{n+1})
-    states = accumulate(repeat(_split_rows(hs, ha), steps),
-                        lambda s, rows: s[2:] + _split_step(rows, *s),
-                        initial=(x0, p0, _plain_ints(x1, "x1"), _plain_ints(p1, "p1")))
-    return chain([GIVector._from_parts(x0, p0)],
-                 (GIVector._from_parts(x, p) for _, _, x, p in states))
-
-
 def _split_rows(hs: Sequence[Sequence[int]], ha: Sequence[Sequence[int]]) -> tuple:
     """Per row i, the nonzero (j, c) of hS_i and of hA_i: the split form's program."""
     return tuple((tuple((j, c) for j, c in enumerate(s) if c),
@@ -439,9 +400,27 @@ def evolve_phase_space(x0: Sequence[int], p0: Sequence[int],
         p_{n+1} = p_{n-1} - hS x_n + hA p_n
 
     Returns the trajectory psi_n = x_n + i*p_n, which equals `evolve`
-    with H = hS + i*hA.  Seeds and couplings must hold plain ints.
+    with H = hS + i*hA.  Seeds and couplings must hold plain ints; the
+    inputs are checked before the first step.
     """
-    return Trajectory(_phase_space_slices(x0, p0, x1, p1, hs, ha, steps))
+    if not int_matrix_is_symmetric(hs):
+        raise ValueError("hS must be symmetric")
+    if not int_matrix_is_antisymmetric(ha):
+        raise ValueError("hA must be antisymmetric")
+    d = len(hs)
+    for name, v in (("x0", x0), ("p0", p0), ("x1", x1), ("p1", p1)):
+        if len(v) != d or len(ha) != d:
+            raise ValueError(f"dimension mismatch for {name}")
+    if type(steps) is not int or steps < 0:
+        raise ValueError("steps must be an int >= 0")
+    hs, ha = ([_plain_ints(r, name) for r in m] for name, m in (("hS", hs), ("hA", ha)))
+    x0, p0 = _plain_ints(x0, "x0"), _plain_ints(p0, "p0")
+    # each state (x_{n-1}, p_{n-1}, x_n, p_n) steps to (x_n, p_n, x_{n+1}, p_{n+1})
+    states = accumulate(repeat(_split_rows(hs, ha), steps),
+                        lambda s, rows: s[2:] + _split_step(rows, *s),
+                        initial=(x0, p0, _plain_ints(x1, "x1"), _plain_ints(p1, "p1")))
+    return Trajectory(chain([GIVector._from_parts(x0, p0)],
+                            (GIVector._from_parts(x, p) for _, _, x, p in states)))
 
 
 # -- the checked pass ----------------------------------------------------
@@ -480,16 +459,17 @@ class _Window:
     `drain()` pulls the stream through.  On the way the pass brackets
     every interior site with `_bracket`, on H's split form compiled once
     per drain, and records the nonzero brackets as (site, (re, im)) in
-    increasing site order (`brackets`, a tuple once drained); with the
-    seeds and the slice count they are all `_decimal_slices` needs to
-    print the slices.  E_n is -i times `recurrence_residual`, so
-    `first_bad`, the first of those sites, is None exactly on a
-    solution; E_n is also the action's per-site factor, so `action` sums
-    the summands of the nonzero brackets only.  Only these, the slice
-    count, the seeds and the last two slices (`ends`, as
-    (psi_{N-1}, psi_N)) outlive the pass.  A verb adds its own checks in
-    `_visit`, which sees each slice with the one before it (None for
-    psi_0) and the bracket there.
+    increasing site order (`brackets`, a tuple once drained), and in
+    `stored` (read-only once drained) the seeds and, at each such site
+    m, psi_m and psi_{m+1}: the slices `_decimal_slices` prints as they
+    are and the derived series apply G to, none past the seeds on a
+    solution.  E_n is -i times `recurrence_residual`, so `first_bad`,
+    the first bracketed site, is None exactly on a solution; E_n is also
+    the action's per-site factor, so `action` sums the nonzero brackets'
+    summands only.  Only these, the slice count, the seeds and the last
+    two slices (`ends`, as (psi_{N-1}, psi_N)) outlive the pass.  A verb
+    adds its own checks in `_visit`, which sees each slice with the one
+    before it (None for psi_0) and the bracket there.
     """
 
     def __init__(self, slices: Iterable[GIVector], h: HermitianIntMatrix):
@@ -497,6 +477,7 @@ class _Window:
         self.h = h
         self.seeds = self.ends = None
         self.brackets = []
+        self.stored = {}
         self.action = 0
         self.slices = 0
 
@@ -511,14 +492,17 @@ class _Window:
             e = None if down is None else _bracket(down, psi, up, rows)
             if e is not None:
                 self.brackets.append((n - 1, e))
+                self.stored[n - 1], self.stored[n] = psi, up
                 self.action += psi.inner_re(GIVector._from_parts(*e))
             self._visit(psi, up, e)
             down, psi = psi, up
             if n == 1:
                 self.seeds = (down, psi)
+                self.stored.update(enumerate(self.seeds))
         self.slices = n + 1
         self.ends = (down, psi)
         self.brackets = tuple(self.brackets)
+        self.stored = MappingProxyType(self.stored)
 
     def _visit(self, psi: Optional[GIVector], up: GIVector, e: Optional[tuple]):
         pass
@@ -628,8 +612,9 @@ def _kept_pass(traj: Trajectory, h: HermitianIntMatrix) -> _Window:
 
     It is kept for the coupling object it ran with (compared with `is`),
     so every reader shares one pass; an equal but distinct H, or another
-    H, runs it again and replaces it.  Its brackets are a tuple, so no
-    reader can change what the next one reads.
+    H, runs it again and replaces it.  Its brackets are a tuple and its
+    stored slices a read-only map, so no reader can change what the next
+    one reads.
     """
     _check_dims(traj, h)
     kept = traj._swept

@@ -18,7 +18,7 @@ streamed a slice or clock point at a time, so no large artifact's text
 is held whole.  `evolve` and `audit` go further: one pass over a
 window of three slices checks the slices as the forward step makes
 them, with the split form (`audit` feeds its series pass each slice
-pair), so no history is held.  Where
+pair), so no history is held but the slices at nonzero brackets.  Where
 `os.fork` exists, four verbs fork one child that stages the text the
 config predicts while this process makes the checks (`_while_staging`):
 `evolve` and `audit` the trajectory of a solution, published only if
@@ -490,9 +490,9 @@ def _fmt_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _trajectory_pieces(seeds, h, slices, brackets, fmt):
+def _trajectory_pieces(h, slices, stored, fmt):
     """The text of `trajectory.<fmt>`: `automaton._decimal_slices` in pieces."""
-    texts = automaton._decimal_slices(seeds, h, slices, brackets)
+    texts = automaton._decimal_slices(h, slices, stored)
     if fmt == "csv":
         return automaton._csv_pieces(texts)
     return automaton._json_pieces(texts, h.dim)
@@ -622,16 +622,16 @@ def _write_trajectory(window, seeds, steps, out_dir: Path, fmt: str, verdicts,
     then run `verdicts()`, and write the slices' text as
     `trajectory.<fmt>`; returns the path and what `verdicts()` returned.
 
-    The text is `_trajectory_pieces` of the seeds, H, the slice count and
-    the nonzero brackets.  While this process drains the window and runs
-    the verdicts, a forked child (`_while_staging`) stages the text with
-    no bracket, that of the solution the seeds start.  The text is
-    renamed into place only if the child exited 0 and the window read
-    what the text predicts (`_predicted`), for then both texts have the
-    same arguments; otherwise it is removed and the text is written
-    here, after the wait, from the window's own.  `own` names the
-    paths `verdicts()` stages: they are published after the trajectory,
-    in order, and removed if anything fails.
+    The text is `_trajectory_pieces` of H, the slice count and the
+    slices the window keeps (`_Window.stored`).  While this process
+    drains the window and runs the verdicts, a forked child
+    (`_while_staging`) stages the text of the seeds alone, the solution
+    they start.  That text is renamed into place only if the child
+    exited 0 and the window read what it predicts (`_predicted`), and so
+    kept the seeds alone; otherwise it is removed and the text is
+    written here, after the wait, from the slices the window kept.
+    `own` names the paths `verdicts()` stages: they are published after
+    the trajectory, in order, and removed if anything fails.
     """
     h = window.h
     path = out_dir / f"trajectory.{fmt}"
@@ -642,10 +642,10 @@ def _write_trajectory(window, seeds, steps, out_dir: Path, fmt: str, verdicts,
 
     try:
         result, staged = _while_staging(
-            [(path, _trajectory_pieces(seeds, h, steps + 2, (), fmt))], work, own)
+            [(path, _trajectory_pieces(h, steps + 2, dict(enumerate(seeds)), fmt))],
+            work, own)
         _settle(path, staged and _predicted(window, seeds, steps),
-                _trajectory_pieces(window.seeds, h, window.slices, window.brackets,
-                                   fmt))
+                _trajectory_pieces(h, window.slices, window.stored, fmt))
         for name in own:
             _publish(name)
     finally:  # a failed run leaves nothing of its own staged
@@ -683,7 +683,7 @@ def _write_composite(out_dir: Path, name: str, wave, zero: bool, verdicts):
 
 def _run_evolve(params, out_dir):
     h, seeds, steps = params["hamiltonian"], params["seeds"], params["steps"]
-    # one pass checks the slices as they are made: no history is held
+    # one pass checks the slices as they are made, keeping only bracketed ones
     window = automaton._EvolveWindow(automaton._evolve_slices(*seeds, h, steps), h)
 
     def verdicts():
@@ -705,7 +705,7 @@ def _run_audit(params, out_dir):
     obs, labels = params["observables"], None  # audit labels them G0, G1, ...
     if obs is None:
         labels, obs = zip(*conservation.default_commutant_basis(h))
-    # one pass checks the slices and makes the series: no history is held
+    # one pass checks the slices and makes the series, keeping only bracketed ones
     window = conservation._AuditWindow(
         automaton._evolve_slices(s0, s1, h, steps), h, obs, labels)
     audit_path, series_path = out_dir / "audit.json", out_dir / "series.csv"
@@ -830,10 +830,9 @@ def _run_multi(params, out_dir):
             # at equal clocks (n, ..., n) the product field is the product state
             prev = wave.alpha_vector((0,) * wave.parts)
             curr = wave.alpha_vector((1,) * wave.parts)
-            min_steps = min(params["steps"])
-            sync = multipartite.evolve_synchronized(prev, curr, hams, tensor,
-                                                    min_steps)
-            # load_config guarantees min_steps >= 2
+            # one shared-clock step makes clock 2, the only clock compared;
+            # load_config gives every part's axis that clock too
+            sync = multipartite.evolve_synchronized(prev, curr, hams, tensor, 1)
             synced, product = sync[2], wave.alpha_vector((2,) * wave.parts)
             gap = next(({"clock": 2, "indices": list(alphas),
                          "synchronized": synced[i].to_pair(),

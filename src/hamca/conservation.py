@@ -11,7 +11,8 @@ exactly the real integer 2 Re psi_n^* G psi_{n-1}.  When [G, H] = 0
 exactly, the series needs no big products per slice pair: on any
 trajectory, q_G(m+1) - q_G(m) = -2 Im (G psi_m)^* E_m, where E_m is
 the bracket of `automaton._bracket`, so q_G(1) from the seeds and one
-G-apply at each nonzero bracket give every value (`_derived_runs`).
+G-apply at each nonzero bracket, to the psi_m the checked pass keeps
+there, give every value (`_derived_runs`).
 That is how `two_point_series` serves a trajectory that carries a
 checked pass (`automaton._kept_pass`) for an H that G commutes with,
 and how the audit serves each commuting G.  Every other series is
@@ -20,16 +21,17 @@ q_G(n) and q_G(n+1), so the per-G series (`_per_g_series`) takes one
 real inner product per clock index and one G-apply per two; a G that
 is not self-adjoint is rejected before any series.  The audit feeds
 its non-commuting observables' slice pairs to one such pass.
-One report assembly turns the series and one checked pass
-(`automaton._Window`: the solution verdict, the seeds, the brackets
-and the last two slices) into the verdicts, with the two-term form,
+One report assembly turns the direct series and one checked pass
+(`automaton._Window`: the solution verdict, the seeds, the brackets,
+the slices kept at them and the last two slices) into the verdicts,
+deriving each commuting G's series there, with the two-term form,
 the independent oracle `two_point_invariant`, checked at n = 1 and
 n = N on the first and last pairs for every series, derived or direct.
 The library audit reads the pass kept on a stored trajectory;
 `_AuditWindow` is the pass over the forward step's slices and feeds
 the direct series every slice pair as the trajectory is written, so
-the CLI audit holds no history and every series value comes from
-slices the pass checked itself.
+the CLI audit holds no history but the slices at nonzero brackets, and
+every series value comes from slices the pass checked itself.
 With G the identity this is the constraint 2 Re psi_n^* psi_{n-1} =
 const, the discrete stand-in for state normalization.  The symmetrized
 single-site variant
@@ -97,13 +99,11 @@ def two_point_series(traj: Trajectory, g: HermitianIntMatrix) -> list:
     """
     _check_dims(traj, g)
     _check_self_adjoint(g)
-    kept, states = traj._swept, traj.states
+    kept = traj._swept
     if kept is not None and g.commutator(kept.h).is_zero():
-        steps = [_step(g.apply(states[m]), e) for m, e in kept.brackets]
-        values = _expanded((GaussianInt(q, 0), k) for q, k in
-                           _derived_runs(g, states, kept.brackets, steps, traj.last))
+        values = _expanded((GaussianInt(q, 0), k) for q, k in _derived_runs(g, kept))
     else:
-        values = [GaussianInt(v, 0) for v in _stored_series([g], states)[0]]
+        values = [GaussianInt(v, 0) for v in _stored_series([g], traj.states)[0]]
     _cross_check(values, (traj[1], traj[0]), (traj[-1], traj[-2]), g)
     return values
 
@@ -115,14 +115,13 @@ def _check_self_adjoint(g):
 
 
 def _split(observables: Sequence, h: HermitianIntMatrix) -> tuple:
-    """(commutes, derived, direct), once every G is checked self-adjoint:
-    whether [G, H] = 0 for each G, then the Gs that commute, whose series
-    are derived from the brackets, and the others, in order."""
+    """(commutes, direct), once every G is checked self-adjoint: whether
+    [G, H] = 0 for each G, then the Gs that do not commute, whose series
+    are direct, in order."""
     for g in observables:
         _check_self_adjoint(g)
     commutes = [g.commutator(h).is_zero() for g in observables]
-    return (commutes, [g for g, c in zip(observables, commutes) if c],
-            [g for g, c in zip(observables, commutes) if not c])
+    return commutes, [g for g, c in zip(observables, commutes) if not c]
 
 
 def _step(gx: GIVector, e: tuple) -> int:
@@ -138,18 +137,19 @@ def _step(gx: GIVector, e: tuple) -> int:
     return 2 * (sum(map(mul, gx.im, e_re)) - sum(map(mul, gx.re, e_im)))
 
 
-def _derived_runs(g: HermitianIntMatrix, seeds: Sequence, brackets: Sequence,
-                  steps: Sequence, pairs: int) -> Iterator[tuple]:
-    """q_G(1..pairs) as runs (value, count), for a G with [G, H] = 0:
-    q_G(1) = 2 Re psi_1^* G psi_0 from `seeds` (psi_0, psi_1, ...), then
-    at each (site m, bracket) of `brackets`, in site order, q_G(m+1) is
-    q_G(m) plus that site's `_step` in `steps`; it is q_G(m) at every
-    site whose bracket is zero."""
-    q, n = 2 * g.apply(seeds[0]).inner_re(seeds[1]), 1
-    for (m, _), step in zip(brackets, steps):
+def _derived_runs(g: HermitianIntMatrix, window: _Window) -> Iterator[tuple]:
+    """q_G(1..N) as runs (value, count), for a G with [G, H] = 0, from the
+    drained `window` over psi_0 ... psi_N: q_G(1) = 2 Re psi_1^* G psi_0
+    from its seeds, then at each nonzero bracket E_m of its `brackets`,
+    in site order, q_G(m+1) is q_G(m) plus the `_step` of G psi_m, psi_m
+    read from its `stored` slices; it is q_G(m) at every site whose
+    bracket is zero."""
+    (psi0, psi1), stored = window.seeds, window.stored
+    q, n = 2 * g.apply(psi0).inner_re(psi1), 1
+    for m, e in window.brackets:
         yield q, m + 1 - n
-        q, n = q + step, m + 1
-    yield q, pairs + 1 - n
+        q, n = q + _step(g.apply(stored[m]), e), m + 1
+    yield q, window.slices - n
 
 
 def _expanded(runs: Iterable[tuple]) -> list:
@@ -324,26 +324,25 @@ def _labels(labels: Optional[Sequence[str]], observables: Sequence) -> Sequence[
 
 
 def _report(window: _Window, observables: Sequence, labels: Sequence[str],
-            commutes: Sequence[bool], direct: Sequence, steps: Sequence) -> AuditReport:
+            commutes: Sequence[bool], direct: Sequence) -> AuditReport:
     """The audit of the slices of a drained `window`.
 
     `commutes` says for each G whether [G, H] = 0 (`_split`).  A
     commuting G's series is derived (`_derived_runs`) from the window's
-    seeds and brackets and its list of `_step`s, the next one of `steps`;
-    any other G's is the next of `direct`, its q_G(1..N) as ints from a
-    series pass.  H, the solution verdict, the slice count and the pairs
+    seeds, brackets and the slices it keeps there; any other G's is the
+    next of `direct`, its q_G(1..N) as ints from a series pass.  H, the
+    solution verdict, the slice count and the pairs
     (psi_1, psi_0) and (psi_N, psi_{N-1}) come from the window.  Per G:
     the two-term cross-check at both ends, and the value or the drift.
     """
     h = window.h
     first, last = window.seeds[::-1], window.ends[::-1]
     norm = _pair_norm(*first)
-    direct, steps = iter(direct), iter(steps)
+    direct = iter(direct)
     entries = []
     for label, g, commutes in zip(labels, observables, commutes):
         if commutes:
-            values = _expanded(_derived_runs(g, window.seeds, window.brackets,
-                                             next(steps), window.slices - 1))
+            values = _expanded(_derived_runs(g, window))
         else:
             values = next(direct)
         _cross_check(values, first, last, g)
@@ -382,10 +381,11 @@ def audit_conservation(traj: Trajectory, h: HermitianIntMatrix,
     The solution verdict is the checked pass kept on the trajectory
     (`automaton._kept_pass`), so no second H sweep runs.  A commuting G's
     series is derived from that pass (`_derived_runs`): q_G(1) from the
-    seeds, then one G-apply and 2d big products at each nonzero bracket,
-    none on a solution.  The other observables' series come from one
-    per-G series pass over the slice pairs (`_per_g_series`: one real
-    inner product per G and slice, one G-apply per G and two slices).
+    seeds, then at each nonzero bracket one G-apply, to the slice the
+    pass keeps there, and 2d big products; none on a solution.  The
+    other observables' series come from one per-G series pass over the
+    slice pairs (`_per_g_series`: one real inner product per G and
+    slice, one G-apply per G and two slices).
     `_AuditWindow` makes the same report from a three-slice window.
     Raises ValueError if `labels` and `observables` differ in length or a
     G is not self-adjoint, and AssertionError if a series disagrees with
@@ -395,12 +395,10 @@ def audit_conservation(traj: Trajectory, h: HermitianIntMatrix,
     labels = _labels(labels, observables)
     for g in observables:
         _check_dims(traj, g)
-    window, states = _kept_pass(traj, h), traj.states
-    commutes, derived, direct = _split(observables, h)
-    steps = [[_step(g.apply(states[m]), e) for m, e in window.brackets]
-             for g in derived]
+    window = _kept_pass(traj, h)
+    commutes, direct = _split(observables, h)
     return _report(window, observables, labels, commutes,
-                   _stored_series(direct, states), steps)
+                   _stored_series(direct, traj.states))
 
 
 class _AuditWindow(_Window):
@@ -408,10 +406,10 @@ class _AuditWindow(_Window):
     window that checks it.
 
     `drain()` (see `automaton._Window`) visits each slice pair (psi_n,
-    psi_{n-1}).  At a nonzero bracket E_{n-1} it applies each commuting G
-    to psi_{n-1} for that G's `_step`; the other observables get every
-    pair in one series pass (`_per_g_series`).  After it, `report()` is
-    the audit of the slices it pulled.
+    psi_{n-1}) and feeds it to the non-commuting observables' one series
+    pass (`_per_g_series`).  After it, `report()` is the audit of the
+    slices it pulled; the commuting observables' series are derived
+    there from the slices the window kept.
     """
 
     def __init__(self, slices: Iterable[GIVector], h: HermitianIntMatrix,
@@ -419,22 +417,17 @@ class _AuditWindow(_Window):
         super().__init__(slices, h)
         self._labels = _labels(labels, observables)
         self._observables = observables
-        self._commutes, self._derived, direct = _split(observables, h)
-        self._steps = [[] for _ in self._derived]
+        self._commutes, direct = _split(observables, h)
         self._series = [[] for _ in direct]
         self._feed = _per_g_series(direct, self._series) if direct else None
 
     def _visit(self, psi, up, e):
-        if psi is not None:
-            if e is not None:
-                for g, steps in zip(self._derived, self._steps):
-                    steps.append(_step(g.apply(psi), e))
-            if self._feed:
-                self._feed(up, psi)
+        if psi is not None and self._feed:
+            self._feed(up, psi)
 
     def report(self) -> AuditReport:
         return _report(self, self._observables, self._labels, self._commutes,
-                       self._series, self._steps)
+                       self._series)
 
 
 def _series_csv_pieces(named_series: Sequence) -> Iterator[str]:

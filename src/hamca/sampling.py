@@ -67,6 +67,14 @@ class DiscretenessScale:
             raise ValueError("discreteness scale must be positive and finite")
 
 
+def _clock(t: float, l: float) -> float:
+    """t / l, the time t in clock steps; ValueError naming t unless finite."""
+    u = t / l
+    if not math.isfinite(u):
+        raise ValueError(f"time {t!r} is not a finite number of clock steps of {l!r}")
+    return u
+
+
 def samples_from_trajectory(traj: Trajectory) -> np.ndarray:
     """Complex float array of shape (slices, dim).
 
@@ -90,7 +98,7 @@ def _kernel_weights(n_samples: int, l: float, t: float, window: int):
     """
     if window < 1:
         raise ValueError("window must be >= 1")
-    u = t / l
+    u = _clock(t, l)
     k0 = int(round(u))
     if abs(u - k0) <= _SNAP * max(1.0, abs(u)):
         if 0 <= k0 < n_samples:
@@ -153,7 +161,7 @@ class ContinuumSignal:
     def second_derivative(self, t: float) -> np.ndarray:
         """Second time derivative of the truncated interpolant at t."""
         l = self.scale.l
-        u = t / l
+        u = _clock(t, l)
         k0 = int(round(u))
         lo = max(0, k0 - self.window)
         hi = min(self.samples.shape[0] - 1, k0 + self.window)
@@ -250,6 +258,8 @@ class DispersionPoint:
 
 
 def dispersion_theta(energy: float) -> DispersionPoint:
+    if not math.isfinite(energy):
+        raise ValueError(f"energy {energy!r} is not finite")
     if abs(energy) <= 2.0:
         return DispersionPoint(energy=energy, oscillatory=True,
                                theta=math.asin(energy / 2.0), growth_factor=1.0)
@@ -265,7 +275,7 @@ def eigenmode_phase_step(energy: float, steps: int = 256) -> float:
     branch (cos component from the characteristic equation, no inverse
     trig involved) and averages the observed step-to-step phase.
     """
-    if abs(energy) > 2.0:
+    if not dispersion_theta(energy).oscillatory:
         raise ValueError("mode is not oscillatory")
     lam = math.sqrt(1.0 - energy * energy / 4.0) - 0.5j * energy
     c_prev, c_curr = 1.0 + 0.0j, lam

@@ -1,5 +1,6 @@
 """Shared generators for randomized exact-arithmetic checks."""
 
+import json
 import random
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import settings, strategies as st
 
 from hamca import automaton
 from hamca.automaton import Trajectory
-from hamca.gaussian import GaussianInt, GIVector, GIMatrix, HermitianIntMatrix
+from hamca.gaussian import GaussianInt, GIVector, GIMatrix, HermitianIntMatrix, exact_int_text
 
 # Big-integer examples on a shared host can exceed Hypothesis's default
 # 200 ms deadline without anything being wrong; each property test
@@ -44,6 +45,20 @@ def random_trajectory(rng: random.Random, dim: int, slices: int,
 def random_matrix(rng: random.Random, dim: int, bound: int = 3) -> GIMatrix:
     return GIMatrix([[random_gaussian_int(rng, bound) for _ in range(dim)]
                      for _ in range(dim)])
+
+
+def reference_csv(traj):
+    """`Trajectory.to_csv` text, per-entry `str` of each part."""
+    with exact_int_text():
+        rows = [f"{n},{a},{z.re},{z.im}" for n, s in enumerate(traj)
+                for a, z in enumerate(s)]
+    return "\n".join(["n,alpha,re,im"] + rows) + "\n"
+
+
+def reference_json(obj):
+    """Indented, key-sorted `json.dumps` text, as the JSON writers print it."""
+    with exact_int_text():
+        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def count_calls(monkeypatch, owner, name):

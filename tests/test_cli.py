@@ -26,7 +26,7 @@ from hamca.cli import ConfigError, load_config, main, run
 from hamca.gaussian import (GaussianInt, GIMatrix, GIVector, HermitianIntMatrix,
                             exact_int_text)
 from hamca.multipartite import MultiWave
-from conftest import count_applies, count_calls
+from conftest import count_applies, count_calls, reference_csv, reference_json
 
 PAULI_X = [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]
 
@@ -514,6 +514,22 @@ def test_multi_synchronized_gap(tmp_path):
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     gap = report["info"]["synchronized_gap"]
     assert gap["synchronized"] == [1, -2] and gap["product"] == [0, -2]
+
+
+def test_the_synchronized_model_steps_once(tmp_path, monkeypatch):
+    # the gap is read at clock 2, so the shared-clock model takes one
+    # step, whatever the parts' step counts
+    made, synchronized = [], multipartite.evolve_synchronized
+
+    def spy(*args):
+        made.append(synchronized(*args))
+        return made[-1]
+
+    monkeypatch.setattr(multipartite, "evolve_synchronized", spy)
+    obj, _ = GOLDEN_RUNS["multi"]
+    report = run(load_config(write_config(tmp_path / "cfg.json", obj)), tmp_path / "out")
+    assert report["info"]["synchronized_gap"]["clock"] == 2
+    assert [len(t) for t in made] == [3]
 
 
 def test_bell_run(tmp_path):
@@ -1801,8 +1817,8 @@ def test_a_mutant_program_fails_the_recurrence_check(tmp_path, monkeypatch, caps
     # the kernel makes the slices and the split form checks them, so a
     # sign flipped in either program, or in the generator of the step
     # matrices' straight-line kernels, shows: the checks fail by name,
-    # and a kernel or generator mutant ends in no internal error
-    path = write_config(tmp_path / "cfg.json", FORK_RUNS[kind][0])
+    # and a kernel or generator mutant ends in no internal error; the
+    # trajectory written, in either format, is the slices the run made
     forks = use_schedule(monkeypatch, schedule)
     if mutant == "kernel":
         monkeypatch.setattr(GIMatrix, "apply", flipped_kernel)
@@ -1811,22 +1827,36 @@ def test_a_mutant_program_fails_the_recurrence_check(tmp_path, monkeypatch, caps
         monkeypatch.setattr(gaussian, "_straight_line", flipped_generator())
     else:
         monkeypatch.setattr(automaton, "_split_step", flipped_split_step)
-    code = main([kind, "--config", path, "--out", str(tmp_path / "out")])
-    out, err = capsys.readouterr()
-    assert code == 1 and len(forks) == (schedule == "forked")
-    if kind == "audit" and mutant == "split form":
-        # the commuting observables' series are derived from the
-        # brackets, so the two-term cross-check stops the run first
-        assert out == "" and err == (
-            "FAIL audit — AssertionError: two-point series disagrees with the "
-            "two-term invariant at the last index n = 201\n")
-        return
-    assert err == ""
-    failed = [line.split(" — ")[0] for line in out.splitlines()
-              if line.startswith("FAIL ")]
-    want = (["FAIL recurrence_holds_everywhere", "FAIL action_zero_on_solution"]
-            if kind == "evolve" else ["FAIL trajectory_is_solution"])
-    assert failed[:len(want)] == want
+    for fmt in ("csv", "json"):
+        obj = dict(FORK_RUNS[kind][0], output={"format": fmt})
+        path = write_config(tmp_path / f"{fmt}.json", obj)
+        out_dir = tmp_path / fmt
+        code = main([kind, "--config", path, "--out", str(out_dir)])
+        out, err = capsys.readouterr()
+        assert code == 1
+        if kind == "audit" and mutant == "split form":
+            # the commuting observables' series are derived from the
+            # brackets, so the two-term cross-check stops the run first
+            assert out == "" and err == (
+                "FAIL audit — AssertionError: two-point series disagrees with the "
+                "two-term invariant at the last index n = 201\n")
+            continue
+        assert err == ""
+        failed = [line.split(" — ")[0] for line in out.splitlines()
+                  if line.startswith("FAIL ")]
+        want = (["FAIL recurrence_holds_everywhere", "FAIL action_zero_on_solution"]
+                if kind == "evolve" else ["FAIL trajectory_is_solution"])
+        assert failed[:len(want)] == want
+        cfg = load_config(path)
+        made = Trajectory(automaton._evolve_slices(*cfg.params["seeds"],
+                                                   cfg.params["hamiltonian"], obj["steps"]))
+        text = (reference_csv(made) if fmt == "csv"
+                else reference_json(made.to_json_obj()))
+        # compared line by line: a failing comparison reports the first
+        # line that differs
+        assert (out_dir / f"trajectory.{fmt}").read_text().splitlines(True) == \
+            text.splitlines(True)
+    assert len(forks) == (2 if schedule == "forked" else 0)
 
 
 @pytest.mark.parametrize("fmt, schedule", FMT_SCHEDULES)

@@ -187,6 +187,27 @@ def test_dispersion_examples():
     assert dispersion_theta(-3.0).growth_factor == g.growth_factor
 
 
+NON_FINITE_SIGNAL = ContinuumSignal(np.ones((9, 2), dtype=complex), DiscretenessScale(0.5))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("call, name", [
+    pytest.param(NON_FINITE_SIGNAL.eval, "time", id="eval"),
+    pytest.param(NON_FINITE_SIGNAL.second_derivative, "time", id="second_derivative"),
+    pytest.param(lambda t: continuum_Q(NON_FINITE_SIGNAL, t), "time",
+                 id="continuum_Q-exact-cosh"),
+    pytest.param(lambda t: continuum_Q(NON_FINITE_SIGNAL, t, "order-l2"), "time",
+                 id="continuum_Q-order-l2"),
+    pytest.param(dispersion_theta, "energy", id="dispersion_theta"),
+    pytest.param(eigenmode_phase_step, "energy", id="eigenmode_phase_step")])
+def test_the_continuum_bridge_rejects_a_non_finite_value(call, name, value):
+    # its own message, naming the value, not CPython's from int(round(u))
+    # and no point or phase computed from it
+    with pytest.raises(ValueError, match=f"^{name} {value!r} is not (finite$|a finite)"):
+        call(value)
+
+
 def test_measured_phase_matches_arcsin():
     for e in (2.0, 1.0, 0.5, -1.0, 0.0, 1.9, -2.0):
         measured = eigenmode_phase_step(e)

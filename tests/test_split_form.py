@@ -178,30 +178,30 @@ def test_the_streamed_oracle_equals_evolve_slice_by_slice(data, dim, steps):
     hs, ha = data.draw(hermitian_splits(dim))
     (x0, p0), (x1, p1) = data.draw(split_vectors(dim)), data.draw(split_vectors(dim))
     h = HermitianIntMatrix(matrix(hs, ha))
-    stream = automaton._phase_space_slices(x0, p0, x1, p1, hs, ha, steps)
-    pairs = list(zip_longest(stream, evolve(vector(x0, p0), vector(x1, p1), h, steps)))
+    phase = evolve_phase_space(x0, p0, x1, p1, hs, ha, steps)
+    pairs = list(zip_longest(phase, evolve(vector(x0, p0), vector(x1, p1), h, steps)))
     assert len(pairs) == steps + 2
     for got, want in pairs:
         assert_same_vector(got, want)
 
 
 def test_the_streamed_oracle_checks_its_inputs_before_the_first_slice():
-    # raised by the call itself, with no slice pulled
-    stream = automaton._phase_space_slices
+    # raised before the first step
+    phase = evolve_phase_space
     for steps in (-1, True, 2.0):
         with pytest.raises(ValueError, match="steps"):
-            stream([1], [0], [2], [0], [[1]], [[0]], steps)
+            phase([1], [0], [2], [0], [[1]], [[0]], steps)
         # evolve takes the same step counts
         with pytest.raises(ValueError, match="steps"):
             evolve(GIVector([1]), GIVector([2]), HermitianIntMatrix.identity(1), steps)
     with pytest.raises(ValueError, match="symmetric"):
-        stream([1, 0], [0, 0], [2, 0], [0, 0], [[1, 2], [0, 1]], [[0, 0], [0, 0]], 3)
+        phase([1, 0], [0, 0], [2, 0], [0, 0], [[1, 2], [0, 1]], [[0, 0], [0, 0]], 3)
     with pytest.raises(ValueError, match="antisymmetric"):
-        stream([1, 0], [0, 0], [2, 0], [0, 0], [[0, 1], [1, 0]], [[0, 1], [1, 0]], 3)
+        phase([1, 0], [0, 0], [2, 0], [0, 0], [[0, 1], [1, 0]], [[0, 1], [1, 0]], 3)
     with pytest.raises(ValueError, match="dimension"):
-        stream([1, 0], [0], [2], [0], [[1]], [[0]], 3)
+        phase([1, 0], [0], [2], [0], [[1]], [[0]], 3)
     with pytest.raises(TypeError, match="plain integers"):
-        stream([1], [0], [2], [0], [[1]], [[0.0]], 3)
+        phase([1], [0], [2], [0], [[1]], [[0.0]], 3)
 
 
 def test_scalars_are_built_on_demand():
@@ -280,9 +280,7 @@ def test_independent_oracles_never_call_the_matvec_kernel(monkeypatch, rng):
         phase = evolve_phase_space(traj[0].re, traj[0].im, traj[1].re, traj[1].im,
                                    hs, ha, 8)
         assert phase == traj
-        stream = automaton._phase_space_slices(traj[0].re, traj[0].im, traj[1].re,
-                                               traj[1].im, hs, ha, 8)
-        assert list(stream) == list(traj)
+        assert list(phase) == list(traj)
         direct = [verify_stationarity(t, h, method="direct") for t in (traj, bumped)]
         assert direct[0].ok and not direct[1].ok
         with pytest.raises(AssertionError, match="independent oracle"):
@@ -327,15 +325,18 @@ def test_each_verdict_applies_h_once_per_stored_interior_slice(monkeypatch, rng)
             # together one pass: last - 1 split-form steps, each on the
             # stored slice with the one before it, and -iH never applied
             # to a stored slice: only the writer applies it, once per
-            # printed slice past the seeds, on Decimal parts; H's only
-            # applies are the audit's commutator columns, and the
-            # observables are matrices of their own
+            # printed slice past the seeds that the pass did not keep
+            # (psi_m and psi_{m+1} at each nonzero bracket m), on Decimal
+            # parts; H's only applies are the audit's commutator
+            # columns, and the observables are matrices of their own
             assert len(predicted) == fresh.last - 1
             assert all(xp is before.re and pp is before.im and xc is s.re and pc is s.im
                        for (_, xp, pp, xc, pc), before, s
                        in zip(predicted, fresh.states, fresh.states[1:-1]))
+            kept = [n for n in fresh._swept.stored if n >= 2]
+            assert kept == ([] if fresh == solution else [4, 5, 6, 7])
             stepped = [(v, base) for m, v, base, _ in applied if m is y]
-            assert len(stepped) == fresh.last - 1
+            assert len(stepped) == fresh.last - 1 - len(kept)
             assert all(type(part) is Decimal for v, base in stepped
                        for part in v.re + v.im + base.re + base.im)
             assert sum(m is h for m, *_ in applied) == fresh.dim * len(observables)

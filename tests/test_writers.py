@@ -2,7 +2,7 @@
 
 Trajectory text comes from an exact `Decimal` stream, and `field.json`
 and `residual.csv` from per-record templates.  Each writer is checked
-byte for byte against the plain reference written here, on solutions,
+byte for byte against a plain reference, on solutions,
 corrupted histories, mismatched or missing couplings and entries past
 CPython's 4300-digit limit; and no writer may leave the global decimal
 context or the digit limit changed, whether it returns, raises or has
@@ -10,7 +10,6 @@ its stream dropped partway.
 """
 
 import decimal
-import json
 import sys
 
 import pytest
@@ -22,7 +21,8 @@ from hamca.gaussian import (GaussianInt, GIMatrix, GIVector, HermitianIntMatrix,
                             exact_int_text)
 from hamca.multipartite import (ManyTimeResidual, MultiWave, bell_state,
                                 many_time_residual)
-from conftest import count_applies, count_calls, random_hermitian, random_vector
+from conftest import (count_applies, count_calls, random_hermitian, random_vector,
+                      reference_csv, reference_json)
 from test_cli import flipped_kernel
 
 PAST_LIMIT = st.builds(lambda sign, hi, lo: sign * (hi * 10**4300 + lo),
@@ -31,18 +31,6 @@ PAST_LIMIT = st.builds(lambda sign, hi, lo: sign * (hi * 10**4300 + lo),
 # zeros are frequent, so negative coefficients meet zero entries
 SMALL = st.one_of(st.just(0), st.integers(-3, 3))
 PART = st.one_of(SMALL, st.integers(-2**70, 2**70))
-
-
-def reference_csv(traj):
-    with exact_int_text():
-        rows = [f"{n},{a},{z.re},{z.im}" for n, s in enumerate(traj)
-                for a, z in enumerate(s)]
-    return "\n".join(["n,alpha,re,im"] + rows) + "\n"
-
-
-def reference_json(obj):
-    with exact_int_text():
-        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 @st.composite
@@ -119,17 +107,30 @@ def test_trajectory_text_without_a_coupling_applies_nothing(monkeypatch):
 
 def test_the_printer_steps_with_the_kernel_it_is_given(monkeypatch, rng):
     # a kernel with one sign flipped makes other slices than the true
-    # ones; the printer must print the slices the kernel makes, not a
-    # solution of its own
+    # ones; given the seeds alone, the printer must print the slices the
+    # kernel makes, not a solution of its own
     monkeypatch.setattr(automaton, "_affine", flipped_kernel)
     h = random_hermitian(rng, 3)
     assert any(im_terms for _, im_terms in h._program)
     mutant = evolve(random_vector(rng, 3), random_vector(rng, 3), h, 12)
     assert not automaton.is_solution(mutant, h)
-    texts = automaton._decimal_slices(mutant.states, h, len(mutant), ())
+    texts = automaton._decimal_slices(h, len(mutant), {0: mutant[0], 1: mutant[1]})
     with exact_int_text():
         assert list(texts) == [(tuple(map(str, s.re)), tuple(map(str, s.im)))
                                for s in mutant]
+
+
+def test_a_faulty_kernels_slices_print_as_made(monkeypatch, rng):
+    # the split form finds the flipped kernel's slices off the rule, and
+    # the text must still be the slices the kernel made, with the
+    # coupling given, kept or replaced by another
+    monkeypatch.setattr(automaton, "_affine", flipped_kernel)
+    h = random_hermitian(rng, 3)
+    mutant = evolve(random_vector(rng, 3), random_vector(rng, 3), h, 12)
+    assert automaton.first_recurrence_violation(mutant, h) == 1
+    for coupling in (h, None, random_hermitian(rng, 3)):
+        assert mutant.to_csv(coupling) == reference_csv(mutant)
+        assert mutant.to_json_text(coupling) == reference_json(mutant.to_json_obj())
 
 
 def test_trajectory_text_without_a_coupling_reads_the_kept_one(monkeypatch):
@@ -143,14 +144,19 @@ def test_trajectory_text_without_a_coupling_reads_the_kept_one(monkeypatch):
         streams = count_calls(monkeypatch, automaton, "_decimal_slices")
         assert traj.to_csv() == want_csv
         assert traj.to_json_text() == want_json
-        # the linear path: the kept pass's coupling, and no new sweep
-        assert predicted == [] and [s[1] is h for s in streams] == [True, True]
+        # the linear path: the kept pass's coupling and the slices it
+        # kept, and no new sweep
+        kept = traj._swept.stored
+        assert sorted(kept) == ([0, 1] if traj is solution else [0, 1, 6, 7, 8, 9])
+        assert predicted == [] and \
+            [s[0] is h and s[2] is kept for s in streams] == [True, True]
         monkeypatch.undo()
     # a trajectory never checked prints from the slices alone
     fresh = Trajectory(solution.states)
     streams = count_calls(monkeypatch, automaton, "_decimal_slices")
     assert fresh.to_csv() == solution.to_csv(h)
-    assert streams[0][1] is None
+    assert streams[0][0] is None
+    assert all(streams[0][2][n] is s for n, s in enumerate(fresh))
 
 
 def test_trajectory_writer_rejects_a_mismatched_coupling():
