@@ -27,11 +27,18 @@ One quantity, the Euler-Lagrange bracket
 
 is at once -i times the recurrence residual, the action's per-site
 factor and every stationarity coefficient.  `_bracket` alone forms it:
-it predicts psi_{n+1} from psi_n and psi_{n-1} with one `_split_step`
-on the nonzero rows of hS and hA, never on H's kernel, and where the
+it predicts psi_{n+1} from psi_n and psi_{n-1} with one step of H's
+split form (`_split_program`), never with H's kernel, and where the
 prediction differs from psi_{n+1} returns E_n = -i (psi_{n+1} -
 prediction); so each recurrence verdict on the kernel's slices
-compares two separately written programs.  `_Window` is the one loop
+compares two separately written programs.  Up to the kernel's cap,
+`_STRAIGHT_LINE_DIM`, the step is one straight-line function that
+`_split_line` generates from the nonzero rows of hS and hA, compiled
+on first use and kept on H; above the cap it is the loop
+`_split_step` over the same rows.  `_split_line` shares no helper or
+term writer with `gaussian._straight_line`, which generates the step
+matrices' kernels, so a fault in one generator cannot show the same
+way in the other's output.  `_Window` is the one loop
 that runs it, over any stream of slices three at a time.  The pass
 records the nonzero brackets, the slices at them and the action; those
 slices and the seeds are all the trajectory writer needs of it.  On a
@@ -82,6 +89,7 @@ import re as _re
 from dataclasses import dataclass
 from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact,
                      InvalidOperation, Overflow, Rounded, localcontext)
+from functools import partial
 from itertools import accumulate, chain, repeat
 from operator import neg, sub
 from types import MappingProxyType
@@ -93,6 +101,7 @@ from .gaussian import (
     GIVector,
     HermitianIntMatrix,
     IMAG_UNIT,
+    _STRAIGHT_LINE_DIM,
     _plain_ints,
     exact_int_text,
     int_matrix_is_antisymmetric,
@@ -389,6 +398,61 @@ def _split_step(rows: tuple, xp: tuple, pp: tuple, xc: tuple, pc: tuple) -> tupl
     return tuple(x_out), tuple(p_out)
 
 
+def _split_line(rows: tuple) -> Callable:
+    """`_split_step` of `rows` as one generated function of (xp, pp, xc, pc).
+
+    Each output part is one expression over locals unpacked once from
+    the four tuples.  A coefficient enters the source only as the name
+    of a keyword default bound to it, never as a literal; a +1 or -1
+    term is added or subtracted without a multiply.  Written apart from
+    `gaussian._straight_line`, with no helper or term writer in common,
+    so that a fault in either generator cannot show the same way in the
+    other's output.
+    """
+    bound = {}  # coefficient -> the keyword default it is bound to
+
+    def term(sign, c, var):
+        """`sign * c * var` as source, led by its operator."""
+        if c in (1, -1):
+            return (" + " if sign * c > 0 else " - ") + var
+        name = bound.setdefault(c, f"c{len(bound)}")
+        return (" + " if sign > 0 else " - ") + f"{name} * {var}"
+
+    xs, ps = [], []
+    for i, (s_terms, a_terms) in enumerate(rows):
+        x, p = f"xp{i}", f"pp{i}"
+        for j, c in s_terms:
+            x += term(1, c, f"pc{j}")
+            p += term(-1, c, f"xc{j}")
+        for j, c in a_terms:
+            x += term(1, c, f"xc{j}")
+            p += term(1, c, f"pc{j}")
+        xs.append(x + ",")
+        ps.append(p + ",")
+    params = ["xp", "pp", "xc", "pc"] + (["*", *bound.values()] if bound else [])
+    source = (f"def split_step({', '.join(params)}):\n"
+              + "".join(f"    ({''.join(f'{v}{j},' for j in range(len(rows)))}) = {v}\n"
+                        for v in ("xp", "pp", "xc", "pc"))
+              + f"    return ({' '.join(xs)}), ({' '.join(ps)})\n")
+    namespace = {}
+    exec(source, namespace)
+    step = namespace["split_step"]
+    step.__kwdefaults__ = {name: c for c, name in bound.items()}
+    return step
+
+
+def _split_program(h: HermitianIntMatrix) -> Callable:
+    """H's split-form step, (x_{n-1}, p_{n-1}, x_n, p_n) -> (x_{n+1},
+    p_{n+1}): up to `_STRAIGHT_LINE_DIM` the `_split_line` function,
+    compiled on the first call and kept on H (`_split_kernel`); above
+    the cap `_split_step` on H's rows."""
+    if h.dim > _STRAIGHT_LINE_DIM:
+        return partial(_split_step, _split_rows(*h.split()))
+    if h._split_kernel is None:
+        h._split_kernel = _split_line(_split_rows(*h.split()))
+    return h._split_kernel
+
+
 def evolve_phase_space(x0: Sequence[int], p0: Sequence[int],
                        x1: Sequence[int], p1: Sequence[int],
                        hs: Sequence[Sequence[int]],
@@ -439,14 +503,15 @@ def _check_site(n, last: int, message: str, first: int = 1):
 
 
 def _bracket(down: GIVector, psi: GIVector, up: GIVector,
-             rows: tuple) -> Optional[tuple]:
+             step: Callable) -> Optional[tuple]:
     """Int parts (re, im) of E_n = H psi_n - i (psi_{n+1} - psi_{n-1}).
 
-    The bracket predicts psi_{n+1} with one `_split_step` of `rows`, H's
-    split form, on the slices it is given and returns None when the
-    prediction is psi_{n+1}; otherwise E_n = -i (psi_{n+1} - prediction).
+    The bracket predicts psi_{n+1} with one call of `step`, H's split
+    form (`_split_program`), on the slices it is given and returns None
+    when the prediction is psi_{n+1}; otherwise E_n = -i (psi_{n+1} -
+    prediction).
     """
-    x, p = _split_step(rows, down.re, down.im, psi.re, psi.im)
+    x, p = step(down.re, down.im, psi.re, psi.im)
     if x == up.re and p == up.im:
         return None
     # -i (a + ib) = b - ia
@@ -457,8 +522,8 @@ class _Window:
     """One checked pass over a stream of slices psi_0 ... psi_N, three at a time.
 
     `drain()` pulls the stream through.  On the way the pass brackets
-    every interior site with `_bracket`, on H's split form compiled once
-    per drain, and records the nonzero brackets as (site, (re, im)) in
+    every interior site with `_bracket`, on H's split step
+    (`_split_program`), and records the nonzero brackets as (site, (re, im)) in
     increasing site order (`brackets`, a tuple once drained), and in
     `stored` (read-only once drained) the seeds and, at each such site
     m, psi_m and psi_{m+1}: the slices `_decimal_slices` prints as they
@@ -486,10 +551,10 @@ class _Window:
         return self.brackets[0][0] if self.brackets else None
 
     def drain(self):
-        rows = _split_rows(*self.h.split())
+        step = _split_program(self.h)
         down = psi = None
         for n, up in enumerate(self._slices):
-            e = None if down is None else _bracket(down, psi, up, rows)
+            e = None if down is None else _bracket(down, psi, up, step)
             if e is not None:
                 self.brackets.append((n - 1, e))
                 self.stored[n - 1], self.stored[n] = psi, up
@@ -629,7 +694,7 @@ def recurrence_residual(traj: Trajectory, h: HermitianIntMatrix, n: int) -> GIVe
     """psi_{n+1} - psi_{n-1} + i*H*psi_n; zero iff the rule holds at n."""
     _check_site(n, traj.last - 1, "site {!r} is not interior")
     _check_dims(traj, h)
-    e = _bracket(traj[n - 1], traj[n], traj[n + 1], _split_rows(*h.split()))
+    e = _bracket(traj[n - 1], traj[n], traj[n + 1], _split_program(h))
     if e is None:
         return GIVector.zero(traj.dim)
     # i * (re + i im)

@@ -10,9 +10,13 @@ the second term is the complex conjugate of the first, so q_G(n) is
 exactly the real integer 2 Re psi_n^* G psi_{n-1}.  When [G, H] = 0
 exactly, the series needs no big products per slice pair: on any
 trajectory, q_G(m+1) - q_G(m) = -2 Im (G psi_m)^* E_m, where E_m is
-the bracket of `automaton._bracket`, so q_G(1) from the seeds and one
-G-apply at each nonzero bracket, to the psi_m the checked pass keeps
-there, give every value (`_derived_runs`).
+the bracket of `automaton._bracket`, so q_G holds its value across
+every site whose bracket is zero, and q_G(1) from the seeds and
+q_G(m+1) from the pair (psi_{m+1}, psi_m) the checked pass keeps at
+each nonzero bracket m give every value (`_derived_runs`).  A wrong
+bracket value cannot reach the series; a bracket program that gets
+the sites wrong shows as a failed solution verdict, or in the two-term
+cross-check below.
 That is how `two_point_series` serves a trajectory that carries a
 checked pass (`automaton._kept_pass`) for an H that G commutes with,
 and how the audit serves each commuting G.  Every other series is
@@ -48,7 +52,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat, starmap
-from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .automaton import Trajectory, _Window, _check_dims, _check_site, _kept_pass
@@ -91,7 +94,8 @@ def two_point_series(traj: Trajectory, g: HermitianIntMatrix) -> list:
     of q_G(n) sum to twice the real part of one.  If the trajectory was
     checked (`automaton._kept_pass`) against an H with [G, H] = 0, the
     series is derived from that pass (`_derived_runs`): q_G(1) from the
-    seeds plus one step per nonzero bracket, exact on any trajectory.  Any
+    seeds plus one value per nonzero bracket, from the two slices the
+    pass keeps there, exact on any trajectory.  Any
     other G, or a trajectory never checked, goes through `_per_g_series`:
     one real inner product per n and one G-apply per two (at n = 1, 3,
     5, ...).  On either path the two-term form at n = 1 and n = N must
@@ -124,32 +128,18 @@ def _split(observables: Sequence, h: HermitianIntMatrix) -> tuple:
     return commutes, [g for g, c in zip(observables, commutes) if not c]
 
 
-def _step(gx: GIVector, e: tuple) -> int:
-    """q_G(m+1) - q_G(m) at a site m whose bracket is e = (re, im), from
-    gx = G psi_m, for self-adjoint G with [G, H] = 0.
-
-    q_G(m+1) - q_G(m) = 2 Re (G psi_m)^* (psi_{m+1} - psi_{m-1}) on any
-    slices, and psi_{m+1} - psi_{m-1} = -i (H psi_m - E_m); the H term is
-    -i psi_m^* G H psi_m, imaginary because GH is self-adjoint, so the
-    step is -2 Im (G psi_m)^* E_m: 2d big products.
-    """
-    e_re, e_im = e
-    return 2 * (sum(map(mul, gx.im, e_re)) - sum(map(mul, gx.re, e_im)))
-
-
 def _derived_runs(g: HermitianIntMatrix, window: _Window) -> Iterator[tuple]:
     """q_G(1..N) as runs (value, count), for a G with [G, H] = 0, from the
-    drained `window` over psi_0 ... psi_N: q_G(1) = 2 Re psi_1^* G psi_0
-    from its seeds, then at each nonzero bracket E_m of its `brackets`,
-    in site order, q_G(m+1) is q_G(m) plus the `_step` of G psi_m, psi_m
-    read from its `stored` slices; it is q_G(m) at every site whose
-    bracket is zero."""
-    (psi0, psi1), stored = window.seeds, window.stored
-    q, n = 2 * g.apply(psi0).inner_re(psi1), 1
-    for m, e in window.brackets:
-        yield q, m + 1 - n
-        q, n = q + _step(g.apply(stored[m]), e), m + 1
-    yield q, window.slices - n
+    drained `window` over psi_0 ... psi_N: q_G(1) = 2 Re (G psi_0)^* psi_1
+    from its seeds, then at each nonzero bracket site m of its
+    `brackets`, in site order, q_G(m+1) = 2 Re (G psi_m)^* psi_{m+1}
+    from the two slices it keeps there (`stored`); q_G(m+1) is q_G(m)
+    at every site whose bracket is zero.  Only where the brackets are
+    nonzero is read, not their values."""
+    stored = window.stored
+    sites = [0, *(m for m, _ in window.brackets), window.slices - 1]
+    for m, nxt in zip(sites, sites[1:]):
+        yield 2 * g.apply(stored[m]).inner_re(stored[m + 1]), nxt - m
 
 
 def _expanded(runs: Iterable[tuple]) -> list:

@@ -640,14 +640,17 @@ class HermitianIntMatrix(GIMatrix):
 
     `identity`, `zeros`, `from_pairs` and `power` keep the subtype; the
     ring operations (`+`, `-`, `@`, `scale`, `kron`) give a plain `GIMatrix`.
+    `_split_kernel` is None until `automaton._split_program` keeps this
+    H's generated split-form step there.
     """
 
-    __slots__ = ()
+    __slots__ = ("_split_kernel",)
 
     def __init__(self, rows):
         super().__init__(rows.rows if isinstance(rows, GIMatrix) else rows)
         if not self.is_hermitian():
             raise ValueError("matrix is not self-adjoint")
+        self._split_kernel = None
 
     def power(self, k: int) -> "HermitianIntMatrix":
         # integer powers of a self-adjoint matrix stay self-adjoint

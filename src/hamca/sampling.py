@@ -373,8 +373,12 @@ def convergence_study(h: HermitianIntMatrix, psi0: Sequence[complex],
     """
     if psi1_rule not in ("oracle", "copy"):
         raise ValueError(f"unknown psi1 rule {psi1_rule!r}")
-    if horizon < 0:
-        raise ValueError("horizon must be >= 0")
+    if not (math.isfinite(horizon) and horizon >= 0):
+        raise ValueError(f"horizon must be finite and >= 0, not {horizon!r}")
+    scales = tuple(scales)
+    for l in scales:
+        if not (math.isfinite(l) and l > 0):
+            raise ValueError(f"scales must be finite and positive, not {l!r}")
     psi0 = np.asarray(psi0, dtype=np.complex128)
     hm = _hermitian_to_array(h)
     if psi0.shape != (h.dim,):
@@ -388,8 +392,6 @@ def convergence_study(h: HermitianIntMatrix, psi0: Sequence[complex],
     errors = []
     used_scales = []
     for l in scales:
-        if l <= 0:
-            raise ValueError("scales must be positive")
         if e_max * l > 2.0:
             points.append(ConvergencePoint(
                 scale=l, error=None, included=False,

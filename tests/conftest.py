@@ -78,15 +78,20 @@ def count_calls(monkeypatch, owner, name):
 SMALL = st.integers(-3, 3)
 BIG = st.one_of(st.integers(2**600, 2**700), st.integers(-2**700, -2**600))
 COEFF = st.one_of(st.just(0), SMALL, BIG)
+# parts up to 2**5000 (1,506 decimal digits), with zero and unit values
+PARTS_5000 = st.one_of(st.just(0), st.sampled_from([1, -1]), st.integers(-3, 3),
+                       st.integers(-2**5000, 2**5000))
 # "real tridiagonal" has hA all zero, as the bench H does; "imaginary"
 # is i*hA with a zero diagonal
 H_SHAPES = ("complex", "real tridiagonal", "imaginary", "diagonal", "zero")
 
 
 @st.composite
-def hermitian_splits(draw, dim, coeff=COEFF):
-    """(hS, hA), symmetric and antisymmetric, of a self-adjoint hS + i*hA."""
-    shape = draw(st.sampled_from(H_SHAPES))
+def hermitian_splits(draw, dim, coeff=COEFF, shape=None):
+    """(hS, hA), symmetric and antisymmetric, of a self-adjoint hS + i*hA,
+    of the given shape or one of `H_SHAPES` drawn."""
+    if shape is None:
+        shape = draw(st.sampled_from(H_SHAPES))
     hs = [[0] * dim for _ in range(dim)]
     ha = [[0] * dim for _ in range(dim)]
     for i in range(dim):
@@ -120,4 +125,25 @@ def count_applies(monkeypatch):
 
     monkeypatch.setattr(GIMatrix, "apply", counted)
     monkeypatch.setattr(automaton, "_affine", counted)
+    return calls
+
+
+def count_split_steps(monkeypatch):
+    """Record (step, x_{n-1}, p_{n-1}, x_n, p_n) of every split-form step
+    a checked pass or `recurrence_residual` runs, while still running it:
+    the step `automaton._split_program` hands it, H's kept straight-line
+    function up to the cap and the loop `_split_step` above it."""
+    calls = []
+    program = automaton._split_program
+
+    def counted_program(h):
+        step = program(h)
+
+        def counted(*args):
+            calls.append((step, *args))
+            return step(*args)
+
+        return counted
+
+    monkeypatch.setattr(automaton, "_split_program", counted_program)
     return calls

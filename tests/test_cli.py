@@ -26,7 +26,8 @@ from hamca.cli import ConfigError, load_config, main, run
 from hamca.gaussian import (GaussianInt, GIMatrix, GIVector, HermitianIntMatrix,
                             exact_int_text)
 from hamca.multipartite import MultiWave
-from conftest import count_applies, count_calls, reference_csv, reference_json
+from conftest import (count_applies, count_calls, count_split_steps, reference_csv,
+                      reference_json)
 
 PAULI_X = [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]
 
@@ -618,7 +619,7 @@ def test_audit_computes_each_series_once(tmp_path, monkeypatch):
 
 def test_evolve_and_audit_sweep_the_brackets_once(tmp_path, monkeypatch):
     applied = count_applies(monkeypatch)
-    predicted = count_calls(monkeypatch, automaton, "_split_step")
+    predicted = count_split_steps(monkeypatch)
     made, stream = [], automaton._evolve_slices
 
     def keep(*args):
@@ -1793,6 +1794,17 @@ def flipped_generator():
     return namespace["_straight_line"]
 
 
+def flipped_split_generator():
+    """`automaton._split_line` with one sign flipped: the term it emits
+    for hS_i . x_n in p_i adds it instead of subtracting it."""
+    source = inspect.getsource(automaton._split_line)
+    emitted = 'p += term(-1, c, f"xc{j}")'
+    assert source.count(emitted) == 1
+    namespace = dict(vars(automaton))
+    exec(source.replace(emitted, 'p += term(1, c, f"xc{j}")'), namespace)
+    return namespace["_split_line"]
+
+
 def flipped_split_step(rows, xp, pp, xc, pc):
     """`automaton._split_step` with one sign flipped: hS_i . x_n is added
     to p_i instead of subtracted."""
@@ -1809,38 +1821,46 @@ def flipped_split_step(rows, xp, pp, xc, pc):
     return tuple(x_out), tuple(p_out)
 
 
+# TRIDIAGONAL's pattern at d = 9, one past the cap on generated kernels,
+# so its forward step runs `apply`'s loop and its checked pass the loop
+# `_split_step`
+WIDE = 9
+WIDE_TRIDIAGONAL = [[[2 if i == j else int(abs(i - j) == 1), 0] for j in range(WIDE)]
+                    for i in range(WIDE)]
+WIDE_SEEDS = [[[i % 3 - 1, (2 * i) % 3 - 1] for i in range(WIDE)],
+              [[(i + 1) % 2, i % 3 - 1] for i in range(WIDE)]]
+
+
 @pytest.mark.parametrize("schedule", ["forked", "inline"])
-@pytest.mark.parametrize("mutant", ["kernel", "generator", "split form"])
+@pytest.mark.parametrize("mutant", ["kernel", "generator", "split form", "split generator"])
 @pytest.mark.parametrize("kind", ["evolve", "audit"])
 def test_a_mutant_program_fails_the_recurrence_check(tmp_path, monkeypatch, capsys,
                                                      kind, mutant, schedule):
     # the kernel makes the slices and the split form checks them, so a
     # sign flipped in either program, or in the generator of the step
-    # matrices' straight-line kernels, shows: the checks fail by name,
-    # and a kernel or generator mutant ends in no internal error; the
-    # trajectory written, in either format, is the slices the run made
+    # matrices' straight-line kernels or of H's straight-line split step,
+    # shows: the checks fail by name and no run ends in an internal error;
+    # the trajectory written, in either format, is the slices the run made
     forks = use_schedule(monkeypatch, schedule)
+    config = FORK_RUNS[kind][0]
     if mutant == "kernel":
         monkeypatch.setattr(GIMatrix, "apply", flipped_kernel)
         monkeypatch.setattr(automaton, "_affine", flipped_kernel)
     elif mutant == "generator":
         monkeypatch.setattr(gaussian, "_straight_line", flipped_generator())
+    elif mutant == "split generator":
+        monkeypatch.setattr(automaton, "_split_line", flipped_split_generator())
     else:
+        # the loop form checks only an H past the cap
         monkeypatch.setattr(automaton, "_split_step", flipped_split_step)
+        config = dict(config, hamiltonians=[WIDE_TRIDIAGONAL], seeds=WIDE_SEEDS)
     for fmt in ("csv", "json"):
-        obj = dict(FORK_RUNS[kind][0], output={"format": fmt})
+        obj = dict(config, output={"format": fmt})
         path = write_config(tmp_path / f"{fmt}.json", obj)
         out_dir = tmp_path / fmt
         code = main([kind, "--config", path, "--out", str(out_dir)])
         out, err = capsys.readouterr()
         assert code == 1
-        if kind == "audit" and mutant == "split form":
-            # the commuting observables' series are derived from the
-            # brackets, so the two-term cross-check stops the run first
-            assert out == "" and err == (
-                "FAIL audit — AssertionError: two-point series disagrees with the "
-                "two-term invariant at the last index n = 201\n")
-            continue
         assert err == ""
         failed = [line.split(" — ")[0] for line in out.splitlines()
                   if line.startswith("FAIL ")]

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from hamca import sampling
 from hamca.automaton import Trajectory, evolve
 from hamca.conservation import symmetrized_Q
 from hamca.gaussian import GaussianInt, GIVector, GIMatrix, HermitianIntMatrix
@@ -321,3 +322,17 @@ def test_convergence_rejects_bad_input():
         convergence_study(PAULI_X, np.array([0.0, 0.0]), 1.0, [0.1])
     with pytest.raises(ValueError):
         convergence_study(PAULI_X, np.array([1.0, 0.0]), 1.0, [-0.1])
+
+
+@pytest.mark.parametrize("horizon, scales, name", [
+    (math.nan, [0.4, 0.2], "horizon"), (math.inf, [0.4, 0.2], "horizon"),
+    (-math.inf, [0.4, 0.2], "horizon"), (1.0, [math.nan, 0.2], "scales"),
+    (1.0, [0.4, math.inf], "scales"), (1.0, [0.4, 0.0], "scales")],
+    ids=["nan", "inf", "-inf", "scales-nan", "scales-inf", "scales-zero"])
+def test_convergence_rejects_a_non_finite_horizon_or_scale(monkeypatch, horizon, scales,
+                                                           name):
+    # rejected by name before any numpy call: with numpy taken away, a
+    # check made later would fail on the missing module instead
+    monkeypatch.setattr(sampling, "np", None)
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        convergence_study(PAULI_X, [1.0, 0.0], horizon, scales)

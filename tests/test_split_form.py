@@ -7,6 +7,7 @@ that vectors built by every path compare and hash alike, and pin that
 the independent oracles never reach the kernel.
 """
 
+import pickle
 from decimal import Decimal
 from itertools import zip_longest
 from operator import mul
@@ -20,8 +21,8 @@ from hamca.automaton import (Trajectory, action_evaluate, evolve, evolve_phase_s
                              recurrence_residual, step_forward, verify_stationarity)
 from hamca.conservation import audit_conservation
 from hamca.gaussian import GaussianInt, GIMatrix, GIVector, HermitianIntMatrix, IMAG_UNIT
-from conftest import (BIG, COEFF, SMALL, count_applies, count_calls, hermitian_splits,
-                      random_hermitian, random_vector)
+from conftest import (BIG, COEFF, H_SHAPES, PARTS_5000, SMALL, count_applies,
+                      count_split_steps, hermitian_splits, random_hermitian, random_vector)
 
 PART = st.one_of(st.just(0), SMALL, st.integers(-2**64, 2**64), BIG)
 ROW_KINDS = ("complex", "real", "imaginary", "zero", "identity")
@@ -240,12 +241,20 @@ def test_independent_oracles_never_call_the_matvec_kernel(monkeypatch, rng):
     brackets = [[h.apply(t[n]) - (t[n + 1] - t[n - 1]).scale(IMAG_UNIT)
                  for n in range(1, t.last)] for t in (traj, bumped)]
 
+    def refuse_split(*args):
+        raise AssertionError("the forward step reached a split-form step")
+
     # the step matrices' generated kernels are reached only through
-    # apply, so `count_applies` records every one of their calls
+    # apply, so `count_applies` records every one of their calls; the
+    # forward and backward steps never reach H's split step or its
+    # generator
     kernel_calls = []
     for m in h._step_matrices():
         monkeypatch.setattr(m, "_kernel", counted_kernel(m._kernel, m, kernel_calls))
     with monkeypatch.context() as patched:
+        patched.setattr(h, "_split_kernel", refuse_split)
+        patched.setattr(automaton, "_split_line", lambda rows: refuse_split)
+        patched.setattr(automaton, "_split_step", refuse_split)
         applied = count_applies(patched)
         walked = evolve(traj[0], traj[1], h, 8)
         nxt, cur = walked[-1], walked[-2]
@@ -286,7 +295,10 @@ def test_independent_oracles_never_call_the_matvec_kernel(monkeypatch, rng):
         with pytest.raises(AssertionError, match="independent oracle"):
             verify_stationarity(traj, h, method="fast")
     # the checked pass predicts with the split form, so it needs no kernel
-    # call either, and every verdict it gives is the kernel's
+    # call either, and every verdict it gives is the kernel's; H's split
+    # step is compiled here, with every generated kernel refused, by its
+    # own generator
+    assert h._split_kernel is None
     for t, es, report in zip((traj, bumped), brackets, direct):
         bad = [n for n, e in enumerate(es, start=1) if not e.is_zero()]
         assert bad == ([] if t is traj else [3, 4, 5])
@@ -298,6 +310,40 @@ def test_independent_oracles_never_call_the_matvec_kernel(monkeypatch, rng):
             sum(map(mul, t[n].re, e.re)) + sum(map(mul, t[n].im, e.im))
             for n, e in enumerate(es, start=1))
         assert verify_stationarity(t, h, method="fast") == report
+    assert h._split_kernel is not None and h._split_kernel is not refuse_kernel
+
+
+@pytest.mark.parametrize("shape", H_SHAPES)
+@settings(max_examples=30)
+@given(data=st.data(), dim=st.integers(1, gaussian._STRAIGHT_LINE_DIM))
+def test_the_generated_split_step_is_the_loop(shape, data, dim):
+    # up to the cap the checked pass runs H's straight-line split step,
+    # compiled on first use and kept on H; it gives the loop's parts, and
+    # no coefficient is printed into its source, so a 640-digit int<->str
+    # limit never trips
+    hs, ha = data.draw(hermitian_splits(dim, PARTS_5000, shape))
+    h = HermitianIntMatrix(matrix(hs, ha))
+    assert h._split_kernel is None
+    step = automaton._split_program(h)
+    assert step is h._split_kernel is automaton._split_program(h)
+    parts = [tuple(data.draw(PARTS_5000) for _ in range(dim)) for _ in range(4)]
+    got = step(*parts)
+    assert type(got) is tuple and all(type(half) is tuple for half in got)
+    assert all(type(x) is int for half in got for x in half)
+    assert got == automaton._split_step(automaton._split_rows(hs, ha), *parts)
+
+
+def test_only_an_h_within_the_cap_keeps_a_split_step(rng):
+    cap = gaussian._STRAIGHT_LINE_DIM
+    for dim in (1, cap, cap + 1):
+        h = random_hermitian(rng, dim)
+        step = automaton._split_program(h)
+        assert (h._split_kernel is step) is (dim <= cap)
+        if dim > cap:
+            assert h._split_kernel is None and step.func is automaton._split_step
+        # H pickles as its rows alone, so a copy compiles its own step
+        back = pickle.loads(pickle.dumps(h))
+        assert back == h and back._split_kernel is None
 
 
 # -- one bracket pass ----------------------------------------------------
@@ -308,7 +354,7 @@ def test_each_verdict_applies_h_once_per_stored_interior_slice(monkeypatch, rng)
     y = h._step_matrices()[0]
     solution = evolve(random_vector(rng, 3), random_vector(rng, 3), h, 12)
     applied = count_applies(monkeypatch)
-    predicted = count_calls(monkeypatch, automaton, "_split_step")
+    predicted = count_split_steps(monkeypatch)
     observables = [h.power(2), HermitianIntMatrix.identity(3)]
     readers = [lambda t: is_solution(t, h),
                lambda t: action_evaluate(t, h),
@@ -330,6 +376,7 @@ def test_each_verdict_applies_h_once_per_stored_interior_slice(monkeypatch, rng)
             # parts; H's only applies are the audit's commutator
             # columns, and the observables are matrices of their own
             assert len(predicted) == fresh.last - 1
+            assert all(step is h._split_kernel for step, *_ in predicted)
             assert all(xp is before.re and pp is before.im and xc is s.re and pc is s.im
                        for (_, xp, pp, xc, pc), before, s
                        in zip(predicted, fresh.states, fresh.states[1:-1]))

@@ -21,8 +21,8 @@ from hamca.gaussian import (GaussianInt, GIMatrix, GIVector, HermitianIntMatrix,
                             exact_int_text)
 from hamca.multipartite import (ManyTimeResidual, MultiWave, bell_state,
                                 many_time_residual)
-from conftest import (count_applies, count_calls, random_hermitian, random_vector,
-                      reference_csv, reference_json)
+from conftest import (count_applies, count_calls, count_split_steps, random_hermitian,
+                      random_vector, reference_csv, reference_json)
 from test_cli import flipped_kernel
 
 PAST_LIMIT = st.builds(lambda sign, hi, lo: sign * (hi * 10**4300 + lo),
@@ -140,7 +140,7 @@ def test_trajectory_text_without_a_coupling_reads_the_kept_one(monkeypatch):
     for traj in (solution, corrupt):
         assert automaton.is_solution(traj, h) is (traj is solution)
         want_csv, want_json = traj.to_csv(h), traj.to_json_text(h)
-        predicted = count_calls(monkeypatch, automaton, "_split_step")
+        predicted = count_split_steps(monkeypatch)
         streams = count_calls(monkeypatch, automaton, "_decimal_slices")
         assert traj.to_csv() == want_csv
         assert traj.to_json_text() == want_json
