@@ -16,10 +16,16 @@ module provides the recurrence (complex and split real/imaginary form),
 the action, the symmetric-difference variation operator, and the
 stationarity audit.
 
-The kernel makes the slices: each forward step is one affine call of
-the one matvec kernel, `GIMatrix.apply(psi_n, psi_{n-1})` of Y = -iH,
-which returns Y psi_n + psi_{n-1}; Y and iH, the backward step's
-matrix, are built once and kept on H.  The split form checks them.
+H's step programs are built here, each on first use, and kept on H
+(`_step`): the forward step's affine call Y psi_n + psi_{n-1} with
+Y = -iH, which makes the slices, the backward step's with iH, and the
+split form's prediction of psi_{n+1}, which checks them.  Each takes
+(psi_n, psi_{n-1}).  Up to `_STRAIGHT_LINE_DIM` each is one generated
+straight-line function: `gaussian._straight_line` of the matrix's
+program, and `_split_line` of the nonzero rows of hS and hA, which
+shares no helper or term writer with it, so a fault in one generator
+cannot show the same way in the other's output.  Above the cap they
+are the loops `GIMatrix.apply` and `_split_step`.
 
 One quantity, the Euler-Lagrange bracket
 
@@ -27,28 +33,20 @@ One quantity, the Euler-Lagrange bracket
 
 is at once -i times the recurrence residual, the action's per-site
 factor and every stationarity coefficient.  `_bracket` alone forms it:
-it predicts psi_{n+1} from psi_n and psi_{n-1} with one step of H's
-split form (`_split_program`), never with H's kernel, and where the
-prediction differs from psi_{n+1} returns E_n = -i (psi_{n+1} -
-prediction); so each recurrence verdict on the kernel's slices
-compares two separately written programs.  Up to the kernel's cap,
-`_STRAIGHT_LINE_DIM`, the step is one straight-line function that
-`_split_line` generates from the nonzero rows of hS and hA, compiled
-on first use and kept on H; above the cap it is the loop
-`_split_step` over the same rows.  `_split_line` shares no helper or
-term writer with `gaussian._straight_line`, which generates the step
-matrices' kernels, so a fault in one generator cannot show the same
-way in the other's output.  `_Window` is the one loop
-that runs it, over any stream of slices three at a time.  The pass
-records the nonzero brackets, the slices at them and the action; those
-slices and the seeds are all the trajectory writer needs of it.  On a
-stored trajectory the drained pass is kept on it for the coupling it
-ran with (`_kept_pass`), so the recurrence, action and fast
-stationarity checks and the writer all read one pass, whether a caller
-asks for them together or one at a time.  On the forward step's slices
-it checks a run that holds no history but the slices at nonzero
-brackets; a CLI verb adds its own part: `_EvolveWindow` reversal, the
-conservation audit its series pass.
+it predicts psi_{n+1} from psi_n and psi_{n-1} with the split form,
+never with the step that made the slices, and where the prediction
+differs from psi_{n+1} returns E_n = -i (psi_{n+1} - prediction); so
+each recurrence verdict compares two separately written programs.
+`_Window` is the one loop that runs it, over any stream of slices
+three at a time.  The pass records the nonzero brackets, the slices at
+them and the action; those slices and the seeds are all the trajectory
+writer needs of it.  On a stored trajectory the drained pass is kept on
+it for the coupling it ran with (`_kept_pass`), so the recurrence,
+action and fast stationarity checks and the writer all read one pass,
+whether a caller asks for them together or one at a time.  On the
+forward step's slices it checks a run that holds no history but the
+slices at nonzero brackets; a CLI verb adds its own part:
+`_EvolveWindow` reversal, the conservation audit its series pass.
 
 Reversal steps back from the last two slices to the first two in one of
 two ways, whichever a cost estimate (`_doubling_pays`) finds cheaper:
@@ -73,7 +71,7 @@ libmpdec prints in linear time and CPython's `str(int)` may not.  The
 stream (`_decimal_slices`) prints each slice the checked pass keeps
 (`_Window.stored`: the seeds, and the slices at each nonzero bracket)
 as it is, and makes every other one from the two Decimal slices before
-it with the forward step's own affine kernel call, in an exact context
+it with the forward step's own affine call, in an exact context
 that traps rounding.  So one program makes, prints and (through the
 split form) checks every slice, and the text is the bytes per-entry
 `str` gives, even of a faulty kernel's slices.  On a solution the pass
@@ -90,7 +88,6 @@ from dataclasses import dataclass
 from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact,
                      InvalidOperation, Overflow, Rounded, localcontext)
 from functools import partial
-from itertools import accumulate, chain, repeat
 from operator import neg, sub
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
@@ -101,8 +98,8 @@ from .gaussian import (
     GIVector,
     HermitianIntMatrix,
     IMAG_UNIT,
-    _STRAIGHT_LINE_DIM,
     _plain_ints,
+    _straight_line,
     exact_int_text,
     int_matrix_is_antisymmetric,
     int_matrix_is_symmetric,
@@ -274,7 +271,7 @@ def _decimal_slices(h: Optional[HermitianIntMatrix], slices: int, stored: Mappin
     """The decimal text of the parts of psi_0 ... psi_{slices-1}, per slice.
 
     Slice n is Decimal(psi_n) where `stored` (clock index -> slice) has
-    it, and otherwise one affine call of the kernel, -iH psi_{n-1} +
+    it, and otherwise one call of H's forward step, -iH psi_{n-1} +
     psi_{n-2}, on the two Decimal slices before it.  With
     `_Window.stored` that is psi_n on any trajectory and any H: the
     window keeps each slice whose bracket one site back is nonzero, as
@@ -282,18 +279,18 @@ def _decimal_slices(h: Optional[HermitianIntMatrix], slices: int, stored: Mappin
     form.  With `h=None` the map holds every slice: the same text, in
     time quadratic in the digits.  Each replay runs in a local context
     that traps `Inexact` and `Rounded`, left before the slice is
-    yielded.  The kernel accumulates each row onto psi_{n-2}, never -0,
+    yielded.  The step accumulates each row onto psi_{n-2}, never -0,
     so a negative coefficient times a zero entry never prints as -0.
     """
     ctx = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
                   traps=[Inexact, Rounded, InvalidOperation, Overflow])
-    y = None if h is None else h._step_matrices()[0]
+    forward = None if h is None else _step(h, "forward")
     before = psi = None
     for n in range(slices):
         kept = stored.get(n)
         if kept is None:
             with localcontext(ctx):
-                nxt = _affine(y, psi, before)
+                nxt = forward(psi, before)
         else:
             nxt = GIVector._from_parts(tuple(map(Decimal, kept.re)),
                                        tuple(map(Decimal, kept.im)))
@@ -328,44 +325,77 @@ def _json_pieces(texts: Iterable, dim: int) -> Iterator[str]:
 # -- evolution ---------------------------------------------------------
 
 
-# The one matvec kernel, bound here once.  The forward stream, the two
-# steps, reversal and the trajectory printer call it with a base; the
-# benchmark's tracer replaces the class's `apply` with a wrapper that
-# takes one vector and leaves this name bound, so these calls run
-# `apply` itself, which dispatches to the step matrices' generated
-# kernels.
+# The one matvec kernel, bound once: the benchmark's tracer replaces the
+# class's `apply` with a one-vector wrapper, and reversal's products and
+# the steps of an H past the cap run `apply` itself through this name.
 _affine = GIMatrix.apply
+
+# The largest d whose steps are generated code: up to d = 32 it took
+# 0.6-1.07x the loop's time per call, but compiling -iH and iH costs
+# 0.2-3 ms up to d = 8 and 3.5-8 ms at d = 16.
+_STRAIGHT_LINE_DIM = 8
+
+
+def _step(h: HermitianIntMatrix, kind: str):
+    """H's step program `kind`, built on first use and kept in `h._steps`,
+    which does not pickle: the step matrices "-iH" and "iH"; their affine
+    calls "forward" and "back", (psi_n, base) -> M psi_n + base; and
+    "split", the split form's (x_{n+1}, p_{n+1}) from (psi_n, psi_{n-1}).
+    Up to `_STRAIGHT_LINE_DIM` a call is generated code, `_straight_line`
+    of M's program or `_split_line` of H's split rows; above the cap it
+    is `_affine` on M or `_split_step` on the rows."""
+    kept = h._steps
+    program = kept.get(kind)
+    if program is None:
+        small = h.dim <= _STRAIGHT_LINE_DIM
+        if kind in ("-iH", "iH"):
+            program = h.scale(-IMAG_UNIT if kind == "-iH" else IMAG_UNIT)
+        elif kind == "split":
+            rows = _split_rows(*h.split())
+            program = _split_line(rows) if small else partial(_split_step, rows)
+        else:
+            m = _step(h, {"forward": "-iH", "back": "iH"}[kind])
+            program = (_straight_line(m._program) if small
+                       else lambda v, base: _affine(m, v, base))
+        kept[kind] = program
+    return program
+
+
+def _check_states(h: HermitianIntMatrix, *states: GIVector):
+    if any(s.dim != h.dim for s in states):
+        raise ValueError(f"dimension mismatch: states "
+                         f"{'/'.join(str(s.dim) for s in states)}, matrix {h.dim}")
 
 
 def step_forward(psi_prev: GIVector, psi_curr: GIVector,
                  h: HermitianIntMatrix) -> GIVector:
     """One exact forward step: psi_next = psi_prev - i*H*psi_curr, one
-    affine apply of H's kept -iH."""
-    return _affine(h._step_matrices()[0], psi_curr, psi_prev)
+    call of H's kept forward step."""
+    _check_states(h, psi_prev, psi_curr)
+    return _step(h, "forward")(psi_curr, psi_prev)
 
 
 def step_backward(psi_next: GIVector, psi_curr: GIVector,
                   h: HermitianIntMatrix) -> GIVector:
-    """Exact inverse step: psi_prev = psi_next + i*H*psi_curr, one affine
-    apply of H's kept iH."""
-    return _affine(h._step_matrices()[1], psi_curr, psi_next)
+    """Exact inverse step: psi_prev = psi_next + i*H*psi_curr, one call
+    of H's kept backward step."""
+    _check_states(h, psi_next, psi_curr)
+    return _step(h, "back")(psi_curr, psi_next)
 
 
 def _evolve_slices(seed0: GIVector, seed1: GIVector, h: HermitianIntMatrix,
                    steps: int) -> Iterator[GIVector]:
     """The forward step's slices psi_0 ... psi_{steps+1}, one at a time,
-    each one affine apply of H's kept -iH; the seeds' dimensions and the
-    step count are checked before the first slice."""
-    if seed0.dim != h.dim or seed1.dim != h.dim:
-        raise ValueError(
-            f"dimension mismatch: states {seed0.dim}/{seed1.dim}, matrix {h.dim}")
+    each one call of H's kept forward step; the seeds' dimensions and
+    the step count are checked before the first slice."""
+    _check_states(h, seed0, seed1)
     if type(steps) is not int or steps < 0:
         raise ValueError("steps must be an int >= 0")
-    y = h._step_matrices()[0]
+    forward = _step(h, "forward")
     yield seed0
     yield seed1
     for _ in range(steps):
-        seed0, seed1 = seed1, _affine(y, seed1, seed0)
+        seed0, seed1 = seed1, forward(seed1, seed0)
         yield seed1
 
 
@@ -382,11 +412,13 @@ def _split_rows(hs: Sequence[Sequence[int]], ha: Sequence[Sequence[int]]) -> tup
                  for s, a in zip(hs, ha))
 
 
-def _split_step(rows: tuple, xp: tuple, pp: tuple, xc: tuple, pc: tuple) -> tuple:
-    """(x_{n+1}, p_{n+1}), row i's sums started at x_{n-1} and p_{n-1}:
+def _split_step(rows: tuple, psi: GIVector, base: GIVector) -> tuple:
+    """(x_{n+1}, p_{n+1}) from psi_n = x_n + i p_n and base psi_{n-1},
+    row i's sums started at x_{n-1} and p_{n-1}:
     x_i += hS_i . p_n + hA_i . x_n,  p_i += -hS_i . x_n + hA_i . p_n."""
+    xc, pc = psi.re, psi.im
     x_out, p_out = [], []
-    for (s_terms, a_terms), x, p in zip(rows, xp, pp):
+    for (s_terms, a_terms), x, p in zip(rows, base.re, base.im):
         for j, c in s_terms:
             x += c * pc[j]
             p -= c * xc[j]
@@ -399,12 +431,12 @@ def _split_step(rows: tuple, xp: tuple, pp: tuple, xc: tuple, pc: tuple) -> tupl
 
 
 def _split_line(rows: tuple) -> Callable:
-    """`_split_step` of `rows` as one generated function of (xp, pp, xc, pc).
+    """`_split_step` of `rows` as one generated function of (psi, base).
 
     Each output part is one expression over locals unpacked once from
-    the four tuples.  A coefficient enters the source only as the name
-    of a keyword default bound to it, never as a literal; a +1 or -1
-    term is added or subtracted without a multiply.  Written apart from
+    the two vectors' parts.  A coefficient enters the source only as the
+    name of a keyword default bound to it, never as a literal; a +1 or
+    -1 term is added or subtracted without a multiply.  Written apart from
     `gaussian._straight_line`, with no helper or term writer in common,
     so that a fault in either generator cannot show the same way in the
     other's output.
@@ -429,28 +461,17 @@ def _split_line(rows: tuple) -> Callable:
             p += term(1, c, f"pc{j}")
         xs.append(x + ",")
         ps.append(p + ",")
-    params = ["xp", "pp", "xc", "pc"] + (["*", *bound.values()] if bound else [])
+    params = ["psi", "base"] + (["*", *bound.values()] if bound else [])
     source = (f"def split_step({', '.join(params)}):\n"
-              + "".join(f"    ({''.join(f'{v}{j},' for j in range(len(rows)))}) = {v}\n"
-                        for v in ("xp", "pp", "xc", "pc"))
+              + "".join(f"    ({''.join(f'{v}{j},' for j in range(len(rows)))}) = {parts}\n"
+                        for v, parts in (("xp", "base.re"), ("pp", "base.im"),
+                                         ("xc", "psi.re"), ("pc", "psi.im")))
               + f"    return ({' '.join(xs)}), ({' '.join(ps)})\n")
     namespace = {}
     exec(source, namespace)
     step = namespace["split_step"]
     step.__kwdefaults__ = {name: c for c, name in bound.items()}
     return step
-
-
-def _split_program(h: HermitianIntMatrix) -> Callable:
-    """H's split-form step, (x_{n-1}, p_{n-1}, x_n, p_n) -> (x_{n+1},
-    p_{n+1}): up to `_STRAIGHT_LINE_DIM` the `_split_line` function,
-    compiled on the first call and kept on H (`_split_kernel`); above
-    the cap `_split_step` on H's rows."""
-    if h.dim > _STRAIGHT_LINE_DIM:
-        return partial(_split_step, _split_rows(*h.split()))
-    if h._split_kernel is None:
-        h._split_kernel = _split_line(_split_rows(*h.split()))
-    return h._split_kernel
 
 
 def evolve_phase_space(x0: Sequence[int], p0: Sequence[int],
@@ -478,13 +499,12 @@ def evolve_phase_space(x0: Sequence[int], p0: Sequence[int],
     if type(steps) is not int or steps < 0:
         raise ValueError("steps must be an int >= 0")
     hs, ha = ([_plain_ints(r, name) for r in m] for name, m in (("hS", hs), ("hA", ha)))
-    x0, p0 = _plain_ints(x0, "x0"), _plain_ints(p0, "p0")
-    # each state (x_{n-1}, p_{n-1}, x_n, p_n) steps to (x_n, p_n, x_{n+1}, p_{n+1})
-    states = accumulate(repeat(_split_rows(hs, ha), steps),
-                        lambda s, rows: s[2:] + _split_step(rows, *s),
-                        initial=(x0, p0, _plain_ints(x1, "x1"), _plain_ints(p1, "p1")))
-    return Trajectory(chain([GIVector._from_parts(x0, p0)],
-                            (GIVector._from_parts(x, p) for _, _, x, p in states)))
+    rows = _split_rows(hs, ha)
+    states = [GIVector._from_parts(_plain_ints(x0, "x0"), _plain_ints(p0, "p0")),
+              GIVector._from_parts(_plain_ints(x1, "x1"), _plain_ints(p1, "p1"))]
+    for _ in range(steps):
+        states.append(GIVector._from_parts(*_split_step(rows, states[-1], states[-2])))
+    return Trajectory(states)
 
 
 # -- the checked pass ----------------------------------------------------
@@ -507,11 +527,11 @@ def _bracket(down: GIVector, psi: GIVector, up: GIVector,
     """Int parts (re, im) of E_n = H psi_n - i (psi_{n+1} - psi_{n-1}).
 
     The bracket predicts psi_{n+1} with one call of `step`, H's split
-    form (`_split_program`), on the slices it is given and returns None
+    form (`_step(h, "split")`), on psi_n and psi_{n-1} and returns None
     when the prediction is psi_{n+1}; otherwise E_n = -i (psi_{n+1} -
     prediction).
     """
-    x, p = step(down.re, down.im, psi.re, psi.im)
+    x, p = step(psi, down)
     if x == up.re and p == up.im:
         return None
     # -i (a + ib) = b - ia
@@ -522,16 +542,16 @@ class _Window:
     """One checked pass over a stream of slices psi_0 ... psi_N, three at a time.
 
     `drain()` pulls the stream through.  On the way the pass brackets
-    every interior site with `_bracket`, on H's split step
-    (`_split_program`), and records the nonzero brackets as (site, (re, im)) in
-    increasing site order (`brackets`, a tuple once drained), and in
-    `stored` (read-only once drained) the seeds and, at each such site
-    m, psi_m and psi_{m+1}: the slices `_decimal_slices` prints as they
-    are and the derived series apply G to, none past the seeds on a
-    solution.  E_n is -i times `recurrence_residual`, so `first_bad`,
-    the first bracketed site, is None exactly on a solution; E_n is also
-    the action's per-site factor, so `action` sums the nonzero brackets'
-    summands only.  Only these, the slice count, the seeds and the last
+    every interior site with `_bracket`, on H's split step, and records
+    the nonzero brackets as (site, (re, im)) in increasing site order
+    (`brackets`, a tuple once drained), and in `stored` (read-only once
+    drained) the seeds and, at each such site m, psi_m and psi_{m+1}:
+    the slices `_decimal_slices` prints as they are and the derived
+    series apply G to, none past the seeds on a solution.  E_n is -i
+    times `recurrence_residual`, so `first_bad`, the first bracketed
+    site, is None exactly on a solution; E_n is also the action's
+    per-site factor, so `action` sums the nonzero brackets' summands
+    only.  Only these, the slice count, the seeds and the last
     two slices (`ends`, as (psi_{N-1}, psi_N)) outlive the pass.  A verb
     adds its own checks in `_visit`, which sees each slice with the one
     before it (None for psi_0) and the bracket there.
@@ -551,7 +571,7 @@ class _Window:
         return self.brackets[0][0] if self.brackets else None
 
     def drain(self):
-        step = _split_program(self.h)
+        step = _step(self.h, "split")
         down = psi = None
         for n, up in enumerate(self._slices):
             e = None if down is None else _bracket(down, psi, up, step)
@@ -604,14 +624,13 @@ def _stepped_back(h: HermitianIntMatrix, steps: int, before: GIVector,
         psi_0 = F_N psi_{N-1} + F_{N-1} psi_N,
         psi_1 = F_{N-1} psi_{N-1} + F_{N-2} psi_N,
     F_k = F_k(Y) from `_backward_polys`, and F_{N-2} psi_N is
-    F_N psi_N - Y F_{N-1} psi_N, whose last term is one affine apply of
-    -Y = -iH.
+    F_N psi_N - Y F_{N-1} psi_N, whose last term is one call of H's
+    forward step, in -Y = -iH.
     """
-    forward, y = h._step_matrices()
-    f_back, f_n = _backward_polys(y, steps)
+    f_back, f_n = _backward_polys(_step(h, "iH"), steps)
     back_last = f_back.apply(last)
     return (_affine(f_n, before, back_last),
-            _affine(forward, back_last, _affine(f_back, before, f_n.apply(last))))
+            _step(h, "forward")(back_last, _affine(f_back, before, f_n.apply(last))))
 
 
 def _backward_polys(y: GIMatrix, m: int) -> tuple:
@@ -650,9 +669,9 @@ def _doubling_pays(h: HermitianIntMatrix, steps: int, last: GIVector) -> bool:
     at many steps, a small d and small coefficients, and the walk wins
     otherwise.  The constants are rough nanoseconds of CPython 3.11 on
     x86-64, fitted to timings of both paths over dims 1-32, 10-6,000
-    steps and coefficients of 1-700 bits, the walk's to its one affine
-    kernel call per step, which runs iH's generated kernel up to d = 8;
-    only their ratio matters.
+    steps and coefficients of 1-700 bits, the walk's to its one call of
+    H's backward step per step, iH's generated code up to d = 8; only
+    their ratio matters.
     """
     d = h.dim
     coeffs = [abs(c) for row in h._program for part in row for _, c in part]
@@ -694,7 +713,7 @@ def recurrence_residual(traj: Trajectory, h: HermitianIntMatrix, n: int) -> GIVe
     """psi_{n+1} - psi_{n-1} + i*H*psi_n; zero iff the rule holds at n."""
     _check_site(n, traj.last - 1, "site {!r} is not interior")
     _check_dims(traj, h)
-    e = _bracket(traj[n - 1], traj[n], traj[n + 1], _split_program(h))
+    e = _bracket(traj[n - 1], traj[n], traj[n + 1], _step(h, "split"))
     if e is None:
         return GIVector.zero(traj.dim)
     # i * (re + i im)

@@ -12,15 +12,12 @@ matrix as a tuple of such rows (`GIMatrix.rows`), and every operation
 works on those tuples; `GIMatrix.apply`, the one matvec kernel, runs a
 per-row program of nonzero real and imaginary coefficients compiled
 when the matrix is built, and gives M v or, with a base, M v + base in
-the same pass.  Scalars are built only when a caller indexes or
-iterates.  A self-adjoint coupling or observable is a
-`HermitianIntMatrix`, the `GIMatrix` subtype whose constructor checks
-it: symmetric real part, antisymmetric imaginary part.  A matrix H
-keeps -iH and iH, the matrices of the automaton's two steps, once they
-are built.  They are applied once per step, so for d <= 8 each one's
-program is also generated as a straight-line function, which `apply`
-calls after its checks: the same sums, with the coefficients bound as
-default arguments and +-1 terms added without a multiply.
+the same pass.  `_straight_line` generates a program's sums as one
+straight-line function, the form `automaton` steps a small H with.
+Scalars are built only when a caller indexes or iterates.  A
+self-adjoint coupling or observable is a `HermitianIntMatrix`, the
+`GIMatrix` subtype whose constructor checks it: symmetric real part,
+antisymmetric imaginary part.
 
 The literal encoding shared with the CLI writes a scalar as the
 two-element pair [re, im], a vector as a list of pairs, and a matrix as
@@ -238,7 +235,7 @@ class GIVector:
 
         Only for parts computed by ring operations on parts that were
         validated already, and for the trajectory printer's transient
-        Decimal parts, which `GIMatrix.apply` steps in an exact context
+        Decimal parts, which H's forward step steps in an exact context
         and which never leave the printer.
         """
         v = object.__new__(cls)
@@ -358,12 +355,10 @@ class GIMatrix:
     so.  Construction compiles their parts into the program `apply`
     runs: per row, the (column, coefficient) terms of the nonzero real
     parts and of the nonzero imaginary parts, so zero entry parts (real
-    diagonals, zero entries, the identity) cost nothing.  `_kernel` is
-    None, or for the step matrices of a small H the program as
-    generated straight-line code.
+    diagonals, zero entries, the identity) cost nothing.
     """
 
-    __slots__ = ("rows", "_program", "_turns", "_kernel")
+    __slots__ = ("rows", "_program")
 
     def __init__(self, rows: Iterable[Iterable]):
         rws = tuple(r if isinstance(r, GIVector)
@@ -378,8 +373,6 @@ class GIMatrix:
             (tuple((j, c) for j, c in enumerate(r.re) if c),
              tuple((j, c) for j, c in enumerate(r.im) if c))
             for r in rws)
-        self._turns = None
-        self._kernel = None
 
     @property
     def dim(self) -> int:
@@ -395,44 +388,20 @@ class GIMatrix:
     def zeros(cls, dim: int) -> "GIMatrix":
         return cls([GIVector.zero(dim)] * dim)
 
-    def _step_matrices(self) -> tuple:
-        """(-iH, iH) of this matrix H, built on the first call and kept:
-        the matrices of the automaton's forward step
-        psi_{n+1} = (-iH) psi_n + psi_{n-1} and of its step back
-        psi_{n-1} = (iH) psi_n + psi_{n+1}, each one affine `apply`.
-
-        They are applied once per step, so up to `_STRAIGHT_LINE_DIM`
-        each gets its program compiled into a straight-line kernel
-        (`_straight_line`) that its `apply` runs.
-        """
-        if self._turns is None:
-            self._turns = (self.scale(-IMAG_UNIT), self.scale(IMAG_UNIT))
-            if len(self.rows) <= _STRAIGHT_LINE_DIM:
-                for m in self._turns:
-                    m._kernel = _straight_line(m._program)
-        return self._turns
-
     def entry(self, i: int, j: int) -> GaussianInt:
         return self.rows[i][j]
 
     def apply(self, v: GIVector, base: Optional[GIVector] = None) -> GIVector:
         """M v + base (M v without a base), exact; the one matvec kernel.
 
-        Each row's sums start at base's parts, so the affine form costs
-        no second pass over the vector.  After the dimension checks, a
-        step matrix with a generated kernel (`_step_matrices`) runs it;
-        every other matrix runs the loop over `_program`.
+        One loop over `_program`, whose row sums start at base's parts,
+        so the affine form costs no second pass over the vector.
         """
         d = len(self.rows)
         if d != len(v.re):
             raise ValueError(f"dimension mismatch: matrix {d} vs vector {v.dim}")
         if base is not None and d != len(base.re):
             raise ValueError(f"dimension mismatch: matrix {d} vs base {base.dim}")
-        kernel = self._kernel
-        if kernel is not None:
-            if base is None:
-                return kernel(v.re, v.im)
-            return kernel(v.re, v.im, base.re, base.im)
         if base is None:
             base_re = base_im = repeat(0)
         else:
@@ -514,8 +483,8 @@ class GIMatrix:
         return hash(self.rows)
 
     def __reduce__(self):
-        # the rows alone: a generated kernel does not pickle, and the
-        # program, step matrices and kernels are rebuilt from the rows
+        # the rows alone: the program is rebuilt from them, and an H's
+        # step programs, generated code that does not pickle, on first use
         return type(self), (self.rows,)
 
     def __repr__(self):
@@ -538,19 +507,13 @@ class GIMatrix:
         return cls(rows)
 
 
-# The largest dimension whose step matrices get a straight-line kernel.
-# Up to d = 32 the kernel took 0.6-1.07x the loop's time per apply, but
-# compiling -iH and iH costs 0.2-3 ms up to d = 8 and 3.5-8 ms at d = 16.
-_STRAIGHT_LINE_DIM = 8
-
-
 def _straight_line(program: tuple):
     """`GIMatrix.apply`'s sums for one `_program`, as a generated function.
 
-    kernel(x_re, x_im[, base_re, base_im]) takes plain-int tuples of the
-    program's length and returns the `GIVector` of the product plus the
-    base.  Each output part is one expression over locals unpacked once
-    from the tuples.  A coefficient enters the source only as the name
+    kernel(v, base) takes two `GIVector`s of the program's length and
+    returns the `GIVector` of the product plus the base.  Each output
+    part is one expression over locals unpacked once from the vectors'
+    parts.  A coefficient enters the source only as the name
     of a keyword default bound to it, never as a literal, so no user
     value is printed into the text; a +1 or -1 term is added or
     subtracted without a multiply.
@@ -580,14 +543,13 @@ def _straight_line(program: tuple):
     def locals_of(part):
         return "".join(f"{part}{j}, " for j in range(d))
 
-    source = (f"def kernel(xr, xi, br, bi, *, {', '.join(('vector', *names.values()))}):\n"
-              + "".join(f"    {locals_of(part)}= {part}\n"
-                        for part in ("xr", "xi", "br", "bi"))
+    source = (f"def kernel(v, base, *, {', '.join(('vector', *names.values()))}):\n"
+              + "".join(f"    {locals_of(part)}= {parts}\n" for part, parts in (
+                  ("xr", "v.re"), ("xi", "v.im"), ("br", "base.re"), ("bi", "base.im")))
               + f"    return vector(({', '.join(sums_re)},), ({', '.join(sums_im)},))\n")
     namespace = {}
     exec(source, namespace)
     kernel = namespace["kernel"]
-    kernel.__defaults__ = ((0,) * d,) * 2
     kernel.__kwdefaults__ = dict(zip(names.values(), names), vector=GIVector._from_parts)
     return kernel
 
@@ -640,17 +602,16 @@ class HermitianIntMatrix(GIMatrix):
 
     `identity`, `zeros`, `from_pairs` and `power` keep the subtype; the
     ring operations (`+`, `-`, `@`, `scale`, `kron`) give a plain `GIMatrix`.
-    `_split_kernel` is None until `automaton._split_program` keeps this
-    H's generated split-form step there.
+    `_steps` keeps the step programs `automaton._step` builds for this H.
     """
 
-    __slots__ = ("_split_kernel",)
+    __slots__ = ("_steps",)
 
     def __init__(self, rows):
         super().__init__(rows.rows if isinstance(rows, GIMatrix) else rows)
         if not self.is_hermitian():
             raise ValueError("matrix is not self-adjoint")
-        self._split_kernel = None
+        self._steps = {}
 
     def power(self, k: int) -> "HermitianIntMatrix":
         # integer powers of a self-adjoint matrix stay self-adjoint

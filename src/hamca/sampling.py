@@ -56,6 +56,14 @@ __all__ = [
 _SNAP = 1e-9  # relative distance below which t counts as a sample point
 
 
+def _finite(x) -> bool:
+    """`math.isfinite(x)`, False for an int past the float range."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class DiscretenessScale:
     """Physical time per clock step; fixes the band limit pi/l."""
@@ -63,13 +71,13 @@ class DiscretenessScale:
     l: float
 
     def __post_init__(self):
-        if isinstance(self.l, (bool, np.bool_)) or not 0 < self.l < math.inf:
+        if isinstance(self.l, (bool, np.bool_)) or not (_finite(self.l) and self.l > 0):
             raise ValueError("discreteness scale must be positive and finite")
 
 
 def _clock(t: float, l: float) -> float:
     """t / l, the time t in clock steps; ValueError naming t unless finite."""
-    u = t / l
+    u = t / l if _finite(t) else math.inf
     if not math.isfinite(u):
         raise ValueError(f"time {t!r} is not a finite number of clock steps of {l!r}")
     return u
@@ -258,7 +266,7 @@ class DispersionPoint:
 
 
 def dispersion_theta(energy: float) -> DispersionPoint:
-    if not math.isfinite(energy):
+    if not _finite(energy):
         raise ValueError(f"energy {energy!r} is not finite")
     if abs(energy) <= 2.0:
         return DispersionPoint(energy=energy, oscillatory=True,
@@ -275,6 +283,8 @@ def eigenmode_phase_step(energy: float, steps: int = 256) -> float:
     branch (cos component from the characteristic equation, no inverse
     trig involved) and averages the observed step-to-step phase.
     """
+    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
+        raise ValueError("steps must be an integer >= 1")
     if not dispersion_theta(energy).oscillatory:
         raise ValueError("mode is not oscillatory")
     lam = math.sqrt(1.0 - energy * energy / 4.0) - 0.5j * energy
@@ -295,6 +305,8 @@ def _hermitian_to_array(h: HermitianIntMatrix) -> np.ndarray:
 def continuum_oracle(h: HermitianIntMatrix, psi0: Sequence[complex],
                      t: float) -> np.ndarray:
     """exp(-i*H*t) psi0 by eigendecomposition; unitary to float precision."""
+    if not _finite(t):
+        raise ValueError(f"time {t!r} is not finite")
     if h.dim > 64:
         raise ValueError("oracle is limited to dimension <= 64")
     psi0 = np.asarray(psi0, dtype=np.complex128)
@@ -312,6 +324,9 @@ def continuum_oracle(h: HermitianIntMatrix, psi0: Sequence[complex],
 
 def fit_power_law(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Least-squares slope of log y against log x."""
+    for name, values in (("xs", xs), ("ys", ys)):
+        if not all(map(_finite, values)):
+            raise ValueError(f"{name} must be finite")
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.size < 2:
@@ -373,11 +388,11 @@ def convergence_study(h: HermitianIntMatrix, psi0: Sequence[complex],
     """
     if psi1_rule not in ("oracle", "copy"):
         raise ValueError(f"unknown psi1 rule {psi1_rule!r}")
-    if not (math.isfinite(horizon) and horizon >= 0):
+    if not (_finite(horizon) and horizon >= 0):
         raise ValueError(f"horizon must be finite and >= 0, not {horizon!r}")
     scales = tuple(scales)
     for l in scales:
-        if not (math.isfinite(l) and l > 0):
+        if not (_finite(l) and l > 0):
             raise ValueError(f"scales must be finite and positive, not {l!r}")
     psi0 = np.asarray(psi0, dtype=np.complex128)
     hm = _hermitian_to_array(h)

@@ -111,10 +111,34 @@ def rng():
     return random.Random(20240817)
 
 
+# the matrix of each of H's affine steps, as `automaton._step` names them
+STEP_MATRICES = {"forward": "-iH", "back": "iH"}
+
+
+def wrap_steps(monkeypatch, kinds, wrap):
+    """Hand out each program of `kinds` that `automaton._step` gives as
+    `wrap(h, kind, program)`, and every other program as it is; the
+    programs H keeps are not changed."""
+    step = automaton._step
+
+    def wrapped(h, kind):
+        program = step(h, kind)
+        return wrap(h, kind, program) if kind in kinds else program
+
+    monkeypatch.setattr(automaton, "_step", wrapped)
+
+
+def step_matrix(h, kind):
+    """The matrix, -iH or iH, of H's kept affine step `kind`."""
+    return h._steps[STEP_MATRICES[kind]]
+
+
 def count_applies(monkeypatch):
     """Record (matrix, vector, base, result) of every call to the matvec
-    kernel, whether through `GIMatrix.apply` or through the recurrence's
-    own binding of it (`automaton._affine`), while still running it."""
+    kernel, while still running it: through `GIMatrix.apply`, through
+    the recurrence's own binding of it (`automaton._affine`, which H's
+    steps call above the cap), or as a step of a small H, which runs
+    generated code in its place."""
     calls = []
     kernel = GIMatrix.apply
 
@@ -123,27 +147,37 @@ def count_applies(monkeypatch):
         calls.append((m, v, base, out))
         return out
 
+    def generated(h, kind, step):
+        if h.dim > automaton._STRAIGHT_LINE_DIM:
+            return step
+        m = step_matrix(h, kind)
+
+        def counted_step(v, base):
+            out = step(v, base)
+            calls.append((m, v, base, out))
+            return out
+
+        return counted_step
+
     monkeypatch.setattr(GIMatrix, "apply", counted)
     monkeypatch.setattr(automaton, "_affine", counted)
+    wrap_steps(monkeypatch, STEP_MATRICES, generated)
     return calls
 
 
 def count_split_steps(monkeypatch):
-    """Record (step, x_{n-1}, p_{n-1}, x_n, p_n) of every split-form step
-    a checked pass or `recurrence_residual` runs, while still running it:
-    the step `automaton._split_program` hands it, H's kept straight-line
-    function up to the cap and the loop `_split_step` above it."""
+    """Record (step, psi_n, psi_{n-1}) of every split-form step a checked
+    pass or `recurrence_residual` runs, while still running it: the step
+    H keeps (`automaton._step(h, "split")`), its straight-line function
+    up to the cap and the loop `_split_step` above it."""
     calls = []
-    program = automaton._split_program
 
-    def counted_program(h):
-        step = program(h)
-
-        def counted(*args):
-            calls.append((step, *args))
-            return step(*args)
+    def counted_split(h, kind, step):
+        def counted(psi, base):
+            calls.append((step, psi, base))
+            return step(psi, base)
 
         return counted
 
-    monkeypatch.setattr(automaton, "_split_program", counted_program)
+    wrap_steps(monkeypatch, ("split",), counted_split)
     return calls

@@ -51,8 +51,13 @@ def test_step_forward_examples():
 
 
 def test_step_forward_dimension_mismatch():
-    with pytest.raises(ValueError):
-        step_forward(vec((1, 0)), vec((1, 0)), PAULI_X)
+    # both public steps, on a wrong current slice, a wrong base, or both:
+    # each is named before H's step unpacks them
+    right, wrong = vec((1, 0), (0, 1)), vec((1, 0))
+    for step in (step_forward, step_backward):
+        for base, current in ((right, wrong), (wrong, right), (wrong, wrong)):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                step(base, current, PAULI_X)
 
 
 def test_period_four_orbit():

@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import functools
 import hashlib
 import inspect
 import io
@@ -26,8 +27,8 @@ from hamca.cli import ConfigError, load_config, main, run
 from hamca.gaussian import (GaussianInt, GIMatrix, GIVector, HermitianIntMatrix,
                             exact_int_text)
 from hamca.multipartite import MultiWave
-from conftest import (count_applies, count_calls, count_split_steps, reference_csv,
-                      reference_json)
+from conftest import (STEP_MATRICES, count_applies, count_calls, count_split_steps,
+                      reference_csv, reference_json, step_matrix, wrap_steps)
 
 PAULI_X = [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]
 
@@ -633,7 +634,7 @@ def test_evolve_and_audit_sweep_the_brackets_once(tmp_path, monkeypatch):
         """The applies of -iH on the window's own slices, and those of
         them whose product is no slice: none, since the forward step's
         products are the slices and the pass predicts with the split form."""
-        y = h._step_matrices()[0]
+        y = automaton._step(h, "-iH")
         slices = {id(s) for s in made}
         on = [out for m, v, _, out in applied if m is y and id(v) in slices]
         return len(on), sum(id(out) not in slices for out in on)
@@ -641,8 +642,8 @@ def test_evolve_and_audit_sweep_the_brackets_once(tmp_path, monkeypatch):
     def brackets():
         """The split-form predictions of the pass, each on psi_n with the
         slice before it, for every interior slice psi_n in order."""
-        return [(xc, xp) for _, xp, _, xc, _ in predicted] == \
-            [(s.re, before.re) for before, s in zip(made, made[1:-1])]
+        return [(psi, base) for _, psi, base in predicted] == \
+            [(s, before) for before, s in zip(made, made[1:-1])]
 
     rest = {}
     for doubling, steps, fmt in ((True, 9, "csv"), (True, 9, "json"),
@@ -1750,19 +1751,22 @@ def bump_slice(stream, k):
     return bumped
 
 
-def bump_step(target):
-    """`automaton._affine` that raises entry 0 of the slice the forward
-    stream's own kernel call makes from `target`, (psi_{k-2}, psi_{k-1});
-    every other call gives the kernel's value."""
-    kernel, stream = automaton._affine, automaton._evolve_slices.__code__
+def bump_step(monkeypatch, target):
+    """Hand out H's forward step so that it raises entry 0 of the slice
+    the forward stream's own call makes from `target`, (psi_{k-2},
+    psi_{k-1}); every other call gives the step's value."""
+    stream = automaton._evolve_slices.__code__
 
-    def bumped(m, v, base=None):
-        out = kernel(m, v, base)
-        if sys._getframe(1).f_code is stream and (base, v) == target:
-            return out + GIVector([1, 0, 0])
-        return out
+    def bumping(h, kind, step):
+        def bumped(v, base):
+            out = step(v, base)
+            if sys._getframe(1).f_code is stream and (base, v) == target:
+                return out + GIVector([1, 0, 0])
+            return out
 
-    return bumped
+        return bumped
+
+    wrap_steps(monkeypatch, ("forward",), bumping)
 
 
 def flipped_kernel(m, v, base=None):
@@ -1780,6 +1784,14 @@ def flipped_kernel(m, v, base=None):
         out_re.append(r)
         out_im.append(i)
     return GIVector._from_parts(tuple(out_re), tuple(out_im))
+
+
+def use_flipped_kernel(monkeypatch):
+    """Run H's forward and backward steps, and `automaton._affine`, as
+    `flipped_kernel` on the step's matrix."""
+    monkeypatch.setattr(automaton, "_affine", flipped_kernel)
+    wrap_steps(monkeypatch, STEP_MATRICES,
+               lambda h, kind, step: functools.partial(flipped_kernel, step_matrix(h, kind)))
 
 
 def flipped_generator():
@@ -1805,11 +1817,12 @@ def flipped_split_generator():
     return namespace["_split_line"]
 
 
-def flipped_split_step(rows, xp, pp, xc, pc):
+def flipped_split_step(rows, psi, base):
     """`automaton._split_step` with one sign flipped: hS_i . x_n is added
     to p_i instead of subtracted."""
+    xc, pc = psi.re, psi.im
     x_out, p_out = [], []
-    for (s_terms, a_terms), x, p in zip(rows, xp, pp):
+    for (s_terms, a_terms), x, p in zip(rows, base.re, base.im):
         for j, c in s_terms:
             x += c * pc[j]
             p += c * xc[j]
@@ -1845,9 +1858,9 @@ def test_a_mutant_program_fails_the_recurrence_check(tmp_path, monkeypatch, caps
     config = FORK_RUNS[kind][0]
     if mutant == "kernel":
         monkeypatch.setattr(GIMatrix, "apply", flipped_kernel)
-        monkeypatch.setattr(automaton, "_affine", flipped_kernel)
+        use_flipped_kernel(monkeypatch)
     elif mutant == "generator":
-        monkeypatch.setattr(gaussian, "_straight_line", flipped_generator())
+        monkeypatch.setattr(automaton, "_straight_line", flipped_generator())
     elif mutant == "split generator":
         monkeypatch.setattr(automaton, "_split_line", flipped_split_generator())
     else:
@@ -1897,7 +1910,7 @@ def test_the_window_checks_the_slices_it_writes(tmp_path, monkeypatch, fmt, sche
         monkeypatch.setattr(automaton, "_evolve_slices",
                             bump_slice(automaton._evolve_slices, 5))
     else:
-        monkeypatch.setattr(automaton, "_affine", bump_step((clean[3], clean[4])))
+        bump_step(monkeypatch, (clean[3], clean[4]))
     corrupted = Trajectory(automaton._evolve_slices(s0, s1, h, 9))
     assert corrupted != clean and corrupted[5] != clean[5]
     forks = use_schedule(monkeypatch, schedule)
@@ -2038,7 +2051,7 @@ def test_the_audit_window_checks_the_slices_it_writes(tmp_path, monkeypatch, fmt
         monkeypatch.setattr(automaton, "_evolve_slices",
                             bump_slice(automaton._evolve_slices, 5))
     else:
-        monkeypatch.setattr(automaton, "_affine", bump_step((clean[3], clean[4])))
+        bump_step(monkeypatch, (clean[3], clean[4]))
     corrupted = Trajectory(automaton._evolve_slices(s0, s1, h, 9))
     assert corrupted != clean and corrupted[5] != clean[5]
     forks = use_schedule(monkeypatch, schedule)

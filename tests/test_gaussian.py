@@ -7,7 +7,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hamca import gaussian
+from hamca import automaton
 from hamca.gaussian import (
     GaussianInt,
     GIVector,
@@ -17,8 +17,8 @@ from hamca.gaussian import (
     int_matrix_is_antisymmetric,
     int_matrix_is_symmetric,
 )
-from conftest import (COEFF, PARTS_5000, count_calls, hermitian_splits, random_gaussian_int,
-                      random_hermitian, random_matrix, random_vector)
+from conftest import (COEFF, PARTS_5000, STEP_MATRICES, count_calls, hermitian_splits,
+                      random_gaussian_int, random_hermitian, random_matrix, random_vector)
 
 
 def gi(re, im=0):
@@ -123,7 +123,7 @@ def test_the_affine_kernel_is_the_product_plus_the_base(data, dim):
     v, base = ([(data.draw(WIDE), data.draw(WIDE)) for _ in range(dim)]
                for _ in range(2))
     vec, bvec = GIVector([gi(*p) for p in v]), GIVector([gi(*p) for p in base])
-    for m in (h, *h._step_matrices()):
+    for m in (h, automaton._step(h, "-iH"), automaton._step(h, "iH")):
         rows = [list(zip(r.re, r.im)) for r in m.rows]
         got = m.apply(vec, bvec)
         assert type(got.re) is type(got.im) is tuple
@@ -139,11 +139,12 @@ PAST_TEXT_LIMIT = 2**14300 + 3**9001  # 4,305 decimal digits
 
 
 @settings(max_examples=60)
-@given(data=st.data(), dim=st.integers(1, gaussian._STRAIGHT_LINE_DIM))
+@given(data=st.data(), dim=st.integers(1, automaton._STRAIGHT_LINE_DIM))
 def test_the_generated_kernel_is_the_loop(data, dim):
-    # every step matrix up to the cap runs a generated function, and it
-    # gives the loop's parts, with and without a base; no coefficient is
-    # printed into its source, so the int<->str limit never trips
+    # every step of an H up to the cap runs a generated function of its
+    # matrix's program, kept on H, and it gives the loop's parts, with a
+    # zero base and another; no coefficient is printed into its source,
+    # so the int<->str limit never trips
     if hasattr(sys, "get_int_max_str_digits"):
         assert 0 < sys.get_int_max_str_digits() <= 4300
     assert PAST_TEXT_LIMIT > 10**4300
@@ -155,13 +156,13 @@ def test_the_generated_kernel_is_the_loop(data, dim):
                             for rs, ra in zip(hs, ha)])
     vec, bvec = (GIVector([gi(data.draw(PARTS_5000), data.draw(PARTS_5000))
                            for _ in range(dim)]) for _ in range(2))
-    assert h._kernel is None
-    for m in h._step_matrices():
-        assert m._kernel is not None
-        loop = GIMatrix(m.rows)  # the same program, with no generated function
-        assert loop._kernel is None and loop._program == m._program
-        for base in (None, bvec):
-            got = m.apply(vec, base)
+    assert h._steps == {}
+    for kind, matrix in STEP_MATRICES.items():
+        step = automaton._step(h, kind)
+        assert step.__name__ == "kernel" and step is automaton._step(h, kind)
+        loop = h._steps[matrix]  # the same program, which `apply` loops over
+        for base in (GIVector.zero(dim), bvec):
+            got = step(vec, base)
             assert type(got) is GIVector
             assert type(got.re) is type(got.im) is tuple
             assert all(type(x) is int for x in got.re + got.im)
@@ -169,30 +170,35 @@ def test_the_generated_kernel_is_the_loop(data, dim):
 
 
 def test_only_the_step_matrices_of_a_small_h_get_a_generated_kernel(rng):
-    cap = gaussian._STRAIGHT_LINE_DIM
+    cap = automaton._STRAIGHT_LINE_DIM
     for dim in (1, cap, cap + 1):
         h = random_hermitian(rng, dim)
-        turns = h._step_matrices()
-        assert [m._kernel is not None for m in turns] == [dim <= cap] * 2
-        assert h._kernel is None and h.power(2)._kernel is None
-        assert (h @ turns[0])._kernel is None and turns[0].scale(1)._kernel is None
+        steps = [automaton._step(h, kind) for kind in STEP_MATRICES]
+        assert [step.__name__ == "kernel" for step in steps] == [dim <= cap] * 2
+        # H keeps them, and no other matrix keeps a step program
+        turns = [h._steps[matrix] for matrix in STEP_MATRICES.values()]
+        assert h.power(2)._steps == {} and all(type(m) is GIMatrix for m in turns)
+        assert not hasattr(h @ turns[0], "_steps") and not hasattr(turns[0].scale(1), "_steps")
 
 
 def test_a_matrix_pickles_with_its_step_matrices_built(rng):
     h = random_hermitian(rng, 3)
-    turns = h._step_matrices()
+    for kind in (*STEP_MATRICES, "split"):
+        automaton._step(h, kind)
+    turns = [h._steps[matrix] for matrix in STEP_MATRICES.values()]
     for m in (h, *turns):
         back = pickle.loads(pickle.dumps(m))
-        assert type(back) is type(m) and back == m and back._turns is None
-    again = pickle.loads(pickle.dumps(h))._step_matrices()
-    assert again == turns and all(m._kernel is not None for m in again)
+        assert type(back) is type(m) and back == m and getattr(back, "_steps", {}) == {}
+    again = pickle.loads(pickle.dumps(h))
+    assert [automaton._step(again, matrix) for matrix in STEP_MATRICES.values()] == turns
+    assert all(automaton._step(again, kind).__name__ == "kernel" for kind in STEP_MATRICES)
 
 
 def test_the_step_matrices_are_built_once_and_kept(rng):
     h = random_hermitian(rng, 3)
-    forward, back = h._step_matrices()
+    forward, back = (automaton._step(h, matrix) for matrix in STEP_MATRICES.values())
     assert forward == h.scale(-IMAG_UNIT) and back == h.scale(IMAG_UNIT)
-    assert h._step_matrices()[0] is forward and h._step_matrices()[1] is back
+    assert automaton._step(h, "-iH") is forward and automaton._step(h, "iH") is back
 
 
 @settings(max_examples=50)

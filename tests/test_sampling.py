@@ -1,6 +1,7 @@
 """Cardinal-series reconstruction, conserved densities, phase law, oracle."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -201,12 +202,43 @@ NON_FINITE_SIGNAL = ContinuumSignal(np.ones((9, 2), dtype=complex), Discreteness
     pytest.param(lambda t: continuum_Q(NON_FINITE_SIGNAL, t, "order-l2"), "time",
                  id="continuum_Q-order-l2"),
     pytest.param(dispersion_theta, "energy", id="dispersion_theta"),
-    pytest.param(eigenmode_phase_step, "energy", id="eigenmode_phase_step")])
+    pytest.param(eigenmode_phase_step, "energy", id="eigenmode_phase_step"),
+    pytest.param(lambda t: continuum_oracle(PAULI_X, [1.0, 0.0], t), "time",
+                 id="continuum_oracle")])
 def test_the_continuum_bridge_rejects_a_non_finite_value(call, name, value):
     # its own message, naming the value, not CPython's from int(round(u))
     # and no point or phase computed from it
     with pytest.raises(ValueError, match=f"^{name} {value!r} is not (finite$|a finite)"):
         call(value)
+
+
+PAST_FLOAT = 10**400  # a plain int past the float range
+
+
+@pytest.mark.parametrize("call, name", [
+    pytest.param(lambda: dispersion_theta(PAST_FLOAT), "energy", id="dispersion_theta"),
+    pytest.param(lambda: eigenmode_phase_step(PAST_FLOAT), "energy",
+                 id="eigenmode_phase_step"),
+    pytest.param(lambda: eigenmode_phase_step(1.0, steps=0), "steps", id="steps-0"),
+    pytest.param(lambda: eigenmode_phase_step(1.0, steps=-3), "steps", id="steps-negative"),
+    pytest.param(lambda: fit_power_law([0.1, 0.2, math.nan], [1.0, 2.0, 3.0]), "xs",
+                 id="fit-nan"),
+    pytest.param(lambda: fit_power_law([0.1, 0.2], [1.0, math.inf]), "ys", id="fit-inf"),
+    pytest.param(lambda: fit_power_law([0.1, PAST_FLOAT], [1.0, 2.0]), "xs",
+                 id="fit-past-float"),
+    pytest.param(lambda: NON_FINITE_SIGNAL.eval(PAST_FLOAT), "time", id="eval"),
+    pytest.param(lambda: DiscretenessScale(PAST_FLOAT), "discreteness scale", id="scale"),
+    pytest.param(lambda: continuum_oracle(PAULI_X, [1.0, 0.0], PAST_FLOAT), "time",
+                 id="continuum_oracle")])
+def test_a_float_entry_point_rejects_a_value_outside_its_domain(capfd, call, name):
+    # its own ValueError naming the argument: not CPython's OverflowError
+    # from a float conversion, nor a NaN after numpy's warning, nor
+    # LAPACK's complaint on stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{name} "):
+            call()
+    assert capfd.readouterr() == ("", "")
 
 
 def test_measured_phase_matches_arcsin():
@@ -327,8 +359,10 @@ def test_convergence_rejects_bad_input():
 @pytest.mark.parametrize("horizon, scales, name", [
     (math.nan, [0.4, 0.2], "horizon"), (math.inf, [0.4, 0.2], "horizon"),
     (-math.inf, [0.4, 0.2], "horizon"), (1.0, [math.nan, 0.2], "scales"),
-    (1.0, [0.4, math.inf], "scales"), (1.0, [0.4, 0.0], "scales")],
-    ids=["nan", "inf", "-inf", "scales-nan", "scales-inf", "scales-zero"])
+    (1.0, [0.4, math.inf], "scales"), (1.0, [0.4, 0.0], "scales"),
+    (10**400, [0.1], "horizon"), (1.0, [0.4, 10**400], "scales")],
+    ids=["nan", "inf", "-inf", "scales-nan", "scales-inf", "scales-zero",
+         "past-float", "scales-past-float"])
 def test_convergence_rejects_a_non_finite_horizon_or_scale(monkeypatch, horizon, scales,
                                                            name):
     # rejected by name before any numpy call: with numpy taken away, a

@@ -15,14 +15,15 @@ from operator import mul
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hamca import automaton, gaussian
+from hamca import automaton
 from hamca.automaton import (Trajectory, action_evaluate, evolve, evolve_phase_space,
                              first_recurrence_violation, is_solution,
                              recurrence_residual, step_forward, verify_stationarity)
 from hamca.conservation import audit_conservation
 from hamca.gaussian import GaussianInt, GIMatrix, GIVector, HermitianIntMatrix, IMAG_UNIT
-from conftest import (BIG, COEFF, H_SHAPES, PARTS_5000, SMALL, count_applies,
-                      count_split_steps, hermitian_splits, random_hermitian, random_vector)
+from conftest import (BIG, COEFF, H_SHAPES, PARTS_5000, SMALL, STEP_MATRICES, count_applies,
+                      count_calls, count_split_steps, hermitian_splits, random_hermitian,
+                      random_vector)
 
 PART = st.one_of(st.just(0), SMALL, st.integers(-2**64, 2**64), BIG)
 ROW_KINDS = ("complex", "real", "imaginary", "zero", "identity")
@@ -222,7 +223,7 @@ def test_scalars_are_built_on_demand():
 
 
 def counted_kernel(kernel, m, calls):
-    """A generated kernel of step matrix m that records m at each call."""
+    """A generated step of H, of step matrix m, that records m at each call."""
 
     def counted(*args):
         calls.append(m)
@@ -244,15 +245,16 @@ def test_independent_oracles_never_call_the_matvec_kernel(monkeypatch, rng):
     def refuse_split(*args):
         raise AssertionError("the forward step reached a split-form step")
 
-    # the step matrices' generated kernels are reached only through
-    # apply, so `count_applies` records every one of their calls; the
-    # forward and backward steps never reach H's split step or its
+    # H's generated steps are reached only through the accessor that
+    # keeps them, so `count_applies` records every one of their calls;
+    # the forward and backward steps never reach H's split step or its
     # generator
     kernel_calls = []
-    for m in h._step_matrices():
-        monkeypatch.setattr(m, "_kernel", counted_kernel(m._kernel, m, kernel_calls))
+    for kind, matrix in STEP_MATRICES.items():
+        monkeypatch.setitem(h._steps, kind, counted_kernel(automaton._step(h, kind),
+                                                           h._steps[matrix], kernel_calls))
     with monkeypatch.context() as patched:
-        patched.setattr(h, "_split_kernel", refuse_split)
+        patched.setitem(h._steps, "split", refuse_split)
         patched.setattr(automaton, "_split_line", lambda rows: refuse_split)
         patched.setattr(automaton, "_split_step", refuse_split)
         applied = count_applies(patched)
@@ -261,7 +263,7 @@ def test_independent_oracles_never_call_the_matvec_kernel(monkeypatch, rng):
         for _ in range(8):
             nxt, cur = cur, automaton.step_backward(nxt, cur, h)
         assert walked == traj and (cur, nxt) == (traj[0], traj[1])
-        forward, back = h._step_matrices()
+        forward, back = h._steps["-iH"], h._steps["iH"]
         assert len(kernel_calls) == len(applied) == 16
         assert all(k is want and m is want for k, (m, *_), want
                    in zip(kernel_calls, applied, [forward] * 8 + [back] * 8))
@@ -275,11 +277,11 @@ def test_independent_oracles_never_call_the_matvec_kernel(monkeypatch, rng):
     def refuse_pass(traj, h):
         raise AssertionError("an independent oracle read the bracket pass")
 
-    # every generated kernel raises: those of H's step matrices, and any
-    # a step matrix built from here on compiles
-    for m in h._step_matrices():
-        monkeypatch.setattr(m, "_kernel", refuse_kernel)
-    monkeypatch.setattr(gaussian, "_straight_line", lambda program: refuse_kernel)
+    # every generated kernel raises: H's kept steps, and any step built
+    # from here on
+    for kind in STEP_MATRICES:
+        monkeypatch.setitem(h._steps, kind, refuse_kernel)
+    monkeypatch.setattr(automaton, "_straight_line", lambda program: refuse_kernel)
     with pytest.raises(AssertionError, match="generated kernel"):
         evolve(traj[0], traj[1], h, 8)
     monkeypatch.setattr(GIMatrix, "apply", refuse)
@@ -298,7 +300,7 @@ def test_independent_oracles_never_call_the_matvec_kernel(monkeypatch, rng):
     # call either, and every verdict it gives is the kernel's; H's split
     # step is compiled here, with every generated kernel refused, by its
     # own generator
-    assert h._split_kernel is None
+    assert "split" not in h._steps
     for t, es, report in zip((traj, bumped), brackets, direct):
         bad = [n for n, e in enumerate(es, start=1) if not e.is_zero()]
         assert bad == ([] if t is traj else [3, 4, 5])
@@ -310,12 +312,12 @@ def test_independent_oracles_never_call_the_matvec_kernel(monkeypatch, rng):
             sum(map(mul, t[n].re, e.re)) + sum(map(mul, t[n].im, e.im))
             for n, e in enumerate(es, start=1))
         assert verify_stationarity(t, h, method="fast") == report
-    assert h._split_kernel is not None and h._split_kernel is not refuse_kernel
+    assert h._steps["split"] is not None and h._steps["split"] is not refuse_kernel
 
 
 @pytest.mark.parametrize("shape", H_SHAPES)
 @settings(max_examples=30)
-@given(data=st.data(), dim=st.integers(1, gaussian._STRAIGHT_LINE_DIM))
+@given(data=st.data(), dim=st.integers(1, automaton._STRAIGHT_LINE_DIM))
 def test_the_generated_split_step_is_the_loop(shape, data, dim):
     # up to the cap the checked pass runs H's straight-line split step,
     # compiled on first use and kept on H; it gives the loop's parts, and
@@ -323,27 +325,46 @@ def test_the_generated_split_step_is_the_loop(shape, data, dim):
     # limit never trips
     hs, ha = data.draw(hermitian_splits(dim, PARTS_5000, shape))
     h = HermitianIntMatrix(matrix(hs, ha))
-    assert h._split_kernel is None
-    step = automaton._split_program(h)
-    assert step is h._split_kernel is automaton._split_program(h)
-    parts = [tuple(data.draw(PARTS_5000) for _ in range(dim)) for _ in range(4)]
-    got = step(*parts)
+    assert "split" not in h._steps
+    step = automaton._step(h, "split")
+    assert step is h._steps["split"] is automaton._step(h, "split")
+    psi, base = (GIVector._from_parts(*(tuple(data.draw(PARTS_5000) for _ in range(dim))
+                                        for _ in range(2))) for _ in range(2))
+    got = step(psi, base)
     assert type(got) is tuple and all(type(half) is tuple for half in got)
     assert all(type(x) is int for half in got for x in half)
-    assert got == automaton._split_step(automaton._split_rows(hs, ha), *parts)
+    assert got == automaton._split_step(automaton._split_rows(hs, ha), psi, base)
 
 
 def test_only_an_h_within_the_cap_keeps_a_split_step(rng):
-    cap = gaussian._STRAIGHT_LINE_DIM
+    # a generated one: above the cap H keeps the loop `_split_step` on
+    # its rows
+    cap = automaton._STRAIGHT_LINE_DIM
     for dim in (1, cap, cap + 1):
         h = random_hermitian(rng, dim)
-        step = automaton._split_program(h)
-        assert (h._split_kernel is step) is (dim <= cap)
+        step = automaton._step(h, "split")
+        assert h._steps["split"] is step
+        assert (getattr(step, "__name__", None) == "split_step") is (dim <= cap)
         if dim > cap:
-            assert h._split_kernel is None and step.func is automaton._split_step
+            assert step.func is automaton._split_step
         # H pickles as its rows alone, so a copy compiles its own step
         back = pickle.loads(pickle.dumps(h))
-        assert back == h and back._split_kernel is None
+        assert back == h and back._steps == {}
+
+
+def test_an_h_past_the_cap_builds_its_split_step_once(monkeypatch, rng):
+    # the loop step on H's rows is kept like a generated one: two single
+    # residuals and a drained pass share the one step built for them
+    dim = automaton._STRAIGHT_LINE_DIM + 1
+    h = random_hermitian(rng, dim)
+    traj = evolve(random_vector(rng, dim), random_vector(rng, dim), h, 6)
+    rows = count_calls(monkeypatch, automaton, "_split_rows")
+    predicted = count_split_steps(monkeypatch)
+    assert recurrence_residual(traj, h, 2).is_zero()
+    assert recurrence_residual(traj, h, 3).is_zero()
+    assert is_solution(traj, h)
+    assert len(rows) == 1 and len(predicted) == 2 + traj.last - 1
+    assert all(step is h._steps["split"] for step, *_ in predicted)
 
 
 # -- one bracket pass ----------------------------------------------------
@@ -351,7 +372,7 @@ def test_only_an_h_within_the_cap_keeps_a_split_step(rng):
 
 def test_each_verdict_applies_h_once_per_stored_interior_slice(monkeypatch, rng):
     h = random_hermitian(rng, 3)
-    y = h._step_matrices()[0]
+    y = automaton._step(h, "-iH")
     solution = evolve(random_vector(rng, 3), random_vector(rng, 3), h, 12)
     applied = count_applies(monkeypatch)
     predicted = count_split_steps(monkeypatch)
@@ -376,9 +397,8 @@ def test_each_verdict_applies_h_once_per_stored_interior_slice(monkeypatch, rng)
             # parts; H's only applies are the audit's commutator
             # columns, and the observables are matrices of their own
             assert len(predicted) == fresh.last - 1
-            assert all(step is h._split_kernel for step, *_ in predicted)
-            assert all(xp is before.re and pp is before.im and xc is s.re and pc is s.im
-                       for (_, xp, pp, xc, pc), before, s
+            assert all(step is h._steps["split"] for step, *_ in predicted)
+            assert all(psi is s and base is before for (_, psi, base), before, s
                        in zip(predicted, fresh.states, fresh.states[1:-1]))
             kept = [n for n in fresh._swept.stored if n >= 2]
             assert kept == ([] if fresh == solution else [4, 5, 6, 7])
@@ -391,4 +411,4 @@ def test_each_verdict_applies_h_once_per_stored_interior_slice(monkeypatch, rng)
     predicted.clear()
     recurrence_residual(solution, h, 5)
     assert applied == [] and len(predicted) == 1
-    assert predicted[0][3] is solution[5].re and predicted[0][1] is solution[4].re
+    assert predicted[0][1] is solution[5] and predicted[0][2] is solution[4]

@@ -15,7 +15,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hamca import automaton, cli, gaussian, multipartite
+from hamca import automaton, cli, multipartite
 from hamca.automaton import Trajectory, evolve
 from hamca.gaussian import (GaussianInt, GIMatrix, GIVector, HermitianIntMatrix,
                             exact_int_text)
@@ -23,7 +23,7 @@ from hamca.multipartite import (ManyTimeResidual, MultiWave, bell_state,
                                 many_time_residual)
 from conftest import (count_applies, count_calls, count_split_steps, random_hermitian,
                       random_vector, reference_csv, reference_json)
-from test_cli import flipped_kernel
+from test_cli import use_flipped_kernel
 
 PAST_LIMIT = st.builds(lambda sign, hi, lo: sign * (hi * 10**4300 + lo),
                        st.sampled_from([1, -1]), st.integers(1, 2**64),
@@ -53,7 +53,7 @@ def vectors(draw, dim, part=PART):
 def written_trajectories(draw):
     """(trajectory, coupling handed to the writer)."""
     # one dimension past the generated kernels', which the loop prints
-    dim = draw(st.one_of(st.integers(1, 4), st.just(gaussian._STRAIGHT_LINE_DIM + 1)))
+    dim = draw(st.one_of(st.integers(1, 4), st.just(automaton._STRAIGHT_LINE_DIM + 1)))
     h = draw(hermitians(dim))
     s0, s1 = vectors(draw, dim), vectors(draw, dim)
     if draw(st.booleans()):
@@ -99,7 +99,7 @@ def test_trajectory_text_without_a_coupling_applies_nothing(monkeypatch):
     assert traj.to_json_text() == want_json
     # nothing to a stored slice: the kept coupling's -iH steps only the
     # printer's Decimal slices, once per slice past the seeds
-    y = h._step_matrices()[0]
+    y = automaton._step(h, "-iH")
     assert len(applied) == 2 * (traj.last - 1)
     assert all(m is y and type(v.re[0]) is type(base.re[0]) is decimal.Decimal
                for m, v, base, _ in applied)
@@ -109,7 +109,7 @@ def test_the_printer_steps_with_the_kernel_it_is_given(monkeypatch, rng):
     # a kernel with one sign flipped makes other slices than the true
     # ones; given the seeds alone, the printer must print the slices the
     # kernel makes, not a solution of its own
-    monkeypatch.setattr(automaton, "_affine", flipped_kernel)
+    use_flipped_kernel(monkeypatch)
     h = random_hermitian(rng, 3)
     assert any(im_terms for _, im_terms in h._program)
     mutant = evolve(random_vector(rng, 3), random_vector(rng, 3), h, 12)
@@ -124,7 +124,7 @@ def test_a_faulty_kernels_slices_print_as_made(monkeypatch, rng):
     # the split form finds the flipped kernel's slices off the rule, and
     # the text must still be the slices the kernel made, with the
     # coupling given, kept or replaced by another
-    monkeypatch.setattr(automaton, "_affine", flipped_kernel)
+    use_flipped_kernel(monkeypatch)
     h = random_hermitian(rng, 3)
     mutant = evolve(random_vector(rng, 3), random_vector(rng, 3), h, 12)
     assert automaton.first_recurrence_violation(mutant, h) == 1
