@@ -36,7 +36,11 @@ factor and every stationarity coefficient.  `_bracket` alone forms it:
 it predicts psi_{n+1} from psi_n and psi_{n-1} with the split form,
 never with the step that made the slices, and where the prediction
 differs from psi_{n+1} returns E_n = -i (psi_{n+1} - prediction); so
-each recurrence verdict compares two separately written programs.
+each recurrence verdict compares two separately written programs.  Up
+to the cap both are generated, and each computes a product |c| * x of
+a coefficient magnitude and a part once, from a table of its own, so a
+product reused where it does not belong in either shows as a nonzero
+bracket.
 `_Window` is the one loop that runs it, over any stream of slices
 three at a time.  The pass records the nonzero brackets, the slices at
 them and the action; those slices and the seeds are all the trajectory
@@ -433,22 +437,29 @@ def _split_step(rows: tuple, psi: GIVector, base: GIVector) -> tuple:
 def _split_line(rows: tuple) -> Callable:
     """`_split_step` of `rows` as one generated function of (psi, base).
 
-    Each output part is one expression over locals unpacked once from
-    the two vectors' parts.  A coefficient enters the source only as the
-    name of a keyword default bound to it, never as a literal; a +1 or
-    -1 term is added or subtracted without a multiply.  Written apart from
+    The two vectors' parts are unpacked once into locals, and each
+    distinct product |c| * x of a coefficient magnitude and a local is
+    computed once, into a local of its own; each output part is then one
+    expression that adds or subtracts those products, the sign on the
+    operator.  A +1 or -1 term adds or subtracts the part itself, with no
+    multiply.  A coefficient enters the source only as the name of a
+    keyword default bound to it, never as a literal.  Written apart from
     `gaussian._straight_line`, with no helper or term writer in common,
     so that a fault in either generator cannot show the same way in the
     other's output.
     """
-    bound = {}  # coefficient -> the keyword default it is bound to
+    bound = {}  # coefficient magnitude -> the keyword default it is bound to
+    shared = {}  # (magnitude, part local) -> the local their product is kept in
 
     def term(sign, c, var):
         """`sign * c * var` as source, led by its operator."""
+        op = " + " if sign * c > 0 else " - "
         if c in (1, -1):
-            return (" + " if sign * c > 0 else " - ") + var
-        name = bound.setdefault(c, f"c{len(bound)}")
-        return (" + " if sign > 0 else " - ") + f"{name} * {var}"
+            return op + var
+        key = abs(c), var
+        if key not in shared:
+            shared[key] = f"m{len(shared)}"
+        return op + shared[key]
 
     xs, ps = [], []
     for i, (s_terms, a_terms) in enumerate(rows):
@@ -461,11 +472,14 @@ def _split_line(rows: tuple) -> Callable:
             p += term(1, c, f"pc{j}")
         xs.append(x + ",")
         ps.append(p + ",")
+    products = [f"    {local} = {bound.setdefault(c, f'c{len(bound)}')} * {var}\n"
+                for (c, var), local in shared.items()]
     params = ["psi", "base"] + (["*", *bound.values()] if bound else [])
     source = (f"def split_step({', '.join(params)}):\n"
               + "".join(f"    ({''.join(f'{v}{j},' for j in range(len(rows)))}) = {parts}\n"
                         for v, parts in (("xp", "base.re"), ("pp", "base.im"),
                                          ("xc", "psi.re"), ("pc", "psi.im")))
+              + "".join(products)
               + f"    return ({' '.join(xs)}), ({' '.join(ps)})\n")
     namespace = {}
     exec(source, namespace)

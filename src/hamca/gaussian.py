@@ -13,7 +13,8 @@ works on those tuples; `GIMatrix.apply`, the one matvec kernel, runs a
 per-row program of nonzero real and imaginary coefficients compiled
 when the matrix is built, and gives M v or, with a base, M v + base in
 the same pass.  `_straight_line` generates a program's sums as one
-straight-line function, the form `automaton` steps a small H with.
+straight-line function that computes each distinct product |c| * x
+once, the form `automaton` steps a small H with.
 Scalars are built only when a caller indexes or iterates.  A
 self-adjoint coupling or observable is a `HermitianIntMatrix`, the
 `GIMatrix` subtype whose constructor checks it: symmetric real part,
@@ -511,22 +512,27 @@ def _straight_line(program: tuple):
     """`GIMatrix.apply`'s sums for one `_program`, as a generated function.
 
     kernel(v, base) takes two `GIVector`s of the program's length and
-    returns the `GIVector` of the product plus the base.  Each output
-    part is one expression over locals unpacked once from the vectors'
-    parts.  A coefficient enters the source only as the name
-    of a keyword default bound to it, never as a literal, so no user
-    value is printed into the text; a +1 or -1 term is added or
-    subtracted without a multiply.
+    returns the `GIVector` of the product plus the base.  The parts are
+    unpacked once into locals, and each distinct product |c| * x of a
+    coefficient magnitude and a local is computed once, into a local of
+    its own; each output part is then one expression that adds or
+    subtracts those products, the sign on the operator, so a coefficient
+    that recurs over a column costs one multiply, not one per term.  A
+    +1 or -1 term adds or subtracts the part itself, with no multiply.
+    A coefficient enters the source only as the name of a keyword
+    default bound to it, never as a literal, so no user value is printed
+    into the text.
     """
     d = len(program)
-    names = {}  # coefficient -> the name of the default it is bound to
+    names = {}  # coefficient magnitude -> the name of the default it is bound to
+    products = {}  # (magnitude, part local) -> the local their product is kept in
 
     def term(c, var):
-        if c == 1:
-            return f" + {var}"
-        if c == -1:
-            return f" - {var}"
-        return f" + {names.setdefault(c, f'k{len(names)}')} * {var}"
+        """`c * var` as source, led by its operator."""
+        sign = " + " if c > 0 else " - "
+        if c in (1, -1):
+            return sign + var
+        return sign + products.setdefault((abs(c), var), f"q{len(products)}")
 
     sums_re, sums_im = [], []
     for i, (re_terms, im_terms) in enumerate(program):
@@ -539,6 +545,8 @@ def _straight_line(program: tuple):
             m.append(term(c, f"xr{j}"))
         sums_re.append("".join(r))
         sums_im.append("".join(m))
+    multiplies = "".join(f"    {q} = {names.setdefault(c, f'k{len(names)}')} * {var}\n"
+                         for (c, var), q in products.items())
 
     def locals_of(part):
         return "".join(f"{part}{j}, " for j in range(d))
@@ -546,6 +554,7 @@ def _straight_line(program: tuple):
     source = (f"def kernel(v, base, *, {', '.join(('vector', *names.values()))}):\n"
               + "".join(f"    {locals_of(part)}= {parts}\n" for part, parts in (
                   ("xr", "v.re"), ("xi", "v.im"), ("br", "base.re"), ("bi", "base.im")))
+              + multiplies
               + f"    return vector(({', '.join(sums_re)},), ({', '.join(sums_im)},))\n")
     namespace = {}
     exec(source, namespace)

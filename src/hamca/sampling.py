@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .automaton import Trajectory, _check_site
-from .gaussian import HermitianIntMatrix
+from .gaussian import HermitianIntMatrix, exact_int_text
 
 __all__ = [
     "DiscretenessScale",
@@ -79,7 +79,8 @@ def _clock(t: float, l: float) -> float:
     """t / l, the time t in clock steps; ValueError naming t unless finite."""
     u = t / l if _finite(t) else math.inf
     if not math.isfinite(u):
-        raise ValueError(f"time {t!r} is not a finite number of clock steps of {l!r}")
+        with exact_int_text():
+            raise ValueError(f"time {t!r} is not a finite number of clock steps of {l!r}")
     return u
 
 
@@ -267,7 +268,8 @@ class DispersionPoint:
 
 def dispersion_theta(energy: float) -> DispersionPoint:
     if not _finite(energy):
-        raise ValueError(f"energy {energy!r} is not finite")
+        with exact_int_text():
+            raise ValueError(f"energy {energy!r} is not finite")
     if abs(energy) <= 2.0:
         return DispersionPoint(energy=energy, oscillatory=True,
                                theta=math.asin(energy / 2.0), growth_factor=1.0)
@@ -306,7 +308,8 @@ def continuum_oracle(h: HermitianIntMatrix, psi0: Sequence[complex],
                      t: float) -> np.ndarray:
     """exp(-i*H*t) psi0 by eigendecomposition; unitary to float precision."""
     if not _finite(t):
-        raise ValueError(f"time {t!r} is not finite")
+        with exact_int_text():
+            raise ValueError(f"time {t!r} is not finite")
     if h.dim > 64:
         raise ValueError("oracle is limited to dimension <= 64")
     psi0 = np.asarray(psi0, dtype=np.complex128)
@@ -389,11 +392,13 @@ def convergence_study(h: HermitianIntMatrix, psi0: Sequence[complex],
     if psi1_rule not in ("oracle", "copy"):
         raise ValueError(f"unknown psi1 rule {psi1_rule!r}")
     if not (_finite(horizon) and horizon >= 0):
-        raise ValueError(f"horizon must be finite and >= 0, not {horizon!r}")
+        with exact_int_text():
+            raise ValueError(f"horizon must be finite and >= 0, not {horizon!r}")
     scales = tuple(scales)
     for l in scales:
         if not (_finite(l) and l > 0):
-            raise ValueError(f"scales must be finite and positive, not {l!r}")
+            with exact_int_text():
+                raise ValueError(f"scales must be finite and positive, not {l!r}")
     psi0 = np.asarray(psi0, dtype=np.complex128)
     hm = _hermitian_to_array(h)
     if psi0.shape != (h.dim,):

@@ -82,8 +82,10 @@ COEFF = st.one_of(st.just(0), SMALL, BIG)
 PARTS_5000 = st.one_of(st.just(0), st.sampled_from([1, -1]), st.integers(-3, 3),
                        st.integers(-2**5000, 2**5000))
 # "real tridiagonal" has hA all zero, as the bench H does; "imaginary"
-# is i*hA with a zero diagonal
-H_SHAPES = ("complex", "real tridiagonal", "imaginary", "diagonal", "zero")
+# is i*hA with a zero diagonal; "repeated" is as dense as "complex", with
+# every entry part one of +-c1 and +-c2, so the generated steps share
+# their products |c| * x, across opposite signs too
+H_SHAPES = ("complex", "real tridiagonal", "imaginary", "diagonal", "zero", "repeated")
 
 
 @st.composite
@@ -92,15 +94,19 @@ def hermitian_splits(draw, dim, coeff=COEFF, shape=None):
     of the given shape or one of `H_SHAPES` drawn."""
     if shape is None:
         shape = draw(st.sampled_from(H_SHAPES))
+    if shape == "repeated":
+        pair = draw(coeff), draw(coeff)
+        coeff = st.sampled_from([sign * c for c in pair for sign in (1, -1)])
+    dense = shape in ("complex", "repeated")
     hs = [[0] * dim for _ in range(dim)]
     ha = [[0] * dim for _ in range(dim)]
     for i in range(dim):
-        if shape in ("complex", "real tridiagonal", "diagonal"):
+        if dense or shape in ("real tridiagonal", "diagonal"):
             hs[i][i] = draw(coeff)
         for j in range(i + 1, dim):
-            if shape == "complex" or (shape == "real tridiagonal" and j == i + 1):
+            if dense or (shape == "real tridiagonal" and j == i + 1):
                 hs[i][j] = hs[j][i] = draw(coeff)
-            if shape in ("complex", "imaginary"):
+            if dense or shape == "imaginary":
                 ha[i][j] = draw(coeff)
                 ha[j][i] = -ha[i][j]
     return hs, ha

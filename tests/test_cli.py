@@ -1797,7 +1797,8 @@ def use_flipped_kernel(monkeypatch):
 def flipped_generator():
     """`gaussian._straight_line` with one sign flipped: the term it emits
     for an imaginary coefficient c in a real part adds c * Im v instead
-    of subtracting it."""
+    of subtracting it (the operator before the shared product |c| * Im v,
+    or before Im v itself where |c| = 1, is the one flipped)."""
     source = inspect.getsource(gaussian._straight_line)
     emitted = 'r.append(term(-c, f"xi{j}"))'
     assert source.count(emitted) == 1
@@ -1808,7 +1809,9 @@ def flipped_generator():
 
 def flipped_split_generator():
     """`automaton._split_line` with one sign flipped: the term it emits
-    for hS_i . x_n in p_i adds it instead of subtracting it."""
+    for hS_i . x_n in p_i adds it instead of subtracting it (the operator
+    before the shared product |c| * x_j, or before x_j itself where
+    |c| = 1, is the one flipped)."""
     source = inspect.getsource(automaton._split_line)
     emitted = 'p += term(-1, c, f"xc{j}")'
     assert source.count(emitted) == 1

@@ -1,5 +1,6 @@
 """Ring arithmetic, matrix kernel and literal-format round trips."""
 
+import dis
 import pickle
 import random
 import sys
@@ -167,6 +168,38 @@ def test_the_generated_kernel_is_the_loop(data, dim):
             assert type(got.re) is type(got.im) is tuple
             assert all(type(x) is int for x in got.re + got.im)
             assert got == loop.apply(vec, base)
+
+
+def multiplies(function) -> int:
+    """The multiply instructions in a function's own bytecode."""
+    return sum(ins.opname == "BINARY_MULTIPLY"
+               or (ins.opname == "BINARY_OP" and ins.argrepr == "*")
+               for ins in dis.get_instructions(function))
+
+
+def test_each_generated_step_multiplies_a_shared_product_once(rng):
+    # on a dense H whose every entry part is +-2 or +-3, the forward and
+    # backward kernels and the split step compute each product |c| * x once,
+    # however many terms of either sign add it: -iH, iH and the split
+    # form all multiply column j's |hS_ij| and |hA_ij| into both parts of
+    # psi_j, and no other product
+    dim = 6
+
+    def part():
+        return rng.choice([2, -2, 3, -3])
+
+    rows = [[None] * dim for _ in range(dim)]
+    for i in range(dim):
+        rows[i][i] = gi(part())
+        for j in range(i + 1, dim):
+            rows[i][j] = gi(part(), part())
+            rows[j][i] = rows[i][j].conjugate()
+    h = HermitianIntMatrix(rows)
+    distinct = {(abs(c), j, half) for r in h.rows for parts in (r.re, r.im)
+                for j, c in enumerate(parts) if abs(c) > 1 for half in ("re", "im")}
+    for kind in ("forward", "back", "split"):
+        step = automaton._step(h, kind)
+        assert 0 < multiplies(step) <= len(distinct), kind
 
 
 def test_only_the_step_matrices_of_a_small_h_get_a_generated_kernel(rng):

@@ -213,6 +213,9 @@ def test_the_continuum_bridge_rejects_a_non_finite_value(call, name, value):
 
 
 PAST_FLOAT = 10**400  # a plain int past the float range
+# a plain int past CPython's 4,300-digit int<->str limit: a message that
+# printed it outside `exact_int_text()` would be CPython's about the limit
+PAST_TEXT = 10**5000
 
 
 @pytest.mark.parametrize("call, name", [
@@ -229,7 +232,14 @@ PAST_FLOAT = 10**400  # a plain int past the float range
     pytest.param(lambda: NON_FINITE_SIGNAL.eval(PAST_FLOAT), "time", id="eval"),
     pytest.param(lambda: DiscretenessScale(PAST_FLOAT), "discreteness scale", id="scale"),
     pytest.param(lambda: continuum_oracle(PAULI_X, [1.0, 0.0], PAST_FLOAT), "time",
-                 id="continuum_oracle")])
+                 id="continuum_oracle"),
+    pytest.param(lambda: dispersion_theta(PAST_TEXT), "energy",
+                 id="dispersion_theta-past-text"),
+    pytest.param(lambda: eigenmode_phase_step(PAST_TEXT), "energy",
+                 id="eigenmode_phase_step-past-text"),
+    pytest.param(lambda: NON_FINITE_SIGNAL.eval(PAST_TEXT), "time", id="eval-past-text"),
+    pytest.param(lambda: continuum_oracle(PAULI_X, [1.0, 0.0], PAST_TEXT), "time",
+                 id="continuum_oracle-past-text")])
 def test_a_float_entry_point_rejects_a_value_outside_its_domain(capfd, call, name):
     # its own ValueError naming the argument: not CPython's OverflowError
     # from a float conversion, nor a NaN after numpy's warning, nor
@@ -360,9 +370,10 @@ def test_convergence_rejects_bad_input():
     (math.nan, [0.4, 0.2], "horizon"), (math.inf, [0.4, 0.2], "horizon"),
     (-math.inf, [0.4, 0.2], "horizon"), (1.0, [math.nan, 0.2], "scales"),
     (1.0, [0.4, math.inf], "scales"), (1.0, [0.4, 0.0], "scales"),
-    (10**400, [0.1], "horizon"), (1.0, [0.4, 10**400], "scales")],
+    (10**400, [0.1], "horizon"), (1.0, [0.4, 10**400], "scales"),
+    (PAST_TEXT, [0.1], "horizon"), (1.0, [0.4, PAST_TEXT], "scales")],
     ids=["nan", "inf", "-inf", "scales-nan", "scales-inf", "scales-zero",
-         "past-float", "scales-past-float"])
+         "past-float", "scales-past-float", "past-text", "scales-past-text"])
 def test_convergence_rejects_a_non_finite_horizon_or_scale(monkeypatch, horizon, scales,
                                                            name):
     # rejected by name before any numpy call: with numpy taken away, a
