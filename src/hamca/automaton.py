@@ -82,11 +82,16 @@ split form) checks every slice, and the text is the bytes per-entry
 keeps the seeds alone, so the stream can run beside it.  Each format
 is one private generator of text pieces, one per slice: the CLI writes
 the pieces as they come, and `to_csv` / `to_json_text` join them, so
-no artifact's text need be held whole.
+no artifact's text need be held whole.  The stream and both writers
+can start at any slice, from the two slices before it, and the length
+of a slice's piece is counted from its int parts without printing them
+(`_csv_length`, `_json_length`), so two writers can print one file,
+the second from the byte offset where the first one's text ends.
 """
 
 from __future__ import annotations
 
+import math
 import re as _re
 from dataclasses import dataclass
 from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact,
@@ -271,26 +276,29 @@ class Trajectory:
 # -- trajectory text ---------------------------------------------------
 
 
-def _decimal_slices(h: Optional[HermitianIntMatrix], slices: int, stored: Mapping):
-    """The decimal text of the parts of psi_0 ... psi_{slices-1}, per slice.
+def _decimal_slices(h: Optional[HermitianIntMatrix], slices: int, stored: Mapping,
+                    first: int = 0):
+    """The decimal text of the parts of psi_first ... psi_{slices-1}, per slice.
 
     Slice n is Decimal(psi_n) where `stored` (clock index -> slice) has
     it, and otherwise one call of H's forward step, -iH psi_{n-1} +
-    psi_{n-2}, on the two Decimal slices before it.  With
-    `_Window.stored` that is psi_n on any trajectory and any H: the
-    window keeps each slice whose bracket one site back is nonzero, as
-    it is wherever the kernel that made the slices strays from the split
-    form.  With `h=None` the map holds every slice: the same text, in
-    time quadratic in the digits.  Each replay runs in a local context
-    that traps `Inexact` and `Rounded`, left before the slice is
-    yielded.  The step accumulates each row onto psi_{n-2}, never -0,
-    so a negative coefficient times a zero entry never prints as -0.
+    psi_{n-2}, on the two Decimal slices before it; from `first` >= 2
+    on, the first two of those are psi_{first-2} and psi_{first-1},
+    which `stored` then holds.  With `_Window.stored` that is psi_n on
+    any trajectory and any H: the window keeps each slice whose bracket
+    one site back is nonzero, as it is wherever the kernel that made the
+    slices strays from the split form.  With `h=None` the map holds
+    every slice: the same text, in time quadratic in the digits.  Each
+    replay runs in a local context that traps `Inexact` and `Rounded`,
+    left before the slice is yielded.  The step accumulates each row
+    onto psi_{n-2}, never -0, so a negative coefficient times a zero
+    entry never prints as -0.
     """
     ctx = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
                   traps=[Inexact, Rounded, InvalidOperation, Overflow])
     forward = None if h is None else _step(h, "forward")
     before = psi = None
-    for n in range(slices):
+    for n in range(max(first - 2, 0), slices):
         kept = stored.get(n)
         if kept is None:
             with localcontext(ctx):
@@ -299,24 +307,36 @@ def _decimal_slices(h: Optional[HermitianIntMatrix], slices: int, stored: Mappin
             nxt = GIVector._from_parts(tuple(map(Decimal, kept.re)),
                                        tuple(map(Decimal, kept.im)))
         before, psi = psi, nxt
-        yield tuple(map(str, psi.re)), tuple(map(str, psi.im))
+        if n >= first:
+            yield tuple(map(str, psi.re)), tuple(map(str, psi.im))
 
 
-def _csv_pieces(texts: Iterable) -> Iterator[str]:
+_CSV_HEADER = "n,alpha,re,im\n"
+
+
+def _csv_pieces(texts: Iterable, first: int = 0) -> Iterator[str]:
     """`Trajectory.to_csv`'s text of a decimal stream, one piece per slice.
 
-    The header rides on the first piece.
+    The header rides on the first piece, unless the stream starts at
+    slice `first` > 0.
     """
-    head = "n,alpha,re,im\n"
-    for n, (res, ims) in enumerate(texts):
+    head = "" if first else _CSV_HEADER
+    for n, (res, ims) in enumerate(texts, first):
         yield head + "".join(f"{n},{a},{re},{im}\n"
                              for a, (re, im) in enumerate(zip(res, ims)))
         head = ""
 
 
-def _json_pieces(texts: Iterable, dim: int) -> Iterator[str]:
-    """`Trajectory.to_json_text`'s text: one piece per slice, then the footer."""
-    sep = f'{{\n  "dim": {dim},\n  "states": [\n'
+def _json_opening(dim: int) -> str:
+    return f'{{\n  "dim": {dim},\n  "states": [\n'
+
+
+def _json_pieces(texts: Iterable, dim: int, first: int = 0) -> Iterator[str]:
+    """`Trajectory.to_json_text`'s text: one piece per slice, then the
+    footer.  Each piece opens with its separator, the object's opening
+    on slice 0, so a stream that starts at slice `first` > 0 continues
+    the array."""
+    sep = ",\n" if first else _json_opening(dim)
     for res, ims in texts:
         yield (sep + "    [\n"
                + ",\n".join(f"      [\n        {re},\n        {im}\n      ]"
@@ -324,6 +344,60 @@ def _json_pieces(texts: Iterable, dim: int) -> Iterator[str]:
                + "\n    ]")
         sep = ",\n"
     yield "\n  ]\n}\n"
+
+
+_LOG10_2 = math.log10(2)
+
+
+def _text_length(x: int) -> int:
+    """len(str(x)), without printing x: its sign and its digit count.
+
+    2**(b-1) <= |x| < 2**b for b = x.bit_length(), so the count is
+    floor(log10 |x|) + 1 for a log10 |x| between (b-1) log10 2 and
+    b log10 2: read from b alone where no integer lies between those
+    two, as for seven bit lengths in ten.  Otherwise the count is
+    floor(log10 |x|) + 1 from `math.log10`, and where that lies within
+    float error of an integer e, so near 10**e, one exact compare with
+    10**e decides it.  Each margin is thousands of times the float
+    error it guards against, at any size.
+    """
+    if not x:
+        return 1
+    b = x.bit_length()
+    margin = 1e-12 * b
+    low = int((b - 1) * _LOG10_2 - margin)
+    if low == int(b * _LOG10_2 + margin):
+        return low + 1 + (x < 0)
+    size = -x if x < 0 else x
+    t = math.log10(size)
+    e = round(t)
+    if abs(t - e) < 1e-9 * (1 + t):
+        return e + (size >= 10 ** e) + (x < 0)
+    return int(t) + 1 + (x < 0)
+
+
+def _parts_length(psi: GIVector) -> int:
+    """The length of the text of psi's parts, summed."""
+    return sum(map(_text_length, psi.re + psi.im))
+
+
+def _csv_length(n: int, psi: GIVector) -> int:
+    """len of `_csv_pieces`' piece for slice n, psi_n: its rows
+    `n,alpha,re,im`, and the header with n = 0."""
+    d = psi.dim
+    return ((0 if n else len(_CSV_HEADER)) + _parts_length(psi)
+            + d * (len(str(n)) + 4) + sum(map(len, map(str, range(d)))))
+
+
+def _json_length(n: int, psi: GIVector) -> int:
+    """len of `_json_pieces`' piece for slice n, psi_n: its separator,
+    the object's opening with n = 0, and the slice's entries."""
+    d = psi.dim
+    # around the d entries "    [\n" and "\n    ]", 12; around each
+    # entry's parts "      [\n        ", ",\n        " and "\n      ]",
+    # 34; between two entries ",\n", 2
+    return ((2 if n else len(_json_opening(d))) + _parts_length(psi)
+            + 12 + 34 * d + 2 * (d - 1))
 
 
 # -- evolution ---------------------------------------------------------
@@ -439,7 +513,8 @@ def _split_line(rows: tuple) -> Callable:
 
     The two vectors' parts are unpacked once into locals, and each
     distinct product |c| * x of a coefficient magnitude and a local is
-    computed once, into a local of its own; each output part is then one
+    computed once: into a local of its own where two terms or more use
+    it, and within its one term otherwise.  Each output part is then one
     expression that adds or subtracts those products, the sign on the
     operator.  A +1 or -1 term adds or subtracts the part itself, with no
     multiply.  A coefficient enters the source only as the name of a
@@ -449,17 +524,17 @@ def _split_line(rows: tuple) -> Callable:
     other's output.
     """
     bound = {}  # coefficient magnitude -> the keyword default it is bound to
-    shared = {}  # (magnitude, part local) -> the local their product is kept in
+    shared = {}  # (magnitude, part local) -> [its slot in the sums, the terms using it]
 
     def term(sign, c, var):
-        """`sign * c * var` as source, led by its operator."""
+        """`sign * c * var` as source, led by its operator; a product is a
+        format slot, filled once every term is known."""
         op = " + " if sign * c > 0 else " - "
         if c in (1, -1):
             return op + var
-        key = abs(c), var
-        if key not in shared:
-            shared[key] = f"m{len(shared)}"
-        return op + shared[key]
+        slot = shared.setdefault((abs(c), var), [len(shared), 0])
+        slot[1] += 1
+        return f"{op}{{{slot[0]}}}"
 
     xs, ps = [], []
     for i, (s_terms, a_terms) in enumerate(rows):
@@ -472,15 +547,22 @@ def _split_line(rows: tuple) -> Callable:
             p += term(1, c, f"pc{j}")
         xs.append(x + ",")
         ps.append(p + ",")
-    products = [f"    {local} = {bound.setdefault(c, f'c{len(bound)}')} * {var}\n"
-                for (c, var), local in shared.items()]
+    # a product of one term is written into it, any other kept in a local
+    products, slots = [], []
+    for (c, var), (_, used) in shared.items():
+        factor = f"{bound.setdefault(c, f'c{len(bound)}')} * {var}"
+        if used == 1:
+            slots.append(factor)
+        else:
+            slots.append(f"m{len(products)}")
+            products.append(f"    {slots[-1]} = {factor}\n")
     params = ["psi", "base"] + (["*", *bound.values()] if bound else [])
     source = (f"def split_step({', '.join(params)}):\n"
               + "".join(f"    ({''.join(f'{v}{j},' for j in range(len(rows)))}) = {parts}\n"
                         for v, parts in (("xp", "base.re"), ("pp", "base.im"),
                                          ("xc", "psi.re"), ("pc", "psi.im")))
               + "".join(products)
-              + f"    return ({' '.join(xs)}), ({' '.join(ps)})\n")
+              + f"    return ({' '.join(xs)}), ({' '.join(ps)})\n".format(*slots))
     namespace = {}
     exec(source, namespace)
     step = namespace["split_step"]

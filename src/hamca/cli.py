@@ -29,10 +29,14 @@ residual is zero.  This process makes every check (`evolve` its
 reversal too), and `audit` stages `audit.json` and `series.csv`,
 before it waits for the child, so the wait is the last of its work;
 those two are published after the trajectory, and removed if the run
-fails.  Any text the child did not stage, or that the checks reject, is
-written here after the wait, and without `os.fork` all of it is.  The
-child stages text only: every verdict and every series value comes
-from slices this process checked.  A child whose parent is gone,
+fails.  A trajectory has two writers (`_write_trajectory`): the child
+prints the slices before a split slice fixed by the slice count, and
+this process, after its checks, the rest into the same staged file,
+at the byte offset it counted as its pass read those slices.  Any text
+the child did not stage, or that the checks reject, is written here
+after the wait, and without `os.fork` all of it is.  The child stages
+text only: every verdict and every series value comes from slices
+this process checked.  A child whose parent is gone,
 killed say, or that is sent SIGTERM, as a shell's `kill %1` sends its
 whole process group, removes what it staged and exits, so no writer
 outlives its run; one whose parent is gone removes what the parent
@@ -58,7 +62,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, compress, repeat
+from itertools import chain, compress, islice, repeat
 from pathlib import Path
 from typing import Optional
 
@@ -432,13 +436,15 @@ def _staged(path: Path) -> Path:
 
 
 @exact_int_text()
-def _stage_text(path: Path, pieces):
+def _stage_text(path: Path, pieces, truncate: bool = True):
     """Write the text pieces in order under `_staged(path)`, as
     `Path.write_text` writes their join.
 
     The first piece is made before the file is opened, so a writer that
     rejects its input leaves no file, and a failure partway removes the
-    partial one.  The int digit limit stays lifted for the whole write.
+    partial one.  Unless `truncate`, a staged file that exists is
+    written from its start and keeps what lies past the text.  The int
+    digit limit stays lifted for the whole write.
     """
     if isinstance(pieces, str):
         raise TypeError("_write_text takes an iterable of text pieces, not a str")
@@ -446,7 +452,8 @@ def _stage_text(path: Path, pieces):
     first = next(pieces, "")
     staged = _staged(path)
     try:
-        fh = open(staged, "w", encoding="utf-8")
+        fh = open(staged, "w", encoding="utf-8",
+                  opener=None if truncate else _keeping)
     except OSError as exc:
         raise RuntimeError(f"cannot write {path}: {exc}") from exc
     try:
@@ -458,6 +465,11 @@ def _stage_text(path: Path, pieces):
         if isinstance(exc, OSError):
             raise RuntimeError(f"cannot write {path}: {exc}") from exc
         raise
+
+
+def _keeping(path, flags):
+    """`open`'s own opener, less the truncation."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
 
 
 def _publish(path: Path):
@@ -490,12 +502,13 @@ def _fmt_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _trajectory_pieces(h, slices, stored, fmt):
-    """The text of `trajectory.<fmt>`: `automaton._decimal_slices` in pieces."""
-    texts = automaton._decimal_slices(h, slices, stored)
+def _trajectory_pieces(h, slices, stored, fmt, first=0):
+    """The text of `trajectory.<fmt>`, `automaton._decimal_slices` in
+    pieces; from slice `first` on, the rest of the file."""
+    texts = automaton._decimal_slices(h, slices, stored, first)
     if fmt == "csv":
-        return automaton._csv_pieces(texts)
-    return automaton._json_pieces(texts, h.dim)
+        return automaton._csv_pieces(texts, first)
+    return automaton._json_pieces(texts, h.dim, first)
 
 
 def _zero_residual_pieces(wave):
@@ -536,7 +549,9 @@ def _while_parent(pieces, parent: int):
 def _fork_writer(staged, own=()) -> Optional[int]:
     """The pid of a forked child that stages each (path, pieces) of
     `staged`, in order, and exits 0 once all is staged; None where
-    `os.fork` does not exist or fails.
+    `os.fork` does not exist or fails.  The child writes each staged
+    file from its start and never truncates it (`_stage_text`), since
+    its parent may write text of its own past the child's.
 
     With the first of every batch of pieces the child checks that its
     parent is still the process that forked it (`_while_parent`), and
@@ -563,7 +578,7 @@ def _fork_writer(staged, own=()) -> Optional[int]:
     try:
         signal.signal(signal.SIGTERM, signal.default_int_handler)
         for path, pieces in staged:
-            _stage_text(path, _while_parent(pieces, parent))
+            _stage_text(path, _while_parent(pieces, parent), truncate=False)
         code = 0
     finally:
         names = [path for path, _ in staged]
@@ -576,10 +591,11 @@ def _fork_writer(staged, own=()) -> Optional[int]:
 
 
 def _while_staging(staged, work, own=()):
-    """`work()`, run while a forked child (`_fork_writer`) stages
+    """`work(forked)`, run while a forked child (`_fork_writer`) stages
     `staged`; returns work's result and whether the child staged every
-    file (False without a child).  `own` names the paths `work` stages,
-    which the child removes if it finds this process gone.
+    file (False without a child).  `forked` says whether there is a
+    child.  `own` names the paths `work` stages, which the child removes
+    if it finds this process gone.
 
     `work` is all of the caller's work that does not need the child's
     text, so the wait for the child is the last thing done here.  The
@@ -588,7 +604,7 @@ def _while_staging(staged, work, own=()):
     """
     pid = _fork_writer(staged, own)
     try:
-        result = work()
+        result = work(pid is not None)
         status = None if pid is None else os.waitpid(pid, 0)[1]
     except BaseException:
         if pid is not None:
@@ -616,6 +632,39 @@ def _predicted(window, seeds, steps) -> bool:
     return not window.brackets and (window.seeds, window.slices) == (seeds, steps + 2)
 
 
+# The share of a trajectory's slices whose text the writer child prints,
+# from the start; this process prints the rest once its verdicts are
+# made.  The two finish together when the child's share of the text
+# costs what this process's pass, verdicts and share of the text cost,
+# and that was near 0.83 of the slices on both the 2,000-step audit and
+# the 6,000-step evolve of a 3-dof tridiagonal H (see CHANGES.md).
+_CHILD_SHARE = 0.83
+
+
+def _split_slice(slices: int) -> int:
+    """The first of `slices` slices whose text this process prints: the
+    child's share of them, and at least the two seeds."""
+    return max(2, min(slices, round(_CHILD_SHARE * slices)))
+
+
+def _pwrite_text(path: Path, offset: int, pieces):
+    """Write the text pieces in order under `_staged(path)` from byte
+    `offset` on, with `os.pwrite`; the file is created if need be, and
+    neither truncated nor written anywhere else."""
+    try:
+        fd = os.open(_staged(path), os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            for piece in pieces:
+                data = memoryview(piece.encode("utf-8"))
+                while data:
+                    done = os.pwrite(fd, data, offset)
+                    data, offset = data[done:], offset + done
+        finally:
+            os.close(fd)
+    except OSError as exc:
+        raise RuntimeError(f"cannot write {path}: {exc}") from exc
+
+
 def _write_trajectory(window, seeds, steps, out_dir: Path, fmt: str, verdicts,
                       own=()):
     """Drain `window`, the pass over the slices `seeds` and `steps` make,
@@ -623,27 +672,53 @@ def _write_trajectory(window, seeds, steps, out_dir: Path, fmt: str, verdicts,
     `trajectory.<fmt>`; returns the path and what `verdicts()` returned.
 
     The text is `_trajectory_pieces` of H, the slice count and the
-    slices the window keeps (`_Window.stored`).  While this process
-    drains the window and runs the verdicts, a forked child
-    (`_while_staging`) stages the text of the seeds alone, the solution
-    they start.  That text is renamed into place only if the child
-    exited 0 and the window read what it predicts (`_predicted`), and so
-    kept the seeds alone; otherwise it is removed and the text is
-    written here, after the wait, from the slices the window kept.
-    `own` names the paths `verdicts()` stages: they are published after
-    the trajectory, in order, and removed if anything fails.
+    slices the window keeps (`_Window.stored`).  On a solution the
+    window keeps the seeds alone, and two processes print that text into
+    one staged file, split at slice k (`_split_slice`, fixed before the
+    fork).  While this process drains the window and runs the verdicts,
+    a forked child (`_while_staging`) prints slices 0 ... k-1 of the
+    solution the seeds start, header included, from the file's start.
+    As the window drains, this process adds up the length of those
+    slices' text, part by part and without printing a part
+    (`automaton._csv_length`, `_json_length`), and keeps psi_{k-2} and
+    psi_{k-1}.  After the verdicts, if the window read what the seeds
+    predict (`_predicted`), it prints slices k ... N-1 from those two,
+    and the JSON footer, at that offset (`_pwrite_text`), and only then
+    waits for the child.  Neither process truncates the file, so either
+    may create it.  The file is renamed into place only if the child
+    exited 0 and the window read what it predicts; otherwise it is
+    removed and the text is written here, after the wait, from the
+    slices the window kept, as all of it is without `os.fork`.  `own`
+    names the paths `verdicts()` stages: they are published after the
+    trajectory, in order, and removed if anything fails.
     """
-    h = window.h
+    h, slices = window.h, steps + 2
     path = out_dir / f"trajectory.{fmt}"
+    split = _split_slice(slices)
+    length = automaton._csv_length if fmt == "csv" else automaton._json_length
+    offset, kept = 0, {}
 
-    def work():
+    def measured(stream):
+        nonlocal offset
+        for n, psi in enumerate(stream):
+            if n < split:
+                offset += length(n, psi)
+                if n >= split - 2:
+                    kept[n] = psi
+            yield psi
+
+    def work(forked):
+        if forked:  # the pass measures the child's share of the text as it reads it
+            window._slices = measured(window._slices)
         window.drain()
-        return verdicts()
+        result = verdicts()
+        if forked and _predicted(window, seeds, steps):
+            _pwrite_text(path, offset, _trajectory_pieces(h, slices, kept, fmt, split))
+        return result
 
+    head = islice(_trajectory_pieces(h, slices, dict(enumerate(seeds)), fmt), split)
     try:
-        result, staged = _while_staging(
-            [(path, _trajectory_pieces(h, steps + 2, dict(enumerate(seeds)), fmt))],
-            work, own)
+        result, staged = _while_staging([(path, head)], work, own)
         _settle(path, staged and _predicted(window, seeds, steps),
                 _trajectory_pieces(h, window.slices, window.stored, fmt))
         for name in own:
@@ -669,7 +744,7 @@ def _write_composite(out_dir: Path, name: str, wave, zero: bool, verdicts):
     staged = [(field_path, wave._json_pieces())]
     if zero:
         staged.append((residual_path, _zero_residual_pieces(wave)))
-    (res, checks, info), ok = _while_staging(staged, verdicts)
+    (res, checks, info), ok = _while_staging(staged, lambda forked: verdicts())
     try:
         _settle(field_path, ok, wave._json_pieces())
         _settle(residual_path, ok and zero and res.is_zero, res._csv_pieces())

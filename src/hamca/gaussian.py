@@ -514,38 +514,50 @@ def _straight_line(program: tuple):
     kernel(v, base) takes two `GIVector`s of the program's length and
     returns the `GIVector` of the product plus the base.  The parts are
     unpacked once into locals, and each distinct product |c| * x of a
-    coefficient magnitude and a local is computed once, into a local of
-    its own; each output part is then one expression that adds or
-    subtracts those products, the sign on the operator, so a coefficient
-    that recurs over a column costs one multiply, not one per term.  A
-    +1 or -1 term adds or subtracts the part itself, with no multiply.
+    coefficient magnitude and a local is computed once: into a local of
+    its own where two terms or more use it, before the sums, and inside
+    its term where one does, so it is freed once added.  Each output
+    part is then one expression that adds or subtracts those products,
+    the sign on the operator, so a coefficient that recurs over a column
+    costs one multiply, not one per term.  A +1 or -1 term adds or
+    subtracts the part itself, with no multiply.
     A coefficient enters the source only as the name of a keyword
     default bound to it, never as a literal, so no user value is printed
     into the text.
     """
     d = len(program)
     names = {}  # coefficient magnitude -> the name of the default it is bound to
-    products = {}  # (magnitude, part local) -> the local their product is kept in
+    uses = {}  # (magnitude, part local) -> how many terms multiply the two
 
     def term(c, var):
-        """`c * var` as source, led by its operator."""
-        sign = " + " if c > 0 else " - "
-        if c in (1, -1):
-            return sign + var
-        return sign + products.setdefault((abs(c), var), f"q{len(products)}")
+        """`c * var` as (operator, magnitude, part local), its product counted."""
+        if c not in (1, -1):
+            uses[abs(c), var] = uses.get((abs(c), var), 0) + 1
+        return " + " if c > 0 else " - ", abs(c), var
 
-    sums_re, sums_im = [], []
-    for i, (re_terms, im_terms) in enumerate(program):
-        r, m = [f"br{i}"], [f"bi{i}"]
+    terms = []  # per row, the terms of its real and of its imaginary sum
+    for re_terms, im_terms in program:
+        r, m = [], []
         for j, c in re_terms:
             r.append(term(c, f"xr{j}"))
             m.append(term(c, f"xi{j}"))
         for j, c in im_terms:
             r.append(term(-c, f"xi{j}"))
             m.append(term(c, f"xr{j}"))
-        sums_re.append("".join(r))
-        sums_im.append("".join(m))
-    multiplies = "".join(f"    {q} = {names.setdefault(c, f'k{len(names)}')} * {var}\n"
+        terms.append((r, m))
+    products = {}  # (magnitude, part local) of two terms or more -> their product's local
+
+    def written(op, c, var):
+        if c == 1:
+            return op + var
+        k = names.setdefault(c, f"k{len(names)}")
+        if uses[c, var] == 1:
+            return f"{op}{k} * {var}"
+        return op + products.setdefault((c, var), f"q{len(products)}")
+
+    sums_re = [f"br{i}" + "".join(written(*t) for t in r) for i, (r, _) in enumerate(terms)]
+    sums_im = [f"bi{i}" + "".join(written(*t) for t in m) for i, (_, m) in enumerate(terms)]
+    multiplies = "".join(f"    {q} = {names[c]} * {var}\n"
                          for (c, var), q in products.items())
 
     def locals_of(part):

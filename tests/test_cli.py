@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import decimal
 import functools
 import hashlib
 import inspect
@@ -645,6 +646,14 @@ def test_evolve_and_audit_sweep_the_brackets_once(tmp_path, monkeypatch):
         return [(psi, base) for _, psi, base in predicted] == \
             [(s, before) for before, s in zip(made, made[1:-1])]
 
+    def printed():
+        """Takes out of `applied` the forward steps on Decimal slices, the
+        replay by which this process prints its share of the text,
+        slices k ... N-1, and returns how many there were."""
+        count = len(applied)
+        applied[:] = [c for c in applied if not isinstance(c[1].re[0], decimal.Decimal)]
+        return count - len(applied)
+
     rest = {}
     for doubling, steps, fmt in ((True, 9, "csv"), (True, 9, "json"),
                                  (True, 500, "csv"), (False, 9, "csv")):
@@ -656,8 +665,10 @@ def test_evolve_and_audit_sweep_the_brackets_once(tmp_path, monkeypatch):
         predicted.clear()
         run(cfg, tmp_path / f"evolve-{steps}-{fmt}-{doubling}")
         assert len(made) == steps + 2
+        assert printed() == steps + 2 - cli._split_slice(steps + 2)
         # one bracket pass for the verdicts and the writer, each bracket
-        # one split-form step, and no apply of -iH but the forward step's
+        # one split-form step, and no apply of -iH on ints but the
+        # forward step's
         assert len(predicted) == steps and brackets()
         if doubling:
             # reversal applies only its own matrices
@@ -678,7 +689,7 @@ def test_evolve_and_audit_sweep_the_brackets_once(tmp_path, monkeypatch):
     # -iH on the window's slices: the forward step only; one bracket pass
     # shared by the solution check and the writer (the observables are
     # matrices of their own)
-    assert len(made) == 9 + 2
+    assert len(made) == 9 + 2 and printed() == 11 - cli._split_slice(11)
     assert on_window(cfg.params["hamiltonian"]) == (9, 0)
     assert len(predicted) == 9 and brackets()
 
@@ -1309,7 +1320,7 @@ def failing_stream(after):
     return failing
 
 
-def failing_writer(texts):
+def failing_writer(texts, first=0):
     yield "n,alpha,re,im\n"
     raise RuntimeError("writer interrupted")
 
@@ -1430,6 +1441,104 @@ def test_the_wait_for_the_writer_is_the_last_of_the_parents_work(tmp_path, monke
                    [(0, [".audit.json.part", ".series.csv.part"])])
     assert sorted(p.name for p in out.iterdir()) == \
         sorted(["report.json", *report["artifact_bytes"]])
+
+
+# short runs whose trajectory text is split at every slice k = 2 ... N:
+# H of one and three dofs, seeds with zero and negative parts, and the
+# fewest steps there are
+SPLIT_RUNS = [pytest.param(kind, coupling, seeds, steps,
+                           id=f"{kind}-d{len(seeds[0])}-{steps}")
+              for kind, coupling, seeds in (
+                  ("evolve", [[[-2, 0]]], [[[0, -1]], [[-3, 0]]]),
+                  ("evolve", TRIDIAGONAL, TRIDIAGONAL_SEEDS),
+                  ("audit", TRIDIAGONAL, [[[0, 0], [-1, 0], [0, 2]],
+                                          [[0, -1], [0, 0], [-2, -1]]]))
+              for steps in (0, 1, 38)]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("kind, coupling, seeds, steps", SPLIT_RUNS)
+def test_the_trajectory_text_is_the_same_wherever_it_is_split(tmp_path, monkeypatch, kind,
+                                                               coupling, seeds, steps, fmt):
+    # the child prints slices 0 ... k-1 and this process the rest, at the
+    # offset it counted; k is forced through the share the split is fixed
+    # by, and the run without `os.fork`, which does not split, prints the
+    # same bytes
+    cfg = load_config(write_config(tmp_path / "cfg.json", {
+        "kind": kind, "hamiltonians": [coupling], "seeds": seeds, "steps": steps,
+        "output": {"format": fmt}}))
+    h = cfg.params["hamiltonian"]
+    traj = evolve(*cfg.params["seeds"], h, steps)
+    want = (traj.to_csv(h) if fmt == "csv" else traj.to_json_text(h)).encode()
+    slices = steps + 2
+    for split in [*range(2, slices + 1), "inline"]:
+        with monkeypatch.context() as patched:
+            if split == "inline":
+                forks = use_schedule(patched, "inline")
+            else:
+                forks = use_schedule(patched, "forked")
+                patched.setattr(cli, "_CHILD_SHARE", split / slices)
+                assert cli._split_slice(slices) == split
+            out = tmp_path / str(split)
+            report = run(cfg, out)
+        assert all(c["passed"] for c in report["checks"])
+        assert len(forks) == (split != "inline")
+        assert (out / f"trajectory.{fmt}").read_bytes() == want, split
+        assert sorted(p.name for p in out.iterdir()) == \
+            sorted(["report.json", *report["artifact_bytes"]])
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+# `hamca evolve` whose forked child passes on a piece a millisecond, and
+# whose own share of the text, once its verdicts are made, does too,
+# printing "tail" as it starts on it
+SLOW_TAIL = SLOW_WRITER.replace("cli._while_parent = slow\n", """cli._while_parent = slow
+written = cli._pwrite_text
+
+def slow_tail(path, offset, pieces):
+    print("tail", flush=True)
+    written(path, offset, slow(pieces, cli.os.getppid()))
+
+cli._pwrite_text = slow_tail
+""")
+
+
+@pytest.mark.skipif(not hasattr(os, "fork") or not Path("/proc/self/stat").exists(),
+                    reason="needs os.fork and a /proc process table")
+@pytest.mark.parametrize("sig, group", [
+    pytest.param(signal.SIGKILL, False, id="KILL"),
+    pytest.param(signal.SIGTERM, False, id="TERM"),
+    pytest.param(signal.SIGTERM, True, id="TERM-group")])
+def test_a_run_killed_while_it_prints_its_tail_leaves_no_staging_file(tmp_path, sig,
+                                                                      group):
+    # the run, or its whole process group, is killed while it prints its
+    # share of the trajectory into the file its child prints into: a run
+    # sent SIGTERM kills its child and removes the file, and a child left
+    # behind sees that it was reparented and removes it
+    assert "cli._while_parent = slow\n" in SLOW_WRITER
+    path = write_config(tmp_path / "cfg.json", dict(KILLED_RUNS["evolve"], steps=1000))
+    out = tmp_path / "out"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.Popen([sys.executable, "-c", SLOW_TAIL, "evolve", "--config", path,
+                             "--out", str(out)], env=env, start_new_session=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+    try:
+        assert proc.stdout.readline() == "tail\n"
+        assert (out / ".trajectory.csv.part").exists() and live_in_group(proc.pid) != []
+        (os.killpg if group else os.kill)(proc.pid, sig)
+        assert proc.wait(timeout=10) == -sig
+        deadline = time.monotonic() + 10
+        while live_in_group(proc.pid) or any(out.glob(".*.part")):
+            assert time.monotonic() < deadline, \
+                (live_in_group(proc.pid), sorted(p.name for p in out.iterdir()))
+            time.sleep(0.01)
+        assert list(out.iterdir()) == []
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+        proc.stdout.close()
 
 
 def failing_series(series):

@@ -79,6 +79,37 @@ def test_trajectory_text_matches_per_entry_str(case):
     assert traj.to_json_text(h) == reference_json(traj.to_json_obj())
 
 
+# parts from 0 to past CPython's 4300-digit limit, of both signs: at and
+# beside each power of ten, where a digit count changes, and of two, where
+# a bit length does, and random ones of every bit length in between
+SIGNS = st.sampled_from([1, -1])
+NEAR_POWERS = st.one_of(
+    st.builds(lambda sign, k, d: sign * (10**k + d), SIGNS, st.integers(0, 4400),
+              st.integers(-2, 2)),
+    st.builds(lambda sign, k, d: sign * (2**k + d), SIGNS, st.integers(0, 14700),
+              st.integers(-2, 2)))
+COUNTED_PART = st.one_of(SMALL, NEAR_POWERS, PAST_LIMIT,
+                         st.integers(1, 14700).flatmap(lambda b: st.integers(-2**b, 2**b)))
+
+
+@settings(max_examples=300)
+@given(data=st.data(), dim=st.integers(1, 4), n=st.one_of(st.integers(0, 2),
+                                                          st.integers(0, 10**6)))
+def test_the_counted_length_of_a_slice_is_that_of_its_text(data, dim, n):
+    # the parent counts the bytes of the writer child's text slice by
+    # slice without printing a part, under the interpreter's int<->str
+    # limit (4300 digits by default), which `str` of a longer part raises at
+    psi = vectors(data.draw, dim, COUNTED_PART)
+    lengths = automaton._csv_length(n, psi), automaton._json_length(n, psi)
+    with exact_int_text():
+        texts = [(tuple(map(str, psi.re)), tuple(map(str, psi.im)))]
+    row = next(automaton._csv_pieces(texts, n))
+    element = next(automaton._json_pieces(texts, dim, n))
+    assert lengths == (len(row), len(element))
+    if n == 0:  # the header and the object's opening ride on slice 0
+        assert row.startswith("n,alpha,re,im\n") and element.startswith('{\n  "dim": ')
+
+
 def test_trajectory_text_on_zero_entries_and_negative_couplings():
     h = HermitianIntMatrix(GIMatrix([[-1, 0], [0, -2]]))
     zero = GIVector([0, 0])
